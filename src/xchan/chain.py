@@ -104,7 +104,12 @@ class Chain:
 
         if tx.kind not in PAYLOAD_KINDS or not isinstance(tx.payload, PAYLOAD_KINDS[tx.kind]):
             return False, "unknown kind"
-        if not tx.verify_sig():
+        try:
+            sig_ok = tx.verify_sig()
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            # a field the canonical encoding cannot represent
+            return False, "malformed: %s" % exc
+        if not sig_ok:
             return False, "bad signature"
         self.mempool.append(tx)
         return True, "queued"
@@ -125,12 +130,12 @@ class Chain:
         events = []
         before = self.total_value()
         txs, self.mempool = self.mempool, []
-        body = b""
+        body = []
         for tx in txs:
             ok, result, detail = self.contract.execute(tx)
             result = result if ok else "failed:%s" % result
             block.entries.append((tx.kind, tx.session_id, result))
-            body += enc_bytes(tx.signing_bytes() + enc_bytes(tx.sig))
+            body.append(enc_bytes(tx.signing_bytes() + enc_bytes(tx.sig)))
             events.append(self._event(block, tx.kind, tx.session_id, result, detail))
         for kind, sid, result, detail in self.contract.process_timers():
             block.entries.append((kind, sid, result))
@@ -140,7 +145,7 @@ class Chain:
             + enc_u64(block.height)
             + enc_u64(tick)
             + enc_bytes(block.prev_hash)
-            + body
+            + b"".join(body)
         )
         self.blocks.append(block)
         if self.total_value() != before:

@@ -109,7 +109,7 @@ class ClosePayload:
 
     def to_bytes(self):
         return (
-            enc_bytes(self.final.signing_bytes() + enc_bytes(self.final.sig))
+            enc_bytes(self.final.to_bytes())
             + enc_seq(sr.to_bytes() for sr in self.srs)
             + enc_seq(tr.to_bytes() for tr in self.trs)
         )
@@ -222,32 +222,57 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
     below it are discarded, and each discarded channel's funding amount
     reverts to the funding receipt's payee at the deepest surviving
     level.
+
+    Each distinct signed object is verified once per call. Receipts,
+    sub-channel receipts and final states are keyed by their canonical
+    bytes (``to_bytes()``), which are length-prefixed and cover the
+    signature and every signed field, so equal keys mean equal checks.
+    A sub-channel receipt reuses the result of its embedded receipt and
+    verifies only its own signature. The tables live for one call only.
     """
+    tr_ok: dict[bytes, bool] = {}
+    sr_ok: dict[bytes, bool] = {}
+    final_ok: dict[bytes, bool] = {}
+
+    def verified(table, key, check):
+        ok = table.get(key)
+        if ok is None:
+            ok = table[key] = check()
+        return ok
+
     trs_by_path: dict[tuple, dict[bytes, Receipt]] = {}
     srs_by_tr: dict[tuple, dict[bytes, dict[bytes, SubChannelReceipt]]] = {}
     covered = set()
 
-    def pool_tr(tr: Receipt):
-        if tr.session_id != session_id or not tr.verify_sig():
-            return
-        trs_by_path.setdefault(tr.channel_path, {})[tr.to_bytes()] = tr
+    def pool_tr(tr: Receipt, tr_bytes: bytes):
+        if tr.session_id == session_id and verified(tr_ok, tr_bytes, tr.verify_sig):
+            trs_by_path.setdefault(tr.channel_path, {})[tr_bytes] = tr
 
     for sender, payload in submissions:
         f = payload.final
-        if f.session_id == session_id and f.submitter == sender and f.verify_sig():
+        if (
+            f.session_id == session_id
+            and f.submitter == sender
+            and verified(final_ok, f.to_bytes(), f.verify_sig)
+        ):
             covered.add(f.channel_path)
         for tr in payload.trs:
-            pool_tr(tr)
+            pool_tr(tr, tr.to_bytes())
         for sr in payload.srs:
             tr = sr.receipt
-            if tr.session_id != session_id or not sr.verify_sig():
+            if tr.session_id != session_id:
+                continue
+            tr_bytes = tr.to_bytes()
+            sr_bytes = sr.to_bytes()
+            if not (
+                verified(tr_ok, tr_bytes, tr.verify_sig)
+                and verified(sr_ok, sr_bytes, sr.verify_own_sig)
+            ):
                 continue
             if sr.counterparty == sr.funder:
                 continue
-            pool_tr(tr)  # the embedded receipt counts as submitted
-            srs_by_tr.setdefault(tr.channel_path, {}).setdefault(tr.to_bytes(), {})[
-                sr.to_bytes()
-            ] = sr
+            pool_tr(tr, tr_bytes)  # the embedded receipt counts as submitted
+            srs_by_tr.setdefault(tr.channel_path, {}).setdefault(tr_bytes, {})[sr_bytes] = sr
 
     allocations: dict[str, int] = {}
 
@@ -264,19 +289,21 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
         for path, _members, initial, funder in current:
             pool = trs_by_path.get(path, {})
             # drop seq conflicts: distinct receipts sharing a sequence number
-            by_seq: dict[int, list[Receipt]] = {}
-            for tr in pool.values():
-                by_seq.setdefault(tr.seq, []).append(tr)
-            candidates = [v[0] for v in by_seq.values() if len(v) == 1]
+            by_seq: dict[int, list[tuple[bytes, Receipt]]] = {}
+            for tr_bytes, tr in pool.items():
+                by_seq.setdefault(tr.seq, []).append((tr_bytes, tr))
+            candidates = {seq: v[0] for seq, v in by_seq.items() if len(v) == 1}
             sr_groups = srs_by_tr.get(path, {})
-            delegated = {tr.seq for tr in candidates if tr.to_bytes() in sr_groups}
-            balances, included = replay_receipts(initial, candidates, delegated, funder=funder)
+            delegated = {seq for seq, (tr_bytes, _tr) in candidates.items() if tr_bytes in sr_groups}
+            balances, included = replay_receipts(
+                initial, [tr for _b, tr in candidates.values()], delegated, funder=funder
+            )
             for addr in sorted(balances):
                 credit(addr, balances[addr])
             for tr in included:
                 if tr.seq not in delegated:
                     continue
-                group = sr_groups[tr.to_bytes()]
+                group = sr_groups[candidates[tr.seq][0]]
                 if len(group) > 1:
                     failed = True  # double authorization of one receipt
                     spawn.append((tr, None))

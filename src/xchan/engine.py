@@ -62,10 +62,41 @@ class ChannelView:
     srs: list = field(default_factory=list)
     next_seq: int = 1
     last_sent_seq: int = 0
+    # balances() cache: the fold of _folded (receipts in insertion order,
+    # highest seq _folded_seq) under the delegation set _folded_delegated
+    _bal: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _folded: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _folded_seq: int = field(default=0, init=False, repr=False, compare=False)
+    _folded_delegated: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     def balances(self) -> dict:
-        bal, _ = replay_receipts(self.initial, self.receipts.values(), self.delegated, self.funder)
-        return bal
+        """Current balances: replay_receipts over every held receipt.
+
+        The result is cached with a snapshot of what it covers. When the
+        receipts added since the last call all have a seq above every
+        folded one, only they are folded onto the cache; any other change
+        (a receipt inserted below the highest folded seq, a folded receipt
+        replaced or removed, or a changed delegated set, including a
+        direct ``delegated.add``) falls back to a full replay. initial and
+        funder are fixed at construction. Returns a fresh dict each call;
+        callers may mutate it.
+        """
+        trs = list(self.receipts.values())
+        n = len(self._folded)
+        if not (
+            self._bal is not None
+            and self.delegated == self._folded_delegated
+            and trs[:n] == self._folded
+            and all(tr.seq > self._folded_seq for tr in trs[n:])
+        ):
+            self._bal, self._folded_seq, n = dict(self.initial), 0, 0
+            self._folded_delegated = frozenset(self.delegated)
+        new = trs[n:]
+        if new:
+            self._bal, _ = replay_receipts(self._bal, new, self._folded_delegated, self.funder)
+            self._folded_seq = max(tr.seq for tr in new)
+        self._folded = trs
+        return dict(self._bal)
 
     def other(self, addr: str) -> str:
         return self.members[1] if self.members[0] == addr else self.members[0]

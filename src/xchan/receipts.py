@@ -77,10 +77,12 @@ class SubChannelReceipt:
         return self.receipt.rcv
 
     def verify_sig(self) -> bool:
-        # issued and signed by the payer of the underlying receipt
-        return self.receipt.verify_sig() and verify(
-            self.receipt.snd, self.signing_bytes(), self.sig
-        )
+        return self.receipt.verify_sig() and self.verify_own_sig()
+
+    def verify_own_sig(self) -> bool:
+        """The authorization's own signature, without re-checking the
+        embedded receipt's: issued and signed by that receipt's payer."""
+        return verify(self.receipt.snd, self.signing_bytes(), self.sig)
 
 
 def make_sub_receipt(payer_kp: KeyPair, counterparty: str, tr: Receipt) -> SubChannelReceipt:
@@ -106,6 +108,9 @@ class FinalState:
             + enc_str(self.submitter)
         )
 
+    def to_bytes(self) -> bytes:
+        return self.signing_bytes() + enc_bytes(self.sig)
+
     def verify_sig(self) -> bool:
         return verify(self.submitter, self.signing_bytes(), self.sig)
 
@@ -128,7 +133,13 @@ def replay_receipts(initial: dict, receipts, delegated_seqs, funder=None):
     escrowed to a child channel) debit the sender but credit nothing
     here. Receipts that would overdraw the sender are skipped, as is
     anything not between channel members; in a sub-channel only the
-    funder may pay. Callers verify signatures before handing receipts in.
+    funder may pay.
+
+    The fold checks no signature. settle_levels pools only receipts it
+    has verified; a ChannelView holds receipts its party signed or
+    verified on arrival. Folding receipts whose seqs all exceed those
+    of an earlier fold onto that fold's balances gives the same balances
+    as one fold over both sets; ChannelView.balances relies on this.
     """
     balances = dict(initial)
     members = set(initial)

@@ -6,6 +6,7 @@ import pytest
 from xchan import contract as ct
 from xchan.chain import Chain, TimerConfig
 from xchan.crypto import keypair_from_label
+from xchan.receipts import FinalState
 
 S = keypair_from_label("chain:S")
 R = keypair_from_label("chain:R")
@@ -62,6 +63,31 @@ class TestSubmit:
         ok, why = c.submit_tx(tx2)
         assert not ok and why == "unknown kind"
 
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            # a balance the unsigned encoding cannot carry (ValueError)
+            (
+                ct.CLOSE_TX,
+                ct.ClosePayload(
+                    final=FinalState("c0", (), {S.address: -1}, S.address, bytes(64)),
+                    srs=(),
+                    trs=(),
+                ),
+            ),
+            # a threshold of the wrong type (TypeError)
+            (ct.UPLOAD_TX, ct.UploadPayload(h_k=bytes(32), n=1, t="1", share_hashes=(bytes(32),))),
+        ],
+        ids=["negative-balance", "str-threshold"],
+    )
+    def test_malformed_payload_rejected(self, kind, payload):
+        c = new_chain()
+        tx = ct.OnChainTx("alpha", "c0", S.address, kind, payload, sig=bytes(64))
+        ok, why = c.submit_tx(tx)
+        assert not ok and why.startswith("malformed: ")
+        assert c.mempool == []
+        c.produce_block(3)  # the chain keeps running
+
     def test_submission_order_preserved(self):
         c = new_chain()
         c.submit_tx(open_tx(S))
@@ -87,6 +113,11 @@ class TestBlocks:
             return [b.hash for b in c.blocks]
 
         assert run() == run()
+        # the canonical block encoding is pinned byte for byte
+        assert [h.hex() for h in run()] == [
+            "01fe2f94397c013c5b57d22294e376de6d47b42d660416491f398c32ebb7abeb",
+            "6e520892ea4a64f4062f8ca0c1402aef3506aa112213b5b8f8cbc3ca1f88677e",
+        ]
 
     def test_conservation_every_block(self):
         c = new_chain()

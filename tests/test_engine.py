@@ -4,11 +4,13 @@ final states."""
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xchan.contract import InvariantViolation
 from xchan.crypto import keypair_from_label, sign
 from xchan.engine import BehaviorProfile, ChannelView, Party
-from xchan.receipts import make_receipt, make_sub_receipt, replay_receipts
+from xchan.receipts import Receipt, make_receipt, make_sub_receipt, replay_receipts
 from xchan.simnet import LatencyModel, Simnet
 
 SID = "e0"
@@ -195,3 +197,55 @@ class TestFinalStates:
         net, a, b = two_parties(behavior_a=BehaviorProfile(inflate_final_state=True))
         f = a.compute_final_state(view_of(a))
         assert f.balances[a.address("alpha")] == 101
+
+
+class TestBalancesCache:
+    """ChannelView.balances caches its fold; it must always equal a fresh
+    replay of everything the view holds."""
+
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("send"), st.sampled_from("AB"), st.integers(0, 60)),
+            st.tuples(st.just("insert"), st.sampled_from("AB"), st.integers(0, 60), st.integers(1, 30)),
+            st.tuples(st.just("overspend"), st.sampled_from("AB"), st.integers(1, 20)),
+            st.tuples(st.just("delegate"), st.integers(1, 30)),
+            st.tuples(st.just("replace"), st.integers(1, 30), st.integers(0, 60)),
+        ),
+        max_size=40,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=OPS, funded=st.booleans())
+    def test_matches_full_replay(self, ops, funded):
+        view = ChannelView(
+            chain_id="alpha",
+            session_id=SID,
+            path=(3,) if funded else (),
+            members=("A", "B"),
+            initial={"A": 100, "B": 0} if funded else {"A": 100, "B": 50},
+            funder="A" if funded else None,
+        )
+
+        def tr(seq, snd, amount):
+            return Receipt(SID, view.path, seq, snd, "B" if snd == "A" else "A", amount)
+
+        def expected():
+            return replay_receipts(view.initial, view.receipts.values(), view.delegated, view.funder)[0]
+
+        for op in ops:
+            top = max(view.receipts, default=0)
+            if op[0] == "send":
+                view.receipts[top + 1] = tr(top + 1, op[1], op[2])
+            elif op[0] == "insert":
+                if op[3] not in view.receipts:  # below the top unless the view is short
+                    view.receipts[op[3]] = tr(op[3], op[1], op[2])
+            elif op[0] == "overspend":
+                view.receipts[top + 1] = tr(top + 1, op[1], expected()[op[1]] + op[2])
+            elif op[0] == "delegate":
+                view.delegated.add(op[1])
+            elif op[1] in view.receipts:  # replace a held receipt in place
+                view.receipts[op[1]] = replace(view.receipts[op[1]], amount=op[2])
+            got = view.balances()
+            assert got == expected()
+            got["A"] += 1000  # callers own the returned dict
+            assert view.balances() == expected()

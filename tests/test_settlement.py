@@ -2,7 +2,11 @@
 randomized oracle equivalence."""
 
 import random
+from dataclasses import replace
 
+import pytest
+
+from xchan import contract, crypto, receipts
 from xchan.contract import ClosePayload, settle_levels
 from xchan.crypto import keypair_from_label
 from xchan.receipts import make_final_state, make_receipt, make_sub_receipt
@@ -112,3 +116,56 @@ def test_randomized_oracle_equivalence():
         assert res.allocations == alloc, (case, flags)
         assert res.cutoff_level == cutoff, (case, flags)
         assert sum(res.allocations.values()) == sum(deposits.values()), (case, flags)
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Route every signature check settlement makes through a counter."""
+    calls = []
+
+    def counting(address, msg, sig):
+        calls.append((address, msg, sig))
+        return crypto.verify(address, msg, sig)
+
+    monkeypatch.setattr(receipts, "verify", counting)
+    monkeypatch.setattr(contract, "verify", counting)
+    return calls
+
+
+def flipped(obj):
+    return replace(obj, sig=bytes([obj.sig[0] ^ 1]) + obj.sig[1:])
+
+
+def test_each_signed_object_verified_once(verify_calls):
+    # both root parties upload tr_root and sr_root, sr_root embeds tr_root,
+    # and flipped-signature copies of both ride along with S's upload
+    deposits, submissions = three_level_case()
+    sender, payload = submissions[0]
+    (tr_root,), (sr_root,) = payload.trs, payload.srs
+    submissions[0] = (
+        sender,
+        ClosePayload(
+            final=payload.final,
+            srs=(sr_root, flipped(sr_root)),
+            trs=(tr_root, flipped(tr_root)),
+        ),
+    )
+    parties = [S.address, R.address]
+    expected = settle_oracle(SID, deposits, parties, submissions)
+    verify_calls.clear()
+    res = settle_levels(SID, deposits, parties, submissions)
+    assert len(verify_calls) == len(set(verify_calls))
+    # the copies are rejected: no seq conflict, no double authorization
+    assert (res.ok, res.allocations, res.cutoff_level) == expected
+    assert res.allocations == {S.address: 120, R.address: 70, D.address: 6, Q.address: 4}
+
+
+def test_verify_once_on_generated_trees(verify_calls):
+    rng = random.Random(77)
+    for case in range(60):
+        session, deposits, parties, submissions, flags = gen_case(rng)
+        expected = settle_oracle(session, deposits, parties, submissions)
+        verify_calls.clear()
+        res = settle_levels(session, deposits, parties, submissions)
+        assert len(verify_calls) == len(set(verify_calls)), (case, flags)
+        assert (res.ok, res.allocations, res.cutoff_level) == expected, (case, flags)
