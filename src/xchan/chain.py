@@ -28,6 +28,9 @@ class TimerConfig:
     unlock_window: int  # parties may reveal the preimage this long after lock
     assist_window: int | None = None  # miners may reveal after unlock until this
 
+    def __deepcopy__(self, memo):
+        return self
+
 
 @dataclass
 class Block:
@@ -56,8 +59,8 @@ class Chain:
         self.mempool: list[OnChainTx] = []
         self.blocks: list[Block] = []
         self.contract = ChannelContract(self)
-        self.subscribers: list[str] = []  # actor names, event fan-out order
-        self.minted = 0
+        # (actor name, event kinds or None for all), in event fan-out order
+        self.subscribers: list[tuple[str, frozenset | None]] = []
 
     # -- account plumbing ---------------------------------------------------
 
@@ -65,7 +68,6 @@ class Chain:
         if address in self.accounts:
             raise ValueError("account exists")
         self.accounts[address] = balance
-        self.minted += balance
 
     def balance(self, address: str) -> int:
         return self.accounts.get(address, 0)

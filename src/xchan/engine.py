@@ -14,7 +14,6 @@ orthogonal behavior flags so tests can enumerate them.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 
 from . import contract as ct
@@ -29,7 +28,7 @@ from .receipts import (
     make_sub_receipt,
     replay_receipts,
 )
-from .simnet import Message, Simnet
+from .simnet import Message, Rng, Simnet
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,9 @@ class BehaviorProfile:
     overspend: bool = False
     refuse_close: bool = False
     duplicate_sr: bool = False
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 HONEST = BehaviorProfile()
@@ -149,7 +151,7 @@ class Party:
         self.keys = keys  # chain_id -> KeyPair
         self.behavior = behavior
         self.directory = directory if directory is not None else {}  # address -> actor name
-        self.rng = random.Random("party:%s:%d" % (name, seed))
+        self.rng = Rng("party:%s:%d" % (name, seed))
         self.group = group
         self.views: dict = {}  # (chain_id, session_id, path) -> ChannelView
         self.roles: dict = {}  # session_id -> SessionRole
@@ -778,13 +780,12 @@ class Miner:
     """Chain-local miner actor: share custody, appeals, recovery, assist."""
 
     def __init__(self, name, chain, kp: KeyPair, behavior: MinerBehavior | None = None,
-                 group=None, other_chain=None):
+                 group=None):
         self.name = name
         self.chain = chain
         self.kp = kp
         self.behavior = behavior or MinerBehavior()
         self.group = group
-        self.other_chain = other_chain  # observed for cross-chain preimages
         self.stored: dict = {}  # (session, owner) -> dict(share, sn, sig, ...)
         self.old_stored: list = []
         self.learned_pre: dict = {}  # session -> pre bytes

@@ -255,8 +255,7 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
                 respond_recover=i >= config.byzantine_miners,
                 assist=config.assist_enabled,
             )
-            m = Miner(mname, c, kp, behavior=behavior, group=group,
-                      other_chain=(beta if c is alpha else alpha).chain_id)
+            m = Miner(mname, c, kp, behavior=behavior, group=group)
             miners.append(m)
             net.register(mname, m)
             c.register_miner(kp.address)

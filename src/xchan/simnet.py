@@ -32,12 +32,31 @@ class BoundExceeded(RuntimeError):
     pass
 
 
+class Rng(random.Random):
+    """random.Random whose deep copy clones the generator state in C.
+
+    Seeded draws are those of random.Random; a plain deep copy would copy
+    the 625-int state tuple one element at a time.
+    """
+
+    def __deepcopy__(self, memo):
+        clone = type(self).__new__(type(self))
+        clone.setstate(self.getstate())
+        return clone
+
+
 @dataclass(frozen=True)
 class Message:
+    """One message in flight. Neither it nor its data is mutated after
+    send, so world forks share it."""
+
     kind: str
     src: str
     dst: str
     data: dict
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 @dataclass(frozen=True)
@@ -81,6 +100,9 @@ class LatencyModel:
         if m.kind == "fixed":
             return m.fixed, m.fixed
         return m.lo, m.hi
+
+    def __deepcopy__(self, memo):
+        return self
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LatencyModel":
@@ -135,7 +157,7 @@ class Simnet:
             raise ValueError("mode must be run or enumerate")
         self.mode = mode
         self.latency = latency or LatencyModel()
-        self.rng = random.Random(("simnet", seed).__repr__())
+        self.rng = Rng(("simnet", seed).__repr__())
         self.now = 0
         self.actors: dict[str, object] = {}
         self.chains: list = []
@@ -188,6 +210,24 @@ class Simnet:
 
     def submit_tx(self, src: str, chain_id: str, tx):
         self.send("tx", src, chain_id, {"tx": tx})
+
+    # -- forking ----------------------------------------------------------------
+
+    def fork(self) -> "Simnet":
+        """An independent copy of the whole world: actors, chains, pending
+        messages and trace.
+
+        Trace entries and sealed blocks are shared with the original, since
+        nothing mutates an entry once it is logged or a block once it is
+        appended. So are values whose classes deep-copy to themselves:
+        messages, latency models, timer configs, behavior profiles, keys
+        and group parameters. Everything else, every party, miner, session
+        and generator included, is copied.
+        """
+        memo = {id(entry): entry for entry in self.trace}
+        for chain in self.chains:
+            memo.update((id(block), block) for block in chain.blocks)
+        return copy.deepcopy(self, memo)
 
     # -- delivery -------------------------------------------------------------
 
@@ -265,12 +305,17 @@ def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12,
                         horizon: int = 400, max_schedules: int = 500_000) -> EnumResult:
     """Explore every delivery interleaving of a bounded scenario.
 
-    world_factory() must return a Simnet in enumerate mode with its
-    initial messages pending. outcome_of(net) returns a terminal outcome
-    tuple, or None while the scenario is still live. At each step the
-    scheduler may deliver any pending message inside its latency window
-    or advance time to the next block boundary; it may never strand a
-    message beyond its window (delay-only asynchrony: nothing is lost).
+    world_factory() must return a fresh Simnet in enumerate mode with its
+    initial messages pending; that world is explored in place, so it must
+    not be shared with anything else. outcome_of(net) returns a terminal
+    outcome tuple, or None while the scenario is still live. At each step
+    the scheduler may deliver any pending message inside its latency
+    window or advance time to the next block boundary; it may never strand
+    a message beyond its window (delay-only asynchrony: nothing is lost).
+
+    Every choice but the last explores a fork of the node's world; the
+    last one takes the world itself, since nothing reads it once its
+    choices are known.
     """
     outcomes: set = set()
     stats = {"schedules": 0, "nodes": 0}
@@ -307,8 +352,9 @@ def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12,
             outcomes.add(outcome_of(net) or ("stalled",))
             stats["schedules"] += 1
             return
-        for choice in choices:
-            w = copy.deepcopy(net)
+        last = len(choices) - 1
+        for i, choice in enumerate(choices):
+            w = net if i == last else net.fork()
             if choice[0] == "deliver":
                 _, seq, t = choice
                 pm = next(p for p in w.pending if p.seq == seq)
@@ -319,5 +365,5 @@ def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12,
                 _advance_to(w, choice[1])
             explore(w)
 
-    explore(copy.deepcopy(world_factory()))
+    explore(world_factory())
     return EnumResult(outcomes=outcomes, schedules=stats["schedules"], nodes=stats["nodes"])

@@ -3,13 +3,16 @@
 Each oracle recomputes a result by a deliberately different route than
 the code under test: commitments by repeated multiplication, secret
 recovery by solving the Vandermonde system, settlement by a recursive
-replay of the receipt tree. None of them import the settlement or
-recovery code paths they are used to judge.
+replay of the receipt tree, schedule enumeration by copying the whole
+world for every child. None of them import the settlement, recovery or
+exploration code paths they are used to judge.
 """
 
+import copy
 from collections import Counter
 
 from xchan.crypto import GroupParams
+from xchan.simnet import BoundExceeded, EnumResult
 
 
 def pedersen_brute(s: int, r: int, group: GroupParams) -> int:
@@ -146,3 +149,64 @@ def settle_oracle(session_id, deposits, parties, submissions):
     if not ok:
         return False, dict(deposits), cutoff
     return True, alloc, cutoff
+
+
+def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=400,
+                                max_schedules=500_000):
+    """Reference schedule explorer: deep-copies the factory's world and
+    then the parent world for every child, so no node ever shares state
+    with another. Same choices, in the same order, as the explorer under
+    test."""
+    outcomes = set()
+    stats = {"schedules": 0, "nodes": 0}
+
+    def next_boundary(net):
+        ticks = [(net.now // c.block_interval + 1) * c.block_interval for c in net.chains]
+        return min(ticks) if ticks else None
+
+    def advance(net, t):
+        while net.now < t:
+            net.now += 1
+            net._produce_blocks(net.now)
+
+    def explore(net):
+        stats["nodes"] += 1
+        if stats["schedules"] > max_schedules:
+            raise BoundExceeded("schedule count exceeds %d" % max_schedules)
+        if len(net.pending) > bound:
+            raise BoundExceeded("%d messages in flight" % len(net.pending))
+        out = outcome_of(net)
+        if out is not None:
+            outcomes.add(out)
+            stats["schedules"] += 1
+            return
+        pend = sorted(net.pending, key=lambda m: m.seq)
+        choices = []
+        for m in pend:
+            t = max(net.now, m.lo)
+            stranding = any(o.hi < t for o in pend if o.seq != m.seq)
+            overtaking = any(o.seq < m.seq and (o.msg.src, o.msg.dst) == (m.msg.src, m.msg.dst)
+                             for o in pend)
+            if t <= m.hi and not stranding and not overtaking:
+                choices.append(("deliver", m.seq, t))
+        nb = next_boundary(net)
+        if nb is not None and nb <= horizon and all(m.hi >= nb for m in pend):
+            choices.append(("advance", nb))
+        if not choices:
+            outcomes.add(outcome_of(net) or ("stalled",))
+            stats["schedules"] += 1
+            return
+        for choice in choices:
+            w = copy.deepcopy(net)
+            if choice[0] == "deliver":
+                _, seq, t = choice
+                pm = next(p for p in w.pending if p.seq == seq)
+                w.pending.remove(pm)
+                advance(w, t)
+                w._deliver(pm.msg)
+            else:
+                advance(w, choice[1])
+            explore(w)
+
+    explore(copy.deepcopy(world_factory()))
+    return EnumResult(outcomes=outcomes, schedules=stats["schedules"], nodes=stats["nodes"])

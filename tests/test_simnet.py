@@ -1,15 +1,21 @@
-"""Message fabric: latency, ordering, determinism, and the exhaustive
-schedule enumerator's interleaving counts."""
+"""Message fabric: latency, ordering, determinism, the exhaustive
+schedule enumerator's interleaving counts, and world forks."""
 
+import copy
 import math
+import random
 
 import pytest
 
+from oracles import enumerate_schedules_copying
+from xchan import atomicity
 from xchan.simnet import (
     BoundExceeded,
     LatencyModel,
     Message,
+    Rng,
     Simnet,
+    _advance_to,
     enumerate_schedules,
 )
 
@@ -257,3 +263,114 @@ class TestEnumeration:
     def test_bound_overflow(self):
         with pytest.raises(BoundExceeded):
             enumerate_schedules(make_enum_world(5), order_outcome, bound=4, horizon=10)
+
+
+SYNTHETIC_WORLDS = [
+    (make_enum_world(k), order_outcome, 10) for k in (1, 2, 3, 4)
+] + [
+    (make_enum_world(0, chain_depth=3), order_outcome, 10),
+    (make_enum_world(1, chain_depth=1), order_outcome, 10),
+    (make_enum_world(2, chain_depth=2, latency=LatencyModel(kind="uniform", lo=1, hi=3)),
+     order_outcome, 12),
+]
+
+
+class TestForkingExplorer:
+    """enumerate_schedules forks only where a choice needs it; the
+    reference explorer copies the world for every child."""
+
+    @pytest.mark.parametrize("i", range(len(SYNTHETIC_WORLDS)))
+    def test_synthetic_worlds_match_reference(self, i):
+        factory, outcome, horizon = SYNTHETIC_WORLDS[i]
+        got = enumerate_schedules(factory, outcome, bound=12, horizon=horizon)
+        want = enumerate_schedules_copying(factory, outcome, bound=12, horizon=horizon)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_close_phase_matches_reference(self, seed):
+        nodes = schedules = 0
+        for profile in atomicity.PROFILES:
+            for assist in (True, False):
+                got = atomicity.enumerate_close_phase(profile, assist, seed=seed)
+                want = enumerate_schedules_copying(
+                    lambda: atomicity.build_close_phase_world(profile, assist, seed),
+                    atomicity.outcome_of, bound=12, horizon=atomicity.HORIZON)
+                assert got == want, (profile, assist)
+                nodes += got.nodes
+                schedules += got.schedules
+        if seed == 1:
+            assert (nodes, schedules) == (213, 41)
+
+
+def _close_phase_world_with_history():
+    """Close-phase world after S's lock lands in the first alpha block, so
+    the trace and both chains have entries to share."""
+    net = atomicity.build_close_phase_world("honest", True)
+    pm = net.pending.pop(0)
+    _advance_to(net, pm.lo)
+    net._deliver(pm.msg)
+    _advance_to(net, atomicity.ALPHA_INTERVAL)
+    return net
+
+
+def _observable(net):
+    return {
+        "now": net.now,
+        "pending": [(p.seq, p.lo, p.hi, p.msg) for p in net.pending],
+        "trace": len(net.trace),
+        "blocks": {c.chain_id: list(c.blocks) for c in net.chains},
+        "accounts": {c.chain_id: dict(c.accounts) for c in net.chains},
+        "sessions": {c.chain_id: {sid: s.state for sid, s in c.contract.sessions.items()}
+                     for c in net.chains},
+        "party_states": {n: dict(net.actors[n].session_states) for n in ("S", "R")},
+    }
+
+
+class TestFork:
+    def test_fork_leaves_original_unchanged(self):
+        net = _close_phase_world_with_history()
+        assert net.trace and all(c.blocks for c in net.chains)
+        before = _observable(net)
+        w = net.fork()
+        res = enumerate_schedules(lambda: w, atomicity.outcome_of, horizon=atomicity.HORIZON)
+        assert atomicity.outcome_of(w) is not None  # the fork itself ran to the end
+        assert res.outcomes and atomicity.atomic_outcomes_only(res)
+        assert w.now > net.now and len(w.trace) > len(net.trace)
+        assert _observable(net) == before
+        assert atomicity.outcome_of(net) is None
+
+    def test_fork_shares_only_immutable_state(self):
+        net = _close_phase_world_with_history()
+        w = net.fork()
+        assert all(a is b for a, b in zip(net.trace, w.trace))
+        assert w.trace is not net.trace
+        for c, wc in zip(net.chains, w.chains):
+            assert wc is not c
+            assert wc.blocks is not c.blocks
+            assert all(a is b for a, b in zip(c.blocks, wc.blocks))
+            assert wc.contract.sessions["c0"] is not c.contract.sessions["c0"]
+        for name in ("S", "R"):
+            p, wp = net.actors[name], w.actors[name]
+            assert wp is not p
+            assert wp.session_states is not p.session_states
+            assert all(wp.keys[cid] is kp for cid, kp in p.keys.items())
+        miner, wminer = net.actors["M"], w.actors["M"]
+        assert wminer is not miner
+        assert wminer.kp is miner.kp
+        assert wminer.behavior is not miner.behavior
+        assert wminer.chain is w.chains[0]
+
+
+class TestRng:
+    def test_draws_match_random(self):
+        a, b = Rng("party:S:1"), random.Random("party:S:1")
+        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+        assert [a.randrange(10**40) for _ in range(5)] == [b.randrange(10**40) for _ in range(5)]
+
+    def test_deep_copy_continues_and_is_independent(self):
+        rng = Rng(7)
+        rng.random()
+        clone = copy.deepcopy(rng)
+        assert type(clone) is Rng
+        ahead = [clone.random() for _ in range(5)]
+        assert [rng.random() for _ in range(5)] == ahead
