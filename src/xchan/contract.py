@@ -18,7 +18,7 @@ its block but leaves session state untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import vss
 from .crypto import hash_bytes, verify
@@ -194,8 +194,6 @@ class OnChainTx:
 
 def make_tx(kp, chain_id, session_id, kind, payload) -> OnChainTx:
     tx = OnChainTx(chain_id=chain_id, session_id=session_id, sender=kp.address, kind=kind, payload=payload)
-    from dataclasses import replace
-
     return replace(tx, sig=kp.sign(tx.signing_bytes()))
 
 
@@ -223,12 +221,16 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
     reverts to the funding receipt's payee at the deepest surviving
     level.
 
-    Each distinct signed object is verified once per call. Receipts,
-    sub-channel receipts and final states are keyed by their canonical
-    bytes (``to_bytes()``), which are length-prefixed and cover the
-    signature and every signed field, so equal keys mean equal checks.
-    A sub-channel receipt reuses the result of its embedded receipt and
-    verifies only its own signature. The tables live for one call only.
+    Signature checks are deduplicated at two layers. Each signed object
+    remembers its own result (see ``receipts``), so an object the payee
+    or the close admission already checked is not verified again here.
+    Within one call, the tables below also key receipts, sub-channel
+    receipts and final states by their canonical bytes (``to_bytes()``),
+    which are length-prefixed and cover the signature and every signed
+    field, so equal-bytes copies that are distinct objects share one
+    check. A sub-channel receipt reuses the result of its embedded
+    receipt and verifies only its own signature. The tables live for
+    one call only.
     """
     tr_ok: dict[bytes, bool] = {}
     sr_ok: dict[bytes, bool] = {}

@@ -544,7 +544,7 @@ class Party:
 
     def _exchange_gate(self, chain_id, session_id):
         role = self.roles.get(session_id)
-        if role is None or role.mode == "CE" or getattr(role, "aborted", False):
+        if role is None or role.mode == "CE" or role.aborted:
             return True
         if self.exchange_failed.get((chain_id, session_id)):
             return False  # abort: never enter close on a bad proof

@@ -6,11 +6,18 @@ amount as the funding of a new channel one level down; the receipt's
 payee becomes the funder of that child channel. Channels are identified
 by paths: the root channel is (), the child funded through the receipt
 with sequence number s in channel P is P + (s,).
+
+Each signed object remembers the result of its first signature check in
+a declared field that takes no part in ``==``, ``hash`` or ``repr``.
+Objects cross the simulated network by reference, so the payee's check
+on arrival and the contract's checks at close and settlement share one
+verification. ``dataclasses.replace`` builds a fresh, unchecked object,
+so a tampered copy is always verified anew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .crypto import KeyPair, sign, verify
 from .wire import enc_balances, enc_bytes, enc_path, enc_str, enc_u64
@@ -25,6 +32,7 @@ class Receipt:
     rcv: str
     amount: int
     sig: bytes = b""
+    _sig_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def signing_bytes(self) -> bytes:
         return (
@@ -40,7 +48,9 @@ class Receipt:
         return self.signing_bytes() + enc_bytes(self.sig)
 
     def verify_sig(self) -> bool:
-        return verify(self.snd, self.signing_bytes(), self.sig)
+        if self._sig_ok is None:
+            object.__setattr__(self, "_sig_ok", verify(self.snd, self.signing_bytes(), self.sig))
+        return self._sig_ok
 
 
 def make_receipt(kp: KeyPair, session_id, channel_path, seq, rcv, amount) -> Receipt:
@@ -60,6 +70,7 @@ class SubChannelReceipt:
     counterparty: str
     receipt: Receipt
     sig: bytes = b""
+    _sig_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def signing_bytes(self) -> bytes:
         return enc_str(self.counterparty) + enc_bytes(self.receipt.to_bytes())
@@ -82,7 +93,10 @@ class SubChannelReceipt:
     def verify_own_sig(self) -> bool:
         """The authorization's own signature, without re-checking the
         embedded receipt's: issued and signed by that receipt's payer."""
-        return verify(self.receipt.snd, self.signing_bytes(), self.sig)
+        if self._sig_ok is None:
+            ok = verify(self.receipt.snd, self.signing_bytes(), self.sig)
+            object.__setattr__(self, "_sig_ok", ok)
+        return self._sig_ok
 
 
 def make_sub_receipt(payer_kp: KeyPair, counterparty: str, tr: Receipt) -> SubChannelReceipt:
@@ -99,6 +113,9 @@ class FinalState:
     balances: dict
     submitter: str
     sig: bytes = b""
+    # (signing bytes, result): balances is a dict, so the result holds
+    # only while the signed bytes are unchanged
+    _sig_ok: tuple[bytes, bool] | None = field(default=None, init=False, repr=False, compare=False)
 
     def signing_bytes(self) -> bytes:
         return (
@@ -112,7 +129,10 @@ class FinalState:
         return self.signing_bytes() + enc_bytes(self.sig)
 
     def verify_sig(self) -> bool:
-        return verify(self.submitter, self.signing_bytes(), self.sig)
+        msg = self.signing_bytes()
+        if self._sig_ok is None or self._sig_ok[0] != msg:
+            object.__setattr__(self, "_sig_ok", (msg, verify(self.submitter, msg, self.sig)))
+        return self._sig_ok[1]
 
 
 def make_final_state(kp: KeyPair, session_id, channel_path, balances) -> FinalState:

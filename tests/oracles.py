@@ -5,12 +5,15 @@ the code under test: commitments by repeated multiplication, secret
 recovery by solving the Vandermonde system, settlement by a recursive
 replay of the receipt tree, schedule enumeration by copying the whole
 world for every child. None of them import the settlement, recovery or
-exploration code paths they are used to judge.
+exploration code paths they are used to judge, and the settlement
+oracle checks signatures through ``crypto.verify`` directly, so it
+never fills the verification memo of the objects it is shown.
 """
 
 import copy
 from collections import Counter
 
+from xchan import crypto
 from xchan.crypto import GroupParams
 from xchan.simnet import BoundExceeded, EnumResult
 
@@ -66,6 +69,10 @@ def _fold(initial, receipts, delegated, funder):
     return balances, included
 
 
+def _signed_by(signer, obj):
+    return crypto.verify(signer, obj.signing_bytes(), obj.sig)
+
+
 def settle_oracle(session_id, deposits, parties, submissions):
     """Recursive replay of the channel tree; returns (ok, allocations,
     cutoff_level) with the same semantics the contract promises."""
@@ -74,18 +81,18 @@ def settle_oracle(session_id, deposits, parties, submissions):
     covered = set()
 
     def note_tr(tr):
-        if tr.session_id == session_id and tr.verify_sig():
+        if tr.session_id == session_id and _signed_by(tr.snd, tr):
             trs[(tr.channel_path, tr.to_bytes())] = tr
 
     for sender, payload in submissions:
         f = payload.final
-        if f.session_id == session_id and f.submitter == sender and f.verify_sig():
+        if f.session_id == session_id and f.submitter == sender and _signed_by(f.submitter, f):
             covered.add(f.channel_path)
         for tr in payload.trs:
             note_tr(tr)
         for sr in payload.srs:
             tr = sr.receipt
-            if tr.session_id != session_id or not sr.verify_sig():
+            if tr.session_id != session_id or not (_signed_by(tr.snd, tr) and _signed_by(tr.snd, sr)):
                 continue
             if sr.counterparty == tr.rcv:
                 continue

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from xchan import contract as ct
+from xchan import receipts
 from xchan.atomicity import build_close_phase_world, outcome_of
 from xchan.crypto import hash_blocks
 from xchan.scenario import (
@@ -343,3 +344,35 @@ class TestConfig:
         path.write_text(json.dumps({"mode": "EIE", "receipts_n": 3, "seed": 4}))
         cfg = ScenarioConfig.from_json(str(path))
         assert cfg.mode == "EIE" and cfg.receipt_size_bytes == 1300
+
+
+class TestVerifyOnce:
+    """Receipts cross the simulated network by reference, so the payee's
+    check and the contract's checks at close and settlement share one
+    verification of each signed object."""
+
+    CONFIGS = [
+        ScenarioConfig(mode="CE", receipts_n=6, seed=95, levels=3,
+                       sub_funding=(30, 10), sub_receipts=(3, 2)),
+        ScenarioConfig(mode="CE", receipts_n=20, seed=96, channels=30),
+        ScenarioConfig(mode="EIE", receipts_n=4, seed=93),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["ce_levels", "ce_30_channels", "eie"])
+    def test_each_signed_object_verified_once(self, monkeypatch, verify_calls, cfg):
+        metrics, trace = run_scenario(cfg)
+        calls = list(verify_calls)
+        assert 0 < len(calls) == len(set(calls))
+        verify_calls.clear()
+        with monkeypatch.context() as m:  # the same checks without the memo
+            m.setattr(receipts.Receipt, "verify_sig",
+                      lambda tr: receipts.verify(tr.snd, tr.signing_bytes(), tr.sig))
+            m.setattr(receipts.SubChannelReceipt, "verify_own_sig",
+                      lambda sr: receipts.verify(sr.receipt.snd, sr.signing_bytes(), sr.sig))
+            m.setattr(receipts.FinalState, "verify_sig",
+                      lambda f: receipts.verify(f.submitter, f.signing_bytes(), f.sig))
+            plain_metrics, plain_trace = run_scenario(cfg)
+        assert set(verify_calls) == set(calls)
+        assert len(verify_calls) > len(calls)  # the bypass does check repeatedly
+        assert trace_bytes(trace) == trace_bytes(plain_trace)
+        assert metrics.to_json() == plain_metrics.to_json()

@@ -4,9 +4,6 @@ randomized oracle equivalence."""
 import random
 from dataclasses import replace
 
-import pytest
-
-from xchan import contract, crypto, receipts
 from xchan.contract import ClosePayload, settle_levels
 from xchan.crypto import keypair_from_label
 from xchan.receipts import make_final_state, make_receipt, make_sub_receipt
@@ -118,20 +115,6 @@ def test_randomized_oracle_equivalence():
         assert sum(res.allocations.values()) == sum(deposits.values()), (case, flags)
 
 
-@pytest.fixture
-def verify_calls(monkeypatch):
-    """Route every signature check settlement makes through a counter."""
-    calls = []
-
-    def counting(address, msg, sig):
-        calls.append((address, msg, sig))
-        return crypto.verify(address, msg, sig)
-
-    monkeypatch.setattr(receipts, "verify", counting)
-    monkeypatch.setattr(contract, "verify", counting)
-    return calls
-
-
 def flipped(obj):
     return replace(obj, sig=bytes([obj.sig[0] ^ 1]) + obj.sig[1:])
 
@@ -151,10 +134,13 @@ def test_each_signed_object_verified_once(verify_calls):
         ),
     )
     parties = [S.address, R.address]
+    # the oracle checks through crypto.verify and leaves every object unchecked
     expected = settle_oracle(SID, deposits, parties, submissions)
-    verify_calls.clear()
+    assert verify_calls == []
     res = settle_levels(SID, deposits, parties, submissions)
-    assert len(verify_calls) == len(set(verify_calls))
+    # 6 final states, 4 receipts (tr_root, its copy, tr_mid, tr_leaf) and
+    # the own signatures of 3 sub-channel receipts (sr_root, its copy, sr_mid)
+    assert len(verify_calls) == len(set(verify_calls)) == 13
     # the copies are rejected: no seq conflict, no double authorization
     assert (res.ok, res.allocations, res.cutoff_level) == expected
     assert res.allocations == {S.address: 120, R.address: 70, D.address: 6, Q.address: 4}
@@ -165,7 +151,8 @@ def test_verify_once_on_generated_trees(verify_calls):
     for case in range(60):
         session, deposits, parties, submissions, flags = gen_case(rng)
         expected = settle_oracle(session, deposits, parties, submissions)
-        verify_calls.clear()
+        assert verify_calls == [], (case, flags)
         res = settle_levels(session, deposits, parties, submissions)
-        assert len(verify_calls) == len(set(verify_calls)), (case, flags)
+        assert 0 < len(verify_calls) == len(set(verify_calls)), (case, flags)
+        verify_calls.clear()
         assert (res.ok, res.allocations, res.cutoff_level) == expected, (case, flags)
