@@ -6,14 +6,16 @@ used everywhere a digest is needed. The commitment group is swappable:
 DEFAULT_GROUP is a 256-bit safe-prime group for normal runs, TINY_GROUP a
 101-order subgroup small enough for brute-force oracles.
 
-Everything here is pure and immutable after construction; no operation
-keeps state between calls.
+Everything here is pure and immutable after construction. The one state
+kept between calls is public and immutable: each group lazily builds its
+fixed-base exponentiation tables on its first commitment and keeps them.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -34,6 +36,36 @@ def hash_bytes(data: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 # Commitment group
 
+# Bits per window of the fixed-base tables. 6 keeps the default group's
+# tables at ~5.5k ints (~0.4 MiB); 8 triples that for about a quarter less
+# time per commitment.
+WINDOW_BITS = 6
+_WINDOW_MASK = (1 << WINDOW_BITS) - 1
+
+WindowTable = tuple[tuple[int, ...], ...]
+
+
+def _window_table(base: int, p: int, q: int) -> WindowTable:
+    """Row i holds base^(j * 2^(WINDOW_BITS * i)) mod p for j < 2^WINDOW_BITS,
+    with one row per window of an exponent below q."""
+    rows = []
+    for _ in range(-(-q.bit_length() // WINDOW_BITS)):
+        row = [1]
+        for _ in range(1, 1 << WINDOW_BITS):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(rows)
+
+
+def _fixed_base_pow(rows: WindowTable, e: int, p: int) -> int:
+    """base^e mod p for 0 <= e < q: one lookup and multiply per window."""
+    acc = 1
+    for row in rows:
+        acc = acc * row[e & _WINDOW_MASK] % p
+        e >>= WINDOW_BITS
+    return acc
+
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -50,13 +82,20 @@ class GroupParams:
     h: int
 
     def __post_init__(self):
+        if not (1 < self.g < self.p and 1 < self.h < self.p):
+            raise ValueError("generators must lie in 2..p-1")
         if self.g == self.h:
             raise ValueError("generators must differ")
         if pow(self.g, self.q, self.p) != 1 or pow(self.h, self.q, self.p) != 1:
             raise ValueError("generator order is not q")
 
-    def reduce(self, v: int) -> int:
-        return v % self.q
+    @cached_property
+    def window_tables(self) -> tuple[WindowTable, WindowTable]:
+        """Fixed-base tables for g and h, built on first use.
+
+        Kept in the instance dict, so they stay out of ==, hash and repr.
+        """
+        return _window_table(self.g, self.p, self.q), _window_table(self.h, self.p, self.q)
 
     def rand_scalar(self, rng) -> int:
         return rng.randrange(self.q)
@@ -88,7 +127,9 @@ TINY_GROUP = GroupParams(p=607, q=101, g=64, h=derive_generator(b"generator-h", 
 
 def pedersen_commit(s: int, r: int, params: GroupParams) -> int:
     """E(s, r) = g^s * h^r in the group; homomorphic in both exponents."""
-    return pow(params.g, s % params.q, params.p) * pow(params.h, r % params.q, params.p) % params.p
+    g_rows, h_rows = params.window_tables
+    p = params.p
+    return _fixed_base_pow(g_rows, s % params.q, p) * _fixed_base_pow(h_rows, r % params.q, p) % p
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,8 @@ class Dealing:
 
 def _poly_eval(coeffs, x: int, q: int) -> int:
     acc = 0
-    for j, c in enumerate(coeffs):
-        acc = (acc + c * pow(x, j, q)) % q
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
     return acc
 
 

@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks the implementation against.
 
 Each oracle recomputes a result by a deliberately different route than
-the code under test: commitments by repeated multiplication, secret
+the code under test: commitments by repeated multiplication or by
+square-and-multiply instead of fixed-base tables, secret
 recovery by solving the Vandermonde system, settlement by a recursive
 replay of the receipt tree, schedule enumeration by copying the whole
 world for every child. None of them import the settlement, recovery or
@@ -26,6 +27,11 @@ def pedersen_brute(s: int, r: int, group: GroupParams) -> int:
     for _ in range(r % group.q):
         v = v * group.h % group.p
     return v
+
+
+def pedersen_two_pow(s: int, r: int, group: GroupParams) -> int:
+    """g^s * h^r by two square-and-multiply pow calls, no tables."""
+    return pow(group.g, s % group.q, group.p) * pow(group.h, r % group.q, group.p) % group.p
 
 
 def vandermonde_recover(points, q: int) -> int:

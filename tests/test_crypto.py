@@ -1,6 +1,9 @@
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xchan import crypto
 from xchan.crypto import (
@@ -9,6 +12,7 @@ from xchan.crypto import (
     Ciphertext,
     GroupParams,
     decrypt,
+    derive_generator,
     encrypt,
     hash_blocks,
     hash_bytes,
@@ -18,7 +22,16 @@ from xchan.crypto import (
     sign,
     verify,
 )
-from oracles import pedersen_brute
+from oracles import pedersen_brute, pedersen_two_pow
+
+# order-524351 subgroup of Z_1048703*: q has 20 bits, not a whole number
+# of fixed-base windows
+_P20, _Q20 = 1048703, 524351
+_G20 = derive_generator(b"generator-g", _P20, _Q20)
+SMALL_GROUP = GroupParams(p=_P20, q=_Q20, g=_G20,
+                          h=derive_generator(b"generator-h", _P20, _Q20, avoid=(_G20,)))
+GROUPS = [DEFAULT_GROUP, TINY_GROUP, SMALL_GROUP]
+GROUP_IDS = ["default", "tiny", "small"]
 
 # published SHA-256 vector for the empty input
 SHA256_EMPTY = bytes.fromhex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -58,6 +71,13 @@ class TestGroups:
             GroupParams(p=607, q=101, g=64, h=64)
         with pytest.raises(ValueError):
             GroupParams(p=607, q=101, g=3, h=356)  # 3 has the wrong order
+        # each passes the order check but lies outside 2..p-1: the identity
+        # (order 1 divides q) commits to nothing, and a non-canonical
+        # representative would give the group a second base for its tables
+        for g, h in [(1, 356), (64, 1), (0, 356), (64, 0), (607, 356), (64, 607),
+                     (64 + 607, 356), (64 - 607, 356), (64, 356 + 607)]:
+            with pytest.raises(ValueError):
+                GroupParams(p=607, q=101, g=g, h=h)
 
 
 class TestPedersen:
@@ -100,6 +120,82 @@ class TestPedersen:
     def test_congruent_pairs_collide(self):
         g = TINY_GROUP
         assert pedersen_commit(5, 7, g) == pedersen_commit(5 + g.q, 7 + 3 * g.q, g)
+
+
+def _edge_exponents(q):
+    w = crypto.WINDOW_BITS
+    return [0, 1, -1, q - 1, q, q + 1, 2**w - 1, 2**w, 2**255, 2**300, 2**300 + 7, 3**200]
+
+
+class TestFixedBase:
+    """pedersen_commit reads fixed-base window tables; pedersen_two_pow is
+    the square-and-multiply reference it must equal."""
+
+    @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
+    @settings(max_examples=150, deadline=None)
+    @given(s=st.integers(min_value=-2**320, max_value=2**320),
+           r=st.integers(min_value=-2**320, max_value=2**320))
+    def test_matches_two_pow(self, group, s, r):
+        assert pedersen_commit(s, r, group) == pedersen_two_pow(s, r, group)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
+    def test_edge_exponents(self, group):
+        edges = _edge_exponents(group.q)
+        for e in edges:
+            for f in edges:
+                assert pedersen_commit(e, f, group) == pedersen_two_pow(e, f, group)
+
+    def test_table_shape(self):
+        w = crypto.WINDOW_BITS
+        for group in GROUPS:
+            for base, rows in zip((group.g, group.h), group.window_tables):
+                assert len(rows) * w >= group.q.bit_length() > (len(rows) - 1) * w
+                for i, row in enumerate(rows):
+                    assert len(row) == 2**w
+                    assert row[1] == pow(base, 2 ** (w * i), group.p)
+
+    def test_table_built_once_per_group(self, monkeypatch):
+        built = []
+        build = crypto._window_table
+
+        def counting(base, p, q):
+            built.append((base, p, q))
+            return build(base, p, q)
+
+        monkeypatch.setattr(crypto, "_window_table", counting)
+        group = GroupParams(p=_P20, q=_Q20, g=SMALL_GROUP.g, h=SMALL_GROUP.h)
+        assert built == []  # nothing is built before the first commitment
+        pedersen_commit(3, 5, group)
+        tables = group.window_tables
+        for s in range(20):
+            pedersen_commit(s, s + 1, group)
+        assert group.window_tables is tables
+        assert built == [(group.g, _P20, _Q20), (group.h, _P20, _Q20)]
+
+    def test_tables_not_shared_between_groups(self):
+        other = GroupParams(p=607, q=101, g=TINY_GROUP.h, h=TINY_GROUP.g)  # bases swapped
+        assert other != TINY_GROUP
+        assert other.window_tables is not TINY_GROUP.window_tables
+        assert other.window_tables == TINY_GROUP.window_tables[::-1]
+        assert SMALL_GROUP.window_tables != TINY_GROUP.window_tables
+        for group in (TINY_GROUP, other):
+            assert pedersen_commit(5, 7, group) == pedersen_two_pow(5, 7, group)
+
+    def test_tables_invisible_to_eq_hash_repr(self):
+        fresh = GroupParams(p=_P20, q=_Q20, g=SMALL_GROUP.g, h=SMALL_GROUP.h)
+        untouched = GroupParams(p=_P20, q=_Q20, g=SMALL_GROUP.g, h=SMALL_GROUP.h)
+        before = repr(fresh), hash(fresh)
+        pedersen_commit(1, 2, fresh)
+        assert "window_tables" in vars(fresh) and "window_tables" not in vars(untouched)
+        assert (repr(fresh), hash(fresh)) == before == (repr(untouched), hash(untouched))
+        assert fresh == untouched
+
+    def test_deepcopy_shares_group_and_tables(self):
+        tables = DEFAULT_GROUP.window_tables
+        world = {"group": DEFAULT_GROUP}
+        copied = copy.deepcopy(world)
+        assert copied["group"] is DEFAULT_GROUP
+        assert copied["group"].window_tables is tables
 
 
 class TestSignatures:

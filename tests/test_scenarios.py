@@ -6,7 +6,7 @@ import json
 import pytest
 
 from xchan import contract as ct
-from xchan import receipts
+from xchan import receipts, vss
 from xchan.atomicity import build_close_phase_world, outcome_of
 from xchan.crypto import hash_blocks
 from xchan.scenario import (
@@ -16,6 +16,7 @@ from xchan.scenario import (
     run_scenario,
     trace_bytes,
 )
+from oracles import pedersen_two_pow
 
 
 def run(cfg):
@@ -376,3 +377,30 @@ class TestVerifyOnce:
         assert len(verify_calls) > len(calls)  # the bypass does check repeatedly
         assert trace_bytes(trace) == trace_bytes(plain_trace)
         assert metrics.to_json() == plain_metrics.to_json()
+
+
+class TestFixedBaseCommitments:
+    """Fixed-base tables yield the same commitments as two pow calls, so an
+    EIE run's trace and metrics cannot tell them apart."""
+
+    CONFIGS = [
+        ScenarioConfig(mode="EIE", receipts_n=4, seed=93),
+        ScenarioConfig(mode="EIE", receipts_n=2, seed=15, vss_t=2, vss_n=3,
+                       byzantine_ell=1, n_node=4, byzantine_miners=1),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["eie", "eie_byzantine"])
+    def test_run_equals_two_pow_reference(self, monkeypatch, cfg):
+        metrics, trace = run_scenario(cfg)
+        calls = []
+
+        def reference(s, r, group):
+            calls.append((s, r))
+            return pedersen_two_pow(s, r, group)
+
+        with monkeypatch.context() as m:  # vss imports pedersen_commit by name
+            m.setattr(vss, "pedersen_commit", reference)
+            ref_metrics, ref_trace = run_scenario(cfg)
+        assert calls
+        assert trace_bytes(trace) == trace_bytes(ref_trace)
+        assert metrics.to_json() == ref_metrics.to_json()
