@@ -96,13 +96,13 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
         }
         chain.contract.sessions["c0"] = s
 
-    S.roles["c0"] = SessionRole(mode="CE", counterpart="R", lock_chain="alpha",
-                                update_chain="beta", pre=pre, h_pre=h_pre)
-    R.roles["c0"] = SessionRole(mode="CE", counterpart="S", relay_lock_chain="beta",
-                                relay_update_chain="alpha")
+    S.set_role("c0", SessionRole(mode="CE", counterpart="R", lock_chain="alpha",
+                                 update_chain="beta", pre=pre, h_pre=h_pre))
+    R.set_role("c0", SessionRole(mode="CE", counterpart="S", relay_lock_chain="beta",
+                                 relay_update_chain="alpha"))
     for p in (S, R):
-        p.session_states[("alpha", "c0")] = CLOSE
-        p.session_states[("beta", "c0")] = CLOSE
+        p.note_state("alpha", "c0", CLOSE)
+        p.note_state("beta", "c0", CLOSE)
 
     # narrow event fan-out: only the deliveries the protocol needs
     net.subscribe(alpha, "R", kinds=("Lock",))
@@ -110,7 +110,7 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
     net.subscribe(beta, "R", kinds=("Update",))
     net.subscribe(beta, "M", kinds=("Update",))
 
-    S._submit_lock(net, "alpha", "c0")
+    S.submit_lock(net, "alpha", "c0")
     return net
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .contract import ChannelContract, InvariantViolation, OnChainTx
+from .contract import PAYLOAD_KINDS, ChannelContract, InvariantViolation, OnChainTx
 from .crypto import hash_bytes
 from .wire import enc_bytes, enc_str, enc_u64
 
@@ -58,7 +58,7 @@ class Chain:
         self.miners: list[str] = []
         self.mempool: list[OnChainTx] = []
         self.blocks: list[Block] = []
-        self.contract = ChannelContract(self)
+        self.contract = ChannelContract()
         # (actor name, event kinds or None for all), in event fan-out order
         self.subscribers: list[tuple[str, frozenset | None]] = []
 
@@ -102,8 +102,6 @@ class Chain:
             return False, "wrong chain"
         if tx.sender not in self.accounts:
             return False, "unknown sender"
-        from .contract import PAYLOAD_KINDS
-
         if tx.kind not in PAYLOAD_KINDS or not isinstance(tx.payload, PAYLOAD_KINDS[tx.kind]):
             return False, "unknown kind"
         try:
@@ -134,12 +132,12 @@ class Chain:
         txs, self.mempool = self.mempool, []
         body = []
         for tx in txs:
-            ok, result, detail = self.contract.execute(tx)
+            ok, result, detail = self.contract.execute(tx, self)
             result = result if ok else "failed:%s" % result
             block.entries.append((tx.kind, tx.session_id, result))
             body.append(enc_bytes(tx.signing_bytes() + enc_bytes(tx.sig)))
             events.append(self._event(block, tx.kind, tx.session_id, result, detail))
-        for kind, sid, result, detail in self.contract.process_timers():
+        for kind, sid, result, detail in self.contract.process_timers(self):
             block.entries.append((kind, sid, result))
             events.append(self._event(block, kind, sid, result, detail))
         block.hash = hash_bytes(

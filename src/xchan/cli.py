@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .contract import REFUNDED, SUCCESS
+from .atomicity import PROFILES, atomic_outcomes_only, enumerate_close_phase
 from .scenario import (
     ConfigError,
     ScenarioConfig,
@@ -62,8 +62,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .atomicity import enumerate_close_phase
-
     config = _load(args.config)
     result = enumerate_close_phase(
         profile=args.profile,
@@ -77,13 +75,7 @@ def cmd_enumerate(args) -> int:
         "outcomes": sorted(",".join(o) for o in result.outcomes),
         "schedules": result.schedules,
     }, indent=2))
-    bad = [o for o in result.outcomes if not _atomic(o)]
-    return 0 if not bad else 1
-
-
-def _atomic(outcome) -> bool:
-    a, b = outcome
-    return (a, b) in ((SUCCESS, SUCCESS), (REFUNDED, REFUNDED))
+    return 0 if atomic_outcomes_only(result) else 1
 
 
 def main(argv=None) -> int:
@@ -105,11 +97,7 @@ def main(argv=None) -> int:
     p_enum = sub.add_parser("enumerate", help="exhaustive close-phase schedules")
     p_enum.add_argument("--config", required=True)
     p_enum.add_argument("--bound", type=int, default=12)
-    p_enum.add_argument(
-        "--profile",
-        default="honest",
-        choices=["honest", "withhold_pre", "delay_r", "delay_s", "withhold_delay"],
-    )
+    p_enum.add_argument("--profile", default="honest", choices=PROFILES)
     p_enum.set_defaults(func=cmd_enumerate)
 
     args = parser.parse_args(argv)

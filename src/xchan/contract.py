@@ -37,6 +37,11 @@ REFUNDED = "Refunded"
 
 TERMINAL_STATES = (SUCCESS, TERMINATED, REFUNDED)
 
+# results other than a new state that parties act on
+CLOSE_WINDOW_STARTED = "close window started"
+BINDINGS_PUBLISHED = "bindings published"
+SHARES_RECORDED = "shares recorded"
+
 # transaction kinds
 OPEN_TX = "Open"
 UPLOAD_TX = "Upload"
@@ -389,36 +394,31 @@ class ContractSession:
 
 
 class ChannelContract:
-    """Executes transactions against sessions. The owning chain provides
-    tick time, miners, block randomness, and account balances."""
+    """Executes transactions against sessions. The chain that runs it is
+    passed into each call and provides tick time, miners, block
+    randomness, and account balances; the contract keeps no reference to
+    it, so a chain and its contract form no reference cycle."""
 
-    def __init__(self, chain):
-        self.chain = chain
+    def __init__(self):
         self.sessions: dict[str, ContractSession] = {}
 
     # -- helpers ------------------------------------------------------------
 
-    def session(self, session_id) -> ContractSession:
-        return self.sessions[session_id]
-
-    def _get_or_create(self, session_id) -> ContractSession:
-        if session_id not in self.sessions:
-            self.sessions[session_id] = ContractSession(session_id=session_id)
-        return self.sessions[session_id]
-
-    def _return_escrow(self, s: ContractSession):
+    @staticmethod
+    def _return_escrow(s: ContractSession, chain):
         for addr in sorted(s.deposits):
-            self.chain.credit(addr, s.deposits[addr])
+            chain.credit(addr, s.deposits[addr])
         s.escrow = 0
 
-    def _apply_allocations(self, s: ContractSession):
+    @staticmethod
+    def _apply_allocations(s: ContractSession, chain):
         for addr in sorted(s.locked_allocations):
-            self.chain.credit(addr, s.locked_allocations[addr])
+            chain.credit(addr, s.locked_allocations[addr])
         s.escrow = 0
 
     # -- dispatch -----------------------------------------------------------
 
-    def execute(self, tx: OnChainTx):
+    def execute(self, tx: OnChainTx, chain):
         """Returns (ok, result, detail) without raising on bad input."""
         handler = {
             OPEN_TX: self.handle_open,
@@ -427,17 +427,17 @@ class ChannelContract:
             CLOSE_TX: self.handle_close,
             LOCK_TX: self.handle_lock,
             UPDATE_TX: self.handle_update,
-            UPDATE_EIE_TX: self.handle_update_eie,
+            UPDATE_EIE_TX: self.handle_update,
             RECOVER_TX: self.handle_recover,
         }.get(tx.kind)
         if handler is None:
             return False, "unknown kind", None
-        return handler(tx)
+        return handler(tx, chain)
 
     # -- handlers -----------------------------------------------------------
 
-    def handle_open(self, tx):
-        s = self._get_or_create(tx.session_id)
+    def handle_open(self, tx, chain):
+        s = self.sessions.setdefault(tx.session_id, ContractSession(session_id=tx.session_id))
         if s.state != INIT:
             return False, "duplicate open", None
         if tx.sender in s.pending_open:
@@ -445,19 +445,19 @@ class ChannelContract:
         if len(s.pending_open) >= 2:
             return False, "session full", None
         amount = tx.payload.amount
-        if amount < 0 or self.chain.balance(tx.sender) < amount:
+        if amount < 0 or chain.balance(tx.sender) < amount:
             return False, "insufficient balance", None
-        self.chain.debit(tx.sender, amount)
+        chain.debit(tx.sender, amount)
         s.escrow += amount
         s.pending_open[tx.sender] = amount
         if len(s.pending_open) == 2:
             s.parties = list(s.pending_open)
             s.deposits = dict(s.pending_open)
-            s.set_state(OPEN_CE, self.chain.now)
+            s.set_state(OPEN_CE, chain.now)
             return True, "state:%s" % OPEN_CE, {"deposits": dict(s.deposits)}
         return True, "open pending", None
 
-    def handle_upload(self, tx):
+    def handle_upload(self, tx, chain):
         s = self.sessions.get(tx.session_id)
         if s is None or s.state != OPEN_CE:
             return False, "not open", None
@@ -466,19 +466,19 @@ class ChannelContract:
         if tx.sender in s.uploaded:
             return False, "already uploaded", None
         p = tx.payload
-        if p.n > len(self.chain.miners):
+        if p.n > len(chain.miners):
             return False, "n exceeds miner count", None
         if p.t < 1 or p.t > p.n or len(p.share_hashes) != p.n:
             return False, "invalid threshold parameters", None
-        rng_seed = hash_bytes(self.chain.prev_block_hash() + enc_str(tx.session_id) + enc_str(tx.sender))
-        picks = self.chain.pick_miners(p.n, rng_seed)
+        rng_seed = hash_bytes(chain.prev_block_hash() + enc_str(tx.session_id) + enc_str(tx.sender))
+        picks = chain.pick_miners(p.n, rng_seed)
         if s.sn is None:
-            s.sn = hash_bytes(self.chain.prev_block_hash() + enc_str(tx.session_id) + b"sn")[:16]
+            s.sn = hash_bytes(chain.prev_block_hash() + enc_str(tx.session_id) + b"sn")[:16]
         s.uploaded[tx.sender] = p
         s.bindings[tx.sender] = [(picks[i], i + 1, p.share_hashes[i]) for i in range(p.n)]
-        deadline = self.chain.now + self.chain.timers.appeal_window
+        deadline = chain.now + chain.timers.appeal_window
         s.appeal_deadline = max(s.appeal_deadline or 0, deadline)
-        return True, "bindings published", {
+        return True, BINDINGS_PUBLISHED, {
             "owner": tx.sender,
             "sn": s.sn.hex(),
             "bindings": list(s.bindings[tx.sender]),
@@ -488,13 +488,13 @@ class ChannelContract:
             "h_k": p.h_k.hex(),
         }
 
-    def handle_appeal(self, tx):
+    def handle_appeal(self, tx, chain):
         s = self.sessions.get(tx.session_id)
         if s is None or s.state not in (OPEN_CE, OPEN):
             return False, "no session to appeal", None
         if s.appeal_deadline is None:
             return False, "no upload to appeal", None
-        if self.chain.now > s.appeal_deadline:
+        if chain.now > s.appeal_deadline:
             return False, "appeal window closed", None
         p = tx.payload
         if p.sn != s.sn:
@@ -510,18 +510,18 @@ class ChannelContract:
                 if vss.share_hash(p.share) == bound_hash:
                     return False, "share matches binding", None
                 # proven: owner signed a share differing from its commitment
-                self._return_escrow(s)
-                s.set_state(TERMINATED, self.chain.now)
+                self._return_escrow(s, chain)
+                s.set_state(TERMINATED, chain.now)
                 return True, "state:%s" % TERMINATED, {"owner": owner, "miner": miner}
         if saw_binding:
             return False, "owner signature invalid", None
         return False, "no matching binding", None
 
-    def handle_close(self, tx):
+    def handle_close(self, tx, chain):
         s = self.sessions.get(tx.session_id)
         if s is None or s.state not in (OPEN_CE, OPEN):
             return False, "not open", None
-        if s.close_deadline is not None and self.chain.now > s.close_deadline:
+        if s.close_deadline is not None and chain.now > s.close_deadline:
             return False, "close window expired", None
         p = tx.payload
         f = p.final
@@ -534,12 +534,12 @@ class ChannelContract:
         if s.close_deadline is None:
             level0 = {sender for (sender, path) in s.collected_closes if path == ()}
             if all(party in level0 for party in s.parties):
-                s.close_deadline = self.chain.now + self.chain.timers.close_window
+                s.close_deadline = chain.now + chain.timers.close_window
                 detail = {"close_deadline": s.close_deadline}
-                return True, "close window started", detail
+                return True, CLOSE_WINDOW_STARTED, detail
         return True, "close recorded", detail
 
-    def handle_lock(self, tx):
+    def handle_lock(self, tx, chain):
         s = self.sessions.get(tx.session_id)
         if s is None:
             return False, "not in close", None
@@ -550,31 +550,31 @@ class ChannelContract:
         if tx.sender not in s.parties:
             return False, "not a channel party", None
         s.h_pre = tx.payload.h_pre
-        s.lock_deadline = self.chain.now + self.chain.timers.unlock_window
-        if self.chain.timers.assist_window is not None:
-            s.assist_deadline = self.chain.now + self.chain.timers.assist_window
-        s.set_state(LOCK, self.chain.now)
+        s.lock_deadline = chain.now + chain.timers.unlock_window
+        if chain.timers.assist_window is not None:
+            s.assist_deadline = chain.now + chain.timers.assist_window
+        s.set_state(LOCK, chain.now)
         return True, "state:%s" % LOCK, {
             "h_pre": s.h_pre.hex(),
             "lock_deadline": s.lock_deadline,
             "assist_deadline": s.assist_deadline,
         }
 
-    def _check_update_window(self, s, sender):
+    def _check_update_window(self, s, sender, chain):
         if sender in s.parties:
-            if self.chain.now > s.lock_deadline:
+            if chain.now > s.lock_deadline:
                 return "party past unlock deadline"
             return None
-        if sender in self.chain.miners:
+        if sender in chain.miners:
             if s.assist_deadline is None:
                 return "no assist window on this chain"
-            if not (s.lock_deadline < self.chain.now <= s.assist_deadline):
+            if not (s.lock_deadline < chain.now <= s.assist_deadline):
                 return "outside assist window"
             return None
         return "sender is neither party nor miner"
 
-    def _finalize_update(self, s, sender):
-        self._apply_allocations(s)
+    def _finalize_update(self, s, sender, chain):
+        self._apply_allocations(s, chain)
         detail = {"by": sender}
         if sender not in s.parties:
             # miner assist: reward comes out of the assisted party's allocation
@@ -582,54 +582,42 @@ class ChannelContract:
                 p: s.locked_allocations.get(p, 0) - s.deposits.get(p, 0) for p in s.parties
             }
             beneficiary = max(sorted(gains), key=lambda p: gains[p])
-            reward = s.locked_allocations.get(beneficiary, 0) * self.chain.assist_reward_percent // 100
+            reward = s.locked_allocations.get(beneficiary, 0) * chain.assist_reward_percent // 100
             if reward > 0:
-                self.chain.debit(beneficiary, reward)
-                self.chain.credit(sender, reward)
+                chain.debit(beneficiary, reward)
+                chain.credit(sender, reward)
             s.assist_reward_paid = reward
             detail["assist_reward"] = reward
             detail["beneficiary"] = beneficiary
-        s.set_state(SUCCESS, self.chain.now)
+        s.set_state(SUCCESS, chain.now)
         return detail
 
-    def handle_update(self, tx):
+    def handle_update(self, tx, chain):
+        """Update and UpdateEIE. An UpdateEIE also names an uploaded key by
+        its hash; the miners holding its shares are asked to publish them."""
         s = self.sessions.get(tx.session_id)
         if s is None or s.state != LOCK:
             return False, "not locked", None
-        why = self._check_update_window(s, tx.sender)
-        if why:
-            return False, why, None
-        if hash_bytes(tx.payload.pre) != s.h_pre:
-            return False, "wrong preimage", None
-        detail = self._finalize_update(s, tx.sender)
-        detail["pre"] = tx.payload.pre.hex()
-        return True, "state:%s" % SUCCESS, detail
-
-    def handle_update_eie(self, tx):
-        s = self.sessions.get(tx.session_id)
-        if s is None or s.state != LOCK:
-            return False, "not locked", None
-        why = self._check_update_window(s, tx.sender)
+        why = self._check_update_window(s, tx.sender, chain)
         if why:
             return False, why, None
         if hash_bytes(tx.payload.pre) != s.h_pre:
             return False, "wrong preimage", None
         owner = None
-        for addr in sorted(s.uploaded):
-            if s.uploaded[addr].h_k == tx.payload.h_k:
-                owner = addr
-                break
-        if owner is None:
-            return False, "unknown key hash", None
-        detail = self._finalize_update(s, tx.sender)
+        if tx.kind == UPDATE_EIE_TX:
+            owner = next((a for a in sorted(s.uploaded) if s.uploaded[a].h_k == tx.payload.h_k), None)
+            if owner is None:
+                return False, "unknown key hash", None
+        detail = self._finalize_update(s, tx.sender, chain)
         detail["pre"] = tx.payload.pre.hex()
-        if owner not in s.recovery_requested:
-            s.recovery_requested.append(owner)
-        detail["recover_owner"] = owner
-        detail["recover_miners"] = [m for (m, _i, _h) in s.bindings[owner]]
+        if owner is not None:
+            if owner not in s.recovery_requested:
+                s.recovery_requested.append(owner)
+            detail["recover_owner"] = owner
+            detail["recover_miners"] = [m for (m, _i, _h) in s.bindings[owner]]
         return True, "state:%s" % SUCCESS, detail
 
-    def handle_recover(self, tx):
+    def handle_recover(self, tx, chain):
         s = self.sessions.get(tx.session_id)
         if s is None or not s.recovery_requested:
             return False, "no recovery requested", None
@@ -664,17 +652,17 @@ class ChannelContract:
         detail = {"accepted": accepted}
         if events:
             detail.update(events)
-        return True, "shares recorded", detail
+        return True, SHARES_RECORDED, detail
 
     # -- block-boundary timers ------------------------------------------------
 
-    def process_timers(self):
+    def process_timers(self, chain):
         """Run at every block: expire windows, settle, refund. Returns
         events as (kind, session_id, result, detail)."""
         events = []
+        now = chain.now
         for sid in sorted(self.sessions):
             s = self.sessions[sid]
-            now = self.chain.now
             if s.state == OPEN_CE and s.appeal_deadline is not None and now > s.appeal_deadline:
                 s.set_state(OPEN, now)
                 events.append(("Timer", sid, "state:%s" % OPEN, None))
@@ -686,7 +674,7 @@ class ChannelContract:
                     [(sender, p) for (sender, _path), p in sorted(s.collected_closes.items())],
                 )
                 if not result.ok:
-                    self._return_escrow(s)
+                    self._return_escrow(s, chain)
                     s.set_state(TERMINATED, now)
                     events.append(("Timer", sid, "state:%s" % TERMINATED, {"why": result.detail}))
                 else:
@@ -704,14 +692,14 @@ class ChannelContract:
             if s.state == LOCK:
                 deadline = s.assist_deadline if s.assist_deadline is not None else s.lock_deadline
                 if now > deadline:
-                    self._return_escrow(s)
+                    self._return_escrow(s, chain)
                     s.set_state(REFUNDED, now)
                     events.append(("Timer", sid, "state:%s" % REFUNDED, None))
         return events
 
     # -- baseline sessions ------------------------------------------------------
 
-    def create_htlc_session(self, session_id, payer, payee, amount):
+    def create_htlc_session(self, chain, session_id, payer, payee, amount):
         """A bare hash-time-locked exchange: the payer's amount is
         escrowed immediately and the session sits at Close waiting for
         Lock/Update/Refund. Used by the plain-HTLC baseline so that only
@@ -721,7 +709,7 @@ class ChannelContract:
         s = ContractSession(session_id=session_id, kind="plain_htlc", state=CLOSE)
         s.parties = [payer, payee]
         s.deposits = {payer: amount, payee: 0}
-        self.chain.debit(payer, amount)
+        chain.debit(payer, amount)
         s.escrow = amount
         s.locked_allocations = {payee: amount, payer: 0}
         self.sessions[session_id] = s

@@ -168,10 +168,6 @@ def keypair_from_label(label: str) -> KeyPair:
     return KeyPair(hash_bytes(b"keypair:" + label.encode("utf-8")))
 
 
-def sign(kp: KeyPair, msg: bytes) -> bytes:
-    return kp.sign(msg)
-
-
 def verify(address: str, msg: bytes, sig: bytes) -> bool:
     """True iff sig is a valid signature by the key behind address.
 

@@ -1,11 +1,17 @@
 """Off-chain participant logic.
 
-Parties hold per-chain keypairs and channel views, exchange signed
-receipts, open sub-channels by redeploying unsettled receipts, run the
-threshold-shared fair exchange, and drive the hash-time-locked close.
-Miners verify and store key shares, appeal fakes, answer recovery
-requests, and may reveal a learned preimage on a stalled chain during
-the assist window.
+A party keeps all it knows of a session in one PartySession: its role
+and, per chain, a ChainSide. Each handler looks up one session and
+touches only that one. Messages dispatch through a table keyed by kind
+that names the fields each kind must carry; a malformed or forged
+message is counted in ``rejected`` by reason instead of raising. Chain
+events then dispatch on their result, and timers on their one key.
+
+Parties exchange signed receipts, open sub-channels by redeploying
+unsettled receipts, run the threshold-shared fair exchange, and drive
+the hash-time-locked close. Miners verify and store key shares, appeal
+fakes, answer recovery requests, and may reveal a learned preimage on
+a stalled chain during the assist window.
 
 Honest actors re-derive every claim (receipt balances, sub-channel
 authorizations, proofs) before acting. Adversarial deviations are
@@ -14,6 +20,7 @@ orthogonal behavior flags so tests can enumerate them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import contract as ct
@@ -38,7 +45,6 @@ class BehaviorProfile:
 
     withhold_pre: bool = False
     fake_key_share: bool = False
-    stale_sn_replay: bool = False
     inflate_final_state: bool = False
     overspend: bool = False
     refuse_close: bool = False
@@ -70,6 +76,14 @@ class ChannelView:
     _folded: list = field(default_factory=list, init=False, repr=False, compare=False)
     _folded_seq: int = field(default=0, init=False, repr=False, compare=False)
     _folded_delegated: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+
+    @classmethod
+    def of_sub_receipt(cls, chain_id: str, sr: SubChannelReceipt) -> "ChannelView":
+        """The sub-channel sr authorizes, as its funder and its
+        counterparty both track it."""
+        members, amount = (sr.funder, sr.counterparty), sr.receipt.amount
+        initial = {sr.funder: amount, sr.counterparty: 0}
+        return cls(chain_id, sr.receipt.session_id, sr.child_path, members, initial, sr.funder)
 
     def balances(self) -> dict:
         """Current balances: replay_receipts over every held receipt.
@@ -141,7 +155,69 @@ class ExchangeState:
     n: int
     dealing: vss.Dealing | None = None
     crs: proofs.Crs | None = None
-    sn: bytes | None = None
+
+
+@dataclass
+class ChainSide:
+    """One party's part of one session on one chain."""
+
+    chain_id: str
+    session_id: str
+    state: str | None = None  # last contract state a chain event reported
+    views: dict = field(default_factory=dict)  # path -> ChannelView
+    plans: dict = field(default_factory=dict)  # path -> SendPlan, armed
+    pending_plans: dict = field(default_factory=dict)  # path -> SendPlan, armed when it opens
+    expected: dict = field(default_factory=dict)  # path -> receipts to receive before closing
+    received: dict = field(default_factory=dict)  # path -> receipts accepted
+    sub_requests: dict = field(default_factory=dict)  # (path, funding seq) -> counterparty address
+    granted: set = field(default_factory=set)  # bytes of receipts this party issued an Sr for
+    exchange: ExchangeState | None = None  # this party's own secret
+    counterpart_vk: tuple | None = None  # (owner address, verify key) of the proof expected here
+    counterpart_publics: proofs.RelationPublicInputs | None = None
+    proof_ok: bool | None = None  # the counterpart's proof: None until it arrives; False is final
+    uploads: dict = field(default_factory=dict)  # owner address -> (t, h_k) of its key upload
+    recovered: tuple | None = None  # the counterpart's plaintext blocks
+    close_sent: bool = False
+
+    def is_open(self) -> bool:
+        return self.state in (ct.OPEN_CE, ct.OPEN)
+
+
+@dataclass
+class PartySession:
+    """Everything one party holds about one session."""
+
+    session_id: str
+    sides: dict  # chain_id -> ChainSide
+    role: SessionRole = field(default_factory=SessionRole)
+
+
+EVENT_FIELDS = {"chain_id": str, "session_id": str, "tx_kind": str, "result": str,
+                "detail": (dict, type(None))}
+
+
+def _field_problem(data, fields) -> str | None:
+    """Why data lacks one of the fields with its type, or None."""
+    if not isinstance(data, dict):
+        return "data is not a dict"
+    for name, kind in fields.items():
+        if not isinstance(data.get(name), kind):
+            return "missing or mistyped %s" % name
+    return None
+
+
+def _dispatch(actor, net, msg: Message):
+    """Run the actor's handler for msg's kind if actor.problem finds nothing
+    wrong with msg and a chain event comes from the chain it names;
+    otherwise count msg in actor.rejected by reason."""
+    handler, fields = actor.HANDLERS.get(msg.kind, (None, None))
+    why = "unknown kind" if handler is None else actor.problem(msg, fields)
+    if why is None and fields is EVENT_FIELDS and msg.src != msg.data["chain_id"]:
+        why = "not sent by the chain it names"
+    if why is not None:
+        actor.rejected["%s: %s" % (msg.kind, why)] += 1
+    else:
+        handler(actor, net, msg)
 
 
 class Party:
@@ -153,72 +229,99 @@ class Party:
         self.directory = directory if directory is not None else {}  # address -> actor name
         self.rng = Rng("party:%s:%d" % (name, seed))
         self.group = group
-        self.views: dict = {}  # (chain_id, session_id, path) -> ChannelView
-        self.roles: dict = {}  # session_id -> SessionRole
-        self.exchange: dict = {}  # (chain_id, session_id) -> ExchangeState
-        self.vk_registry: dict = {}  # (chain_id, session_id, owner_addr) -> VerifyKey
         self.backend: proofs.TransparentMacBackend | None = None
-        self.send_plans: dict = {}  # (chain, session, path) -> SendPlan
-        self.expect_counts: dict = {}  # (chain, session, path) -> int
-        self.sub_requests: dict = {}  # (chain, session, path, seq) -> counterparty address
-        self.child_plans: dict = {}  # (chain, session, path) -> SendPlan, armed on open
-        # protocol knowledge picked up from events
-        self.session_states: dict = {}  # (chain, session) -> last state string
-        self.upload_meta: dict = {}  # (chain, session, owner) -> {t, n, h_k}
-        self.counterpart_publics: dict = {}  # (chain, session) -> RelationPublicInputs
-        self.exchange_verified: dict = {}  # (chain, session) -> bool
-        self.exchange_failed: dict = {}
-        self.recovered: dict = {}  # (chain, session) -> plaintext blocks
+        self.sessions: dict[str, PartySession] = {}
         self.violations: list = []
-        self.closed_sent: set = set()
-        self.received_counts: dict = {}
-        self.granted_srs: dict = {}  # underlying tr bytes -> Sr
+        self.rejected: Counter = Counter()  # reason -> messages dropped unread
         self.close_after_tick: int = 0  # application-level close decision
 
     def address(self, chain_id: str) -> str:
         return self.keys[chain_id].address
 
+    def session(self, session_id: str) -> PartySession:
+        """This party's state for a session, created on first use."""
+        ps = self.sessions.get(session_id)
+        if ps is None:
+            sides = {c: ChainSide(c, session_id) for c in self.keys}
+            ps = self.sessions[session_id] = PartySession(session_id, sides)
+        return ps
+
+    def side(self, chain_id: str, session_id: str) -> ChainSide | None:
+        """This party's part of a session on one chain, or None."""
+        ps = self.sessions.get(session_id)
+        return None if ps is None else ps.sides[chain_id]
+
     # -- workload wiring (installed by the scenario runner) --------------------
 
     def add_view(self, view: ChannelView):
-        self.views[(view.chain_id, view.session_id, view.path)] = view
+        self.session(view.session_id).sides[view.chain_id].views[view.path] = view
+
+    def set_role(self, session_id, role: SessionRole):
+        self.session(session_id).role = role
+
+    def note_state(self, chain_id, session_id, state):
+        """Record a contract state learned outside a chain event, for worlds
+        that start part-way through the protocol."""
+        self.session(session_id).sides[chain_id].state = state
+
+    def expect_proof(self, chain_id, session_id, owner, vk):
+        """Pay only once owner's exchange proof on chain_id verifies under vk."""
+        self.session(session_id).sides[chain_id].counterpart_vk = (owner, vk)
 
     def plan_sends(self, chain_id, session_id, path, amounts, rate):
-        self.send_plans[(chain_id, session_id, tuple(path))] = SendPlan(list(amounts), rate)
+        self.session(session_id).sides[chain_id].plans[tuple(path)] = SendPlan(list(amounts), rate)
 
     def expect(self, chain_id, session_id, path, count):
-        self.expect_counts[(chain_id, session_id, tuple(path))] = count
+        self.session(session_id).sides[chain_id].expected[tuple(path)] = count
 
     def plan_subchannel(self, chain_id, session_id, path, funding_seq, counterparty_addr,
                         amounts, rate):
         """When the funding receipt arrives, ask its payer to authorize a
         sub-channel and start paying the counterparty inside it."""
-        self.sub_requests[(chain_id, session_id, tuple(path), funding_seq)] = counterparty_addr
-        child = tuple(path) + (funding_seq,)
-        self.child_plans[(chain_id, session_id, child)] = SendPlan(list(amounts), rate)
+        side = self.session(session_id).sides[chain_id]
+        side.sub_requests[(tuple(path), funding_seq)] = counterparty_addr
+        side.pending_plans[tuple(path) + (funding_seq,)] = SendPlan(list(amounts), rate)
 
     def submit_open(self, net, chain_id, session_id, amount):
-        kp = self.keys[chain_id]
-        tx = ct.make_tx(kp, chain_id, session_id, ct.OPEN_TX, ct.OpenPayload(amount))
+        self._submit(net, chain_id, session_id, ct.OPEN_TX, ct.OpenPayload(amount))
+
+    def _submit(self, net, chain_id, session_id, kind, payload):
+        tx = ct.make_tx(self.keys[chain_id], chain_id, session_id, kind, payload)
         net.submit_tx(self.name, chain_id, tx)
 
     # -- message dispatch -------------------------------------------------------
 
     def on_message(self, net: Simnet, msg: Message):
-        if msg.kind == "chain_event":
-            self.on_chain_event(net, msg.data)
-        elif msg.kind == "receipt":
-            self.on_receipt(net, msg)
-        elif msg.kind == "sr_request":
-            self.on_sr_request(net, msg)
-        elif msg.kind == "sr_grant":
-            self.on_sr_grant(net, msg)
-        elif msg.kind == "subchannel_open":
-            self.on_subchannel_open(net, msg)
-        elif msg.kind == "exchange":
-            self.on_exchange(net, msg)
-        elif msg.kind == "wakeup":
-            self.on_wakeup(net, msg.data)
+        _dispatch(self, net, msg)
+
+    def problem(self, msg: Message, fields) -> str | None:
+        """Why msg cannot be handled, or None: it must carry the fields with
+        their types and name a chain this party holds a key on; a timer
+        (fields None) must be this party's own."""
+        if fields is None:
+            return self._timer_problem(msg)
+        why = _field_problem(msg.data, fields)
+        if why is None and msg.data["chain_id"] not in self.keys:
+            why = "unknown chain"
+        return why
+
+    def _timer_problem(self, msg: Message) -> str | None:
+        """A timer is one key holding [chain_id, session_id] plus, for a
+        pump, the channel path as a list of ints."""
+        if msg.src != self.name:
+            return "not set by this party"
+        if not isinstance(msg.data, dict) or len(msg.data) != 1:
+            return "not exactly one timer"
+        ((key, args),) = msg.data.items()
+        if key not in self.TIMERS:
+            return "unknown timer"
+        types = (str, str) + self.TIMERS[key][1]
+        if not isinstance(args, list) or len(args) != len(types):
+            return "malformed %s" % key
+        for arg, kind in zip(args, types):
+            if not isinstance(arg, kind) or (kind is list and any(type(i) is not int for i in arg)):
+                return "malformed %s" % key
+        return None if args[0] in self.keys else "unknown chain"
 
     # -- receipts ---------------------------------------------------------------
 
@@ -242,8 +345,9 @@ class Party:
     def on_receipt(self, net, msg):
         tr: Receipt = msg.data["tr"]
         chain_id = msg.data["chain_id"]
-        key = (chain_id, tr.session_id, tr.channel_path)
-        view = self.views.get(key)
+        ps = self.sessions.get(tr.session_id)
+        side = None if ps is None else ps.sides[chain_id]
+        view = None if side is None else side.views.get(tr.channel_path)
         if view is None:
             return
         my = self.address(chain_id)
@@ -260,18 +364,13 @@ class Party:
             return  # refuse overspend; sender's copy dies at settlement too
         view.receipts[tr.seq] = tr
         view.next_seq = max(view.next_seq, tr.seq + 1)
-        self.received_counts[key] = self.received_counts.get(key, 0) + 1
+        side.received[tr.channel_path] = side.received.get(tr.channel_path, 0) + 1
         # payee side of a planned sub-channel funding receipt
-        sub_key = (chain_id, tr.session_id, tr.channel_path, tr.seq)
-        if sub_key in self.sub_requests:
-            dst = self.directory[tr.snd]
-            net.send(
-                "sr_request",
-                self.name,
-                dst,
-                {"chain_id": chain_id, "tr": tr, "counterparty": self.sub_requests[sub_key]},
-            )
-        self.maybe_close(net, chain_id, tr.session_id)
+        counterparty = side.sub_requests.get((tr.channel_path, tr.seq))
+        if counterparty is not None:
+            data = {"chain_id": chain_id, "tr": tr, "counterparty": counterparty}
+            net.send("sr_request", self.name, self.directory[tr.snd], data)
+        self._maybe_close(net, ps, side)
 
     # -- sub-channels -------------------------------------------------------------
 
@@ -282,13 +381,14 @@ class Party:
         kp = self.keys[chain_id]
         if tr.snd != kp.address:
             return
-        view = self.views.get((chain_id, tr.session_id, tr.channel_path))
+        side = self.side(chain_id, tr.session_id)
+        view = None if side is None else side.views.get(tr.channel_path)
         if view is None or view.receipts.get(tr.seq) != tr:
             return
-        if tr.to_bytes() in self.granted_srs and not self.behavior.duplicate_sr:
+        if tr.to_bytes() in side.granted and not self.behavior.duplicate_sr:
             return  # one sub-channel receipt per receipt
         sr = make_sub_receipt(kp, msg.data["counterparty"], tr)
-        self.granted_srs[tr.to_bytes()] = sr
+        side.granted.add(tr.to_bytes())
         view.srs.append(sr)
         view.delegated.add(tr.seq)
         if self.behavior.duplicate_sr:
@@ -301,28 +401,21 @@ class Party:
         sr: SubChannelReceipt = msg.data["sr"]
         chain_id = msg.data["chain_id"]
         tr = sr.receipt
-        my = self.address(chain_id)
-        if sr.funder != my or not sr.verify_sig():
+        if sr.funder != self.address(chain_id) or not sr.verify_sig():
             return
-        parent = self.views.get((chain_id, tr.session_id, tr.channel_path))
+        side = self.side(chain_id, tr.session_id)
+        parent = None if side is None else side.views.get(tr.channel_path)
         if parent is None:
             return
         parent.delegated.add(tr.seq)
         parent.srs.append(sr)
-        child = ChannelView(
-            chain_id=chain_id,
-            session_id=tr.session_id,
-            path=sr.child_path,
-            members=(my, sr.counterparty),
-            initial={my: tr.amount, sr.counterparty: 0},
-            funder=my,
-        )
-        self.add_view(child)
-        plan = self.child_plans.get((chain_id, tr.session_id, child.path))
+        child = ChannelView.of_sub_receipt(chain_id, sr)
+        side.views[child.path] = child
+        plan = side.pending_plans.get(child.path)
         if plan is not None:
-            self.send_plans[(chain_id, tr.session_id, child.path)] = plan
+            side.plans[child.path] = plan
             plan.started = True
-            self._pump(net, chain_id, tr.session_id, child.path)
+            self._pump(net, side, child.path)
         dst = self.directory.get(sr.counterparty)
         if dst:
             net.send("subchannel_open", self.name, dst, {"chain_id": chain_id, "sr": sr})
@@ -332,248 +425,171 @@ class Party:
         the channel. Trusts nothing beyond the signatures it can check."""
         sr: SubChannelReceipt = msg.data["sr"]
         chain_id = msg.data["chain_id"]
-        my = self.address(chain_id)
-        if sr.counterparty != my or not sr.verify_sig():
+        if sr.counterparty != self.address(chain_id) or not sr.verify_sig():
             return
-        tr = sr.receipt
-        view = ChannelView(
-            chain_id=chain_id,
-            session_id=tr.session_id,
-            path=sr.child_path,
-            members=(sr.funder, my),
-            initial={sr.funder: tr.amount, my: 0},
-            funder=sr.funder,
-        )
+        view = ChannelView.of_sub_receipt(chain_id, sr)
         view.srs.append(sr)
         self.add_view(view)
 
-    # -- workload pump ----------------------------------------------------------
+    # -- timers -----------------------------------------------------------------
 
-    def _pump(self, net, chain_id, session_id, path):
-        plan = self.send_plans.get((chain_id, session_id, path))
+    def _pump(self, net, side: ChainSide, path):
+        plan = side.plans.get(path)
         if plan is None or plan.pumping or plan.done():
             return
         plan.pumping = True
-        net.wakeup(self.name, net.now + 1, {"pump": [chain_id, session_id, list(path)]})
+        net.wakeup(self.name, net.now + 1, {"pump": [side.chain_id, side.session_id, list(path)]})
 
-    def on_wakeup(self, net, data):
-        if "try_close" in data:
-            chain_id, session_id = data["try_close"]
-            self.maybe_close(net, chain_id, session_id)
+    def on_wakeup(self, net, msg):
+        ((key, args),) = msg.data.items()
+        ps = self.sessions.get(args[1])
+        if ps is not None:
+            self.TIMERS[key][0](self, net, ps, ps.sides[args[0]], *args[2:])
+
+    def _force_close(self, net, ps: PartySession, side: ChainSide):
+        """Grace expired: close at whatever state exists rather than leave
+        the deposits parked behind a silent counterpart."""
+        if side.is_open() and () in side.views:
+            self._close(net, side)
+
+    def _pump_due(self, net, ps: PartySession, side: ChainSide, path):
+        path = tuple(path)
+        plan = side.plans.get(path)
+        view = side.views.get(path)
+        if plan is None or view is None:
             return
-        if "force_close" in data:
-            # grace expired: close at whatever state exists rather than
-            # leave the deposits parked behind a silent counterpart
-            chain_id, session_id = data["force_close"]
-            if self.behavior.refuse_close:
-                return
-            if (chain_id, session_id) in self.closed_sent:
-                return
-            if self.session_states.get((chain_id, session_id)) not in (ct.OPEN_CE, ct.OPEN):
-                return
-            if (chain_id, session_id, ()) not in self.views:
-                return
-            self.closed_sent.add((chain_id, session_id))
-            self.submit_closes(net, chain_id, session_id)
-            return
-        if "pump" in data:
-            chain_id, session_id, path = data["pump"]
-            path = tuple(path)
-            plan = self.send_plans.get((chain_id, session_id, path))
-            view = self.views.get((chain_id, session_id, path))
-            if plan is None or view is None:
-                return
-            plan.pumping = False
-            for _ in range(plan.rate):
-                if plan.done():
-                    break
-                tr = self.send_receipt(net, view, plan.amounts[plan.sent])
-                if tr is None:
-                    break  # insufficient in-channel balance; stop rather than cheat
-                plan.sent += 1
-            if not plan.done():
-                self._pump(net, chain_id, session_id, path)
-            else:
-                if self.behavior.overspend:
-                    bal = view.balances().get(self.address(chain_id), 0)
-                    self.send_receipt(net, view, bal + 1, force=True)
-                self.maybe_close(net, chain_id, session_id)
+        plan.pumping = False
+        for _ in range(plan.rate):
+            if plan.done():
+                break
+            tr = self.send_receipt(net, view, plan.amounts[plan.sent])
+            if tr is None:
+                break  # insufficient in-channel balance; stop rather than cheat
+            plan.sent += 1
+        if not plan.done():
+            self._pump(net, side, path)
+        else:
+            if self.behavior.overspend:
+                bal = view.balances().get(self.address(side.chain_id), 0)
+                self.send_receipt(net, view, bal + 1, force=True)
+            self._maybe_close(net, ps, side)
 
     # -- fair exchange ------------------------------------------------------------
 
     def setup_exchange(self, chain_id, session_id, key, m_blocks, t, n, backend, seed):
         self.backend = backend
         crs = backend.setup(128, seed)
-        self.exchange[(chain_id, session_id)] = ExchangeState(
-            key=key, m_blocks=tuple(m_blocks), t=t, n=n, crs=crs
-        )
+        st = ExchangeState(key=key, m_blocks=tuple(m_blocks), t=t, n=n, crs=crs)
+        self.session(session_id).sides[chain_id].exchange = st
         return crs.vk
 
-    def run_theta_share(self, net, chain_id, session_id):
+    def _run_theta_share(self, net, side: ChainSide):
         """Deal the key, publish its hash and the per-share hashes."""
-        st = self.exchange[(chain_id, session_id)]
+        st = side.exchange
         st.dealing = vss.share(st.key, st.t, st.n, self.rng, self.group)
         hashes = tuple(vss.share_hash(s) for s in st.dealing.shares)
-        payload = ct.UploadPayload(
-            h_k=hash_bytes(key_to_bytes(st.key)), n=st.n, t=st.t, share_hashes=hashes
-        )
-        kp = self.keys[chain_id]
-        net.submit_tx(self.name, chain_id, ct.make_tx(kp, chain_id, session_id, ct.UPLOAD_TX, payload))
+        h_k = hash_bytes(key_to_bytes(st.key))
+        payload = ct.UploadPayload(h_k=h_k, n=st.n, t=st.t, share_hashes=hashes)
+        self._submit(net, side.chain_id, side.session_id, ct.UPLOAD_TX, payload)
 
-    def _distribute_shares(self, net, chain_id, session_id, detail):
-        st = self.exchange[(chain_id, session_id)]
-        st.sn = bytes.fromhex(detail["sn"])
-        kp = self.keys[chain_id]
+    def _distribute_shares(self, net, side: ChainSide, detail):
+        st = side.exchange
+        sn = bytes.fromhex(detail["sn"])
+        kp = self.keys[side.chain_id]
         for miner_addr, index, _h in detail["bindings"]:
             ks = st.dealing.shares[index - 1]
             if self.behavior.fake_key_share and index == 1:
                 ks = replace(ks, s=(ks.s + 1) % self.group.q)
-            sig = kp.sign(vss.share_message_bytes(ks, st.sn))
+            sig = kp.sign(vss.share_message_bytes(ks, sn))
             dst = self.directory.get(miner_addr)
             if dst:
-                net.send(
-                    "share",
-                    self.name,
-                    dst,
-                    {
-                        "chain_id": chain_id,
-                        "session_id": session_id,
-                        "owner": kp.address,
-                        "share": ks,
-                        "dealing_pub": st.dealing.public,
-                        "sn": st.sn,
-                        "sig": sig,
-                    },
-                )
+                data = {"chain_id": side.chain_id, "session_id": side.session_id, "owner": kp.address,
+                        "share": ks, "dealing_pub": st.dealing.public, "sn": sn, "sig": sig}
+                net.send("share", self.name, dst, data)
 
-    def run_theta_exchange(self, net, chain_id, session_id):
+    def _run_theta_exchange(self, net, ps: PartySession, side: ChainSide):
         """Send (proof, ciphertext, plaintext hash, key hash) across."""
-        st = self.exchange[(chain_id, session_id)]
+        st = side.exchange
         if st.dealing is None:
             # FE never distributes shares; a local dealing feeds the witness
             st.dealing = vss.share(st.key, st.t, st.n, self.rng, self.group)
         x = proofs.make_public_inputs(st.m_blocks, st.key, st.t, st.n)
         w = proofs.RelationWitness(m=st.m_blocks, k_shares=st.dealing.shares)
         proof = self.backend.prove(st.crs.pk, w, x)
-        net.send(
-            "exchange",
-            self.name,
-            self.roles[session_id].counterpart,
-            {"chain_id": chain_id, "session_id": session_id, "proof": proof, "publics": x,
-             "owner": self.address(chain_id)},
-        )
+        data = {"chain_id": side.chain_id, "session_id": side.session_id, "proof": proof,
+                "publics": x, "owner": self.address(side.chain_id)}
+        net.send("exchange", self.name, ps.role.counterpart, data)
 
     def on_exchange(self, net, msg):
-        chain_id = msg.data["chain_id"]
-        session_id = msg.data["session_id"]
+        ps = self.sessions.get(msg.data["session_id"])
+        if ps is None:
+            return
+        side = ps.sides[msg.data["chain_id"]]
         x = msg.data["publics"]
-        vk = self.vk_registry.get((chain_id, session_id, msg.data["owner"]))
-        ok = vk is not None and self.backend.verify(vk, x, msg.data["proof"])
-        if ok:
-            self.counterpart_publics[(chain_id, session_id)] = x
-            self.exchange_verified[(chain_id, session_id)] = True
-            for c in self.keys:
-                self._start_pumps(net, c, session_id)
-            self.maybe_close(net, chain_id, session_id)
+        vk = side.counterpart_vk
+        ok = vk is not None and vk[0] == msg.data["owner"]
+        if ok and self.backend.verify(vk[1], x, msg.data["proof"]):
+            side.counterpart_publics = x
+            if side.proof_ok is None:
+                side.proof_ok = True
+            for s in ps.sides.values():
+                self._start_pumps(net, ps, s)
+            self._maybe_close(net, ps, side)
         else:
             # abort before paying anything more: wind the session down at
             # whatever state both sides last agreed on
-            self.exchange_failed[(chain_id, session_id)] = True
-            role = self.roles.get(session_id)
-            if role is not None:
-                role.aborted = True
-            self._truncate_session_plans(session_id)
-            for c in self.keys:
-                self.maybe_close(net, c, session_id)
+            side.proof_ok = False
+            ps.role.aborted = True
+            self._truncate_plans(ps)
+            for s in ps.sides.values():
+                self._maybe_close(net, ps, s)
 
-    def _truncate_session_plans(self, session_id):
-        for (c, s, _p), plan in self.send_plans.items():
-            if s == session_id:
+    def _truncate_plans(self, ps: PartySession):
+        for side in ps.sides.values():
+            for plan in side.plans.values():
                 plan.amounts = plan.amounts[: plan.sent]
-        for key in list(self.expect_counts):
-            if key[1] == session_id:
-                self.expect_counts[key] = min(
-                    self.expect_counts[key], self.received_counts.get(key, 0)
-                )
-        for key in list(self.child_plans):
-            if key[1] == session_id and key not in self.send_plans:
-                del self.child_plans[key]
-        for key in list(self.sub_requests):
-            if key[1] == session_id:
-                del self.sub_requests[key]
+            for path, want in side.expected.items():
+                side.expected[path] = min(want, side.received.get(path, 0))
+            side.pending_plans = {p: plan for p, plan in side.pending_plans.items() if p in side.plans}
+            side.sub_requests.clear()
 
-    def _proofs_ok(self, session_id) -> bool:
-        """Every counterpart proof this party expects for the session has
-        verified; paying before that would risk paying for nothing."""
-        role = self.roles.get(session_id)
-        if role is None or role.mode == "CE":
-            return True
-        for (c, s, owner) in self.vk_registry:
-            if s != session_id or owner == self.address(c):
-                continue
-            if self.exchange_failed.get((c, s)):
-                return False
-            if not self.exchange_verified.get((c, s)):
-                return False
-        return True
-
-    def _start_pumps(self, net, chain_id, session_id):
-        if not self._proofs_ok(session_id):
-            return
-        if self.session_states.get((chain_id, session_id)) not in (ct.OPEN_CE, ct.OPEN):
-            return
-        for (c, s, path), plan in self.send_plans.items():
-            if c == chain_id and s == session_id and path == () and not plan.started:
-                plan.started = True
-                self._pump(net, chain_id, session_id, path)
+    def _start_pumps(self, net, ps: PartySession, side: ChainSide):
+        if ps.role.mode != "CE" and not all(s.proof_ok for s in ps.sides.values() if s.counterpart_vk):
+            return  # paying before every expected proof verified risks paying for nothing
+        plan = side.plans.get(())
+        if side.is_open() and plan is not None and not plan.started:
+            plan.started = True
+            self._pump(net, side, ())
 
     # -- closing ------------------------------------------------------------------
 
-    def _plans_done(self, chain_id, session_id):
-        for (c, s, _p), plan in self.send_plans.items():
-            if c == chain_id and s == session_id and not plan.done():
-                return False
-        for (c, s, p), want in self.expect_counts.items():
-            if c == chain_id and s == session_id:
-                if self.received_counts.get((c, s, p), 0) < want:
-                    return False
-        for (c, s, p), _plan in self.child_plans.items():
-            if c == chain_id and s == session_id and (c, s, p) not in self.send_plans:
-                return False  # sub-channel not open yet
-        return True
-
-    def _exchange_gate(self, chain_id, session_id):
-        role = self.roles.get(session_id)
-        if role is None or role.mode == "CE" or role.aborted:
-            return True
-        if self.exchange_failed.get((chain_id, session_id)):
-            return False  # abort: never enter close on a bad proof
-        my = self.address(chain_id)
-        expects_proof = any(
-            c == chain_id and s == session_id and o != my for (c, s, o) in self.vk_registry
-        )
-        if expects_proof and not self.exchange_verified.get((chain_id, session_id)):
-            return False
-        return True
-
-    def maybe_close(self, net, chain_id, session_id):
-        if self.behavior.refuse_close:
-            return
-        if (chain_id, session_id) in self.closed_sent:
-            return
+    def _maybe_close(self, net, ps: PartySession, side: ChainSide):
         if net.now < self.close_after_tick:
             return  # the channel stays open until the agreed point
-        root = self.views.get((chain_id, session_id, ()))
-        if root is None:
+        if () not in side.views or not side.is_open():
             return  # sub-channel members close on the broadcast, not here
-        if self.session_states.get((chain_id, session_id)) not in (ct.OPEN_CE, ct.OPEN):
+        if any(not plan.done() for plan in side.plans.values()):
             return
-        if not self._plans_done(chain_id, session_id):
+        if any(side.received.get(p, 0) < want for p, want in side.expected.items()):
             return
-        if not self._exchange_gate(chain_id, session_id):
+        if any(p not in side.plans for p in side.pending_plans):
+            return  # sub-channel not open yet
+        role = ps.role
+        if role.mode != "CE" and not role.aborted and not side.proof_ok:
+            if side.proof_ok is False or side.counterpart_vk is not None:
+                return  # never enter close on a bad or missing proof
+        self._close(net, side)
+
+    def _close(self, net, side: ChainSide):
+        """One close transaction per channel this party belongs to, once."""
+        if self.behavior.refuse_close or side.close_sent:
             return
-        self.closed_sent.add((chain_id, session_id))
-        self.submit_closes(net, chain_id, session_id)
+        side.close_sent = True
+        for path in sorted(side.views):
+            view = side.views[path]
+            trs = tuple(view.receipts[k] for k in sorted(view.receipts))
+            payload = ct.ClosePayload(final=self.compute_final_state(view), srs=tuple(view.srs), trs=trs)
+            self._submit(net, side.chain_id, side.session_id, ct.CLOSE_TX, payload)
 
     def compute_final_state(self, view: ChannelView) -> FinalState:
         balances = view.balances()
@@ -582,190 +598,167 @@ class Party:
             balances[me] = balances.get(me, 0) + 1
         return make_final_state(self.keys[view.chain_id], view.session_id, view.path, balances)
 
-    def submit_closes(self, net, chain_id, session_id):
-        """One close transaction per channel this party belongs to."""
-        kp = self.keys[chain_id]
-        for (c, s, path) in sorted(k for k in self.views if k[0] == chain_id and k[1] == session_id):
-            view = self.views[(c, s, path)]
-            payload = ct.ClosePayload(
-                final=self.compute_final_state(view),
-                srs=tuple(view.srs),
-                trs=tuple(view.receipts[k] for k in sorted(view.receipts)),
-            )
-            net.submit_tx(self.name, chain_id, ct.make_tx(kp, chain_id, session_id, ct.CLOSE_TX, payload))
-
     # -- hash-time lock choreography ------------------------------------------------
 
-    def _submit_lock(self, net, chain_id, session_id):
-        role = self.roles[session_id]
-        payload = ct.LockPayload(h_pre=role.h_pre)
-        kp = self.keys[chain_id]
-        net.submit_tx(self.name, chain_id, ct.make_tx(kp, chain_id, session_id, ct.LOCK_TX, payload))
+    def submit_lock(self, net, chain_id, session_id):
+        payload = ct.LockPayload(h_pre=self.sessions[session_id].role.h_pre)
+        self._submit(net, chain_id, session_id, ct.LOCK_TX, payload)
 
-    def _submit_update(self, net, chain_id, session_id):
-        role = self.roles[session_id]
-        kp = self.keys[chain_id]
-        if role.mode == "EIE":
-            owner = [
-                o for (c, s, o) in self.upload_meta if c == chain_id and s == session_id
-            ]
-            if owner:
-                h_k = self.upload_meta[(chain_id, session_id, owner[0])]["h_k"]
-                payload = ct.UpdateEiePayload(pre=role.pre, h_k=h_k)
-                tx = ct.make_tx(kp, chain_id, session_id, ct.UPDATE_EIE_TX, payload)
-                net.submit_tx(self.name, chain_id, tx)
-                return
-        payload = ct.UpdatePayload(pre=role.pre)
-        net.submit_tx(self.name, chain_id, ct.make_tx(kp, chain_id, session_id, ct.UPDATE_TX, payload))
+    def _submit_update(self, net, ps: PartySession, chain_id):
+        role = ps.role
+        uploads = ps.sides[chain_id].uploads
+        if role.mode == "EIE" and uploads:
+            _t, h_k = next(iter(uploads.values()))
+            payload = ct.UpdateEiePayload(pre=role.pre, h_k=h_k)
+            self._submit(net, chain_id, ps.session_id, ct.UPDATE_EIE_TX, payload)
+        else:
+            self._submit(net, chain_id, ps.session_id, ct.UPDATE_TX, ct.UpdatePayload(pre=role.pre))
 
-    def _ready_to_relay_lock(self, session_id):
-        role = self.roles[session_id]
-        chain = role.relay_lock_chain
-        return (
-            role.h_pre is not None
-            and self.session_states.get((chain, session_id)) == ct.CLOSE
-        )
+    def _relay_lock_if_ready(self, net, ps: PartySession):
+        role = ps.role
+        if role.h_pre is not None and ps.sides[role.relay_lock_chain].state == ct.CLOSE:
+            self.submit_lock(net, role.relay_lock_chain, ps.session_id)
 
     # -- chain events -----------------------------------------------------------------
 
-    def on_chain_event(self, net, ev: dict):
-        chain_id = ev["chain_id"]
-        session_id = ev["session_id"]
-        result = ev.get("result", "")
-        detail = ev.get("detail") or {}
-        role = self.roles.get(session_id)
-        if result.startswith("state:"):
-            self.session_states[(chain_id, session_id)] = result.split(":", 1)[1]
+    def on_chain_event(self, net, msg):
+        ev = msg.data
+        ps = self.session(ev["session_id"])
+        side = ps.sides[ev["chain_id"]]
+        kind, _, state = ev["result"].partition(":")
+        if kind == "state":
+            side.state = state
+        handler = self.EVENTS.get(ev["result"])
+        if handler is not None:
+            handler(self, net, ps, side, ev.get("detail") or {})
 
-        if result == "state:%s" % ct.OPEN_CE:
-            self._on_open(net, chain_id, session_id, detail)
-        elif result == "close window started":
-            self._on_close_window(net, chain_id, session_id)
-        elif ev["tx_kind"] == ct.UPLOAD_TX and "owner" in detail:
-            self.upload_meta[(chain_id, session_id, detail["owner"])] = {
-                "t": detail["t"],
-                "n": detail["n"],
-                "h_k": bytes.fromhex(detail["h_k"]),
-            }
-            if detail["owner"] == self.address(chain_id):
-                self._distribute_shares(net, chain_id, session_id, detail)
-        elif result == "state:%s" % ct.CLOSE:
-            if role and role.aborted and role.pre is not None:
-                # unilateral wind-down of the surviving chain at its
-                # settled state; this party knows the preimage
-                self._submit_lock(net, chain_id, session_id)
-            elif role and role.lock_chain == chain_id:
-                self._submit_lock(net, chain_id, session_id)
-            if role and role.relay_lock_chain == chain_id and self._ready_to_relay_lock(session_id):
-                self._submit_lock(net, chain_id, session_id)
-        elif result == "state:%s" % ct.LOCK:
-            if role and role.relay_lock_chain and chain_id != role.relay_lock_chain:
-                # the first lock is on chain; mirror it once our side closed
-                if role.h_pre is None:
-                    role.h_pre = bytes.fromhex(detail["h_pre"])
-                if self._ready_to_relay_lock(session_id):
-                    self._submit_lock(net, role.relay_lock_chain, session_id)
-            if role and role.update_chain == chain_id and not self.behavior.withhold_pre:
-                self._submit_update(net, chain_id, session_id)
-        elif result == "state:%s" % ct.SUCCESS:
-            if "pre" in detail and role and role.relay_update_chain and chain_id != role.relay_update_chain:
-                role.pre = bytes.fromhex(detail["pre"])
-                self._on_learned_pre(net, session_id, chain_id)
-                self._submit_update(net, role.relay_update_chain, session_id)
-            if "published_owner" in detail:
-                self._on_shares_published(net, chain_id, session_id, detail)
-        elif ev["tx_kind"] == ct.RECOVER_TX and "published_owner" in detail:
-            self._on_shares_published(net, chain_id, session_id, detail)
-        elif result == "state:%s" % ct.TERMINATED:
-            self._on_terminated(net, chain_id, session_id)
+    def _on_open(self, net, ps: PartySession, side: ChainSide, detail):
+        deposits = detail.get("deposits", {})
+        my = self.address(side.chain_id)
+        if () not in side.views and my in deposits and len(deposits) == 2:
+            members = tuple(sorted(deposits))
+            side.views[()] = ChannelView(side.chain_id, side.session_id, (), members, dict(deposits))
+        self._start_pumps(net, ps, side)
+        if ps.role.mode in ("FE", "EIE") and side.exchange is not None:
+            if ps.role.mode == "EIE":
+                self._run_theta_share(net, side)
+            self._run_theta_exchange(net, ps, side)
+        self._maybe_close(net, ps, side)
 
-    def _on_close_window(self, net, chain_id, session_id):
+    def _on_close_window(self, net, ps: PartySession, side: ChainSide, detail):
         """Settlement was requested at the root: every sub-channel member
         uploads its channels' data inside the collection window."""
-        if self.behavior.refuse_close:
-            return
-        if (chain_id, session_id) in self.closed_sent:
-            return
-        mine = [k for k in self.views if k[0] == chain_id and k[1] == session_id]
-        if not mine or any(k[2] == () for k in mine):
-            return  # root members submit through maybe_close
-        self.closed_sent.add((chain_id, session_id))
-        self.submit_closes(net, chain_id, session_id)
+        if side.views and () not in side.views:  # root members close through _maybe_close
+            self._close(net, side)
 
-    def _on_open(self, net, chain_id, session_id, detail):
-        deposits = detail.get("deposits", {})
-        key = (chain_id, session_id, ())
-        my = self.address(chain_id)
-        if key not in self.views and my in deposits and len(deposits) == 2:
-            members = sorted(deposits)
-            self.add_view(
-                ChannelView(
-                    chain_id=chain_id,
-                    session_id=session_id,
-                    path=(),
-                    members=(members[0], members[1]),
-                    initial=dict(deposits),
-                )
-            )
-        role = self.roles.get(session_id)
-        self._start_pumps(net, chain_id, session_id)
-        if role and role.mode in ("FE", "EIE"):
-            st = self.exchange.get((chain_id, session_id))
-            if st is not None:
-                if role.mode == "EIE":
-                    self.run_theta_share(net, chain_id, session_id)
-                self.run_theta_exchange(net, chain_id, session_id)
-        self.maybe_close(net, chain_id, session_id)
+    def _on_upload(self, net, ps: PartySession, side: ChainSide, detail):
+        owner = detail["owner"]
+        side.uploads[owner] = (detail["t"], bytes.fromhex(detail["h_k"]))
+        if owner == self.address(side.chain_id):
+            self._distribute_shares(net, side, detail)
 
-    def _on_learned_pre(self, net, session_id, chain_id):
-        role = self.roles[session_id]
-        if role.mode == "FE":
-            # the preimage doubles as the decryption key; the ciphertext
-            # may have been exchanged on either chain
-            for c in self.keys:
-                x = self.counterpart_publics.get((c, session_id))
-                if x is None:
-                    continue
-                blocks = decrypt(role.pre, x.m_bar)
-                if hash_blocks(blocks) == x.h_m:
-                    self.recovered[(c, session_id)] = blocks
-                else:
-                    self.violations.append(("plaintext-hash-mismatch", c, session_id))
+    def _on_close(self, net, ps: PartySession, side: ChainSide, detail):
+        role = ps.role
+        # an aborted party that knows the preimage winds the surviving
+        # chain down unilaterally at its settled state
+        if (role.aborted and role.pre is not None) or role.lock_chain == side.chain_id:
+            self.submit_lock(net, side.chain_id, ps.session_id)
+        if role.relay_lock_chain == side.chain_id:
+            self._relay_lock_if_ready(net, ps)
 
-    def _on_shares_published(self, net, chain_id, session_id, detail):
-        owner = detail["published_owner"]
-        if owner == self.address(chain_id):
-            return  # own key; nothing to recover
-        meta = self.upload_meta.get((chain_id, session_id, owner))
-        x = self.counterpart_publics.get((chain_id, session_id))
-        if meta is None or x is None:
+    def _on_lock(self, net, ps: PartySession, side: ChainSide, detail):
+        role = ps.role
+        if role.relay_lock_chain and side.chain_id != role.relay_lock_chain:
+            # the first lock is on chain; mirror it once our side closed
+            if role.h_pre is None:
+                role.h_pre = bytes.fromhex(detail["h_pre"])
+            self._relay_lock_if_ready(net, ps)
+        if role.update_chain == side.chain_id and not self.behavior.withhold_pre:
+            self._submit_update(net, ps, side.chain_id)
+
+    def _on_success(self, net, ps: PartySession, side: ChainSide, detail):
+        role = ps.role
+        if "pre" in detail and role.relay_update_chain not in (None, side.chain_id):
+            role.pre = bytes.fromhex(detail["pre"])
+            if role.mode == "FE":
+                # the preimage doubles as the decryption key; the ciphertext
+                # may have been exchanged on either chain
+                for s in ps.sides.values():
+                    if s.counterpart_publics is not None:
+                        self._decrypt(s, role.pre)
+            self._submit_update(net, ps, role.relay_update_chain)
+
+    def _on_shares_recorded(self, net, ps: PartySession, side: ChainSide, detail):
+        owner = detail.get("published_owner")
+        if owner is None or owner == self.address(side.chain_id):
+            return  # below threshold yet, or own key: nothing to recover
+        upload = side.uploads.get(owner)
+        if upload is None or side.counterpart_publics is None:
             return
-        key = vss.recover(detail["shares"], meta["t"], self.group)
-        if hash_bytes(key_to_bytes(key)) != meta["h_k"]:
-            self.violations.append(("recovered-key-hash-mismatch", chain_id, session_id))
-            return
+        t, h_k = upload
+        key = vss.recover(detail["shares"], t, self.group)
+        if hash_bytes(key_to_bytes(key)) != h_k:
+            self.violations.append(("recovered-key-hash-mismatch", side.chain_id, side.session_id))
+        else:
+            self._decrypt(side, key)
+
+    def _decrypt(self, side: ChainSide, key):
+        """Open the counterpart's ciphertext; keep it if it matches its hash."""
+        x = side.counterpart_publics
         blocks = decrypt(key, x.m_bar)
         if hash_blocks(blocks) == x.h_m:
-            self.recovered[(chain_id, session_id)] = blocks
+            side.recovered = blocks
         else:
-            self.violations.append(("plaintext-hash-mismatch", chain_id, session_id))
+            self.violations.append(("plaintext-hash-mismatch", side.chain_id, side.session_id))
 
-    def _on_terminated(self, net, chain_id, session_id):
+    def _on_terminated(self, net, ps: PartySession, side: ChainSide, detail):
         """Fair exchange aborted on one chain: wind down the other side at
         its last agreed state."""
-        role = self.roles.get(session_id)
-        if role is None or role.aborted:
+        role = ps.role
+        if role.aborted:
             return
         role.aborted = True
-        self._truncate_session_plans(session_id)
-        for other_chain in self.keys:
-            if other_chain == chain_id:
+        self._truncate_plans(ps)
+        for other in ps.sides.values():
+            if other is side:
                 continue
-            state = self.session_states.get((other_chain, session_id))
-            if state in (ct.OPEN_CE, ct.OPEN):
-                self.maybe_close(net, other_chain, session_id)
-            elif state == ct.CLOSE and role.pre is not None:
-                self._submit_lock(net, other_chain, session_id)
+            if other.is_open():
+                self._maybe_close(net, ps, other)
+            elif other.state == ct.CLOSE and role.pre is not None:
+                self.submit_lock(net, other.chain_id, ps.session_id)
+
+    # -- dispatch tables ----------------------------------------------------------------
+
+    HANDLERS = {  # message kind -> (handler, fields; None for a timer)
+        "chain_event": (on_chain_event, EVENT_FIELDS),
+        "receipt": (on_receipt, {"chain_id": str, "tr": Receipt}),
+        "sr_request": (on_sr_request, {"chain_id": str, "tr": Receipt, "counterparty": str}),
+        "sr_grant": (on_sr_grant, {"chain_id": str, "sr": SubChannelReceipt}),
+        "subchannel_open": (on_subchannel_open, {"chain_id": str, "sr": SubChannelReceipt}),
+        "exchange": (on_exchange, {"chain_id": str, "session_id": str, "proof": proofs.Proof,
+                                   "publics": proofs.RelationPublicInputs, "owner": str}),
+        "wakeup": (on_wakeup, None),
+    }
+    EVENTS = {  # chain event result -> handler
+        "state:" + ct.OPEN_CE: _on_open,
+        ct.CLOSE_WINDOW_STARTED: _on_close_window,
+        ct.BINDINGS_PUBLISHED: _on_upload,
+        "state:" + ct.CLOSE: _on_close,
+        "state:" + ct.LOCK: _on_lock,
+        "state:" + ct.SUCCESS: _on_success,
+        ct.SHARES_RECORDED: _on_shares_recorded,
+        "state:" + ct.TERMINATED: _on_terminated,
+    }
+    TIMERS = {  # wakeup key -> (handler, types of the arguments after chain and session)
+        "try_close": (_maybe_close, ()),
+        "force_close": (_force_close, ()),
+        "pump": (_pump_due, (list,)),
+    }
+
+
+SHARE_FIELDS = {"chain_id": str, "session_id": str, "owner": str, "share": vss.KeyShare,
+                "dealing_pub": vss.DealingPublic, "sn": bytes, "sig": bytes}
+ASSIST_FIELDS = {"assist": str}
 
 
 @dataclass
@@ -790,14 +783,21 @@ class Miner:
         self.old_stored: list = []
         self.learned_pre: dict = {}  # session -> pre bytes
         self.assisted: set = set()
+        self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
     def on_message(self, net, msg: Message):
-        if msg.kind == "share":
-            self.on_share(net, msg)
-        elif msg.kind == "chain_event":
-            self.on_chain_event(net, msg.data)
-        elif msg.kind == "wakeup":
-            self.on_wakeup(net, msg.data)
+        _dispatch(self, net, msg)
+
+    def problem(self, msg: Message, fields) -> str | None:
+        """Why msg cannot be handled, or None: it must carry the fields with
+        their types; a share must be for this miner's chain and a timer
+        must be its own."""
+        why = _field_problem(msg.data, fields)
+        if why is None and fields is SHARE_FIELDS and msg.data["chain_id"] != self.chain.chain_id:
+            why = "not this miner's chain"
+        if why is None and fields is ASSIST_FIELDS and msg.src != self.name:
+            why = "not set by this miner"
+        return why
 
     def on_share(self, net, msg):
         data = msg.data
@@ -813,8 +813,7 @@ class Miner:
         if self.behavior.stale_sn_replay and self.old_stored:
             old = self.old_stored[0]
             payload = ct.AppealPayload(owner_sig=old["sig"], share=old["share"], sn=old["sn"])
-            tx = ct.make_tx(self.kp, self.chain.chain_id, session_id, ct.APPEAL_TX, payload)
-            net.submit_tx(self.name, self.chain.chain_id, tx)
+            self._submit(net, session_id, ct.APPEAL_TX, payload)
         bound_hash = mine[0][2]
         ok = vss.share_hash(share) == bound_hash and vss.verify_share(
             share, data["dealing_pub"], self.group
@@ -822,14 +821,14 @@ class Miner:
         if not ok:
             if self.behavior.report_fake:
                 payload = ct.AppealPayload(owner_sig=data["sig"], share=share, sn=data["sn"])
-                tx = ct.make_tx(self.kp, self.chain.chain_id, session_id, ct.APPEAL_TX, payload)
-                net.submit_tx(self.name, self.chain.chain_id, tx)
+                self._submit(net, session_id, ct.APPEAL_TX, payload)
             return
         rec = {"share": share, "sn": data["sn"], "sig": data["sig"], "owner": owner}
         self.stored[(session_id, owner)] = rec
         self.old_stored.append(rec)
 
-    def on_chain_event(self, net, ev):
+    def on_chain_event(self, net, msg):
+        ev = msg.data
         detail = ev.get("detail") or {}
         session_id = ev["session_id"]
         if ev["chain_id"] == self.chain.chain_id:
@@ -837,9 +836,7 @@ class Miner:
                 self._answer_recovery(net, session_id, detail["recover_owner"])
             return
         # cross-chain observation: a revealed preimage on the other chain
-        if "pre" in detail and ev.get("result", "").startswith("state:%s" % ct.SUCCESS):
-            if not self.behavior.assist:
-                return
+        if self.behavior.assist and "pre" in detail and ev["result"] == "state:" + ct.SUCCESS:
             self.learned_pre[session_id] = bytes.fromhex(detail["pre"])
             self._consider_assist(net, session_id)
 
@@ -855,8 +852,7 @@ class Miner:
             share_s=rec["share"] if slot_s else None,
             share_r=None if slot_s else rec["share"],
         )
-        tx = ct.make_tx(self.kp, self.chain.chain_id, session_id, ct.RECOVER_TX, payload)
-        net.submit_tx(self.name, self.chain.chain_id, tx)
+        self._submit(net, session_id, ct.RECOVER_TX, payload)
 
     def _consider_assist(self, net, session_id):
         session = self.chain.read_session(session_id)
@@ -867,23 +863,16 @@ class Miner:
         else:
             net.wakeup(self.name, session.lock_deadline + 1, {"assist": session_id})
 
-    def on_wakeup(self, net, data):
-        if "assist" in data:
-            session_id = data["assist"]
-            session = self.chain.read_session(session_id)
-            if (
-                session is not None
-                and session.state == ct.LOCK
-                and session.assist_deadline is not None
-                and self.chain.now <= session.assist_deadline
-                and session_id in self.learned_pre
-            ):
-                self._submit_assist(net, session_id)
+    def on_wakeup(self, net, msg):
+        session_id = msg.data["assist"]
+        session = self.chain.read_session(session_id)
+        if session is not None and session.state == ct.LOCK and session_id in self.learned_pre:
+            self._submit_assist(net, session_id)
 
     def _submit_assist(self, net, session_id):
         session = self.chain.read_session(session_id)
         if session.assist_deadline is None or self.chain.now > session.assist_deadline:
-            return
+            return  # no assist window on this chain, or it has passed
         self.assisted.add(session_id)
         pre = self.learned_pre[session_id]
         if session.uploaded:
@@ -893,5 +882,14 @@ class Miner:
         else:
             payload = ct.UpdatePayload(pre=pre)
             kind = ct.UPDATE_TX
+        self._submit(net, session_id, kind, payload)
+
+    def _submit(self, net, session_id, kind, payload):
         tx = ct.make_tx(self.kp, self.chain.chain_id, session_id, kind, payload)
         net.submit_tx(self.name, self.chain.chain_id, tx)
+
+    HANDLERS = {  # message kind -> (handler, fields)
+        "share": (on_share, SHARE_FIELDS),
+        "chain_event": (on_chain_event, EVENT_FIELDS),
+        "wakeup": (on_wakeup, ASSIST_FIELDS),
+    }

@@ -68,21 +68,18 @@ def eval_relation(w: RelationWitness, x: RelationPublicInputs, group: GroupParam
 
 
 @dataclass(frozen=True)
-class ProvingKey:
-    backend_tag: int
-    binding_key: bytes
+class MacKey:
+    """The MAC backend's proving and verifying key: both hold the same
+    binding key."""
 
-
-@dataclass(frozen=True)
-class VerifyKey:
     backend_tag: int
     binding_key: bytes
 
 
 @dataclass(frozen=True)
 class Crs:
-    pk: ProvingKey
-    vk: VerifyKey
+    pk: MacKey
+    vk: MacKey
     lambda_bits: int
 
 
@@ -115,13 +112,10 @@ class TransparentMacBackend:
         if lambda_bits < 128:
             raise ValueError("lambda below 128 bits")
         bk = hash_bytes(b"crs-binding" + enc_u64(lambda_bits) + enc_bytes(seed))
-        return Crs(
-            pk=ProvingKey(backend_tag=self.tag, binding_key=bk),
-            vk=VerifyKey(backend_tag=self.tag, binding_key=bk),
-            lambda_bits=lambda_bits,
-        )
+        key = MacKey(backend_tag=self.tag, binding_key=bk)
+        return Crs(pk=key, vk=key, lambda_bits=lambda_bits)
 
-    def prove(self, pk: ProvingKey, w: RelationWitness, x: RelationPublicInputs) -> Proof:
+    def prove(self, pk: MacKey, w: RelationWitness, x: RelationPublicInputs) -> Proof:
         if pk.backend_tag != self.tag:
             raise ValueError("proving key from a different backend")
         if not eval_relation(w, x, self.group):
@@ -129,7 +123,7 @@ class TransparentMacBackend:
         mac = hmac.new(pk.binding_key, x.to_bytes(), "sha256").digest()
         return Proof(backend_tag=self.tag, binding=mac)
 
-    def verify(self, vk: VerifyKey, x: RelationPublicInputs, proof: Proof) -> bool:
+    def verify(self, vk: MacKey, x: RelationPublicInputs, proof: Proof) -> bool:
         if proof.backend_tag != self.tag or vk.backend_tag != self.tag:
             return False
         if len(proof.binding) != 32:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .crypto import KeyPair, sign, verify
+from .crypto import KeyPair, verify
 from .wire import enc_balances, enc_bytes, enc_path, enc_str, enc_u64
 
 
@@ -62,7 +62,7 @@ def make_receipt(kp: KeyPair, session_id, channel_path, seq, rcv, amount) -> Rec
         rcv=rcv,
         amount=amount,
     )
-    return replace(tr, sig=sign(kp, tr.signing_bytes()))
+    return replace(tr, sig=kp.sign(tr.signing_bytes()))
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def make_sub_receipt(payer_kp: KeyPair, counterparty: str, tr: Receipt) -> SubCh
     if payer_kp.address != tr.snd:
         raise ValueError("sub-channel receipt must be issued by the receipt's payer")
     sr = SubChannelReceipt(counterparty=counterparty, receipt=tr)
-    return replace(sr, sig=sign(payer_kp, sr.signing_bytes()))
+    return replace(sr, sig=payer_kp.sign(sr.signing_bytes()))
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def make_final_state(kp: KeyPair, session_id, channel_path, balances) -> FinalSt
         balances=dict(balances),
         submitter=kp.address,
     )
-    return replace(f, sig=sign(kp, f.signing_bytes()))
+    return replace(f, sig=kp.sign(f.signing_bytes()))
 
 
 def replay_receipts(initial: dict, receipts, delegated_seqs, funder=None):

@@ -16,17 +16,21 @@ from __future__ import annotations
 import json
 import random
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import contract as ct
 from .chain import Chain, TimerConfig
 from .crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
-from .engine import BehaviorProfile, ChannelView, Miner, MinerBehavior, Party, SessionRole
+from .engine import BehaviorProfile, Miner, MinerBehavior, Party, SessionRole
 from .proofs import TransparentMacBackend
 from .simnet import LatencyModel, Simnet
 
 MODES = ("CE", "FE", "EIE")
 BASELINES = ("cross_channel", "plain_htlc")
+# ScenarioConfig field annotation -> the value types it admits (bool is
+# not an int here)
+FIELD_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "tuple": (tuple,),
+               "dict": (dict,), "int | None": (int, type(None))}
 
 
 class ConfigError(ValueError):
@@ -71,11 +75,23 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.receipt_size_bytes is None:
             self.receipt_size_bytes = 130 if self.mode == "CE" else 1300
-        self.sub_funding = tuple(self.sub_funding)
-        self.sub_receipts = tuple(self.sub_receipts)
+        if isinstance(self.sub_funding, list):  # JSON has no tuples
+            self.sub_funding = tuple(self.sub_funding)
+        if isinstance(self.sub_receipts, list):
+            self.sub_receipts = tuple(self.sub_receipts)
 
     def validate(self) -> list[str]:
         v = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in FIELD_TYPES[f.type]:
+                v.append("%s must be of type %s" % (f.name, f.type))
+        for name in ("sub_funding", "sub_receipts"):
+            value = getattr(self, name)
+            if isinstance(value, tuple) and any(type(x) is not int for x in value):
+                v.append("%s must list integers" % name)
+        if v:
+            return v  # the checks below compare values of the declared types
         if self.mode not in MODES:
             v.append("mode must be one of %s" % (MODES,))
         if self.baseline not in BASELINES:
@@ -114,6 +130,18 @@ class ScenarioConfig:
         for i in range(len(self.sub_funding) - 1):
             if self.sub_funding[i + 1] + self.sub_receipts[i + 1] > self.sub_funding[i]:
                 v.append("sub-channel %d cannot spend more than its funding" % (i + 2))
+        flags = {f.name for f in fields(BehaviorProfile)}
+        for name, wanted in self.adversary.items():
+            if name not in _party_names(self):
+                v.append("adversary names unknown party %r" % (name,))
+            elif not isinstance(wanted, (list, tuple)) or not all(
+                isinstance(f, str) and f in flags for f in wanted
+            ):
+                v.append("adversary flags for %s must be a list drawn from %s" % (name, sorted(flags)))
+        try:
+            LatencyModel.from_config(self.latency)
+        except ValueError as exc:
+            v.append("latency: %s" % exc)
         return v
 
     @classmethod
@@ -191,6 +219,10 @@ def _close_barrier(config: ScenarioConfig) -> int:
     return open_ticks + pump_ticks + sub_total
 
 
+def _party_names(config: ScenarioConfig) -> list[str]:
+    return ["S", "R"] + (["D"] if config.levels >= 2 else []) + (["Q"] if config.levels >= 3 else [])
+
+
 def _behavior_for(config, name) -> BehaviorProfile:
     flags = {f: True for f in config.adversary.get(name, ())}
     return BehaviorProfile(**flags)
@@ -220,12 +252,9 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
     net.add_chain(alpha)
     net.add_chain(beta)
 
-    party_names = ["S", "R"] + (["D"] if config.levels >= 2 else []) + (
-        ["Q"] if config.levels >= 3 else []
-    )
     directory = {}
     parties = {}
-    for name in party_names:
+    for name in _party_names(config):
         keys = {
             c.chain_id: keypair_from_label("%s:%d:%s" % (name, config.seed, c.chain_id))
             for c in (alpha, beta)
@@ -288,13 +317,13 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
             pre = key_to_bytes(key_s)
         h_pre = hash_bytes(pre)
 
-        S.roles[sid] = SessionRole(
+        S.set_role(sid, SessionRole(
             mode=config.mode, counterpart="R", lock_chain="alpha", update_chain="beta",
             pre=pre, h_pre=h_pre,
-        )
-        R.roles[sid] = SessionRole(
+        ))
+        R.set_role(sid, SessionRole(
             mode=config.mode, counterpart="S", relay_lock_chain="beta", relay_update_chain="alpha",
-        )
+        ))
 
         S.plan_sends("alpha", sid, (), alpha_amounts, rate)
         R.expect("alpha", sid, (), len(alpha_amounts))
@@ -311,7 +340,7 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
                 raise ConfigError(["level-2 spend exceeds its funding"])
             R.plan_subchannel("alpha", sid, (), 1, D.address("alpha"), sub1, rate)
             D.expect("alpha", sid, (1,), len(sub1))
-            D.roles.setdefault(sid, SessionRole(mode=config.mode, counterpart="R"))
+            D.set_role(sid, SessionRole(mode=config.mode, counterpart="R"))
             expected += len(sub1)
             if config.levels >= 3:
                 Q = parties["Q"]
@@ -320,7 +349,7 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
                     raise ConfigError(["level-3 spend exceeds its funding"])
                 D.plan_subchannel("alpha", sid, (1,), 1, Q.address("alpha"), sub2, rate)
                 Q.expect("alpha", sid, (1, 1), len(sub2))
-                Q.roles.setdefault(sid, SessionRole(mode=config.mode, counterpart="D"))
+                Q.set_role(sid, SessionRole(mode=config.mode, counterpart="D"))
                 expected += len(sub2)
 
         if config.mode in ("FE", "EIE"):
@@ -331,14 +360,14 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
             vk_s = S.setup_exchange("alpha", sid, key_s, blocks_s, config.vss_t, config.vss_n,
                                     backend, hash_bytes(b"crs:S:%s" % sid.encode()))
             R.backend = backend
-            R.vk_registry[("alpha", sid, S.address("alpha"))] = vk_s
+            R.expect_proof("alpha", sid, S.address("alpha"), vk_s)
             if config.mode == "EIE":
                 blocks_r = tuple(
                     hash_bytes(b"m:R:%s:%d:%d" % (sid.encode(), config.seed, i))[:13] for i in range(4)
                 )
                 vk_r = R.setup_exchange("beta", sid, key_r, blocks_r, config.vss_t, config.vss_n,
                                         backend, hash_bytes(b"crs:R:%s" % sid.encode()))
-                S.vk_registry[("beta", sid, R.address("beta"))] = vk_r
+                S.expect_proof("beta", sid, R.address("beta"), vk_r)
 
     barrier = _close_barrier(config)
     grace = barrier + 30
@@ -368,21 +397,15 @@ def _all_terminal(world: World) -> bool:
             s = chain.contract.sessions.get(sid)
             if s is None or not s.is_terminal():
                 return False
-    if world.config.mode == "EIE":
+    # a successful chain owes its payee the counterpart's plaintext: always
+    # on alpha in FE, and in EIE wherever a key recovery was requested
+    fe = world.config.mode == "FE"
+    payees = {"FE": ((world.alpha, "R"),), "EIE": ((world.alpha, "R"), (world.beta, "S"))}
+    for chain, name in payees.get(world.config.mode, ()):
         for sid in world.session_ids:
-            a = world.alpha.contract.sessions.get(sid)
-            if a is not None and a.state == ct.SUCCESS and a.recovery_requested:
-                if ("alpha", sid) not in world.parties["R"].recovered:
-                    return False
-            b = world.beta.contract.sessions.get(sid)
-            if b is not None and b.state == ct.SUCCESS and b.recovery_requested:
-                if ("beta", sid) not in world.parties["S"].recovered:
-                    return False
-    if world.config.mode == "FE":
-        for sid in world.session_ids:
-            a = world.alpha.contract.sessions.get(sid)
-            if a is not None and a.state == ct.SUCCESS:
-                if ("alpha", sid) not in world.parties["R"].recovered:
+            s = chain.contract.sessions.get(sid)
+            if s is not None and s.state == ct.SUCCESS and (fe or s.recovery_requested):
+                if world.parties[name].side(chain.chain_id, sid).recovered is None:
                     return False
     return True
 
@@ -393,7 +416,13 @@ def collect_metrics(world: World) -> RunMetrics:
         if entry.get("tx_kind") in ct.PAYLOAD_KINDS and "result" in entry:
             if not entry["result"].startswith("failed:"):
                 counts[entry["tx_kind"]] = counts.get(entry["tx_kind"], 0) + 1
-    receipts = sum(sum(p.received_counts.values()) for p in world.parties.values())
+    receipts = sum(
+        count
+        for p in world.parties.values()
+        for ps in p.sessions.values()
+        for side in ps.sides.values()
+        for count in side.received.values()
+    )
     outcomes = {}
     for chain in (world.alpha, world.beta):
         for sid, s in sorted(chain.contract.sessions.items()):
@@ -439,19 +468,21 @@ def run_plain_htlc(config: ScenarioConfig):
         sid = "h%d" % j
         session_ids.append(sid)
         amount = rng.randint(config.amount_lo, config.amount_hi)
-        world.alpha.contract.create_htlc_session(sid, S.address("alpha"), R.address("alpha"), amount)
-        world.beta.contract.create_htlc_session(sid, R.address("beta"), S.address("beta"), amount)
+        for chain, payer, payee in ((world.alpha, S, R), (world.beta, R, S)):
+            chain.contract.create_htlc_session(
+                chain, sid, payer.address(chain.chain_id), payee.address(chain.chain_id), amount
+            )
         pre = hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed))
-        S.roles[sid] = SessionRole(mode="CE", counterpart="R", lock_chain="alpha",
-                                   update_chain="beta", pre=pre, h_pre=hash_bytes(pre))
-        R.roles[sid] = SessionRole(mode="CE", counterpart="S", relay_lock_chain="beta",
-                                   relay_update_chain="alpha")
+        S.set_role(sid, SessionRole(mode="CE", counterpart="R", lock_chain="alpha",
+                                    update_chain="beta", pre=pre, h_pre=hash_bytes(pre)))
+        R.set_role(sid, SessionRole(mode="CE", counterpart="S", relay_lock_chain="beta",
+                                    relay_update_chain="alpha"))
         for p in (S, R):
-            p.session_states[("alpha", sid)] = ct.CLOSE
-            p.session_states[("beta", sid)] = ct.CLOSE
+            p.note_state("alpha", sid, ct.CLOSE)
+            p.note_state("beta", sid, ct.CLOSE)
     world.session_ids = session_ids
     for sid in session_ids:
-        S._submit_lock(world.net, "alpha", sid)
+        S.submit_lock(world.net, "alpha", sid)
     trace = world.net.run_until(lambda: _all_terminal(world), max_tick=config.max_ticks)
     metrics = collect_metrics(world)
     if not _all_terminal(world):
@@ -478,13 +509,11 @@ class SweepResult:
 
 def run_scaling_sweep(config: ScenarioConfig, channel_counts) -> SweepResult:
     """Throughput over channel count, plus a least-squares line fit."""
-    from dataclasses import replace as dc_replace
-
     rows = []
-    base = dc_replace(config, channels=1)
+    base = replace(config, channels=1)
     base_metrics, _ = run_scenario(base)
     for count in channel_counts:
-        metrics, _ = run_scenario(dc_replace(config, channels=count))
+        metrics, _ = run_scenario(replace(config, channels=count))
         rows.append(
             SweepRow(
                 channels=count,

@@ -106,17 +106,21 @@ class LatencyModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LatencyModel":
-        overrides = tuple(
-            (o["src"], o["dst"], cls.from_config({k: v for k, v in o.items() if k not in ("src", "dst")}))
-            for o in cfg.get("overrides", ())
-        )
-        return cls(
-            kind=cfg.get("kind", "fixed"),
-            fixed=cfg.get("fixed", 1),
-            lo=cfg.get("lo", 1),
-            hi=cfg.get("hi", 1),
-            overrides=overrides,
-        )
+        """Build from a scenario's latency object; ValueError if malformed."""
+        if not isinstance(cfg, dict):
+            raise ValueError("latency must be an object")
+        delays = {name: cfg.get(name, 1) for name in ("fixed", "lo", "hi")}
+        if any(type(d) is not int for d in delays.values()):
+            raise ValueError("delays must be integers")
+        if not isinstance(cfg.get("overrides", ()), (list, tuple)):
+            raise ValueError("overrides must be a list")
+        overrides = []
+        for o in cfg.get("overrides", ()):
+            if not (isinstance(o, dict) and isinstance(o.get("src"), str) and isinstance(o.get("dst"), str)):
+                raise ValueError("each override needs src and dst names")
+            rest = {k: v for k, v in o.items() if k not in ("src", "dst")}
+            overrides.append((o["src"], o["dst"], cls.from_config(rest)))
+        return cls(kind=cfg.get("kind", "fixed"), overrides=tuple(overrides), **delays)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import random
 from dataclasses import replace
 
 from xchan.contract import ClosePayload
-from xchan.crypto import keypair_from_label, sign
+from xchan.crypto import keypair_from_label
 from xchan.receipts import (
     FinalState,
     Receipt,
@@ -40,7 +40,7 @@ def _signed_receipt(payer_name, session, path, seq, rcv_addr, amount, forged=Fal
         amount=amount,
     )
     signer = KEYS["E"] if forged else kp
-    return replace(tr, sig=sign(signer, tr.signing_bytes()))
+    return replace(tr, sig=signer.sign(tr.signing_bytes()))
 
 
 def gen_case(rng: random.Random):
@@ -151,7 +151,7 @@ def gen_case(rng: random.Random):
     if flags["forged_sr"] and root["receipts"]:
         tr = rng.choice(root["receipts"])
         sr = make_sub_receipt(KEYS[BY_ADDR[tr.snd]], ADDR["E"], tr)
-        root["srs"].append(replace(sr, sig=sign(KEYS["E"], sr.signing_bytes())))
+        root["srs"].append(replace(sr, sig=KEYS["E"].sign(sr.signing_bytes())))
     if flags["bogus_path"]:
         root["receipts"].append(
             _signed_receipt("S", session, (77,), 1, ADDR["R"], rng.randint(1, 20))

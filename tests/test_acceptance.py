@@ -326,12 +326,12 @@ def test_criterion_8_relation_and_eie():
     S, R = world.parties["S"], world.parties["R"]
     from xchan.crypto import hash_blocks
 
-    got_r = R.recovered[("alpha", "c0")]
-    assert hash_blocks(got_r) == R.counterpart_publics[("alpha", "c0")].h_m
-    assert got_r == S.exchange[("alpha", "c0")].m_blocks
-    got_s = S.recovered[("beta", "c0")]
-    assert hash_blocks(got_s) == S.counterpart_publics[("beta", "c0")].h_m
-    assert got_s == R.exchange[("beta", "c0")].m_blocks
+    got_r = R.side("alpha", "c0").recovered
+    assert hash_blocks(got_r) == R.side("alpha", "c0").counterpart_publics.h_m
+    assert got_r == S.side("alpha", "c0").exchange.m_blocks
+    got_s = S.side("beta", "c0").recovered
+    assert hash_blocks(got_s) == S.side("beta", "c0").counterpart_publics.h_m
+    assert got_s == R.side("beta", "c0").exchange.m_blocks
     elapsed = time.monotonic() - t0
     report(8, "fair-exchange-relation", "500 instances + EIE end-to-end %.1fs" % elapsed)
 

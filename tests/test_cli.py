@@ -51,6 +51,16 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "alpha_unlock > beta_unlock" in capsys.readouterr().err
 
 
+def test_malformed_config_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"receipts_n": "5"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "receipts_n must be of type int" in err
+
+
 def test_sweep_prints_fit(config_path, capsys):
     rc = main(["sweep", "--config", config_path, "--channels", "2:6:2"])
     assert rc == 0

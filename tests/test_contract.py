@@ -456,7 +456,7 @@ class TestPlainHtlcSessions:
     def test_lock_update_refund_cycle(self):
         d = Driver(miners=1)
         c = d.chain.contract
-        c.create_htlc_session("h0", S.address, R.address, 50)
+        c.create_htlc_session(d.chain, "h0", S.address, R.address, 50)
         assert d.chain.balance(S.address) == 950
         pre = b"\x03" * 32
         d.submit(S, "h0", ct.LOCK_TX, ct.LockPayload(h_pre=hash_bytes(pre)))
@@ -467,7 +467,7 @@ class TestPlainHtlcSessions:
         assert s.state == ct.SUCCESS
         assert d.chain.balance(R.address) == 1050
 
-        c.create_htlc_session("h1", S.address, R.address, 50)
+        c.create_htlc_session(d.chain, "h1", S.address, R.address, 50)
         d.submit(S, "h1", ct.LOCK_TX, ct.LockPayload(h_pre=hash_bytes(pre)))
         d.step()
         s1 = c.sessions["h1"]

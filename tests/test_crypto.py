@@ -19,7 +19,6 @@ from xchan.crypto import (
     key_to_bytes,
     keypair_from_label,
     pedersen_commit,
-    sign,
     verify,
 )
 from oracles import pedersen_brute, pedersen_two_pow
@@ -201,24 +200,24 @@ class TestFixedBase:
 class TestSignatures:
     def test_round_trip(self):
         kp = keypair_from_label("alice")
-        sig = sign(kp, b"message")
+        sig = kp.sign(b"message")
         assert verify(kp.address, b"message", sig)
 
     def test_wrong_key_fails(self):
         kp, other = keypair_from_label("a"), keypair_from_label("b")
-        sig = sign(kp, b"message")
+        sig = kp.sign(b"message")
         assert not verify(other.address, b"message", sig)
 
     def test_deterministic_from_seed(self):
         a = keypair_from_label("same")
         b = keypair_from_label("same")
         assert a.address == b.address
-        assert sign(a, b"x") == sign(b, b"x")
+        assert a.sign(b"x") == b.sign(b"x")
 
     def test_single_byte_flips_rejected(self):
         kp = keypair_from_label("flip")
         msg = b"short msg"
-        sig = sign(kp, msg)
+        sig = kp.sign(msg)
         for i in range(len(msg)):
             for bit in (0x01, 0x80):
                 mutated = bytearray(msg)

@@ -1,6 +1,7 @@
 """Off-chain participant logic: receipts, sub-channel authorization,
 final states."""
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xchan.contract import InvariantViolation
-from xchan.crypto import keypair_from_label, sign
+from xchan.crypto import keypair_from_label
+from xchan import proofs, vss
 from xchan.engine import BehaviorProfile, ChannelView, Party
 from xchan.receipts import Receipt, make_receipt, make_sub_receipt, replay_receipts
-from xchan.simnet import LatencyModel, Simnet
+from xchan.scenario import ScenarioConfig, build_world
+from xchan.simnet import LatencyModel, Message, Simnet
 
 SID = "e0"
 
@@ -41,7 +44,7 @@ def two_parties(behavior_a=BehaviorProfile(), behavior_b=BehaviorProfile()):
 
 
 def view_of(p):
-    return p.views[("alpha", SID, ())]
+    return p.side("alpha", SID).views[()]
 
 
 class TestReceipts:
@@ -52,7 +55,7 @@ class TestReceipts:
         net.run_until(max_tick=3)
         assert view_of(a).balances()[a.address("alpha")] == 70
         assert view_of(b).balances()[b.address("alpha")] == 80
-        assert b.received_counts[("alpha", SID, ())] == 1
+        assert b.side("alpha", SID).received[()] == 1
 
     def test_zero_amount_legal(self):
         net, a, b = two_parties()
@@ -127,12 +130,12 @@ class TestSubChannels:
         b.plan_subchannel("alpha", SID, (), 1, c.address("alpha"), amounts=[2, 3], rate=5)
         a.send_receipt(net, view_of(a), 40)
         net.run_until(max_tick=12)
-        child_key = ("alpha", SID, (1,))
-        assert child_key in b.views and child_key in c.views
-        assert b.views[child_key].funder == b.address("alpha")
-        assert b.views[child_key].initial[b.address("alpha")] == 40
+        b_views, c_views = b.side("alpha", SID).views, c.side("alpha", SID).views
+        assert (1,) in b_views and (1,) in c_views
+        assert b_views[(1,)].funder == b.address("alpha")
+        assert b_views[(1,)].initial[b.address("alpha")] == 40
         # the planned child workload ran
-        assert c.views[child_key].balances()[c.address("alpha")] == 5
+        assert c_views[(1,)].balances()[c.address("alpha")] == 5
         # the parent delegated the funding receipt
         assert 1 in view_of(a).delegated and 1 in view_of(b).delegated
 
@@ -152,10 +155,11 @@ class TestSubChannels:
         net, a, b, c = self.wire()
         tr = make_receipt(a.keys["alpha"], SID, (), 1, b.address("alpha"), 40)
         sr = make_sub_receipt(a.keys["alpha"], c.address("alpha"), tr)
-        forged = replace(sr, sig=sign(b.keys["alpha"], sr.signing_bytes()))
+        forged = replace(sr, sig=b.keys["alpha"].sign(sr.signing_bytes()))
         net.send("subchannel_open", "B", "C", {"chain_id": "alpha", "sr": forged})
         net.run_until(max_tick=3)
-        assert ("alpha", SID, (1,)) not in c.views
+        side = c.side("alpha", SID)
+        assert side is None or (1,) not in side.views
 
     def test_sub_receipt_requires_payer(self):
         net, a, b, c = self.wire()
@@ -249,3 +253,76 @@ class TestBalancesCache:
             assert got == expected()
             got["A"] += 1000  # callers own the returned dict
             assert view.balances() == expected()
+
+
+def _eie_world_mid_run():
+    """An EIE world whose channels are open and whose exchange is under way."""
+    cfg = ScenarioConfig(mode="EIE", receipts_n=4, seed=10)
+    world = build_world(cfg)
+    for name in ("S", "R"):
+        for chain in (world.alpha, world.beta):
+            world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+    world.net.run_until(max_tick=12)
+    return world
+
+
+def _snapshot(world, actor):
+    chains = [(c.now, dict(c.accounts), list(c.mempool), len(c.blocks),
+               {sid: s.state for sid, s in c.contract.sessions.items()})
+              for c in (world.alpha, world.beta)]
+    state = copy.deepcopy(actor.sessions if isinstance(actor, Party) else actor.stored)
+    return chains, state, len(world.net._heap), len(world.net.trace)
+
+
+_RECEIPT = make_receipt(keypair_from_label("probe"), "c0", (), 1, "nobody", 1)
+_PUBLICS = proofs.make_public_inputs((b"x" * 13,), 5, 2, 3)
+_EVENT = {"tick": 8, "chain_id": "alpha", "block": 2, "tx_kind": "Close", "session_id": "c0",
+          "result": "state:Close"}
+
+# (actor, message kind, sender, data): each lacks a field, has one of the
+# wrong type, names an unknown chain, or claims a sender it does not have
+MALFORMED = {
+    "receipt-empty": ("S", "receipt", "R", {}),
+    "receipt-int-tr": ("S", "receipt", "R", {"chain_id": "alpha", "tr": 5}),
+    "receipt-unknown-chain": ("S", "receipt", "R", {"chain_id": "gamma", "tr": _RECEIPT}),
+    "sr_request-no-tr": ("S", "sr_request", "R", {"chain_id": "alpha", "counterparty": "x"}),
+    "sr_grant-int-sr": ("S", "sr_grant", "R", {"chain_id": "alpha", "sr": 1}),
+    "subchannel_open-empty": ("S", "subchannel_open", "R", {}),
+    "exchange-no-session": ("S", "exchange", "R", {
+        "chain_id": "alpha", "proof": proofs.Proof(1, bytes(32)), "publics": _PUBLICS,
+        "owner": "x"}),
+    "chain_event-empty": ("S", "chain_event", "alpha", {}),
+    "chain_event-forged": ("S", "chain_event", "R", _EVENT),
+    "wakeup-int-pump": ("S", "wakeup", "S", {"pump": 3}),
+    "wakeup-short-force_close": ("S", "wakeup", "S", {"force_close": ["alpha"]}),
+    "wakeup-foreign": ("S", "wakeup", "R", {"force_close": ["alpha", "c0"]}),
+    "miner-share-empty": ("M.alpha.1", "share", "S", {}),
+    "miner-share-other-chain": ("M.alpha.1", "share", "S", {
+        "chain_id": "beta", "session_id": "c0", "owner": "x", "share": vss.KeyShare(1, 1, 1, b""),
+        "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}),
+    "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", {}),
+}
+
+
+class TestMalformedMessages:
+    """A message with a missing or mistyped field, an unknown chain or a
+    false sender is dropped and counted by reason; nothing raises and no
+    state changes."""
+
+    @pytest.mark.parametrize("probe", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_dropped_and_counted(self, probe):
+        name, kind, src, data = probe
+        world = _eie_world_mid_run()
+        actor = world.net.actors[name]
+        before = _snapshot(world, actor)
+        actor.on_message(world.net, Message(kind, src, name, data))
+        assert _snapshot(world, actor) == before
+        assert sum(actor.rejected.values()) == 1
+        (reason,) = actor.rejected
+        assert reason.startswith(kind + ": ")
+
+    def test_well_formed_messages_not_counted(self):
+        world = _eie_world_mid_run()
+        world.net.run_until(max_tick=world.config.max_ticks)
+        for actor in world.net.actors.values():
+            assert not getattr(actor, "rejected", None)

@@ -1,6 +1,7 @@
 """End-to-end scenario runs: happy paths per mode, adversarial
 deviations, miner assist, and replay determinism."""
 
+import gc
 import json
 
 import pytest
@@ -28,8 +29,9 @@ def planned_transfer(world, chain):
     """Sum of the workload amounts planned on one chain (root channels)."""
     total = 0
     for p in world.parties.values():
-        for (c, _sid, path), plan in p.send_plans.items():
-            if c == chain and path == ():
+        for ps in p.sessions.values():
+            plan = ps.sides[chain].plans.get(())
+            if plan is not None:
                 total += sum(plan.amounts)
     return total
 
@@ -164,9 +166,9 @@ class TestFairExchange:
 
         world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
         S, R = world.parties["S"], world.parties["R"]
-        blocks = R.recovered[("alpha", "c0")]
-        assert blocks == S.exchange[("alpha", "c0")].m_blocks
-        x = R.counterpart_publics[("alpha", "c0")]
+        blocks = R.side("alpha", "c0").recovered
+        assert blocks == S.side("alpha", "c0").exchange.m_blocks
+        x = R.side("alpha", "c0").counterpart_publics
         assert hash_blocks(blocks) == x.h_m
 
     def test_eie_both_sides_recover(self):
@@ -179,8 +181,8 @@ class TestFairExchange:
 
         world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
         S, R = world.parties["S"], world.parties["R"]
-        assert R.recovered[("alpha", "c0")] == S.exchange[("alpha", "c0")].m_blocks
-        assert S.recovered[("beta", "c0")] == R.exchange[("beta", "c0")].m_blocks
+        assert R.side("alpha", "c0").recovered == S.side("alpha", "c0").exchange.m_blocks
+        assert S.side("beta", "c0").recovered == R.side("beta", "c0").exchange.m_blocks
         assert not S.violations and not R.violations
 
     def test_fake_key_share_terminates_and_returns_deposits(self):
@@ -232,9 +234,9 @@ class TestFairExchange:
 
         world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
         S = world.parties["S"]
-        assert S.exchange_failed[("beta", "c0")]
+        assert S.side("beta", "c0").proof_ok is False
         # the honest side paid nothing: its receipt pump never started
-        alpha_plan = S.send_plans[("alpha", "c0", ())]
+        alpha_plan = S.side("alpha", "c0").plans[()]
         assert alpha_plan.sent == 0
         for name in ("S", "R"):
             p = world.parties[name]
@@ -258,8 +260,8 @@ class TestFairExchange:
 
         world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
         S, R = world.parties["S"], world.parties["R"]
-        assert R.recovered[("alpha", "c0")] == S.exchange[("alpha", "c0")].m_blocks
-        assert S.recovered[("beta", "c0")] == R.exchange[("beta", "c0")].m_blocks
+        assert R.side("alpha", "c0").recovered == S.side("alpha", "c0").exchange.m_blocks
+        assert S.side("beta", "c0").recovered == R.side("beta", "c0").exchange.m_blocks
 
     def test_stale_serial_replay_rejected_sessions_proceed(self):
         cfg = ScenarioConfig(mode="EIE", receipts_n=2, seed=13, channels=2,
@@ -311,7 +313,12 @@ class TestDeterminism:
     def test_seed_drives_workload(self):
         w1 = build_world(ScenarioConfig(mode="CE", receipts_n=10, seed=1, amount_hi=50))
         w2 = build_world(ScenarioConfig(mode="CE", receipts_n=10, seed=2, amount_hi=50))
-        amounts = lambda w: [p.amounts for p in w.parties["S"].send_plans.values()]
+        amounts = lambda w: [
+            plan.amounts
+            for ps in w.parties["S"].sessions.values()
+            for side in ps.sides.values()
+            for plan in side.plans.values()
+        ]
         assert amounts(w1) != amounts(w2)
 
 
@@ -339,6 +346,29 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"no_such_option": 1})
+
+    # each raised a raw TypeError/ValueError/KeyError/AttributeError out of
+    # a run, or was silently ignored (an unknown party's flags)
+    MALFORMED = {
+        "unknown-flag": {"adversary": {"S": ["bogus"]}},
+        "flag-not-list": {"adversary": {"S": "withhold_pre"}},
+        "adversary-list": {"adversary": ["S"]},
+        "unknown-party": {"adversary": {"Z": ["withhold_pre"]}},
+        "latency-str": {"latency": "x"},
+        "latency-kind": {"latency": {"kind": "weird"}},
+        "latency-lo-above-hi": {"latency": {"kind": "uniform", "lo": 3, "hi": 1}},
+        "override-without-dst": {"latency": {"overrides": [{"src": "S", "fixed": 2}]}},
+        "receipts_n-str": {"receipts_n": "5"},
+        "seed-str": {"seed": "a"},
+        "channels-float": {"channels": 2.5},
+        "sub_funding-int": {"sub_funding": 5},
+    }
+
+    @pytest.mark.parametrize("raw", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_config_raises_config_error(self, raw):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.violations
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -404,3 +434,14 @@ class TestFixedBaseCommitments:
         assert calls
         assert trace_bytes(trace) == trace_bytes(ref_trace)
         assert metrics.to_json() == ref_metrics.to_json()
+
+
+class TestNoReferenceCycles:
+    """A finished world is freed by reference counting alone: no chain,
+    contract, party or session object points back at its owner."""
+
+    @pytest.mark.parametrize("mode", ["CE", "EIE"])
+    def test_dropped_run_leaves_nothing_for_the_cycle_collector(self, mode):
+        gc.collect()
+        run_scenario(ScenarioConfig(mode=mode, receipts_n=20, channels=5, seed=1))
+        assert gc.collect() == 0

@@ -322,7 +322,9 @@ def _observable(net):
         "accounts": {c.chain_id: dict(c.accounts) for c in net.chains},
         "sessions": {c.chain_id: {sid: s.state for sid, s in c.contract.sessions.items()}
                      for c in net.chains},
-        "party_states": {n: dict(net.actors[n].session_states) for n in ("S", "R")},
+        "party_states": {n: {(c, sid): side.state
+                             for sid, ps in net.actors[n].sessions.items()
+                             for c, side in ps.sides.items()} for n in ("S", "R")},
     }
 
 
@@ -352,7 +354,8 @@ class TestFork:
         for name in ("S", "R"):
             p, wp = net.actors[name], w.actors[name]
             assert wp is not p
-            assert wp.session_states is not p.session_states
+            assert wp.sessions is not p.sessions
+            assert wp.sessions["c0"] is not p.sessions["c0"]
             assert all(wp.keys[cid] is kp for cid, kp in p.keys.items())
         miner, wminer = net.actors["M"], w.actors["M"]
         assert wminer is not miner
