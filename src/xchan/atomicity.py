@@ -15,7 +15,7 @@ from __future__ import annotations
 from .chain import Chain, TimerConfig
 from .contract import CLOSE, ContractSession, REFUNDED, SUCCESS, TERMINAL_STATES
 from .crypto import hash_bytes, keypair_from_label
-from .engine import BehaviorProfile, Miner, MinerBehavior, Party, SessionRole
+from .engine import BehaviorProfile, Miner, MinerBehavior, Party
 from .simnet import EnumResult, LatencyModel, Simnet, enumerate_schedules
 
 PROFILES = ("honest", "withhold_pre", "delay_r", "delay_s", "withhold_delay")
@@ -96,10 +96,9 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
         }
         chain.contract.sessions["c0"] = s
 
-    S.set_role("c0", SessionRole(mode="CE", counterpart="R", lock_chain="alpha",
-                                 update_chain="beta", pre=pre, h_pre=h_pre))
-    R.set_role("c0", SessionRole(mode="CE", counterpart="S", relay_lock_chain="beta",
-                                 relay_update_chain="alpha"))
+    S.join("c0", mode="CE", counterpart="R", lock_chain="alpha", update_chain="beta",
+           pre=pre, h_pre=h_pre)
+    R.join("c0", mode="CE", counterpart="S", relay_lock_chain="beta", relay_update_chain="alpha")
     for p in (S, R):
         p.note_state("alpha", "c0", CLOSE)
         p.note_state("beta", "c0", CLOSE)

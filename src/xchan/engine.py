@@ -131,21 +131,6 @@ class SendPlan:
 
 
 @dataclass
-class SessionRole:
-    """What a party does for one cross-chain session pair."""
-
-    mode: str = "CE"  # CE | FE | EIE
-    counterpart: str = ""  # actor name of the other side
-    lock_chain: str | None = None  # chain where this party initiates the lock
-    relay_lock_chain: str | None = None  # chain where this party locks after seeing the first
-    update_chain: str | None = None  # chain where this party reveals the preimage
-    relay_update_chain: str | None = None  # chain where this party relays a learned preimage
-    pre: bytes | None = None  # preimage, holder only
-    h_pre: bytes | None = None
-    aborted: bool = False  # the other chain terminated; settle this one as-is
-
-
-@dataclass
 class ExchangeState:
     """One party's secret side of a fair exchange on one chain."""
 
@@ -157,7 +142,7 @@ class ExchangeState:
     crs: proofs.Crs | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainSide:
     """One party's part of one session on one chain."""
 
@@ -183,13 +168,22 @@ class ChainSide:
         return self.state in (ct.OPEN_CE, ct.OPEN)
 
 
-@dataclass
+@dataclass(slots=True)  # slots: join() cannot set a misspelt role field
 class PartySession:
-    """Everything one party holds about one session."""
+    """Everything one party holds about one session: its role in the
+    cross-chain pair and its ChainSide on each chain."""
 
     session_id: str
     sides: dict  # chain_id -> ChainSide
-    role: SessionRole = field(default_factory=SessionRole)
+    mode: str = "CE"  # CE | FE | EIE
+    counterpart: str = ""  # actor name of the other side
+    lock_chain: str | None = None  # chain where this party initiates the lock
+    relay_lock_chain: str | None = None  # chain where this party locks after seeing the first
+    update_chain: str | None = None  # chain where this party reveals the preimage
+    relay_update_chain: str | None = None  # chain where this party relays a learned preimage
+    pre: bytes | None = None  # preimage, holder only
+    h_pre: bytes | None = None
+    aborted: bool = False  # the other chain terminated; settle this one as-is
 
 
 EVENT_FIELDS = {"chain_id": str, "session_id": str, "tx_kind": str, "result": str,
@@ -256,8 +250,12 @@ class Party:
     def add_view(self, view: ChannelView):
         self.session(view.session_id).sides[view.chain_id].views[view.path] = view
 
-    def set_role(self, session_id, role: SessionRole):
-        self.session(session_id).role = role
+    def join(self, session_id, **role):
+        """Take part in a session in a role: any of PartySession's fields
+        from mode to h_pre."""
+        ps = self.session(session_id)
+        for name, value in role.items():
+            setattr(ps, name, value)
 
     def note_state(self, chain_id, session_id, state):
         """Record a contract state learned outside a chain event, for worlds
@@ -518,7 +516,7 @@ class Party:
         proof = self.backend.prove(st.crs.pk, w, x)
         data = {"chain_id": side.chain_id, "session_id": side.session_id, "proof": proof,
                 "publics": x, "owner": self.address(side.chain_id)}
-        net.send("exchange", self.name, ps.role.counterpart, data)
+        net.send("exchange", self.name, ps.counterpart, data)
 
     def on_exchange(self, net, msg):
         ps = self.sessions.get(msg.data["session_id"])
@@ -539,7 +537,7 @@ class Party:
             # abort before paying anything more: wind the session down at
             # whatever state both sides last agreed on
             side.proof_ok = False
-            ps.role.aborted = True
+            ps.aborted = True
             self._truncate_plans(ps)
             for s in ps.sides.values():
                 self._maybe_close(net, ps, s)
@@ -554,7 +552,7 @@ class Party:
             side.sub_requests.clear()
 
     def _start_pumps(self, net, ps: PartySession, side: ChainSide):
-        if ps.role.mode != "CE" and not all(s.proof_ok for s in ps.sides.values() if s.counterpart_vk):
+        if ps.mode != "CE" and not all(s.proof_ok for s in ps.sides.values() if s.counterpart_vk):
             return  # paying before every expected proof verified risks paying for nothing
         plan = side.plans.get(())
         if side.is_open() and plan is not None and not plan.started:
@@ -574,8 +572,7 @@ class Party:
             return
         if any(p not in side.plans for p in side.pending_plans):
             return  # sub-channel not open yet
-        role = ps.role
-        if role.mode != "CE" and not role.aborted and not side.proof_ok:
+        if ps.mode != "CE" and not ps.aborted and not side.proof_ok:
             if side.proof_ok is False or side.counterpart_vk is not None:
                 return  # never enter close on a bad or missing proof
         self._close(net, side)
@@ -601,23 +598,21 @@ class Party:
     # -- hash-time lock choreography ------------------------------------------------
 
     def submit_lock(self, net, chain_id, session_id):
-        payload = ct.LockPayload(h_pre=self.sessions[session_id].role.h_pre)
+        payload = ct.LockPayload(h_pre=self.sessions[session_id].h_pre)
         self._submit(net, chain_id, session_id, ct.LOCK_TX, payload)
 
     def _submit_update(self, net, ps: PartySession, chain_id):
-        role = ps.role
         uploads = ps.sides[chain_id].uploads
-        if role.mode == "EIE" and uploads:
+        if ps.mode == "EIE" and uploads:
             _t, h_k = next(iter(uploads.values()))
-            payload = ct.UpdateEiePayload(pre=role.pre, h_k=h_k)
+            payload = ct.UpdateEiePayload(pre=ps.pre, h_k=h_k)
             self._submit(net, chain_id, ps.session_id, ct.UPDATE_EIE_TX, payload)
         else:
-            self._submit(net, chain_id, ps.session_id, ct.UPDATE_TX, ct.UpdatePayload(pre=role.pre))
+            self._submit(net, chain_id, ps.session_id, ct.UPDATE_TX, ct.UpdatePayload(pre=ps.pre))
 
     def _relay_lock_if_ready(self, net, ps: PartySession):
-        role = ps.role
-        if role.h_pre is not None and ps.sides[role.relay_lock_chain].state == ct.CLOSE:
-            self.submit_lock(net, role.relay_lock_chain, ps.session_id)
+        if ps.h_pre is not None and ps.sides[ps.relay_lock_chain].state == ct.CLOSE:
+            self.submit_lock(net, ps.relay_lock_chain, ps.session_id)
 
     # -- chain events -----------------------------------------------------------------
 
@@ -639,8 +634,8 @@ class Party:
             members = tuple(sorted(deposits))
             side.views[()] = ChannelView(side.chain_id, side.session_id, (), members, dict(deposits))
         self._start_pumps(net, ps, side)
-        if ps.role.mode in ("FE", "EIE") and side.exchange is not None:
-            if ps.role.mode == "EIE":
+        if ps.mode in ("FE", "EIE") and side.exchange is not None:
+            if ps.mode == "EIE":
                 self._run_theta_share(net, side)
             self._run_theta_exchange(net, ps, side)
         self._maybe_close(net, ps, side)
@@ -658,35 +653,32 @@ class Party:
             self._distribute_shares(net, side, detail)
 
     def _on_close(self, net, ps: PartySession, side: ChainSide, detail):
-        role = ps.role
         # an aborted party that knows the preimage winds the surviving
         # chain down unilaterally at its settled state
-        if (role.aborted and role.pre is not None) or role.lock_chain == side.chain_id:
+        if (ps.aborted and ps.pre is not None) or ps.lock_chain == side.chain_id:
             self.submit_lock(net, side.chain_id, ps.session_id)
-        if role.relay_lock_chain == side.chain_id:
+        if ps.relay_lock_chain == side.chain_id:
             self._relay_lock_if_ready(net, ps)
 
     def _on_lock(self, net, ps: PartySession, side: ChainSide, detail):
-        role = ps.role
-        if role.relay_lock_chain and side.chain_id != role.relay_lock_chain:
+        if ps.relay_lock_chain and side.chain_id != ps.relay_lock_chain:
             # the first lock is on chain; mirror it once our side closed
-            if role.h_pre is None:
-                role.h_pre = bytes.fromhex(detail["h_pre"])
+            if ps.h_pre is None:
+                ps.h_pre = bytes.fromhex(detail["h_pre"])
             self._relay_lock_if_ready(net, ps)
-        if role.update_chain == side.chain_id and not self.behavior.withhold_pre:
+        if ps.update_chain == side.chain_id and not self.behavior.withhold_pre:
             self._submit_update(net, ps, side.chain_id)
 
     def _on_success(self, net, ps: PartySession, side: ChainSide, detail):
-        role = ps.role
-        if "pre" in detail and role.relay_update_chain not in (None, side.chain_id):
-            role.pre = bytes.fromhex(detail["pre"])
-            if role.mode == "FE":
+        if "pre" in detail and ps.relay_update_chain not in (None, side.chain_id):
+            ps.pre = bytes.fromhex(detail["pre"])
+            if ps.mode == "FE":
                 # the preimage doubles as the decryption key; the ciphertext
                 # may have been exchanged on either chain
                 for s in ps.sides.values():
                     if s.counterpart_publics is not None:
-                        self._decrypt(s, role.pre)
-            self._submit_update(net, ps, role.relay_update_chain)
+                        self._decrypt(s, ps.pre)
+            self._submit_update(net, ps, ps.relay_update_chain)
 
     def _on_shares_recorded(self, net, ps: PartySession, side: ChainSide, detail):
         owner = detail.get("published_owner")
@@ -714,17 +706,16 @@ class Party:
     def _on_terminated(self, net, ps: PartySession, side: ChainSide, detail):
         """Fair exchange aborted on one chain: wind down the other side at
         its last agreed state."""
-        role = ps.role
-        if role.aborted:
+        if ps.aborted:
             return
-        role.aborted = True
+        ps.aborted = True
         self._truncate_plans(ps)
         for other in ps.sides.values():
             if other is side:
                 continue
             if other.is_open():
                 self._maybe_close(net, ps, other)
-            elif other.state == ct.CLOSE and role.pre is not None:
+            elif other.state == ct.CLOSE and ps.pre is not None:
                 self.submit_lock(net, other.chain_id, ps.session_id)
 
     # -- dispatch tables ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import contract as ct
 from .chain import Chain, TimerConfig
 from .crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
-from .engine import BehaviorProfile, Miner, MinerBehavior, Party, SessionRole
+from .engine import BehaviorProfile, Miner, MinerBehavior, Party
 from .proofs import TransparentMacBackend
 from .simnet import LatencyModel, Simnet
 
@@ -317,13 +317,10 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
             pre = key_to_bytes(key_s)
         h_pre = hash_bytes(pre)
 
-        S.set_role(sid, SessionRole(
-            mode=config.mode, counterpart="R", lock_chain="alpha", update_chain="beta",
-            pre=pre, h_pre=h_pre,
-        ))
-        R.set_role(sid, SessionRole(
-            mode=config.mode, counterpart="S", relay_lock_chain="beta", relay_update_chain="alpha",
-        ))
+        S.join(sid, mode=config.mode, counterpart="R", lock_chain="alpha", update_chain="beta",
+               pre=pre, h_pre=h_pre)
+        R.join(sid, mode=config.mode, counterpart="S", relay_lock_chain="beta",
+               relay_update_chain="alpha")
 
         S.plan_sends("alpha", sid, (), alpha_amounts, rate)
         R.expect("alpha", sid, (), len(alpha_amounts))
@@ -340,7 +337,7 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
                 raise ConfigError(["level-2 spend exceeds its funding"])
             R.plan_subchannel("alpha", sid, (), 1, D.address("alpha"), sub1, rate)
             D.expect("alpha", sid, (1,), len(sub1))
-            D.set_role(sid, SessionRole(mode=config.mode, counterpart="R"))
+            D.join(sid, mode=config.mode, counterpart="R")
             expected += len(sub1)
             if config.levels >= 3:
                 Q = parties["Q"]
@@ -349,7 +346,7 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
                     raise ConfigError(["level-3 spend exceeds its funding"])
                 D.plan_subchannel("alpha", sid, (1,), 1, Q.address("alpha"), sub2, rate)
                 Q.expect("alpha", sid, (1, 1), len(sub2))
-                Q.set_role(sid, SessionRole(mode=config.mode, counterpart="D"))
+                Q.join(sid, mode=config.mode, counterpart="D")
                 expected += len(sub2)
 
         if config.mode in ("FE", "EIE"):
@@ -473,10 +470,9 @@ def run_plain_htlc(config: ScenarioConfig):
                 chain, sid, payer.address(chain.chain_id), payee.address(chain.chain_id), amount
             )
         pre = hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed))
-        S.set_role(sid, SessionRole(mode="CE", counterpart="R", lock_chain="alpha",
-                                    update_chain="beta", pre=pre, h_pre=hash_bytes(pre)))
-        R.set_role(sid, SessionRole(mode="CE", counterpart="S", relay_lock_chain="beta",
-                                    relay_update_chain="alpha"))
+        S.join(sid, mode="CE", counterpart="R", lock_chain="alpha", update_chain="beta",
+               pre=pre, h_pre=hash_bytes(pre))
+        R.join(sid, mode="CE", counterpart="S", relay_lock_chain="beta", relay_update_chain="alpha")
         for p in (S, R):
             p.note_state("alpha", sid, ct.CLOSE)
             p.note_state("beta", sid, ct.CLOSE)
