@@ -142,7 +142,7 @@ class ExchangeState:
     crs: proofs.Crs | None = None
 
 
-@dataclass(slots=True)
+@dataclass
 class ChainSide:
     """One party's part of one session on one chain."""
 
