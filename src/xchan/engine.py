@@ -123,8 +123,7 @@ class SendPlan:
     amounts: list
     rate: int
     sent: int = 0
-    started: bool = False
-    pumping: bool = False
+    pumping: bool = False  # a pump wakeup is scheduled
 
     def done(self) -> bool:
         return self.sent >= len(self.amounts)
@@ -412,7 +411,6 @@ class Party:
         plan = side.pending_plans.get(child.path)
         if plan is not None:
             side.plans[child.path] = plan
-            plan.started = True
             self._pump(net, side, child.path)
         dst = self.directory.get(sr.counterparty)
         if dst:
@@ -554,10 +552,8 @@ class Party:
     def _start_pumps(self, net, ps: PartySession, side: ChainSide):
         if ps.mode != "CE" and not all(s.proof_ok for s in ps.sides.values() if s.counterpart_vk):
             return  # paying before every expected proof verified risks paying for nothing
-        plan = side.plans.get(())
-        if side.is_open() and plan is not None and not plan.started:
-            plan.started = True
-            self._pump(net, side, ())
+        if side.is_open():
+            self._pump(net, side, ())  # no-op while pumping, once done or with no plan
 
     # -- closing ------------------------------------------------------------------
 
