@@ -666,7 +666,7 @@ class Party:
             self._submit_update(net, ps, side.chain_id)
 
     def _on_success(self, net, ps: PartySession, side: ChainSide, detail):
-        if "pre" in detail and ps.relay_update_chain not in (None, side.chain_id):
+        if "pre" in detail and ps.relay_update_chain and side.chain_id != ps.relay_update_chain:
             ps.pre = bytes.fromhex(detail["pre"])
             if ps.mode == "FE":
                 # the preimage doubles as the decryption key; the ciphertext
