@@ -8,14 +8,19 @@ protocol: every message, submission, block result and metric. Neither
 the trace nor the metrics hold amounts or balances, and CE at fixed
 latency draws nothing from the seed that they show, so the
 inflate_final_state run (which changes only a claimed balance) pins
-the same digest as the honest seed-91 run. Re-record only for a change
-meant to alter a run's messages, transactions or metrics.
+the same digest as the honest seed-91 run. Each config therefore also
+pins the SHA-256 of its value outcome: both chains' final accounts and
+every contract session's state, locked allocations, settlement cutoff,
+escrow and assist reward. Re-record only for a change meant to alter a
+run's messages, transactions, metrics or amounts.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from xchan import scenario
 from xchan.scenario import ScenarioConfig, run_scenario, trace_bytes
 
 PINS = [
@@ -68,3 +73,53 @@ def run_digest(cfg: ScenarioConfig) -> str:
 @pytest.mark.parametrize("cfg,digest", [(c, d) for _n, c, d in PINS], ids=[n for n, _c, _d in PINS])
 def test_run_matches_pin(cfg, digest):
     assert run_digest(cfg) == digest
+
+
+def value_digest(cfg: ScenarioConfig, monkeypatch) -> str:
+    """SHA-256 of the amounts a run leaves on both chains."""
+    worlds = []
+    build_world = scenario.build_world
+
+    def capture(config):
+        worlds.append(build_world(config))
+        return worlds[-1]
+
+    monkeypatch.setattr(scenario, "build_world", capture)
+    run_scenario(cfg)
+    (world,) = worlds
+    outcome = {
+        chain.chain_id: {
+            "accounts": sorted(chain.accounts.items()),
+            "sessions": {
+                sid: [s.state, s.locked_allocations, s.settle_cutoff, s.escrow, s.assist_reward_paid]
+                for sid, s in sorted(chain.contract.sessions.items())
+            },
+        }
+        for chain in (world.alpha, world.beta)
+    }
+    return hashlib.sha256(json.dumps(outcome, sort_keys=True).encode()).hexdigest()
+
+
+# recorded with the trace pins above; ce and ce_inflate differ here
+VALUE_PINS = {
+    "ce": "8da29c85c9981fade937660f764c365c17f555701f3520070429433a1f7697e5",
+    "ce_htlc": "58cad15adf12891b7067af576e0ba9454f4dd0b7a7c8455b215e43ca7fef4f77",
+    "fe": "55bfe96157b8ce030d0e9832a5b8c96f92050f3e27446735c1b1fa4808878cb6",
+    "eie": "bb12f6395e705e0dd810d79498c4f36bd50dbfb3ea81b5231dc6ee556065f7e9",
+    "eie_fake_share": "9280698f711a99ed8fba5370f2e42df9fd64ece110e32d2ef97991d68a05a92e",
+    "ce_levels3": "d0fa9c4c918c8d9d7dc01afa29b45b32b87e8eec1a61e6dfea093a57baa80a93",
+    "ce_30_channels": "2ad9aabed9df8e6701bb0afe76ef6e7ba2fe4465ae658a397afc2a60cde7b14a",
+    "ce_withhold_pre": "afab470371b18d1b1e80ae34fa660f13fab7ec2fc1c74939034c57241a33ae23",
+    "ce_overspend": "5caa44ce1fa6dd6cb9807140d502688f3efb3b3aaacd699e4afaaa1e323ab998",
+    "ce_inflate": "04dfaa2af7858a6b5e3bd2b434dd7c9b7fb9cb1161fa098038c9ae777b28b07f",
+    "ce_duplicate_sr": "7e0b97445d56b8ab18d161c447b076c6fef36ebf7098f1448c3d73283c6959c2",
+    "ce_refuse_close": "e11189391be76e4c382bf4e20f3df7b672440ec80909560699f69b8a7f239dd3",
+    "eie_byzantine": "ce723dd19f50bdb06e74578f7f79a5c24ab631eef568e3645aa42bd249663358",
+    "eie_2_channels": "f965da863746ee21178c20e4d29eccb7ac940687b784d29ad15eebfe91361c72",
+    "fe_uniform_latency": "6ca0761c8d680d240a08910f1a65bcec60443e4a9c66c3ef14fddcffdfa8cb43",
+}
+
+
+@pytest.mark.parametrize("cfg,name", [(c, n) for n, c, _d in PINS], ids=[n for n, _c, _d in PINS])
+def test_value_outcome_matches_pin(cfg, name, monkeypatch):
+    assert value_digest(cfg, monkeypatch) == VALUE_PINS[name]
