@@ -135,7 +135,7 @@ class Chain:
             ok, result, detail = self.contract.execute(tx, self)
             result = result if ok else "failed:%s" % result
             block.entries.append((tx.kind, tx.session_id, result))
-            body.append(enc_bytes(tx.signing_bytes() + enc_bytes(tx.sig)))
+            body.append(enc_bytes(tx.to_bytes()))
             events.append(self._event(block, tx.kind, tx.session_id, result, detail))
         for kind, sid, result, detail in self.contract.process_timers(self):
             block.entries.append((kind, sid, result))
@@ -172,20 +172,3 @@ class Chain:
     def read_session(self, session_id: str):
         """Committed view of a session; None before it exists."""
         return self.contract.sessions.get(session_id)
-
-    def read_state(self, query: str):
-        """String queries for the CLI and tests: 'balance:<addr>',
-        'session:<id>', 'height'."""
-        kind, _, arg = query.partition(":")
-        if kind == "balance":
-            if arg not in self.accounts:
-                raise KeyError("unknown account %s" % arg)
-            return self.accounts[arg]
-        if kind == "session":
-            s = self.contract.sessions.get(arg)
-            if s is None:
-                raise KeyError("unknown session %s" % arg)
-            return s.state
-        if kind == "height":
-            return len(self.blocks)
-        raise KeyError("unknown query %s" % query)

@@ -18,11 +18,11 @@ its block but leaves session state untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import vss
 from .crypto import hash_bytes, verify
-from .receipts import FinalState, Receipt, SubChannelReceipt, replay_receipts
+from .receipts import FinalState, Receipt, Signed, SubChannelReceipt, replay_receipts
 from .wire import enc_bytes, enc_seq, enc_str, enc_u64
 
 # session states
@@ -73,10 +73,6 @@ class InvariantViolation(AssertionError):
 # Transaction payloads
 
 
-def _share_bytes(ks: vss.KeyShare) -> bytes:
-    return ks.body_bytes() + enc_bytes(ks.dealing_id)
-
-
 @dataclass(frozen=True)
 class OpenPayload:
     amount: int
@@ -103,7 +99,7 @@ class AppealPayload:
     sn: bytes
 
     def to_bytes(self):
-        return enc_bytes(self.owner_sig) + enc_bytes(_share_bytes(self.share)) + enc_bytes(self.sn)
+        return enc_bytes(self.owner_sig) + enc_bytes(self.share.to_bytes()) + enc_bytes(self.sn)
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ class RecoverPayload:
             if s is None:
                 out += b"\x00"
             else:
-                out += b"\x01" + enc_bytes(_share_bytes(s))
+                out += b"\x01" + enc_bytes(s.to_bytes())
         return out
 
     def slots(self):
@@ -176,13 +172,17 @@ PAYLOAD_KINDS = {
 
 
 @dataclass(frozen=True)
-class OnChainTx:
+class OnChainTx(Signed):
     chain_id: str
     session_id: str
     sender: str
     kind: str
     payload: object
     sig: bytes = b""
+
+    @property
+    def signer(self) -> str:
+        return self.sender
 
     def signing_bytes(self):
         return (
@@ -193,13 +193,9 @@ class OnChainTx:
             + enc_bytes(self.payload.to_bytes())
         )
 
-    def verify_sig(self):
-        return verify(self.sender, self.signing_bytes(), self.sig)
-
 
 def make_tx(kp, chain_id, session_id, kind, payload) -> OnChainTx:
-    tx = OnChainTx(chain_id=chain_id, session_id=session_id, sender=kp.address, kind=kind, payload=payload)
-    return replace(tx, sig=kp.sign(tx.signing_bytes()))
+    return OnChainTx(chain_id, session_id, kp.address, kind, payload).signed_by(kp)
 
 
 # ---------------------------------------------------------------------------
@@ -226,60 +222,35 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
     reverts to the funding receipt's payee at the deepest surviving
     level.
 
-    Signature checks are deduplicated at two layers. Each signed object
-    remembers its own result (see ``receipts``), so an object the payee
-    or the close admission already checked is not verified again here.
-    Within one call, the tables below also key receipts, sub-channel
-    receipts and final states by their canonical bytes (``to_bytes()``),
-    which are length-prefixed and cover the signature and every signed
-    field, so equal-bytes copies that are distinct objects share one
-    check. A sub-channel receipt reuses the result of its embedded
-    receipt and verifies only its own signature. The tables live for
-    one call only.
+    Each signed object remembers its own signature check (see
+    ``receipts``), so an object the payee or the close admission already
+    checked is not verified again here. The receipt pools are keyed by
+    canonical bytes (``to_bytes()``), which cover every signed field and
+    the signature: equal-bytes copies pool as one receipt, and distinct
+    receipts sharing a sequence number conflict.
     """
-    tr_ok: dict[bytes, bool] = {}
-    sr_ok: dict[bytes, bool] = {}
-    final_ok: dict[bytes, bool] = {}
-
-    def verified(table, key, check):
-        ok = table.get(key)
-        if ok is None:
-            ok = table[key] = check()
-        return ok
-
     trs_by_path: dict[tuple, dict[bytes, Receipt]] = {}
     srs_by_tr: dict[tuple, dict[bytes, dict[bytes, SubChannelReceipt]]] = {}
     covered = set()
 
-    def pool_tr(tr: Receipt, tr_bytes: bytes):
-        if tr.session_id == session_id and verified(tr_ok, tr_bytes, tr.verify_sig):
-            trs_by_path.setdefault(tr.channel_path, {})[tr_bytes] = tr
+    def pool_tr(tr: Receipt) -> bytes:
+        tr_bytes = tr.to_bytes()
+        trs_by_path.setdefault(tr.channel_path, {})[tr_bytes] = tr
+        return tr_bytes
 
     for sender, payload in submissions:
         f = payload.final
-        if (
-            f.session_id == session_id
-            and f.submitter == sender
-            and verified(final_ok, f.to_bytes(), f.verify_sig)
-        ):
+        if f.session_id == session_id and f.submitter == sender and f.verify_sig():
             covered.add(f.channel_path)
         for tr in payload.trs:
-            pool_tr(tr, tr.to_bytes())
+            if tr.session_id == session_id and tr.verify_sig():
+                pool_tr(tr)
         for sr in payload.srs:
             tr = sr.receipt
-            if tr.session_id != session_id:
+            if tr.session_id != session_id or not sr.verify_sig() or sr.counterparty == sr.funder:
                 continue
-            tr_bytes = tr.to_bytes()
-            sr_bytes = sr.to_bytes()
-            if not (
-                verified(tr_ok, tr_bytes, tr.verify_sig)
-                and verified(sr_ok, sr_bytes, sr.verify_own_sig)
-            ):
-                continue
-            if sr.counterparty == sr.funder:
-                continue
-            pool_tr(tr, tr_bytes)  # the embedded receipt counts as submitted
-            srs_by_tr.setdefault(tr.channel_path, {}).setdefault(tr_bytes, {})[sr_bytes] = sr
+            tr_bytes = pool_tr(tr)  # the embedded receipt counts as submitted
+            srs_by_tr.setdefault(tr.channel_path, {}).setdefault(tr_bytes, {})[sr.to_bytes()] = sr
 
     allocations: dict[str, int] = {}
 
@@ -358,7 +329,6 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
 @dataclass
 class ContractSession:
     session_id: str
-    kind: str = "cross_channel"  # or "plain_htlc"
     state: str = INIT
     parties: list = field(default_factory=list)
     deposits: dict = field(default_factory=dict)
@@ -384,7 +354,7 @@ class ContractSession:
 
     def set_state(self, new_state: str, tick: int):
         edge = (self.state, new_state)
-        if self.kind == "cross_channel" and edge not in VALID_EDGES:
+        if edge not in VALID_EDGES:
             raise InvariantViolation("illegal transition %s -> %s" % edge)
         self.transitions.append((self.state, new_state, tick))
         self.state = new_state
@@ -706,7 +676,7 @@ class ChannelContract:
         the locking mechanics hit the chain."""
         if session_id in self.sessions:
             raise ValueError("session exists: %s" % session_id)
-        s = ContractSession(session_id=session_id, kind="plain_htlc", state=CLOSE)
+        s = ContractSession(session_id=session_id, state=CLOSE)
         s.parties = [payer, payee]
         s.deposits = {payer: amount, payee: 0}
         chain.debit(payer, amount)

@@ -23,7 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .wire import enc_bytes, enc_scalar, enc_u64
+from .wire import enc_scalar, enc_seq, enc_u64
 
 DIGEST_SIZE = 32
 
@@ -193,9 +193,7 @@ class Ciphertext:
     block_size: int
 
     def to_bytes(self) -> bytes:
-        return enc_u64(self.block_size) + enc_u64(len(self.blocks)) + b"".join(
-            enc_bytes(b) for b in self.blocks
-        )
+        return enc_u64(self.block_size) + enc_seq(self.blocks)
 
 
 def key_to_bytes(key) -> bytes:
@@ -250,5 +248,4 @@ def decrypt(key, ct: Ciphertext) -> tuple[bytes, ...]:
 
 def hash_blocks(blocks) -> bytes:
     """Digest of a block sequence in canonical serialized form."""
-    blocks = tuple(blocks)
-    return hash_bytes(enc_u64(len(blocks)) + b"".join(enc_bytes(b) for b in blocks))
+    return hash_bytes(enc_seq(blocks))

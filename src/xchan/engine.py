@@ -29,10 +29,12 @@ from .crypto import KeyPair, hash_bytes, key_to_bytes, decrypt, hash_blocks
 from .receipts import (
     FinalState,
     Receipt,
+    Signed,
     SubChannelReceipt,
     make_final_state,
     make_receipt,
     make_sub_receipt,
+    mistyped,
     replay_receipts,
 )
 from .simnet import Message, Rng, Simnet
@@ -190,12 +192,16 @@ EVENT_FIELDS = {"chain_id": str, "session_id": str, "tx_kind": str, "result": st
 
 
 def _field_problem(data, fields) -> str | None:
-    """Why data lacks one of the fields with its type, or None."""
+    """Why data lacks one of the fields with its type, or None. A signed
+    value or key share must also hold the types its fields declare."""
     if not isinstance(data, dict):
         return "data is not a dict"
     for name, kind in fields.items():
-        if not isinstance(data.get(name), kind):
+        value = data.get(name)
+        if not isinstance(value, kind):
             return "missing or mistyped %s" % name
+        if isinstance(value, (Signed, vss.KeyShare)) and (bad := mistyped(value)):
+            return "mistyped %s" % bad
     return None
 
 

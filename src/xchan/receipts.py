@@ -1,4 +1,5 @@
-"""Off-chain receipts, sub-channel receipts, and final states.
+"""Off-chain receipts, sub-channel receipts, and final states, and the
+``Signed`` base they share with on-chain transactions.
 
 A receipt (Tr) is a signed transfer inside one channel. A sub-channel
 receipt (Sr) is the paying side's authorization to redeploy one receipt's
@@ -7,32 +8,98 @@ payee becomes the funder of that child channel. Channels are identified
 by paths: the root channel is (), the child funded through the receipt
 with sequence number s in channel P is P + (s,).
 
-Each signed object remembers the result of its first signature check in
-a declared field that takes no part in ``==``, ``hash`` or ``repr``.
-Objects cross the simulated network by reference, so the payee's check
-on arrival and the contract's checks at close and settlement share one
-verification. ``dataclasses.replace`` builds a fresh, unchecked object,
-so a tampered copy is always verified anew.
+Every signed value derives from ``Signed``, which defines once its byte
+form (the signing bytes followed by the length-prefixed signature), the
+step that signs it, and its signature check. The check's result is kept
+in a declared field that takes no part in ``==``, ``hash`` or ``repr``.
+Signed values are immutable (a final state's balances are read-only), so
+the result holds for the value's lifetime. Values cross the simulated
+network by reference and deep-copy to themselves, so the payee's check on
+arrival, the contract's checks at close and settlement, and the same
+checks in every world fork share one verification.
+``dataclasses.replace`` builds a fresh, unchecked value, so a tampered
+copy is always verified anew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
+from types import MappingProxyType
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .crypto import KeyPair, verify
-from .wire import enc_balances, enc_bytes, enc_path, enc_str, enc_u64
+from .wire import U64, enc_balances, enc_bytes, enc_path, enc_str, enc_u64
 
 
 @dataclass(frozen=True)
-class Receipt:
+class Signed:
+    """A value signed by ``signer`` over ``signing_bytes()``. Subclasses
+    declare their fields, ending in ``sig``, and define those two."""
+
+    _sig_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
+
+    def to_bytes(self) -> bytes:
+        return self.signing_bytes() + enc_bytes(self.sig)
+
+    def signed_by(self, kp: KeyPair):
+        """A copy carrying kp's signature; kp must be the signer's key."""
+        if kp.address != self.signer:
+            raise ValueError("%s must be signed by its signer" % type(self).__name__)
+        return replace(self, sig=kp.sign(self.signing_bytes()))
+
+    def verify_sig(self) -> bool:
+        if self._sig_ok is None:
+            object.__setattr__(self, "_sig_ok", verify(self.signer, self.signing_bytes(), self.sig))
+        return self._sig_ok
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+@cache
+def _field_types(cls) -> dict:
+    return get_type_hints(cls, include_extras=True)
+
+
+def _conforms(value, hint) -> bool:
+    args = get_args(hint)
+    if get_origin(hint) is Annotated:  # wire.U64 or wire.Scalar
+        return type(value) is int and 0 <= value < args[1]  # not bool
+    if get_origin(hint) is tuple:  # tuple[X, ...]
+        return type(value) is tuple and all(_conforms(v, args[0]) for v in value)
+    if get_origin(hint) is Mapping:
+        return isinstance(value, Mapping) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items()
+        )
+    return isinstance(value, hint) and not (is_dataclass(hint) and mistyped(value))
+
+
+def mistyped(value) -> str | None:
+    """The first field of a dataclass value (a signed value or a key share)
+    that does not hold its declared type, or None. Fields that hold
+    dataclasses are checked in turn."""
+    types = _field_types(type(value))
+    for f in fields(value):
+        if f.init and not _conforms(getattr(value, f.name), types[f.name]):
+            return "%s.%s" % (type(value).__name__, f.name)
+    return None
+
+
+@dataclass(frozen=True)
+class Receipt(Signed):
     session_id: str
-    channel_path: tuple[int, ...]
-    seq: int
+    channel_path: tuple[U64, ...]
+    seq: U64
     snd: str
     rcv: str
-    amount: int
+    amount: U64
     sig: bytes = b""
-    _sig_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def signer(self) -> str:
+        return self.snd
 
     def signing_bytes(self) -> bytes:
         return (
@@ -44,39 +111,24 @@ class Receipt:
             + enc_u64(self.amount)
         )
 
-    def to_bytes(self) -> bytes:
-        return self.signing_bytes() + enc_bytes(self.sig)
-
-    def verify_sig(self) -> bool:
-        if self._sig_ok is None:
-            object.__setattr__(self, "_sig_ok", verify(self.snd, self.signing_bytes(), self.sig))
-        return self._sig_ok
-
 
 def make_receipt(kp: KeyPair, session_id, channel_path, seq, rcv, amount) -> Receipt:
-    tr = Receipt(
-        session_id=session_id,
-        channel_path=tuple(channel_path),
-        seq=seq,
-        snd=kp.address,
-        rcv=rcv,
-        amount=amount,
-    )
-    return replace(tr, sig=kp.sign(tr.signing_bytes()))
+    return Receipt(session_id, tuple(channel_path), seq, kp.address, rcv, amount).signed_by(kp)
 
 
 @dataclass(frozen=True)
-class SubChannelReceipt:
+class SubChannelReceipt(Signed):
     counterparty: str
     receipt: Receipt
     sig: bytes = b""
-    _sig_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def signer(self) -> str:
+        # issued by the embedded receipt's payer
+        return self.receipt.snd
 
     def signing_bytes(self) -> bytes:
         return enc_str(self.counterparty) + enc_bytes(self.receipt.to_bytes())
-
-    def to_bytes(self) -> bytes:
-        return self.signing_bytes() + enc_bytes(self.sig)
 
     @property
     def child_path(self) -> tuple[int, ...]:
@@ -88,34 +140,28 @@ class SubChannelReceipt:
         return self.receipt.rcv
 
     def verify_sig(self) -> bool:
-        return self.receipt.verify_sig() and self.verify_own_sig()
-
-    def verify_own_sig(self) -> bool:
-        """The authorization's own signature, without re-checking the
-        embedded receipt's: issued and signed by that receipt's payer."""
-        if self._sig_ok is None:
-            ok = verify(self.receipt.snd, self.signing_bytes(), self.sig)
-            object.__setattr__(self, "_sig_ok", ok)
-        return self._sig_ok
+        """The embedded receipt's signature, then this authorization's own."""
+        return self.receipt.verify_sig() and super().verify_sig()
 
 
 def make_sub_receipt(payer_kp: KeyPair, counterparty: str, tr: Receipt) -> SubChannelReceipt:
-    if payer_kp.address != tr.snd:
-        raise ValueError("sub-channel receipt must be issued by the receipt's payer")
-    sr = SubChannelReceipt(counterparty=counterparty, receipt=tr)
-    return replace(sr, sig=payer_kp.sign(sr.signing_bytes()))
+    return SubChannelReceipt(counterparty, tr).signed_by(payer_kp)
 
 
 @dataclass(frozen=True)
-class FinalState:
+class FinalState(Signed):
     session_id: str
-    channel_path: tuple[int, ...]
-    balances: dict
+    channel_path: tuple[U64, ...]
+    balances: Mapping[str, U64]  # a read-only copy of the balances given
     submitter: str
     sig: bytes = b""
-    # (signing bytes, result): balances is a dict, so the result holds
-    # only while the signed bytes are unchanged
-    _sig_ok: tuple[bytes, bool] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "balances", MappingProxyType(dict(self.balances)))
+
+    @property
+    def signer(self) -> str:
+        return self.submitter
 
     def signing_bytes(self) -> bytes:
         return (
@@ -125,24 +171,9 @@ class FinalState:
             + enc_str(self.submitter)
         )
 
-    def to_bytes(self) -> bytes:
-        return self.signing_bytes() + enc_bytes(self.sig)
-
-    def verify_sig(self) -> bool:
-        msg = self.signing_bytes()
-        if self._sig_ok is None or self._sig_ok[0] != msg:
-            object.__setattr__(self, "_sig_ok", (msg, verify(self.submitter, msg, self.sig)))
-        return self._sig_ok[1]
-
 
 def make_final_state(kp: KeyPair, session_id, channel_path, balances) -> FinalState:
-    f = FinalState(
-        session_id=session_id,
-        channel_path=tuple(channel_path),
-        balances=dict(balances),
-        submitter=kp.address,
-    )
-    return replace(f, sig=kp.sign(f.signing_bytes()))
+    return FinalState(session_id, tuple(channel_path), balances, kp.address).signed_by(kp)
 
 
 def replay_receipts(initial: dict, receipts, delegated_seqs, funder=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto import GroupParams, hash_bytes, pedersen_commit
-from .wire import enc_scalar, enc_u64
+from .wire import U64, Scalar, enc_bytes, enc_scalar, enc_u64
 
 
 class VssParameterError(ValueError):
@@ -27,15 +27,18 @@ class ThresholdNotMet(ValueError):
 class KeyShare:
     """Share i of a dealing: the two polynomial evaluations at x = i."""
 
-    index: int
-    s: int
-    r: int
+    index: U64
+    s: Scalar
+    r: Scalar
     dealing_id: bytes
 
     def body_bytes(self) -> bytes:
         # hashing preimage; excludes the dealing id on purpose so the
         # published per-share hashes commit to the share values alone
         return enc_u64(self.index) + enc_scalar(self.s) + enc_scalar(self.r)
+
+    def to_bytes(self) -> bytes:
+        return self.body_bytes() + enc_bytes(self.dealing_id)
 
 
 @dataclass(frozen=True)

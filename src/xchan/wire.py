@@ -8,6 +8,13 @@ digests are always computed over it, never over ad-hoc string renderings.
 
 from __future__ import annotations
 
+from typing import Annotated
+
+# Unsigned field types bounded by what their encoder carries, for the
+# declared fields of values received from other actors
+U64 = Annotated[int, 1 << 64]  # enc_u64
+Scalar = Annotated[int, 1 << 256]  # enc_scalar
+
 
 def enc_u64(n: int) -> bytes:
     if n < 0:

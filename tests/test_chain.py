@@ -30,7 +30,7 @@ class TestSubmit:
         assert ok
         events = c.produce_block(3)
         assert events[0]["tx_kind"] == ct.OPEN_TX
-        assert c.read_state("height") == 1
+        assert len(c.blocks) == 1
 
     def test_forged_signature_rejected(self):
         from dataclasses import replace
@@ -145,15 +145,17 @@ class TestReads:
         c.submit_tx(open_tx(R))
         assert c.read_session("c0") is None
         c.produce_block(3)
-        assert c.read_state("session:c0") == ct.OPEN_CE
+        assert c.read_session("c0").state == ct.OPEN_CE
 
     def test_queries(self):
         c = new_chain()
-        assert c.read_state("balance:%s" % S.address) == 500
-        with pytest.raises(KeyError):
-            c.read_state("balance:nobody")
-        with pytest.raises(KeyError):
-            c.read_state("nonsense")
+        assert c.accounts[S.address] == 500
+        assert c.read_session("c0") is None and len(c.blocks) == 0
+        c.submit_tx(open_tx(S))
+        c.submit_tx(open_tx(R))
+        c.produce_block(3)
+        assert c.accounts[S.address] == 400
+        assert c.read_session("c0").state == ct.OPEN_CE and len(c.blocks) == 1
 
     def test_miner_selection_deterministic(self):
         c = new_chain()

@@ -12,7 +12,7 @@ from xchan.contract import InvariantViolation
 from xchan.crypto import keypair_from_label
 from xchan import proofs, vss
 from xchan.engine import BehaviorProfile, ChannelView, Party
-from xchan.receipts import Receipt, make_receipt, make_sub_receipt, replay_receipts
+from xchan.receipts import Receipt, SubChannelReceipt, make_receipt, make_sub_receipt, replay_receipts
 from xchan.scenario import ScenarioConfig, build_world
 from xchan.simnet import LatencyModel, Message, Simnet
 
@@ -278,6 +278,17 @@ _RECEIPT = make_receipt(keypair_from_label("probe"), "c0", (), 1, "nobody", 1)
 _PUBLICS = proofs.make_public_inputs((b"x" * 13,), 5, 2, 3)
 _EVENT = {"tick": 8, "chain_id": "alpha", "block": 2, "tx_kind": "Close", "session_id": "c0",
           "result": "state:Close"}
+# S and R's alpha addresses in _eie_world_mid_run; S owns the share M.alpha.1 holds at index 1
+_S = keypair_from_label("S:10:alpha").address
+_R = keypair_from_label("R:10:alpha").address
+_SHARE = {"chain_id": "alpha", "session_id": "c0", "owner": _S,
+          "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}
+
+
+def _tr(**fields):
+    """A receipt from R to S in channel c0, with some fields replaced."""
+    return replace(Receipt("c0", (), 1, _R, _S, 1), **fields)
+
 
 # (actor, message kind, sender, data): each lacks a field, has one of the
 # wrong type, names an unknown chain, or claims a sender it does not have
@@ -301,6 +312,22 @@ MALFORMED = {
         "chain_id": "beta", "session_id": "c0", "owner": "x", "share": vss.KeyShare(1, 1, 1, b""),
         "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}),
     "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", {}),
+    # well-typed signed values or key shares holding a mistyped field
+    "receipt-list-session": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(session_id=["c0"])}),
+    "receipt-list-path": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(channel_path=[1])}),
+    "receipt-str-seq": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(seq="1")}),
+    "receipt-str-amount": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(amount="1")}),
+    "receipt-bool-amount": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(amount=True)}),
+    "receipt-negative-amount": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(amount=-1)}),
+    "receipt-seq-above-u64": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(seq=1 << 64)}),
+    "sr_request-list-path": ("S", "sr_request", "R", {
+        "chain_id": "alpha", "tr": _tr(channel_path=[1], snd=_S, rcv=_R), "counterparty": "x"}),
+    "sr_grant-int-receipt": ("S", "sr_grant", "R", {"chain_id": "alpha", "sr": SubChannelReceipt("x", 5)}),
+    "subchannel_open-int-receipt": ("S", "subchannel_open", "R", {
+        "chain_id": "alpha", "sr": SubChannelReceipt(_S, 5)}),
+    "sr_grant-list-path-receipt": ("S", "sr_grant", "R", {
+        "chain_id": "alpha", "sr": SubChannelReceipt("x", _tr(channel_path=[1]))}),
+    "miner-share-str-scalar": ("M.alpha.1", "share", "S", dict(_SHARE, share=vss.KeyShare(1, "s", 1, b""))),
 }
 
 

@@ -1,11 +1,19 @@
-"""The memoized signature check on receipts, sub-channel receipts and
-final states: each object is verified once, a changed copy anew."""
+"""The Signed base of receipts, sub-channel receipts, final states and
+transactions: each object is verified once, a changed copy anew, a deep
+copy is the object itself, and a received value's fields are checked
+against their declared types."""
 
 import copy
+import random
 from dataclasses import replace
 
-from xchan.crypto import keypair_from_label
-from xchan.receipts import make_final_state, make_receipt, make_sub_receipt
+import pytest
+
+from xchan import contract as ct
+from xchan import vss
+from xchan.crypto import TINY_GROUP, keypair_from_label, verify
+from xchan.receipts import (FinalState, Receipt, SubChannelReceipt, make_final_state,
+                            make_receipt, make_sub_receipt, mistyped)
 
 A = keypair_from_label("memo:A")
 B = keypair_from_label("memo:B")
@@ -53,22 +61,25 @@ def test_memo_not_part_of_eq_hash_repr():
     assert f == fresh_f and repr(f) == repr(fresh_f)
 
 
-def test_mutated_final_state_balances_fail_the_next_check(verify_calls):
-    f = make_final_state(A, SID, (), {A.address: 3, B.address: 7})
+def test_final_state_balances_are_read_only(verify_calls):
+    balances = {A.address: 3, B.address: 7}
+    f = make_final_state(A, SID, (), balances)
     assert f.verify_sig() and f.verify_sig()
     assert len(verify_calls) == 1
-    f.balances[A.address] = 10
-    assert not f.verify_sig()
-    f.balances[A.address] = 3
-    assert f.verify_sig()
-    assert len(verify_calls) == 3
+    with pytest.raises(TypeError):
+        f.balances[A.address] = 10
+    balances[A.address] = 10  # the caller's dict is not the signed one
+    assert f.balances[A.address] == 3 and f.verify_sig()
+    changed = replace(f, balances={A.address: 10, B.address: 7})
+    assert not changed.verify_sig() and f.verify_sig()
+    assert len(verify_calls) == 2
 
 
 def test_sub_receipt_with_forged_embedded_receipt_fails():
     tr = make_receipt(A, SID, (), 1, B.address, 5)
     forged = replace(tr, amount=50)  # A's signature no longer covers it
     sr = make_sub_receipt(A, C.address, forged)
-    assert sr.verify_own_sig()
+    assert verify(A.address, sr.signing_bytes(), sr.sig)  # its own signature holds
     assert not sr.verify_sig()
     assert not sr.verify_sig()
 
@@ -94,5 +105,38 @@ def test_deepcopy_gives_the_same_results():
     assert [o.verify_sig() for o in copy.deepcopy(objects)] == results
     assert [o.verify_sig() for o in unchecked] == results
     f_copy = copy.deepcopy(f)
-    f_copy.balances[B.address] = 0
-    assert not f_copy.verify_sig() and f.verify_sig()
+    with pytest.raises(TypeError):
+        f_copy.balances[B.address] = 0
+    assert f_copy.verify_sig() and f.verify_sig()
+
+
+def test_signed_values_deep_copy_to_themselves(verify_calls):
+    tr = make_receipt(A, SID, (), 1, B.address, 5)
+    sr = make_sub_receipt(A, C.address, tr)
+    f = make_final_state(A, SID, (), {A.address: 3, B.address: 7})
+    tx = ct.make_tx(A, "alpha", SID, ct.CLOSE_TX, ct.ClosePayload(f, (sr,), (tr,)))
+    for value in (tr, sr, f, tx):
+        assert copy.deepcopy(value) is value
+        assert copy.deepcopy(value).verify_sig()
+    assert len(verify_calls) == 4  # a copy shares its original's check
+
+
+def test_honest_values_hold_their_declared_types():
+    tr = make_receipt(A, SID, (1, 2), 1, B.address, 5)
+    sr = make_sub_receipt(A, C.address, tr)
+    f = make_final_state(A, SID, (), {A.address: 3, B.address: 7})
+    tx = ct.make_tx(A, "alpha", SID, ct.CLOSE_TX, ct.ClosePayload(f, (sr,), (tr,)))
+    dealing = vss.share(5, 2, 3, random.Random(1), TINY_GROUP)
+    assert all(mistyped(v) is None for v in (tr, sr, f, tx) + dealing.shares)
+
+
+@pytest.mark.parametrize("value, field", [
+    (Receipt(SID, (), True, "a", "b", 1), "Receipt.seq"),  # bool is not an int
+    (Receipt(SID, (-1,), 1, "a", "b", 1), "Receipt.channel_path"),
+    (Receipt(SID, (), 1, "a", "b", 1, sig="x"), "Receipt.sig"),
+    (SubChannelReceipt("c", Receipt(SID, (), 1, "a", "b", 1 << 64)), "SubChannelReceipt.receipt"),
+    (FinalState(SID, (), {"a": -1}, "a"), "FinalState.balances"),
+    (vss.KeyShare(1, 1, 1 << 256, b""), "KeyShare.r"),
+])
+def test_mistyped_names_the_first_bad_field(value, field):
+    assert mistyped(value) == field

@@ -396,12 +396,8 @@ class TestVerifyOnce:
         assert 0 < len(calls) == len(set(calls))
         verify_calls.clear()
         with monkeypatch.context() as m:  # the same checks without the memo
-            m.setattr(receipts.Receipt, "verify_sig",
-                      lambda tr: receipts.verify(tr.snd, tr.signing_bytes(), tr.sig))
-            m.setattr(receipts.SubChannelReceipt, "verify_own_sig",
-                      lambda sr: receipts.verify(sr.receipt.snd, sr.signing_bytes(), sr.sig))
-            m.setattr(receipts.FinalState, "verify_sig",
-                      lambda f: receipts.verify(f.submitter, f.signing_bytes(), f.sig))
+            m.setattr(receipts.Signed, "verify_sig",
+                      lambda x: receipts.verify(x.signer, x.signing_bytes(), x.sig))
             plain_metrics, plain_trace = run_scenario(cfg)
         assert set(verify_calls) == set(calls)
         assert len(verify_calls) > len(calls)  # the bypass does check repeatedly
