@@ -14,11 +14,11 @@ triggering transaction committed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .contract import PAYLOAD_KINDS, ChannelContract, InvariantViolation, OnChainTx
 from .crypto import hash_bytes
-from .wire import enc_bytes, enc_str, enc_u64
+from .wire import enc_bytes, enc_str, enc_u64, mistyped
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class Block:
     tick: int
     prev_hash: bytes
     hash: bytes = b""
-    entries: list = field(default_factory=list)
 
 
 GENESIS_HASH = hash_bytes(b"genesis")
@@ -96,18 +95,20 @@ class Chain:
     # -- mempool ------------------------------------------------------------
 
     def submit_tx(self, tx: OnChainTx):
-        """Signature and sender checks happen at admission; everything
-        else is judged at execution inside a block."""
+        """Sender, field-type and signature checks happen at admission;
+        everything else is judged at execution inside a block."""
         if tx.chain_id != self.chain_id:
             return False, "wrong chain"
         if tx.sender not in self.accounts:
             return False, "unknown sender"
         if tx.kind not in PAYLOAD_KINDS or not isinstance(tx.payload, PAYLOAD_KINDS[tx.kind]):
             return False, "unknown kind"
+        if bad := mistyped(tx):
+            return False, "malformed: mistyped %s" % bad
         try:
             sig_ok = tx.verify_sig()
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            # a field the canonical encoding cannot represent
+        except ValueError as exc:
+            # a str that UTF-8 cannot carry (a lone surrogate)
             return False, "malformed: %s" % exc
         if not sig_ok:
             return False, "bad signature"
@@ -134,11 +135,9 @@ class Chain:
         for tx in txs:
             ok, result, detail = self.contract.execute(tx, self)
             result = result if ok else "failed:%s" % result
-            block.entries.append((tx.kind, tx.session_id, result))
             body.append(enc_bytes(tx.to_bytes()))
             events.append(self._event(block, tx.kind, tx.session_id, result, detail))
         for kind, sid, result, detail in self.contract.process_timers(self):
-            block.entries.append((kind, sid, result))
             events.append(self._event(block, kind, sid, result, detail))
         block.hash = hash_bytes(
             enc_str(self.chain_id)

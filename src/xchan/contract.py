@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import vss
 from .crypto import hash_bytes, verify
 from .receipts import FinalState, Receipt, Signed, SubChannelReceipt, replay_receipts
-from .wire import enc_bytes, enc_seq, enc_str, enc_u64
+from .wire import U64, enc_str
 
 # session states
 INIT = "INIT"
@@ -75,21 +75,15 @@ class InvariantViolation(AssertionError):
 
 @dataclass(frozen=True)
 class OpenPayload:
-    amount: int
-
-    def to_bytes(self):
-        return enc_u64(self.amount)
+    amount: U64
 
 
 @dataclass(frozen=True)
 class UploadPayload:
     h_k: bytes
-    n: int
-    t: int
+    n: U64
+    t: U64
     share_hashes: tuple[bytes, ...]
-
-    def to_bytes(self):
-        return enc_bytes(self.h_k) + enc_u64(self.n) + enc_u64(self.t) + enc_seq(self.share_hashes)
 
 
 @dataclass(frozen=True)
@@ -98,9 +92,6 @@ class AppealPayload:
     share: vss.KeyShare
     sn: bytes
 
-    def to_bytes(self):
-        return enc_bytes(self.owner_sig) + enc_bytes(self.share.to_bytes()) + enc_bytes(self.sn)
-
 
 @dataclass(frozen=True)
 class ClosePayload:
@@ -108,28 +99,15 @@ class ClosePayload:
     srs: tuple[SubChannelReceipt, ...]
     trs: tuple[Receipt, ...]
 
-    def to_bytes(self):
-        return (
-            enc_bytes(self.final.to_bytes())
-            + enc_seq(sr.to_bytes() for sr in self.srs)
-            + enc_seq(tr.to_bytes() for tr in self.trs)
-        )
-
 
 @dataclass(frozen=True)
 class LockPayload:
     h_pre: bytes
 
-    def to_bytes(self):
-        return enc_bytes(self.h_pre)
-
 
 @dataclass(frozen=True)
 class UpdatePayload:
     pre: bytes
-
-    def to_bytes(self):
-        return enc_bytes(self.pre)
 
 
 @dataclass(frozen=True)
@@ -137,23 +115,11 @@ class UpdateEiePayload:
     pre: bytes
     h_k: bytes
 
-    def to_bytes(self):
-        return enc_bytes(self.pre) + enc_bytes(self.h_k)
-
 
 @dataclass(frozen=True)
 class RecoverPayload:
     share_s: vss.KeyShare | None = None
     share_r: vss.KeyShare | None = None
-
-    def to_bytes(self):
-        out = b""
-        for s in (self.share_s, self.share_r):
-            if s is None:
-                out += b"\x00"
-            else:
-                out += b"\x01" + enc_bytes(s.to_bytes())
-        return out
 
     def slots(self):
         return [s for s in (self.share_s, self.share_r) if s is not None]
@@ -183,15 +149,6 @@ class OnChainTx(Signed):
     @property
     def signer(self) -> str:
         return self.sender
-
-    def signing_bytes(self):
-        return (
-            enc_str(self.chain_id)
-            + enc_str(self.session_id)
-            + enc_str(self.sender)
-            + enc_str(self.kind)
-            + enc_bytes(self.payload.to_bytes())
-        )
 
 
 def make_tx(kp, chain_id, session_id, kind, payload) -> OnChainTx:
@@ -450,12 +407,12 @@ class ChannelContract:
         s.appeal_deadline = max(s.appeal_deadline or 0, deadline)
         return True, BINDINGS_PUBLISHED, {
             "owner": tx.sender,
-            "sn": s.sn.hex(),
+            "sn": s.sn,
             "bindings": list(s.bindings[tx.sender]),
             "appeal_deadline": s.appeal_deadline,
             "t": p.t,
             "n": p.n,
-            "h_k": p.h_k.hex(),
+            "h_k": p.h_k,
         }
 
     def handle_appeal(self, tx, chain):
@@ -525,7 +482,7 @@ class ChannelContract:
             s.assist_deadline = chain.now + chain.timers.assist_window
         s.set_state(LOCK, chain.now)
         return True, "state:%s" % LOCK, {
-            "h_pre": s.h_pre.hex(),
+            "h_pre": s.h_pre,
             "lock_deadline": s.lock_deadline,
             "assist_deadline": s.assist_deadline,
         }
@@ -579,7 +536,7 @@ class ChannelContract:
             if owner is None:
                 return False, "unknown key hash", None
         detail = self._finalize_update(s, tx.sender, chain)
-        detail["pre"] = tx.payload.pre.hex()
+        detail["pre"] = tx.payload.pre
         if owner is not None:
             if owner not in s.recovery_requested:
                 s.recovery_requested.append(owner)

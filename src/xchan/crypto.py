@@ -23,7 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .wire import enc_scalar, enc_seq, enc_u64
+from .wire import U64, enc_scalar, enc_seq, enc_u64
 
 DIGEST_SIZE = 32
 
@@ -189,11 +189,8 @@ def verify(address: str, msg: bytes, sig: bytes) -> bool:
 class Ciphertext:
     """Encrypted data blocks; block count always equals the plaintext's."""
 
+    block_size: U64
     blocks: tuple[bytes, ...]
-    block_size: int
-
-    def to_bytes(self) -> bytes:
-        return enc_u64(self.block_size) + enc_seq(self.blocks)
 
 
 def key_to_bytes(key) -> bytes:

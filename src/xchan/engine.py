@@ -34,10 +34,10 @@ from .receipts import (
     make_final_state,
     make_receipt,
     make_sub_receipt,
-    mistyped,
     replay_receipts,
 )
 from .simnet import Message, Rng, Simnet
+from .wire import mistyped
 
 
 @dataclass(frozen=True)
@@ -496,7 +496,7 @@ class Party:
 
     def _distribute_shares(self, net, side: ChainSide, detail):
         st = side.exchange
-        sn = bytes.fromhex(detail["sn"])
+        sn = detail["sn"]
         kp = self.keys[side.chain_id]
         for miner_addr, index, _h in detail["bindings"]:
             ks = st.dealing.shares[index - 1]
@@ -650,7 +650,7 @@ class Party:
 
     def _on_upload(self, net, ps: PartySession, side: ChainSide, detail):
         owner = detail["owner"]
-        side.uploads[owner] = (detail["t"], bytes.fromhex(detail["h_k"]))
+        side.uploads[owner] = (detail["t"], detail["h_k"])
         if owner == self.address(side.chain_id):
             self._distribute_shares(net, side, detail)
 
@@ -666,14 +666,14 @@ class Party:
         if ps.relay_lock_chain and side.chain_id != ps.relay_lock_chain:
             # the first lock is on chain; mirror it once our side closed
             if ps.h_pre is None:
-                ps.h_pre = bytes.fromhex(detail["h_pre"])
+                ps.h_pre = detail["h_pre"]
             self._relay_lock_if_ready(net, ps)
         if ps.update_chain == side.chain_id and not self.behavior.withhold_pre:
             self._submit_update(net, ps, side.chain_id)
 
     def _on_success(self, net, ps: PartySession, side: ChainSide, detail):
         if "pre" in detail and ps.relay_update_chain and side.chain_id != ps.relay_update_chain:
-            ps.pre = bytes.fromhex(detail["pre"])
+            ps.pre = detail["pre"]
             if ps.mode == "FE":
                 # the preimage doubles as the decryption key; the ciphertext
                 # may have been exchanged on either chain
@@ -830,7 +830,7 @@ class Miner:
             return
         # cross-chain observation: a revealed preimage on the other chain
         if self.behavior.assist and "pre" in detail and ev["result"] == "state:" + ct.SUCCESS:
-            self.learned_pre[session_id] = bytes.fromhex(detail["pre"])
+            self.learned_pre[session_id] = detail["pre"]
             self._consider_assist(net, session_id)
 
     def _answer_recovery(self, net, session_id, owner):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import vss
 from .crypto import Ciphertext, GroupParams, encrypt, hash_blocks, hash_bytes, key_to_bytes
-from .wire import enc_bytes, enc_u64
+from .wire import U64, enc_bytes, enc_u64, enc_value
 
 
 class RelationUnsatisfied(Exception):
@@ -32,17 +32,8 @@ class RelationPublicInputs:
     h_m: bytes
     m_bar: Ciphertext
     h_k: bytes
-    t: int
-    n: int
-
-    def to_bytes(self) -> bytes:
-        return (
-            enc_bytes(self.h_m)
-            + enc_bytes(self.m_bar.to_bytes())
-            + enc_bytes(self.h_k)
-            + enc_u64(self.t)
-            + enc_u64(self.n)
-        )
+    t: U64
+    n: U64
 
 
 @dataclass(frozen=True)
@@ -120,7 +111,7 @@ class TransparentMacBackend:
             raise ValueError("proving key from a different backend")
         if not eval_relation(w, x, self.group):
             raise RelationUnsatisfied("witness does not satisfy the public inputs")
-        mac = hmac.new(pk.binding_key, x.to_bytes(), "sha256").digest()
+        mac = hmac.new(pk.binding_key, enc_value(x), "sha256").digest()
         return Proof(backend_tag=self.tag, binding=mac)
 
     def verify(self, vk: MacKey, x: RelationPublicInputs, proof: Proof) -> bool:
@@ -128,7 +119,7 @@ class TransparentMacBackend:
             return False
         if len(proof.binding) != 32:
             return False
-        expect = hmac.new(vk.binding_key, x.to_bytes(), "sha256").digest()
+        expect = hmac.new(vk.binding_key, enc_value(x), "sha256").digest()
         return hmac.compare_digest(expect, proof.binding)
 
 

@@ -9,36 +9,41 @@ by paths: the root channel is (), the child funded through the receipt
 with sequence number s in channel P is P + (s,).
 
 Every signed value derives from ``Signed``, which defines once its byte
-form (the signing bytes followed by the length-prefixed signature), the
-step that signs it, and its signature check. The check's result is kept
-in a declared field that takes no part in ``==``, ``hash`` or ``repr``.
-Signed values are immutable (a final state's balances are read-only), so
-the result holds for the value's lifetime. Values cross the simulated
-network by reference and deep-copy to themselves, so the payee's check on
-arrival, the contract's checks at close and settlement, and the same
-checks in every world fork share one verification.
-``dataclasses.replace`` builds a fresh, unchecked value, so a tampered
-copy is always verified anew.
+form (the signing bytes, which ``wire.enc_value`` derives from the
+declared field types, followed by the length-prefixed signature), the
+step that signs it, and its signature check. The signing bytes and the
+check's result are kept in declared fields that take no part in ``==``,
+``hash`` or ``repr``. Signed values are immutable (a final state's
+balances are read-only), so both hold for the value's lifetime. Values
+cross the simulated network by reference and deep-copy to themselves, so
+the payee's check on arrival, the contract's checks at close and
+settlement, and the same checks in every world fork share one encoding
+and one verification. ``dataclasses.replace`` builds a fresh, unchecked
+value, so a tampered copy is always encoded and verified anew.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .crypto import KeyPair, verify
-from .wire import U64, enc_balances, enc_bytes, enc_path, enc_str, enc_u64
+from .wire import U64, enc_bytes, enc_value
 
 
 @dataclass(frozen=True)
 class Signed:
-    """A value signed by ``signer`` over ``signing_bytes()``. Subclasses
-    declare their fields, ending in ``sig``, and define those two."""
+    """A value signed by ``signer`` over ``signing_bytes()``: every field
+    declared before ``sig``, which subclasses declare last."""
 
     _sig_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
+    _signing: bytes | None = field(default=None, init=False, repr=False, compare=False)
+
+    def signing_bytes(self) -> bytes:
+        if self._signing is None:
+            object.__setattr__(self, "_signing", enc_value(self, stop="sig"))
+        return self._signing
 
     def to_bytes(self) -> bytes:
         return self.signing_bytes() + enc_bytes(self.sig)
@@ -47,7 +52,10 @@ class Signed:
         """A copy carrying kp's signature; kp must be the signer's key."""
         if kp.address != self.signer:
             raise ValueError("%s must be signed by its signer" % type(self).__name__)
-        return replace(self, sig=kp.sign(self.signing_bytes()))
+        signed = replace(self, sig=kp.sign(self.signing_bytes()))
+        # the copy differs only in sig, which its signing bytes exclude
+        object.__setattr__(signed, "_signing", self._signing)
+        return signed
 
     def verify_sig(self) -> bool:
         if self._sig_ok is None:
@@ -56,35 +64,6 @@ class Signed:
 
     def __deepcopy__(self, memo):
         return self
-
-
-@cache
-def _field_types(cls) -> dict:
-    return get_type_hints(cls, include_extras=True)
-
-
-def _conforms(value, hint) -> bool:
-    args = get_args(hint)
-    if get_origin(hint) is Annotated:  # wire.U64 or wire.Scalar
-        return type(value) is int and 0 <= value < args[1]  # not bool
-    if get_origin(hint) is tuple:  # tuple[X, ...]
-        return type(value) is tuple and all(_conforms(v, args[0]) for v in value)
-    if get_origin(hint) is Mapping:
-        return isinstance(value, Mapping) and all(
-            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items()
-        )
-    return isinstance(value, hint) and not (is_dataclass(hint) and mistyped(value))
-
-
-def mistyped(value) -> str | None:
-    """The first field of a dataclass value (a signed value or a key share)
-    that does not hold its declared type, or None. Fields that hold
-    dataclasses are checked in turn."""
-    types = _field_types(type(value))
-    for f in fields(value):
-        if f.init and not _conforms(getattr(value, f.name), types[f.name]):
-            return "%s.%s" % (type(value).__name__, f.name)
-    return None
 
 
 @dataclass(frozen=True)
@@ -101,16 +80,6 @@ class Receipt(Signed):
     def signer(self) -> str:
         return self.snd
 
-    def signing_bytes(self) -> bytes:
-        return (
-            enc_str(self.session_id)
-            + enc_path(self.channel_path)
-            + enc_u64(self.seq)
-            + enc_str(self.snd)
-            + enc_str(self.rcv)
-            + enc_u64(self.amount)
-        )
-
 
 def make_receipt(kp: KeyPair, session_id, channel_path, seq, rcv, amount) -> Receipt:
     return Receipt(session_id, tuple(channel_path), seq, kp.address, rcv, amount).signed_by(kp)
@@ -126,9 +95,6 @@ class SubChannelReceipt(Signed):
     def signer(self) -> str:
         # issued by the embedded receipt's payer
         return self.receipt.snd
-
-    def signing_bytes(self) -> bytes:
-        return enc_str(self.counterparty) + enc_bytes(self.receipt.to_bytes())
 
     @property
     def child_path(self) -> tuple[int, ...]:
@@ -162,14 +128,6 @@ class FinalState(Signed):
     @property
     def signer(self) -> str:
         return self.submitter
-
-    def signing_bytes(self) -> bytes:
-        return (
-            enc_str(self.session_id)
-            + enc_path(self.channel_path)
-            + enc_balances(self.balances)
-            + enc_str(self.submitter)
-        )
 
 
 def make_final_state(kp: KeyPair, session_id, channel_path, balances) -> FinalState:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto import GroupParams, hash_bytes, pedersen_commit
-from .wire import U64, Scalar, enc_bytes, enc_scalar, enc_u64
+from .wire import U64, Scalar, enc_u64, enc_value
 
 
 class VssParameterError(ValueError):
@@ -35,10 +35,7 @@ class KeyShare:
     def body_bytes(self) -> bytes:
         # hashing preimage; excludes the dealing id on purpose so the
         # published per-share hashes commit to the share values alone
-        return enc_u64(self.index) + enc_scalar(self.s) + enc_scalar(self.r)
-
-    def to_bytes(self) -> bytes:
-        return self.body_bytes() + enc_bytes(self.dealing_id)
+        return enc_value(self, stop="dealing_id")
 
 
 @dataclass(frozen=True)
@@ -46,22 +43,13 @@ class DealingPublic:
     """The broadcast part of a dealing: E(s, r) plus one commitment per
     non-constant coefficient. Enough to verify any share."""
 
-    t: int
-    n: int
-    e_sr: int
-    coeff_commitments: tuple[int, ...]
-
-    def to_bytes(self) -> bytes:
-        return (
-            enc_u64(self.t)
-            + enc_u64(self.n)
-            + enc_scalar(self.e_sr)
-            + enc_u64(len(self.coeff_commitments))
-            + b"".join(enc_scalar(c) for c in self.coeff_commitments)
-        )
+    t: U64
+    n: U64
+    e_sr: Scalar
+    coeff_commitments: tuple[Scalar, ...]
 
     def dealing_id(self) -> bytes:
-        return hash_bytes(self.to_bytes())
+        return hash_bytes(enc_value(self))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,20 @@ Every signed or hashed message in the system is serialized the same way:
 length-prefixed big-endian fields concatenated in declared field order.
 These helpers are the single definition of that byte form; signatures and
 digests are always computed over it, never over ad-hoc string renderings.
+
+A dataclass value's field annotations define both its bytes and the
+values it accepts. ``_codec`` reads one annotation into a check and an
+encoder; ``enc_value`` encodes a value's fields with the encoders, and
+``mistyped`` checks a received value's fields with the checks.
 """
 
 from __future__ import annotations
 
-from typing import Annotated
+from collections.abc import Mapping
+from dataclasses import fields, is_dataclass
+from functools import cache
+from types import UnionType
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 # Unsigned field types bounded by what their encoder carries, for the
 # declared fields of values received from other actors
@@ -35,20 +44,63 @@ def enc_scalar(v: int) -> bytes:
     return v.to_bytes(32, "big")
 
 
-def enc_path(path: tuple[int, ...]) -> bytes:
-    return enc_u64(len(path)) + b"".join(enc_u64(p) for p in path)
-
-
-def enc_balances(balances: dict[str, int]) -> bytes:
-    """Address->amount maps serialize sorted by address for stability."""
-    out = [enc_u64(len(balances))]
-    for addr in sorted(balances):
-        out.append(enc_str(addr))
-        out.append(enc_u64(balances[addr]))
-    return b"".join(out)
-
-
 def enc_seq(items) -> bytes:
     """Sequence of pre-encoded byte chunks."""
     items = list(items)
     return enc_u64(len(items)) + b"".join(enc_bytes(i) for i in items)
+
+
+def _codec(hint):
+    """(accepts, encode) for a field declared as hint: whether a value
+    holds that type, and the value's bytes."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in (str, bytes):
+        return (lambda v: isinstance(v, hint)), (enc_str if hint is str else enc_bytes)
+    if origin is Annotated:  # U64 or Scalar: an int (not a bool) the encoder carries
+        bound = args[1]
+        return (lambda v: type(v) is int and 0 <= v < bound), (enc_u64 if hint == U64 else enc_scalar)
+    if origin is tuple:  # tuple[X, ...]: a count, then each item
+        item_ok, enc_item = _codec(args[0])
+        return (lambda v: type(v) is tuple and all(map(item_ok, v)),
+                lambda v: enc_u64(len(v)) + b"".join(map(enc_item, v)))
+    if origin is Mapping:  # a count, then each item in key order
+        key_ok, enc_key = _codec(args[0])
+        value_ok, enc_val = _codec(args[1])
+        return (lambda v: isinstance(v, Mapping) and all(key_ok(k) and value_ok(x) for k, x in v.items()),
+                lambda v: enc_u64(len(v)) + b"".join(enc_key(k) + enc_val(v[k]) for k in sorted(v)))
+    if origin is UnionType:  # X | None: a flag byte, then X
+        item_ok, enc_item = _codec(args[0])
+        return (lambda v: v is None or item_ok(v),
+                lambda v: b"\x00" if v is None else b"\x01" + enc_item(v))
+    # a nested dataclass, or any dataclass value in a field declared object
+    return (lambda v: isinstance(v, hint) and is_dataclass(type(v)) and mistyped(v) is None,
+            lambda v: enc_bytes(enc_value(v)))
+
+
+@cache
+def _plan(cls) -> tuple:
+    """(name, accepts, encode) for each field of cls that its callers
+    set, in declared order."""
+    hints = get_type_hints(cls, include_extras=True)
+    return tuple((f.name, *_codec(hints[f.name])) for f in fields(cls) if f.init)
+
+
+def enc_value(value, stop: str | None = None) -> bytes:
+    """A dataclass value's fields in declared order, each encoded by its
+    declared type, up to (not including) the field named stop."""
+    out = []
+    for name, _, encode in _plan(type(value)):
+        if name == stop:
+            break
+        out.append(encode(getattr(value, name)))
+    return b"".join(out)
+
+
+def mistyped(value) -> str | None:
+    """The first field of a dataclass value (a signed value, a payload or
+    a key share) that does not hold its declared type, or None. Fields
+    that hold dataclasses are checked in turn."""
+    for name, accepts, _ in _plan(type(value)):
+        if not accepts(getattr(value, name)):
+            return "%s.%s" % (type(value).__name__, name)
+    return None

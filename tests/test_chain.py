@@ -4,9 +4,10 @@ committed-only reads."""
 import pytest
 
 from xchan import contract as ct
+from xchan import vss
 from xchan.chain import Chain, TimerConfig
 from xchan.crypto import keypair_from_label
-from xchan.receipts import FinalState
+from xchan.receipts import FinalState, Receipt, make_final_state
 
 S = keypair_from_label("chain:S")
 R = keypair_from_label("chain:R")
@@ -17,6 +18,10 @@ def new_chain(chain_id="alpha", interval=3):
     c.create_account(S.address, 500)
     c.create_account(R.address, 500)
     return c
+
+
+def list_path_receipt():
+    return Receipt("c0", [], 1, S.address, R.address, 1).signed_by(S)
 
 
 def open_tx(kp, chain_id="alpha", sid="c0", v=100):
@@ -66,7 +71,7 @@ class TestSubmit:
     @pytest.mark.parametrize(
         "kind, payload",
         [
-            # a balance the unsigned encoding cannot carry (ValueError)
+            # a balance the unsigned encoding cannot carry
             (
                 ct.CLOSE_TX,
                 ct.ClosePayload(
@@ -75,10 +80,26 @@ class TestSubmit:
                     trs=(),
                 ),
             ),
-            # a threshold of the wrong type (TypeError)
+            # a threshold of the wrong type
             (ct.UPLOAD_TX, ct.UploadPayload(h_k=bytes(32), n=1, t="1", share_hashes=(bytes(32),))),
+            # a correctly signed receipt whose path is a list
+            (ct.CLOSE_TX, ct.ClosePayload(final=make_final_state(S, "c0", (), {}), srs=(),
+                                          trs=(list_path_receipt(),))),
+            # bool is not an int
+            (ct.OPEN_TX, ct.OpenPayload(True)),
+            (ct.RECOVER_TX, ct.RecoverPayload(share_s=vss.KeyShare(1, "1", 1, bytes(32)))),
+            # an address UTF-8 cannot carry (a lone surrogate)
+            (
+                ct.CLOSE_TX,
+                ct.ClosePayload(
+                    final=FinalState("c0", (), {"\ud800": 1}, S.address, bytes(64)),
+                    srs=(),
+                    trs=(),
+                ),
+            ),
         ],
-        ids=["negative-balance", "str-threshold"],
+        ids=["negative-balance", "str-threshold", "list-path", "bool-amount", "str-scalar",
+             "surrogate-address"],
     )
     def test_malformed_payload_rejected(self, kind, payload):
         c = new_chain()
@@ -87,6 +108,22 @@ class TestSubmit:
         assert not ok and why.startswith("malformed: ")
         assert c.mempool == []
         c.produce_block(3)  # the chain keeps running
+
+    def test_mistyped_close_rejected_before_settlement(self):
+        """Closes carrying a signed receipt with a list path never reach
+        settlement, which would key a dict by that path."""
+        c = new_chain()
+        c.submit_tx(open_tx(S))
+        c.submit_tx(open_tx(R))
+        c.produce_block(3)
+        for kp in (S, R):
+            payload = ct.ClosePayload(final=make_final_state(kp, "c0", (), {}), srs=(),
+                                      trs=(list_path_receipt(),))
+            ok, why = c.submit_tx(ct.make_tx(kp, "alpha", "c0", ct.CLOSE_TX, payload))
+            assert not ok and why == "malformed: mistyped OnChainTx.payload"
+        for tick in range(6, 6 + 3 * c.timers.close_window, 3):
+            c.produce_block(tick)
+        assert c.read_session("c0").state == ct.OPEN_CE
 
     def test_submission_order_preserved(self):
         c = new_chain()
@@ -135,7 +172,9 @@ class TestBlocks:
         events = c.produce_block(3)
         assert events[0]["result"].startswith("failed:")
         assert c.balance(S.address) == 500
-        assert len(c.blocks[-1].entries) == 1
+        empty = new_chain()
+        empty.produce_block(3)
+        assert c.blocks[-1].hash != empty.blocks[-1].hash  # the block holds the tx
 
 
 class TestReads:

@@ -13,7 +13,8 @@ from xchan import contract as ct
 from xchan import vss
 from xchan.crypto import TINY_GROUP, keypair_from_label, verify
 from xchan.receipts import (FinalState, Receipt, SubChannelReceipt, make_final_state,
-                            make_receipt, make_sub_receipt, mistyped)
+                            make_receipt, make_sub_receipt)
+from xchan.wire import mistyped
 
 A = keypair_from_label("memo:A")
 B = keypair_from_label("memo:B")
