@@ -87,6 +87,7 @@ class TestSubmit:
                                           trs=(list_path_receipt(),))),
             # bool is not an int
             (ct.OPEN_TX, ct.OpenPayload(True)),
+            # a key share scalar of the wrong type
             (ct.RECOVER_TX, ct.RecoverPayload(share_s=vss.KeyShare(1, "1", 1, bytes(32)))),
             # an address UTF-8 cannot carry (a lone surrogate)
             (
