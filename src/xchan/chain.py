@@ -18,26 +18,26 @@ from dataclasses import dataclass
 
 from .contract import PAYLOAD_KINDS, ChannelContract, InvariantViolation, OnChainTx
 from .crypto import hash_bytes
+from .forking import Shared, copier
 from .wire import enc_bytes, enc_str, enc_u64, mistyped
 
 
 @dataclass(frozen=True)
-class TimerConfig:
+class TimerConfig(Shared):
     appeal_window: int  # report window after share bindings publish
     close_window: int  # collection window after both parties request close
     unlock_window: int  # parties may reveal the preimage this long after lock
     assist_window: int | None = None  # miners may reveal after unlock until this
 
-    def __deepcopy__(self, memo):
-        return self
 
+@dataclass(frozen=True)
+class Block(Shared):
+    """A produced block, sealed once its hash is known."""
 
-@dataclass
-class Block:
     height: int
     tick: int
     prev_hash: bytes
-    hash: bytes = b""
+    hash: bytes
 
 
 GENESIS_HASH = hash_bytes(b"genesis")
@@ -60,6 +60,9 @@ class Chain:
         self.contract = ChannelContract()
         # (actor name, event kinds or None for all), in event fan-out order
         self.subscribers: list[tuple[str, frozenset | None]] = []
+
+    __deepcopy__ = copier(share="chain_id block_interval timers assist_reward_percent now",
+                          copy="accounts miners mempool blocks subscribers", deep="contract")
 
     # -- account plumbing ---------------------------------------------------
 
@@ -127,7 +130,7 @@ class Chain:
         """Drain the mempool, execute, expire timers; returns the block's
         event records (also appended to the chain log by the caller)."""
         self.now = tick
-        block = Block(height=len(self.blocks) + 1, tick=tick, prev_hash=self.prev_block_hash())
+        height, prev_hash = len(self.blocks) + 1, self.prev_block_hash()
         events = []
         before = self.total_value()
         txs, self.mempool = self.mempool, []
@@ -136,28 +139,28 @@ class Chain:
             ok, result, detail = self.contract.execute(tx, self)
             result = result if ok else "failed:%s" % result
             body.append(enc_bytes(tx.to_bytes()))
-            events.append(self._event(block, tx.kind, tx.session_id, result, detail))
+            events.append(self._event(height, tick, tx.kind, tx.session_id, result, detail))
         for kind, sid, result, detail in self.contract.process_timers(self):
-            events.append(self._event(block, kind, sid, result, detail))
-        block.hash = hash_bytes(
+            events.append(self._event(height, tick, kind, sid, result, detail))
+        block_hash = hash_bytes(
             enc_str(self.chain_id)
-            + enc_u64(block.height)
+            + enc_u64(height)
             + enc_u64(tick)
-            + enc_bytes(block.prev_hash)
+            + enc_bytes(prev_hash)
             + b"".join(body)
         )
-        self.blocks.append(block)
+        self.blocks.append(Block(height, tick, prev_hash, block_hash))
         if self.total_value() != before:
             raise InvariantViolation(
                 "conservation broken on %s at tick %d" % (self.chain_id, tick)
             )
         return events
 
-    def _event(self, block: Block, tx_kind, session_id, result, detail) -> dict:
+    def _event(self, height, tick, tx_kind, session_id, result, detail) -> dict:
         ev = {
-            "tick": block.tick,
+            "tick": tick,
             "chain_id": self.chain_id,
-            "block": block.height,
+            "block": height,
             "tx_kind": tx_kind,
             "session_id": session_id,
             "result": result,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from . import vss
 from .crypto import hash_bytes, verify
+from .forking import Shared, copier
 from .receipts import FinalState, Receipt, Signed, SubChannelReceipt, replay_receipts
 from .wire import U64, enc_str
 
@@ -74,12 +75,12 @@ class InvariantViolation(AssertionError):
 
 
 @dataclass(frozen=True)
-class OpenPayload:
+class OpenPayload(Shared):
     amount: U64
 
 
 @dataclass(frozen=True)
-class UploadPayload:
+class UploadPayload(Shared):
     h_k: bytes
     n: U64
     t: U64
@@ -87,37 +88,37 @@ class UploadPayload:
 
 
 @dataclass(frozen=True)
-class AppealPayload:
+class AppealPayload(Shared):
     owner_sig: bytes
     share: vss.KeyShare
     sn: bytes
 
 
 @dataclass(frozen=True)
-class ClosePayload:
+class ClosePayload(Shared):
     final: FinalState
     srs: tuple[SubChannelReceipt, ...]
     trs: tuple[Receipt, ...]
 
 
 @dataclass(frozen=True)
-class LockPayload:
+class LockPayload(Shared):
     h_pre: bytes
 
 
 @dataclass(frozen=True)
-class UpdatePayload:
+class UpdatePayload(Shared):
     pre: bytes
 
 
 @dataclass(frozen=True)
-class UpdateEiePayload:
+class UpdateEiePayload(Shared):
     pre: bytes
     h_k: bytes
 
 
 @dataclass(frozen=True)
-class RecoverPayload:
+class RecoverPayload(Shared):
     share_s: vss.KeyShare | None = None
     share_r: vss.KeyShare | None = None
 
@@ -309,6 +310,13 @@ class ContractSession:
     assist_reward_paid: int = 0
     transitions: list = field(default_factory=list)  # (from, to, tick)
 
+    __deepcopy__ = copier(
+        share="session_id state escrow sn appeal_deadline close_deadline settle_cutoff h_pre "
+              "lock_deadline assist_deadline assist_reward_paid",
+        copy="parties deposits pending_open uploaded collected_closes locked_allocations "
+             "recovery_requested transitions",
+        deep="bindings collected_shares published_shares")
+
     def set_state(self, new_state: str, tick: int):
         edge = (self.state, new_state)
         if edge not in VALID_EDGES:
@@ -328,6 +336,8 @@ class ChannelContract:
 
     def __init__(self):
         self.sessions: dict[str, ContractSession] = {}
+
+    __deepcopy__ = copier(deep="sessions")
 
     # -- helpers ------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from .forking import Shared
 from .wire import U64, enc_scalar, enc_seq, enc_u64
 
 DIGEST_SIZE = 32
@@ -68,7 +69,7 @@ def _fixed_base_pow(rows: WindowTable, e: int, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class GroupParams:
+class GroupParams(Shared):
     """Prime-order subgroup of Z_p* with two independent generators.
 
     q is the (prime) subgroup order, p the field modulus, and g, h
@@ -99,9 +100,6 @@ class GroupParams:
 
     def rand_scalar(self, rng) -> int:
         return rng.randrange(self.q)
-
-    def __deepcopy__(self, memo):
-        return self
 
 
 def derive_generator(seed: bytes, p: int, q: int, avoid=()) -> int:
@@ -138,7 +136,7 @@ def pedersen_commit(s: int, r: int, params: GroupParams) -> int:
 SIGNATURE_SIZE = 64
 
 
-class KeyPair:
+class KeyPair(Shared):
     """Ed25519 keypair derived deterministically from a 32-byte seed.
 
     The address is the hex of the public key, so any holder of an address
@@ -155,10 +153,6 @@ class KeyPair:
 
     def sign(self, msg: bytes) -> bytes:
         return self._sk.sign(msg)
-
-    def __deepcopy__(self, memo):
-        # immutable; shared freely across world snapshots
-        return self
 
     def __repr__(self):
         return "KeyPair(%s...)" % self.address[:8]
@@ -186,7 +180,7 @@ def verify(address: str, msg: bytes, sig: bytes) -> bool:
 
 
 @dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(Shared):
     """Encrypted data blocks; block count always equals the plaintext's."""
 
     block_size: U64

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import contract as ct
 from . import proofs, vss
 from .crypto import KeyPair, hash_bytes, key_to_bytes, decrypt, hash_blocks
+from .forking import Shared, copier
 from .receipts import (
     FinalState,
     Receipt,
@@ -41,7 +43,7 @@ from .wire import mistyped
 
 
 @dataclass(frozen=True)
-class BehaviorProfile:
+class BehaviorProfile(Shared):
     """Orthogonal adversarial deviations. Message delays are not a flag:
     they are targeted overrides in the network's latency model."""
 
@@ -51,9 +53,6 @@ class BehaviorProfile:
     overspend: bool = False
     refuse_close: bool = False
     duplicate_sr: bool = False
-
-    def __deepcopy__(self, memo):
-        return self
 
 
 HONEST = BehaviorProfile()
@@ -78,6 +77,10 @@ class ChannelView:
     _folded: list = field(default_factory=list, init=False, repr=False, compare=False)
     _folded_seq: int = field(default=0, init=False, repr=False, compare=False)
     _folded_delegated: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+
+    __deepcopy__ = copier(
+        share="chain_id session_id path members funder next_seq last_sent_seq _folded_seq _folded_delegated",
+        copy="initial receipts delegated srs _bal _folded")
 
     @classmethod
     def of_sub_receipt(cls, chain_id: str, sr: SubChannelReceipt) -> "ChannelView":
@@ -127,6 +130,8 @@ class SendPlan:
     sent: int = 0
     pumping: bool = False  # a pump wakeup is scheduled
 
+    __deepcopy__ = copier(share="rate sent pumping", copy="amounts")
+
     def done(self) -> bool:
         return self.sent >= len(self.amounts)
 
@@ -141,6 +146,8 @@ class ExchangeState:
     n: int
     dealing: vss.Dealing | None = None
     crs: proofs.Crs | None = None
+
+    __deepcopy__ = copier(share="key m_blocks t n dealing crs")
 
 
 @dataclass
@@ -165,6 +172,11 @@ class ChainSide:
     recovered: tuple | None = None  # the counterpart's plaintext blocks
     close_sent: bool = False
 
+    __deepcopy__ = copier(
+        share="chain_id session_id state counterpart_vk counterpart_publics proof_ok recovered close_sent",
+        copy="expected received sub_requests granted uploads",
+        deep="views plans pending_plans exchange")
+
     def is_open(self) -> bool:
         return self.state in (ct.OPEN_CE, ct.OPEN)
 
@@ -185,6 +197,11 @@ class PartySession:
     pre: bytes | None = None  # preimage, holder only
     h_pre: bytes | None = None
     aborted: bool = False  # the other chain terminated; settle this one as-is
+
+    __deepcopy__ = copier(
+        share="session_id mode counterpart lock_chain relay_lock_chain update_chain relay_update_chain "
+              "pre h_pre aborted",
+        deep="sides")
 
 
 EVENT_FIELDS = {"chain_id": str, "session_id": str, "tx_kind": str, "result": str,
@@ -226,13 +243,22 @@ class Party:
         self.keys = keys  # chain_id -> KeyPair
         self.behavior = behavior
         self.directory = directory if directory is not None else {}  # address -> actor name
-        self.rng = Rng("party:%s:%d" % (name, seed))
+        self.seed = seed
         self.group = group
         self.backend: proofs.TransparentMacBackend | None = None
         self.sessions: dict[str, PartySession] = {}
         self.violations: list = []
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
         self.close_after_tick: int = 0  # application-level close decision
+
+    @cached_property
+    def rng(self) -> Rng:
+        """Dealing randomness; built on first use, so a world that never
+        deals (a close-phase world) has no generator to fork."""
+        return Rng("party:%s:%d" % (self.name, self.seed))
+
+    __deepcopy__ = copier(share="name keys behavior seed group close_after_tick",
+                          copy="directory violations rejected", deep="rng backend sessions")
 
     def address(self, chain_id: str) -> str:
         return self.keys[chain_id].address
@@ -761,6 +787,8 @@ class MinerBehavior:
     stale_sn_replay: bool = False
     assist: bool = True
 
+    __deepcopy__ = copier(share="respond_recover report_fake stale_sn_replay assist")
+
 
 class Miner:
     """Chain-local miner actor: share custody, appeals, recovery, assist."""
@@ -777,6 +805,11 @@ class Miner:
         self.learned_pre: dict = {}  # session -> pre bytes
         self.assisted: set = set()
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
+
+    # stored and old_stored hold the same records: deep-copied through the
+    # fork's memo, they hold the same copies
+    __deepcopy__ = copier(share="name kp group", copy="learned_pre assisted rejected",
+                          deep="chain behavior stored old_stored")
 
     def on_message(self, net, msg: Message):
         _dispatch(self, net, msg)

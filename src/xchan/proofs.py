@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import vss
 from .crypto import Ciphertext, GroupParams, encrypt, hash_blocks, hash_bytes, key_to_bytes
+from .forking import Shared
 from .wire import U64, enc_bytes, enc_u64, enc_value
 
 
@@ -28,7 +29,7 @@ class RelationUnsatisfied(Exception):
 
 
 @dataclass(frozen=True)
-class RelationPublicInputs:
+class RelationPublicInputs(Shared):
     h_m: bytes
     m_bar: Ciphertext
     h_k: bytes
@@ -59,7 +60,7 @@ def eval_relation(w: RelationWitness, x: RelationPublicInputs, group: GroupParam
 
 
 @dataclass(frozen=True)
-class MacKey:
+class MacKey(Shared):
     """The MAC backend's proving and verifying key: both hold the same
     binding key."""
 
@@ -68,14 +69,14 @@ class MacKey:
 
 
 @dataclass(frozen=True)
-class Crs:
+class Crs(Shared):
     pk: MacKey
     vk: MacKey
     lambda_bits: int
 
 
 @dataclass(frozen=True)
-class Proof:
+class Proof(Shared):
     backend_tag: int
     binding: bytes
 

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 from .crypto import KeyPair, verify
+from .forking import Shared
 from .wire import U64, enc_bytes, enc_value
 
 
 @dataclass(frozen=True)
-class Signed:
+class Signed(Shared):
     """A value signed by ``signer`` over ``signing_bytes()``: every field
     declared before ``sig``, which subclasses declare last."""
 
@@ -61,9 +62,6 @@ class Signed:
         if self._sig_ok is None:
             object.__setattr__(self, "_sig_ok", verify(self.signer, self.signing_bytes(), self.sig))
         return self._sig_ok
-
-    def __deepcopy__(self, memo):
-        return self
 
 
 @dataclass(frozen=True)

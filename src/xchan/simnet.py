@@ -25,7 +25,10 @@ from __future__ import annotations
 import copy
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+from .forking import Shared, copier
 
 
 class BoundExceeded(RuntimeError):
@@ -46,7 +49,7 @@ class Rng(random.Random):
 
 
 @dataclass(frozen=True)
-class Message:
+class Message(Shared):
     """One message in flight. Neither it nor its data is mutated after
     send, so world forks share it."""
 
@@ -55,12 +58,9 @@ class Message:
     dst: str
     data: dict
 
-    def __deepcopy__(self, memo):
-        return self
-
 
 @dataclass(frozen=True)
-class LatencyModel:
+class LatencyModel(Shared):
     """Fixed or uniform delay, with targeted per-pair overrides.
 
     Override keys are (src, dst) names; "*" matches anything on one side.
@@ -101,9 +101,6 @@ class LatencyModel:
             return m.fixed, m.fixed
         return m.lo, m.hi
 
-    def __deepcopy__(self, memo):
-        return self
-
     @classmethod
     def from_config(cls, cfg: dict) -> "LatencyModel":
         """Build from a scenario's latency object; ValueError if malformed."""
@@ -123,8 +120,8 @@ class LatencyModel:
         return cls(kind=cfg.get("kind", "fixed"), overrides=tuple(overrides), **delays)
 
 
-@dataclass
-class PendingMsg:
+@dataclass(frozen=True)
+class PendingMsg(Shared):
     seq: int
     msg: Message
     lo: int  # earliest deliverable tick, absolute
@@ -136,6 +133,8 @@ class ChainActor:
 
     def __init__(self, chain):
         self.chain = chain
+
+    __deepcopy__ = copier(deep="chain")
 
     def on_message(self, net, msg: Message):
         if msg.kind != "tx":
@@ -161,7 +160,7 @@ class Simnet:
             raise ValueError("mode must be run or enumerate")
         self.mode = mode
         self.latency = latency or LatencyModel()
-        self.rng = Rng(("simnet", seed).__repr__())
+        self.seed = seed
         self.now = 0
         self.actors: dict[str, object] = {}
         self.chains: list = []
@@ -170,6 +169,15 @@ class Simnet:
         self._heap: list = []  # (tick, seq, Message)
         self._fifo: dict = {}  # (src, dst) -> latest scheduled delivery tick
         self.pending: list[PendingMsg] = []  # enumerate mode
+
+    @cached_property
+    def rng(self) -> Rng:
+        """Delay draws in run mode; built on first use, so a world that
+        never draws one (an enumerated world) has no generator to fork."""
+        return Rng(("simnet", self.seed).__repr__())
+
+    __deepcopy__ = copier(share="mode latency seed now _seq", copy="trace _heap _fifo pending",
+                          deep="rng actors chains")
 
     # -- wiring ---------------------------------------------------------------
 
@@ -221,17 +229,21 @@ class Simnet:
         """An independent copy of the whole world: actors, chains, pending
         messages and trace.
 
-        Trace entries and sealed blocks are shared with the original, since
-        nothing mutates an entry once it is logged or a block once it is
-        appended. So are values whose classes deep-copy to themselves:
-        messages, latency models, timer configs, behavior profiles, keys
-        and group parameters. Everything else, every party, miner, session
-        and generator included, is copied.
+        Copied: every mutable world object (the network, its actors,
+        chains, contracts and their sessions, each party's sessions, sides,
+        views, plans and exchange state, miners and their behaviors) and
+        every container they hold (the trace, pending and block lists, the
+        delivery heap, mempools, accounts, receipt maps, ...), shallowly
+        where it holds only immutables; a generator only if it was built.
+        Shared with the original: trace entries, each party's map of keys,
+        and every value sealed once built (``forking.Shared``: messages,
+        pending entries, blocks, signed values, transaction payloads, key
+        shares, dealings, proofs, ciphertexts, latency models, timer
+        configs, behavior profiles, keys and group parameters). Each
+        class's ``__deepcopy__`` names what a fork does with each of its
+        attributes.
         """
-        memo = {id(entry): entry for entry in self.trace}
-        for chain in self.chains:
-            memo.update((id(block), block) for block in chain.blocks)
-        return copy.deepcopy(self, memo)
+        return copy.deepcopy(self)
 
     # -- delivery -------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto import GroupParams, hash_bytes, pedersen_commit
+from .forking import Shared
 from .wire import U64, Scalar, enc_u64, enc_value
 
 
@@ -24,7 +25,7 @@ class ThresholdNotMet(ValueError):
 
 
 @dataclass(frozen=True)
-class KeyShare:
+class KeyShare(Shared):
     """Share i of a dealing: the two polynomial evaluations at x = i."""
 
     index: U64
@@ -39,7 +40,7 @@ class KeyShare:
 
 
 @dataclass(frozen=True)
-class DealingPublic:
+class DealingPublic(Shared):
     """The broadcast part of a dealing: E(s, r) plus one commitment per
     non-constant coefficient. Enough to verify any share."""
 
@@ -53,7 +54,7 @@ class DealingPublic:
 
 
 @dataclass(frozen=True)
-class Dealing:
+class Dealing(Shared):
     public: DealingPublic
     shares: tuple[KeyShare, ...]
 

@@ -2,13 +2,16 @@
 schedule enumerator's interleaving counts, and world forks."""
 
 import copy
+import gc
 import math
 import random
+import types
 
 import pytest
 
 from oracles import enumerate_schedules_copying
-from xchan import atomicity
+from xchan import atomicity, chain, contract, engine, scenario, simnet
+from xchan.crypto import KeyPair
 from xchan.simnet import (
     BoundExceeded,
     LatencyModel,
@@ -362,6 +365,141 @@ class TestFork:
         assert wminer.kp is miner.kp
         assert wminer.behavior is not miner.behavior
         assert wminer.chain is w.chains[0]
+
+    def test_close_phase_worlds_build_no_generator(self):
+        # the generators are built on first draw, and nothing in the close
+        # phase draws, so no fork copies one
+        nets = []
+
+        def outcome(net):
+            nets.append(net)
+            return atomicity.outcome_of(net)
+
+        enumerate_schedules(lambda: atomicity.build_close_phase_world("honest", True), outcome,
+                            horizon=atomicity.HORIZON)
+        assert len(nets) > 1
+        for net in nets:
+            assert "rng" not in vars(net)
+            assert all("rng" not in vars(net.actors[name]) for name in ("S", "R"))
+
+
+_WALK_STOPS = (types.ModuleType, type, types.FunctionType, types.BuiltinFunctionType)
+_MUTABLE = (dict, list, set)  # Counter is a dict
+
+
+def _sealed(obj) -> bool:
+    params = getattr(type(obj), "__dataclass_params__", None)
+    return (params is not None and params.frozen) or isinstance(obj, KeyPair)
+
+
+def _reachable(root, allowed: set) -> dict:
+    """id -> object for everything reachable from root, walking neither into
+    sealed values nor past modules, types, functions or allowed objects."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in allowed or isinstance(obj, _WALK_STOPS):
+            continue
+        seen[id(obj)] = obj
+        if not _sealed(obj):
+            stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def _allowed(net) -> set:
+    """What a fork may share with its original besides sealed values: trace
+    entries and each party's keys. Message data sits inside sealed messages."""
+    ids = {id(entry) for entry in net.trace}
+    for actor in net.actors.values():
+        if isinstance(actor, engine.Party):
+            ids.add(id(actor.keys))
+    return ids
+
+
+def _shared_mutables(net, w) -> list:
+    """Mutable containers and unsealed xchan objects both worlds reach."""
+    allowed = _allowed(net) | _allowed(w)
+    mine, theirs = _reachable(net, allowed), _reachable(w, allowed)
+    return [obj for i, obj in mine.items() if i in theirs and (
+        isinstance(obj, _MUTABLE)
+        or (type(obj).__module__.startswith("xchan") and not _sealed(obj)))]
+
+
+# the classes whose __deepcopy__ names what a fork copies
+WORLD_CLASSES = (engine.Party, engine.PartySession, engine.ChainSide, engine.ChannelView,
+                 engine.SendPlan, engine.ExchangeState, engine.Miner, engine.MinerBehavior,
+                 chain.Chain, contract.ChannelContract, contract.ContractSession,
+                 simnet.ChainActor, simnet.Simnet)
+
+
+def _start(cfg, tick):
+    """cfg's run-mode world, run up to and including tick."""
+    assert tick % cfg.block_interval_alpha and tick % cfg.block_interval_beta
+    world = scenario.build_world(cfg)
+    for sid in world.session_ids:
+        for name in ("S", "R"):
+            for c in (world.alpha, world.beta):
+                world.parties[name].submit_open(world.net, c.chain_id, sid, cfg.funding)
+    # a predicate stop leaves nothing due at tick: resuming delivers and
+    # produces exactly what an uninterrupted run would
+    world.net.run_until(lambda: world.net.now >= tick, max_tick=cfg.max_ticks)
+    return world
+
+
+def _finish(world):
+    trace = world.net.run_until(lambda: scenario._all_terminal(world), max_tick=world.config.max_ticks)
+    return scenario.trace_bytes(trace), scenario.collect_metrics(world).to_json()
+
+
+def _uninterrupted(cfg):
+    metrics, trace = scenario.run_scenario(cfg)
+    return scenario.trace_bytes(trace), metrics.to_json()
+
+
+class TestForkIsolation:
+    @pytest.mark.parametrize("profile", atomicity.PROFILES)
+    @pytest.mark.parametrize("assist", (True, False))
+    def test_fork_shares_no_mutable_state(self, profile, assist):
+        """At every node of a seed-1 enumeration, a fork and its original
+        reach no mutable container and no unsealed world object in common."""
+        nodes = []
+
+        def outcome(net):
+            w = net.fork()
+            assert _shared_mutables(net, w) == [], profile
+            nodes.append(net)
+            return atomicity.outcome_of(net)
+
+        enumerate_schedules(lambda: atomicity.build_close_phase_world(profile, assist, 1), outcome,
+                            horizon=atomicity.HORIZON)
+        assert len(nodes) > 1
+
+    def test_walk_finds_a_shared_container(self):
+        net = _close_phase_world_with_history()
+        w = net.fork()
+        w.chains[0].accounts = net.chains[0].accounts
+        assert _shared_mutables(net, w) == [net.chains[0].accounts]
+
+    @pytest.mark.parametrize("cfg,tick", [
+        # sub-channel opening mid-pump, uniform delays drawn from the network's generator
+        (scenario.ScenarioConfig(mode="CE", receipts_n=10, seed=7, levels=2, sub_funding=(20,),
+                                 sub_receipts=(2,), latency={"kind": "uniform", "lo": 1, "hi": 3}), 13),
+        # after the uploads: dealings drawn, shares on their way to the miners
+        (scenario.ScenarioConfig(mode="EIE", seed=15, byzantine_miners=1), 10),
+        # during recovery: miners hold shares, one withholds
+        (scenario.ScenarioConfig(mode="EIE", seed=15, byzantine_miners=1), 53),
+    ], ids=["ce_levels2", "eie_dealt", "eie_recovering"])
+    def test_hooked_fork_runs_like_a_plain_deep_copy(self, cfg, tick, monkeypatch):
+        world = _start(cfg, tick)
+        hooked = copy.deepcopy(world)
+        for cls in WORLD_CLASSES:
+            monkeypatch.delattr(cls, "__deepcopy__")
+        plain = copy.deepcopy(world)
+        monkeypatch.undo()
+        want = _uninterrupted(cfg)
+        assert _finish(hooked) == want
+        assert _finish(plain) == want
+        assert _finish(world) == want
 
 
 class TestRng:
