@@ -178,7 +178,27 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
     receipts spend the same receipt; the failing level and everything
     below it are discarded, and each discarded channel's funding amount
     reverts to the funding receipt's payee at the deepest surviving
-    level.
+    level. ``parties`` is unused: each channel's members are the keys of
+    its starting balances.
+
+    Signatures are checked on demand, when the walk reaches a decision
+    that reads them:
+
+    * the receipts and sub-channel receipts offered for a channel path
+      (a sub-channel receipt under its embedded receipt's path), when the
+      walk reaches that path and before its pool is built, so sequence
+      conflicts count only signed receipts;
+    * a child path's final states, in submission order up to the first
+      that verifies, when a sub-channel receipt's coverage is tested.
+
+    A value the walk never reads is never checked: the root's final
+    states, receipts below a cutoff or on a path no funding receipt
+    reaches, and later final states of an already covered path. Since
+    nothing else reads them, their signatures cannot change the result,
+    and no unchecked signature reaches an allocation. Before the walk,
+    only field checks that need no signature drop a value: its session
+    id, a final state's submitter against the sender, and a sub-channel
+    receipt whose counterparty is its own funder.
 
     Each signed object remembers its own signature check (see
     ``receipts``), so an object the payee or the close admission already
@@ -187,49 +207,48 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
     the signature: equal-bytes copies pool as one receipt, and distinct
     receipts sharing a sequence number conflict.
     """
-    trs_by_path: dict[tuple, dict[bytes, Receipt]] = {}
-    srs_by_tr: dict[tuple, dict[bytes, dict[bytes, SubChannelReceipt]]] = {}
-    covered = set()
-
-    def pool_tr(tr: Receipt) -> bytes:
-        tr_bytes = tr.to_bytes()
-        trs_by_path.setdefault(tr.channel_path, {})[tr_bytes] = tr
-        return tr_bytes
-
+    finals: dict[tuple, list[FinalState]] = {}
+    # path -> [(receipt, the sub-channel receipt embedding it or None)]
+    offered: dict[tuple, list[tuple[Receipt, SubChannelReceipt | None]]] = {}
     for sender, payload in submissions:
         f = payload.final
-        if f.session_id == session_id and f.submitter == sender and f.verify_sig():
-            covered.add(f.channel_path)
+        if f.session_id == session_id and f.submitter == sender:
+            finals.setdefault(f.channel_path, []).append(f)
         for tr in payload.trs:
-            if tr.session_id == session_id and tr.verify_sig():
-                pool_tr(tr)
+            if tr.session_id == session_id:
+                offered.setdefault(tr.channel_path, []).append((tr, None))
         for sr in payload.srs:
             tr = sr.receipt
-            if tr.session_id != session_id or not sr.verify_sig() or sr.counterparty == sr.funder:
-                continue
-            tr_bytes = pool_tr(tr)  # the embedded receipt counts as submitted
-            srs_by_tr.setdefault(tr.channel_path, {}).setdefault(tr_bytes, {})[sr.to_bytes()] = sr
+            if tr.session_id == session_id and sr.counterparty != sr.funder:
+                offered.setdefault(tr.channel_path, []).append((tr, sr))
 
     allocations: dict[str, int] = {}
 
     def credit(addr, amount):
         allocations[addr] = allocations.get(addr, 0) + amount
 
-    # (path, members, initial, funder) per instantiated channel
-    current = [((), set(parties), dict(deposits), None)]
+    # (path, initial, funder) per instantiated channel
+    current = [((), dict(deposits), None)]
     cutoff = None
     level = 0
     while current:
         spawn = []  # children proposed by this level
         failed = False
-        for path, _members, initial, funder in current:
-            pool = trs_by_path.get(path, {})
+        for path, initial, funder in current:
+            pool: dict[bytes, Receipt] = {}
+            sr_groups: dict[bytes, dict[bytes, SubChannelReceipt]] = {}
+            for tr, sr in offered.get(path, ()):
+                if not (tr if sr is None else sr).verify_sig():
+                    continue
+                tr_bytes = tr.to_bytes()
+                pool[tr_bytes] = tr  # an embedded receipt counts as submitted
+                if sr is not None:
+                    sr_groups.setdefault(tr_bytes, {})[sr.to_bytes()] = sr
             # drop seq conflicts: distinct receipts sharing a sequence number
             by_seq: dict[int, list[tuple[bytes, Receipt]]] = {}
             for tr_bytes, tr in pool.items():
                 by_seq.setdefault(tr.seq, []).append((tr_bytes, tr))
             candidates = {seq: v[0] for seq, v in by_seq.items() if len(v) == 1}
-            sr_groups = srs_by_tr.get(path, {})
             delegated = {seq for seq, (tr_bytes, _tr) in candidates.items() if tr_bytes in sr_groups}
             balances, included = replay_receipts(
                 initial, [tr for _b, tr in candidates.values()], delegated, funder=funder
@@ -246,7 +265,7 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
                     continue
                 (sr,) = group.values()
                 child = path + (tr.seq,)
-                if child not in covered:
+                if not any(f.verify_sig() for f in finals.get(child, ())):
                     failed = True
                     spawn.append((tr, None))
                 else:
@@ -258,12 +277,7 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
                 credit(tr.rcv, tr.amount)
             break
         current = [
-            (
-                tr.channel_path + (tr.seq,),
-                {sr.funder, sr.counterparty},
-                {sr.funder: tr.amount, sr.counterparty: 0},
-                sr.funder,
-            )
+            (tr.channel_path + (tr.seq,), {sr.funder: tr.amount, sr.counterparty: 0}, sr.funder)
             for tr, sr in spawn
         ]
         level += 1

@@ -162,6 +162,7 @@ class Simnet:
         self.latency = latency or LatencyModel()
         self.seed = seed
         self.now = 0
+        self._produced = -1  # the last tick run_until produced blocks at
         self.actors: dict[str, object] = {}
         self.chains: list = []
         self.trace: list[dict] = []
@@ -176,7 +177,7 @@ class Simnet:
         never draws one (an enumerated world) has no generator to fork."""
         return Rng(("simnet", self.seed).__repr__())
 
-    __deepcopy__ = copier(share="mode latency seed now _seq", copy="trace _heap _fifo pending",
+    __deepcopy__ = copier(share="mode latency seed now _produced _seq", copy="trace _heap _fifo pending",
                           deep="rng actors chains")
 
     # -- wiring ---------------------------------------------------------------
@@ -272,12 +273,16 @@ class Simnet:
     def run_until(self, predicate=None, max_tick: int = 10_000):
         """Advance ticks, producing blocks and delivering messages, until
         the predicate holds or max_tick is reached. Returns the trace;
-        anything still queued at the end is reported undelivered."""
+        anything still queued at the end is reported undelivered. A call
+        resumed after a predicate stop does not produce that tick's blocks
+        again."""
         if self.mode != "run":
             raise RuntimeError("run_until requires run mode")
         done = False
         while self.now <= max_tick and not done:
-            self._produce_blocks(self.now)
+            if self.now > self._produced:
+                self._produce_blocks(self.now)
+                self._produced = self.now
             while self._heap and self._heap[0][0] <= self.now:
                 _t, _seq, msg = heapq.heappop(self._heap)
                 self._deliver(msg)

@@ -2,11 +2,12 @@
 randomized oracle equivalence."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 from xchan.contract import ClosePayload, settle_levels
 from xchan.crypto import keypair_from_label
-from xchan.receipts import make_final_state, make_receipt, make_sub_receipt
+from xchan.receipts import SubChannelReceipt, make_final_state, make_receipt, make_sub_receipt
 from gen_trees import gen_case
 from oracles import settle_oracle
 
@@ -138,9 +139,11 @@ def test_each_signed_object_verified_once(verify_calls):
     expected = settle_oracle(SID, deposits, parties, submissions)
     assert verify_calls == []
     res = settle_levels(SID, deposits, parties, submissions)
-    # 6 final states, 4 receipts (tr_root, its copy, tr_mid, tr_leaf) and
-    # the own signatures of 3 sub-channel receipts (sr_root, its copy, sr_mid)
-    assert len(verify_calls) == len(set(verify_calls)) == 13
+    # 2 final states (the first covering one of (6,) and of (6, 2); the
+    # root's are never read), 4 receipts (tr_root, its copy, tr_mid,
+    # tr_leaf) and the own signatures of 3 sub-channel receipts (sr_root,
+    # its copy, sr_mid)
+    assert len(verify_calls) == len(set(verify_calls)) == 9
     # the copies are rejected: no seq conflict, no double authorization
     assert (res.ok, res.allocations, res.cutoff_level) == expected
     assert res.allocations == {S.address: 120, R.address: 70, D.address: 6, Q.address: 4}
@@ -153,6 +156,76 @@ def test_verify_once_on_generated_trees(verify_calls):
         expected = settle_oracle(session, deposits, parties, submissions)
         assert verify_calls == [], (case, flags)
         res = settle_levels(session, deposits, parties, submissions)
-        assert 0 < len(verify_calls) == len(set(verify_calls)), (case, flags)
+        assert len(verify_calls) == len(set(verify_calls)), (case, flags)
+        # the walk always reaches the root, so whatever the root offers is checked
+        if root_offers(session, submissions):
+            assert verify_calls, (case, flags)
         verify_calls.clear()
         assert (res.ok, res.allocations, res.cutoff_level) == expected, (case, flags)
+
+
+def root_offers(session, submissions):
+    """Whether some submission offers the root channel a receipt or
+    sub-channel receipt of the session that no field check drops."""
+    return any(
+        tr.channel_path == () and tr.session_id == session
+        for _sender, payload in submissions
+        for tr in payload.trs + tuple(sr.receipt for sr in payload.srs if sr.counterparty != sr.funder)
+    )
+
+
+def unchecked_flipped(submissions):
+    """The submissions with every signed value whose signature is still
+    unchecked replaced by a copy whose signature fails (a sub-channel
+    receipt with an unchecked embedded receipt gets a failing copy of
+    both), and the count of values replaced by class name."""
+    copies = {}
+
+    def swap(value):
+        if value._sig_ok is not None:
+            return value
+        if id(value) not in copies:
+            inner = {"receipt": swap(value.receipt)} if isinstance(value, SubChannelReceipt) else {}
+            copies[id(value)] = flipped(replace(value, **inner))
+        return copies[id(value)]
+
+    tampered = [
+        (sender, ClosePayload(final=swap(p.final), srs=tuple(map(swap, p.srs)), trs=tuple(map(swap, p.trs))))
+        for sender, p in submissions
+    ]
+    return tampered, Counter(type(v).__name__ for v in copies.values())
+
+
+def assert_skipped_checks_unread(session, deposits, parties, submissions):
+    """Settle fresh submissions, then again with every value the first run
+    left unchecked replaced by a copy whose signature fails: the result
+    must not move, and must equal the eager oracle's on the tampered
+    input, which rejects each copy. Returns the count replaced by class
+    name."""
+    res = settle_levels(session, deposits, parties, submissions)
+    tampered, replaced = unchecked_flipped(submissions)
+    again = settle_levels(session, deposits, parties, tampered)
+    result = (again.ok, again.allocations, again.cutoff_level)
+    assert result == (res.ok, res.allocations, res.cutoff_level)
+    assert result == settle_oracle(session, deposits, parties, tampered)
+    return replaced
+
+
+def test_skipped_checks_are_unread():
+    parties = [S.address, R.address]
+    # both root final states, and the second covering final state of (6,)
+    # and of (6, 2); without level 2 there is no (6, 2) final state to skip
+    for include_level2, skipped in ((True, 4), (False, 3)):
+        deposits, submissions = three_level_case(include_level2)
+        assert assert_skipped_checks_unread(SID, deposits, parties, submissions) == {"FinalState": skipped}
+    rng = random.Random(31)
+    replaced = Counter()
+    for case in range(80):
+        session, deposits, parties, submissions, flags = gen_case(rng)
+        try:
+            replaced += assert_skipped_checks_unread(session, deposits, parties, submissions)
+        except AssertionError as exc:
+            raise AssertionError((case, flags)) from exc
+    # receipts below a cutoff or on a bogus path, and sub-channel receipts
+    # of a level that is never reached, are skipped too
+    assert set(replaced) == {"FinalState", "Receipt", "SubChannelReceipt"}, replaced

@@ -202,6 +202,20 @@ class TestRunLoop:
             assert len(watcher.blocks) >= 4
             assert watcher.blocks == sorted(watcher.blocks)
 
+    def test_resumed_run_matches_uninterrupted(self):
+        # the first run stops on tick 8, a block boundary of alpha
+        cfg = scenario.ScenarioConfig(mode="CE", receipts_n=4, seed=3)
+
+        def run(*stops):
+            world = _opened(cfg)
+            for tick in stops:
+                trace = world.net.run_until(lambda: world.net.now >= tick, max_tick=cfg.max_ticks)
+            return scenario.trace_bytes(trace), world.alpha.blocks, world.beta.blocks
+
+        split = run(8, 9)
+        assert [(b.height, b.tick) for b in split[1]] == [(1, 4), (2, 8)]
+        assert split == run(9)
+
 
 def make_enum_world(k, chain_depth=0, latency=None):
     """k independent messages, optionally followed by a causal chain."""
@@ -432,14 +446,19 @@ WORLD_CLASSES = (engine.Party, engine.PartySession, engine.ChainSide, engine.Cha
                  simnet.ChainActor, simnet.Simnet)
 
 
-def _start(cfg, tick):
-    """cfg's run-mode world, run up to and including tick."""
-    assert tick % cfg.block_interval_alpha and tick % cfg.block_interval_beta
+def _opened(cfg):
+    """cfg's run-mode world with every party's opens submitted."""
     world = scenario.build_world(cfg)
     for sid in world.session_ids:
         for name in ("S", "R"):
             for c in (world.alpha, world.beta):
                 world.parties[name].submit_open(world.net, c.chain_id, sid, cfg.funding)
+    return world
+
+
+def _start(cfg, tick):
+    """cfg's run-mode world, run up to and including tick."""
+    world = _opened(cfg)
     # a predicate stop leaves nothing due at tick: resuming delivers and
     # produces exactly what an uninterrupted run would
     world.net.run_until(lambda: world.net.now >= tick, max_tick=cfg.max_ticks)
