@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .contract import PAYLOAD_KINDS, ChannelContract, InvariantViolation, OnChainTx
+from .contract import PAYLOAD_KINDS, STATES, ChannelContract, InvariantViolation, OnChainTx
 from .crypto import hash_bytes
 from .forking import Shared, copier
 from .wire import enc_bytes, enc_str, enc_u64, mistyped
@@ -38,6 +38,34 @@ class Block(Shared):
     tick: int
     prev_hash: bytes
     hash: bytes
+
+
+@dataclass(frozen=True)
+class ChainEvent(Shared):
+    """What one transaction or timer did in a block: ``result`` is the state
+    entered, a note, or, when ``ok`` is false, why the transaction failed."""
+
+    tick: int
+    chain_id: str
+    block: int
+    tx_kind: str
+    session_id: str
+    result: str
+    ok: bool
+    detail: dict | None
+
+    FAILED_MARK = "failed:"  # trace_entry's prefix on a failed transaction's result
+
+    @property
+    def state(self) -> str | None:
+        """The contract state the session entered, or None."""
+        return self.result if self.ok and self.result in STATES else None
+
+    def trace_entry(self) -> dict:
+        """The run trace's record of the event: its result marked, no detail."""
+        mark = "state:" if self.state else "" if self.ok else self.FAILED_MARK
+        return {"tick": self.tick, "chain_id": self.chain_id, "block": self.block,
+                "tx_kind": self.tx_kind, "session_id": self.session_id, "result": mark + self.result}
 
 
 GENESIS_HASH = hash_bytes(b"genesis")
@@ -126,9 +154,9 @@ class Chain:
 
     # -- block production ---------------------------------------------------
 
-    def produce_block(self, tick: int) -> list[dict]:
+    def produce_block(self, tick: int) -> list[ChainEvent]:
         """Drain the mempool, execute, expire timers; returns the block's
-        event records (also appended to the chain log by the caller)."""
+        events, transactions in submission order, then timers."""
         self.now = tick
         height, prev_hash = len(self.blocks) + 1, self.prev_block_hash()
         events = []
@@ -137,11 +165,10 @@ class Chain:
         body = []
         for tx in txs:
             ok, result, detail = self.contract.execute(tx, self)
-            result = result if ok else "failed:%s" % result
             body.append(enc_bytes(tx.to_bytes()))
-            events.append(self._event(height, tick, tx.kind, tx.session_id, result, detail))
-        for kind, sid, result, detail in self.contract.process_timers(self):
-            events.append(self._event(height, tick, kind, sid, result, detail))
+            events.append(ChainEvent(tick, self.chain_id, height, tx.kind, tx.session_id, result, ok, detail))
+        for kind, sid, state, detail in self.contract.process_timers(self):
+            events.append(ChainEvent(tick, self.chain_id, height, kind, sid, state, True, detail))
         block_hash = hash_bytes(
             enc_str(self.chain_id)
             + enc_u64(height)
@@ -155,19 +182,6 @@ class Chain:
                 "conservation broken on %s at tick %d" % (self.chain_id, tick)
             )
         return events
-
-    def _event(self, height, tick, tx_kind, session_id, result, detail) -> dict:
-        ev = {
-            "tick": tick,
-            "chain_id": self.chain_id,
-            "block": height,
-            "tx_kind": tx_kind,
-            "session_id": session_id,
-            "result": result,
-        }
-        if detail:
-            ev["detail"] = detail
-        return ev
 
     # -- committed reads ------------------------------------------------------
 

@@ -37,6 +37,7 @@ TERMINATED = "Terminated"
 REFUNDED = "Refunded"
 
 TERMINAL_STATES = (SUCCESS, TERMINATED, REFUNDED)
+STATES = frozenset((INIT, OPEN_CE, OPEN, CLOSE, LOCK, SUCCESS, TERMINATED, REFUNDED))
 
 # results other than a new state that parties act on
 CLOSE_WINDOW_STARTED = "close window started"
@@ -405,7 +406,7 @@ class ChannelContract:
             s.parties = list(s.pending_open)
             s.deposits = dict(s.pending_open)
             s.set_state(OPEN_CE, chain.now)
-            return True, "state:%s" % OPEN_CE, {"deposits": dict(s.deposits)}
+            return True, OPEN_CE, {"deposits": dict(s.deposits)}
         return True, "open pending", None
 
     def handle_upload(self, tx, chain):
@@ -463,7 +464,7 @@ class ChannelContract:
                 # proven: owner signed a share differing from its commitment
                 self._return_escrow(s, chain)
                 s.set_state(TERMINATED, chain.now)
-                return True, "state:%s" % TERMINATED, {"owner": owner, "miner": miner}
+                return True, TERMINATED, {"owner": owner, "miner": miner}
         if saw_binding:
             return False, "owner signature invalid", None
         return False, "no matching binding", None
@@ -505,7 +506,7 @@ class ChannelContract:
         if chain.timers.assist_window is not None:
             s.assist_deadline = chain.now + chain.timers.assist_window
         s.set_state(LOCK, chain.now)
-        return True, "state:%s" % LOCK, {
+        return True, LOCK, {
             "h_pre": s.h_pre,
             "lock_deadline": s.lock_deadline,
             "assist_deadline": s.assist_deadline,
@@ -566,7 +567,7 @@ class ChannelContract:
                 s.recovery_requested.append(owner)
             detail["recover_owner"] = owner
             detail["recover_miners"] = [m for (m, _i, _h) in s.bindings[owner]]
-        return True, "state:%s" % SUCCESS, detail
+        return True, SUCCESS, detail
 
     def handle_recover(self, tx, chain):
         s = self.sessions.get(tx.session_id)
@@ -609,14 +610,14 @@ class ChannelContract:
 
     def process_timers(self, chain):
         """Run at every block: expire windows, settle, refund. Returns
-        events as (kind, session_id, result, detail)."""
+        events as (kind, session_id, state entered, detail)."""
         events = []
         now = chain.now
         for sid in sorted(self.sessions):
             s = self.sessions[sid]
             if s.state == OPEN_CE and s.appeal_deadline is not None and now > s.appeal_deadline:
                 s.set_state(OPEN, now)
-                events.append(("Timer", sid, "state:%s" % OPEN, None))
+                events.append(("Timer", sid, OPEN, None))
             if s.state in (OPEN_CE, OPEN) and s.close_deadline is not None and now > s.close_deadline:
                 result = settle_levels(
                     sid,
@@ -627,25 +628,19 @@ class ChannelContract:
                 if not result.ok:
                     self._return_escrow(s, chain)
                     s.set_state(TERMINATED, now)
-                    events.append(("Timer", sid, "state:%s" % TERMINATED, {"why": result.detail}))
+                    events.append(("Timer", sid, TERMINATED, {"why": result.detail}))
                 else:
                     s.locked_allocations = result.allocations
                     s.settle_cutoff = result.cutoff_level
                     s.set_state(CLOSE, now)
-                    events.append(
-                        (
-                            "Timer",
-                            sid,
-                            "state:%s" % CLOSE,
-                            {"allocations": dict(result.allocations), "cutoff": result.cutoff_level},
-                        )
-                    )
+                    detail = {"allocations": dict(result.allocations), "cutoff": result.cutoff_level}
+                    events.append(("Timer", sid, CLOSE, detail))
             if s.state == LOCK:
                 deadline = s.assist_deadline if s.assist_deadline is not None else s.lock_deadline
                 if now > deadline:
                     self._return_escrow(s, chain)
                     s.set_state(REFUNDED, now)
-                    events.append(("Timer", sid, "state:%s" % REFUNDED, None))
+                    events.append(("Timer", sid, REFUNDED, None))
         return events
 
     # -- baseline sessions ------------------------------------------------------

@@ -4,8 +4,8 @@ A party keeps all it knows of a session in one PartySession: its role
 and, per chain, a ChainSide. Each handler looks up one session and
 touches only that one. Messages dispatch through a table keyed by kind
 that names the fields each kind must carry; a malformed or forged
-message is counted in ``rejected`` by reason instead of raising. Chain
-events then dispatch on their result, and timers on their one key.
+message is counted in ``rejected`` by reason instead of raising. A chain
+event that succeeded dispatches on its result, and a timer on its one key.
 
 Parties exchange signed receipts, open sub-channels by redeploying
 unsettled receipts, run the threshold-shared fair exchange, and drive
@@ -26,6 +26,7 @@ from functools import cached_property
 
 from . import contract as ct
 from . import proofs, vss
+from .chain import ChainEvent
 from .crypto import KeyPair, hash_bytes, key_to_bytes, decrypt, hash_blocks
 from .forking import Shared, copier
 from .receipts import (
@@ -204,8 +205,7 @@ class PartySession:
         deep="sides")
 
 
-EVENT_FIELDS = {"chain_id": str, "session_id": str, "tx_kind": str, "result": str,
-                "detail": (dict, type(None))}
+EVENT_FIELDS = {"chain_id": str, "event": ChainEvent}
 
 
 def _field_problem(data, fields) -> str | None:
@@ -224,11 +224,12 @@ def _field_problem(data, fields) -> str | None:
 
 def _dispatch(actor, net, msg: Message):
     """Run the actor's handler for msg's kind if actor.problem finds nothing
-    wrong with msg and a chain event comes from the chain it names;
-    otherwise count msg in actor.rejected by reason."""
+    wrong with msg and a chain event comes from the chain it and its data
+    name; otherwise count msg in actor.rejected by reason."""
     handler, fields = actor.HANDLERS.get(msg.kind, (None, None))
     why = "unknown kind" if handler is None else actor.problem(msg, fields)
-    if why is None and fields is EVENT_FIELDS and msg.src != msg.data["chain_id"]:
+    data = msg.data
+    if why is None and fields is EVENT_FIELDS and not msg.src == data["chain_id"] == data["event"].chain_id:
         why = "not sent by the chain it names"
     if why is not None:
         actor.rejected["%s: %s" % (msg.kind, why)] += 1
@@ -645,15 +646,14 @@ class Party:
     # -- chain events -----------------------------------------------------------------
 
     def on_chain_event(self, net, msg):
-        ev = msg.data
-        ps = self.session(ev["session_id"])
-        side = ps.sides[ev["chain_id"]]
-        kind, _, state = ev["result"].partition(":")
-        if kind == "state":
-            side.state = state
-        handler = self.EVENTS.get(ev["result"])
+        ev: ChainEvent = msg.data["event"]
+        ps = self.session(ev.session_id)
+        side = ps.sides[ev.chain_id]
+        if ev.state is not None:
+            side.state = ev.state
+        handler = self.EVENTS.get(ev.result) if ev.ok else None
         if handler is not None:
-            handler(self, net, ps, side, ev.get("detail") or {})
+            handler(self, net, ps, side, ev.detail or {})
 
     def _on_open(self, net, ps: PartySession, side: ChainSide, detail):
         deposits = detail.get("deposits", {})
@@ -758,15 +758,15 @@ class Party:
                                    "publics": proofs.RelationPublicInputs, "owner": str}),
         "wakeup": (on_wakeup, None),
     }
-    EVENTS = {  # chain event result -> handler
-        "state:" + ct.OPEN_CE: _on_open,
+    EVENTS = {  # result of a successful chain event -> handler
+        ct.OPEN_CE: _on_open,
         ct.CLOSE_WINDOW_STARTED: _on_close_window,
         ct.BINDINGS_PUBLISHED: _on_upload,
-        "state:" + ct.CLOSE: _on_close,
-        "state:" + ct.LOCK: _on_lock,
-        "state:" + ct.SUCCESS: _on_success,
+        ct.CLOSE: _on_close,
+        ct.LOCK: _on_lock,
+        ct.SUCCESS: _on_success,
         ct.SHARES_RECORDED: _on_shares_recorded,
-        "state:" + ct.TERMINATED: _on_terminated,
+        ct.TERMINATED: _on_terminated,
     }
     TIMERS = {  # wakeup key -> (handler, types of the arguments after chain and session)
         "try_close": (_maybe_close, ()),
@@ -854,17 +854,16 @@ class Miner:
         self.old_stored.append(rec)
 
     def on_chain_event(self, net, msg):
-        ev = msg.data
-        detail = ev.get("detail") or {}
-        session_id = ev["session_id"]
-        if ev["chain_id"] == self.chain.chain_id:
+        ev: ChainEvent = msg.data["event"]
+        detail = ev.detail or {}
+        if ev.chain_id == self.chain.chain_id:
             if "recover_owner" in detail:
-                self._answer_recovery(net, session_id, detail["recover_owner"])
+                self._answer_recovery(net, ev.session_id, detail["recover_owner"])
             return
         # cross-chain observation: a revealed preimage on the other chain
-        if self.behavior.assist and "pre" in detail and ev["result"] == "state:" + ct.SUCCESS:
-            self.learned_pre[session_id] = detail["pre"]
-            self._consider_assist(net, session_id)
+        if self.behavior.assist and "pre" in detail and ev.state == ct.SUCCESS:
+            self.learned_pre[ev.session_id] = detail["pre"]
+            self._consider_assist(net, ev.session_id)
 
     def _answer_recovery(self, net, session_id, owner):
         if not self.behavior.respond_recover:

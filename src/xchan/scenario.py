@@ -19,7 +19,7 @@ import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import contract as ct
-from .chain import Chain, TimerConfig
+from .chain import Chain, ChainEvent, TimerConfig
 from .crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
 from .engine import BehaviorProfile, Miner, MinerBehavior, Party
 from .proofs import TransparentMacBackend
@@ -411,7 +411,7 @@ def collect_metrics(world: World) -> RunMetrics:
     counts: dict[str, int] = {}
     for entry in world.net.trace:
         if entry.get("tx_kind") in ct.PAYLOAD_KINDS and "result" in entry:
-            if not entry["result"].startswith("failed:"):
+            if not entry["result"].startswith(ChainEvent.FAILED_MARK):
                 counts[entry["tx_kind"]] = counts.get(entry["tx_kind"], 0) + 1
     receipts = sum(
         count

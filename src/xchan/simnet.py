@@ -258,17 +258,11 @@ class Simnet:
         for chain in self.chains:
             if chain.is_boundary(tick):
                 for ev in chain.produce_block(tick):
-                    detail = ev.pop("detail", None)
-                    self.log(ev)
-                    self._broadcast(chain, ev, detail)
-
-    def _broadcast(self, chain, ev: dict, detail):
-        data = dict(ev)
-        if detail:
-            data["detail"] = detail
-        for name, kinds in chain.subscribers:
-            if kinds is None or ev["tx_kind"] in kinds:
-                self.send("chain_event", chain.chain_id, name, data)
+                    self.log(ev.trace_entry())
+                    data = {"chain_id": chain.chain_id, "event": ev}
+                    for name, kinds in chain.subscribers:
+                        if kinds is None or ev.tx_kind in kinds:
+                            self.send("chain_event", chain.chain_id, name, data)
 
     def run_until(self, predicate=None, max_tick: int = 10_000):
         """Advance ticks, producing blocks and delivering messages, until

@@ -34,7 +34,7 @@ class TestSubmit:
         ok, why = c.submit_tx(open_tx(S))
         assert ok
         events = c.produce_block(3)
-        assert events[0]["tx_kind"] == ct.OPEN_TX
+        assert events[0].tx_kind == ct.OPEN_TX
         assert len(c.blocks) == 1
 
     def test_forged_signature_rejected(self):
@@ -127,11 +127,20 @@ class TestSubmit:
         assert c.read_session("c0").state == ct.OPEN_CE
 
     def test_submission_order_preserved(self):
+        """One block yields a note, a state and a failure, in submission
+        order; the trace renders each with the same keys in the same order
+        and no detail."""
         c = new_chain()
         c.submit_tx(open_tx(S))
         c.submit_tx(open_tx(R))
+        c.submit_tx(open_tx(S, v=50))
         events = c.produce_block(3)
-        assert [e["result"] for e in events][:2] == ["open pending", "state:Open_CE"]
+        assert [(e.ok, e.result, e.state) for e in events] == [
+            (True, "open pending", None), (True, ct.OPEN_CE, ct.OPEN_CE), (False, "duplicate open", None)]
+        head = {"tick": 3, "chain_id": "alpha", "block": 1, "tx_kind": "Open", "session_id": "c0"}
+        assert [list(e.trace_entry().items()) for e in events] == [
+            list((head | {"result": result}).items())
+            for result in ("open pending", "state:Open_CE", "failed:duplicate open")]
 
 
 class TestBlocks:
@@ -171,7 +180,7 @@ class TestBlocks:
         c = new_chain()
         c.submit_tx(open_tx(S, v=10_000))  # more than the balance
         events = c.produce_block(3)
-        assert events[0]["result"].startswith("failed:")
+        assert not events[0].ok
         assert c.balance(S.address) == 500
         empty = new_chain()
         empty.produce_block(3)

@@ -85,7 +85,7 @@ class TestOpen:
         d = Driver()
         d.submit(S, "c0", ct.OPEN_TX, ct.OpenPayload(1001))
         events = d.step()
-        assert events[0]["result"].startswith("failed:insufficient")
+        assert not events[0].ok and events[0].result.startswith("insufficient")
         assert d.chain.balance(S.address) == 1000
 
     def test_duplicate_open_rejected(self):
@@ -93,7 +93,7 @@ class TestOpen:
         d.submit(S, "c0", ct.OPEN_TX, ct.OpenPayload(10))
         d.submit(S, "c0", ct.OPEN_TX, ct.OpenPayload(10))
         events = d.step()
-        assert events[1]["result"] == "failed:duplicate open"
+        assert (events[1].ok, events[1].result) == (False, "duplicate open")
         assert d.chain.balance(S.address) == 990
 
     def test_zero_deposits_legal(self):
@@ -145,7 +145,7 @@ class TestUpload:
         _, _, payload = make_upload(n=3, t=2)
         d.submit(S, "c0", ct.UPLOAD_TX, payload)
         events = d.step()
-        assert events[0]["result"] == "failed:n exceeds miner count"
+        assert (events[0].ok, events[0].result) == (False, "n exceeds miner count")
 
     def test_close_allowed_without_upload(self):
         d = Driver()
@@ -184,7 +184,7 @@ class TestAppeal:
         sig = S.sign(vss.share_message_bytes(share, s.sn))
         d.submit(miner_kp, "c0", ct.APPEAL_TX, ct.AppealPayload(owner_sig=sig, share=share, sn=s.sn))
         events = d.step()
-        assert events[0]["result"] == "failed:share matches binding"
+        assert (events[0].ok, events[0].result) == (False, "share matches binding")
         assert s.state == ct.OPEN_CE
 
     def test_stale_serial_number_rejected(self):
@@ -194,7 +194,7 @@ class TestAppeal:
         sig = S.sign(vss.share_message_bytes(fake, old_sn))
         d.submit(miner_kp, "c0", ct.APPEAL_TX, ct.AppealPayload(owner_sig=sig, share=fake, sn=old_sn))
         events = d.step()
-        assert events[0]["result"] == "failed:stale serial number"
+        assert (events[0].ok, events[0].result) == (False, "stale serial number")
         assert s.state == ct.OPEN_CE
 
     def test_appeal_after_window_rejected(self):
@@ -204,7 +204,7 @@ class TestAppeal:
         sig = S.sign(vss.share_message_bytes(fake, s.sn))
         d.submit(miner_kp, "c0", ct.APPEAL_TX, ct.AppealPayload(owner_sig=sig, share=fake, sn=s.sn))
         events = d.step()
-        assert any("appeal" in e["result"] for e in events if e["tx_kind"] == ct.APPEAL_TX)
+        assert any(not e.ok and "appeal" in e.result for e in events if e.tx_kind == ct.APPEAL_TX)
         assert s.state == ct.OPEN
 
     def test_forged_owner_signature_rejected(self):
@@ -213,7 +213,7 @@ class TestAppeal:
         sig = R.sign(vss.share_message_bytes(fake, s.sn))  # wrong signer
         d.submit(miner_kp, "c0", ct.APPEAL_TX, ct.AppealPayload(owner_sig=sig, share=fake, sn=s.sn))
         events = d.step()
-        assert events[0]["result"] == "failed:owner signature invalid"
+        assert (events[0].ok, events[0].result) == (False, "owner signature invalid")
 
 
 class TestLockUpdate:
@@ -238,13 +238,13 @@ class TestLockUpdate:
         open_channel(d)
         d.submit(S, "c0", ct.LOCK_TX, ct.LockPayload(h_pre=b"\x01" * 32))
         events = d.step()
-        assert events[0]["result"] == "failed:not in close"
+        assert (events[0].ok, events[0].result) == (False, "not in close")
 
     def test_second_lock_rejected(self):
         d, s, pre = self.locked_driver()
         d.submit(R, "c0", ct.LOCK_TX, ct.LockPayload(h_pre=b"\x02" * 32))
         events = d.step()
-        assert events[0]["result"] == "failed:already locked"
+        assert (events[0].ok, events[0].result) == (False, "already locked")
 
     def test_party_update_applies_allocations(self):
         d, s, pre = self.locked_driver()
@@ -259,7 +259,7 @@ class TestLockUpdate:
         d, s, pre = self.locked_driver()
         d.submit(R, "c0", ct.UPDATE_TX, ct.UpdatePayload(pre=b"\x08" * 32))
         events = d.step()
-        assert events[0]["result"] == "failed:wrong preimage"
+        assert (events[0].ok, events[0].result) == (False, "wrong preimage")
         assert s.state == ct.LOCK
 
     def test_party_past_deadline_rejected(self):
@@ -267,7 +267,7 @@ class TestLockUpdate:
         d.step_until(s.lock_deadline + 1)
         d.submit(R, "c0", ct.UPDATE_TX, ct.UpdatePayload(pre=pre))
         events = d.step()
-        assert events[0]["result"] == "failed:party past unlock deadline"
+        assert (events[0].ok, events[0].result) == (False, "party past unlock deadline")
 
     def test_miner_assist_in_window_with_reward(self):
         timers = TimerConfig(6, 6, 10, 30)
@@ -301,7 +301,7 @@ class TestLockUpdate:
         d, s, pre = self.locked_driver()
         d.submit(d.miner_keys[0], "c0", ct.UPDATE_TX, ct.UpdatePayload(pre=pre))
         events = d.step()
-        assert events[0]["result"] == "failed:outside assist window"
+        assert (events[0].ok, events[0].result) == (False, "outside assist window")
 
     def test_no_assist_window_on_beta_style_chain(self):
         timers = TimerConfig(6, 6, 10, None)
@@ -317,7 +317,7 @@ class TestLockUpdate:
         d.step_until(s.lock_deadline)
         d.submit(d.miner_keys[0], "c0", ct.UPDATE_TX, ct.UpdatePayload(pre=pre))
         events = d.step()
-        assert events[0]["result"] == "failed:no assist window on this chain"
+        assert (events[0].ok, events[0].result) == (False, "no assist window on this chain")
 
     def test_refund_after_assist_deadline(self):
         d, s, pre = self.locked_driver()
@@ -387,7 +387,7 @@ class TestUpdateEie:
         d.step()
         d.submit(R, "c0", ct.UPDATE_EIE_TX, ct.UpdateEiePayload(pre=pre, h_k=b"\x00" * 32))
         events = d.step()
-        assert events[0]["result"] == "failed:unknown key hash"
+        assert (events[0].ok, events[0].result) == (False, "unknown key hash")
 
     def test_recover_rejects_mutated_and_unbound(self):
         d = Driver(miners=5, timers=TimerConfig(4, 4, 12, 24))
@@ -415,20 +415,20 @@ class TestUpdateEie:
         bad = replace(dealing.shares[index - 1], s=(dealing.shares[index - 1].s + 1) % TINY_GROUP.q)
         d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=bad))
         events = d.step()
-        assert events[0]["result"] == "failed:no share accepted"
+        assert (events[0].ok, events[0].result) == (False, "no share accepted")
         # unbound miner (not selected) with a correct share
         bound = {m for m, _i, _h2 in s.bindings[S.address]}
         outsider_kp = next(k for k in d.miner_keys if k.address not in bound)
         d.submit(outsider_kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=dealing.shares[0]))
         events = d.step()
-        assert events[0]["result"] == "failed:no share accepted"
+        assert (events[0].ok, events[0].result) == (False, "no share accepted")
         # duplicate index ignored: same miner resubmits its share twice
         good = dealing.shares[index - 1]
         d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=good))
         d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=good))
         events = d.step()
-        assert events[0]["result"] == "shares recorded"
-        assert events[1]["result"] == "failed:no share accepted"
+        assert (events[0].ok, events[0].result) == (True, "shares recorded")
+        assert (events[1].ok, events[1].result) == (False, "no share accepted")
         assert len(s.collected_shares[S.address]) == 1
 
 

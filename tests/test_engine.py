@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xchan import contract as ct
+from xchan.chain import ChainEvent
 from xchan.contract import InvariantViolation
 from xchan.crypto import keypair_from_label
 from xchan import proofs, vss
@@ -276,11 +278,20 @@ def _snapshot(world, actor):
 
 _RECEIPT = make_receipt(keypair_from_label("probe"), "c0", (), 1, "nobody", 1)
 _PUBLICS = proofs.make_public_inputs((b"x" * 13,), 5, 2, 3)
-_EVENT = {"tick": 8, "chain_id": "alpha", "block": 2, "tx_kind": "Close", "session_id": "c0",
-          "result": "state:Close"}
+
 # S and R's alpha addresses in _eie_world_mid_run; S owns the share M.alpha.1 holds at index 1
 _S = keypair_from_label("S:10:alpha").address
 _R = keypair_from_label("R:10:alpha").address
+
+
+def _event(result=ct.CLOSE, ok=True, detail=None, chain_id="alpha"):
+    """Chain event data as the chain sends it: c0 entered Close on alpha."""
+    return {"chain_id": "alpha", "event": ChainEvent(8, chain_id, 2, "Close", "c0", result, ok, detail)}
+
+
+# the event dict a chain sent before chain events were typed
+_DICT_EVENT = {"tick": 8, "chain_id": "alpha", "block": 2, "tx_kind": "Close", "session_id": "c0",
+               "result": "state:Close"}
 _SHARE = {"chain_id": "alpha", "session_id": "c0", "owner": _S,
           "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}
 
@@ -303,7 +314,9 @@ MALFORMED = {
         "chain_id": "alpha", "proof": proofs.Proof(1, bytes(32)), "publics": _PUBLICS,
         "owner": "x"}),
     "chain_event-empty": ("S", "chain_event", "alpha", {}),
-    "chain_event-forged": ("S", "chain_event", "R", _EVENT),
+    "chain_event-forged": ("S", "chain_event", "R", _event()),
+    "chain_event-dict": ("S", "chain_event", "alpha", _DICT_EVENT),
+    "chain_event-other-chain": ("S", "chain_event", "alpha", _event(chain_id="beta")),
     "wakeup-int-pump": ("S", "wakeup", "S", {"pump": 3}),
     "wakeup-short-force_close": ("S", "wakeup", "S", {"force_close": ["alpha"]}),
     "wakeup-foreign": ("S", "wakeup", "R", {"force_close": ["alpha", "c0"]}),
@@ -312,6 +325,8 @@ MALFORMED = {
         "chain_id": "beta", "session_id": "c0", "owner": "x", "share": vss.KeyShare(1, 1, 1, b""),
         "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}),
     "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", {}),
+    "miner-chain_event-forged": ("M.alpha.1", "chain_event", "beta",
+                                 _event(ct.SUCCESS, detail={"recover_owner": _S})),
     # well-typed signed values or key shares holding a mistyped field
     "receipt-list-session": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(session_id=["c0"])}),
     "receipt-list-path": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(channel_path=[1])}),
@@ -347,6 +362,16 @@ class TestMalformedMessages:
         assert sum(actor.rejected.values()) == 1
         (reason,) = actor.rejected
         assert reason.startswith(kind + ": ")
+
+    def test_failed_event_inert(self):
+        """A failed transaction's event whose result names a state and a
+        handler neither records the state nor runs the handler."""
+        world = _eie_world_mid_run()
+        party = world.parties["S"]
+        before = _snapshot(world, party)
+        party.on_message(world.net, Message("chain_event", "alpha", "S", _event(ok=False)))
+        assert _snapshot(world, party) == before
+        assert not party.rejected
 
     def test_well_formed_messages_not_counted(self):
         world = _eie_world_mid_run()

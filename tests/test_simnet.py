@@ -183,7 +183,7 @@ class TestRunLoop:
 
             def on_message(self, net, msg):
                 if msg.kind == "chain_event":
-                    self.blocks.append(msg.data["block"])
+                    self.blocks.append(msg.data["event"].block)
 
         kp = keypair_from_label("evt:S")
         for seed in range(8):
