@@ -30,11 +30,11 @@ from types import MappingProxyType
 
 from .crypto import KeyPair, verify
 from .forking import Shared
-from .wire import U64, enc_bytes, enc_value
+from .wire import U64, Encoded, enc_bytes, enc_value
 
 
 @dataclass(frozen=True)
-class Signed(Shared):
+class Signed(Shared, Encoded):
     """A value signed by ``signer`` over ``signing_bytes()``: every field
     declared before ``sig``, which subclasses declare last."""
 

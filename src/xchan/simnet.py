@@ -316,9 +316,50 @@ def _advance_to(net: Simnet, t: int):
     net.now = t
 
 
+def _choices(net: Simnet, horizon: int) -> list:
+    """The scheduler's choices at net, in exploration order: each pending
+    message it may deliver now, as ("deliver", seq, tick, dst), then
+    ("advance", tick) to the next block boundary if that strands nothing."""
+    choices = []
+    pend = sorted(net.pending, key=lambda m: m.seq)
+    for m in pend:
+        t = max(net.now, m.lo)
+        if t > m.hi:
+            continue
+        if any(o.hi < t for o in pend if o.seq != m.seq):
+            continue  # delivering m now would strand another message
+        link = (m.msg.src, m.msg.dst)
+        if any(o.seq < m.seq and (o.msg.src, o.msg.dst) == link for o in pend):
+            continue  # FIFO per link
+        choices.append(("deliver", m.seq, t, m.msg.dst))
+    nb = _next_boundary(net)
+    if nb is not None and nb <= horizon and all(m.hi >= nb for m in pend):
+        choices.append(("advance", nb))
+    return choices
+
+
+def _take(net: Simnet, choice: tuple):
+    """Apply one of _choices(net) to net."""
+    if choice[0] == "deliver":
+        _, seq, t, _dst = choice
+        pm = next(p for p in net.pending if p.seq == seq)
+        net.pending.remove(pm)
+        _advance_to(net, max(net.now, t))
+        net._deliver(pm.msg)
+    else:
+        _advance_to(net, choice[1])
+
+
+def _independent(a: tuple, b: tuple) -> bool:
+    """Whether two choices commute: deliveries at the same tick to
+    different actors. Every other pair, and every advance, is dependent."""
+    return a[0] == b[0] == "deliver" and a[2] == b[2] and a[3] != b[3]
+
+
 def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12,
                         horizon: int = 400, max_schedules: int = 500_000) -> EnumResult:
-    """Explore every delivery interleaving of a bounded scenario.
+    """Explore every delivery interleaving of a bounded scenario, up to the
+    order of deliveries that commute.
 
     world_factory() must return a fresh Simnet in enumerate mode with its
     initial messages pending; that world is explored in place, so it must
@@ -328,14 +369,29 @@ def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12,
     window or advance time to the next block boundary; it may never strand
     a message beyond its window (delay-only asynchrony: nothing is lost).
 
-    Every choice but the last explores a fork of the node's world; the
-    last one takes the world itself, since nothing reads it once its
+    Deliveries at the same tick to different actors commute: either order
+    reaches the same world, up to the order of trace entries and the seq
+    numbers of the messages they send. A sleep set (Godefroid, LNCS 1032)
+    explores one order of each such pair: once a choice has been explored,
+    its later siblings carry it asleep for as long as they stay
+    independent of it, a sleeping choice is not taken, and a node whose
+    every choice is asleep is pruned (neither a schedule nor stalled).
+    ``schedules`` and ``nodes`` thus count one representative per class of
+    interleavings that differ only in that order. The reduction keeps the
+    outcome set whole when outcome_of reads actor, chain and pending state
+    but not the order of deliveries to different actors, and when a
+    further delivery would not change an outcome it has returned; both
+    hold for the close phase's outcome (the terminal session states, which
+    only blocks change).
+
+    Every awake choice but the last explores a fork of the node's world;
+    the last one takes the world itself, since nothing reads it once its
     choices are known.
     """
     outcomes: set = set()
     stats = {"schedules": 0, "nodes": 0}
 
-    def explore(net: Simnet):
+    def explore(net: Simnet, asleep: list):
         stats["nodes"] += 1
         if stats["schedules"] > max_schedules:
             raise BoundExceeded("schedule count exceeds %d" % max_schedules)
@@ -348,37 +404,17 @@ def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12,
             outcomes.add(out)
             stats["schedules"] += 1
             return
-        choices = []
-        pend = sorted(net.pending, key=lambda m: m.seq)
-        for m in pend:
-            t = max(net.now, m.lo)
-            if t > m.hi:
-                continue
-            if any(o.hi < t for o in pend if o.seq != m.seq):
-                continue  # delivering m now would strand another message
-            link = (m.msg.src, m.msg.dst)
-            if any(o.seq < m.seq and (o.msg.src, o.msg.dst) == link for o in pend):
-                continue  # FIFO per link
-            choices.append(("deliver", m.seq, t))
-        nb = _next_boundary(net)
-        if nb is not None and nb <= horizon and all(m.hi >= nb for m in pend):
-            choices.append(("advance", nb))
+        choices = _choices(net, horizon)
         if not choices:
             outcomes.add(outcome_of(net) or ("stalled",))
             stats["schedules"] += 1
             return
-        last = len(choices) - 1
-        for i, choice in enumerate(choices):
+        awake = [c for c in choices if c not in asleep]
+        last = len(awake) - 1
+        for i, choice in enumerate(awake):
             w = net if i == last else net.fork()
-            if choice[0] == "deliver":
-                _, seq, t = choice
-                pm = next(p for p in w.pending if p.seq == seq)
-                w.pending.remove(pm)
-                _advance_to(w, max(w.now, t))
-                w._deliver(pm.msg)
-            else:
-                _advance_to(w, choice[1])
-            explore(w)
+            _take(w, choice)
+            explore(w, [z for z in asleep + awake[:i] if _independent(z, choice)])
 
-    explore(world_factory())
+    explore(world_factory(), [])
     return EnumResult(outcomes=outcomes, schedules=stats["schedules"], nodes=stats["nodes"])

@@ -25,6 +25,14 @@ U64 = Annotated[int, 1 << 64]  # enc_u64
 Scalar = Annotated[int, 1 << 256]  # enc_scalar
 
 
+class Encoded:
+    """A dataclass whose ``to_bytes()`` returns its ``enc_value`` bytes from
+    a memo on the value: a field declared to hold one encodes it by
+    ``to_bytes()`` rather than field by field."""
+
+    __slots__ = ()
+
+
 def enc_u64(n: int) -> bytes:
     if n < 0:
         raise ValueError("unsigned field is negative: %d" % n)
@@ -73,8 +81,10 @@ def _codec(hint):
         return (lambda v: v is None or item_ok(v),
                 lambda v: b"\x00" if v is None else b"\x01" + enc_item(v))
     # a nested dataclass, or any dataclass value in a field declared object
-    return (lambda v: isinstance(v, hint) and is_dataclass(type(v)) and mistyped(v) is None,
-            lambda v: enc_bytes(enc_value(v)))
+    accepts = lambda v: isinstance(v, hint) and is_dataclass(type(v)) and mistyped(v) is None
+    if isinstance(hint, type) and issubclass(hint, Encoded):  # its bytes are kept on it
+        return accepts, lambda v: enc_bytes(v.to_bytes())
+    return accepts, lambda v: enc_bytes(enc_value(v))
 
 
 @cache

@@ -266,21 +266,33 @@ class TestEnumeration:
             return tuple(k for _t, k, _i in net.world_rec.got)
 
         loose = LatencyModel(kind="uniform", lo=1, hi=9)
-        res = enumerate_schedules(make_enum_world(1, chain_depth=1, latency=loose),
-                                  outcome, bound=12, horizon=12)
-        assert res.schedules == 3
+        world = make_enum_world(1, chain_depth=1, latency=loose)
+        want = enumerate_schedules_copying(world, outcome, bound=12, horizon=12)
+        assert want.schedules == 3
+        # the ping and the chain's head both reach different actors at
+        # tick 1, so the reduced explorer tries one of their two orders
+        got = enumerate_schedules(world, outcome, bound=12, horizon=12)
+        assert got.outcomes == want.outcomes and got.schedules == 2
 
     def test_tight_windows_prune_stranding_orders(self):
         # with one-tick windows the chain tail cannot jump ahead of the
-        # still-pending independent message: only 2 orders survive
-        res = enumerate_schedules(make_enum_world(1, chain_depth=1), order_outcome,
-                                  bound=12, horizon=10)
-        assert res.schedules == 2
+        # still-pending independent message: only 2 orders survive, and
+        # those differ only in the order of two same-tick deliveries
+        world = make_enum_world(1, chain_depth=1)
+        want = enumerate_schedules_copying(world, order_outcome, bound=12, horizon=10)
+        assert want.schedules == 2
+        got = enumerate_schedules(world, order_outcome, bound=12, horizon=10)
+        assert got.outcomes == want.outcomes and got.schedules == 1
 
     def test_bound_overflow(self):
         with pytest.raises(BoundExceeded):
             enumerate_schedules(make_enum_world(5), order_outcome, bound=4, horizon=10)
 
+
+# (nodes, schedules) of the reference explorer, then of the reduced one;
+# they differ where two same-tick deliveries reach different actors
+SYNTHETIC_COUNTS = [((2, 1),) * 2, ((5, 2),) * 2, ((16, 6),) * 2, ((65, 24),) * 2, ((3, 1),) * 2,
+                    ((7, 2), (5, 1)), ((35, 12), (21, 6))]
 
 SYNTHETIC_WORLDS = [
     (make_enum_world(k), order_outcome, 10) for k in (1, 2, 3, 4)
@@ -292,31 +304,39 @@ SYNTHETIC_WORLDS = [
 ]
 
 
+def _counts(res):
+    return res.nodes, res.schedules
+
+
 class TestForkingExplorer:
-    """enumerate_schedules forks only where a choice needs it; the
-    reference explorer copies the world for every child."""
+    """enumerate_schedules forks only where a choice needs it and tries one
+    order of commuting deliveries; the reference explorer copies the world
+    for every child and tries every order."""
 
     @pytest.mark.parametrize("i", range(len(SYNTHETIC_WORLDS)))
     def test_synthetic_worlds_match_reference(self, i):
         factory, outcome, horizon = SYNTHETIC_WORLDS[i]
         got = enumerate_schedules(factory, outcome, bound=12, horizon=horizon)
         want = enumerate_schedules_copying(factory, outcome, bound=12, horizon=horizon)
-        assert got == want
+        assert got.outcomes == want.outcomes
+        assert (_counts(want), _counts(got)) == SYNTHETIC_COUNTS[i]
 
-    @pytest.mark.parametrize("seed", (1, 2))
+    @pytest.mark.parametrize("seed", range(16))
     def test_close_phase_matches_reference(self, seed):
-        nodes = schedules = 0
+        wants, gots = [], []
         for profile in atomicity.PROFILES:
             for assist in (True, False):
                 got = atomicity.enumerate_close_phase(profile, assist, seed=seed)
                 want = enumerate_schedules_copying(
                     lambda: atomicity.build_close_phase_world(profile, assist, seed),
                     atomicity.outcome_of, bound=12, horizon=atomicity.HORIZON)
-                assert got == want, (profile, assist)
-                nodes += got.nodes
-                schedules += got.schedules
-        if seed == 1:
-            assert (nodes, schedules) == (213, 41)
+                assert got.outcomes == want.outcomes, (profile, assist)
+                assert got.nodes <= want.nodes, (profile, assist)
+                wants.append(_counts(want))
+                gots.append(_counts(got))
+        if seed == 1:  # (nodes, schedules) over the ten cases
+            assert tuple(map(sum, zip(*wants))) == (213, 41)
+            assert tuple(map(sum, zip(*gots))) == (177, 26)
 
 
 def _close_phase_world_with_history():
@@ -352,8 +372,9 @@ class TestFork:
         before = _observable(net)
         w = net.fork()
         res = enumerate_schedules(lambda: w, atomicity.outcome_of, horizon=atomicity.HORIZON)
-        assert atomicity.outcome_of(w) is not None  # the fork itself ran to the end
         assert res.outcomes and atomicity.atomic_outcomes_only(res)
+        # the fork itself was explored in place: its last path may end in
+        # a pruned node rather than an outcome, but it moved on
         assert w.now > net.now and len(w.trace) > len(net.trace)
         assert _observable(net) == before
         assert atomicity.outcome_of(net) is None
