@@ -96,9 +96,8 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
         }
         chain.contract.sessions["c0"] = s
 
-    S.join("c0", mode="CE", counterpart="R", lock_chain="alpha", update_chain="beta",
-           pre=pre, h_pre=h_pre)
-    R.join("c0", mode="CE", counterpart="S", relay_lock_chain="beta", relay_update_chain="alpha")
+    S.join("c0", mode="CE", counterpart="R", lock_chain="alpha", holder=True, pre=pre, h_pre=h_pre)
+    R.join("c0", mode="CE", counterpart="S", lock_chain="beta")
     for p in (S, R):
         p.note_state("alpha", "c0", CLOSE)
         p.note_state("beta", "c0", CLOSE)

@@ -14,6 +14,7 @@ triggering transaction committed.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .contract import PAYLOAD_KINDS, STATES, ChannelContract, InvariantViolation, OnChainTx
@@ -54,8 +55,6 @@ class ChainEvent(Shared):
     ok: bool
     detail: dict | None
 
-    FAILED_MARK = "failed:"  # trace_entry's prefix on a failed transaction's result
-
     @property
     def state(self) -> str | None:
         """The contract state the session entered, or None."""
@@ -63,7 +62,7 @@ class ChainEvent(Shared):
 
     def trace_entry(self) -> dict:
         """The run trace's record of the event: its result marked, no detail."""
-        mark = "state:" if self.state else "" if self.ok else self.FAILED_MARK
+        mark = "state:" if self.state else "" if self.ok else "failed:"
         return {"tick": self.tick, "chain_id": self.chain_id, "block": self.block,
                 "tx_kind": self.tx_kind, "session_id": self.session_id, "result": mark + self.result}
 
@@ -86,11 +85,12 @@ class Chain:
         self.mempool: list[OnChainTx] = []
         self.blocks: list[Block] = []
         self.contract = ChannelContract()
+        self.committed: Counter = Counter()  # tx kind -> transactions executed without failing
         # (actor name, event kinds or None for all), in event fan-out order
         self.subscribers: list[tuple[str, frozenset | None]] = []
 
     __deepcopy__ = copier(share="chain_id block_interval timers assist_reward_percent now",
-                          copy="accounts miners mempool blocks subscribers", deep="contract")
+                          copy="accounts miners mempool blocks subscribers committed", deep="contract")
 
     # -- account plumbing ---------------------------------------------------
 
@@ -126,16 +126,17 @@ class Chain:
     # -- mempool ------------------------------------------------------------
 
     def submit_tx(self, tx: OnChainTx):
-        """Sender, field-type and signature checks happen at admission;
-        everything else is judged at execution inside a block."""
+        """Field-type, sender and signature checks happen at admission;
+        everything else is judged at execution inside a block. Field types
+        come first: the other checks hash the sender and kind."""
+        if bad := mistyped(tx):
+            return False, "malformed: mistyped %s" % bad
         if tx.chain_id != self.chain_id:
             return False, "wrong chain"
         if tx.sender not in self.accounts:
             return False, "unknown sender"
         if tx.kind not in PAYLOAD_KINDS or not isinstance(tx.payload, PAYLOAD_KINDS[tx.kind]):
             return False, "unknown kind"
-        if bad := mistyped(tx):
-            return False, "malformed: mistyped %s" % bad
         try:
             sig_ok = tx.verify_sig()
         except ValueError as exc:
@@ -165,6 +166,8 @@ class Chain:
         body = []
         for tx in txs:
             ok, result, detail = self.contract.execute(tx, self)
+            if ok:
+                self.committed[tx.kind] += 1
             body.append(enc_bytes(tx.to_bytes()))
             events.append(ChainEvent(tick, self.chain_id, height, tx.kind, tx.session_id, result, ok, detail))
         for kind, sid, state, detail in self.contract.process_timers(self):

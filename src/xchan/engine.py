@@ -5,7 +5,7 @@ and, per chain, a ChainSide. Each handler looks up one session and
 touches only that one. Messages dispatch through a table keyed by kind
 that names the fields each kind must carry; a malformed or forged
 message is counted in ``rejected`` by reason instead of raising. A chain
-event that succeeded dispatches on its result, and a timer on its one key.
+event that succeeded dispatches on its result, and a Timer on its kind.
 
 Parties exchange signed receipts, open sub-channels by redeploying
 unsettled receipts, run the threshold-shared fair exchange, and drive
@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from . import contract as ct
 from . import proofs, vss
@@ -124,14 +125,28 @@ class ChannelView:
         return self.members[1] if self.members[0] == addr else self.members[0]
 
 
+class Timer(NamedTuple):
+    """A wakeup an actor sets for itself: what is due (kind), for which
+    session on which chain, and for a pump the channel path."""
+
+    kind: str
+    chain_id: str
+    session_id: str
+    path: tuple = ()
+
+
 @dataclass
 class SendPlan:
+    """Receipts to pay in one channel, up to rate per tick; a planned
+    sub-channel's plan pays nothing until the channel opens."""
+
     amounts: list
     rate: int
     sent: int = 0
-    pumping: bool = False  # a pump wakeup is scheduled
+    pumping: bool = False  # a pump timer is set
+    counterparty: str | None = None  # to request the sub-channel for; None once it opens
 
-    __deepcopy__ = copier(share="rate sent pumping", copy="amounts")
+    __deepcopy__ = copier(share="rate sent pumping counterparty", copy="amounts")
 
     def done(self) -> bool:
         return self.sent >= len(self.amounts)
@@ -159,12 +174,9 @@ class ChainSide:
     session_id: str
     state: str | None = None  # last contract state a chain event reported
     views: dict = field(default_factory=dict)  # path -> ChannelView
-    plans: dict = field(default_factory=dict)  # path -> SendPlan, armed
-    pending_plans: dict = field(default_factory=dict)  # path -> SendPlan, armed when it opens
+    plans: dict = field(default_factory=dict)  # path -> SendPlan
     expected: dict = field(default_factory=dict)  # path -> receipts to receive before closing
     received: dict = field(default_factory=dict)  # path -> receipts accepted
-    sub_requests: dict = field(default_factory=dict)  # (path, funding seq) -> counterparty address
-    granted: set = field(default_factory=set)  # bytes of receipts this party issued an Sr for
     exchange: ExchangeState | None = None  # this party's own secret
     counterpart_vk: tuple | None = None  # (owner address, verify key) of the proof expected here
     counterpart_publics: proofs.RelationPublicInputs | None = None
@@ -175,8 +187,8 @@ class ChainSide:
 
     __deepcopy__ = copier(
         share="chain_id session_id state counterpart_vk counterpart_publics proof_ok recovered close_sent",
-        copy="expected received sub_requests granted uploads",
-        deep="views plans pending_plans exchange")
+        copy="expected received uploads",
+        deep="views plans exchange")
 
     def is_open(self) -> bool:
         return self.state in (ct.OPEN_CE, ct.OPEN)
@@ -191,17 +203,14 @@ class PartySession:
     sides: dict  # chain_id -> ChainSide
     mode: str = "CE"  # CE | FE | EIE
     counterpart: str = ""  # actor name of the other side
-    lock_chain: str | None = None  # chain where this party initiates the lock
-    relay_lock_chain: str | None = None  # chain where this party locks after seeing the first
-    update_chain: str | None = None  # chain where this party reveals the preimage
-    relay_update_chain: str | None = None  # chain where this party relays a learned preimage
-    pre: bytes | None = None  # preimage, holder only
+    lock_chain: str | None = None  # the holder locks here first; the other party, once that lock is seen
+    holder: bool = False  # holds the preimage, revealed on the other chain once it locks too
+    pre: bytes | None = None  # preimage, holder only until revealed
     h_pre: bytes | None = None
     aborted: bool = False  # the other chain terminated; settle this one as-is
 
     __deepcopy__ = copier(
-        share="session_id mode counterpart lock_chain relay_lock_chain update_chain relay_update_chain "
-              "pre h_pre aborted",
+        share="session_id mode counterpart lock_chain holder pre h_pre aborted",
         deep="sides")
 
 
@@ -223,14 +232,23 @@ def _field_problem(data, fields) -> str | None:
 
 
 def _dispatch(actor, net, msg: Message):
-    """Run the actor's handler for msg's kind if actor.problem finds nothing
-    wrong with msg and a chain event comes from the chain it and its data
-    name; otherwise count msg in actor.rejected by reason."""
+    """Run the actor's handler for msg's kind if msg is well formed, or else
+    count msg in actor.rejected by reason. A wakeup must be a Timer the actor
+    set, of a kind in actor.TIMERS, on a chain it serves; any other message
+    must pass actor.problem, and a chain event come from the chain it names."""
     handler, fields = actor.HANDLERS.get(msg.kind, (None, None))
-    why = "unknown kind" if handler is None else actor.problem(msg, fields)
     data = msg.data
-    if why is None and fields is EVENT_FIELDS and not msg.src == data["chain_id"] == data["event"].chain_id:
-        why = "not sent by the chain it names"
+    if handler is None:
+        why = "unknown kind"
+    elif fields is Timer:
+        why = ("not set by this actor" if msg.src != actor.name
+               else "not a timer" if not isinstance(data, Timer)
+               else "unknown timer" if data.kind not in actor.TIMERS
+               else None if actor.serves(data.chain_id) else "unknown chain")
+    else:
+        why = actor.problem(msg, fields)
+        if why is None and fields is EVENT_FIELDS and not msg.src == data["chain_id"] == data["event"].chain_id:
+            why = "not sent by the chain it names"
     if why is not None:
         actor.rejected["%s: %s" % (msg.kind, why)] += 1
     else:
@@ -263,6 +281,9 @@ class Party:
 
     def address(self, chain_id: str) -> str:
         return self.keys[chain_id].address
+
+    def serves(self, chain_id: str) -> bool:
+        return chain_id in self.keys
 
     def session(self, session_id: str) -> PartySession:
         """This party's state for a session, created on first use."""
@@ -307,10 +328,9 @@ class Party:
     def plan_subchannel(self, chain_id, session_id, path, funding_seq, counterparty_addr,
                         amounts, rate):
         """When the funding receipt arrives, ask its payer to authorize a
-        sub-channel and start paying the counterparty inside it."""
-        side = self.session(session_id).sides[chain_id]
-        side.sub_requests[(tuple(path), funding_seq)] = counterparty_addr
-        side.pending_plans[tuple(path) + (funding_seq,)] = SendPlan(list(amounts), rate)
+        sub-channel and start paying the counterparty inside it once open."""
+        plan = SendPlan(list(amounts), rate, counterparty=counterparty_addr)
+        self.session(session_id).sides[chain_id].plans[tuple(path) + (funding_seq,)] = plan
 
     def submit_open(self, net, chain_id, session_id, amount):
         self._submit(net, chain_id, session_id, ct.OPEN_TX, ct.OpenPayload(amount))
@@ -326,32 +346,11 @@ class Party:
 
     def problem(self, msg: Message, fields) -> str | None:
         """Why msg cannot be handled, or None: it must carry the fields with
-        their types and name a chain this party holds a key on; a timer
-        (fields None) must be this party's own."""
-        if fields is None:
-            return self._timer_problem(msg)
+        their types and name a chain this party holds a key on."""
         why = _field_problem(msg.data, fields)
-        if why is None and msg.data["chain_id"] not in self.keys:
+        if why is None and not self.serves(msg.data["chain_id"]):
             why = "unknown chain"
         return why
-
-    def _timer_problem(self, msg: Message) -> str | None:
-        """A timer is one key holding [chain_id, session_id] plus, for a
-        pump, the channel path as a list of ints."""
-        if msg.src != self.name:
-            return "not set by this party"
-        if not isinstance(msg.data, dict) or len(msg.data) != 1:
-            return "not exactly one timer"
-        ((key, args),) = msg.data.items()
-        if key not in self.TIMERS:
-            return "unknown timer"
-        types = (str, str) + self.TIMERS[key][1]
-        if not isinstance(args, list) or len(args) != len(types):
-            return "malformed %s" % key
-        for arg, kind in zip(args, types):
-            if not isinstance(arg, kind) or (kind is list and any(type(i) is not int for i in arg)):
-                return "malformed %s" % key
-        return None if args[0] in self.keys else "unknown chain"
 
     # -- receipts ---------------------------------------------------------------
 
@@ -396,9 +395,9 @@ class Party:
         view.next_seq = max(view.next_seq, tr.seq + 1)
         side.received[tr.channel_path] = side.received.get(tr.channel_path, 0) + 1
         # payee side of a planned sub-channel funding receipt
-        counterparty = side.sub_requests.get((tr.channel_path, tr.seq))
-        if counterparty is not None:
-            data = {"chain_id": chain_id, "tr": tr, "counterparty": counterparty}
+        plan = side.plans.get(tr.channel_path + (tr.seq,))
+        if plan is not None and plan.counterparty is not None:
+            data = {"chain_id": chain_id, "tr": tr, "counterparty": plan.counterparty}
             net.send("sr_request", self.name, self.directory[tr.snd], data)
         self._maybe_close(net, ps, side)
 
@@ -415,10 +414,9 @@ class Party:
         view = None if side is None else side.views.get(tr.channel_path)
         if view is None or view.receipts.get(tr.seq) != tr:
             return
-        if tr.to_bytes() in side.granted and not self.behavior.duplicate_sr:
+        if tr.seq in view.delegated and not self.behavior.duplicate_sr:
             return  # one sub-channel receipt per receipt
         sr = make_sub_receipt(kp, msg.data["counterparty"], tr)
-        side.granted.add(tr.to_bytes())
         view.srs.append(sr)
         view.delegated.add(tr.seq)
         if self.behavior.duplicate_sr:
@@ -441,9 +439,9 @@ class Party:
         parent.srs.append(sr)
         child = ChannelView.of_sub_receipt(chain_id, sr)
         side.views[child.path] = child
-        plan = side.pending_plans.get(child.path)
+        plan = side.plans.get(child.path)
         if plan is not None:
-            side.plans[child.path] = plan
+            plan.counterparty = None
             self._pump(net, side, child.path)
         dst = self.directory.get(sr.counterparty)
         if dst:
@@ -467,13 +465,13 @@ class Party:
         if plan is None or plan.pumping or plan.done():
             return
         plan.pumping = True
-        net.wakeup(self.name, net.now + 1, {"pump": [side.chain_id, side.session_id, list(path)]})
+        net.wakeup(self.name, net.now + 1, Timer("pump", side.chain_id, side.session_id, path))
 
     def on_wakeup(self, net, msg):
-        ((key, args),) = msg.data.items()
-        ps = self.sessions.get(args[1])
+        timer: Timer = msg.data
+        ps = self.sessions.get(timer.session_id)
         if ps is not None:
-            self.TIMERS[key][0](self, net, ps, ps.sides[args[0]], *args[2:])
+            self.TIMERS[timer.kind](self, net, ps, ps.sides[timer.chain_id], timer.path)
 
     def _force_close(self, net, ps: PartySession, side: ChainSide):
         """Grace expired: close at whatever state exists rather than leave
@@ -482,7 +480,6 @@ class Party:
             self._close(net, side)
 
     def _pump_due(self, net, ps: PartySession, side: ChainSide, path):
-        path = tuple(path)
         plan = side.plans.get(path)
         view = side.views.get(path)
         if plan is None or view is None:
@@ -574,13 +571,13 @@ class Party:
                 self._maybe_close(net, ps, s)
 
     def _truncate_plans(self, ps: PartySession):
+        """Pay nothing more: drop unopened sub-channels' plans, cut the rest."""
         for side in ps.sides.values():
+            side.plans = {p: plan for p, plan in side.plans.items() if plan.counterparty is None}
             for plan in side.plans.values():
                 plan.amounts = plan.amounts[: plan.sent]
             for path, want in side.expected.items():
                 side.expected[path] = min(want, side.received.get(path, 0))
-            side.pending_plans = {p: plan for p, plan in side.pending_plans.items() if p in side.plans}
-            side.sub_requests.clear()
 
     def _start_pumps(self, net, ps: PartySession, side: ChainSide):
         if ps.mode != "CE" and not all(s.proof_ok for s in ps.sides.values() if s.counterpart_vk):
@@ -595,12 +592,10 @@ class Party:
             return  # the channel stays open until the agreed point
         if () not in side.views or not side.is_open():
             return  # sub-channel members close on the broadcast, not here
-        if any(not plan.done() for plan in side.plans.values()):
-            return
+        if any(plan.counterparty is not None or not plan.done() for plan in side.plans.values()):
+            return  # a sub-channel not open yet, or receipts still to pay
         if any(side.received.get(p, 0) < want for p, want in side.expected.items()):
             return
-        if any(p not in side.plans for p in side.pending_plans):
-            return  # sub-channel not open yet
         if ps.mode != "CE" and not ps.aborted and not side.proof_ok:
             if side.proof_ok is False or side.counterpart_vk is not None:
                 return  # never enter close on a bad or missing proof
@@ -640,8 +635,8 @@ class Party:
             self._submit(net, chain_id, ps.session_id, ct.UPDATE_TX, ct.UpdatePayload(pre=ps.pre))
 
     def _relay_lock_if_ready(self, net, ps: PartySession):
-        if ps.h_pre is not None and ps.sides[ps.relay_lock_chain].state == ct.CLOSE:
-            self.submit_lock(net, ps.relay_lock_chain, ps.session_id)
+        if ps.h_pre is not None and ps.sides[ps.lock_chain].state == ct.CLOSE:
+            self.submit_lock(net, ps.lock_chain, ps.session_id)
 
     # -- chain events -----------------------------------------------------------------
 
@@ -681,24 +676,29 @@ class Party:
             self._distribute_shares(net, side, detail)
 
     def _on_close(self, net, ps: PartySession, side: ChainSide, detail):
+        mine = ps.lock_chain == side.chain_id
         # an aborted party that knows the preimage winds the surviving
         # chain down unilaterally at its settled state
-        if (ps.aborted and ps.pre is not None) or ps.lock_chain == side.chain_id:
+        if (ps.aborted and ps.pre is not None) or (mine and ps.holder):
             self.submit_lock(net, side.chain_id, ps.session_id)
-        if ps.relay_lock_chain == side.chain_id:
+        if mine and not ps.holder:
             self._relay_lock_if_ready(net, ps)
 
     def _on_lock(self, net, ps: PartySession, side: ChainSide, detail):
-        if ps.relay_lock_chain and side.chain_id != ps.relay_lock_chain:
+        if ps.lock_chain in (None, side.chain_id):
+            return  # no part in the lock choreography, or our own lock
+        if ps.holder:
+            if not self.behavior.withhold_pre:
+                self._submit_update(net, ps, side.chain_id)
+        else:
             # the first lock is on chain; mirror it once our side closed
             if ps.h_pre is None:
                 ps.h_pre = detail["h_pre"]
             self._relay_lock_if_ready(net, ps)
-        if ps.update_chain == side.chain_id and not self.behavior.withhold_pre:
-            self._submit_update(net, ps, side.chain_id)
 
     def _on_success(self, net, ps: PartySession, side: ChainSide, detail):
-        if "pre" in detail and ps.relay_update_chain and side.chain_id != ps.relay_update_chain:
+        # the preimage revealed on this party's lock chain unlocks the other
+        if "pre" in detail and not ps.holder and ps.lock_chain == side.chain_id:
             ps.pre = detail["pre"]
             if ps.mode == "FE":
                 # the preimage doubles as the decryption key; the ciphertext
@@ -706,7 +706,8 @@ class Party:
                 for s in ps.sides.values():
                     if s.counterpart_publics is not None:
                         self._decrypt(s, ps.pre)
-            self._submit_update(net, ps, ps.relay_update_chain)
+            (other,) = (c for c in ps.sides if c != side.chain_id)
+            self._submit_update(net, ps, other)
 
     def _on_shares_recorded(self, net, ps: PartySession, side: ChainSide, detail):
         owner = detail.get("published_owner")
@@ -748,7 +749,7 @@ class Party:
 
     # -- dispatch tables ----------------------------------------------------------------
 
-    HANDLERS = {  # message kind -> (handler, fields; None for a timer)
+    HANDLERS = {  # message kind -> (handler, fields; Timer for a wakeup)
         "chain_event": (on_chain_event, EVENT_FIELDS),
         "receipt": (on_receipt, {"chain_id": str, "tr": Receipt}),
         "sr_request": (on_sr_request, {"chain_id": str, "tr": Receipt, "counterparty": str}),
@@ -756,7 +757,7 @@ class Party:
         "subchannel_open": (on_subchannel_open, {"chain_id": str, "sr": SubChannelReceipt}),
         "exchange": (on_exchange, {"chain_id": str, "session_id": str, "proof": proofs.Proof,
                                    "publics": proofs.RelationPublicInputs, "owner": str}),
-        "wakeup": (on_wakeup, None),
+        "wakeup": (on_wakeup, Timer),
     }
     EVENTS = {  # result of a successful chain event -> handler
         ct.OPEN_CE: _on_open,
@@ -768,26 +769,24 @@ class Party:
         ct.SHARES_RECORDED: _on_shares_recorded,
         ct.TERMINATED: _on_terminated,
     }
-    TIMERS = {  # wakeup key -> (handler, types of the arguments after chain and session)
-        "try_close": (_maybe_close, ()),
-        "force_close": (_force_close, ()),
-        "pump": (_pump_due, (list,)),
+    TIMERS = {  # timer kind -> handler(party, net, session, side, path)
+        "try_close": lambda p, net, ps, side, _path: p._maybe_close(net, ps, side),
+        "force_close": lambda p, net, ps, side, _path: p._force_close(net, ps, side),
+        "pump": _pump_due,
     }
 
 
 SHARE_FIELDS = {"chain_id": str, "session_id": str, "owner": str, "share": vss.KeyShare,
                 "dealing_pub": vss.DealingPublic, "sn": bytes, "sig": bytes}
-ASSIST_FIELDS = {"assist": str}
 
 
 @dataclass
 class MinerBehavior:
     respond_recover: bool = True  # byzantine miners withhold shares
-    report_fake: bool = True
     stale_sn_replay: bool = False
     assist: bool = True
 
-    __deepcopy__ = copier(share="respond_recover report_fake stale_sn_replay assist")
+    __deepcopy__ = copier(share="respond_recover stale_sn_replay assist")
 
 
 class Miner:
@@ -814,15 +813,15 @@ class Miner:
     def on_message(self, net, msg: Message):
         _dispatch(self, net, msg)
 
+    def serves(self, chain_id: str) -> bool:
+        return chain_id == self.chain.chain_id
+
     def problem(self, msg: Message, fields) -> str | None:
         """Why msg cannot be handled, or None: it must carry the fields with
-        their types; a share must be for this miner's chain and a timer
-        must be its own."""
+        their types; a share must be for this miner's chain."""
         why = _field_problem(msg.data, fields)
-        if why is None and fields is SHARE_FIELDS and msg.data["chain_id"] != self.chain.chain_id:
+        if why is None and fields is SHARE_FIELDS and not self.serves(msg.data["chain_id"]):
             why = "not this miner's chain"
-        if why is None and fields is ASSIST_FIELDS and msg.src != self.name:
-            why = "not set by this miner"
         return why
 
     def on_share(self, net, msg):
@@ -845,9 +844,8 @@ class Miner:
             share, data["dealing_pub"], self.group
         )
         if not ok:
-            if self.behavior.report_fake:
-                payload = ct.AppealPayload(owner_sig=data["sig"], share=share, sn=data["sn"])
-                self._submit(net, session_id, ct.APPEAL_TX, payload)
+            payload = ct.AppealPayload(owner_sig=data["sig"], share=share, sn=data["sn"])
+            self._submit(net, session_id, ct.APPEAL_TX, payload)
             return
         rec = {"share": share, "sn": data["sn"], "sig": data["sig"], "owner": owner}
         self.stored[(session_id, owner)] = rec
@@ -886,10 +884,10 @@ class Miner:
         if self.chain.now > session.lock_deadline:
             self._submit_assist(net, session_id)
         else:
-            net.wakeup(self.name, session.lock_deadline + 1, {"assist": session_id})
+            net.wakeup(self.name, session.lock_deadline + 1, Timer("assist", self.chain.chain_id, session_id))
 
     def on_wakeup(self, net, msg):
-        session_id = msg.data["assist"]
+        session_id = msg.data.session_id
         session = self.chain.read_session(session_id)
         if session is not None and session.state == ct.LOCK and session_id in self.learned_pre:
             self._submit_assist(net, session_id)
@@ -913,8 +911,9 @@ class Miner:
         tx = ct.make_tx(self.kp, self.chain.chain_id, session_id, kind, payload)
         net.submit_tx(self.name, self.chain.chain_id, tx)
 
-    HANDLERS = {  # message kind -> (handler, fields)
+    HANDLERS = {  # message kind -> (handler, fields; Timer for a wakeup)
         "share": (on_share, SHARE_FIELDS),
         "chain_event": (on_chain_event, EVENT_FIELDS),
-        "wakeup": (on_wakeup, ASSIST_FIELDS),
+        "wakeup": (on_wakeup, Timer),
     }
+    TIMERS = ("assist",)

@@ -19,9 +19,9 @@ import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import contract as ct
-from .chain import Chain, ChainEvent, TimerConfig
+from .chain import Chain, TimerConfig
 from .crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
-from .engine import BehaviorProfile, Miner, MinerBehavior, Party
+from .engine import BehaviorProfile, Miner, MinerBehavior, Party, Timer
 from .proofs import TransparentMacBackend
 from .simnet import LatencyModel, Simnet
 
@@ -125,11 +125,13 @@ class ScenarioConfig:
             v.append("levels must be in 1..3")
         if len(self.sub_funding) != self.levels - 1 or len(self.sub_receipts) != self.levels - 1:
             v.append("sub_funding/sub_receipts must list one entry per level beyond the first")
+        else:
+            # level i+2 pays sub_receipts[i] receipts of 1 and funds level i+3, if any
+            for i, funding in enumerate(self.sub_funding):
+                if self.sub_receipts[i] + sum(self.sub_funding[i + 1:i + 2]) > funding:
+                    v.append("sub-channel %d cannot spend more than its funding" % (i + 2))
         if self.byzantine_miners > self.byzantine_ell:
             v.append("byzantine_miners <= ell violated")
-        for i in range(len(self.sub_funding) - 1):
-            if self.sub_funding[i + 1] + self.sub_receipts[i + 1] > self.sub_funding[i]:
-                v.append("sub-channel %d cannot spend more than its funding" % (i + 2))
         flags = {f.name for f in fields(BehaviorProfile)}
         for name, wanted in self.adversary.items():
             if name not in _party_names(self):
@@ -317,10 +319,9 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
             pre = key_to_bytes(key_s)
         h_pre = hash_bytes(pre)
 
-        S.join(sid, mode=config.mode, counterpart="R", lock_chain="alpha", update_chain="beta",
+        S.join(sid, mode=config.mode, counterpart="R", lock_chain="alpha", holder=True,
                pre=pre, h_pre=h_pre)
-        R.join(sid, mode=config.mode, counterpart="S", relay_lock_chain="beta",
-               relay_update_chain="alpha")
+        R.join(sid, mode=config.mode, counterpart="S", lock_chain="beta")
 
         S.plan_sends("alpha", sid, (), alpha_amounts, rate)
         R.expect("alpha", sid, (), len(alpha_amounts))
@@ -333,8 +334,6 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
             sub1 = [1] * config.sub_receipts[0]
             if config.levels >= 3:
                 sub1 = [config.sub_funding[1]] + sub1
-            if sum(sub1) > config.sub_funding[0]:
-                raise ConfigError(["level-2 spend exceeds its funding"])
             R.plan_subchannel("alpha", sid, (), 1, D.address("alpha"), sub1, rate)
             D.expect("alpha", sid, (1,), len(sub1))
             D.join(sid, mode=config.mode, counterpart="R")
@@ -342,8 +341,6 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
             if config.levels >= 3:
                 Q = parties["Q"]
                 sub2 = [1] * config.sub_receipts[1]
-                if sum(sub2) > config.sub_funding[1]:
-                    raise ConfigError(["level-3 spend exceeds its funding"])
                 D.plan_subchannel("alpha", sid, (1,), 1, Q.address("alpha"), sub2, rate)
                 Q.expect("alpha", sid, (1, 1), len(sub2))
                 Q.join(sid, mode=config.mode, counterpart="D")
@@ -373,8 +370,8 @@ def build_world(config: ScenarioConfig, mode: str = "run") -> World:
     for sid in session_ids:
         for name in ("S", "R"):
             for chain_id in ("alpha", "beta"):
-                net.wakeup(name, barrier, {"try_close": [chain_id, sid]})
-                net.wakeup(name, grace, {"force_close": [chain_id, sid]})
+                net.wakeup(name, barrier, Timer("try_close", chain_id, sid))
+                net.wakeup(name, grace, Timer("force_close", chain_id, sid))
 
     return World(
         config=config,
@@ -408,11 +405,6 @@ def _all_terminal(world: World) -> bool:
 
 
 def collect_metrics(world: World) -> RunMetrics:
-    counts: dict[str, int] = {}
-    for entry in world.net.trace:
-        if entry.get("tx_kind") in ct.PAYLOAD_KINDS and "result" in entry:
-            if not entry["result"].startswith(ChainEvent.FAILED_MARK):
-                counts[entry["tx_kind"]] = counts.get(entry["tx_kind"], 0) + 1
     receipts = sum(
         count
         for p in world.parties.values()
@@ -426,7 +418,7 @@ def collect_metrics(world: World) -> RunMetrics:
             outcomes["%s:%s" % (chain.chain_id, sid)] = s.state
     ticks = max(world.net.now, 1)
     return RunMetrics(
-        onchain_tx_count=counts,
+        onchain_tx_count=dict(world.alpha.committed + world.beta.committed),
         receipts_processed=receipts,
         outcomes=outcomes,
         ticks_elapsed=world.net.now,
@@ -470,9 +462,9 @@ def run_plain_htlc(config: ScenarioConfig):
                 chain, sid, payer.address(chain.chain_id), payee.address(chain.chain_id), amount
             )
         pre = hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed))
-        S.join(sid, mode="CE", counterpart="R", lock_chain="alpha", update_chain="beta",
+        S.join(sid, mode="CE", counterpart="R", lock_chain="alpha", holder=True,
                pre=pre, h_pre=hash_bytes(pre))
-        R.join(sid, mode="CE", counterpart="S", relay_lock_chain="beta", relay_update_chain="alpha")
+        R.join(sid, mode="CE", counterpart="S", lock_chain="beta")
         for p in (S, R):
             p.note_state("alpha", sid, ct.CLOSE)
             p.note_state("beta", sid, ct.CLOSE)

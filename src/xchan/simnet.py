@@ -25,9 +25,11 @@ from __future__ import annotations
 import copy
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+from .contract import OnChainTx
 from .forking import Shared, copier
 
 
@@ -56,7 +58,7 @@ class Message(Shared):
     kind: str
     src: str
     dst: str
-    data: dict
+    data: object  # a dict, or the Timer a wakeup carries
 
 
 @dataclass(frozen=True)
@@ -129,17 +131,21 @@ class PendingMsg(Shared):
 
 
 class ChainActor:
-    """Routes tx messages into a chain's mempool."""
+    """Routes tx messages into a chain's mempool; counts in ``rejected`` by
+    reason any other message, or one whose data holds no transaction."""
 
     def __init__(self, chain):
         self.chain = chain
+        self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
-    __deepcopy__ = copier(deep="chain")
+    __deepcopy__ = copier(copy="rejected", deep="chain")
 
     def on_message(self, net, msg: Message):
-        if msg.kind != "tx":
+        tx = msg.data.get("tx") if isinstance(msg.data, dict) else None
+        if msg.kind != "tx" or not isinstance(tx, OnChainTx):
+            why = "unknown kind" if msg.kind != "tx" else "missing or mistyped tx"
+            self.rejected["%s: %s" % (msg.kind, why)] += 1
             return
-        tx = msg.data["tx"]
         ok, why = self.chain.submit_tx(tx)
         net.log(
             {
@@ -211,8 +217,8 @@ class Simnet:
             lo, hi = self.latency.window(src, dst)
             self.pending.append(PendingMsg(seq=self._seq, msg=msg, lo=self.now + lo, hi=self.now + hi))
 
-    def wakeup(self, dst: str, tick: int, data: dict | None = None):
-        """Local timer: fires exactly at the requested tick."""
+    def wakeup(self, dst: str, tick: int, data=None):
+        """Local timer: delivers data back to dst exactly at the requested tick."""
         msg = Message(kind="wakeup", src=dst, dst=dst, data=data or {})
         self._seq += 1
         if self.mode == "run":

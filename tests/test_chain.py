@@ -187,6 +187,16 @@ class TestBlocks:
         assert c.blocks[-1].hash != empty.blocks[-1].hash  # the block holds the tx
 
 
+    def test_committed_counts_transactions_that_did_not_fail(self):
+        c = new_chain()
+        c.submit_tx(open_tx(S))
+        c.submit_tx(open_tx(R, v=10_000))  # more than the balance: fails
+        c.produce_block(3)
+        c.submit_tx(open_tx(R))
+        c.produce_block(6)
+        assert c.committed == {ct.OPEN_TX: 2}
+
+
 class TestReads:
     def test_unconfirmed_state_invisible(self):
         c = new_chain()

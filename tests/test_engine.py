@@ -13,7 +13,7 @@ from xchan.chain import ChainEvent
 from xchan.contract import InvariantViolation
 from xchan.crypto import keypair_from_label
 from xchan import proofs, vss
-from xchan.engine import BehaviorProfile, ChannelView, Party
+from xchan.engine import BehaviorProfile, ChannelView, Party, Timer
 from xchan.receipts import Receipt, SubChannelReceipt, make_receipt, make_sub_receipt, replay_receipts
 from xchan.scenario import ScenarioConfig, build_world
 from xchan.simnet import LatencyModel, Message, Simnet
@@ -320,6 +320,12 @@ MALFORMED = {
     "wakeup-int-pump": ("S", "wakeup", "S", {"pump": 3}),
     "wakeup-short-force_close": ("S", "wakeup", "S", {"force_close": ["alpha"]}),
     "wakeup-foreign": ("S", "wakeup", "R", {"force_close": ["alpha", "c0"]}),
+    "wakeup-unknown-timer": ("S", "wakeup", "S", Timer("assist", "alpha", "c0")),
+    "wakeup-timer-foreign": ("S", "wakeup", "R", Timer("force_close", "alpha", "c0")),
+    "wakeup-timer-unknown-chain": ("S", "wakeup", "S", Timer("pump", "gamma", "c0")),
+    "miner-wakeup-dict": ("M.alpha.1", "wakeup", "M.alpha.1", {"assist": "c0"}),
+    "miner-wakeup-other-chain": ("M.alpha.1", "wakeup", "M.alpha.1", Timer("assist", "beta", "c0")),
+    "miner-wakeup-party-timer": ("M.alpha.1", "wakeup", "M.alpha.1", Timer("try_close", "alpha", "c0")),
     "miner-share-empty": ("M.alpha.1", "share", "S", {}),
     "miner-share-other-chain": ("M.alpha.1", "share", "S", {
         "chain_id": "beta", "session_id": "c0", "owner": "x", "share": vss.KeyShare(1, 1, 1, b""),
@@ -378,3 +384,38 @@ class TestMalformedMessages:
         world.net.run_until(max_tick=world.config.max_ticks)
         for actor in world.net.actors.values():
             assert not getattr(actor, "rejected", None)
+
+
+def _pending_timers(world) -> list:
+    """(actor name, data) of every wakeup world's network holds; each must
+    be one hashable Timer for a session and a chain its actor serves."""
+    out = []
+    for _tick, _seq, msg in world.net._heap:
+        if msg.kind == "wakeup":
+            assert type(msg.data) is Timer
+            hash(msg.data)
+            assert msg.data.session_id in world.session_ids
+            assert world.net.actors[msg.dst].serves(msg.data.chain_id)
+            out.append((msg.dst, msg.data))
+    return out
+
+
+class TestTimers:
+    def test_pending_wakeups_are_timers(self):
+        world = _eie_world_mid_run()
+        kinds = {timer.kind for _name, timer in _pending_timers(world)}
+        assert kinds == {"try_close", "force_close"}
+
+    def test_sub_channel_pumps_carry_tuple_paths(self):
+        """A three-level CE run sets a pump timer per channel path, each
+        path a tuple, on the way to settling both chains."""
+        cfg = ScenarioConfig(receipts_n=4, seed=3, levels=3, sub_funding=(40, 15), sub_receipts=(5, 3))
+        world = build_world(cfg)
+        for name in ("S", "R"):
+            for chain in (world.alpha, world.beta):
+                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        pumps = set()
+        for tick in range(1, 60):
+            world.net.run_until(lambda: world.net.now >= tick, max_tick=tick)
+            pumps |= {(name, timer.path) for name, timer in _pending_timers(world) if timer.kind == "pump"}
+        assert pumps == {("S", ()), ("R", ()), ("R", (1,)), ("D", (1, 1))}

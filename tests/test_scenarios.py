@@ -13,7 +13,9 @@ from xchan.crypto import hash_blocks
 from xchan.scenario import (
     ConfigError,
     ScenarioConfig,
+    _all_terminal,
     build_world,
+    collect_metrics,
     run_scenario,
     trace_bytes,
 )
@@ -62,6 +64,27 @@ class TestCurrencyExchange:
             assert metrics.invariants_ok
             counts.append(metrics.total_txs())
         assert counts[0] == counts[1] == 12
+
+    def test_tx_counts_match_the_trace(self):
+        """The metrics count every transaction the trace shows committed
+        and none it shows failed, without reading the trace."""
+        cfg = ScenarioConfig(mode="CE", receipts_n=4, seed=3, latency={"kind": "uniform", "lo": 1, "hi": 6})
+        world = build_world(cfg)
+        for name in ("S", "R"):
+            for chain in (world.alpha, world.beta):
+                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        trace = world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        world.net.trace = []
+        metrics = collect_metrics(world)
+        committed, failed = {}, 0
+        for e in trace:
+            if e.get("tx_kind") in ct.PAYLOAD_KINDS and "result" in e:
+                if e["result"].startswith("failed:"):
+                    failed += 1
+                else:
+                    committed[e["tx_kind"]] = committed.get(e["tx_kind"], 0) + 1
+        assert failed > 0
+        assert metrics.onchain_tx_count == committed
 
     def test_withhold_pre_refunds_both(self):
         cfg = ScenarioConfig(mode="CE", receipts_n=4, seed=3, adversary={"S": ["withhold_pre"]})
@@ -346,6 +369,32 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"no_such_option": 1})
+
+    # a level-(i+2) channel spends its sub_receipts[i] receipts of 1 plus,
+    # above the deepest level, the next level's sub_funding[i+1]
+    @pytest.mark.parametrize("levels, sub_funding, sub_receipts, level", [
+        (2, (5,), (6,), 2),
+        (3, (20, 15), (6, 1), 2),
+        (3, (40, 5), (3, 6), 3),
+    ])
+    def test_level_spend_above_funding_rejected(self, levels, sub_funding, sub_receipts, level):
+        raw = {"levels": levels, "sub_funding": list(sub_funding), "sub_receipts": list(sub_receipts)}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.violations == ["sub-channel %d cannot spend more than its funding" % level]
+
+    def test_level_spend_within_funding_runs(self):
+        """Level 2 spends 1 + 15 of its 20, level 3 spends 6 of its 15."""
+        cfg = ScenarioConfig.from_dict({"levels": 3, "sub_funding": [20, 15], "sub_receipts": [1, 6],
+                                        "receipts_n": 4, "seed": 3})
+        metrics, _ = run(cfg)
+        assert metrics.invariants_ok
+        assert metrics.outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
+
+    def test_level_lists_of_the_wrong_length_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({"levels": 3, "sub_funding": [20, 15], "sub_receipts": [1]})
+        assert err.value.violations == ["sub_funding/sub_receipts must list one entry per level beyond the first"]
 
     # each raised a raw TypeError/ValueError/KeyError/AttributeError out of
     # a run, or was silently ignored (an unknown party's flags)

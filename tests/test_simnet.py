@@ -2,6 +2,7 @@
 schedule enumerator's interleaving counts, and world forks."""
 
 import copy
+import dataclasses
 import gc
 import math
 import random
@@ -242,6 +243,42 @@ def order_outcome(net):
     if net.pending:
         return None
     return tuple(i for _t, _k, i in net.world_rec.got)
+
+
+class TestChainActor:
+    """A chain's network entry point counts a message that carries no
+    transaction instead of raising; it logs nothing and queues nothing."""
+
+    @pytest.mark.parametrize("kind, data", [
+        ("tx", {"tx": 5}),
+        ("tx", {}),
+        ("tx", 7),
+        ("tx", {"tx": {"kind": "Open"}}),
+        ("receipt", {"tx": 5}),
+    ], ids=["int-tx", "empty", "int-data", "dict-tx", "other-kind"])
+    def test_malformed_tx_counted(self, kind, data):
+        net = Simnet()
+        c = chain.Chain("alpha", 3, chain.TimerConfig(6, 6, 10, 20))
+        net.add_chain(c)
+        actor = net.actors["alpha"]
+        actor.on_message(net, Message(kind, "S", "alpha", data))
+        assert net.trace == [] and c.mempool == []
+        assert sum(actor.rejected.values()) == 1
+        (reason,) = actor.rejected
+        assert reason.startswith(kind + ": ")
+
+    @pytest.mark.parametrize("field", ["sender", "kind"])
+    def test_unhashable_tx_field_rejected(self, field):
+        """A transaction whose sender or kind is a list is refused for its
+        field types, before any check hashes it."""
+        net = Simnet()
+        c = chain.Chain("alpha", 3, chain.TimerConfig(6, 6, 10, 20))
+        net.add_chain(c)
+        tx = contract.OnChainTx("alpha", "c0", "S", contract.OPEN_TX, contract.OpenPayload(5))
+        tx = dataclasses.replace(tx, **{field: [getattr(tx, field)]})
+        net.actors["alpha"].on_message(net, Message("tx", "S", "alpha", {"tx": tx}))
+        assert c.mempool == []
+        assert net.trace[-1]["why"] == "malformed: mistyped OnChainTx.%s" % field
 
 
 class TestEnumeration:
