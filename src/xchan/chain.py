@@ -17,7 +17,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .contract import PAYLOAD_KINDS, STATES, ChannelContract, InvariantViolation, OnChainTx
+from .contract import (PAYLOAD_KINDS, STATES, Bound, ChannelContract, InvariantViolation, Locked, OnChainTx,
+                       Opened, Published, Unlocked)
 from .crypto import hash_bytes
 from .forking import Shared, copier
 from .wire import enc_bytes, enc_str, enc_u64, mistyped
@@ -44,7 +45,8 @@ class Block(Shared):
 @dataclass(frozen=True)
 class ChainEvent(Shared):
     """What one transaction or timer did in a block: ``result`` is the state
-    entered, a note, or, when ``ok`` is false, why the transaction failed."""
+    entered, a note, or, when ``ok`` is false, why the transaction failed;
+    ``detail`` is the record ``contract.DETAILS`` declares for it, or None."""
 
     tick: int
     chain_id: str
@@ -53,7 +55,7 @@ class ChainEvent(Shared):
     session_id: str
     result: str
     ok: bool
-    detail: dict | None
+    detail: Opened | Bound | Locked | Unlocked | Published | None
 
     @property
     def state(self) -> str | None:
@@ -68,6 +70,7 @@ class ChainEvent(Shared):
 
 
 GENESIS_HASH = hash_bytes(b"genesis")
+MISTYPED = "malformed: mistyped "  # submit_tx's reason for a field not of its declared type
 
 
 class Chain:
@@ -130,7 +133,7 @@ class Chain:
         everything else is judged at execution inside a block. Field types
         come first: the other checks hash the sender and kind."""
         if bad := mistyped(tx):
-            return False, "malformed: mistyped %s" % bad
+            return False, MISTYPED + bad
         if tx.chain_id != self.chain_id:
             return False, "wrong chain"
         if tx.sender not in self.accounts:
@@ -170,8 +173,8 @@ class Chain:
                 self.committed[tx.kind] += 1
             body.append(enc_bytes(tx.to_bytes()))
             events.append(ChainEvent(tick, self.chain_id, height, tx.kind, tx.session_id, result, ok, detail))
-        for kind, sid, state, detail in self.contract.process_timers(self):
-            events.append(ChainEvent(tick, self.chain_id, height, kind, sid, state, True, detail))
+        for sid, state in self.contract.process_timers(self):
+            events.append(ChainEvent(tick, self.chain_id, height, "Timer", sid, state, True, None))
         block_hash = hash_bytes(
             enc_str(self.chain_id)
             + enc_u64(height)

@@ -19,6 +19,7 @@ its block but leaves session state untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import vss
 from .crypto import hash_bytes, verify
@@ -43,6 +44,44 @@ STATES = frozenset((INIT, OPEN_CE, OPEN, CLOSE, LOCK, SUCCESS, TERMINATED, REFUN
 CLOSE_WINDOW_STARTED = "close window started"
 BINDINGS_PUBLISHED = "bindings published"
 SHARES_RECORDED = "shares recorded"
+
+
+# What an ok event reports besides its result: the record DETAILS declares
+# for a result an actor acts on, and None for every other result.
+class Binding(NamedTuple):  # the miner holding share number index of a key
+    miner: str
+    index: int
+    share_hash: bytes
+
+
+class Opened(NamedTuple):  # Open_CE
+    deposits: dict
+
+
+class Bound(NamedTuple):  # bindings published: owner's shares go to these miners
+    owner: str
+    sn: bytes
+    bindings: tuple[Binding, ...]
+    t: int
+    h_k: bytes
+
+
+class Locked(NamedTuple):  # Lock
+    h_pre: bytes
+
+
+class Unlocked(NamedTuple):  # Success; an UpdateEIE names the key to recover
+    pre: bytes
+    recover_owner: str | None
+
+
+class Published(NamedTuple):  # shares recorded, once owner's threshold is reached
+    owner: str
+    shares: tuple[vss.KeyShare, ...]
+
+
+DETAILS = {OPEN_CE: Opened, BINDINGS_PUBLISHED: Bound, LOCK: Locked, SUCCESS: Unlocked,
+           SHARES_RECORDED: Published | None}
 
 # transaction kinds
 OPEN_TX = "Open"
@@ -308,7 +347,7 @@ class ContractSession:
     escrow: int = 0
     pending_open: dict = field(default_factory=dict)
     sn: bytes | None = None
-    # owner address -> UploadPayload / list of (miner, index, share_hash)
+    # owner address -> UploadPayload / tuple of Binding
     uploaded: dict = field(default_factory=dict)
     bindings: dict = field(default_factory=dict)
     appeal_deadline: int | None = None
@@ -321,16 +360,16 @@ class ContractSession:
     assist_deadline: int | None = None
     recovery_requested: list = field(default_factory=list)  # owner addresses
     collected_shares: dict = field(default_factory=dict)  # owner -> {index: share}
-    published_shares: dict = field(default_factory=dict)  # owner -> [shares]
+    published_shares: dict = field(default_factory=dict)  # owner -> tuple of shares
     assist_reward_paid: int = 0
     transitions: list = field(default_factory=list)  # (from, to, tick)
 
     __deepcopy__ = copier(
         share="session_id state escrow sn appeal_deadline close_deadline settle_cutoff h_pre "
               "lock_deadline assist_deadline assist_reward_paid",
-        copy="parties deposits pending_open uploaded collected_closes locked_allocations "
-             "recovery_requested transitions",
-        deep="bindings collected_shares published_shares")
+        copy="parties deposits pending_open uploaded bindings collected_closes locked_allocations "
+             "recovery_requested transitions published_shares",
+        deep="collected_shares")
 
     def set_state(self, new_state: str, tick: int):
         edge = (self.state, new_state)
@@ -371,7 +410,8 @@ class ChannelContract:
     # -- dispatch -----------------------------------------------------------
 
     def execute(self, tx: OnChainTx, chain):
-        """Returns (ok, result, detail) without raising on bad input."""
+        """Returns (ok, result, detail) without raising on bad input; detail
+        is the record DETAILS declares for an ok result, or None."""
         handler = {
             OPEN_TX: self.handle_open,
             UPLOAD_TX: self.handle_upload,
@@ -406,7 +446,7 @@ class ChannelContract:
             s.parties = list(s.pending_open)
             s.deposits = dict(s.pending_open)
             s.set_state(OPEN_CE, chain.now)
-            return True, OPEN_CE, {"deposits": dict(s.deposits)}
+            return True, OPEN_CE, Opened(dict(s.deposits))
         return True, "open pending", None
 
     def handle_upload(self, tx, chain):
@@ -427,18 +467,10 @@ class ChannelContract:
         if s.sn is None:
             s.sn = hash_bytes(chain.prev_block_hash() + enc_str(tx.session_id) + b"sn")[:16]
         s.uploaded[tx.sender] = p
-        s.bindings[tx.sender] = [(picks[i], i + 1, p.share_hashes[i]) for i in range(p.n)]
+        bindings = s.bindings[tx.sender] = tuple(map(Binding, picks, range(1, p.n + 1), p.share_hashes))
         deadline = chain.now + chain.timers.appeal_window
         s.appeal_deadline = max(s.appeal_deadline or 0, deadline)
-        return True, BINDINGS_PUBLISHED, {
-            "owner": tx.sender,
-            "sn": s.sn,
-            "bindings": list(s.bindings[tx.sender]),
-            "appeal_deadline": s.appeal_deadline,
-            "t": p.t,
-            "n": p.n,
-            "h_k": p.h_k,
-        }
+        return True, BINDINGS_PUBLISHED, Bound(tx.sender, s.sn, bindings, p.t, p.h_k)
 
     def handle_appeal(self, tx, chain):
         s = self.sessions.get(tx.session_id)
@@ -464,7 +496,7 @@ class ChannelContract:
                 # proven: owner signed a share differing from its commitment
                 self._return_escrow(s, chain)
                 s.set_state(TERMINATED, chain.now)
-                return True, TERMINATED, {"owner": owner, "miner": miner}
+                return True, TERMINATED, None
         if saw_binding:
             return False, "owner signature invalid", None
         return False, "no matching binding", None
@@ -482,14 +514,12 @@ class ChannelContract:
         if f.session_id != tx.session_id:
             return False, "wrong session", None
         s.collected_closes[(tx.sender, f.channel_path)] = p
-        detail = None
         if s.close_deadline is None:
             level0 = {sender for (sender, path) in s.collected_closes if path == ()}
             if all(party in level0 for party in s.parties):
                 s.close_deadline = chain.now + chain.timers.close_window
-                detail = {"close_deadline": s.close_deadline}
-                return True, CLOSE_WINDOW_STARTED, detail
-        return True, "close recorded", detail
+                return True, CLOSE_WINDOW_STARTED, None
+        return True, "close recorded", None
 
     def handle_lock(self, tx, chain):
         s = self.sessions.get(tx.session_id)
@@ -506,11 +536,7 @@ class ChannelContract:
         if chain.timers.assist_window is not None:
             s.assist_deadline = chain.now + chain.timers.assist_window
         s.set_state(LOCK, chain.now)
-        return True, LOCK, {
-            "h_pre": s.h_pre,
-            "lock_deadline": s.lock_deadline,
-            "assist_deadline": s.assist_deadline,
-        }
+        return True, LOCK, Locked(s.h_pre)
 
     def _check_update_window(self, s, sender, chain):
         if sender in s.parties:
@@ -527,7 +553,6 @@ class ChannelContract:
 
     def _finalize_update(self, s, sender, chain):
         self._apply_allocations(s, chain)
-        detail = {"by": sender}
         if sender not in s.parties:
             # miner assist: reward comes out of the assisted party's allocation
             gains = {
@@ -539,10 +564,7 @@ class ChannelContract:
                 chain.debit(beneficiary, reward)
                 chain.credit(sender, reward)
             s.assist_reward_paid = reward
-            detail["assist_reward"] = reward
-            detail["beneficiary"] = beneficiary
         s.set_state(SUCCESS, chain.now)
-        return detail
 
     def handle_update(self, tx, chain):
         """Update and UpdateEIE. An UpdateEIE also names an uploaded key by
@@ -560,64 +582,47 @@ class ChannelContract:
             owner = next((a for a in sorted(s.uploaded) if s.uploaded[a].h_k == tx.payload.h_k), None)
             if owner is None:
                 return False, "unknown key hash", None
-        detail = self._finalize_update(s, tx.sender, chain)
-        detail["pre"] = tx.payload.pre
-        if owner is not None:
-            if owner not in s.recovery_requested:
-                s.recovery_requested.append(owner)
-            detail["recover_owner"] = owner
-            detail["recover_miners"] = [m for (m, _i, _h) in s.bindings[owner]]
-        return True, SUCCESS, detail
+        self._finalize_update(s, tx.sender, chain)
+        if owner is not None and owner not in s.recovery_requested:
+            s.recovery_requested.append(owner)
+        return True, SUCCESS, Unlocked(tx.payload.pre, owner)
 
     def handle_recover(self, tx, chain):
         s = self.sessions.get(tx.session_id)
         if s is None or not s.recovery_requested:
             return False, "no recovery requested", None
-        accepted = []
-        events = None
+        accepted = False
+        published = None
         for ks in tx.payload.slots():
             for owner in s.recovery_requested:
-                match = [
-                    (m, i, h)
-                    for (m, i, h) in s.bindings.get(owner, [])
-                    if m == tx.sender and i == ks.index
-                ]
-                if not match:
-                    continue
-                _m, _i, bound_hash = match[0]
-                if vss.share_hash(ks) != bound_hash:
+                match = [b for b in s.bindings.get(owner, ()) if b.miner == tx.sender and b.index == ks.index]
+                if not match or vss.share_hash(ks) != match[0].share_hash:
                     continue
                 store = s.collected_shares.setdefault(owner, {})
                 if ks.index in store:
                     continue  # duplicate index ignored
                 store[ks.index] = ks
-                accepted.append((owner, ks.index))
+                accepted = True
                 threshold = s.uploaded[owner].t
                 if owner not in s.published_shares and len(store) >= threshold:
-                    s.published_shares[owner] = [store[i] for i in sorted(store)]
-                    events = {
-                        "published_owner": owner,
-                        "shares": s.published_shares[owner],
-                    }
+                    s.published_shares[owner] = tuple(store[i] for i in sorted(store))
+                    published = Published(owner, s.published_shares[owner])
         if not accepted:
             return False, "no share accepted", None
-        detail = {"accepted": accepted}
-        if events:
-            detail.update(events)
-        return True, SHARES_RECORDED, detail
+        return True, SHARES_RECORDED, published
 
     # -- block-boundary timers ------------------------------------------------
 
     def process_timers(self, chain):
-        """Run at every block: expire windows, settle, refund. Returns
-        events as (kind, session_id, state entered, detail)."""
+        """Run at every block: expire windows, settle, refund. Returns the
+        (session_id, state entered) of each session a timer moved."""
         events = []
         now = chain.now
         for sid in sorted(self.sessions):
             s = self.sessions[sid]
             if s.state == OPEN_CE and s.appeal_deadline is not None and now > s.appeal_deadline:
                 s.set_state(OPEN, now)
-                events.append(("Timer", sid, OPEN, None))
+                events.append((sid, OPEN))
             if s.state in (OPEN_CE, OPEN) and s.close_deadline is not None and now > s.close_deadline:
                 result = settle_levels(
                     sid,
@@ -628,19 +633,18 @@ class ChannelContract:
                 if not result.ok:
                     self._return_escrow(s, chain)
                     s.set_state(TERMINATED, now)
-                    events.append(("Timer", sid, TERMINATED, {"why": result.detail}))
+                    events.append((sid, TERMINATED))
                 else:
                     s.locked_allocations = result.allocations
                     s.settle_cutoff = result.cutoff_level
                     s.set_state(CLOSE, now)
-                    detail = {"allocations": dict(result.allocations), "cutoff": result.cutoff_level}
-                    events.append(("Timer", sid, CLOSE, detail))
+                    events.append((sid, CLOSE))
             if s.state == LOCK:
                 deadline = s.assist_deadline if s.assist_deadline is not None else s.lock_deadline
                 if now > deadline:
                     self._return_escrow(s, chain)
                     s.set_state(REFUNDED, now)
-                    events.append(("Timer", sid, REFUNDED, None))
+                    events.append((sid, REFUNDED))
         return events
 
     # -- baseline sessions ------------------------------------------------------

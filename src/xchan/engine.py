@@ -235,7 +235,8 @@ def _dispatch(actor, net, msg: Message):
     """Run the actor's handler for msg's kind if msg is well formed, or else
     count msg in actor.rejected by reason. A wakeup must be a Timer the actor
     set, of a kind in actor.TIMERS, on a chain it serves; any other message
-    must pass actor.problem, and a chain event come from the chain it names."""
+    must pass actor.problem, and a chain event come from the chain it names
+    and, when ok, carry the detail record its result declares."""
     handler, fields = actor.HANDLERS.get(msg.kind, (None, None))
     data = msg.data
     if handler is None:
@@ -247,8 +248,12 @@ def _dispatch(actor, net, msg: Message):
                else None if actor.serves(data.chain_id) else "unknown chain")
     else:
         why = actor.problem(msg, fields)
-        if why is None and fields is EVENT_FIELDS and not msg.src == data["chain_id"] == data["event"].chain_id:
-            why = "not sent by the chain it names"
+        if why is None and fields is EVENT_FIELDS:
+            ev = data["event"]
+            if not msg.src == data["chain_id"] == ev.chain_id:
+                why = "not sent by the chain it names"
+            elif ev.ok and not isinstance(ev.detail, ct.DETAILS.get(ev.result, type(None))):
+                why = "detail is not the record its result declares"
     if why is not None:
         actor.rejected["%s: %s" % (msg.kind, why)] += 1
     else:
@@ -518,19 +523,18 @@ class Party:
         payload = ct.UploadPayload(h_k=h_k, n=st.n, t=st.t, share_hashes=hashes)
         self._submit(net, side.chain_id, side.session_id, ct.UPLOAD_TX, payload)
 
-    def _distribute_shares(self, net, side: ChainSide, detail):
+    def _distribute_shares(self, net, side: ChainSide, bound: ct.Bound):
         st = side.exchange
-        sn = detail["sn"]
         kp = self.keys[side.chain_id]
-        for miner_addr, index, _h in detail["bindings"]:
-            ks = st.dealing.shares[index - 1]
-            if self.behavior.fake_key_share and index == 1:
+        for b in bound.bindings:
+            ks = st.dealing.shares[b.index - 1]
+            if self.behavior.fake_key_share and b.index == 1:
                 ks = replace(ks, s=(ks.s + 1) % self.group.q)
-            sig = kp.sign(vss.share_message_bytes(ks, sn))
-            dst = self.directory.get(miner_addr)
+            sig = kp.sign(vss.share_message_bytes(ks, bound.sn))
+            dst = self.directory.get(b.miner)
             if dst:
                 data = {"chain_id": side.chain_id, "session_id": side.session_id, "owner": kp.address,
-                        "share": ks, "dealing_pub": st.dealing.public, "sn": sn, "sig": sig}
+                        "share": ks, "dealing_pub": st.dealing.public, "sn": bound.sn, "sig": sig}
                 net.send("share", self.name, dst, data)
 
     def _run_theta_exchange(self, net, ps: PartySession, side: ChainSide):
@@ -648,10 +652,10 @@ class Party:
             side.state = ev.state
         handler = self.EVENTS.get(ev.result) if ev.ok else None
         if handler is not None:
-            handler(self, net, ps, side, ev.detail or {})
+            handler(self, net, ps, side, ev.detail)
 
-    def _on_open(self, net, ps: PartySession, side: ChainSide, detail):
-        deposits = detail.get("deposits", {})
+    def _on_open(self, net, ps: PartySession, side: ChainSide, opened: ct.Opened):
+        deposits = opened.deposits
         my = self.address(side.chain_id)
         if () not in side.views and my in deposits and len(deposits) == 2:
             members = tuple(sorted(deposits))
@@ -669,11 +673,10 @@ class Party:
         if side.views and () not in side.views:  # root members close through _maybe_close
             self._close(net, side)
 
-    def _on_upload(self, net, ps: PartySession, side: ChainSide, detail):
-        owner = detail["owner"]
-        side.uploads[owner] = (detail["t"], detail["h_k"])
-        if owner == self.address(side.chain_id):
-            self._distribute_shares(net, side, detail)
+    def _on_upload(self, net, ps: PartySession, side: ChainSide, bound: ct.Bound):
+        side.uploads[bound.owner] = (bound.t, bound.h_k)
+        if bound.owner == self.address(side.chain_id):
+            self._distribute_shares(net, side, bound)
 
     def _on_close(self, net, ps: PartySession, side: ChainSide, detail):
         mine = ps.lock_chain == side.chain_id
@@ -684,7 +687,7 @@ class Party:
         if mine and not ps.holder:
             self._relay_lock_if_ready(net, ps)
 
-    def _on_lock(self, net, ps: PartySession, side: ChainSide, detail):
+    def _on_lock(self, net, ps: PartySession, side: ChainSide, locked: ct.Locked):
         if ps.lock_chain in (None, side.chain_id):
             return  # no part in the lock choreography, or our own lock
         if ps.holder:
@@ -693,13 +696,13 @@ class Party:
         else:
             # the first lock is on chain; mirror it once our side closed
             if ps.h_pre is None:
-                ps.h_pre = detail["h_pre"]
+                ps.h_pre = locked.h_pre
             self._relay_lock_if_ready(net, ps)
 
-    def _on_success(self, net, ps: PartySession, side: ChainSide, detail):
+    def _on_success(self, net, ps: PartySession, side: ChainSide, unlocked: ct.Unlocked):
         # the preimage revealed on this party's lock chain unlocks the other
-        if "pre" in detail and not ps.holder and ps.lock_chain == side.chain_id:
-            ps.pre = detail["pre"]
+        if not ps.holder and ps.lock_chain == side.chain_id:
+            ps.pre = unlocked.pre
             if ps.mode == "FE":
                 # the preimage doubles as the decryption key; the ciphertext
                 # may have been exchanged on either chain
@@ -709,15 +712,14 @@ class Party:
             (other,) = (c for c in ps.sides if c != side.chain_id)
             self._submit_update(net, ps, other)
 
-    def _on_shares_recorded(self, net, ps: PartySession, side: ChainSide, detail):
-        owner = detail.get("published_owner")
-        if owner is None or owner == self.address(side.chain_id):
+    def _on_shares_recorded(self, net, ps: PartySession, side: ChainSide, published: ct.Published | None):
+        if published is None or published.owner == self.address(side.chain_id):
             return  # below threshold yet, or own key: nothing to recover
-        upload = side.uploads.get(owner)
+        upload = side.uploads.get(published.owner)
         if upload is None or side.counterpart_publics is None:
             return
         t, h_k = upload
-        key = vss.recover(detail["shares"], t, self.group)
+        key = vss.recover(published.shares, t, self.group)
         if hash_bytes(key_to_bytes(key)) != h_k:
             self.violations.append(("recovered-key-hash-mismatch", side.chain_id, side.session_id))
         else:
@@ -832,15 +834,14 @@ class Miner:
         session = self.chain.read_session(session_id)
         if session is None or owner not in session.bindings:
             return
-        mine = [b for b in session.bindings[owner] if b[0] == self.kp.address and b[1] == share.index]
+        mine = [b for b in session.bindings[owner] if b.miner == self.kp.address and b.index == share.index]
         if not mine:
             return
         if self.behavior.stale_sn_replay and self.old_stored:
             old = self.old_stored[0]
             payload = ct.AppealPayload(owner_sig=old["sig"], share=old["share"], sn=old["sn"])
             self._submit(net, session_id, ct.APPEAL_TX, payload)
-        bound_hash = mine[0][2]
-        ok = vss.share_hash(share) == bound_hash and vss.verify_share(
+        ok = vss.share_hash(share) == mine[0].share_hash and vss.verify_share(
             share, data["dealing_pub"], self.group
         )
         if not ok:
@@ -853,14 +854,13 @@ class Miner:
 
     def on_chain_event(self, net, msg):
         ev: ChainEvent = msg.data["event"]
-        detail = ev.detail or {}
-        if ev.chain_id == self.chain.chain_id:
-            if "recover_owner" in detail:
-                self._answer_recovery(net, ev.session_id, detail["recover_owner"])
+        if ev.state != ct.SUCCESS:
             return
-        # cross-chain observation: a revealed preimage on the other chain
-        if self.behavior.assist and "pre" in detail and ev.state == ct.SUCCESS:
-            self.learned_pre[ev.session_id] = detail["pre"]
+        if ev.chain_id == self.chain.chain_id:
+            if ev.detail.recover_owner is not None:
+                self._answer_recovery(net, ev.session_id, ev.detail.recover_owner)
+        elif self.behavior.assist:  # a preimage revealed on the other chain
+            self.learned_pre[ev.session_id] = ev.detail.pre
             self._consider_assist(net, ev.session_id)
 
     def _answer_recovery(self, net, session_id, owner):

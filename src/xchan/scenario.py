@@ -230,13 +230,13 @@ def _behavior_for(config, name) -> BehaviorProfile:
     return BehaviorProfile(**flags)
 
 
-def build_world(config: ScenarioConfig, mode: str = "run") -> World:
+def build_world(config: ScenarioConfig) -> World:
     violations = config.validate()
     if violations:
         raise ConfigError(violations)
     group = DEFAULT_GROUP
     latency = LatencyModel.from_config(config.latency)
-    net = Simnet(seed=config.seed, latency=latency, mode=mode)
+    net = Simnet(seed=config.seed, latency=latency)
     timers_a = TimerConfig(
         appeal_window=config.appeal_window,
         close_window=config.close_window,
@@ -527,9 +527,8 @@ def run_scaling_sweep(config: ScenarioConfig, channel_counts) -> SweepResult:
 
 
 def write_trace(trace, path):
-    with open(path, "w") as fh:
-        for entry in trace:
-            fh.write(json.dumps(entry, sort_keys=False) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(trace_bytes(trace) + b"\n")
 
 
 def trace_bytes(trace) -> bytes:

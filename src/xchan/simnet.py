@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+from .chain import MISTYPED
 from .contract import OnChainTx
 from .forking import Shared, copier
 
@@ -132,7 +133,7 @@ class PendingMsg(Shared):
 
 class ChainActor:
     """Routes tx messages into a chain's mempool; counts in ``rejected`` by
-    reason any other message, or one whose data holds no transaction."""
+    reason, untraced, any other message or one holding no well-typed tx."""
 
     def __init__(self, chain):
         self.chain = chain
@@ -147,6 +148,9 @@ class ChainActor:
             self.rejected["%s: %s" % (msg.kind, why)] += 1
             return
         ok, why = self.chain.submit_tx(tx)
+        if why.startswith(MISTYPED):  # its kind may not even be a str
+            self.rejected["tx: " + why] += 1
+            return
         net.log(
             {
                 "tick": net.now,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from xchan.cli import main
+from xchan.scenario import ScenarioConfig, run_scenario, trace_bytes
 
 CONFIG = {
     "mode": "CE",
@@ -33,6 +34,14 @@ def test_run_writes_metrics_and_trace(config_path, tmp_path, capsys):
     assert data["invariants_ok"]
     out = json.loads(capsys.readouterr().out)
     assert out["outcomes"] == {"alpha:c0": "Success", "beta:c0": "Success"}
+
+
+def test_run_trace_file_is_trace_bytes(config_path, tmp_path):
+    """run --trace writes the run's one trace byte form and a final newline."""
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", config_path, "--trace", str(trace)]) == 0
+    _metrics, entries = run_scenario(ScenarioConfig.from_json(config_path))
+    assert trace.read_bytes() == trace_bytes(entries) + b"\n"
 
 
 def test_run_seed_override_changes_nothing_structural(config_path, capsys):

@@ -9,6 +9,7 @@ from xchan import contract as ct
 from xchan import vss
 from xchan.chain import Chain, TimerConfig
 from xchan.crypto import TINY_GROUP, hash_bytes, key_to_bytes, keypair_from_label
+from xchan.receipts import make_final_state
 
 S = keypair_from_label("ct:S")
 R = keypair_from_label("ct:R")
@@ -153,6 +154,63 @@ class TestUpload:
         s = close_to_allocations(d)
         assert s.state == ct.CLOSE
         assert s.locked_allocations == {S.address: 100, R.address: 100}
+
+
+class TestCloseAdmission:
+    """A close the contract cannot admit fails with its reason and leaves
+    the collected closes as they were."""
+
+    def submit_close(self, d, kp, final=None):
+        final = final or make_final_state(kp, "c0", (), {kp.address: 1})
+        d.submit(kp, "c0", ct.CLOSE_TX, ct.ClosePayload(final=final, srs=(), trs=()))
+
+    def rejected(self, d):
+        """Why the one close in the next block failed; it collected nothing."""
+        before = dict(d.session().collected_closes)
+        (ev,) = [ev for ev in d.step() if ev.tx_kind == ct.CLOSE_TX]
+        assert not ev.ok and ev.detail is None
+        assert d.session().collected_closes == before
+        return ev.result
+
+    def test_not_open(self):
+        d = Driver()
+        open_channel(d)
+        close_to_allocations(d)
+        self.submit_close(d, S)
+        assert self.rejected(d) == "not open"
+
+    def test_close_window_expired(self):
+        """A close executed in the block past the window, before the
+        timer settles the session."""
+        d = Driver()
+        open_channel(d)
+        self.submit_close(d, S)
+        self.submit_close(d, R)
+        d.step()
+        s = d.session()
+        d.step_until(s.close_deadline)
+        self.submit_close(d, S, final=make_final_state(S, "c0", (), {S.address: 2}))
+        assert self.rejected(d) == "close window expired"
+        assert s.state == ct.CLOSE
+
+    def test_bad_final_state_signature(self):
+        d = Driver()
+        open_channel(d)
+        self.submit_close(d, R)
+        d.step()
+        signed = make_final_state(S, "c0", (), {S.address: 1})
+        self.submit_close(d, S, final=replace(signed, balances={S.address: 200}))
+        assert self.rejected(d) == "bad final-state signature"
+        assert d.session().close_deadline is None
+
+    def test_wrong_session(self):
+        d = Driver()
+        open_channel(d)
+        self.submit_close(d, R)
+        d.step()
+        self.submit_close(d, S, final=make_final_state(S, "c1", (), {S.address: 1}))
+        assert self.rejected(d) == "wrong session"
+        assert d.session().close_deadline is None
 
 
 class TestAppeal:

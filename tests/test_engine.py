@@ -332,7 +332,12 @@ MALFORMED = {
         "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}),
     "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", {}),
     "miner-chain_event-forged": ("M.alpha.1", "chain_event", "beta",
-                                 _event(ct.SUCCESS, detail={"recover_owner": _S})),
+                                 _event(ct.SUCCESS, detail=ct.Unlocked(b"", _S))),
+    # an ok chain event whose detail is not the record its result declares
+    "chain_event-lock-no-record": ("R", "chain_event", "alpha", _event(ct.LOCK)),
+    "chain_event-bound-no-record": ("S", "chain_event", "alpha", _event(ct.BINDINGS_PUBLISHED)),
+    "miner-chain_event-success-dict": ("M.alpha.1", "chain_event", "alpha",
+                                       _event(ct.SUCCESS, detail={"pre": b"x", "recover_owner": _S})),
     # well-typed signed values or key shares holding a mistyped field
     "receipt-list-session": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(session_id=["c0"])}),
     "receipt-list-path": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(channel_path=[1])}),
@@ -378,6 +383,39 @@ class TestMalformedMessages:
         party.on_message(world.net, Message("chain_event", "alpha", "S", _event(ok=False)))
         assert _snapshot(world, party) == before
         assert not party.rejected
+
+    def test_ok_events_carry_declared_records(self):
+        """In an EIE run with share recovery, every ok chain event's detail
+        is the record its result declares, or None for any other result."""
+        cfg = ScenarioConfig(mode="EIE", receipts_n=2, seed=15, vss_t=2, vss_n=3, byzantine_ell=1,
+                             n_node=4, byzantine_miners=1)
+        world = build_world(cfg)
+        events = []
+        for chain in (world.alpha, world.beta):
+            def produce(tick, produce_block=chain.produce_block):
+                block_events = produce_block(tick)
+                events.extend(block_events)
+                return block_events
+            chain.produce_block = produce
+        for name in ("S", "R"):
+            for chain in (world.alpha, world.beta):
+                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        world.net.run_until(max_tick=cfg.max_ticks)
+        declared = {ct.OPEN_CE: ct.Opened, ct.BINDINGS_PUBLISHED: ct.Bound, ct.LOCK: ct.Locked,
+                    ct.SUCCESS: ct.Unlocked, ct.SHARES_RECORDED: (ct.Published, type(None))}
+        for ev in events:
+            assert isinstance(ev.detail, declared.get(ev.result, type(None)) if ev.ok else type(None)), ev
+            if isinstance(ev.detail, ct.Bound):
+                session = world.net.actors[ev.chain_id].chain.read_session(ev.session_id)
+                assert ev.detail.bindings == session.bindings[ev.detail.owner]
+                assert all(type(b) is ct.Binding for b in ev.detail.bindings)
+        kinds = {type(ev.detail) for ev in events}
+        assert kinds >= {ct.Opened, ct.Bound, ct.Locked, ct.Unlocked, ct.Published}
+        # the run recovered keys: an UpdateEIE named an owner, and shares published
+        assert any(isinstance(ev.detail, ct.Unlocked) and ev.detail.recover_owner for ev in events)
+        assert all(len(ev.detail.shares) == cfg.vss_t for ev in events if isinstance(ev.detail, ct.Published))
+        for actor in world.net.actors.values():
+            assert not getattr(actor, "rejected", None)
 
     def test_well_formed_messages_not_counted(self):
         world = _eie_world_mid_run()

@@ -4,6 +4,7 @@ schedule enumerator's interleaving counts, and world forks."""
 import copy
 import dataclasses
 import gc
+import json
 import math
 import random
 import types
@@ -276,9 +277,26 @@ class TestChainActor:
         net.add_chain(c)
         tx = contract.OnChainTx("alpha", "c0", "S", contract.OPEN_TX, contract.OpenPayload(5))
         tx = dataclasses.replace(tx, **{field: [getattr(tx, field)]})
-        net.actors["alpha"].on_message(net, Message("tx", "S", "alpha", {"tx": tx}))
-        assert c.mempool == []
-        assert net.trace[-1]["why"] == "malformed: mistyped OnChainTx.%s" % field
+        actor = net.actors["alpha"]
+        actor.on_message(net, Message("tx", "S", "alpha", {"tx": tx}))
+        assert c.mempool == [] and net.trace == []
+        assert actor.rejected == {"tx: malformed: mistyped OnChainTx.%s" % field: 1}
+
+    def test_mistyped_kind_leaves_trace_serializable(self):
+        """A transaction whose kind is bytes is counted, not traced, so the
+        run trace still serializes; a well-typed submission is traced."""
+        net = Simnet()
+        c = chain.Chain("alpha", 3, chain.TimerConfig(6, 6, 10, 20))
+        c.create_account("S", 10)
+        net.add_chain(c)
+        actor = net.actors["alpha"]
+        for kind in (b"Open", contract.OPEN_TX):
+            tx = contract.OnChainTx("alpha", "c0", "S", kind, contract.OpenPayload(5))
+            actor.on_message(net, Message("tx", "S", "alpha", {"tx": tx}))
+        assert actor.rejected == {"tx: malformed: mistyped OnChainTx.kind": 1}
+        assert net.trace == [{"tick": 0, "kind": "submit", "chain_id": "alpha", "tx_kind": "Open",
+                              "from": "S", "accepted": False, "why": "bad signature"}]
+        assert scenario.trace_bytes(net.trace) == json.dumps(net.trace[0]).encode()
 
 
 class TestEnumeration:
