@@ -6,6 +6,15 @@ used everywhere a digest is needed. The commitment group is swappable:
 DEFAULT_GROUP is a 256-bit safe-prime group for normal runs, TINY_GROUP a
 101-order subgroup small enough for brute-force oracles.
 
+Ed25519 runs in libsodium (``libsodium.so.23``, 1.0.18 or later) through
+one ctypes binding loaded at import; importing this module raises
+ImportError when the library is missing. Signatures are RFC 8032's
+deterministic ones, byte for byte. Verification applies libsodium's
+rules on top of RFC 8032's: S must be below the group order, and R and
+the public key must be canonical and not of small order, so a signature
+under a small-order key (such as the identity, under which one signature
+would verify for every message) is rejected.
+
 Everything here is pure and immutable after construction. The one state
 kept between calls is public and immutable: each group lazily builds its
 fixed-base exponentiation tables on its first commitment and keeps them.
@@ -13,15 +22,11 @@ fixed-base exponentiation tables on its first commitment and keeps them.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 from .forking import Shared
 from .wire import U64, enc_scalar, enc_seq, enc_u64
@@ -134,6 +139,32 @@ def pedersen_commit(s: int, r: int, params: GroupParams) -> int:
 # Signatures
 
 SIGNATURE_SIZE = 64
+PUBLIC_KEY_SIZE = 32
+
+
+def _load_sodium():
+    path = ctypes.util.find_library("sodium")
+    if path is None:
+        raise ImportError("xchan.crypto needs libsodium (libsodium.so.23) for Ed25519; it was not found")
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError as e:
+        raise ImportError("xchan.crypto could not load libsodium from %s: %s" % (path, e)) from e
+    if lib.sodium_init() < 0:
+        raise ImportError("libsodium at %s failed to initialise" % path)
+    buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+    for fn, args in ((lib.crypto_sign_seed_keypair, [buf, buf, buf]),
+                     (lib.crypto_sign_detached, [buf, ctypes.c_void_p, buf, size, buf]),
+                     (lib.crypto_sign_verify_detached, [buf, buf, size, buf])):
+        fn.argtypes, fn.restype = args, ctypes.c_int
+    return lib
+
+
+_sodium = _load_sodium()
+# Output buffer types, built once: a new array type per call would leave
+# a reference cycle behind each signature.
+_Buf32 = ctypes.c_char * PUBLIC_KEY_SIZE
+_Buf64 = ctypes.c_char * SIGNATURE_SIZE
 
 
 class KeyPair(Shared):
@@ -144,15 +175,21 @@ class KeyPair(Shared):
     """
 
     def __init__(self, seed: bytes):
-        if len(seed) != 32:
+        if type(seed) is not bytes or len(seed) != 32:
             raise ValueError("seed must be 32 bytes")
         self.seed = seed
-        self._sk = Ed25519PrivateKey.from_private_bytes(seed)
-        self.public_bytes = self._sk.public_key().public_bytes_raw()
+        pk, sk = _Buf32(), _Buf64()
+        _sodium.crypto_sign_seed_keypair(pk, sk, seed)
+        self._sk = sk.raw  # seed || public key, libsodium's 64-byte secret form
+        self.public_bytes = pk.raw
         self.address = self.public_bytes.hex()
 
     def sign(self, msg: bytes) -> bytes:
-        return self._sk.sign(msg)
+        if type(msg) is not bytes:  # libsodium reads len(msg) bytes
+            raise TypeError("msg must be bytes")
+        sig = _Buf64()
+        _sodium.crypto_sign_detached(sig, None, msg, len(msg), self._sk)
+        return sig.raw
 
     def __repr__(self):
         return "KeyPair(%s...)" % self.address[:8]
@@ -165,14 +202,19 @@ def keypair_from_label(label: str) -> KeyPair:
 def verify(address: str, msg: bytes, sig: bytes) -> bool:
     """True iff sig is a valid signature by the key behind address.
 
-    Malformed addresses or signature bytes return False, never raise.
+    Anything libsodium could misread returns False and never raises: a
+    sig that is not 64 bytes, an address that is not the hex of 32 bytes,
+    a msg that is not bytes.
     """
-    try:
-        pk = Ed25519PublicKey.from_public_bytes(bytes.fromhex(address))
-        pk.verify(sig, msg)
-        return True
-    except (InvalidSignature, ValueError, TypeError):
+    if not (type(sig) is bytes and len(sig) == SIGNATURE_SIZE and type(msg) is bytes):
         return False
+    try:
+        pk = bytes.fromhex(address)
+    except (TypeError, ValueError):
+        return False
+    if len(pk) != PUBLIC_KEY_SIZE:
+        return False
+    return _sodium.crypto_sign_verify_detached(sig, msg, len(msg), pk) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,9 @@ def _dispatch(actor, net, msg: Message):
     """Run the actor's handler for msg's kind if msg is well formed, or else
     count msg in actor.rejected by reason. A wakeup must be a Timer the actor
     set, of a kind in actor.TIMERS, on a chain it serves; any other message
-    must pass actor.problem, and a chain event come from the chain it names
-    and, when ok, carry the detail record its result declares."""
+    must pass actor.problem, and a chain event come from the chain it names,
+    carry a string result and, when ok, the detail record its result
+    declares."""
     handler, fields = actor.HANDLERS.get(msg.kind, (None, None))
     data = msg.data
     if handler is None:
@@ -252,6 +253,8 @@ def _dispatch(actor, net, msg: Message):
             ev = data["event"]
             if not msg.src == data["chain_id"] == ev.chain_id:
                 why = "not sent by the chain it names"
+            elif type(ev.result) is not str:
+                why = "result is not a string"
             elif ev.ok and not isinstance(ev.detail, ct.DETAILS.get(ev.result, type(None))):
                 why = "detail is not the record its result declares"
     if why is not None:

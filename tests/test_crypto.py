@@ -1,7 +1,10 @@
 import copy
+import hashlib
 import random
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from xchan.crypto import (
     TINY_GROUP,
     Ciphertext,
     GroupParams,
+    KeyPair,
     decrypt,
     derive_generator,
     encrypt,
@@ -229,11 +233,142 @@ class TestSignatures:
             assert not verify(kp.address, msg, bytes(mutated))
 
     def test_malformed_inputs_never_raise(self):
+        """libsodium reads exactly 64 signature bytes, 32 key bytes and
+        len(msg) message bytes: every other shape or type returns False
+        before the call, even where the content is an honest signature's."""
         kp = keypair_from_label("robust")
-        assert not verify(kp.address, b"m", b"")
-        assert not verify(kp.address, b"m", b"\x00" * 63)
-        assert not verify("zz-not-hex", b"m", b"\x00" * 64)
-        assert not verify("aabb", b"m", b"\x00" * 64)
+        msg = b"honest message"
+        sig = kp.sign(msg)
+        assert verify(kp.address, msg, sig)
+        key = kp.public_bytes
+        probes = [
+            (kp.address, b"m", b""),
+            (kp.address, b"m", b"\x00" * 63),
+            ("zz-not-hex", b"m", b"\x00" * 64),
+            ("aabb", b"m", b"\x00" * 64),
+            (kp.address, msg, sig[:63]),
+            (kp.address, msg, sig + b"\x00"),
+            (kp.address, msg, bytearray(sig)),
+            (kp.address, msg, memoryview(sig)),
+            (kp.address, msg, sig.hex()),
+            (kp.address, msg, None),
+            (key[:31].hex(), msg, sig),
+            ((key + b"\x00").hex(), msg, sig),
+            (None, msg, sig),
+            (int.from_bytes(key, "big"), msg, sig),
+            (key, msg, sig),
+            (kp.address, msg.decode(), sig),
+            (kp.address, bytearray(msg), sig),
+            (kp.address, None, sig),
+        ]
+        for address, m, s in probes:
+            assert verify(address, m, s) is False
+
+    def test_sign_takes_bytes_only(self):
+        kp = keypair_from_label("robust")
+        for msg in ("text", bytearray(b"m"), memoryview(b"m"), None):
+            with pytest.raises(TypeError):
+                kp.sign(msg)
+        for seed in (bytes(31), bytes(33), bytearray(32), "0" * 32):
+            with pytest.raises(ValueError):
+                KeyPair(seed)
+
+
+# RFC 8032 section 7.1, TEST 1-3: (secret key, public key, message, signature)
+RFC8032_VECTORS = [
+    ("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+     "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
+     "",
+     "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"),
+    ("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+     "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
+     "72",
+     "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"),
+    ("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+     "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+     "af82",
+     "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"),
+]
+
+# order of the Ed25519 base point
+_L = 2**252 + 27742317777372353535851937790883648493
+
+
+def _reference_verify(address: str, msg: bytes, sig: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(bytes.fromhex(address)).verify(sig, msg)
+        return True
+    except InvalidSignature:
+        return False
+
+
+class TestBackend:
+    """The libsodium backend against RFC 8032's known answers and against
+    OpenSSL (through ``cryptography``) as a reference: the same keys and
+    signature bytes, and the same verdicts on honest and tampered input."""
+
+    @pytest.mark.parametrize("vector", RFC8032_VECTORS, ids=["test1", "test2", "test3"])
+    def test_rfc8032_known_answers(self, vector):
+        seed, public, msg, sig = (bytes.fromhex(x) for x in vector)
+        kp = KeyPair(seed)
+        assert kp.public_bytes == public
+        assert kp.address == public.hex()
+        assert kp.sign(msg) == sig
+        assert verify(kp.address, msg, sig)
+
+    def test_matches_reference(self):
+        rng = random.Random(8032)
+        keys = [KeyPair(rng.randbytes(32)) for _ in range(300)]
+        for i, kp in enumerate(keys):
+            ref = Ed25519PrivateKey.from_private_bytes(kp.seed)
+            assert kp.public_bytes == ref.public_key().public_bytes_raw()
+            msg = rng.randbytes(rng.choice((0, 1, 31, 64, 65, rng.randrange(400))))
+            sig = kp.sign(msg)
+            assert sig == ref.sign(msg)
+            msg_flip = bytearray(msg or b"\x00")
+            bit = rng.randrange(8 * len(msg_flip))
+            msg_flip[bit // 8] ^= 1 << (bit % 8)
+            sig_flip = bytearray(sig)
+            bit = rng.randrange(512)
+            sig_flip[bit // 8] ^= 1 << (bit % 8)
+            other = keys[i - 1].address
+            cases = [(kp.address, msg, sig), (kp.address, bytes(msg_flip), sig),
+                     (kp.address, msg, bytes(sig_flip)), (other, msg, sig)]
+            verdicts = [verify(*c) for c in cases]
+            assert verdicts == [_reference_verify(*c) for c in cases]
+            assert verdicts == [True, False, False, False]
+
+
+class TestStrictVerify:
+    """Signatures that satisfy RFC 8032's cofactorless equation only
+    because a point of small order is involved are rejected (Chalkias,
+    Garillot & Nikolaenko, "Taming the many EdDSAs", SSR 2020). OpenSSL
+    (cryptography 48) accepts both signatures below."""
+
+    IDENTITY = "01" + "00" * 31  # the neutral point, of order 1
+
+    def test_identity_key_universal_forgery_rejected(self):
+        # R = identity and S = 0 satisfy [S]B = R + [k]A for every message
+        # when A is the identity: one signature for everything
+        forged = b"\x01" + bytes(63)
+        for msg in (b"", b"pay 100 to mallory", bytes(range(256))):
+            assert not verify(self.IDENTITY, msg, forged)
+
+    def test_small_order_r_rejected(self):
+        # the key holder's own signature with R = identity and S = k * a:
+        # [S]B = [k]A = R + [k]A holds, but R has small order
+        seed = hash_bytes(b"small-order-r")
+        kp = KeyPair(seed)
+        digest = bytearray(hashlib.sha512(seed).digest()[:32])
+        digest[0] &= 248
+        digest[31] = (digest[31] & 127) | 64
+        a = int.from_bytes(digest, "little")
+        r = bytes.fromhex(self.IDENTITY)
+        for msg in (b"", b"small order R"):
+            k = int.from_bytes(hashlib.sha512(r + kp.public_bytes + msg).digest(), "little") % _L
+            sig = r + (k * a % _L).to_bytes(32, "little")
+            assert not verify(kp.address, msg, sig)
+            assert verify(kp.address, msg, kp.sign(msg))
 
 
 class TestCipher:

@@ -336,6 +336,8 @@ MALFORMED = {
     # an ok chain event whose detail is not the record its result declares
     "chain_event-lock-no-record": ("R", "chain_event", "alpha", _event(ct.LOCK)),
     "chain_event-bound-no-record": ("S", "chain_event", "alpha", _event(ct.BINDINGS_PUBLISHED)),
+    # a result that is not a string, which no record or handler table can key
+    "chain_event-list-result": ("S", "chain_event", "alpha", _event(result=["Close"])),
     "miner-chain_event-success-dict": ("M.alpha.1", "chain_event", "alpha",
                                        _event(ct.SUCCESS, detail={"pre": b"x", "recover_owner": _S})),
     # well-typed signed values or key shares holding a mistyped field
