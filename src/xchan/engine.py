@@ -21,8 +21,10 @@ orthogonal behavior flags so tests can enumerate them.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import contract as ct
@@ -35,6 +37,7 @@ from .receipts import (
     Receipt,
     Signed,
     SubChannelReceipt,
+    fold_receipt,
     make_final_state,
     make_receipt,
     make_sub_receipt,
@@ -73,16 +76,15 @@ class ChannelView:
     srs: list = field(default_factory=list)
     next_seq: int = 1
     last_sent_seq: int = 0
-    # balances() cache: the fold of _folded (receipts in insertion order,
-    # highest seq _folded_seq) under the delegation set _folded_delegated
+    # the fold of every held receipt under the delegation set _folded_delegated
+    # (None: refold on the next read), and the highest seq held
     _bal: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _folded: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _folded_seq: int = field(default=0, init=False, repr=False, compare=False)
+    _top: int = field(default=0, init=False, repr=False, compare=False)
     _folded_delegated: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     __deepcopy__ = copier(
-        share="chain_id session_id path members funder next_seq last_sent_seq _folded_seq _folded_delegated",
-        copy="initial receipts delegated srs _bal _folded")
+        share="chain_id session_id path members funder next_seq last_sent_seq _top _folded_delegated",
+        copy="initial receipts delegated srs _bal")
 
     @classmethod
     def of_sub_receipt(cls, chain_id: str, sr: SubChannelReceipt) -> "ChannelView":
@@ -92,34 +94,30 @@ class ChannelView:
         initial = {sr.funder: amount, sr.counterparty: 0}
         return cls(chain_id, sr.receipt.session_id, sr.child_path, members, initial, sr.funder)
 
-    def balances(self) -> dict:
-        """Current balances: replay_receipts over every held receipt.
+    def hold(self, tr: Receipt):
+        """Hold tr under its seq: the one way a receipt enters the view. A
+        receipt above every held seq is folded onto the cached balances
+        as it arrives; any other write (an insert below the top or a
+        replacement) drops the cache for a full replay on the next read."""
+        if self._bal is not None and tr.seq > self._top:
+            fold_receipt(self._bal, tr, self._folded_delegated, self.funder)
+            self._top = tr.seq
+        else:
+            self._bal = None
+        self.receipts[tr.seq] = tr
 
-        The result is cached with a snapshot of what it covers. When the
-        receipts added since the last call all have a seq above every
-        folded one, only they are folded onto the cache; any other change
-        (a receipt inserted below the highest folded seq, a folded receipt
-        replaced or removed, or a changed delegated set, including a
-        direct ``delegated.add``) falls back to a full replay. initial and
-        funder are fixed at construction. Returns a fresh dict each call;
-        callers may mutate it.
-        """
-        trs = list(self.receipts.values())
-        n = len(self._folded)
-        if not (
-            self._bal is not None
-            and self.delegated == self._folded_delegated
-            and trs[:n] == self._folded
-            and all(tr.seq > self._folded_seq for tr in trs[n:])
-        ):
-            self._bal, self._folded_seq, n = dict(self.initial), 0, 0
+    def balances(self) -> Mapping[str, int]:
+        """Current balances, the fold of every held receipt, as a read-only
+        view of the cache that hold keeps. A replay_receipts over every
+        held receipt rebuilds the cache after a write hold could not fold
+        alone, or once delegated has changed (a direct ``delegated.add``
+        included). initial and funder are fixed at construction."""
+        if self._bal is None or self.delegated != self._folded_delegated:
             self._folded_delegated = frozenset(self.delegated)
-        new = trs[n:]
-        if new:
-            self._bal, _ = replay_receipts(self._bal, new, self._folded_delegated, self.funder)
-            self._folded_seq = max(tr.seq for tr in new)
-        self._folded = trs
-        return dict(self._bal)
+            self._bal, _ = replay_receipts(self.initial, self.receipts.values(), self._folded_delegated,
+                                           self.funder)
+            self._top = max(self.receipts, default=0)
+        return MappingProxyType(self._bal)
 
     def other(self, addr: str) -> str:
         return self.members[1] if self.members[0] == addr else self.members[0]
@@ -215,18 +213,21 @@ class PartySession:
 
 
 EVENT_FIELDS = {"chain_id": str, "event": ChainEvent}
+# values a message carries whose own fields must hold their declared types
+TYPED = (Signed, vss.KeyShare, vss.DealingPublic, proofs.Proof, proofs.RelationPublicInputs)
 
 
 def _field_problem(data, fields) -> str | None:
     """Why data lacks one of the fields with its type, or None. A signed
-    value or key share must also hold the types its fields declare."""
+    value, key share, dealing, proof or proof input must also hold the
+    types its fields declare."""
     if not isinstance(data, dict):
         return "data is not a dict"
     for name, kind in fields.items():
         value = data.get(name)
         if not isinstance(value, kind):
             return "missing or mistyped %s" % name
-        if isinstance(value, (Signed, vss.KeyShare)) and (bad := mistyped(value)):
+        if isinstance(value, TYPED) and (bad := mistyped(value)):
             return "mistyped %s" % bad
     return None
 
@@ -371,7 +372,7 @@ class Party:
         if seq <= view.last_sent_seq:
             raise ct.InvariantViolation("receipt sequence not monotone")
         tr = make_receipt(kp, view.session_id, view.path, seq, view.other(kp.address), amount)
-        view.receipts[seq] = tr
+        view.hold(tr)
         view.next_seq = seq + 1
         view.last_sent_seq = seq
         dst = self.directory.get(tr.rcv)
@@ -399,7 +400,7 @@ class Party:
         sender_bal = view.balances().get(tr.snd, 0)
         if tr.amount > sender_bal:
             return  # refuse overspend; sender's copy dies at settlement too
-        view.receipts[tr.seq] = tr
+        view.hold(tr)
         view.next_seq = max(view.next_seq, tr.seq + 1)
         side.received[tr.channel_path] = side.received.get(tr.channel_path, 0) + 1
         # payee side of a planned sub-channel funding receipt
@@ -623,7 +624,7 @@ class Party:
         balances = view.balances()
         if self.behavior.inflate_final_state:
             me = self.address(view.chain_id)
-            balances[me] = balances.get(me, 0) + 1
+            balances = {**balances, me: balances.get(me, 0) + 1}
         return make_final_state(self.keys[view.chain_id], view.session_id, view.path, balances)
 
     # -- hash-time lock choreography ------------------------------------------------

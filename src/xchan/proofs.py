@@ -77,7 +77,7 @@ class Crs(Shared):
 
 @dataclass(frozen=True)
 class Proof(Shared):
-    backend_tag: int
+    backend_tag: U64
     binding: bytes
 
     def to_bytes(self) -> bytes:

@@ -11,21 +11,23 @@ with sequence number s in channel P is P + (s,).
 Every signed value derives from ``Signed``, which defines once its byte
 form (the signing bytes, which ``wire.enc_value`` derives from the
 declared field types, followed by the length-prefixed signature), the
-step that signs it, and its signature check. The signing bytes and the
-check's result are kept in declared fields that take no part in ``==``,
-``hash`` or ``repr``. Signed values are immutable (a final state's
-balances are read-only), so both hold for the value's lifetime. Values
-cross the simulated network by reference and deep-copy to themselves, so
-the payee's check on arrival, the contract's checks at close and
-settlement, and the same checks in every world fork share one encoding
-and one verification. ``dataclasses.replace`` builds a fresh, unchecked
-value, so a tampered copy is always encoded and verified anew.
+step that signs it, and its signature check. The signing bytes, the
+check's result and the ``wire.mistyped`` verdict are kept in declared
+fields that take no part in ``==``, ``hash`` or ``repr``. Signed values
+are immutable (a final state's balances are read-only), so all three
+hold for the value's lifetime. Values cross the simulated network by
+reference and deep-copy to themselves, so the payee's checks on arrival,
+the chain's and the contract's checks at close and settlement, and the
+same checks in every world fork share one encoding, one type check and
+one verification. ``dataclasses.replace`` builds a fresh, unchecked
+value, so a tampered copy is always encoded, type-checked and verified
+anew.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .crypto import KeyPair, verify
@@ -40,6 +42,7 @@ class Signed(Shared, Encoded):
 
     _sig_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
     _signing: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _mistyped: str | None = field(default=None, init=False, repr=False, compare=False)  # wire.mistyped
 
     def signing_bytes(self) -> bytes:
         if self._signing is None:
@@ -50,12 +53,13 @@ class Signed(Shared, Encoded):
         return self.signing_bytes() + enc_bytes(self.sig)
 
     def signed_by(self, kp: KeyPair):
-        """A copy carrying kp's signature; kp must be the signer's key."""
+        """A copy carrying kp's signature; kp must be the signer's key. It
+        equals ``replace(self, sig=...)`` without that call's cost, and
+        keeps the signing bytes (they exclude sig) but no check's verdict."""
         if kp.address != self.signer:
             raise ValueError("%s must be signed by its signer" % type(self).__name__)
-        signed = replace(self, sig=kp.sign(self.signing_bytes()))
-        # the copy differs only in sig, which its signing bytes exclude
-        object.__setattr__(signed, "_signing", self._signing)
+        signed = object.__new__(type(self))
+        signed.__dict__.update(self.__dict__, sig=kp.sign(self.signing_bytes()), _sig_ok=None, _mistyped=None)
         return signed
 
     def verify_sig(self) -> bool:
@@ -132,36 +136,42 @@ def make_final_state(kp: KeyPair, session_id, channel_path, balances) -> FinalSt
     return FinalState(session_id, tuple(channel_path), balances, kp.address).signed_by(kp)
 
 
-def replay_receipts(initial: dict, receipts, delegated_seqs, funder=None):
-    """Fold receipts in sequence order against starting balances.
+def fold_receipt(balances: dict, tr: Receipt, delegated_seqs, funder=None) -> bool:
+    """One step of the fold: apply tr to balances (keyed by the channel's
+    members) in place, and say whether it was applied. A delegated
+    receipt (its amount escrowed to a child channel) debits the sender
+    but credits nothing here. A receipt that would overdraw the sender is
+    skipped, as is anything not between channel members; in a sub-channel
+    only the funder may pay."""
+    if tr.amount < 0 or tr.seq < 1:
+        return False
+    if tr.snd == tr.rcv or tr.snd not in balances or tr.rcv not in balances:
+        return False
+    if funder is not None and tr.snd != funder:
+        return False
+    if balances[tr.snd] < tr.amount:
+        return False
+    balances[tr.snd] -= tr.amount
+    if tr.seq not in delegated_seqs:
+        balances[tr.rcv] += tr.amount
+    return True
 
-    Returns (balances, included) where balances reflect all debits plus
-    credits for non-delegated receipts; delegated receipts (their amount
-    escrowed to a child channel) debit the sender but credit nothing
-    here. Receipts that would overdraw the sender are skipped, as is
-    anything not between channel members; in a sub-channel only the
-    funder may pay.
+
+def replay_receipts(initial: dict, receipts, delegated_seqs, funder=None):
+    """Fold receipts in sequence order against starting balances, one
+    ``fold_receipt`` step each.
+
+    Returns (balances, included): the final balances and the receipts
+    the fold applied.
 
     The fold checks no signature. settle_levels pools only receipts it
     has verified; a ChannelView holds receipts its party signed or
-    verified on arrival. Folding receipts whose seqs all exceed those
-    of an earlier fold onto that fold's balances gives the same balances
-    as one fold over both sets; ChannelView.balances relies on this.
+    verified on arrival. One step of a receipt whose seq exceeds every
+    folded one, applied to a fold's balances, gives the balances of one
+    fold over both: ChannelView.hold relies on this to fold each receipt
+    once, as it arrives.
     """
     balances = dict(initial)
-    members = set(initial)
-    included = []
-    for tr in sorted(receipts, key=lambda t: t.seq):
-        if tr.amount < 0 or tr.seq < 1:
-            continue
-        if tr.snd == tr.rcv or tr.snd not in members or tr.rcv not in members:
-            continue
-        if funder is not None and tr.snd != funder:
-            continue
-        if balances[tr.snd] < tr.amount:
-            continue
-        balances[tr.snd] -= tr.amount
-        if tr.seq not in delegated_seqs:
-            balances[tr.rcv] += tr.amount
-        included.append(tr)
+    included = [tr for tr in sorted(receipts, key=lambda t: t.seq)
+                if fold_receipt(balances, tr, delegated_seqs, funder)]
     return balances, included

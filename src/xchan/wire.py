@@ -26,9 +26,10 @@ Scalar = Annotated[int, 1 << 256]  # enc_scalar
 
 
 class Encoded:
-    """A dataclass whose ``to_bytes()`` returns its ``enc_value`` bytes from
-    a memo on the value: a field declared to hold one encodes it by
-    ``to_bytes()`` rather than field by field."""
+    """An immutable dataclass whose ``to_bytes()`` returns its ``enc_value``
+    bytes from a memo on the value: a field declared to hold one encodes it
+    by ``to_bytes()`` rather than field by field. It also declares a
+    ``_mistyped`` field in which ``mistyped`` keeps its verdict."""
 
     __slots__ = ()
 
@@ -109,7 +110,18 @@ def enc_value(value, stop: str | None = None) -> bytes:
 def mistyped(value) -> str | None:
     """The first field of a dataclass value (a signed value, a payload or
     a key share) that does not hold its declared type, or None. Fields
-    that hold dataclasses are checked in turn."""
+    that hold dataclasses are checked in turn. An ``Encoded`` value is
+    checked once: its verdict is kept in its ``_mistyped`` field, "" when
+    every field holds its type."""
+    if not isinstance(value, Encoded):
+        return _first_mistyped(value)
+    if value._mistyped is None:
+        object.__setattr__(value, "_mistyped", _first_mistyped(value) or "")
+    return value._mistyped or None
+
+
+def _first_mistyped(value) -> str | None:
+    """mistyped's check itself, field by field."""
     for name, accepts, _ in _plan(type(value)):
         if not accepts(getattr(value, name)):
             return "%s.%s" % (type(value).__name__, name)

@@ -12,9 +12,10 @@ from xchan import contract as ct
 from xchan.chain import ChainEvent
 from xchan.contract import InvariantViolation
 from xchan.crypto import keypair_from_label
-from xchan import proofs, vss
+from xchan import engine, proofs, receipts, vss
 from xchan.engine import BehaviorProfile, ChannelView, Party, Timer
-from xchan.receipts import Receipt, SubChannelReceipt, make_receipt, make_sub_receipt, replay_receipts
+from xchan.receipts import (Receipt, SubChannelReceipt, fold_receipt, make_receipt, make_sub_receipt,
+                            replay_receipts)
 from xchan.scenario import ScenarioConfig, build_world
 from xchan.simnet import LatencyModel, Message, Simnet
 
@@ -206,8 +207,9 @@ class TestFinalStates:
 
 
 class TestBalancesCache:
-    """ChannelView.balances caches its fold; it must always equal a fresh
-    replay of everything the view holds."""
+    """ChannelView.hold folds each receipt onto a cache that balances
+    reads; it must always equal a fresh replay of everything the view
+    holds."""
 
     OPS = st.lists(
         st.one_of(
@@ -241,20 +243,49 @@ class TestBalancesCache:
         for op in ops:
             top = max(view.receipts, default=0)
             if op[0] == "send":
-                view.receipts[top + 1] = tr(top + 1, op[1], op[2])
+                view.hold(tr(top + 1, op[1], op[2]))
             elif op[0] == "insert":
                 if op[3] not in view.receipts:  # below the top unless the view is short
-                    view.receipts[op[3]] = tr(op[3], op[1], op[2])
+                    view.hold(tr(op[3], op[1], op[2]))
             elif op[0] == "overspend":
-                view.receipts[top + 1] = tr(top + 1, op[1], expected()[op[1]] + op[2])
+                view.hold(tr(top + 1, op[1], expected()[op[1]] + op[2]))
             elif op[0] == "delegate":
                 view.delegated.add(op[1])
             elif op[1] in view.receipts:  # replace a held receipt in place
-                view.receipts[op[1]] = replace(view.receipts[op[1]], amount=op[2])
+                view.hold(replace(view.receipts[op[1]], amount=op[2]))
             got = view.balances()
             assert got == expected()
-            got["A"] += 1000  # callers own the returned dict
+            with pytest.raises(TypeError):
+                got["A"] += 1000  # a read-only view: callers cannot corrupt the cache
             assert view.balances() == expected()
+
+    @pytest.mark.parametrize("held", [1, 100, 1000])
+    def test_a_receipt_above_the_top_folds_once(self, monkeypatch, held):
+        view = ChannelView("alpha", SID, (), ("A", "B"), {"A": 10_000, "B": 0})
+        for seq in range(1, held + 1):
+            view.hold(Receipt(SID, (), seq, "A", "B", 1))
+        assert view.balances() == {"A": 10_000 - held, "B": held}
+        steps = []  # every fold step, through the view's binding and replay_receipts'
+
+        def counted(balances, tr, *rest):
+            steps.append(tr.seq)
+            return fold_receipt(balances, tr, *rest)
+
+        monkeypatch.setattr(engine, "fold_receipt", counted)
+        monkeypatch.setattr(receipts, "fold_receipt", counted)
+        view.hold(Receipt(SID, (), held + 1, "A", "B", 1))
+        assert view.balances() == {"A": 9_999 - held, "B": held + 1}
+        assert steps == [held + 1]
+        # an insert below the top, or a replacement, refolds everything
+        view.hold(Receipt(SID, (), held + 5, "B", "A", 1))
+        steps.clear()
+        view.hold(Receipt(SID, (), held + 3, "A", "B", 1))
+        assert view.balances() == {"A": 9_999 - held, "B": held + 1}
+        assert len(steps) == held + 3
+        steps.clear()
+        view.hold(Receipt(SID, (), 1, "A", "B", 2))
+        assert view.balances() == {"A": 9_998 - held, "B": held + 2}
+        assert len(steps) == held + 3
 
 
 def _eie_world_mid_run():
@@ -296,13 +327,30 @@ _SHARE = {"chain_id": "alpha", "session_id": "c0", "owner": _S,
           "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}
 
 
+def _exchange(**fields):
+    """S's exchange to R on alpha, where R expects S's proof, with some
+    fields replaced."""
+    return dict({"chain_id": "alpha", "session_id": "c0", "proof": proofs.Proof(1, bytes(32)),
+                 "publics": _PUBLICS, "owner": _S}, **fields)
+
+
+def _held_share(**dealing):
+    """Share data for the share M.alpha.1 holds, read from the world, with
+    the dealing's fields replaced."""
+    def data(world):
+        held = world.net.actors["M.alpha.1"].stored[("c0", _S)]
+        return dict(_SHARE, share=held["share"], dealing_pub=replace(_SHARE["dealing_pub"], **dealing))
+    return data
+
+
 def _tr(**fields):
     """A receipt from R to S in channel c0, with some fields replaced."""
     return replace(Receipt("c0", (), 1, _R, _S, 1), **fields)
 
 
-# (actor, message kind, sender, data): each lacks a field, has one of the
-# wrong type, names an unknown chain, or claims a sender it does not have
+# (actor, message kind, sender, data, or data read from the world): each
+# lacks a field, has one of the wrong type, names an unknown chain, or
+# claims a sender it does not have
 MALFORMED = {
     "receipt-empty": ("S", "receipt", "R", {}),
     "receipt-int-tr": ("S", "receipt", "R", {"chain_id": "alpha", "tr": 5}),
@@ -356,6 +404,16 @@ MALFORMED = {
     "sr_grant-list-path-receipt": ("S", "sr_grant", "R", {
         "chain_id": "alpha", "sr": SubChannelReceipt("x", _tr(channel_path=[1]))}),
     "miner-share-str-scalar": ("M.alpha.1", "share", "S", dict(_SHARE, share=vss.KeyShare(1, "s", 1, b""))),
+    # an exchange R checks against S's key, each with a proof or input that
+    # once raised out of the proof backend (the line it raised at)
+    "exchange-str-t": ("R", "exchange", "S", _exchange(publics=replace(_PUBLICS, t="2"))),  # wire.enc_u64
+    "exchange-int-h_m": ("R", "exchange", "S", _exchange(publics=replace(_PUBLICS, h_m=5))),  # wire.enc_bytes
+    "exchange-int-m_bar": ("R", "exchange", "S", _exchange(publics=replace(_PUBLICS, m_bar=5))),  # fields()
+    "exchange-int-binding": ("R", "exchange", "S", _exchange(proof=proofs.Proof(1, 5))),  # len(binding)
+    # the share M.alpha.1 holds, with a dealing that once raised out of vss.verify_share
+    "miner-share-str-e_sr": ("M.alpha.1", "share", "S", _held_share(e_sr="x")),
+    "miner-share-str-commitment": ("M.alpha.1", "share", "S", _held_share(coeff_commitments=("x",))),
+    "miner-share-int-commitments": ("M.alpha.1", "share", "S", _held_share(coeff_commitments=5)),
 }
 
 
@@ -368,6 +426,7 @@ class TestMalformedMessages:
     def test_dropped_and_counted(self, probe):
         name, kind, src, data = probe
         world = _eie_world_mid_run()
+        data = data(world) if callable(data) else data
         actor = world.net.actors[name]
         before = _snapshot(world, actor)
         actor.on_message(world.net, Message(kind, src, name, data))
@@ -375,6 +434,15 @@ class TestMalformedMessages:
         assert sum(actor.rejected.values()) == 1
         (reason,) = actor.rejected
         assert reason.startswith(kind + ": ")
+
+    def test_mistyped_signed_value_rejected_on_every_arrival(self):
+        """A signed value keeps its type verdict, a failing one included."""
+        world = _eie_world_mid_run()
+        party = world.parties["S"]
+        data = {"chain_id": "alpha", "tr": _tr(amount="1")}
+        for _ in range(3):
+            party.on_message(world.net, Message("receipt", "R", "S", data))
+        assert party.rejected == {"receipt: mistyped Receipt.amount": 3}
 
     def test_failed_event_inert(self):
         """A failed transaction's event whose result names a state and a

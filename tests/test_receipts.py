@@ -1,7 +1,7 @@
 """The Signed base of receipts, sub-channel receipts, final states and
-transactions: each object is verified once, a changed copy anew, a deep
-copy is the object itself, and a received value's fields are checked
-against their declared types."""
+transactions: each object is verified and type-checked once, a changed
+copy anew, a deep copy is the object itself, and a received value's
+fields are checked against their declared types."""
 
 import copy
 import random
@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from xchan import contract as ct
-from xchan import vss
+from xchan import vss, wire
 from xchan.crypto import TINY_GROUP, keypair_from_label, verify
 from xchan.receipts import (FinalState, Receipt, SubChannelReceipt, make_final_state,
                             make_receipt, make_sub_receipt)
@@ -141,3 +141,66 @@ def test_honest_values_hold_their_declared_types():
 ])
 def test_mistyped_names_the_first_bad_field(value, field):
     assert mistyped(value) == field
+
+
+def _unsigned_values():
+    tr = Receipt(SID, (1,), 1, A.address, B.address, 5)
+    sr = SubChannelReceipt(C.address, make_receipt(A, SID, (), 1, B.address, 5))
+    f = FinalState(SID, (), {A.address: 3, B.address: 7}, A.address)
+    tx = ct.OnChainTx("alpha", SID, A.address, ct.OPEN_TX, ct.OpenPayload(5))
+    close = ct.OnChainTx("alpha", SID, A.address, ct.CLOSE_TX, ct.ClosePayload(f.signed_by(A), (), ()))
+    return [tr, sr, f, tx, close]
+
+
+@pytest.mark.parametrize("unsigned", _unsigned_values(), ids=lambda v: type(v).__name__)
+def test_signed_copy_is_the_replaced_copy(unsigned):
+    """signed_by builds its copy without replace, yet the copy is the one
+    replace builds; it keeps the signing bytes and no check's verdict."""
+    assert not unsigned.verify_sig() and mistyped(unsigned) is None  # memos set on the original
+    signed = unsigned.signed_by(A)
+    expected = replace(unsigned, sig=signed.sig)
+    assert type(signed) is type(expected)
+    assert signed == expected and repr(signed) == repr(expected)
+    assert signed.to_bytes() == expected.to_bytes()
+    assert signed.signing_bytes() == expected.signing_bytes() == unsigned.signing_bytes()
+    try:
+        assert hash(signed) == hash(expected)
+    except TypeError:  # a final state's balances are a mapping: neither hashes
+        with pytest.raises(TypeError):
+            hash(expected)
+    assert signed._sig_ok is None and signed._mistyped is None
+    assert signed.verify_sig() and mistyped(signed) is None
+
+
+def test_type_check_runs_once_per_object(monkeypatch):
+    """A signed value's fields are checked once, in any world fork too: a
+    receipt inside a sub-channel receipt or a close payload is not checked
+    again."""
+    checked = []
+
+    def counted(value):
+        checked.append(type(value).__name__)
+        return first(value)
+
+    first = wire._first_mistyped
+    monkeypatch.setattr(wire, "_first_mistyped", counted)
+    tr = make_receipt(A, SID, (), 1, B.address, 5)
+    sr = make_sub_receipt(A, C.address, tr)
+    assert mistyped(tr) is None and mistyped(tr) is None
+    assert mistyped(sr) is None and mistyped(copy.deepcopy([sr])[0]) is None
+    payload = ct.ClosePayload(make_final_state(A, SID, (), {A.address: 3}), (sr,), (tr,))
+    tx = ct.make_tx(A, "alpha", SID, ct.CLOSE_TX, payload)
+    assert mistyped(tx) is None and mistyped(copy.deepcopy(tx)) is None
+    assert checked == ["Receipt", "SubChannelReceipt", "OnChainTx", "ClosePayload", "FinalState"]
+
+
+def test_mistyped_verdict_is_kept_and_copies_are_checked_anew(monkeypatch):
+    bad = Receipt(SID, (), 1, "a", "b", "5")
+    assert mistyped(bad) == mistyped(bad) == "Receipt.amount"
+    good = make_receipt(A, SID, (), 1, B.address, 5)
+    assert mistyped(good) is None
+    assert mistyped(replace(good, amount="5")) == "Receipt.amount"
+    assert mistyped(replace(good, channel_path=[1])) == "Receipt.channel_path"
+    sr = make_sub_receipt(A, C.address, good)
+    assert mistyped(sr) is None
+    assert mistyped(replace(sr, receipt=replace(good, seq=-1))) == "SubChannelReceipt.receipt"
