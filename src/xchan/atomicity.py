@@ -13,9 +13,10 @@ every reachable outcome is both-success or both-refunded.
 from __future__ import annotations
 
 from .chain import Chain, TimerConfig
-from .contract import CLOSE, ContractSession, REFUNDED, SUCCESS, TERMINAL_STATES
+from .contract import REFUNDED, SUCCESS, TERMINAL_STATES
 from .crypto import hash_bytes, keypair_from_label
 from .engine import BehaviorProfile, Miner, MinerBehavior, Party
+from .scenario import join_at_close
 from .simnet import EnumResult, LatencyModel, Simnet, enumerate_schedules
 
 PROFILES = ("honest", "withhold_pre", "delay_r", "delay_s", "withhold_delay")
@@ -79,28 +80,13 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
     alpha.register_miner(mkp.address)
 
     # sessions already settled: alpha pays 60 S->R, beta pays 60 R->S
-    pre = hash_bytes(b"atom-pre:%d" % seed)
-    h_pre = hash_bytes(pre)
     S, R = parties["S"], parties["R"]
-    for chain, gainer in ((alpha, R), (beta, S)):
-        loser = S if gainer is R else R
-        s = ContractSession(session_id="c0", state=CLOSE)
-        s.parties = sorted([S.address(chain.chain_id), R.address(chain.chain_id)])
-        s.deposits = {S.address(chain.chain_id): 100, R.address(chain.chain_id): 100}
-        for addr, v in s.deposits.items():
-            chain.debit(addr, v)
-        s.escrow = 200
-        s.locked_allocations = {
-            gainer.address(chain.chain_id): 160,
-            loser.address(chain.chain_id): 40,
-        }
-        chain.contract.sessions["c0"] = s
+    for chain, payer, payee in ((alpha, S, R), (beta, R, S)):
+        lose, gain = payer.address(chain.chain_id), payee.address(chain.chain_id)
+        deposits = {addr: 100 for addr in sorted((lose, gain))}
+        chain.contract.start_settled(chain, "c0", deposits, {gain: 160, lose: 40})
 
-    S.join("c0", mode="CE", counterpart="R", lock_chain="alpha", holder=True, pre=pre, h_pre=h_pre)
-    R.join("c0", mode="CE", counterpart="S", lock_chain="beta")
-    for p in (S, R):
-        p.note_state("alpha", "c0", CLOSE)
-        p.note_state("beta", "c0", CLOSE)
+    join_at_close(S, R, "c0", hash_bytes(b"atom-pre:%d" % seed))
 
     # narrow event fan-out: only the deliveries the protocol needs
     net.subscribe(alpha, "R", kinds=("Lock",))

@@ -343,9 +343,8 @@ class ContractSession:
     session_id: str
     state: str = INIT
     parties: list = field(default_factory=list)
-    deposits: dict = field(default_factory=dict)
+    deposits: dict = field(default_factory=dict)  # fills as each party opens
     escrow: int = 0
-    pending_open: dict = field(default_factory=dict)
     sn: bytes | None = None
     # owner address -> UploadPayload / tuple of Binding
     uploaded: dict = field(default_factory=dict)
@@ -367,7 +366,7 @@ class ContractSession:
     __deepcopy__ = copier(
         share="session_id state escrow sn appeal_deadline close_deadline settle_cutoff h_pre "
               "lock_deadline assist_deadline assist_reward_paid",
-        copy="parties deposits pending_open uploaded bindings collected_closes locked_allocations "
+        copy="parties deposits uploaded bindings collected_closes locked_allocations "
              "recovery_requested transitions published_shares",
         deep="collected_shares")
 
@@ -396,15 +395,10 @@ class ChannelContract:
     # -- helpers ------------------------------------------------------------
 
     @staticmethod
-    def _return_escrow(s: ContractSession, chain):
-        for addr in sorted(s.deposits):
-            chain.credit(addr, s.deposits[addr])
-        s.escrow = 0
-
-    @staticmethod
-    def _apply_allocations(s: ContractSession, chain):
-        for addr in sorted(s.locked_allocations):
-            chain.credit(addr, s.locked_allocations[addr])
+    def _pay_out(s: ContractSession, amounts: dict, chain):
+        """Empty the escrow: the deposits back, or the locked allocations."""
+        for addr in sorted(amounts):
+            chain.credit(addr, amounts[addr])
         s.escrow = 0
 
     # -- dispatch -----------------------------------------------------------
@@ -430,21 +424,18 @@ class ChannelContract:
 
     def handle_open(self, tx, chain):
         s = self.sessions.setdefault(tx.session_id, ContractSession(session_id=tx.session_id))
-        if s.state != INIT:
+        if s.state != INIT or tx.sender in s.deposits:
             return False, "duplicate open", None
-        if tx.sender in s.pending_open:
-            return False, "duplicate open", None
-        if len(s.pending_open) >= 2:
+        if len(s.deposits) >= 2:
             return False, "session full", None
         amount = tx.payload.amount
         if amount < 0 or chain.balance(tx.sender) < amount:
             return False, "insufficient balance", None
         chain.debit(tx.sender, amount)
         s.escrow += amount
-        s.pending_open[tx.sender] = amount
-        if len(s.pending_open) == 2:
-            s.parties = list(s.pending_open)
-            s.deposits = dict(s.pending_open)
+        s.deposits[tx.sender] = amount
+        if len(s.deposits) == 2:
+            s.parties = list(s.deposits)
             s.set_state(OPEN_CE, chain.now)
             return True, OPEN_CE, Opened(dict(s.deposits))
         return True, "open pending", None
@@ -494,7 +485,7 @@ class ChannelContract:
                 if vss.share_hash(p.share) == bound_hash:
                     return False, "share matches binding", None
                 # proven: owner signed a share differing from its commitment
-                self._return_escrow(s, chain)
+                self._pay_out(s, s.deposits, chain)
                 s.set_state(TERMINATED, chain.now)
                 return True, TERMINATED, None
         if saw_binding:
@@ -552,7 +543,7 @@ class ChannelContract:
         return "sender is neither party nor miner"
 
     def _finalize_update(self, s, sender, chain):
-        self._apply_allocations(s, chain)
+        self._pay_out(s, s.locked_allocations, chain)
         if sender not in s.parties:
             # miner assist: reward comes out of the assisted party's allocation
             gains = {
@@ -631,7 +622,7 @@ class ChannelContract:
                     [(sender, p) for (sender, _path), p in sorted(s.collected_closes.items())],
                 )
                 if not result.ok:
-                    self._return_escrow(s, chain)
+                    self._pay_out(s, s.deposits, chain)
                     s.set_state(TERMINATED, now)
                     events.append((sid, TERMINATED))
                 else:
@@ -642,25 +633,24 @@ class ChannelContract:
             if s.state == LOCK:
                 deadline = s.assist_deadline if s.assist_deadline is not None else s.lock_deadline
                 if now > deadline:
-                    self._return_escrow(s, chain)
+                    self._pay_out(s, s.deposits, chain)
                     s.set_state(REFUNDED, now)
                     events.append((sid, REFUNDED))
         return events
 
-    # -- baseline sessions ------------------------------------------------------
+    # -- sessions that start settled ---------------------------------------------
 
-    def create_htlc_session(self, chain, session_id, payer, payee, amount):
-        """A bare hash-time-locked exchange: the payer's amount is
-        escrowed immediately and the session sits at Close waiting for
-        Lock/Update/Refund. Used by the plain-HTLC baseline so that only
-        the locking mechanics hit the chain."""
+    def start_settled(self, chain, session_id, deposits: dict, allocations: dict) -> ContractSession:
+        """A session that starts at Close, as if its parties had opened with
+        deposits and settled to allocations: each deposit is debited from
+        its depositor and escrowed, and the allocations are locked in.
+        Worlds that exercise only the hash-time lock start here: the
+        plain-HTLC baseline and the close-phase enumeration."""
         if session_id in self.sessions:
             raise ValueError("session exists: %s" % session_id)
-        s = ContractSession(session_id=session_id, state=CLOSE)
-        s.parties = [payer, payee]
-        s.deposits = {payer: amount, payee: 0}
-        chain.debit(payer, amount)
-        s.escrow = amount
-        s.locked_allocations = {payee: amount, payer: 0}
-        self.sessions[session_id] = s
+        for addr, amount in deposits.items():
+            chain.debit(addr, amount)
+        s = self.sessions[session_id] = ContractSession(
+            session_id, CLOSE, parties=list(deposits), deposits=dict(deposits),
+            escrow=sum(deposits.values()), locked_allocations=dict(allocations))
         return s

@@ -31,9 +31,6 @@ from functools import cached_property
 from .forking import Shared
 from .wire import U64, enc_scalar, enc_seq, enc_u64
 
-DIGEST_SIZE = 32
-
-
 def hash_bytes(data: bytes) -> bytes:
     """32-byte SHA-256 digest; the h(.) used for every hash in the system."""
     return hashlib.sha256(data).digest()

@@ -234,11 +234,14 @@ def _field_problem(data, fields) -> str | None:
 
 def _dispatch(actor, net, msg: Message):
     """Run the actor's handler for msg's kind if msg is well formed, or else
-    count msg in actor.rejected by reason. A wakeup must be a Timer the actor
-    set, of a kind in actor.TIMERS, on a chain it serves; any other message
-    must pass actor.problem, and a chain event come from the chain it names,
-    carry a string result and, when ok, the detail record its result
-    declares."""
+    count msg in actor.rejected by reason: the one check every message to a
+    party or a miner passes. A wakeup must be a Timer the actor set, of a
+    kind in actor.TIMERS. Any other message must carry its kind's fields
+    with their types. A chain event must come from the chain it names, and
+    carry a string session id, a string result and, when ok, the detail
+    record its result declares. Every message but a chain event must name a
+    chain the actor serves: a chain's events reach only the actors it was
+    wired to, and a miner hears the other chain's reveals."""
     handler, fields = actor.HANDLERS.get(msg.kind, (None, None))
     data = msg.data
     if handler is None:
@@ -249,15 +252,19 @@ def _dispatch(actor, net, msg: Message):
                else "unknown timer" if data.kind not in actor.TIMERS
                else None if actor.serves(data.chain_id) else "unknown chain")
     else:
-        why = actor.problem(msg, fields)
+        why = _field_problem(data, fields)
         if why is None and fields is EVENT_FIELDS:
             ev = data["event"]
             if not msg.src == data["chain_id"] == ev.chain_id:
                 why = "not sent by the chain it names"
+            elif type(ev.session_id) is not str:
+                why = "session id is not a string"
             elif type(ev.result) is not str:
                 why = "result is not a string"
             elif ev.ok and not isinstance(ev.detail, ct.DETAILS.get(ev.result, type(None))):
                 why = "detail is not the record its result declares"
+        elif why is None and not actor.serves(data["chain_id"]):
+            why = "unknown chain"
     if why is not None:
         actor.rejected["%s: %s" % (msg.kind, why)] += 1
     else:
@@ -319,11 +326,6 @@ class Party:
         for name, value in role.items():
             setattr(ps, name, value)
 
-    def note_state(self, chain_id, session_id, state):
-        """Record a contract state learned outside a chain event, for worlds
-        that start part-way through the protocol."""
-        self.session(session_id).sides[chain_id].state = state
-
     def expect_proof(self, chain_id, session_id, owner, vk):
         """Pay only once owner's exchange proof on chain_id verifies under vk."""
         self.session(session_id).sides[chain_id].counterpart_vk = (owner, vk)
@@ -352,14 +354,6 @@ class Party:
 
     def on_message(self, net: Simnet, msg: Message):
         _dispatch(self, net, msg)
-
-    def problem(self, msg: Message, fields) -> str | None:
-        """Why msg cannot be handled, or None: it must carry the fields with
-        their types and name a chain this party holds a key on."""
-        why = _field_problem(msg.data, fields)
-        if why is None and not self.serves(msg.data["chain_id"]):
-            why = "unknown chain"
-        return why
 
     # -- receipts ---------------------------------------------------------------
 
@@ -782,10 +776,6 @@ class Party:
     }
 
 
-SHARE_FIELDS = {"chain_id": str, "session_id": str, "owner": str, "share": vss.KeyShare,
-                "dealing_pub": vss.DealingPublic, "sn": bytes, "sig": bytes}
-
-
 @dataclass
 class MinerBehavior:
     respond_recover: bool = True  # byzantine miners withhold shares
@@ -821,14 +811,6 @@ class Miner:
 
     def serves(self, chain_id: str) -> bool:
         return chain_id == self.chain.chain_id
-
-    def problem(self, msg: Message, fields) -> str | None:
-        """Why msg cannot be handled, or None: it must carry the fields with
-        their types; a share must be for this miner's chain."""
-        why = _field_problem(msg.data, fields)
-        if why is None and fields is SHARE_FIELDS and not self.serves(msg.data["chain_id"]):
-            why = "not this miner's chain"
-        return why
 
     def on_share(self, net, msg):
         data = msg.data
@@ -916,7 +898,8 @@ class Miner:
         net.submit_tx(self.name, self.chain.chain_id, tx)
 
     HANDLERS = {  # message kind -> (handler, fields; Timer for a wakeup)
-        "share": (on_share, SHARE_FIELDS),
+        "share": (on_share, {"chain_id": str, "session_id": str, "owner": str, "share": vss.KeyShare,
+                             "dealing_pub": vss.DealingPublic, "sn": bytes, "sig": bytes}),
         "chain_event": (on_chain_event, EVENT_FIELDS),
         "wakeup": (on_wakeup, Timer),
     }

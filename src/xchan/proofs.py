@@ -80,15 +80,6 @@ class Proof(Shared):
     backend_tag: U64
     binding: bytes
 
-    def to_bytes(self) -> bytes:
-        return bytes([self.backend_tag]) + self.binding
-
-    @classmethod
-    def from_bytes(cls, raw: bytes):
-        if len(raw) < 2:
-            raise ValueError("truncated proof")
-        return cls(backend_tag=raw[0], binding=raw[1:])
-
 
 class TransparentMacBackend:
     """Default backend: an HMAC over the public inputs, gated on the

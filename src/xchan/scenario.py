@@ -256,7 +256,8 @@ def build_world(config: ScenarioConfig) -> World:
 
     directory = {}
     parties = {}
-    for name in _party_names(config):
+    names = _party_names(config)
+    for name in names:
         keys = {
             c.chain_id: keypair_from_label("%s:%d:%s" % (name, config.seed, c.chain_id))
             for c in (alpha, beta)
@@ -329,39 +330,31 @@ def build_world(config: ScenarioConfig) -> World:
         S.expect("beta", sid, (), len(beta_amounts))
         expected += len(alpha_amounts) + len(beta_amounts)
 
-        if config.levels >= 2:
-            D = parties["D"]
-            sub1 = [1] * config.sub_receipts[0]
-            if config.levels >= 3:
-                sub1 = [config.sub_funding[1]] + sub1
-            R.plan_subchannel("alpha", sid, (), 1, D.address("alpha"), sub1, rate)
-            D.expect("alpha", sid, (1,), len(sub1))
-            D.join(sid, mode=config.mode, counterpart="R")
-            expected += len(sub1)
-            if config.levels >= 3:
-                Q = parties["Q"]
-                sub2 = [1] * config.sub_receipts[1]
-                D.plan_subchannel("alpha", sid, (1,), 1, Q.address("alpha"), sub2, rate)
-                Q.expect("alpha", sid, (1, 1), len(sub2))
-                Q.join(sid, mode=config.mode, counterpart="D")
-                expected += len(sub2)
+        # level i + 2: the payee of receipt 1 in the channel at path (1,) * i
+        # opens a sub-channel on it and pays the next party there, funding
+        # level i + 3 first, if any
+        for i in range(config.levels - 1):
+            payer, payee = parties[names[i + 1]], parties[names[i + 2]]
+            sub = [1] * config.sub_receipts[i]
+            if i + 2 < config.levels:
+                sub = [config.sub_funding[i + 1]] + sub
+            path = (1,) * i
+            payer.plan_subchannel("alpha", sid, path, 1, payee.address("alpha"), sub, rate)
+            payee.expect("alpha", sid, path + (1,), len(sub))
+            payee.join(sid, mode=config.mode, counterpart=payer.name)
+            expected += len(sub)
 
         if config.mode in ("FE", "EIE"):
             backend = TransparentMacBackend(group)
-            blocks_s = tuple(
-                hash_bytes(b"m:S:%s:%d:%d" % (sid.encode(), config.seed, i))[:13] for i in range(4)
-            )
-            vk_s = S.setup_exchange("alpha", sid, key_s, blocks_s, config.vss_t, config.vss_n,
-                                    backend, hash_bytes(b"crs:S:%s" % sid.encode()))
-            R.backend = backend
-            R.expect_proof("alpha", sid, S.address("alpha"), vk_s)
-            if config.mode == "EIE":
-                blocks_r = tuple(
-                    hash_bytes(b"m:R:%s:%d:%d" % (sid.encode(), config.seed, i))[:13] for i in range(4)
-                )
-                vk_r = R.setup_exchange("beta", sid, key_r, blocks_r, config.vss_t, config.vss_n,
-                                        backend, hash_bytes(b"crs:R:%s" % sid.encode()))
-                S.expect_proof("beta", sid, R.address("beta"), vk_r)
+            # S sells its plaintext on alpha; in EIE, R sells its own on beta
+            sales = ((S, R, "alpha", key_s), (R, S, "beta", key_r))[: 1 if config.mode == "FE" else 2]
+            for seller, buyer, chain_id, key in sales:
+                label = b"%s:%s" % (seller.name.encode(), sid.encode())
+                blocks = tuple(hash_bytes(b"m:%s:%d:%d" % (label, config.seed, i))[:13] for i in range(4))
+                vk = seller.setup_exchange(chain_id, sid, key, blocks, config.vss_t, config.vss_n,
+                                           backend, hash_bytes(b"crs:" + label))
+                buyer.backend = backend
+                buyer.expect_proof(chain_id, sid, seller.address(chain_id), vk)
 
     barrier = _close_barrier(config)
     grace = barrier + 30
@@ -445,6 +438,17 @@ def run_scenario(config: ScenarioConfig):
     return metrics, trace
 
 
+def join_at_close(S, R, sid, pre):
+    """S and R take part in a CE session that starts at Close on both chains
+    (see ChannelContract.start_settled): S holds pre and locks alpha first,
+    and R mirrors that lock on beta."""
+    S.join(sid, mode="CE", counterpart="R", lock_chain="alpha", holder=True, pre=pre, h_pre=hash_bytes(pre))
+    R.join(sid, mode="CE", counterpart="S", lock_chain="beta")
+    for p in (S, R):
+        for side in p.sessions[sid].sides.values():
+            side.state = ct.CLOSE
+
+
 def run_plain_htlc(config: ScenarioConfig):
     """Baseline: one bare hash-time-locked session pair per exchange, no
     channels. Every exchange costs lock+update on each chain."""
@@ -458,16 +462,9 @@ def run_plain_htlc(config: ScenarioConfig):
         session_ids.append(sid)
         amount = rng.randint(config.amount_lo, config.amount_hi)
         for chain, payer, payee in ((world.alpha, S, R), (world.beta, R, S)):
-            chain.contract.create_htlc_session(
-                chain, sid, payer.address(chain.chain_id), payee.address(chain.chain_id), amount
-            )
-        pre = hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed))
-        S.join(sid, mode="CE", counterpart="R", lock_chain="alpha", holder=True,
-               pre=pre, h_pre=hash_bytes(pre))
-        R.join(sid, mode="CE", counterpart="S", lock_chain="beta")
-        for p in (S, R):
-            p.note_state("alpha", sid, ct.CLOSE)
-            p.note_state("beta", sid, ct.CLOSE)
+            paid, got = payer.address(chain.chain_id), payee.address(chain.chain_id)
+            chain.contract.start_settled(chain, sid, {paid: amount, got: 0}, {got: amount, paid: 0})
+        join_at_close(S, R, sid, hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed)))
     world.session_ids = session_ids
     for sid in session_ids:
         S.submit_lock(world.net, "alpha", sid)

@@ -102,6 +102,16 @@ class TestOpen:
         s = open_channel(d, v_s=0, v_r=0)
         assert s.state == ct.OPEN_CE and s.escrow == 0
 
+    def test_lone_open_held_in_deposits(self):
+        """One open escrows its deposit; the session opens only with both."""
+        d = Driver()
+        d.submit(S, "c0", ct.OPEN_TX, ct.OpenPayload(30))
+        (ev,) = d.step()
+        assert (ev.ok, ev.result) == (True, "open pending")
+        s = d.session()
+        assert s.deposits == {S.address: 30}
+        assert s.parties == [] and s.state == ct.INIT and s.escrow == 30
+
 
 def make_upload(group=TINY_GROUP, t=2, n=3, seed=5):
     key = 55
@@ -510,11 +520,35 @@ class TestStateMachineAudit:
             s.set_state(ct.LOCK, 0)
 
 
+class TestSettledStart:
+    """A session that starts at Close: deposits escrowed, allocations locked."""
+
+    def test_deposits_escrowed_and_allocations_locked(self):
+        d = Driver()
+        before = d.chain.total_value()
+        s = d.chain.contract.start_settled(d.chain, "h0", {S.address: 70, R.address: 30},
+                                           {S.address: 20, R.address: 80})
+        assert s is d.session("h0")
+        assert s.state == ct.CLOSE and s.parties == [S.address, R.address]
+        assert s.escrow == 100 and s.deposits == {S.address: 70, R.address: 30}
+        assert s.locked_allocations == {S.address: 20, R.address: 80}
+        assert (d.chain.balance(S.address), d.chain.balance(R.address)) == (930, 970)
+        assert d.chain.total_value() == before
+
+    def test_duplicate_session_rejected(self):
+        d = Driver()
+        open_channel(d, sid="h0")
+        with pytest.raises(ValueError):
+            d.chain.contract.start_settled(d.chain, "h0", {S.address: 1}, {S.address: 1})
+        assert d.session("h0").state == ct.OPEN_CE
+        assert d.chain.balance(S.address) == 900
+
+
 class TestPlainHtlcSessions:
     def test_lock_update_refund_cycle(self):
         d = Driver(miners=1)
         c = d.chain.contract
-        c.create_htlc_session(d.chain, "h0", S.address, R.address, 50)
+        c.start_settled(d.chain, "h0", {S.address: 50, R.address: 0}, {R.address: 50, S.address: 0})
         assert d.chain.balance(S.address) == 950
         pre = b"\x03" * 32
         d.submit(S, "h0", ct.LOCK_TX, ct.LockPayload(h_pre=hash_bytes(pre)))
@@ -525,7 +559,7 @@ class TestPlainHtlcSessions:
         assert s.state == ct.SUCCESS
         assert d.chain.balance(R.address) == 1050
 
-        c.create_htlc_session(d.chain, "h1", S.address, R.address, 50)
+        c.start_settled(d.chain, "h1", {S.address: 50, R.address: 0}, {R.address: 50, S.address: 0})
         d.submit(S, "h1", ct.LOCK_TX, ct.LockPayload(h_pre=hash_bytes(pre)))
         d.step()
         s1 = c.sessions["h1"]

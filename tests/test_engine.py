@@ -315,9 +315,9 @@ _S = keypair_from_label("S:10:alpha").address
 _R = keypair_from_label("R:10:alpha").address
 
 
-def _event(result=ct.CLOSE, ok=True, detail=None, chain_id="alpha"):
+def _event(result=ct.CLOSE, ok=True, detail=None, chain_id="alpha", session_id="c0", src="alpha"):
     """Chain event data as the chain sends it: c0 entered Close on alpha."""
-    return {"chain_id": "alpha", "event": ChainEvent(8, chain_id, 2, "Close", "c0", result, ok, detail)}
+    return {"chain_id": src, "event": ChainEvent(8, chain_id, 2, "Close", session_id, result, ok, detail)}
 
 
 # the event dict a chain sent before chain events were typed
@@ -388,6 +388,17 @@ MALFORMED = {
     "chain_event-list-result": ("S", "chain_event", "alpha", _event(result=["Close"])),
     "miner-chain_event-success-dict": ("M.alpha.1", "chain_event", "alpha",
                                        _event(ct.SUCCESS, detail={"pre": b"x", "recover_owner": _S})),
+    # a session id that is not a string, which once raised at the session
+    # lookup (or, as an int, made a party session keyed by it)
+    "chain_event-list-session": ("S", "chain_event", "alpha", _event(session_id=["c0"])),
+    "chain_event-dict-session": ("R", "chain_event", "alpha", _event(ct.TERMINATED, session_id={})),
+    "chain_event-int-session": ("S", "chain_event", "alpha", _event(session_id=5)),
+    "miner-chain_event-list-session": ("M.alpha.1", "chain_event", "alpha", _event(
+        ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=["c0"])),
+    "miner-chain_event-dict-session": ("M.alpha.1", "chain_event", "beta", _event(
+        ct.SUCCESS, detail=ct.Unlocked(b"x", None), chain_id="beta", session_id={}, src="beta")),
+    "miner-chain_event-int-session": ("M.alpha.1", "chain_event", "alpha", _event(
+        ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=5)),
     # well-typed signed values or key shares holding a mistyped field
     "receipt-list-session": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(session_id=["c0"])}),
     "receipt-list-path": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(channel_path=[1])}),
@@ -422,9 +433,10 @@ class TestMalformedMessages:
     false sender is dropped and counted by reason; nothing raises and no
     state changes."""
 
-    @pytest.mark.parametrize("probe", MALFORMED.values(), ids=MALFORMED.keys())
-    def test_dropped_and_counted(self, probe):
-        name, kind, src, data = probe
+    @staticmethod
+    def reject(probe) -> str:
+        """The one reason the probe's actor counts it under; nothing changes."""
+        name, kind, src, data = MALFORMED[probe]
         world = _eie_world_mid_run()
         data = data(world) if callable(data) else data
         actor = world.net.actors[name]
@@ -434,6 +446,23 @@ class TestMalformedMessages:
         assert sum(actor.rejected.values()) == 1
         (reason,) = actor.rejected
         assert reason.startswith(kind + ": ")
+        return reason
+
+    @pytest.mark.parametrize("probe", MALFORMED)
+    def test_dropped_and_counted(self, probe):
+        self.reject(probe)
+
+    @pytest.mark.parametrize("probe, reason", [
+        # one chain rule for every actor: a party and a miner word it alike
+        ("receipt-unknown-chain", "receipt: unknown chain"),
+        ("miner-share-other-chain", "share: unknown chain"),
+        ("wakeup-timer-unknown-chain", "wakeup: unknown chain"),
+        ("miner-wakeup-other-chain", "wakeup: unknown chain"),
+        ("chain_event-list-session", "chain_event: session id is not a string"),
+        ("miner-chain_event-dict-session", "chain_event: session id is not a string"),
+    ])
+    def test_reason(self, probe, reason):
+        assert self.reject(probe) == reason
 
     def test_mistyped_signed_value_rejected_on_every_arrival(self):
         """A signed value keeps its type verdict, a failing one included."""

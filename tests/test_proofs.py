@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from xchan import proofs, vss
+from xchan import proofs, vss, wire
 from xchan.crypto import TINY_GROUP, encrypt, hash_blocks, hash_bytes, key_to_bytes
 
 G = TINY_GROUP
@@ -92,18 +92,15 @@ class TestBackend:
         crs = self.be.setup(128, b"s")
         _, _, _, x, w = honest_instance()
         proof = self.be.prove(crs.pk, w, x)
-        raw = proof.to_bytes()
-        cut = proofs.Proof.from_bytes(raw[:-4])
+        cut = replace(proof, binding=proof.binding[:-4])
         assert not self.be.verify(crs.vk, x, cut)
-        with pytest.raises(ValueError):
-            proofs.Proof.from_bytes(b"\x01")
 
     def test_proof_size_constant_in_plaintext(self):
         crs = self.be.setup(128, b"s")
         sizes = set()
         for blocks in (10, 100, 1000, 10_000):
             _, _, _, x, w = honest_instance(seed=blocks, blocks=blocks)
-            sizes.add(len(self.be.prove(crs.pk, w, x).to_bytes()))
+            sizes.add(len(wire.enc_value(self.be.prove(crs.pk, w, x))))
         assert len(sizes) == 1
 
     def test_completeness_randomized(self):

@@ -8,7 +8,7 @@ import pytest
 
 from xchan import contract as ct
 from xchan import receipts, vss
-from xchan.atomicity import build_close_phase_world, outcome_of
+from xchan.atomicity import PROFILES, build_close_phase_world, outcome_of
 from xchan.crypto import hash_blocks
 from xchan.scenario import (
     ConfigError,
@@ -324,6 +324,22 @@ class TestMinerAssist:
         net = build_close_phase_world("delay_r", assist_enabled=False, seed=4, mode="run")
         net.run_until(lambda: outcome_of(net) is not None, max_tick=200)
         assert outcome_of(net) == (ct.REFUNDED, ct.SUCCESS)
+
+
+class TestCloseStartWorld:
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_sessions_start_settled(self, profile):
+        """Both sessions wait at Close on 100 + 100 escrowed, each chain's
+        payee allocated 160 of 200, S paying on alpha and R on beta."""
+        net = build_close_phase_world(profile, assist_enabled=True)
+        S, R = net.actors["S"], net.actors["R"]
+        for chain, payer, payee in ((net.chains[0], S, R), (net.chains[1], R, S)):
+            paid, got = payer.address(chain.chain_id), payee.address(chain.chain_id)
+            (s,) = chain.contract.sessions.values()
+            assert (s.session_id, s.state, s.escrow) == ("c0", ct.CLOSE, 200)
+            assert s.parties == sorted((paid, got))
+            assert s.locked_allocations == {got: 160, paid: 40}
+            assert chain.balance(paid) == chain.balance(got) == 900
 
 
 class TestDeterminism:
