@@ -17,8 +17,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .contract import (PAYLOAD_KINDS, STATES, Bound, ChannelContract, InvariantViolation, Locked, OnChainTx,
-                       Opened, Published, Unlocked)
+from .contract import (STATES, Bound, ChannelContract, InvariantViolation, Locked, OnChainTx, Opened,
+                       Published, Unlocked)
 from .crypto import hash_bytes
 from .forking import Shared, copier
 from .wire import enc_bytes, enc_str, enc_u64, mistyped
@@ -138,7 +138,8 @@ class Chain:
             return False, "wrong chain"
         if tx.sender not in self.accounts:
             return False, "unknown sender"
-        if tx.kind not in PAYLOAD_KINDS or not isinstance(tx.payload, PAYLOAD_KINDS[tx.kind]):
+        declared = ChannelContract.HANDLERS.get(tx.kind)  # (handler, payload class)
+        if declared is None or not isinstance(tx.payload, declared[1]):
             return False, "unknown kind"
         try:
             sig_ok = tx.verify_sig()

@@ -166,18 +166,6 @@ class RecoverPayload(Shared):
         return [s for s in (self.share_s, self.share_r) if s is not None]
 
 
-PAYLOAD_KINDS = {
-    OPEN_TX: OpenPayload,
-    UPLOAD_TX: UploadPayload,
-    APPEAL_TX: AppealPayload,
-    CLOSE_TX: ClosePayload,
-    LOCK_TX: LockPayload,
-    UPDATE_TX: UpdatePayload,
-    UPDATE_EIE_TX: UpdateEiePayload,
-    RECOVER_TX: RecoverPayload,
-}
-
-
 @dataclass(frozen=True)
 class OnChainTx(Signed):
     chain_id: str
@@ -406,19 +394,10 @@ class ChannelContract:
     def execute(self, tx: OnChainTx, chain):
         """Returns (ok, result, detail) without raising on bad input; detail
         is the record DETAILS declares for an ok result, or None."""
-        handler = {
-            OPEN_TX: self.handle_open,
-            UPLOAD_TX: self.handle_upload,
-            APPEAL_TX: self.handle_appeal,
-            CLOSE_TX: self.handle_close,
-            LOCK_TX: self.handle_lock,
-            UPDATE_TX: self.handle_update,
-            UPDATE_EIE_TX: self.handle_update,
-            RECOVER_TX: self.handle_recover,
-        }.get(tx.kind)
+        handler, _payload = self.HANDLERS.get(tx.kind, (None, None))
         if handler is None:
             return False, "unknown kind", None
-        return handler(tx, chain)
+        return handler(self, tx, chain)
 
     # -- handlers -----------------------------------------------------------
 
@@ -601,6 +580,17 @@ class ChannelContract:
         if not accepted:
             return False, "no share accepted", None
         return True, SHARES_RECORDED, published
+
+    HANDLERS = {  # tx kind -> (handler, the class its payload must be)
+        OPEN_TX: (handle_open, OpenPayload),
+        UPLOAD_TX: (handle_upload, UploadPayload),
+        APPEAL_TX: (handle_appeal, AppealPayload),
+        CLOSE_TX: (handle_close, ClosePayload),
+        LOCK_TX: (handle_lock, LockPayload),
+        UPDATE_TX: (handle_update, UpdatePayload),
+        UPDATE_EIE_TX: (handle_update, UpdateEiePayload),
+        RECOVER_TX: (handle_recover, RecoverPayload),
+    }
 
     # -- block-boundary timers ------------------------------------------------
 

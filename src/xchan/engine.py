@@ -3,7 +3,7 @@
 A party keeps all it knows of a session in one PartySession: its role
 and, per chain, a ChainSide. Each handler looks up one session and
 touches only that one. Messages dispatch through a table keyed by kind
-that names the fields each kind must carry; a malformed or forged
+that names the one class each kind's data must be; a malformed or forged
 message is counted in ``rejected`` by reason instead of raising. A chain
 event that succeeded dispatches on its result, and a Timer on its kind.
 
@@ -35,7 +35,6 @@ from .forking import Shared, copier
 from .receipts import (
     FinalState,
     Receipt,
-    Signed,
     SubChannelReceipt,
     fold_receipt,
     make_final_state,
@@ -178,7 +177,7 @@ class ChainSide:
     exchange: ExchangeState | None = None  # this party's own secret
     counterpart_vk: tuple | None = None  # (owner address, verify key) of the proof expected here
     counterpart_publics: proofs.RelationPublicInputs | None = None
-    proof_ok: bool | None = None  # the counterpart's proof: None until it arrives; False is final
+    proof_ok: bool | None = None  # the counterpart's proof: None until it arrives; its first verdict is final
     uploads: dict = field(default_factory=dict)  # owner address -> (t, h_k) of its key upload
     recovered: tuple | None = None  # the counterpart's plaintext blocks
     close_sent: bool = False
@@ -212,59 +211,74 @@ class PartySession:
         deep="sides")
 
 
-EVENT_FIELDS = {"chain_id": str, "event": ChainEvent}
-# values a message carries whose own fields must hold their declared types
-TYPED = (Signed, vss.KeyShare, vss.DealingPublic, proofs.Proof, proofs.RelationPublicInputs)
+@dataclass(frozen=True)
+class ReceiptMsg(Shared):
+    """A receipt, to its payee."""
+
+    chain_id: str
+    tr: Receipt
 
 
-def _field_problem(data, fields) -> str | None:
-    """Why data lacks one of the fields with its type, or None. A signed
-    value, key share, dealing, proof or proof input must also hold the
-    types its fields declare."""
-    if not isinstance(data, dict):
-        return "data is not a dict"
-    for name, kind in fields.items():
-        value = data.get(name)
-        if not isinstance(value, kind):
-            return "missing or mistyped %s" % name
-        if isinstance(value, TYPED) and (bad := mistyped(value)):
-            return "mistyped %s" % bad
-    return None
+@dataclass(frozen=True)
+class SrMsg(Shared):
+    """A sub-channel receipt: unsigned in an sr_request (its receipt's payee
+    asks for it), signed in an sr_grant and a subchannel_open."""
+
+    chain_id: str
+    sr: SubChannelReceipt
+
+
+@dataclass(frozen=True)
+class ExchangeMsg(Shared):
+    """owner's fair-exchange proof and its public inputs, to the counterpart."""
+
+    chain_id: str
+    session_id: str
+    proof: proofs.Proof
+    publics: proofs.RelationPublicInputs
+    owner: str
+
+
+@dataclass(frozen=True)
+class ShareMsg(Shared):
+    """owner's key share, signed under the session's serial number, to its miner."""
+
+    chain_id: str
+    session_id: str
+    owner: str
+    share: vss.KeyShare
+    dealing_pub: vss.DealingPublic
+    sn: bytes
+    sig: bytes
 
 
 def _dispatch(actor, net, msg: Message):
     """Run the actor's handler for msg's kind if msg is well formed, or else
     count msg in actor.rejected by reason: the one check every message to a
-    party or a miner passes. A wakeup must be a Timer the actor set, of a
-    kind in actor.TIMERS. Any other message must carry its kind's fields
-    with their types. A chain event must come from the chain it names, and
-    carry a string session id, a string result and, when ok, the detail
-    record its result declares. Every message but a chain event must name a
-    chain the actor serves: a chain's events reach only the actors it was
-    wired to, and a miner hears the other chain's reveals."""
-    handler, fields = actor.HANDLERS.get(msg.kind, (None, None))
+    party or a miner passes. Its data must be of the class its kind names.
+    A chain event must come from the chain it names, with a string session
+    id and result and, when ok, the detail record its result declares (a
+    miner also hears the other chain's). A wakeup must be a Timer the actor
+    set, of a kind in actor.TIMERS; any other data must hold its declared
+    field types. Both must name a chain the actor serves."""
+    handler, cls = actor.HANDLERS.get(msg.kind, (None, None))
     data = msg.data
     if handler is None:
         why = "unknown kind"
-    elif fields is Timer:
-        why = ("not set by this actor" if msg.src != actor.name
-               else "not a timer" if not isinstance(data, Timer)
-               else "unknown timer" if data.kind not in actor.TIMERS
-               else None if actor.serves(data.chain_id) else "unknown chain")
+    elif not isinstance(data, cls):
+        why = "not of class " + cls.__name__
+    elif cls is ChainEvent:
+        why = ("not sent by the chain it names" if msg.src != data.chain_id
+               else "session id is not a string" if type(data.session_id) is not str
+               else "result is not a string" if type(data.result) is not str
+               else "detail is not the record its result declares"
+               if data.ok and not isinstance(data.detail, ct.DETAILS.get(data.result, type(None)))
+               else None)
     else:
-        why = _field_problem(data, fields)
-        if why is None and fields is EVENT_FIELDS:
-            ev = data["event"]
-            if not msg.src == data["chain_id"] == ev.chain_id:
-                why = "not sent by the chain it names"
-            elif type(ev.session_id) is not str:
-                why = "session id is not a string"
-            elif type(ev.result) is not str:
-                why = "result is not a string"
-            elif ev.ok and not isinstance(ev.detail, ct.DETAILS.get(ev.result, type(None))):
-                why = "detail is not the record its result declares"
-        elif why is None and not actor.serves(data["chain_id"]):
-            why = "unknown chain"
+        why = ("not set by this actor" if cls is Timer and msg.src != actor.name
+               else "unknown timer" if cls is Timer and data.kind not in actor.TIMERS
+               else "mistyped " + bad if cls is not Timer and (bad := mistyped(data))
+               else None if actor.serves(data.chain_id) else "unknown chain")
     if why is not None:
         actor.rejected["%s: %s" % (msg.kind, why)] += 1
     else:
@@ -317,7 +331,8 @@ class Party:
     # -- workload wiring (installed by the scenario runner) --------------------
 
     def add_view(self, view: ChannelView):
-        self.session(view.session_id).sides[view.chain_id].views[view.path] = view
+        """Track view's channel, unless a view of that channel is already held."""
+        self.session(view.session_id).sides[view.chain_id].views.setdefault(view.path, view)
 
     def join(self, session_id, **role):
         """Take part in a session in a role: any of PartySession's fields
@@ -371,12 +386,11 @@ class Party:
         view.last_sent_seq = seq
         dst = self.directory.get(tr.rcv)
         if dst:
-            net.send("receipt", self.name, dst, {"chain_id": view.chain_id, "tr": tr})
+            net.send("receipt", self.name, dst, ReceiptMsg(view.chain_id, tr))
         return tr
 
     def on_receipt(self, net, msg):
-        tr: Receipt = msg.data["tr"]
-        chain_id = msg.data["chain_id"]
+        chain_id, tr = msg.data.chain_id, msg.data.tr
         ps = self.sessions.get(tr.session_id)
         side = None if ps is None else ps.sides[chain_id]
         view = None if side is None else side.views.get(tr.channel_path)
@@ -400,43 +414,44 @@ class Party:
         # payee side of a planned sub-channel funding receipt
         plan = side.plans.get(tr.channel_path + (tr.seq,))
         if plan is not None and plan.counterparty is not None:
-            data = {"chain_id": chain_id, "tr": tr, "counterparty": plan.counterparty}
-            net.send("sr_request", self.name, self.directory[tr.snd], data)
+            request = SrMsg(chain_id, SubChannelReceipt(plan.counterparty, tr))
+            net.send("sr_request", self.name, self.directory[tr.snd], request)
         self._maybe_close(net, ps, side)
 
     # -- sub-channels -------------------------------------------------------------
 
     def on_sr_request(self, net, msg):
-        """Payer side: authorize the payee to redeploy one receipt."""
-        tr: Receipt = msg.data["tr"]
-        chain_id = msg.data["chain_id"]
+        """Payer side: authorize the payee to redeploy one receipt. The
+        authorization embeds the receipt this party holds, never the
+        requester's copy of it."""
+        chain_id, tr = msg.data.chain_id, msg.data.sr.receipt
         kp = self.keys[chain_id]
         if tr.snd != kp.address:
             return
         side = self.side(chain_id, tr.session_id)
         view = None if side is None else side.views.get(tr.channel_path)
-        if view is None or view.receipts.get(tr.seq) != tr:
+        held = None if view is None else view.receipts.get(tr.seq)
+        if held != tr:
             return
         if tr.seq in view.delegated and not self.behavior.duplicate_sr:
             return  # one sub-channel receipt per receipt
-        sr = make_sub_receipt(kp, msg.data["counterparty"], tr)
+        sr = make_sub_receipt(kp, msg.data.sr.counterparty, held)
         view.srs.append(sr)
         view.delegated.add(tr.seq)
         if self.behavior.duplicate_sr:
-            shadow = make_sub_receipt(kp, kp.address + ":shadow", tr)
+            shadow = make_sub_receipt(kp, kp.address + ":shadow", held)
             view.srs.append(shadow)
-        net.send("sr_grant", self.name, msg.src, {"chain_id": chain_id, "sr": sr})
+        net.send("sr_grant", self.name, msg.src, SrMsg(chain_id, sr))
 
     def on_sr_grant(self, net, msg):
-        """Payee side: open the sub-channel once the authorization checks out."""
-        sr: SubChannelReceipt = msg.data["sr"]
-        chain_id = msg.data["chain_id"]
+        """Payee side: open the sub-channel once its authorization checks out, if not open yet."""
+        chain_id, sr = msg.data.chain_id, msg.data.sr
         tr = sr.receipt
         if sr.funder != self.address(chain_id) or not sr.verify_sig():
             return
         side = self.side(chain_id, tr.session_id)
         parent = None if side is None else side.views.get(tr.channel_path)
-        if parent is None:
+        if parent is None or sr.child_path in side.views:
             return
         parent.delegated.add(tr.seq)
         parent.srs.append(sr)
@@ -448,13 +463,12 @@ class Party:
             self._pump(net, side, child.path)
         dst = self.directory.get(sr.counterparty)
         if dst:
-            net.send("subchannel_open", self.name, dst, {"chain_id": chain_id, "sr": sr})
+            net.send("subchannel_open", self.name, dst, msg.data)
 
     def on_subchannel_open(self, net, msg):
-        """Counterparty side: verify the authorization chain, then track
-        the channel. Trusts nothing beyond the signatures it can check."""
-        sr: SubChannelReceipt = msg.data["sr"]
-        chain_id = msg.data["chain_id"]
+        """Counterparty side: verify the authorization chain, then track the
+        channel if not tracked yet. Trusts nothing beyond the signatures it can check."""
+        chain_id, sr = msg.data.chain_id, msg.data.sr
         if sr.counterparty != self.address(chain_id) or not sr.verify_sig():
             return
         view = ChannelView.of_sub_receipt(chain_id, sr)
@@ -531,9 +545,8 @@ class Party:
             sig = kp.sign(vss.share_message_bytes(ks, bound.sn))
             dst = self.directory.get(b.miner)
             if dst:
-                data = {"chain_id": side.chain_id, "session_id": side.session_id, "owner": kp.address,
-                        "share": ks, "dealing_pub": st.dealing.public, "sn": bound.sn, "sig": sig}
-                net.send("share", self.name, dst, data)
+                net.send("share", self.name, dst, ShareMsg(side.chain_id, side.session_id, kp.address, ks,
+                                                           st.dealing.public, bound.sn, sig))
 
     def _run_theta_exchange(self, net, ps: PartySession, side: ChainSide):
         """Send (proof, ciphertext, plaintext hash, key hash) across."""
@@ -544,22 +557,20 @@ class Party:
         x = proofs.make_public_inputs(st.m_blocks, st.key, st.t, st.n)
         w = proofs.RelationWitness(m=st.m_blocks, k_shares=st.dealing.shares)
         proof = self.backend.prove(st.crs.pk, w, x)
-        data = {"chain_id": side.chain_id, "session_id": side.session_id, "proof": proof,
-                "publics": x, "owner": self.address(side.chain_id)}
+        data = ExchangeMsg(side.chain_id, side.session_id, proof, x, self.address(side.chain_id))
         net.send("exchange", self.name, ps.counterpart, data)
 
     def on_exchange(self, net, msg):
-        ps = self.sessions.get(msg.data["session_id"])
-        if ps is None:
-            return
-        side = ps.sides[msg.data["chain_id"]]
-        x = msg.data["publics"]
+        """Judge the counterpart's proof on a chain once: pay if it verifies, else abort."""
+        ex: ExchangeMsg = msg.data
+        ps = self.sessions.get(ex.session_id)
+        side = None if ps is None or msg.src != ps.counterpart else ps.sides[ex.chain_id]
+        if side is None or side.proof_ok is not None:
+            return  # not from the counterpart, or not its first: the first verdict is final
         vk = side.counterpart_vk
-        ok = vk is not None and vk[0] == msg.data["owner"]
-        if ok and self.backend.verify(vk[1], x, msg.data["proof"]):
-            side.counterpart_publics = x
-            if side.proof_ok is None:
-                side.proof_ok = True
+        if vk is not None and vk[0] == ex.owner and self.backend.verify(vk[1], ex.publics, ex.proof):
+            side.counterpart_publics = ex.publics
+            side.proof_ok = True
             for s in ps.sides.values():
                 self._start_pumps(net, ps, s)
             self._maybe_close(net, ps, side)
@@ -643,7 +654,7 @@ class Party:
     # -- chain events -----------------------------------------------------------------
 
     def on_chain_event(self, net, msg):
-        ev: ChainEvent = msg.data["event"]
+        ev: ChainEvent = msg.data
         ps = self.session(ev.session_id)
         side = ps.sides[ev.chain_id]
         if ev.state is not None:
@@ -749,14 +760,13 @@ class Party:
 
     # -- dispatch tables ----------------------------------------------------------------
 
-    HANDLERS = {  # message kind -> (handler, fields; Timer for a wakeup)
-        "chain_event": (on_chain_event, EVENT_FIELDS),
-        "receipt": (on_receipt, {"chain_id": str, "tr": Receipt}),
-        "sr_request": (on_sr_request, {"chain_id": str, "tr": Receipt, "counterparty": str}),
-        "sr_grant": (on_sr_grant, {"chain_id": str, "sr": SubChannelReceipt}),
-        "subchannel_open": (on_subchannel_open, {"chain_id": str, "sr": SubChannelReceipt}),
-        "exchange": (on_exchange, {"chain_id": str, "session_id": str, "proof": proofs.Proof,
-                                   "publics": proofs.RelationPublicInputs, "owner": str}),
+    HANDLERS = {  # message kind -> (handler, the class its data must be)
+        "chain_event": (on_chain_event, ChainEvent),
+        "receipt": (on_receipt, ReceiptMsg),
+        "sr_request": (on_sr_request, SrMsg),
+        "sr_grant": (on_sr_grant, SrMsg),
+        "subchannel_open": (on_subchannel_open, SrMsg),
+        "exchange": (on_exchange, ExchangeMsg),
         "wakeup": (on_wakeup, Timer),
     }
     EVENTS = {  # result of a successful chain event -> handler
@@ -795,16 +805,14 @@ class Miner:
         self.kp = kp
         self.behavior = behavior or MinerBehavior()
         self.group = group
-        self.stored: dict = {}  # (session, owner) -> dict(share, sn, sig, ...)
-        self.old_stored: list = []
+        self.stored: dict = {}  # (session, owner) -> the ShareMsg whose share checked out
+        self.old_stored: list = []  # every such ShareMsg, in arrival order
         self.learned_pre: dict = {}  # session -> pre bytes
         self.assisted: set = set()
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
-    # stored and old_stored hold the same records: deep-copied through the
-    # fork's memo, they hold the same copies
-    __deepcopy__ = copier(share="name kp group", copy="learned_pre assisted rejected",
-                          deep="chain behavior stored old_stored")
+    __deepcopy__ = copier(share="name kp group", copy="stored old_stored learned_pre assisted rejected",
+                          deep="chain behavior")
 
     def on_message(self, net, msg: Message):
         _dispatch(self, net, msg)
@@ -813,33 +821,30 @@ class Miner:
         return chain_id == self.chain.chain_id
 
     def on_share(self, net, msg):
-        data = msg.data
-        session_id = data["session_id"]
-        owner = data["owner"]
-        share: vss.KeyShare = data["share"]
-        session = self.chain.read_session(session_id)
-        if session is None or owner not in session.bindings:
+        sm: ShareMsg = msg.data
+        session = self.chain.read_session(sm.session_id)
+        if session is None or sm.owner not in session.bindings:
             return
-        mine = [b for b in session.bindings[owner] if b.miner == self.kp.address and b.index == share.index]
+        mine = [b for b in session.bindings[sm.owner]
+                if b.miner == self.kp.address and b.index == sm.share.index]
         if not mine:
             return
         if self.behavior.stale_sn_replay and self.old_stored:
             old = self.old_stored[0]
-            payload = ct.AppealPayload(owner_sig=old["sig"], share=old["share"], sn=old["sn"])
-            self._submit(net, session_id, ct.APPEAL_TX, payload)
-        ok = vss.share_hash(share) == mine[0].share_hash and vss.verify_share(
-            share, data["dealing_pub"], self.group
+            payload = ct.AppealPayload(owner_sig=old.sig, share=old.share, sn=old.sn)
+            self._submit(net, sm.session_id, ct.APPEAL_TX, payload)
+        ok = vss.share_hash(sm.share) == mine[0].share_hash and vss.verify_share(
+            sm.share, sm.dealing_pub, self.group
         )
         if not ok:
-            payload = ct.AppealPayload(owner_sig=data["sig"], share=share, sn=data["sn"])
-            self._submit(net, session_id, ct.APPEAL_TX, payload)
+            payload = ct.AppealPayload(owner_sig=sm.sig, share=sm.share, sn=sm.sn)
+            self._submit(net, sm.session_id, ct.APPEAL_TX, payload)
             return
-        rec = {"share": share, "sn": data["sn"], "sig": data["sig"], "owner": owner}
-        self.stored[(session_id, owner)] = rec
-        self.old_stored.append(rec)
+        self.stored[(sm.session_id, sm.owner)] = sm
+        self.old_stored.append(sm)
 
     def on_chain_event(self, net, msg):
-        ev: ChainEvent = msg.data["event"]
+        ev: ChainEvent = msg.data
         if ev.state != ct.SUCCESS:
             return
         if ev.chain_id == self.chain.chain_id:
@@ -858,8 +863,8 @@ class Miner:
         session = self.chain.read_session(session_id)
         slot_s = session.parties and owner == session.parties[0]
         payload = ct.RecoverPayload(
-            share_s=rec["share"] if slot_s else None,
-            share_r=None if slot_s else rec["share"],
+            share_s=rec.share if slot_s else None,
+            share_r=None if slot_s else rec.share,
         )
         self._submit(net, session_id, ct.RECOVER_TX, payload)
 
@@ -897,10 +902,9 @@ class Miner:
         tx = ct.make_tx(self.kp, self.chain.chain_id, session_id, kind, payload)
         net.submit_tx(self.name, self.chain.chain_id, tx)
 
-    HANDLERS = {  # message kind -> (handler, fields; Timer for a wakeup)
-        "share": (on_share, {"chain_id": str, "session_id": str, "owner": str, "share": vss.KeyShare,
-                             "dealing_pub": vss.DealingPublic, "sn": bytes, "sig": bytes}),
-        "chain_event": (on_chain_event, EVENT_FIELDS),
+    HANDLERS = {  # message kind -> (handler, the class its data must be)
+        "share": (on_share, ShareMsg),
+        "chain_event": (on_chain_event, ChainEvent),
         "wakeup": (on_wakeup, Timer),
     }
     TIMERS = ("assist",)

@@ -59,7 +59,7 @@ class Message(Shared):
     kind: str
     src: str
     dst: str
-    data: object  # a dict, or the Timer a wakeup carries
+    data: object  # the class its receiver declares for kind: a tx, a chain event, a Timer, ...
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ class PendingMsg(Shared):
 
 
 class ChainActor:
-    """Routes tx messages into a chain's mempool; counts in ``rejected`` by
-    reason, untraced, any other message or one holding no well-typed tx."""
+    """Routes each tx message's OnChainTx into a chain's mempool; counts in
+    ``rejected`` by reason, untraced, any other message or data."""
 
     def __init__(self, chain):
         self.chain = chain
@@ -142,9 +142,9 @@ class ChainActor:
     __deepcopy__ = copier(copy="rejected", deep="chain")
 
     def on_message(self, net, msg: Message):
-        tx = msg.data.get("tx") if isinstance(msg.data, dict) else None
+        tx = msg.data
         if msg.kind != "tx" or not isinstance(tx, OnChainTx):
-            why = "unknown kind" if msg.kind != "tx" else "missing or mistyped tx"
+            why = "unknown kind" if msg.kind != "tx" else "not of class OnChainTx"
             self.rejected["%s: %s" % (msg.kind, why)] += 1
             return
         ok, why = self.chain.submit_tx(tx)
@@ -209,30 +209,30 @@ class Simnet:
     def log(self, entry: dict):
         self.trace.append(entry)
 
-    def send(self, kind: str, src: str, dst: str, data: dict):
-        msg = Message(kind=kind, src=src, dst=dst, data=data)
+    def _queue(self, msg: Message, lo: int, hi: int):
+        """Queue msg for delivery inside the tick window [lo, hi]: at lo in
+        run mode, and at each tick of the window in enumerate mode."""
         self._seq += 1
         if self.mode == "run":
-            delay = self.latency.sample(self.rng, src, dst)
-            tick = max(self.now + delay, self._fifo.get((src, dst), 0))
-            self._fifo[(src, dst)] = tick
-            heapq.heappush(self._heap, (tick, self._seq, msg))
+            heapq.heappush(self._heap, (lo, self._seq, msg))
         else:
-            lo, hi = self.latency.window(src, dst)
-            self.pending.append(PendingMsg(seq=self._seq, msg=msg, lo=self.now + lo, hi=self.now + hi))
+            self.pending.append(PendingMsg(seq=self._seq, msg=msg, lo=lo, hi=hi))
 
-    def wakeup(self, dst: str, tick: int, data=None):
+    def send(self, kind: str, src: str, dst: str, data):
+        if self.mode == "run":
+            lo = hi = max(self.now + self.latency.sample(self.rng, src, dst), self._fifo.get((src, dst), 0))
+            self._fifo[(src, dst)] = lo
+        else:
+            lo, hi = (self.now + d for d in self.latency.window(src, dst))
+        self._queue(Message(kind=kind, src=src, dst=dst, data=data), lo, hi)
+
+    def wakeup(self, dst: str, tick: int, data):
         """Local timer: delivers data back to dst exactly at the requested tick."""
-        msg = Message(kind="wakeup", src=dst, dst=dst, data=data or {})
-        self._seq += 1
-        if self.mode == "run":
-            heapq.heappush(self._heap, (max(tick, self.now), self._seq, msg))
-        else:
-            t = max(tick, self.now)
-            self.pending.append(PendingMsg(seq=self._seq, msg=msg, lo=t, hi=t))
+        t = max(tick, self.now)
+        self._queue(Message(kind="wakeup", src=dst, dst=dst, data=data), t, t)
 
-    def submit_tx(self, src: str, chain_id: str, tx):
-        self.send("tx", src, chain_id, {"tx": tx})
+    def submit_tx(self, src: str, chain_id: str, tx: OnChainTx):
+        self.send("tx", src, chain_id, tx)
 
     # -- forking ----------------------------------------------------------------
 
@@ -269,10 +269,9 @@ class Simnet:
             if chain.is_boundary(tick):
                 for ev in chain.produce_block(tick):
                     self.log(ev.trace_entry())
-                    data = {"chain_id": chain.chain_id, "event": ev}
                     for name, kinds in chain.subscribers:
                         if kinds is None or ev.tx_kind in kinds:
-                            self.send("chain_event", chain.chain_id, name, data)
+                            self.send("chain_event", chain.chain_id, name, ev)
 
     def run_until(self, predicate=None, max_tick: int = 10_000):
         """Advance ticks, producing blocks and delivering messages, until

@@ -108,11 +108,11 @@ def enc_value(value, stop: str | None = None) -> bytes:
 
 
 def mistyped(value) -> str | None:
-    """The first field of a dataclass value (a signed value, a payload or
-    a key share) that does not hold its declared type, or None. Fields
-    that hold dataclasses are checked in turn. An ``Encoded`` value is
-    checked once: its verdict is kept in its ``_mistyped`` field, "" when
-    every field holds its type."""
+    """The first field of a dataclass value (a message, a signed value, a
+    payload or a key share) that does not hold its declared type, or None.
+    Fields that hold dataclasses are checked in turn, and reported under
+    the outer field. An ``Encoded`` value is checked once: its verdict is
+    kept in its ``_mistyped`` field, "" when every field holds its type."""
     if not isinstance(value, Encoded):
         return _first_mistyped(value)
     if value._mistyped is None:

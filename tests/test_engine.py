@@ -13,10 +13,10 @@ from xchan.chain import ChainEvent
 from xchan.contract import InvariantViolation
 from xchan.crypto import keypair_from_label
 from xchan import engine, proofs, receipts, vss
-from xchan.engine import BehaviorProfile, ChannelView, Party, Timer
+from xchan.engine import BehaviorProfile, ChannelView, ExchangeMsg, Party, ReceiptMsg, ShareMsg, SrMsg, Timer
 from xchan.receipts import (Receipt, SubChannelReceipt, fold_receipt, make_receipt, make_sub_receipt,
                             replay_receipts)
-from xchan.scenario import ScenarioConfig, build_world
+from xchan.scenario import ScenarioConfig, _all_terminal, build_world, collect_metrics
 from xchan.simnet import LatencyModel, Message, Simnet
 
 SID = "e0"
@@ -80,7 +80,7 @@ class TestReceipts:
         net, a, b = two_parties()
         tr = make_receipt(a.keys["alpha"], SID, (), 1, b.address("alpha"), 10)
         forged = replace(tr, amount=20)  # body changed under the old signature
-        net.send("receipt", "A", "B", {"chain_id": "alpha", "tr": forged})
+        net.send("receipt", "A", "B", ReceiptMsg("alpha", forged))
         net.run_until(max_tick=3)
         assert view_of(b).receipts == {}
 
@@ -90,7 +90,7 @@ class TestReceipts:
         t1 = make_receipt(kp, SID, (), 1, b.address("alpha"), 5)
         t2 = make_receipt(kp, SID, (), 1, b.address("alpha"), 6)
         for tr in (t1, t2):
-            net.send("receipt", "A", "B", {"chain_id": "alpha", "tr": tr})
+            net.send("receipt", "A", "B", ReceiptMsg("alpha", tr))
         net.run_until(max_tick=3)
         assert list(view_of(b).receipts) == [1]
         assert view_of(b).receipts[1].amount == 5
@@ -148,8 +148,7 @@ class TestSubChannels:
         a.send_receipt(net, view_of(a), 40)
         net.run_until(max_tick=8)
         tr = view_of(a).receipts[1]
-        net.send("sr_request", "B", "A",
-                 {"chain_id": "alpha", "tr": tr, "counterparty": c.address("alpha")})
+        net.send("sr_request", "B", "A", SrMsg("alpha", SubChannelReceipt(c.address("alpha"), tr)))
         before = len(view_of(a).srs)
         net.run_until(max_tick=12)
         assert len(view_of(a).srs) == before  # payer refuses a second grant
@@ -159,10 +158,24 @@ class TestSubChannels:
         tr = make_receipt(a.keys["alpha"], SID, (), 1, b.address("alpha"), 40)
         sr = make_sub_receipt(a.keys["alpha"], c.address("alpha"), tr)
         forged = replace(sr, sig=b.keys["alpha"].sign(sr.signing_bytes()))
-        net.send("subchannel_open", "B", "C", {"chain_id": "alpha", "sr": forged})
+        net.send("subchannel_open", "B", "C", SrMsg("alpha", forged))
         net.run_until(max_tick=3)
         side = c.side("alpha", SID)
         assert side is None or (1,) not in side.views
+
+    def test_grant_embeds_the_held_receipt(self):
+        """The payer authorizes the receipt it holds, not the requester's
+        equal copy, whose memo fields the requester may have set."""
+        net, a, b, c = self.wire()
+        a.send_receipt(net, view_of(a), 40)
+        net.run_until(max_tick=3)
+        held = view_of(a).receipts[1]
+        copied = replace(held)
+        object.__setattr__(copied, "_signing", b"bytes the payer never signed")
+        net.send("sr_request", "B", "A", SrMsg("alpha", SubChannelReceipt(c.address("alpha"), copied)))
+        net.run_until(max_tick=5)
+        (sr,) = view_of(a).srs
+        assert sr.receipt is held and sr.verify_sig()
 
     def test_sub_receipt_requires_payer(self):
         net, a, b, c = self.wire()
@@ -315,23 +328,22 @@ _S = keypair_from_label("S:10:alpha").address
 _R = keypair_from_label("R:10:alpha").address
 
 
-def _event(result=ct.CLOSE, ok=True, detail=None, chain_id="alpha", session_id="c0", src="alpha"):
-    """Chain event data as the chain sends it: c0 entered Close on alpha."""
-    return {"chain_id": src, "event": ChainEvent(8, chain_id, 2, "Close", session_id, result, ok, detail)}
+def _event(result=ct.CLOSE, ok=True, detail=None, chain_id="alpha", session_id="c0"):
+    """A chain event as the chain sends it: c0 entered Close on alpha."""
+    return ChainEvent(8, chain_id, 2, "Close", session_id, result, ok, detail)
 
 
 # the event dict a chain sent before chain events were typed
 _DICT_EVENT = {"tick": 8, "chain_id": "alpha", "block": 2, "tx_kind": "Close", "session_id": "c0",
                "result": "state:Close"}
-_SHARE = {"chain_id": "alpha", "session_id": "c0", "owner": _S,
-          "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}
+_SHARE = ShareMsg("alpha", "c0", _S, None, vss.DealingPublic(2, 3, 1, ()), b"", b"")
+_PROOF = proofs.Proof(1, bytes(32))
 
 
 def _exchange(**fields):
     """S's exchange to R on alpha, where R expects S's proof, with some
     fields replaced."""
-    return dict({"chain_id": "alpha", "session_id": "c0", "proof": proofs.Proof(1, bytes(32)),
-                 "publics": _PUBLICS, "owner": _S}, **fields)
+    return replace(ExchangeMsg("alpha", "c0", _PROOF, _PUBLICS, _S), **fields)
 
 
 def _held_share(**dealing):
@@ -339,7 +351,7 @@ def _held_share(**dealing):
     the dealing's fields replaced."""
     def data(world):
         held = world.net.actors["M.alpha.1"].stored[("c0", _S)]
-        return dict(_SHARE, share=held["share"], dealing_pub=replace(_SHARE["dealing_pub"], **dealing))
+        return replace(_SHARE, share=held.share, dealing_pub=replace(_SHARE.dealing_pub, **dealing))
     return data
 
 
@@ -348,22 +360,33 @@ def _tr(**fields):
     return replace(Receipt("c0", (), 1, _R, _S, 1), **fields)
 
 
+def _sr(counterparty="x", **fields):
+    """R's sub-channel receipt for _tr(**fields), unsigned."""
+    return SubChannelReceipt(counterparty, _tr(**fields))
+
+
 # (actor, message kind, sender, data, or data read from the world): each
-# lacks a field, has one of the wrong type, names an unknown chain, or
-# claims a sender it does not have
+# lacks a field (None in its place), has one of the wrong type, names an
+# unknown chain, claims a sender it does not have, or is not the class its
+# kind declares, as in the dict form every message had before it was typed
 MALFORMED = {
-    "receipt-empty": ("S", "receipt", "R", {}),
-    "receipt-int-tr": ("S", "receipt", "R", {"chain_id": "alpha", "tr": 5}),
-    "receipt-unknown-chain": ("S", "receipt", "R", {"chain_id": "gamma", "tr": _RECEIPT}),
-    "sr_request-no-tr": ("S", "sr_request", "R", {"chain_id": "alpha", "counterparty": "x"}),
-    "sr_grant-int-sr": ("S", "sr_grant", "R", {"chain_id": "alpha", "sr": 1}),
-    "subchannel_open-empty": ("S", "subchannel_open", "R", {}),
-    "exchange-no-session": ("S", "exchange", "R", {
-        "chain_id": "alpha", "proof": proofs.Proof(1, bytes(32)), "publics": _PUBLICS,
-        "owner": "x"}),
-    "chain_event-empty": ("S", "chain_event", "alpha", {}),
+    "receipt-empty": ("S", "receipt", "R", ReceiptMsg(None, None)),
+    "receipt-int-tr": ("S", "receipt", "R", ReceiptMsg("alpha", 5)),
+    "receipt-unknown-chain": ("S", "receipt", "R", ReceiptMsg("gamma", _RECEIPT)),
+    "receipt-dict": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _RECEIPT}),
+    "sr_request-no-tr": ("S", "sr_request", "R", SrMsg("alpha", SubChannelReceipt("x", None))),
+    "sr_request-dict": ("S", "sr_request", "R", {"chain_id": "alpha", "tr": _RECEIPT, "counterparty": "x"}),
+    "sr_grant-int-sr": ("S", "sr_grant", "R", SrMsg("alpha", 1)),
+    "sr_grant-dict": ("S", "sr_grant", "R", {"chain_id": "alpha", "sr": _sr()}),
+    "subchannel_open-empty": ("S", "subchannel_open", "R", SrMsg(None, None)),
+    "subchannel_open-dict": ("S", "subchannel_open", "R", {"chain_id": "alpha", "sr": _sr(_S)}),
+    "exchange-no-session": ("S", "exchange", "R", ExchangeMsg("alpha", None, _PROOF, _PUBLICS, "x")),
+    "exchange-dict": ("R", "exchange", "S", {"chain_id": "alpha", "session_id": "c0", "proof": _PROOF,
+                                             "publics": _PUBLICS, "owner": _S}),
+    "chain_event-empty": ("S", "chain_event", "alpha", ChainEvent(*[None] * 8)),
     "chain_event-forged": ("S", "chain_event", "R", _event()),
     "chain_event-dict": ("S", "chain_event", "alpha", _DICT_EVENT),
+    "chain_event-wrapped": ("S", "chain_event", "alpha", {"chain_id": "alpha", "event": _event()}),
     "chain_event-other-chain": ("S", "chain_event", "alpha", _event(chain_id="beta")),
     "wakeup-int-pump": ("S", "wakeup", "S", {"pump": 3}),
     "wakeup-short-force_close": ("S", "wakeup", "S", {"force_close": ["alpha"]}),
@@ -374,13 +397,17 @@ MALFORMED = {
     "miner-wakeup-dict": ("M.alpha.1", "wakeup", "M.alpha.1", {"assist": "c0"}),
     "miner-wakeup-other-chain": ("M.alpha.1", "wakeup", "M.alpha.1", Timer("assist", "beta", "c0")),
     "miner-wakeup-party-timer": ("M.alpha.1", "wakeup", "M.alpha.1", Timer("try_close", "alpha", "c0")),
-    "miner-share-empty": ("M.alpha.1", "share", "S", {}),
-    "miner-share-other-chain": ("M.alpha.1", "share", "S", {
-        "chain_id": "beta", "session_id": "c0", "owner": "x", "share": vss.KeyShare(1, 1, 1, b""),
+    "miner-share-empty": ("M.alpha.1", "share", "S", ShareMsg(*[None] * 7)),
+    "miner-share-other-chain": ("M.alpha.1", "share", "S", ShareMsg(
+        "beta", "c0", "x", vss.KeyShare(1, 1, 1, b""), vss.DealingPublic(2, 3, 1, ()), b"", b"")),
+    "miner-share-dict": ("M.alpha.1", "share", "S", {
+        "chain_id": "alpha", "session_id": "c0", "owner": _S, "share": vss.KeyShare(1, 1, 1, b""),
         "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}),
-    "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", {}),
+    "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", ChainEvent(*[None] * 8)),
     "miner-chain_event-forged": ("M.alpha.1", "chain_event", "beta",
                                  _event(ct.SUCCESS, detail=ct.Unlocked(b"", _S))),
+    "miner-chain_event-wrapped": ("M.alpha.1", "chain_event", "alpha", {
+        "chain_id": "alpha", "event": _event(ct.SUCCESS, detail=ct.Unlocked(b"x", _S))}),
     # an ok chain event whose detail is not the record its result declares
     "chain_event-lock-no-record": ("R", "chain_event", "alpha", _event(ct.LOCK)),
     "chain_event-bound-no-record": ("S", "chain_event", "alpha", _event(ct.BINDINGS_PUBLISHED)),
@@ -396,25 +423,23 @@ MALFORMED = {
     "miner-chain_event-list-session": ("M.alpha.1", "chain_event", "alpha", _event(
         ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=["c0"])),
     "miner-chain_event-dict-session": ("M.alpha.1", "chain_event", "beta", _event(
-        ct.SUCCESS, detail=ct.Unlocked(b"x", None), chain_id="beta", session_id={}, src="beta")),
+        ct.SUCCESS, detail=ct.Unlocked(b"x", None), chain_id="beta", session_id={})),
     "miner-chain_event-int-session": ("M.alpha.1", "chain_event", "alpha", _event(
         ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=5)),
     # well-typed signed values or key shares holding a mistyped field
-    "receipt-list-session": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(session_id=["c0"])}),
-    "receipt-list-path": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(channel_path=[1])}),
-    "receipt-str-seq": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(seq="1")}),
-    "receipt-str-amount": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(amount="1")}),
-    "receipt-bool-amount": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(amount=True)}),
-    "receipt-negative-amount": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(amount=-1)}),
-    "receipt-seq-above-u64": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _tr(seq=1 << 64)}),
-    "sr_request-list-path": ("S", "sr_request", "R", {
-        "chain_id": "alpha", "tr": _tr(channel_path=[1], snd=_S, rcv=_R), "counterparty": "x"}),
-    "sr_grant-int-receipt": ("S", "sr_grant", "R", {"chain_id": "alpha", "sr": SubChannelReceipt("x", 5)}),
-    "subchannel_open-int-receipt": ("S", "subchannel_open", "R", {
-        "chain_id": "alpha", "sr": SubChannelReceipt(_S, 5)}),
-    "sr_grant-list-path-receipt": ("S", "sr_grant", "R", {
-        "chain_id": "alpha", "sr": SubChannelReceipt("x", _tr(channel_path=[1]))}),
-    "miner-share-str-scalar": ("M.alpha.1", "share", "S", dict(_SHARE, share=vss.KeyShare(1, "s", 1, b""))),
+    "receipt-list-session": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(session_id=["c0"]))),
+    "receipt-list-path": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(channel_path=[1]))),
+    "receipt-str-seq": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(seq="1"))),
+    "receipt-str-amount": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(amount="1"))),
+    "receipt-bool-amount": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(amount=True))),
+    "receipt-negative-amount": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(amount=-1))),
+    "receipt-seq-above-u64": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(seq=1 << 64))),
+    "sr_request-list-path": ("S", "sr_request", "R", SrMsg("alpha", _sr(channel_path=[1], snd=_S, rcv=_R))),
+    "sr_request-int-counterparty": ("S", "sr_request", "R", SrMsg("alpha", _sr(5, snd=_S, rcv=_R))),
+    "sr_grant-int-receipt": ("S", "sr_grant", "R", SrMsg("alpha", SubChannelReceipt("x", 5))),
+    "subchannel_open-int-receipt": ("S", "subchannel_open", "R", SrMsg("alpha", SubChannelReceipt(_S, 5))),
+    "sr_grant-list-path-receipt": ("S", "sr_grant", "R", SrMsg("alpha", _sr(channel_path=[1]))),
+    "miner-share-str-scalar": ("M.alpha.1", "share", "S", replace(_SHARE, share=vss.KeyShare(1, "s", 1, b""))),
     # an exchange R checks against S's key, each with a proof or input that
     # once raised out of the proof backend (the line it raised at)
     "exchange-str-t": ("R", "exchange", "S", _exchange(publics=replace(_PUBLICS, t="2"))),  # wire.enc_u64
@@ -460,6 +485,27 @@ class TestMalformedMessages:
         ("miner-wakeup-other-chain", "wakeup: unknown chain"),
         ("chain_event-list-session", "chain_event: session id is not a string"),
         ("miner-chain_event-dict-session", "chain_event: session id is not a string"),
+        # data that is not the class its kind declares, as in each kind's old dict form
+        ("receipt-dict", "receipt: not of class ReceiptMsg"),
+        ("sr_request-dict", "sr_request: not of class SrMsg"),
+        ("sr_grant-dict", "sr_grant: not of class SrMsg"),
+        ("subchannel_open-dict", "subchannel_open: not of class SrMsg"),
+        ("exchange-dict", "exchange: not of class ExchangeMsg"),
+        ("miner-share-dict", "share: not of class ShareMsg"),
+        ("chain_event-wrapped", "chain_event: not of class ChainEvent"),
+        ("miner-chain_event-wrapped", "chain_event: not of class ChainEvent"),
+        ("wakeup-int-pump", "wakeup: not of class Timer"),
+        ("chain_event-forged", "chain_event: not sent by the chain it names"),
+        # a missing field, and a mistyped value nested in a message's field,
+        # reported under the message's field
+        ("receipt-empty", "receipt: mistyped ReceiptMsg.chain_id"),
+        ("exchange-no-session", "exchange: mistyped ExchangeMsg.session_id"),
+        ("receipt-list-session", "receipt: mistyped ReceiptMsg.tr"),
+        ("sr_request-no-tr", "sr_request: mistyped SrMsg.sr"),
+        ("sr_request-int-counterparty", "sr_request: mistyped SrMsg.sr"),
+        ("miner-share-str-scalar", "share: mistyped ShareMsg.share"),
+        ("exchange-int-binding", "exchange: mistyped ExchangeMsg.proof"),
+        ("miner-share-int-commitments", "share: mistyped ShareMsg.dealing_pub"),
     ])
     def test_reason(self, probe, reason):
         assert self.reject(probe) == reason
@@ -468,10 +514,11 @@ class TestMalformedMessages:
         """A signed value keeps its type verdict, a failing one included."""
         world = _eie_world_mid_run()
         party = world.parties["S"]
-        data = {"chain_id": "alpha", "tr": _tr(amount="1")}
+        data = ReceiptMsg("alpha", _tr(amount="1"))
         for _ in range(3):
             party.on_message(world.net, Message("receipt", "R", "S", data))
-        assert party.rejected == {"receipt: mistyped Receipt.amount": 3}
+        assert party.rejected == {"receipt: mistyped ReceiptMsg.tr": 3}
+        assert data.tr._mistyped == "Receipt.amount"
 
     def test_failed_event_inert(self):
         """A failed transaction's event whose result names a state and a
@@ -556,3 +603,67 @@ class TestTimers:
             world.net.run_until(lambda: world.net.now >= tick, max_tick=tick)
             pumps |= {(name, timer.path) for name, timer in _pending_timers(world) if timer.kind == "pump"}
         assert pumps == {("S", ()), ("R", ()), ("R", (1,)), ("D", (1, 1))}
+
+
+class TestReplays:
+    """A replayed message leaves what its first delivery settled as it is."""
+
+    LEVELS = ScenarioConfig(receipts_n=4, seed=3, levels=2, sub_funding=(40,), sub_receipts=(5,))
+
+    @staticmethod
+    def world_at(tick, cfg, name):
+        """cfg's world with its opens submitted, run to tick, and every
+        message the party name received on the way."""
+        world = build_world(cfg)
+        party, got = world.parties[name], []
+
+        def on_message(net, msg, deliver=party.on_message):
+            got.append(msg)
+            deliver(net, msg)
+        party.on_message = on_message
+        for p in ("S", "R"):
+            for chain in (world.alpha, world.beta):
+                world.parties[p].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        world.net.run_until(lambda: world.net.now >= tick, max_tick=tick)
+        return world, got
+
+    def test_replayed_subchannel_open_keeps_the_view(self):
+        world, got = self.world_at(11, self.LEVELS, "D")
+        D = world.parties["D"]
+        side, me = D.side("alpha", "c0"), D.address("alpha")
+        view = side.views[(1,)]
+        assert len(view.receipts) == 5 and view.balances()[me] == 5
+        (msg,) = [m for m in got if m.kind == "subchannel_open"]
+        D.on_message(world.net, msg)
+        assert side.views[(1,)] is view
+        assert len(view.receipts) == 5 and view.balances()[me] == 5 == side.received[(1,)]
+
+    def test_replayed_sr_grant_keeps_both_views(self):
+        world, got = self.world_at(11, self.LEVELS, "R")
+        R, D = world.parties["R"], world.parties["D"]
+        views = {p: p.side("alpha", "c0").views[(1,)] for p in (R, D)}
+        srs = list(R.side("alpha", "c0").views[()].srs)
+        (msg,) = [m for m in got if m.kind == "sr_grant"]
+        R.on_message(world.net, msg)
+        world.net.run_until(lambda: world.net.now >= 14, max_tick=14)
+        for p, view in views.items():
+            assert p.side("alpha", "c0").views[(1,)] is view
+        assert len(views[D].receipts) == 5 and views[D].balances()[D.address("alpha")] == 5
+        assert R.side("alpha", "c0").views[()].srs == srs
+
+    def test_late_exchange_leaves_a_verified_proof(self):
+        """Once the counterpart's proof verified, a later exchange with a
+        bad proof, from a stranger or from the counterpart, changes
+        nothing: the run pays every receipt."""
+        cfg = ScenarioConfig(mode="EIE", receipts_n=40, seed=10)
+        world, got = self.world_at(8, cfg, "R")
+        R = world.parties["R"]
+        side = R.side("alpha", "c0")
+        assert side.proof_ok is True
+        (msg,) = [m for m in got if m.kind == "exchange"]
+        bad = replace(msg.data, proof=proofs.Proof(1, bytes(32)))
+        for src in ("nobody", msg.src):
+            R.on_message(world.net, Message("exchange", src, "R", bad))
+        assert side.proof_ok is True and not R.sessions["c0"].aborted
+        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        assert collect_metrics(world).receipts_processed == 40

@@ -78,7 +78,7 @@ class TestCurrencyExchange:
         metrics = collect_metrics(world)
         committed, failed = {}, 0
         for e in trace:
-            if e.get("tx_kind") in ct.PAYLOAD_KINDS and "result" in e:
+            if e.get("tx_kind") in ct.ChannelContract.HANDLERS and "result" in e:
                 if e["result"].startswith("failed:"):
                     failed += 1
                 else:

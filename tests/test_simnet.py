@@ -185,7 +185,7 @@ class TestRunLoop:
 
             def on_message(self, net, msg):
                 if msg.kind == "chain_event":
-                    self.blocks.append(msg.data["event"].block)
+                    self.blocks.append(msg.data.block)
 
         kp = keypair_from_label("evt:S")
         for seed in range(8):
@@ -250,13 +250,16 @@ class TestChainActor:
     """A chain's network entry point counts a message that carries no
     transaction instead of raising; it logs nothing and queues nothing."""
 
+    TX = contract.OnChainTx("alpha", "c0", "S", contract.OPEN_TX, contract.OpenPayload(5))
+
     @pytest.mark.parametrize("kind, data", [
-        ("tx", {"tx": 5}),
-        ("tx", {}),
-        ("tx", 7),
-        ("tx", {"tx": {"kind": "Open"}}),
-        ("receipt", {"tx": 5}),
-    ], ids=["int-tx", "empty", "int-data", "dict-tx", "other-kind"])
+        ("tx", 5),
+        ("tx", None),
+        ("tx", b"tx"),
+        ("tx", {"kind": "Open"}),
+        ("receipt", TX),
+        ("tx", {"tx": TX}),  # the dict a tx message carried before it carried the tx itself
+    ], ids=["int-tx", "empty", "int-data", "dict-tx", "other-kind", "wrapped-tx"])
     def test_malformed_tx_counted(self, kind, data):
         net = Simnet()
         c = chain.Chain("alpha", 3, chain.TimerConfig(6, 6, 10, 20))
@@ -266,7 +269,7 @@ class TestChainActor:
         assert net.trace == [] and c.mempool == []
         assert sum(actor.rejected.values()) == 1
         (reason,) = actor.rejected
-        assert reason.startswith(kind + ": ")
+        assert reason == ("tx: not of class OnChainTx" if kind == "tx" else kind + ": unknown kind")
 
     @pytest.mark.parametrize("field", ["sender", "kind"])
     def test_unhashable_tx_field_rejected(self, field):
@@ -278,7 +281,7 @@ class TestChainActor:
         tx = contract.OnChainTx("alpha", "c0", "S", contract.OPEN_TX, contract.OpenPayload(5))
         tx = dataclasses.replace(tx, **{field: [getattr(tx, field)]})
         actor = net.actors["alpha"]
-        actor.on_message(net, Message("tx", "S", "alpha", {"tx": tx}))
+        actor.on_message(net, Message("tx", "S", "alpha", tx))
         assert c.mempool == [] and net.trace == []
         assert actor.rejected == {"tx: malformed: mistyped OnChainTx.%s" % field: 1}
 
@@ -292,7 +295,7 @@ class TestChainActor:
         actor = net.actors["alpha"]
         for kind in (b"Open", contract.OPEN_TX):
             tx = contract.OnChainTx("alpha", "c0", "S", kind, contract.OpenPayload(5))
-            actor.on_message(net, Message("tx", "S", "alpha", {"tx": tx}))
+            actor.on_message(net, Message("tx", "S", "alpha", tx))
         assert actor.rejected == {"tx: malformed: mistyped OnChainTx.kind": 1}
         assert net.trace == [{"tick": 0, "kind": "submit", "chain_id": "alpha", "tx_kind": "Open",
                               "from": "S", "accepted": False, "why": "bad signature"}]
