@@ -17,11 +17,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .contract import (STATES, Bound, ChannelContract, InvariantViolation, Locked, OnChainTx, Opened,
-                       Published, Unlocked)
+from .contract import (DETAILS, STATES, Bound, ChannelContract, InvariantViolation, Locked, OnChainTx,
+                       Opened, Published, Unlocked)
 from .crypto import hash_bytes
 from .forking import Shared, copier
-from .wire import enc_bytes, enc_str, enc_u64, mistyped
+from .wire import enc_bytes, enc_str, enc_u64
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,14 @@ class ChainEvent(Shared):
     ok: bool
     detail: Opened | Bound | Locked | Unlocked | Published | None
 
+    def __post_init__(self):  # checked once, where the chain builds it, for its receivers
+        if type(self.session_id) is not str:
+            raise TypeError("session id is not a string")
+        if type(self.result) is not str:
+            raise TypeError("result is not a string")
+        if self.ok and not isinstance(self.detail, DETAILS.get(self.result, type(None))):
+            raise TypeError("detail is not the record its result declares")
+
     @property
     def state(self) -> str | None:
         """The contract state the session entered, or None."""
@@ -70,7 +78,6 @@ class ChainEvent(Shared):
 
 
 GENESIS_HASH = hash_bytes(b"genesis")
-MISTYPED = "malformed: mistyped "  # submit_tx's reason for a field not of its declared type
 
 
 class Chain:
@@ -129,24 +136,16 @@ class Chain:
     # -- mempool ------------------------------------------------------------
 
     def submit_tx(self, tx: OnChainTx):
-        """Field-type, sender and signature checks happen at admission;
-        everything else is judged at execution inside a block. Field types
-        come first: the other checks hash the sender and kind."""
-        if bad := mistyped(tx):
-            return False, MISTYPED + bad
+        """Chain, sender, payload class and signature checks happen at admission
+        (field types, when the tx was built); the rest is judged in a block."""
         if tx.chain_id != self.chain_id:
             return False, "wrong chain"
         if tx.sender not in self.accounts:
             return False, "unknown sender"
         declared = ChannelContract.HANDLERS.get(tx.kind)  # (handler, payload class)
-        if declared is None or not isinstance(tx.payload, declared[1]):
+        if declared is None or type(tx.payload) is not declared[1]:
             return False, "unknown kind"
-        try:
-            sig_ok = tx.verify_sig()
-        except ValueError as exc:
-            # a str that UTF-8 cannot carry (a lone surrogate)
-            return False, "malformed: %s" % exc
-        if not sig_ok:
+        if not tx.verify_sig():
             return False, "bad signature"
         self.mempool.append(tx)
         return True, "queued"

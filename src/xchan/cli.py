@@ -47,10 +47,17 @@ def cmd_run(args) -> int:
     return 0 if metrics.invariants_ok else 1
 
 
+def channel_counts(text: str) -> range:
+    """--channels lo:hi:step: two or more channel counts from 1 up, to fit a line to."""
+    lo, hi, step = map(int, text.split(":"))  # a ValueError is argparse's usage error
+    if 1 <= lo and step >= 1 and lo + step <= hi:
+        return range(lo, hi + 1, step)
+    raise ValueError(text)
+
+
 def cmd_sweep(args) -> int:
     config = _load(args.config)
-    lo, hi, step = (int(x) for x in args.channels.split(":"))
-    result = run_scaling_sweep(config, range(lo, hi + 1, step))
+    result = run_scaling_sweep(config, args.channels)
     print("channels  receipts  ticks  receipts_per_tick")
     for row in result.rows:
         print("%8d  %8d  %5d  %17.4f" % (row.channels, row.receipts, row.ticks, row.receipts_per_tick))
@@ -91,7 +98,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="throughput over channel counts")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--channels", default="10:100:10", help="lo:hi:step")
+    p_sweep.add_argument("--channels", type=channel_counts, default="10:100:10", help="lo:hi:step")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_enum = sub.add_parser("enumerate", help="exhaustive close-phase schedules")

@@ -23,9 +23,9 @@ from typing import NamedTuple
 
 from . import vss
 from .crypto import hash_bytes, verify
-from .forking import Shared, copier
+from .forking import copier
 from .receipts import FinalState, Receipt, Signed, SubChannelReceipt, replay_receipts
-from .wire import U64, enc_str
+from .wire import U64, Checked, enc_str
 
 # session states
 INIT = "INIT"
@@ -115,12 +115,12 @@ class InvariantViolation(AssertionError):
 
 
 @dataclass(frozen=True)
-class OpenPayload(Shared):
+class OpenPayload(Checked):
     amount: U64
 
 
 @dataclass(frozen=True)
-class UploadPayload(Shared):
+class UploadPayload(Checked):
     h_k: bytes
     n: U64
     t: U64
@@ -128,37 +128,37 @@ class UploadPayload(Shared):
 
 
 @dataclass(frozen=True)
-class AppealPayload(Shared):
+class AppealPayload(Checked):
     owner_sig: bytes
     share: vss.KeyShare
     sn: bytes
 
 
 @dataclass(frozen=True)
-class ClosePayload(Shared):
+class ClosePayload(Checked):
     final: FinalState
     srs: tuple[SubChannelReceipt, ...]
     trs: tuple[Receipt, ...]
 
 
 @dataclass(frozen=True)
-class LockPayload(Shared):
+class LockPayload(Checked):
     h_pre: bytes
 
 
 @dataclass(frozen=True)
-class UpdatePayload(Shared):
+class UpdatePayload(Checked):
     pre: bytes
 
 
 @dataclass(frozen=True)
-class UpdateEiePayload(Shared):
+class UpdateEiePayload(Checked):
     pre: bytes
     h_k: bytes
 
 
 @dataclass(frozen=True)
-class RecoverPayload(Shared):
+class RecoverPayload(Checked):
     share_s: vss.KeyShare | None = None
     share_r: vss.KeyShare | None = None
 
@@ -408,7 +408,7 @@ class ChannelContract:
         if len(s.deposits) >= 2:
             return False, "session full", None
         amount = tx.payload.amount
-        if amount < 0 or chain.balance(tx.sender) < amount:
+        if chain.balance(tx.sender) < amount:
             return False, "insufficient balance", None
         chain.debit(tx.sender, amount)
         s.escrow += amount

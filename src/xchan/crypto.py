@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .forking import Shared
-from .wire import U64, enc_scalar, enc_seq, enc_u64
+from .wire import U64, Checked, enc_scalar, enc_seq, enc_u64
 
 def hash_bytes(data: bytes) -> bytes:
     """32-byte SHA-256 digest; the h(.) used for every hash in the system."""
@@ -219,7 +219,7 @@ def verify(address: str, msg: bytes, sig: bytes) -> bool:
 
 
 @dataclass(frozen=True)
-class Ciphertext(Shared):
+class Ciphertext(Checked):
     """Encrypted data blocks; block count always equals the plaintext's."""
 
     block_size: U64

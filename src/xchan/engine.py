@@ -43,7 +43,7 @@ from .receipts import (
     replay_receipts,
 )
 from .simnet import Message, Rng, Simnet
-from .wire import mistyped
+from .wire import Checked
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ class PartySession:
 
 
 @dataclass(frozen=True)
-class ReceiptMsg(Shared):
+class ReceiptMsg(Checked):
     """A receipt, to its payee."""
 
     chain_id: str
@@ -220,7 +220,7 @@ class ReceiptMsg(Shared):
 
 
 @dataclass(frozen=True)
-class SrMsg(Shared):
+class SrMsg(Checked):
     """A sub-channel receipt: unsigned in an sr_request (its receipt's payee
     asks for it), signed in an sr_grant and a subchannel_open."""
 
@@ -229,7 +229,7 @@ class SrMsg(Shared):
 
 
 @dataclass(frozen=True)
-class ExchangeMsg(Shared):
+class ExchangeMsg(Checked):
     """owner's fair-exchange proof and its public inputs, to the counterpart."""
 
     chain_id: str
@@ -240,7 +240,7 @@ class ExchangeMsg(Shared):
 
 
 @dataclass(frozen=True)
-class ShareMsg(Shared):
+class ShareMsg(Checked):
     """owner's key share, signed under the session's serial number, to its miner."""
 
     chain_id: str
@@ -255,29 +255,22 @@ class ShareMsg(Shared):
 def _dispatch(actor, net, msg: Message):
     """Run the actor's handler for msg's kind if msg is well formed, or else
     count msg in actor.rejected by reason: the one check every message to a
-    party or a miner passes. Its data must be of the class its kind names.
-    A chain event must come from the chain it names, with a string session
-    id and result and, when ok, the detail record its result declares (a
-    miner also hears the other chain's). A wakeup must be a Timer the actor
-    set, of a kind in actor.TIMERS; any other data must hold its declared
-    field types. Both must name a chain the actor serves."""
+    party or a miner passes. Its data must be of exactly the class its kind
+    names, which checked its fields when it was built. A chain event must
+    come from the chain it names (a miner also hears the other chain's). A
+    wakeup must be a Timer the actor set, of a kind in actor.TIMERS. Any
+    other data must name a chain the actor serves, as must a Timer."""
     handler, cls = actor.HANDLERS.get(msg.kind, (None, None))
     data = msg.data
     if handler is None:
         why = "unknown kind"
-    elif not isinstance(data, cls):
+    elif type(data) is not cls:
         why = "not of class " + cls.__name__
     elif cls is ChainEvent:
-        why = ("not sent by the chain it names" if msg.src != data.chain_id
-               else "session id is not a string" if type(data.session_id) is not str
-               else "result is not a string" if type(data.result) is not str
-               else "detail is not the record its result declares"
-               if data.ok and not isinstance(data.detail, ct.DETAILS.get(data.result, type(None)))
-               else None)
+        why = "not sent by the chain it names" if msg.src != data.chain_id else None
     else:
         why = ("not set by this actor" if cls is Timer and msg.src != actor.name
                else "unknown timer" if cls is Timer and data.kind not in actor.TIMERS
-               else "mistyped " + bad if cls is not Timer and (bad := mistyped(data))
                else None if actor.serves(data.chain_id) else "unknown chain")
     if why is not None:
         actor.rejected["%s: %s" % (msg.kind, why)] += 1
@@ -316,7 +309,7 @@ class Party:
         return chain_id in self.keys
 
     def session(self, session_id: str) -> PartySession:
-        """This party's state for a session, created on first use."""
+        """This party's state for a session, created on first use (by the wiring below)."""
         ps = self.sessions.get(session_id)
         if ps is None:
             sides = {c: ChainSide(c, session_id) for c in self.keys}
@@ -469,7 +462,8 @@ class Party:
         """Counterparty side: verify the authorization chain, then track the
         channel if not tracked yet. Trusts nothing beyond the signatures it can check."""
         chain_id, sr = msg.data.chain_id, msg.data.sr
-        if sr.counterparty != self.address(chain_id) or not sr.verify_sig():
+        joined = sr.receipt.session_id in self.sessions  # no state for a session never joined
+        if not joined or sr.counterparty != self.address(chain_id) or not sr.verify_sig():
             return
         view = ChannelView.of_sub_receipt(chain_id, sr)
         view.srs.append(sr)
@@ -655,7 +649,8 @@ class Party:
 
     def on_chain_event(self, net, msg):
         ev: ChainEvent = msg.data
-        ps = self.session(ev.session_id)
+        if (ps := self.sessions.get(ev.session_id)) is None:
+            return  # a session this party never joined
         side = ps.sides[ev.chain_id]
         if ev.state is not None:
             side.state = ev.state

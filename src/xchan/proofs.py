@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import vss
 from .crypto import Ciphertext, GroupParams, encrypt, hash_blocks, hash_bytes, key_to_bytes
 from .forking import Shared
-from .wire import U64, enc_bytes, enc_u64, enc_value
+from .wire import U64, Checked, enc_bytes, enc_u64, enc_value
 
 
 class RelationUnsatisfied(Exception):
@@ -29,7 +29,7 @@ class RelationUnsatisfied(Exception):
 
 
 @dataclass(frozen=True)
-class RelationPublicInputs(Shared):
+class RelationPublicInputs(Checked):
     h_m: bytes
     m_bar: Ciphertext
     h_k: bytes
@@ -76,7 +76,7 @@ class Crs(Shared):
 
 
 @dataclass(frozen=True)
-class Proof(Shared):
+class Proof(Checked):
     backend_tag: U64
     binding: bytes
 
@@ -108,8 +108,6 @@ class TransparentMacBackend:
 
     def verify(self, vk: MacKey, x: RelationPublicInputs, proof: Proof) -> bool:
         if proof.backend_tag != self.tag or vk.backend_tag != self.tag:
-            return False
-        if len(proof.binding) != 32:
             return False
         expect = hmac.new(vk.binding_key, enc_value(x), "sha256").digest()
         return hmac.compare_digest(expect, proof.binding)

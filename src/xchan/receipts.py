@@ -11,17 +11,17 @@ with sequence number s in channel P is P + (s,).
 Every signed value derives from ``Signed``, which defines once its byte
 form (the signing bytes, which ``wire.enc_value`` derives from the
 declared field types, followed by the length-prefixed signature), the
-step that signs it, and its signature check. The signing bytes, the
-check's result and the ``wire.mistyped`` verdict are kept in declared
-fields that take no part in ``==``, ``hash`` or ``repr``. Signed values
-are immutable (a final state's balances are read-only), so all three
-hold for the value's lifetime. Values cross the simulated network by
-reference and deep-copy to themselves, so the payee's checks on arrival,
-the chain's and the contract's checks at close and settlement, and the
-same checks in every world fork share one encoding, one type check and
-one verification. ``dataclasses.replace`` builds a fresh, unchecked
-value, so a tampered copy is always encoded, type-checked and verified
-anew.
+step that signs it, and its signature check; it is ``wire.Checked``, so
+its field types are checked once, when it is built. The signing bytes
+and the check's result are kept in declared fields that take no part in
+``==``, ``hash`` or ``repr``. Signed values are immutable (a final
+state's balances are read-only), so both hold for the value's lifetime.
+Values cross the simulated network by reference and deep-copy to
+themselves, so the payee's checks on arrival, the chain's and the
+contract's checks at close and settlement, and the same checks in every
+world fork share one encoding and one verification.
+``dataclasses.replace`` builds a fresh value, so a tampered copy is
+always type-checked, encoded and verified anew.
 """
 
 from __future__ import annotations
@@ -31,18 +31,16 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .crypto import KeyPair, verify
-from .forking import Shared
-from .wire import U64, Encoded, enc_bytes, enc_value
+from .wire import U64, Checked, Encoded, enc_bytes, enc_value
 
 
 @dataclass(frozen=True)
-class Signed(Shared, Encoded):
+class Signed(Checked, Encoded):
     """A value signed by ``signer`` over ``signing_bytes()``: every field
     declared before ``sig``, which subclasses declare last."""
 
     _sig_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
     _signing: bytes | None = field(default=None, init=False, repr=False, compare=False)
-    _mistyped: str | None = field(default=None, init=False, repr=False, compare=False)  # wire.mistyped
 
     def signing_bytes(self) -> bytes:
         if self._signing is None:
@@ -54,12 +52,13 @@ class Signed(Shared, Encoded):
 
     def signed_by(self, kp: KeyPair):
         """A copy carrying kp's signature; kp must be the signer's key. It
-        equals ``replace(self, sig=...)`` without that call's cost, and
-        keeps the signing bytes (they exclude sig) but no check's verdict."""
+        equals ``replace(self, sig=...)`` without that call's cost: it keeps
+        the signing bytes (they exclude sig), no check's verdict, and is not
+        type-checked again, since only sig (bytes) differs."""
         if kp.address != self.signer:
             raise ValueError("%s must be signed by its signer" % type(self).__name__)
         signed = object.__new__(type(self))
-        signed.__dict__.update(self.__dict__, sig=kp.sign(self.signing_bytes()), _sig_ok=None, _mistyped=None)
+        signed.__dict__.update(self.__dict__, sig=kp.sign(self.signing_bytes()), _sig_ok=None)
         return signed
 
     def verify_sig(self) -> bool:
@@ -126,6 +125,7 @@ class FinalState(Signed):
 
     def __post_init__(self):
         object.__setattr__(self, "balances", MappingProxyType(dict(self.balances)))
+        super().__post_init__()
 
     @property
     def signer(self) -> str:
@@ -143,9 +143,7 @@ def fold_receipt(balances: dict, tr: Receipt, delegated_seqs, funder=None) -> bo
     but credits nothing here. A receipt that would overdraw the sender is
     skipped, as is anything not between channel members; in a sub-channel
     only the funder may pay."""
-    if tr.amount < 0 or tr.seq < 1:
-        return False
-    if tr.snd == tr.rcv or tr.snd not in balances or tr.rcv not in balances:
+    if tr.seq < 1 or tr.snd == tr.rcv or tr.snd not in balances or tr.rcv not in balances:
         return False
     if funder is not None and tr.snd != funder:
         return False

@@ -160,8 +160,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise ConfigError(["cannot read config: %s" % exc]) from None
         if not isinstance(raw, dict):
             raise ConfigError(["config file must hold a JSON object"])
         return cls.from_dict(raw)

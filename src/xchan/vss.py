@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .crypto import GroupParams, hash_bytes, pedersen_commit
 from .forking import Shared
-from .wire import U64, Scalar, enc_u64, enc_value
+from .wire import U64, Checked, Scalar, enc_u64, enc_value
 
 
 class VssParameterError(ValueError):
@@ -25,7 +25,7 @@ class ThresholdNotMet(ValueError):
 
 
 @dataclass(frozen=True)
-class KeyShare(Shared):
+class KeyShare(Checked):
     """Share i of a dealing: the two polynomial evaluations at x = i."""
 
     index: U64
@@ -40,7 +40,7 @@ class KeyShare(Shared):
 
 
 @dataclass(frozen=True)
-class DealingPublic(Shared):
+class DealingPublic(Checked):
     """The broadcast part of a dealing: E(s, r) plus one commitment per
     non-constant coefficient. Enough to verify any share."""
 

@@ -7,17 +7,19 @@ digests are always computed over it, never over ad-hoc string renderings.
 
 A dataclass value's field annotations define both its bytes and the
 values it accepts. ``_codec`` reads one annotation into a check and an
-encoder; ``enc_value`` encodes a value's fields with the encoders, and
-``mistyped`` checks a received value's fields with the checks.
+encoder; ``enc_value`` encodes a value's fields with the encoders, and a
+``Checked`` value checks its fields with the checks once, when it is built.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from functools import cache
 from types import UnionType
 from typing import Annotated, get_args, get_origin, get_type_hints
+
+from .forking import Shared
 
 # Unsigned field types bounded by what their encoder carries, for the
 # declared fields of values received from other actors
@@ -25,11 +27,21 @@ U64 = Annotated[int, 1 << 64]  # enc_u64
 Scalar = Annotated[int, 1 << 256]  # enc_scalar
 
 
+class Checked(Shared):
+    """An immutable dataclass that cannot be built with a field not of its
+    declared type, so a receiver tests only that a value is of its class."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        if bad := mistyped(self):
+            raise TypeError("mistyped " + bad)
+
+
 class Encoded:
     """An immutable dataclass whose ``to_bytes()`` returns its ``enc_value``
     bytes from a memo on the value: a field declared to hold one encodes it
-    by ``to_bytes()`` rather than field by field. It also declares a
-    ``_mistyped`` field in which ``mistyped`` keeps its verdict."""
+    by ``to_bytes()`` rather than field by field."""
 
     __slots__ = ()
 
@@ -63,8 +75,11 @@ def _codec(hint):
     """(accepts, encode) for a field declared as hint: whether a value
     holds that type, and the value's bytes."""
     origin, args = get_origin(hint), get_args(hint)
-    if hint in (str, bytes):
-        return (lambda v: isinstance(v, hint)), (enc_str if hint is str else enc_bytes)
+    if hint is str:  # exactly a str, with no lone surrogate, which UTF-8 cannot carry
+        return (lambda v: type(v) is str and (v.isascii() or not any("\ud800" <= c <= "\udfff" for c in v)),
+                enc_str)
+    if hint is bytes:
+        return (lambda v: type(v) is bytes), enc_bytes
     if origin is Annotated:  # U64 or Scalar: an int (not a bool) the encoder carries
         bound = args[1]
         return (lambda v: type(v) is int and 0 <= v < bound), (enc_u64 if hint == U64 else enc_scalar)
@@ -81,9 +96,10 @@ def _codec(hint):
         item_ok, enc_item = _codec(args[0])
         return (lambda v: v is None or item_ok(v),
                 lambda v: b"\x00" if v is None else b"\x01" + enc_item(v))
-    # a nested dataclass, or any dataclass value in a field declared object
-    accepts = lambda v: isinstance(v, hint) and is_dataclass(type(v)) and mistyped(v) is None
-    if isinstance(hint, type) and issubclass(hint, Encoded):  # its bytes are kept on it
+    # a nested value of exactly its declared class, or any Checked value in a
+    # field declared object: either was checked when it was built
+    accepts = (lambda v: isinstance(v, Checked)) if hint is object else (lambda v: type(v) is hint)
+    if issubclass(hint, Encoded):  # its bytes are kept on it
         return accepts, lambda v: enc_bytes(v.to_bytes())
     return accepts, lambda v: enc_bytes(enc_value(v))
 
@@ -108,20 +124,8 @@ def enc_value(value, stop: str | None = None) -> bytes:
 
 
 def mistyped(value) -> str | None:
-    """The first field of a dataclass value (a message, a signed value, a
-    payload or a key share) that does not hold its declared type, or None.
-    Fields that hold dataclasses are checked in turn, and reported under
-    the outer field. An ``Encoded`` value is checked once: its verdict is
-    kept in its ``_mistyped`` field, "" when every field holds its type."""
-    if not isinstance(value, Encoded):
-        return _first_mistyped(value)
-    if value._mistyped is None:
-        object.__setattr__(value, "_mistyped", _first_mistyped(value) or "")
-    return value._mistyped or None
-
-
-def _first_mistyped(value) -> str | None:
-    """mistyped's check itself, field by field."""
+    """The first field of a dataclass value that does not hold its declared
+    type, as "Class.field", or None; a nested value is checked by its class."""
     for name, accepts, _ in _plan(type(value)):
         if not accepts(getattr(value, name)):
             return "%s.%s" % (type(value).__name__, name)

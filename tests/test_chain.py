@@ -69,59 +69,45 @@ class TestSubmit:
         assert not ok and why == "unknown kind"
 
     @pytest.mark.parametrize(
-        "kind, payload",
+        "build, field",
         [
             # a balance the unsigned encoding cannot carry
-            (
-                ct.CLOSE_TX,
-                ct.ClosePayload(
-                    final=FinalState("c0", (), {S.address: -1}, S.address, bytes(64)),
-                    srs=(),
-                    trs=(),
-                ),
-            ),
+            (lambda: FinalState("c0", (), {S.address: -1}, S.address, bytes(64)), "FinalState.balances"),
             # a threshold of the wrong type
-            (ct.UPLOAD_TX, ct.UploadPayload(h_k=bytes(32), n=1, t="1", share_hashes=(bytes(32),))),
-            # a correctly signed receipt whose path is a list
-            (ct.CLOSE_TX, ct.ClosePayload(final=make_final_state(S, "c0", (), {}), srs=(),
-                                          trs=(list_path_receipt(),))),
+            (lambda: ct.UploadPayload(h_k=bytes(32), n=1, t="1", share_hashes=(bytes(32),)),
+             "UploadPayload.t"),
+            # a receipt whose path is a list
+            (list_path_receipt, "Receipt.channel_path"),
             # bool is not an int
-            (ct.OPEN_TX, ct.OpenPayload(True)),
+            (lambda: ct.OpenPayload(True), "OpenPayload.amount"),
             # a key share scalar of the wrong type
-            (ct.RECOVER_TX, ct.RecoverPayload(share_s=vss.KeyShare(1, "1", 1, bytes(32)))),
+            (lambda: ct.RecoverPayload(share_s=vss.KeyShare(1, "1", 1, bytes(32))), "KeyShare.s"),
             # an address UTF-8 cannot carry (a lone surrogate)
-            (
-                ct.CLOSE_TX,
-                ct.ClosePayload(
-                    final=FinalState("c0", (), {"\ud800": 1}, S.address, bytes(64)),
-                    srs=(),
-                    trs=(),
-                ),
-            ),
+            (lambda: FinalState("c0", (), {"\ud800": 1}, S.address, bytes(64)), "FinalState.balances"),
         ],
         ids=["negative-balance", "str-threshold", "list-path", "bool-amount", "str-scalar",
              "surrogate-address"],
     )
-    def test_malformed_payload_rejected(self, kind, payload):
-        c = new_chain()
-        tx = ct.OnChainTx("alpha", "c0", S.address, kind, payload, sig=bytes(64))
-        ok, why = c.submit_tx(tx)
-        assert not ok and why.startswith("malformed: ")
-        assert c.mempool == []
-        c.produce_block(3)  # the chain keeps running
+    def test_malformed_payload_rejected(self, build, field):
+        """A payload part with a field not of its declared type cannot be
+        built, so no transaction carries it to the chain."""
+        with pytest.raises(TypeError, match="^mistyped %s$" % field):
+            build()
 
     def test_mistyped_close_rejected_before_settlement(self):
-        """Closes carrying a signed receipt with a list path never reach
-        settlement, which would key a dict by that path."""
+        """No close carries a receipt with a list path, which settlement
+        would key a dict by, nor a payload of no declared class: neither
+        can be built, and the session stays open."""
         c = new_chain()
         c.submit_tx(open_tx(S))
         c.submit_tx(open_tx(R))
         c.produce_block(3)
+        with pytest.raises(TypeError, match="^mistyped Receipt.channel_path$"):
+            list_path_receipt()
         for kp in (S, R):
-            payload = ct.ClosePayload(final=make_final_state(kp, "c0", (), {}), srs=(),
-                                      trs=(list_path_receipt(),))
-            ok, why = c.submit_tx(ct.make_tx(kp, "alpha", "c0", ct.CLOSE_TX, payload))
-            assert not ok and why == "malformed: mistyped OnChainTx.payload"
+            payload = {"final": make_final_state(kp, "c0", (), {}), "srs": (), "trs": ()}
+            with pytest.raises(TypeError, match="^mistyped OnChainTx.payload$"):
+                ct.make_tx(kp, "alpha", "c0", ct.CLOSE_TX, payload)
         for tick in range(6, 6 + 3 * c.timers.close_window, 3):
             c.produce_block(tick)
         assert c.read_session("c0").state == ct.OPEN_CE

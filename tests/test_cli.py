@@ -93,3 +93,26 @@ def test_enumerate_detects_split_without_assist(tmp_path, capsys):
     assert rc == 1  # the split outcome is an atomicity violation
     data = json.loads(capsys.readouterr().out)
     assert "Refunded,Success" in data["outcomes"]
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe"], ids=["missing", "not-json", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    """A config file that does not exist, is not JSON or is not text is a
+    config error, not a traceback."""
+    p = tmp_path / "bad.json"
+    if content is not None:
+        p.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(p)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config: ")
+
+
+@pytest.mark.parametrize("channels", ["1:2", "1:2:0", "0:1:1", "1:1:1", "a:b:c"])
+def test_sweep_bad_channels_exits_2(config_path, capsys, channels):
+    """--channels needs lo:hi:step with 1 <= lo, step >= 1 and at least two
+    counts to fit; anything else is a usage error, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", config_path, "--channels", channels])
+    assert exc.value.code == 2
+    assert "argument --channels: " in capsys.readouterr().err

@@ -2,7 +2,10 @@
 final states."""
 
 import copy
-from dataclasses import replace
+import re
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +17,8 @@ from xchan.contract import InvariantViolation
 from xchan.crypto import keypair_from_label
 from xchan import engine, proofs, receipts, vss
 from xchan.engine import BehaviorProfile, ChannelView, ExchangeMsg, Party, ReceiptMsg, ShareMsg, SrMsg, Timer
-from xchan.receipts import (Receipt, SubChannelReceipt, fold_receipt, make_receipt, make_sub_receipt,
-                            replay_receipts)
+from xchan.receipts import (Receipt, SubChannelReceipt, fold_receipt, make_final_state, make_receipt,
+                            make_sub_receipt, replay_receipts)
 from xchan.scenario import ScenarioConfig, _all_terminal, build_world, collect_metrics
 from xchan.simnet import LatencyModel, Message, Simnet
 
@@ -125,6 +128,7 @@ class TestSubChannels:
                     initial={a.address("alpha"): 100, b.address("alpha"): 0},
                 )
             )
+        c.join(SID)  # the sub-channel counterparty takes part, as build_world's payees do
         return net, a, b, c
 
     def test_full_authorization_flow(self):
@@ -323,7 +327,7 @@ def _snapshot(world, actor):
 _RECEIPT = make_receipt(keypair_from_label("probe"), "c0", (), 1, "nobody", 1)
 _PUBLICS = proofs.make_public_inputs((b"x" * 13,), 5, 2, 3)
 
-# S and R's alpha addresses in _eie_world_mid_run; S owns the share M.alpha.1 holds at index 1
+# S and R's alpha addresses in _eie_world_mid_run
 _S = keypair_from_label("S:10:alpha").address
 _R = keypair_from_label("R:10:alpha").address
 
@@ -336,7 +340,7 @@ def _event(result=ct.CLOSE, ok=True, detail=None, chain_id="alpha", session_id="
 # the event dict a chain sent before chain events were typed
 _DICT_EVENT = {"tick": 8, "chain_id": "alpha", "block": 2, "tx_kind": "Close", "session_id": "c0",
                "result": "state:Close"}
-_SHARE = ShareMsg("alpha", "c0", _S, None, vss.DealingPublic(2, 3, 1, ()), b"", b"")
+_SHARE = ShareMsg("alpha", "c0", _S, vss.KeyShare(1, 1, 1, b""), vss.DealingPublic(2, 3, 1, ()), b"", b"")
 _PROOF = proofs.Proof(1, bytes(32))
 
 
@@ -344,15 +348,6 @@ def _exchange(**fields):
     """S's exchange to R on alpha, where R expects S's proof, with some
     fields replaced."""
     return replace(ExchangeMsg("alpha", "c0", _PROOF, _PUBLICS, _S), **fields)
-
-
-def _held_share(**dealing):
-    """Share data for the share M.alpha.1 holds, read from the world, with
-    the dealing's fields replaced."""
-    def data(world):
-        held = world.net.actors["M.alpha.1"].stored[("c0", _S)]
-        return replace(_SHARE, share=held.share, dealing_pub=replace(_SHARE.dealing_pub, **dealing))
-    return data
 
 
 def _tr(**fields):
@@ -365,25 +360,54 @@ def _sr(counterparty="x", **fields):
     return SubChannelReceipt(counterparty, _tr(**fields))
 
 
-# (actor, message kind, sender, data, or data read from the world): each
-# lacks a field (None in its place), has one of the wrong type, names an
-# unknown chain, claims a sender it does not have, or is not the class its
-# kind declares, as in the dict form every message had before it was typed
+class Unbuilt(NamedTuple):
+    """Message data that cannot be built: build() raises TypeError(error)
+    for a field not of its declared type, so no actor ever receives it."""
+
+    error: str
+    build: Callable
+
+
+@dataclass(frozen=True)
+class _AlwaysValid(Receipt):
+    """A receipt subclass whose signature check passes whatever it carries."""
+
+    def verify_sig(self) -> bool:
+        return True
+
+
+class _HashRaises(str):
+    """A str whose hash raises, as a dict lookup of it would."""
+
+    def __hash__(self):
+        raise RuntimeError("unhashable")
+
+
+# (actor, message kind, sender, data): each names an unknown chain, claims a
+# sender it does not have, or is not the class its kind declares, as in the
+# dict form every message had before it was typed, or its data cannot be
+# built (Unbuilt): it lacks a field (None in its place) or has one of the
+# wrong type, at any depth
 MALFORMED = {
-    "receipt-empty": ("S", "receipt", "R", ReceiptMsg(None, None)),
-    "receipt-int-tr": ("S", "receipt", "R", ReceiptMsg("alpha", 5)),
+    "receipt-empty": ("S", "receipt", "R", Unbuilt("mistyped ReceiptMsg.chain_id",
+                                                   lambda: ReceiptMsg(None, None))),
+    "receipt-int-tr": ("S", "receipt", "R", Unbuilt("mistyped ReceiptMsg.tr", lambda: ReceiptMsg("alpha", 5))),
     "receipt-unknown-chain": ("S", "receipt", "R", ReceiptMsg("gamma", _RECEIPT)),
     "receipt-dict": ("S", "receipt", "R", {"chain_id": "alpha", "tr": _RECEIPT}),
-    "sr_request-no-tr": ("S", "sr_request", "R", SrMsg("alpha", SubChannelReceipt("x", None))),
+    "sr_request-no-tr": ("S", "sr_request", "R", Unbuilt(
+        "mistyped SubChannelReceipt.receipt", lambda: SrMsg("alpha", SubChannelReceipt("x", None)))),
     "sr_request-dict": ("S", "sr_request", "R", {"chain_id": "alpha", "tr": _RECEIPT, "counterparty": "x"}),
-    "sr_grant-int-sr": ("S", "sr_grant", "R", SrMsg("alpha", 1)),
+    "sr_grant-int-sr": ("S", "sr_grant", "R", Unbuilt("mistyped SrMsg.sr", lambda: SrMsg("alpha", 1))),
     "sr_grant-dict": ("S", "sr_grant", "R", {"chain_id": "alpha", "sr": _sr()}),
-    "subchannel_open-empty": ("S", "subchannel_open", "R", SrMsg(None, None)),
+    "subchannel_open-empty": ("S", "subchannel_open", "R", Unbuilt("mistyped SrMsg.chain_id",
+                                                                   lambda: SrMsg(None, None))),
     "subchannel_open-dict": ("S", "subchannel_open", "R", {"chain_id": "alpha", "sr": _sr(_S)}),
-    "exchange-no-session": ("S", "exchange", "R", ExchangeMsg("alpha", None, _PROOF, _PUBLICS, "x")),
+    "exchange-no-session": ("S", "exchange", "R", Unbuilt(
+        "mistyped ExchangeMsg.session_id", lambda: ExchangeMsg("alpha", None, _PROOF, _PUBLICS, "x"))),
     "exchange-dict": ("R", "exchange", "S", {"chain_id": "alpha", "session_id": "c0", "proof": _PROOF,
                                              "publics": _PUBLICS, "owner": _S}),
-    "chain_event-empty": ("S", "chain_event", "alpha", ChainEvent(*[None] * 8)),
+    "chain_event-empty": ("S", "chain_event", "alpha", Unbuilt("session id is not a string",
+                                                               lambda: ChainEvent(*[None] * 8))),
     "chain_event-forged": ("S", "chain_event", "R", _event()),
     "chain_event-dict": ("S", "chain_event", "alpha", _DICT_EVENT),
     "chain_event-wrapped": ("S", "chain_event", "alpha", {"chain_id": "alpha", "event": _event()}),
@@ -397,73 +421,127 @@ MALFORMED = {
     "miner-wakeup-dict": ("M.alpha.1", "wakeup", "M.alpha.1", {"assist": "c0"}),
     "miner-wakeup-other-chain": ("M.alpha.1", "wakeup", "M.alpha.1", Timer("assist", "beta", "c0")),
     "miner-wakeup-party-timer": ("M.alpha.1", "wakeup", "M.alpha.1", Timer("try_close", "alpha", "c0")),
-    "miner-share-empty": ("M.alpha.1", "share", "S", ShareMsg(*[None] * 7)),
+    "miner-share-empty": ("M.alpha.1", "share", "S", Unbuilt("mistyped ShareMsg.chain_id",
+                                                             lambda: ShareMsg(*[None] * 7))),
     "miner-share-other-chain": ("M.alpha.1", "share", "S", ShareMsg(
         "beta", "c0", "x", vss.KeyShare(1, 1, 1, b""), vss.DealingPublic(2, 3, 1, ()), b"", b"")),
     "miner-share-dict": ("M.alpha.1", "share", "S", {
         "chain_id": "alpha", "session_id": "c0", "owner": _S, "share": vss.KeyShare(1, 1, 1, b""),
         "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}),
-    "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", ChainEvent(*[None] * 8)),
+    "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
+        "session id is not a string", lambda: ChainEvent(*[None] * 8))),
     "miner-chain_event-forged": ("M.alpha.1", "chain_event", "beta",
                                  _event(ct.SUCCESS, detail=ct.Unlocked(b"", _S))),
     "miner-chain_event-wrapped": ("M.alpha.1", "chain_event", "alpha", {
         "chain_id": "alpha", "event": _event(ct.SUCCESS, detail=ct.Unlocked(b"x", _S))}),
     # an ok chain event whose detail is not the record its result declares
-    "chain_event-lock-no-record": ("R", "chain_event", "alpha", _event(ct.LOCK)),
-    "chain_event-bound-no-record": ("S", "chain_event", "alpha", _event(ct.BINDINGS_PUBLISHED)),
+    "chain_event-lock-no-record": ("R", "chain_event", "alpha", Unbuilt(
+        "detail is not the record its result declares", lambda: _event(ct.LOCK))),
+    "chain_event-bound-no-record": ("S", "chain_event", "alpha", Unbuilt(
+        "detail is not the record its result declares", lambda: _event(ct.BINDINGS_PUBLISHED))),
     # a result that is not a string, which no record or handler table can key
-    "chain_event-list-result": ("S", "chain_event", "alpha", _event(result=["Close"])),
-    "miner-chain_event-success-dict": ("M.alpha.1", "chain_event", "alpha",
-                                       _event(ct.SUCCESS, detail={"pre": b"x", "recover_owner": _S})),
+    "chain_event-list-result": ("S", "chain_event", "alpha", Unbuilt(
+        "result is not a string", lambda: _event(result=["Close"]))),
+    "miner-chain_event-success-dict": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
+        "detail is not the record its result declares",
+        lambda: _event(ct.SUCCESS, detail={"pre": b"x", "recover_owner": _S}))),
     # a session id that is not a string, which once raised at the session
     # lookup (or, as an int, made a party session keyed by it)
-    "chain_event-list-session": ("S", "chain_event", "alpha", _event(session_id=["c0"])),
-    "chain_event-dict-session": ("R", "chain_event", "alpha", _event(ct.TERMINATED, session_id={})),
-    "chain_event-int-session": ("S", "chain_event", "alpha", _event(session_id=5)),
-    "miner-chain_event-list-session": ("M.alpha.1", "chain_event", "alpha", _event(
-        ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=["c0"])),
-    "miner-chain_event-dict-session": ("M.alpha.1", "chain_event", "beta", _event(
-        ct.SUCCESS, detail=ct.Unlocked(b"x", None), chain_id="beta", session_id={})),
-    "miner-chain_event-int-session": ("M.alpha.1", "chain_event", "alpha", _event(
-        ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=5)),
-    # well-typed signed values or key shares holding a mistyped field
-    "receipt-list-session": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(session_id=["c0"]))),
-    "receipt-list-path": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(channel_path=[1]))),
-    "receipt-str-seq": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(seq="1"))),
-    "receipt-str-amount": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(amount="1"))),
-    "receipt-bool-amount": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(amount=True))),
-    "receipt-negative-amount": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(amount=-1))),
-    "receipt-seq-above-u64": ("S", "receipt", "R", ReceiptMsg("alpha", _tr(seq=1 << 64))),
-    "sr_request-list-path": ("S", "sr_request", "R", SrMsg("alpha", _sr(channel_path=[1], snd=_S, rcv=_R))),
-    "sr_request-int-counterparty": ("S", "sr_request", "R", SrMsg("alpha", _sr(5, snd=_S, rcv=_R))),
-    "sr_grant-int-receipt": ("S", "sr_grant", "R", SrMsg("alpha", SubChannelReceipt("x", 5))),
-    "subchannel_open-int-receipt": ("S", "subchannel_open", "R", SrMsg("alpha", SubChannelReceipt(_S, 5))),
-    "sr_grant-list-path-receipt": ("S", "sr_grant", "R", SrMsg("alpha", _sr(channel_path=[1]))),
-    "miner-share-str-scalar": ("M.alpha.1", "share", "S", replace(_SHARE, share=vss.KeyShare(1, "s", 1, b""))),
+    "chain_event-list-session": ("S", "chain_event", "alpha", Unbuilt(
+        "session id is not a string", lambda: _event(session_id=["c0"]))),
+    "chain_event-dict-session": ("R", "chain_event", "alpha", Unbuilt(
+        "session id is not a string", lambda: _event(ct.TERMINATED, session_id={}))),
+    "chain_event-int-session": ("S", "chain_event", "alpha", Unbuilt(
+        "session id is not a string", lambda: _event(session_id=5))),
+    "miner-chain_event-list-session": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
+        "session id is not a string",
+        lambda: _event(ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=["c0"]))),
+    "miner-chain_event-dict-session": ("M.alpha.1", "chain_event", "beta", Unbuilt(
+        "session id is not a string",
+        lambda: _event(ct.SUCCESS, detail=ct.Unlocked(b"x", None), chain_id="beta", session_id={}))),
+    "miner-chain_event-int-session": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
+        "session id is not a string",
+        lambda: _event(ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=5))),
+    # signed values or key shares holding a mistyped field
+    "receipt-list-session": ("S", "receipt", "R", Unbuilt(
+        "mistyped Receipt.session_id", lambda: ReceiptMsg("alpha", _tr(session_id=["c0"])))),
+    "receipt-list-path": ("S", "receipt", "R", Unbuilt(
+        "mistyped Receipt.channel_path", lambda: ReceiptMsg("alpha", _tr(channel_path=[1])))),
+    "receipt-str-seq": ("S", "receipt", "R", Unbuilt("mistyped Receipt.seq",
+                                                     lambda: ReceiptMsg("alpha", _tr(seq="1")))),
+    "receipt-str-amount": ("S", "receipt", "R", Unbuilt("mistyped Receipt.amount",
+                                                        lambda: ReceiptMsg("alpha", _tr(amount="1")))),
+    "receipt-bool-amount": ("S", "receipt", "R", Unbuilt("mistyped Receipt.amount",
+                                                         lambda: ReceiptMsg("alpha", _tr(amount=True)))),
+    "receipt-negative-amount": ("S", "receipt", "R", Unbuilt("mistyped Receipt.amount",
+                                                             lambda: ReceiptMsg("alpha", _tr(amount=-1)))),
+    "receipt-seq-above-u64": ("S", "receipt", "R", Unbuilt("mistyped Receipt.seq",
+                                                           lambda: ReceiptMsg("alpha", _tr(seq=1 << 64)))),
+    "sr_request-list-path": ("S", "sr_request", "R", Unbuilt(
+        "mistyped Receipt.channel_path", lambda: SrMsg("alpha", _sr(channel_path=[1], snd=_S, rcv=_R)))),
+    "sr_request-int-counterparty": ("S", "sr_request", "R", Unbuilt(
+        "mistyped SubChannelReceipt.counterparty", lambda: SrMsg("alpha", _sr(5, snd=_S, rcv=_R)))),
+    "sr_grant-int-receipt": ("S", "sr_grant", "R", Unbuilt(
+        "mistyped SubChannelReceipt.receipt", lambda: SrMsg("alpha", SubChannelReceipt("x", 5)))),
+    "subchannel_open-int-receipt": ("S", "subchannel_open", "R", Unbuilt(
+        "mistyped SubChannelReceipt.receipt", lambda: SrMsg("alpha", SubChannelReceipt(_S, 5)))),
+    "sr_grant-list-path-receipt": ("S", "sr_grant", "R", Unbuilt(
+        "mistyped Receipt.channel_path", lambda: SrMsg("alpha", _sr(channel_path=[1])))),
+    "miner-share-str-scalar": ("M.alpha.1", "share", "S", Unbuilt(
+        "mistyped KeyShare.s", lambda: replace(_SHARE, share=vss.KeyShare(1, "s", 1, b"")))),
     # an exchange R checks against S's key, each with a proof or input that
     # once raised out of the proof backend (the line it raised at)
-    "exchange-str-t": ("R", "exchange", "S", _exchange(publics=replace(_PUBLICS, t="2"))),  # wire.enc_u64
-    "exchange-int-h_m": ("R", "exchange", "S", _exchange(publics=replace(_PUBLICS, h_m=5))),  # wire.enc_bytes
-    "exchange-int-m_bar": ("R", "exchange", "S", _exchange(publics=replace(_PUBLICS, m_bar=5))),  # fields()
-    "exchange-int-binding": ("R", "exchange", "S", _exchange(proof=proofs.Proof(1, 5))),  # len(binding)
-    # the share M.alpha.1 holds, with a dealing that once raised out of vss.verify_share
-    "miner-share-str-e_sr": ("M.alpha.1", "share", "S", _held_share(e_sr="x")),
-    "miner-share-str-commitment": ("M.alpha.1", "share", "S", _held_share(coeff_commitments=("x",))),
-    "miner-share-int-commitments": ("M.alpha.1", "share", "S", _held_share(coeff_commitments=5)),
+    "exchange-str-t": ("R", "exchange", "S", Unbuilt(  # wire.enc_u64
+        "mistyped RelationPublicInputs.t", lambda: _exchange(publics=replace(_PUBLICS, t="2")))),
+    "exchange-int-h_m": ("R", "exchange", "S", Unbuilt(  # wire.enc_bytes
+        "mistyped RelationPublicInputs.h_m", lambda: _exchange(publics=replace(_PUBLICS, h_m=5)))),
+    "exchange-int-m_bar": ("R", "exchange", "S", Unbuilt(  # fields()
+        "mistyped RelationPublicInputs.m_bar", lambda: _exchange(publics=replace(_PUBLICS, m_bar=5)))),
+    "exchange-int-binding": ("R", "exchange", "S", Unbuilt(  # len(binding)
+        "mistyped Proof.binding", lambda: _exchange(proof=proofs.Proof(1, 5)))),
+    # a dealing that once raised out of vss.verify_share
+    "miner-share-str-e_sr": ("M.alpha.1", "share", "S", Unbuilt(
+        "mistyped DealingPublic.e_sr",
+        lambda: replace(_SHARE, dealing_pub=replace(_SHARE.dealing_pub, e_sr="x")))),
+    "miner-share-str-commitment": ("M.alpha.1", "share", "S", Unbuilt(
+        "mistyped DealingPublic.coeff_commitments",
+        lambda: replace(_SHARE, dealing_pub=replace(_SHARE.dealing_pub, coeff_commitments=("x",))))),
+    "miner-share-int-commitments": ("M.alpha.1", "share", "S", Unbuilt(
+        "mistyped DealingPublic.coeff_commitments",
+        lambda: replace(_SHARE, dealing_pub=replace(_SHARE.dealing_pub, coeff_commitments=5)))),
+    # values that once passed every check and then were held or raised:
+    # a receipt subclass a payee held as genuine, a chain id whose hash
+    # raised at serves, and a counterparty UTF-8 cannot carry, which raised
+    # where the payer signs it (sr_request) or the payee verifies it (sr_grant)
+    "receipt-subclass": ("S", "receipt", "R", Unbuilt(
+        "mistyped ReceiptMsg.tr",
+        lambda: ReceiptMsg("alpha", _AlwaysValid("c0", (), 9, _R, _S, 40, bytes(64))))),
+    "receipt-raising-hash-chain": ("S", "receipt", "R", Unbuilt(
+        "mistyped ReceiptMsg.chain_id", lambda: ReceiptMsg(_HashRaises("alpha"), _RECEIPT))),
+    "sr_request-surrogate-counterparty": ("R", "sr_request", "S", Unbuilt(
+        "mistyped SubChannelReceipt.counterparty", lambda: SrMsg("alpha", _sr("\ud800", snd=_S, rcv=_R)))),
+    "sr_grant-surrogate-counterparty": ("S", "sr_grant", "R", Unbuilt(
+        "mistyped SubChannelReceipt.counterparty",
+        lambda: SrMsg("alpha", SubChannelReceipt("\ud800", _tr(), bytes(64))))),
 }
 
 
 class TestMalformedMessages:
-    """A message with a missing or mistyped field, an unknown chain or a
-    false sender is dropped and counted by reason; nothing raises and no
-    state changes."""
+    """A malformed message never reaches a handler: one of the wrong class,
+    for an unknown chain or from a false sender is dropped and counted by
+    reason, and nothing raises and no state changes; one whose data would
+    hold a field not of its declared type cannot be built at all."""
 
     @staticmethod
     def reject(probe) -> str:
-        """The one reason the probe's actor counts it under; nothing changes."""
+        """The one reason the probe never reaches a handler: the reason its
+        actor counts it under, or the error that refuses to build its data."""
         name, kind, src, data = MALFORMED[probe]
+        if type(data) is Unbuilt:
+            with pytest.raises(TypeError, match="^%s$" % re.escape(data.error)):
+                data.build()
+            return "%s: %s" % (kind, data.error)
         world = _eie_world_mid_run()
-        data = data(world) if callable(data) else data
         actor = world.net.actors[name]
         before = _snapshot(world, actor)
         actor.on_message(world.net, Message(kind, src, name, data))
@@ -496,29 +574,50 @@ class TestMalformedMessages:
         ("miner-chain_event-wrapped", "chain_event: not of class ChainEvent"),
         ("wakeup-int-pump", "wakeup: not of class Timer"),
         ("chain_event-forged", "chain_event: not sent by the chain it names"),
-        # a missing field, and a mistyped value nested in a message's field,
-        # reported under the message's field
+        # a missing field, and a mistyped value at any depth, named by the
+        # class that refuses to be built with it
         ("receipt-empty", "receipt: mistyped ReceiptMsg.chain_id"),
         ("exchange-no-session", "exchange: mistyped ExchangeMsg.session_id"),
-        ("receipt-list-session", "receipt: mistyped ReceiptMsg.tr"),
-        ("sr_request-no-tr", "sr_request: mistyped SrMsg.sr"),
-        ("sr_request-int-counterparty", "sr_request: mistyped SrMsg.sr"),
-        ("miner-share-str-scalar", "share: mistyped ShareMsg.share"),
-        ("exchange-int-binding", "exchange: mistyped ExchangeMsg.proof"),
-        ("miner-share-int-commitments", "share: mistyped ShareMsg.dealing_pub"),
+        ("receipt-list-session", "receipt: mistyped Receipt.session_id"),
+        ("sr_request-no-tr", "sr_request: mistyped SubChannelReceipt.receipt"),
+        ("sr_request-int-counterparty", "sr_request: mistyped SubChannelReceipt.counterparty"),
+        ("miner-share-str-scalar", "share: mistyped KeyShare.s"),
+        ("exchange-int-binding", "exchange: mistyped Proof.binding"),
+        ("miner-share-int-commitments", "share: mistyped DealingPublic.coeff_commitments"),
     ])
     def test_reason(self, probe, reason):
         assert self.reject(probe) == reason
 
     def test_mistyped_signed_value_rejected_on_every_arrival(self):
-        """A signed value keeps its type verdict, a failing one included."""
+        """A signed value with a mistyped field cannot be built, neither
+        directly nor as a changed copy of a genuine one, so it never
+        arrives; a message of another class is counted on every arrival."""
+        with pytest.raises(TypeError, match="^mistyped Receipt.amount$"):
+            Receipt("c0", (), 1, _R, _S, "1")
+        with pytest.raises(TypeError, match="^mistyped Receipt.amount$"):
+            replace(_RECEIPT, amount="1")
         world = _eie_world_mid_run()
         party = world.parties["S"]
-        data = ReceiptMsg("alpha", _tr(amount="1"))
         for _ in range(3):
-            party.on_message(world.net, Message("receipt", "R", "S", data))
-        assert party.rejected == {"receipt: mistyped ReceiptMsg.tr": 3}
-        assert data.tr._mistyped == "Receipt.amount"
+            party.on_message(world.net, Message("receipt", "R", "S", _RECEIPT))
+        assert party.rejected == {"receipt: not of class ReceiptMsg": 3}
+
+    def test_subclassed_receipt_is_neither_held_nor_settled(self):
+        """A Receipt subclass whose signature check always passes reaches no
+        payee and no settlement: a message or a close holds only receipts of
+        exactly their class. A payee once held a 40-unit one, its balance
+        going from 50 to 90, and a 90-unit one in a close settled deposits
+        of 100/100 as 10/190."""
+        a, b = keypair_from_label("fake:A"), keypair_from_label("fake:B")
+        fake = _AlwaysValid("c0", (), 1, a.address, b.address, 90, bytes(64))
+        assert fake.verify_sig()
+        with pytest.raises(TypeError, match="^mistyped ReceiptMsg.tr$"):
+            ReceiptMsg("alpha", fake)
+        final = make_final_state(b, "c0", (), {a.address: 100, b.address: 100})
+        with pytest.raises(TypeError, match="^mistyped ClosePayload.trs$"):
+            ct.ClosePayload(final, (), (fake,))
+        with pytest.raises(TypeError, match="^mistyped SubChannelReceipt.receipt$"):
+            SubChannelReceipt("x", fake)
 
     def test_failed_event_inert(self):
         """A failed transaction's event whose result names a state and a
@@ -568,6 +667,37 @@ class TestMalformedMessages:
         world.net.run_until(max_tick=world.config.max_ticks)
         for actor in world.net.actors.values():
             assert not getattr(actor, "rejected", None)
+
+    def test_event_for_an_unjoined_session_makes_no_state(self):
+        """A chain event for a session a party never joined is ignored: an
+        outsider's opens once gave S and R a session, and a side per chain,
+        for each of its sessions."""
+        cfg = ScenarioConfig(receipts_n=4, seed=3)
+        world = build_world(cfg)
+        outsider = keypair_from_label("outsider")
+        world.alpha.create_account(outsider.address, 1000)
+        for name in ("S", "R"):
+            for chain in (world.alpha, world.beta):
+                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        for i in range(3):
+            tx = ct.make_tx(outsider, "alpha", "zzz%d" % i, ct.OPEN_TX, ct.OpenPayload(10))
+            world.net.submit_tx("outsider", "alpha", tx)
+        world.net.run_until(lambda: world.net.now >= 6, max_tick=6)
+        assert world.alpha.read_session("zzz2").state == ct.INIT
+        for name in ("S", "R"):
+            assert list(world.parties[name].sessions) == ["c0"]
+
+    def test_subchannel_open_for_an_unjoined_session_makes_no_state(self):
+        """A sub-channel open for a session the party never joined is
+        ignored: a stranger signing its own receipt and authorization, with
+        the party as counterparty, once gave the party a session for each."""
+        world = build_world(ScenarioConfig(receipts_n=4, seed=3))
+        S, stranger = world.parties["S"], keypair_from_label("stranger")
+        for i in range(3):
+            tr = make_receipt(stranger, "zzz%d" % i, (), 1, stranger.address, 1)
+            sr = make_sub_receipt(stranger, S.address("alpha"), tr)
+            S.on_message(world.net, Message("subchannel_open", "stranger", "S", SrMsg("alpha", sr)))
+        assert list(S.sessions) == ["c0"]
 
 
 def _pending_timers(world) -> list:

@@ -1,11 +1,11 @@
 """The Signed base of receipts, sub-channel receipts, final states and
-transactions: each object is verified and type-checked once, a changed
-copy anew, a deep copy is the object itself, and a received value's
-fields are checked against their declared types."""
+transactions: each object is type-checked once, when it is built, and
+verified once, a changed copy anew, and a deep copy is the object itself."""
 
 import copy
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import pytest
 
@@ -131,16 +131,27 @@ def test_honest_values_hold_their_declared_types():
     assert all(mistyped(v) is None for v in (tr, sr, f, tx) + dealing.shares)
 
 
+@dataclass(frozen=True)
+class _Subclassed(Receipt):
+    """A receipt of another class than Receipt, with the same fields."""
+
+
+# each builds a value (a partial, so that building it is the test)
 @pytest.mark.parametrize("value, field", [
-    (Receipt(SID, (), True, "a", "b", 1), "Receipt.seq"),  # bool is not an int
-    (Receipt(SID, (-1,), 1, "a", "b", 1), "Receipt.channel_path"),
-    (Receipt(SID, (), 1, "a", "b", 1, sig="x"), "Receipt.sig"),
-    (SubChannelReceipt("c", Receipt(SID, (), 1, "a", "b", 1 << 64)), "SubChannelReceipt.receipt"),
-    (FinalState(SID, (), {"a": -1}, "a"), "FinalState.balances"),
-    (vss.KeyShare(1, 1, 1 << 256, b""), "KeyShare.r"),
+    (partial(Receipt, SID, (), True, "a", "b", 1), "Receipt.seq"),  # bool is not an int
+    (partial(Receipt, SID, (-1,), 1, "a", "b", 1), "Receipt.channel_path"),
+    (partial(Receipt, SID, (), 1, "a", "b", 1, sig="x"), "Receipt.sig"),
+    # a nested value not of exactly its declared class
+    (partial(SubChannelReceipt, "c", _Subclassed(SID, (), 1, "a", "b", 1)), "SubChannelReceipt.receipt"),
+    (partial(FinalState, SID, (), {"a": -1}, "a"), "FinalState.balances"),
+    (partial(vss.KeyShare, 1, 1, 1 << 256, b""), "KeyShare.r"),
+    # a nested value is refused where it is built, before it can be nested
+    (partial(lambda: SubChannelReceipt("c", Receipt(SID, (), 1, "a", "b", 1 << 64))), "Receipt.amount"),
+    (partial(Receipt, SID, (), 1, "a\udfff", "b", 1), "Receipt.snd"),  # UTF-8 cannot carry it
 ])
 def test_mistyped_names_the_first_bad_field(value, field):
-    assert mistyped(value) == field
+    with pytest.raises(TypeError, match="^mistyped %s$" % field):
+        value()
 
 
 def _unsigned_values():
@@ -153,12 +164,16 @@ def _unsigned_values():
 
 
 @pytest.mark.parametrize("unsigned", _unsigned_values(), ids=lambda v: type(v).__name__)
-def test_signed_copy_is_the_replaced_copy(unsigned):
+def test_signed_copy_is_the_replaced_copy(unsigned, monkeypatch):
     """signed_by builds its copy without replace, yet the copy is the one
-    replace builds; it keeps the signing bytes and no check's verdict."""
-    assert not unsigned.verify_sig() and mistyped(unsigned) is None  # memos set on the original
+    replace builds; it keeps the signing bytes and not the signature
+    check's verdict, and it is not type-checked again."""
+    assert not unsigned.verify_sig()  # a verdict set on the original
+    checked = _count_checks(monkeypatch)
     signed = unsigned.signed_by(A)
+    assert checked == []
     expected = replace(unsigned, sig=signed.sig)
+    assert checked == [type(unsigned).__name__]
     assert type(signed) is type(expected)
     assert signed == expected and repr(signed) == repr(expected)
     assert signed.to_bytes() == expected.to_bytes()
@@ -168,39 +183,50 @@ def test_signed_copy_is_the_replaced_copy(unsigned):
     except TypeError:  # a final state's balances are a mapping: neither hashes
         with pytest.raises(TypeError):
             hash(expected)
-    assert signed._sig_ok is None and signed._mistyped is None
+    assert signed._sig_ok is None
     assert signed.verify_sig() and mistyped(signed) is None
 
 
-def test_type_check_runs_once_per_object(monkeypatch):
-    """A signed value's fields are checked once, in any world fork too: a
-    receipt inside a sub-channel receipt or a close payload is not checked
-    again."""
+def _count_checks(monkeypatch) -> list:
+    """The class name of each value whose fields are checked from now on."""
     checked = []
 
     def counted(value):
         checked.append(type(value).__name__)
-        return first(value)
+        return check(value)
 
-    first = wire._first_mistyped
-    monkeypatch.setattr(wire, "_first_mistyped", counted)
+    check = wire.mistyped
+    monkeypatch.setattr(wire, "mistyped", counted)
+    return checked
+
+
+def test_type_check_runs_once_per_object(monkeypatch):
+    """A value's fields are checked once, when it is built: signing it,
+    nesting it, deep-copying it (as a world fork does) and encoding it
+    check nothing again."""
+    checked = _count_checks(monkeypatch)
     tr = make_receipt(A, SID, (), 1, B.address, 5)
     sr = make_sub_receipt(A, C.address, tr)
-    assert mistyped(tr) is None and mistyped(tr) is None
-    assert mistyped(sr) is None and mistyped(copy.deepcopy([sr])[0]) is None
     payload = ct.ClosePayload(make_final_state(A, SID, (), {A.address: 3}), (sr,), (tr,))
     tx = ct.make_tx(A, "alpha", SID, ct.CLOSE_TX, payload)
-    assert mistyped(tx) is None and mistyped(copy.deepcopy(tx)) is None
-    assert checked == ["Receipt", "SubChannelReceipt", "OnChainTx", "ClosePayload", "FinalState"]
+    assert checked == ["Receipt", "SubChannelReceipt", "FinalState", "ClosePayload", "OnChainTx"]
+    assert copy.deepcopy([sr, tx]) == [sr, tx] and tx.to_bytes() and tx.verify_sig()
+    assert len(checked) == 5
 
 
-def test_mistyped_verdict_is_kept_and_copies_are_checked_anew(monkeypatch):
-    bad = Receipt(SID, (), 1, "a", "b", "5")
-    assert mistyped(bad) == mistyped(bad) == "Receipt.amount"
+def test_mistyped_verdict_is_kept_and_copies_are_checked_anew():
+    """A value with a mistyped field cannot be built, and replace() checks
+    the copy it builds anew, at any depth."""
+    with pytest.raises(TypeError, match="^mistyped Receipt.amount$"):
+        Receipt(SID, (), 1, "a", "b", "5")
     good = make_receipt(A, SID, (), 1, B.address, 5)
-    assert mistyped(good) is None
-    assert mistyped(replace(good, amount="5")) == "Receipt.amount"
-    assert mistyped(replace(good, channel_path=[1])) == "Receipt.channel_path"
+    with pytest.raises(TypeError, match="^mistyped Receipt.amount$"):
+        replace(good, amount="5")
+    with pytest.raises(TypeError, match="^mistyped Receipt.channel_path$"):
+        replace(good, channel_path=[1])
     sr = make_sub_receipt(A, C.address, good)
-    assert mistyped(sr) is None
-    assert mistyped(replace(sr, receipt=replace(good, seq=-1))) == "SubChannelReceipt.receipt"
+    with pytest.raises(TypeError, match="^mistyped Receipt.seq$"):
+        replace(sr, receipt=replace(good, seq=-1))
+    with pytest.raises(TypeError, match="^mistyped SubChannelReceipt.receipt$"):
+        replace(sr, receipt=sr)
+    assert mistyped(replace(sr, counterparty=B.address)) is None

@@ -273,30 +273,49 @@ class TestChainActor:
 
     @pytest.mark.parametrize("field", ["sender", "kind"])
     def test_unhashable_tx_field_rejected(self, field):
-        """A transaction whose sender or kind is a list is refused for its
-        field types, before any check hashes it."""
+        """A transaction whose sender or kind is a list, which the chain
+        would hash, cannot be built."""
+        tx = contract.OnChainTx("alpha", "c0", "S", contract.OPEN_TX, contract.OpenPayload(5))
+        with pytest.raises(TypeError, match="^mistyped OnChainTx.%s$" % field):
+            dataclasses.replace(tx, **{field: [getattr(tx, field)]})
+
+    def test_raising_hash_sender_cannot_be_built(self):
+        """A sender that is a str subclass whose hash raises, which once
+        raised out of the chain actor at the account lookup, cannot be built
+        into a transaction; nor can a tx subclass reach the mempool."""
+
+        class HashRaises(str):
+            def __hash__(self):
+                raise RuntimeError("unhashable")
+
+        with pytest.raises(TypeError, match="^mistyped OnChainTx.sender$"):
+            contract.OnChainTx("alpha", "c0", HashRaises("S"), contract.OPEN_TX, contract.OpenPayload(5))
+
+        @dataclasses.dataclass(frozen=True)
+        class Sub(contract.OnChainTx):
+            pass
+
         net = Simnet()
         c = chain.Chain("alpha", 3, chain.TimerConfig(6, 6, 10, 20))
         net.add_chain(c)
-        tx = contract.OnChainTx("alpha", "c0", "S", contract.OPEN_TX, contract.OpenPayload(5))
-        tx = dataclasses.replace(tx, **{field: [getattr(tx, field)]})
         actor = net.actors["alpha"]
-        actor.on_message(net, Message("tx", "S", "alpha", tx))
-        assert c.mempool == [] and net.trace == []
-        assert actor.rejected == {"tx: malformed: mistyped OnChainTx.%s" % field: 1}
+        sub = Sub("alpha", "c0", "S", contract.OPEN_TX, contract.OpenPayload(5))
+        actor.on_message(net, Message("tx", "S", "alpha", sub))
+        assert actor.rejected == {"tx: not of class OnChainTx": 1} and c.mempool == [] and net.trace == []
 
     def test_mistyped_kind_leaves_trace_serializable(self):
-        """A transaction whose kind is bytes is counted, not traced, so the
-        run trace still serializes; a well-typed submission is traced."""
+        """A transaction whose kind is bytes, which the run trace could not
+        serialize, cannot be built; a well-typed submission is traced."""
         net = Simnet()
         c = chain.Chain("alpha", 3, chain.TimerConfig(6, 6, 10, 20))
         c.create_account("S", 10)
         net.add_chain(c)
         actor = net.actors["alpha"]
-        for kind in (b"Open", contract.OPEN_TX):
-            tx = contract.OnChainTx("alpha", "c0", "S", kind, contract.OpenPayload(5))
-            actor.on_message(net, Message("tx", "S", "alpha", tx))
-        assert actor.rejected == {"tx: malformed: mistyped OnChainTx.kind": 1}
+        with pytest.raises(TypeError, match="^mistyped OnChainTx.kind$"):
+            contract.OnChainTx("alpha", "c0", "S", b"Open", contract.OpenPayload(5))
+        tx = contract.OnChainTx("alpha", "c0", "S", contract.OPEN_TX, contract.OpenPayload(5))
+        actor.on_message(net, Message("tx", "S", "alpha", tx))
+        assert not actor.rejected
         assert net.trace == [{"tick": 0, "kind": "submit", "chain_id": "alpha", "tx_kind": "Open",
                               "from": "S", "accepted": False, "why": "bad signature"}]
         assert scenario.trace_bytes(net.trace) == json.dumps(net.trace[0]).encode()
