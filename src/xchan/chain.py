@@ -17,11 +17,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .contract import (DETAILS, STATES, Bound, ChannelContract, InvariantViolation, Locked, OnChainTx,
-                       Opened, Published, Unlocked)
+from .contract import DETAILS, STATES, ChannelContract, InvariantViolation, OnChainTx
 from .crypto import hash_bytes
 from .forking import Shared, copier
-from .wire import enc_bytes, enc_str, enc_u64
+from .wire import Checked, enc_bytes, enc_str, enc_u64
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class Block(Shared):
 
 
 @dataclass(frozen=True)
-class ChainEvent(Shared):
+class ChainEvent(Checked):
     """What one transaction or timer did in a block: ``result`` is the state
     entered, a note, or, when ``ok`` is false, why the transaction failed;
     ``detail`` is the record ``contract.DETAILS`` declares for it, or None."""
@@ -55,13 +54,10 @@ class ChainEvent(Shared):
     session_id: str
     result: str
     ok: bool
-    detail: Opened | Bound | Locked | Unlocked | Published | None
+    detail: object | None  # the record DETAILS names for result
 
     def __post_init__(self):  # checked once, where the chain builds it, for its receivers
-        if type(self.session_id) is not str:
-            raise TypeError("session id is not a string")
-        if type(self.result) is not str:
-            raise TypeError("result is not a string")
+        super().__post_init__()
         if self.ok and not isinstance(self.detail, DETAILS.get(self.result, type(None))):
             raise TypeError("detail is not the record its result declares")
 

@@ -4,7 +4,8 @@
     xchan sweep --config scenario.json --channels 10:100:10
     xchan enumerate --config scenario.json --bound 12
 
-Exit code 0 means every invariant assertion held during the run.
+Exit code 0 means every invariant assertion held during the run; 2 means
+the config or an option cannot be run, with the reason on stderr.
 """
 
 from __future__ import annotations
@@ -22,19 +23,11 @@ from .scenario import (
     run_scenario,
     write_trace,
 )
-
-
-def _load(path: str) -> ScenarioConfig:
-    try:
-        return ScenarioConfig.from_json(path)
-    except ConfigError as e:
-        for v in e.violations:
-            print("config error: %s" % v, file=sys.stderr)
-        raise SystemExit(2)
+from .simnet import BoundExceeded
 
 
 def cmd_run(args) -> int:
-    config = _load(args.config)
+    config = ScenarioConfig.from_json(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     metrics, trace = run_scenario(config)
@@ -55,8 +48,16 @@ def channel_counts(text: str) -> range:
     raise ValueError(text)
 
 
+def positive(text: str) -> int:
+    """--bound: a count of 1 or more."""
+    n = int(text)  # a ValueError is argparse's usage error
+    if n >= 1:
+        return n
+    raise ValueError(text)
+
+
 def cmd_sweep(args) -> int:
-    config = _load(args.config)
+    config = ScenarioConfig.from_json(args.config)
     result = run_scaling_sweep(config, args.channels)
     print("channels  receipts  ticks  receipts_per_tick")
     for row in result.rows:
@@ -69,13 +70,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    config = _load(args.config)
-    result = enumerate_close_phase(
-        profile=args.profile,
-        assist_enabled=config.assist_enabled,
-        seed=config.seed,
-        bound=args.bound,
-    )
+    config = ScenarioConfig.from_json(args.config)
+    try:
+        result = enumerate_close_phase(
+            profile=args.profile,
+            assist_enabled=config.assist_enabled,
+            seed=config.seed,
+            bound=args.bound,
+        )
+    except BoundExceeded as e:
+        print("enumerate: %s" % e, file=sys.stderr)
+        return 2
     print(json.dumps({
         "profile": args.profile,
         "assist_enabled": config.assist_enabled,
@@ -103,12 +108,17 @@ def main(argv=None) -> int:
 
     p_enum = sub.add_parser("enumerate", help="exhaustive close-phase schedules")
     p_enum.add_argument("--config", required=True)
-    p_enum.add_argument("--bound", type=int, default=12)
+    p_enum.add_argument("--bound", type=positive, default=12)
     p_enum.add_argument("--profile", default="honest", choices=PROFILES)
     p_enum.set_defaults(func=cmd_enumerate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as e:  # from the config file, or from building its world
+        for v in e.violations:
+            print("config error: %s" % v, file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ its block but leaves session state untouched.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from . import vss
 from .crypto import hash_bytes, verify
@@ -48,34 +48,40 @@ SHARES_RECORDED = "shares recorded"
 
 # What an ok event reports besides its result: the record DETAILS declares
 # for a result an actor acts on, and None for every other result.
-class Binding(NamedTuple):  # the miner holding share number index of a key
+@dataclass(frozen=True)
+class Binding(Checked):  # the miner holding share number index of a key
     miner: str
-    index: int
+    index: U64
     share_hash: bytes
 
 
-class Opened(NamedTuple):  # Open_CE
-    deposits: dict
+@dataclass(frozen=True)
+class Opened(Checked):  # Open_CE
+    deposits: Mapping[str, U64]
 
 
-class Bound(NamedTuple):  # bindings published: owner's shares go to these miners
+@dataclass(frozen=True)
+class Bound(Checked):  # bindings published: owner's shares go to these miners
     owner: str
     sn: bytes
     bindings: tuple[Binding, ...]
-    t: int
+    t: U64
     h_k: bytes
 
 
-class Locked(NamedTuple):  # Lock
+@dataclass(frozen=True)
+class Locked(Checked):  # Lock
     h_pre: bytes
 
 
-class Unlocked(NamedTuple):  # Success; an UpdateEIE names the key to recover
+@dataclass(frozen=True)
+class Unlocked(Checked):  # Success; an UpdateEIE names the key to recover
     pre: bytes
     recover_owner: str | None
 
 
-class Published(NamedTuple):  # shares recorded, once owner's threshold is reached
+@dataclass(frozen=True)
+class Published(Checked):  # shares recorded, once owner's threshold is reached
     owner: str
     shares: tuple[vss.KeyShare, ...]
 
@@ -455,13 +461,13 @@ class ChannelContract:
             return False, "stale serial number", None
         saw_binding = False
         for owner in sorted(s.bindings):
-            for miner, index, bound_hash in s.bindings[owner]:
-                if miner != tx.sender or index != p.share.index:
+            for b in s.bindings[owner]:
+                if b.miner != tx.sender or b.index != p.share.index:
                     continue
                 saw_binding = True
                 if not verify(owner, vss.share_message_bytes(p.share, p.sn), p.owner_sig):
                     continue
-                if vss.share_hash(p.share) == bound_hash:
+                if vss.share_hash(p.share) == b.share_hash:
                     return False, "share matches binding", None
                 # proven: owner signed a share differing from its commitment
                 self._pay_out(s, s.deposits, chain)

@@ -178,7 +178,7 @@ class ChainSide:
     counterpart_vk: tuple | None = None  # (owner address, verify key) of the proof expected here
     counterpart_publics: proofs.RelationPublicInputs | None = None
     proof_ok: bool | None = None  # the counterpart's proof: None until it arrives; its first verdict is final
-    uploads: dict = field(default_factory=dict)  # owner address -> (t, h_k) of its key upload
+    uploads: dict = field(default_factory=dict)  # owner address -> the Bound record of its key upload
     recovered: tuple | None = None  # the counterpart's plaintext blocks
     close_sent: bool = False
 
@@ -635,8 +635,7 @@ class Party:
     def _submit_update(self, net, ps: PartySession, chain_id):
         uploads = ps.sides[chain_id].uploads
         if ps.mode == "EIE" and uploads:
-            _t, h_k = next(iter(uploads.values()))
-            payload = ct.UpdateEiePayload(pre=ps.pre, h_k=h_k)
+            payload = ct.UpdateEiePayload(pre=ps.pre, h_k=next(iter(uploads.values())).h_k)
             self._submit(net, chain_id, ps.session_id, ct.UPDATE_EIE_TX, payload)
         else:
             self._submit(net, chain_id, ps.session_id, ct.UPDATE_TX, ct.UpdatePayload(pre=ps.pre))
@@ -678,7 +677,7 @@ class Party:
             self._close(net, side)
 
     def _on_upload(self, net, ps: PartySession, side: ChainSide, bound: ct.Bound):
-        side.uploads[bound.owner] = (bound.t, bound.h_k)
+        side.uploads[bound.owner] = bound
         if bound.owner == self.address(side.chain_id):
             self._distribute_shares(net, side, bound)
 
@@ -722,9 +721,8 @@ class Party:
         upload = side.uploads.get(published.owner)
         if upload is None or side.counterpart_publics is None:
             return
-        t, h_k = upload
-        key = vss.recover(published.shares, t, self.group)
-        if hash_bytes(key_to_bytes(key)) != h_k:
+        key = vss.recover(published.shares, upload.t, self.group)
+        if hash_bytes(key_to_bytes(key)) != upload.h_k:
             self.violations.append(("recovered-key-hash-mismatch", side.chain_id, side.session_id))
         else:
             self._decrypt(side, key)

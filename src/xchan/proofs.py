@@ -72,7 +72,6 @@ class MacKey(Shared):
 class Crs(Shared):
     pk: MacKey
     vk: MacKey
-    lambda_bits: int
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class TransparentMacBackend:
             raise ValueError("lambda below 128 bits")
         bk = hash_bytes(b"crs-binding" + enc_u64(lambda_bits) + enc_bytes(seed))
         key = MacKey(backend_tag=self.tag, binding_key=bk)
-        return Crs(pk=key, vk=key, lambda_bits=lambda_bits)
+        return Crs(pk=key, vk=key)
 
     def prove(self, pk: MacKey, w: RelationWitness, x: RelationPublicInputs) -> Proof:
         if pk.backend_tag != self.tag:

@@ -24,13 +24,10 @@ from .crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
 from .engine import BehaviorProfile, Miner, MinerBehavior, Party, Timer
 from .proofs import TransparentMacBackend
 from .simnet import LatencyModel, Simnet
+from .wire import plan
 
 MODES = ("CE", "FE", "EIE")
 BASELINES = ("cross_channel", "plain_htlc")
-# ScenarioConfig field annotation -> the value types it admits (bool is
-# not an int here)
-FIELD_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "tuple": (tuple,),
-               "dict": (dict,), "int | None": (int, type(None))}
 
 
 class ConfigError(ValueError):
@@ -66,8 +63,8 @@ class ScenarioConfig:
     n_node: int = 4  # miners per chain
     byzantine_miners: int = 0  # miners that withhold recovery shares
     levels: int = 1  # alpha-side channel tree depth
-    sub_funding: tuple = ()
-    sub_receipts: tuple = ()
+    sub_funding: tuple[int, ...] = ()
+    sub_receipts: tuple[int, ...] = ()
     latency: dict = field(default_factory=lambda: {"kind": "fixed", "fixed": 1})
     adversary: dict = field(default_factory=dict)  # party name -> [flag, ...]
     max_ticks: int = 4000
@@ -81,15 +78,8 @@ class ScenarioConfig:
             self.sub_receipts = tuple(self.sub_receipts)
 
     def validate(self) -> list[str]:
-        v = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) not in FIELD_TYPES[f.type]:
-                v.append("%s must be of type %s" % (f.name, f.type))
-        for name in ("sub_funding", "sub_receipts"):
-            value = getattr(self, name)
-            if isinstance(value, tuple) and any(type(x) is not int for x in value):
-                v.append("%s must list integers" % name)
+        v = ["%s must be of type %s" % (name, ScenarioConfig.__annotations__[name])
+             for name, accepts, _ in plan(ScenarioConfig) if not accepts(getattr(self, name))]
         if v:
             return v  # the checks below compare values of the declared types
         if self.mode not in MODES:
@@ -130,6 +120,8 @@ class ScenarioConfig:
             for i, funding in enumerate(self.sub_funding):
                 if self.sub_receipts[i] + sum(self.sub_funding[i + 1:i + 2]) > funding:
                     v.append("sub-channel %d cannot spend more than its funding" % (i + 2))
+        if not 0 <= self.assist_reward_percent <= 100:
+            v.append("assist_reward_percent must be in 0..100")
         if self.byzantine_miners > self.byzantine_ell:
             v.append("byzantine_miners <= ell violated")
         flags = {f.name for f in fields(BehaviorProfile)}

@@ -58,14 +58,6 @@ class Dealing(Shared):
     public: DealingPublic
     shares: tuple[KeyShare, ...]
 
-    @property
-    def t(self) -> int:
-        return self.public.t
-
-    @property
-    def n(self) -> int:
-        return self.public.n
-
 
 def _poly_eval(coeffs, x: int, q: int) -> int:
     acc = 0

@@ -105,7 +105,7 @@ def _codec(hint):
 
 
 @cache
-def _plan(cls) -> tuple:
+def plan(cls) -> tuple:
     """(name, accepts, encode) for each field of cls that its callers
     set, in declared order."""
     hints = get_type_hints(cls, include_extras=True)
@@ -116,7 +116,7 @@ def enc_value(value, stop: str | None = None) -> bytes:
     """A dataclass value's fields in declared order, each encoded by its
     declared type, up to (not including) the field named stop."""
     out = []
-    for name, _, encode in _plan(type(value)):
+    for name, _, encode in plan(type(value)):
         if name == stop:
             break
         out.append(encode(getattr(value, name)))
@@ -126,7 +126,7 @@ def enc_value(value, stop: str | None = None) -> bytes:
 def mistyped(value) -> str | None:
     """The first field of a dataclass value that does not hold its declared
     type, as "Class.field", or None; a nested value is checked by its class."""
-    for name, accepts, _ in _plan(type(value)):
+    for name, accepts, _ in plan(type(value)):
         if not accepts(getattr(value, name)):
             return "%s.%s" % (type(value).__name__, name)
     return None

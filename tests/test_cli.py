@@ -116,3 +116,34 @@ def test_sweep_bad_channels_exits_2(config_path, capsys, channels):
         main(["sweep", "--config", config_path, "--channels", channels])
     assert exc.value.code == 2
     assert "argument --channels: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, raw, error", [
+    ("run", {"funding": 1}, "workload exceeds channel funding"),  # found when the world is built
+    ("sweep", {"funding": 1}, "workload exceeds channel funding"),
+    ("run", {"assist_reward_percent": 101}, "assist_reward_percent must be in 0..100"),
+])
+def test_config_error_from_a_run_exits_2(tmp_path, capsys, command, raw, error):
+    """A config that passes the file checks but cannot be run is a config
+    error, not a traceback."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(p)] + (["--channels", "1:2:1"] if command == "sweep" else []))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "config error: %s\n" % error
+
+
+@pytest.mark.parametrize("bound", ["0", "-1", "x"])
+def test_enumerate_bad_bound_exits_2(config_path, capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--config", config_path, "--bound=" + bound])
+    assert exc.value.code == 2
+    assert "argument --bound: " in capsys.readouterr().err
+
+
+def test_enumerate_bound_exceeded_exits_2(config_path, capsys):
+    """delay_r has two messages in flight at once, more than a bound of 1."""
+    rc = main(["enumerate", "--config", config_path, "--bound", "1", "--profile", "delay_r"])
+    assert rc == 2
+    assert capsys.readouterr().err == "enumerate: 2 messages in flight exceeds bound 1\n"

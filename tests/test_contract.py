@@ -134,7 +134,7 @@ class TestUpload:
         events = d.step()
         s = d.session()
         assert len(s.bindings[S.address]) == 4
-        miners = [m for m, _i, _h in s.bindings[S.address]]
+        miners = [b.miner for b in s.bindings[S.address]]
         assert len(set(miners)) == 4
         assert s.sn is not None
         assert s.appeal_deadline == d.tick + d.chain.timers.appeal_window
@@ -231,9 +231,9 @@ class TestAppeal:
         d.submit(S, "c0", ct.UPLOAD_TX, payload)
         d.step()
         s = d.session()
-        miner_addr, index, _h = s.bindings[S.address][0]
-        miner_kp = next(kp for kp in d.miner_keys if kp.address == miner_addr)
-        share = dealing.shares[index - 1]
+        b = s.bindings[S.address][0]
+        miner_kp = next(kp for kp in d.miner_keys if kp.address == b.miner)
+        share = dealing.shares[b.index - 1]
         return d, s, miner_kp, share
 
     def test_fake_share_terminates(self):
@@ -433,9 +433,9 @@ class TestUpdateEie:
 
         # miners answer with their bound shares
         bindings = s.bindings[S.address]
-        for miner_addr, index, _h in bindings[:2]:
-            kp = next(k for k in d.miner_keys if k.address == miner_addr)
-            d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=dealing.shares[index - 1]))
+        for b in bindings[:2]:
+            kp = next(k for k in d.miner_keys if k.address == b.miner)
+            d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=dealing.shares[b.index - 1]))
         d.step()
         assert S.address in s.published_shares
         got = vss.recover(s.published_shares[S.address], 2, TINY_GROUP)
@@ -478,20 +478,20 @@ class TestUpdateEie:
         d.submit(R, "c0", ct.UPDATE_EIE_TX, ct.UpdateEiePayload(pre=pre, h_k=payload.h_k))
         d.step()
 
-        miner_addr, index, _h = s.bindings[S.address][0]
-        kp = next(k for k in d.miner_keys if k.address == miner_addr)
-        bad = replace(dealing.shares[index - 1], s=(dealing.shares[index - 1].s + 1) % TINY_GROUP.q)
+        b = s.bindings[S.address][0]
+        kp = next(k for k in d.miner_keys if k.address == b.miner)
+        bad = replace(dealing.shares[b.index - 1], s=(dealing.shares[b.index - 1].s + 1) % TINY_GROUP.q)
         d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=bad))
         events = d.step()
         assert (events[0].ok, events[0].result) == (False, "no share accepted")
         # unbound miner (not selected) with a correct share
-        bound = {m for m, _i, _h2 in s.bindings[S.address]}
+        bound = {other.miner for other in s.bindings[S.address]}
         outsider_kp = next(k for k in d.miner_keys if k.address not in bound)
         d.submit(outsider_kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=dealing.shares[0]))
         events = d.step()
         assert (events[0].ok, events[0].result) == (False, "no share accepted")
         # duplicate index ignored: same miner resubmits its share twice
-        good = dealing.shares[index - 1]
+        good = dealing.shares[b.index - 1]
         d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=good))
         d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=good))
         events = d.step()

@@ -21,6 +21,7 @@ from xchan.receipts import (Receipt, SubChannelReceipt, fold_receipt, make_final
                             make_sub_receipt, replay_receipts)
 from xchan.scenario import ScenarioConfig, _all_terminal, build_world, collect_metrics
 from xchan.simnet import LatencyModel, Message, Simnet
+from xchan.wire import Checked
 
 SID = "e0"
 
@@ -406,7 +407,7 @@ MALFORMED = {
         "mistyped ExchangeMsg.session_id", lambda: ExchangeMsg("alpha", None, _PROOF, _PUBLICS, "x"))),
     "exchange-dict": ("R", "exchange", "S", {"chain_id": "alpha", "session_id": "c0", "proof": _PROOF,
                                              "publics": _PUBLICS, "owner": _S}),
-    "chain_event-empty": ("S", "chain_event", "alpha", Unbuilt("session id is not a string",
+    "chain_event-empty": ("S", "chain_event", "alpha", Unbuilt("mistyped ChainEvent.tick",
                                                                lambda: ChainEvent(*[None] * 8))),
     "chain_event-forged": ("S", "chain_event", "R", _event()),
     "chain_event-dict": ("S", "chain_event", "alpha", _DICT_EVENT),
@@ -429,7 +430,7 @@ MALFORMED = {
         "chain_id": "alpha", "session_id": "c0", "owner": _S, "share": vss.KeyShare(1, 1, 1, b""),
         "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}),
     "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
-        "session id is not a string", lambda: ChainEvent(*[None] * 8))),
+        "mistyped ChainEvent.tick", lambda: ChainEvent(*[None] * 8))),
     "miner-chain_event-forged": ("M.alpha.1", "chain_event", "beta",
                                  _event(ct.SUCCESS, detail=ct.Unlocked(b"", _S))),
     "miner-chain_event-wrapped": ("M.alpha.1", "chain_event", "alpha", {
@@ -441,27 +442,45 @@ MALFORMED = {
         "detail is not the record its result declares", lambda: _event(ct.BINDINGS_PUBLISHED))),
     # a result that is not a string, which no record or handler table can key
     "chain_event-list-result": ("S", "chain_event", "alpha", Unbuilt(
-        "result is not a string", lambda: _event(result=["Close"]))),
+        "mistyped ChainEvent.result", lambda: _event(result=["Close"]))),
     "miner-chain_event-success-dict": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
-        "detail is not the record its result declares",
+        "mistyped ChainEvent.detail",
         lambda: _event(ct.SUCCESS, detail={"pre": b"x", "recover_owner": _S}))),
     # a session id that is not a string, which once raised at the session
     # lookup (or, as an int, made a party session keyed by it)
     "chain_event-list-session": ("S", "chain_event", "alpha", Unbuilt(
-        "session id is not a string", lambda: _event(session_id=["c0"]))),
+        "mistyped ChainEvent.session_id", lambda: _event(session_id=["c0"]))),
     "chain_event-dict-session": ("R", "chain_event", "alpha", Unbuilt(
-        "session id is not a string", lambda: _event(ct.TERMINATED, session_id={}))),
+        "mistyped ChainEvent.session_id", lambda: _event(ct.TERMINATED, session_id={}))),
     "chain_event-int-session": ("S", "chain_event", "alpha", Unbuilt(
-        "session id is not a string", lambda: _event(session_id=5))),
+        "mistyped ChainEvent.session_id", lambda: _event(session_id=5))),
     "miner-chain_event-list-session": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
-        "session id is not a string",
+        "mistyped ChainEvent.session_id",
         lambda: _event(ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=["c0"]))),
     "miner-chain_event-dict-session": ("M.alpha.1", "chain_event", "beta", Unbuilt(
-        "session id is not a string",
+        "mistyped ChainEvent.session_id",
         lambda: _event(ct.SUCCESS, detail=ct.Unlocked(b"x", None), chain_id="beta", session_id={}))),
     "miner-chain_event-int-session": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
-        "session id is not a string",
+        "mistyped ChainEvent.session_id",
         lambda: _event(ct.SUCCESS, detail=ct.Unlocked(b"x", _S), session_id=5))),
+    # an event's record holding a field not of its declared type, which
+    # once reached the handler reading it
+    "chain_event-open-negative-deposit": ("S", "chain_event", "alpha", Unbuilt(
+        "mistyped Opened.deposits", lambda: _event(ct.OPEN_CE, detail=ct.Opened({_S: -1})))),
+    "chain_event-bound-tuple-binding": ("S", "chain_event", "alpha", Unbuilt(
+        "mistyped Bound.bindings",
+        lambda: _event(ct.BINDINGS_PUBLISHED, detail=ct.Bound(_S, b"", (("m", 1, b""),), 2, b"")))),
+    "chain_event-bound-str-index": ("S", "chain_event", "alpha", Unbuilt(
+        "mistyped Binding.index",
+        lambda: _event(ct.BINDINGS_PUBLISHED, detail=ct.Bound(_S, b"", (ct.Binding("m", "1", b""),), 2, b"")))),
+    "chain_event-lock-dict-h_pre": ("R", "chain_event", "alpha", Unbuilt(
+        "mistyped Locked.h_pre", lambda: _event(ct.LOCK, detail=ct.Locked({})))),
+    "miner-chain_event-str-pre": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
+        "mistyped Unlocked.pre", lambda: _event(ct.SUCCESS, detail=ct.Unlocked("x", _S)))),
+    "miner-chain_event-int-owner": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
+        "mistyped Unlocked.recover_owner", lambda: _event(ct.SUCCESS, detail=ct.Unlocked(b"x", 5)))),
+    "chain_event-int-shares": ("R", "chain_event", "alpha", Unbuilt(
+        "mistyped Published.shares", lambda: _event(ct.SHARES_RECORDED, detail=ct.Published(_S, (1,))))),
     # signed values or key shares holding a mistyped field
     "receipt-list-session": ("S", "receipt", "R", Unbuilt(
         "mistyped Receipt.session_id", lambda: ReceiptMsg("alpha", _tr(session_id=["c0"])))),
@@ -561,8 +580,8 @@ class TestMalformedMessages:
         ("miner-share-other-chain", "share: unknown chain"),
         ("wakeup-timer-unknown-chain", "wakeup: unknown chain"),
         ("miner-wakeup-other-chain", "wakeup: unknown chain"),
-        ("chain_event-list-session", "chain_event: session id is not a string"),
-        ("miner-chain_event-dict-session", "chain_event: session id is not a string"),
+        ("chain_event-list-session", "chain_event: mistyped ChainEvent.session_id"),
+        ("miner-chain_event-dict-session", "chain_event: mistyped ChainEvent.session_id"),
         # data that is not the class its kind declares, as in each kind's old dict form
         ("receipt-dict", "receipt: not of class ReceiptMsg"),
         ("sr_request-dict", "sr_request: not of class SrMsg"),
@@ -584,6 +603,8 @@ class TestMalformedMessages:
         ("miner-share-str-scalar", "share: mistyped KeyShare.s"),
         ("exchange-int-binding", "exchange: mistyped Proof.binding"),
         ("miner-share-int-commitments", "share: mistyped DealingPublic.coeff_commitments"),
+        ("chain_event-lock-dict-h_pre", "chain_event: mistyped Locked.h_pre"),
+        ("chain_event-bound-str-index", "chain_event: mistyped Binding.index"),
     ])
     def test_reason(self, probe, reason):
         assert self.reject(probe) == reason
@@ -656,6 +677,8 @@ class TestMalformedMessages:
                 assert all(type(b) is ct.Binding for b in ev.detail.bindings)
         kinds = {type(ev.detail) for ev in events}
         assert kinds >= {ct.Opened, ct.Bound, ct.Locked, ct.Unlocked, ct.Published}
+        # each checks its declared field types when it is built
+        assert all(issubclass(cls, Checked) for cls in kinds - {type(None)} | {ChainEvent, ct.Binding})
         # the run recovered keys: an UpdateEIE named an owner, and shares published
         assert any(isinstance(ev.detail, ct.Unlocked) and ev.detail.recover_owner for ev in events)
         assert all(len(ev.detail.shares) == cfg.vss_t for ev in events if isinstance(ev.detail, ct.Published))

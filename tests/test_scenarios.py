@@ -3,6 +3,7 @@ deviations, miner assist, and replay determinism."""
 
 import gc
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -320,6 +321,31 @@ class TestMinerAssist:
         assert miner_balance == alpha.contract.sessions["c0"].assist_reward_paid
         assert miner_balance > 0
 
+    def test_eie_assist_names_the_key_to_recover(self):
+        """R mirrors S's lock onto alpha 30 ticks late, so alpha's miners,
+        which saw the preimage revealed on beta, unlock alpha with an
+        UpdateEIE that names S's key. The first miner's UpdateEIE commits at
+        tick 124 and earns the reward, and R still recovers S's plaintext."""
+        late = {"kind": "fixed", "fixed": 1, "overrides": [{"src": "R", "dst": "alpha", "fixed": 30}]}
+        cfg = ScenarioConfig(mode="EIE", seed=1, receipts_n=4, latency=late)
+        world = build_world(cfg)
+        for name in ("S", "R"):
+            for chain in (world.alpha, world.beta):
+                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        trace = world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        assert collect_metrics(world).outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
+        S, R = world.parties["S"], world.parties["R"]
+        s = world.alpha.contract.sessions["c0"]
+        assert s.transitions[-1] == (ct.LOCK, ct.SUCCESS, 124)
+        assert s.recovery_requested == [S.address("alpha")]
+        assert s.assist_reward_paid == 100
+        miner = world.miners[0]  # M.alpha.1, the first to submit
+        assert world.alpha.balance(miner.kp.address) == 100
+        submits = [e["from"] for e in trace if e.get("kind") == "submit" and e["chain_id"] == "alpha"
+                   and e["tx_kind"] == ct.UPDATE_EIE_TX and e["tick"] < 124]
+        assert submits[0] == miner.name
+        assert R.side("alpha", "c0").recovered == S.side("alpha", "c0").exchange.m_blocks
+
     def test_without_assist_split_outcome(self):
         net = build_close_phase_world("delay_r", assist_enabled=False, seed=4, mode="run")
         net.run_until(lambda: outcome_of(net) is not None, max_tick=200)
@@ -434,6 +460,31 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(raw)
         assert err.value.violations
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+    def test_every_field_checked_by_its_annotation(self, name):
+        """A value of no declared type is named, with the field's own
+        annotation, as the one violation, for every field there is."""
+        cfg = replace(ScenarioConfig(), **{name: object()})
+        assert cfg.validate() == ["%s must be of type %s" % (name, ScenarioConfig.__annotations__[name])]
+
+    def test_list_items_checked(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({"levels": 2, "sub_funding": [5], "sub_receipts": [True]})
+        assert err.value.violations == ["sub_receipts must be of type tuple[int, ...]"]
+
+    @pytest.mark.parametrize("percent", [-1, 101])
+    def test_assist_reward_percent_out_of_range_rejected(self, percent):
+        """A reward above 100 percent once debited the assisted party more
+        than it was paid, and InvariantViolation escaped produce_block."""
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({"assist_reward_percent": percent})
+        assert err.value.violations == ["assist_reward_percent must be in 0..100"]
+
+    def test_assist_reward_of_the_whole_allocation_runs(self):
+        late = {"kind": "fixed", "fixed": 1, "overrides": [{"src": "R", "dst": "alpha", "fixed": 40}]}
+        metrics, _ = run(ScenarioConfig.from_dict({"assist_reward_percent": 100, "latency": late}))
+        assert metrics.outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"

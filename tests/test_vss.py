@@ -52,7 +52,7 @@ class TestVerify:
         for ks in d.shares:
             assert not vss.verify_share(replace(ks, s=(ks.s + 1) % g.q), d.public, g)
             assert not vss.verify_share(replace(ks, r=(ks.r + 1) % g.q), d.public, g)
-            wrong_idx = ks.index % d.n + 1
+            wrong_idx = ks.index % d.public.n + 1
             assert not vss.verify_share(replace(ks, index=wrong_idx), d.public, g)
 
     def test_cross_dealing_rejected(self):
