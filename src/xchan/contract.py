@@ -336,13 +336,10 @@ def settle_levels(session_id: str, deposits: dict, parties, submissions) -> Sett
 class ContractSession:
     session_id: str
     state: str = INIT
-    parties: list = field(default_factory=list)
-    deposits: dict = field(default_factory=dict)  # fills as each party opens
+    deposits: dict = field(default_factory=dict)  # fills as each opens; from Open_CE its keys are the parties
     escrow: int = 0
     sn: bytes | None = None
-    # owner address -> UploadPayload / tuple of Binding
-    uploaded: dict = field(default_factory=dict)
-    bindings: dict = field(default_factory=dict)
+    uploads: dict = field(default_factory=dict)  # owner address -> the Bound record of its upload
     appeal_deadline: int | None = None
     close_deadline: int | None = None
     collected_closes: dict = field(default_factory=dict)  # (sender, path) -> ClosePayload
@@ -353,15 +350,13 @@ class ContractSession:
     assist_deadline: int | None = None
     recovery_requested: list = field(default_factory=list)  # owner addresses
     collected_shares: dict = field(default_factory=dict)  # owner -> {index: share}
-    published_shares: dict = field(default_factory=dict)  # owner -> tuple of shares
     assist_reward_paid: int = 0
     transitions: list = field(default_factory=list)  # (from, to, tick)
 
     __deepcopy__ = copier(
         share="session_id state escrow sn appeal_deadline close_deadline settle_cutoff h_pre "
               "lock_deadline assist_deadline assist_reward_paid",
-        copy="parties deposits uploaded bindings collected_closes locked_allocations "
-             "recovery_requested transitions published_shares",
+        copy="deposits uploads collected_closes locked_allocations recovery_requested transitions",
         deep="collected_shares")
 
     def set_state(self, new_state: str, tick: int):
@@ -409,9 +404,9 @@ class ChannelContract:
 
     def handle_open(self, tx, chain):
         s = self.sessions.setdefault(tx.session_id, ContractSession(session_id=tx.session_id))
-        if s.state != INIT or tx.sender in s.deposits:
+        if tx.sender in s.deposits:
             return False, "duplicate open", None
-        if len(s.deposits) >= 2:
+        if s.state != INIT:  # both parties have opened
             return False, "session full", None
         amount = tx.payload.amount
         if chain.balance(tx.sender) < amount:
@@ -420,7 +415,6 @@ class ChannelContract:
         s.escrow += amount
         s.deposits[tx.sender] = amount
         if len(s.deposits) == 2:
-            s.parties = list(s.deposits)
             s.set_state(OPEN_CE, chain.now)
             return True, OPEN_CE, Opened(dict(s.deposits))
         return True, "open pending", None
@@ -429,9 +423,9 @@ class ChannelContract:
         s = self.sessions.get(tx.session_id)
         if s is None or s.state != OPEN_CE:
             return False, "not open", None
-        if tx.sender not in s.parties:
+        if tx.sender not in s.deposits:
             return False, "not a channel party", None
-        if tx.sender in s.uploaded:
+        if tx.sender in s.uploads:
             return False, "already uploaded", None
         p = tx.payload
         if p.n > len(chain.miners):
@@ -442,11 +436,11 @@ class ChannelContract:
         picks = chain.pick_miners(p.n, rng_seed)
         if s.sn is None:
             s.sn = hash_bytes(chain.prev_block_hash() + enc_str(tx.session_id) + b"sn")[:16]
-        s.uploaded[tx.sender] = p
-        bindings = s.bindings[tx.sender] = tuple(map(Binding, picks, range(1, p.n + 1), p.share_hashes))
+        bindings = tuple(map(Binding, picks, range(1, p.n + 1), p.share_hashes))
+        bound = s.uploads[tx.sender] = Bound(tx.sender, s.sn, bindings, p.t, p.h_k)
         deadline = chain.now + chain.timers.appeal_window
         s.appeal_deadline = max(s.appeal_deadline or 0, deadline)
-        return True, BINDINGS_PUBLISHED, Bound(tx.sender, s.sn, bindings, p.t, p.h_k)
+        return True, BINDINGS_PUBLISHED, bound
 
     def handle_appeal(self, tx, chain):
         s = self.sessions.get(tx.session_id)
@@ -460,8 +454,8 @@ class ChannelContract:
         if p.sn != s.sn:
             return False, "stale serial number", None
         saw_binding = False
-        for owner in sorted(s.bindings):
-            for b in s.bindings[owner]:
+        for owner in sorted(s.uploads):
+            for b in s.uploads[owner].bindings:
                 if b.miner != tx.sender or b.index != p.share.index:
                     continue
                 saw_binding = True
@@ -491,8 +485,7 @@ class ChannelContract:
             return False, "wrong session", None
         s.collected_closes[(tx.sender, f.channel_path)] = p
         if s.close_deadline is None:
-            level0 = {sender for (sender, path) in s.collected_closes if path == ()}
-            if all(party in level0 for party in s.parties):
+            if all((party, ()) in s.collected_closes for party in s.deposits):
                 s.close_deadline = chain.now + chain.timers.close_window
                 return True, CLOSE_WINDOW_STARTED, None
         return True, "close recorded", None
@@ -501,11 +494,11 @@ class ChannelContract:
         s = self.sessions.get(tx.session_id)
         if s is None:
             return False, "not in close", None
-        if s.state == LOCK or s.h_pre is not None:
+        if s.h_pre is not None:
             return False, "already locked", None
         if s.state != CLOSE:
             return False, "not in close", None
-        if tx.sender not in s.parties:
+        if tx.sender not in s.deposits:
             return False, "not a channel party", None
         s.h_pre = tx.payload.h_pre
         s.lock_deadline = chain.now + chain.timers.unlock_window
@@ -515,7 +508,7 @@ class ChannelContract:
         return True, LOCK, Locked(s.h_pre)
 
     def _check_update_window(self, s, sender, chain):
-        if sender in s.parties:
+        if sender in s.deposits:
             if chain.now > s.lock_deadline:
                 return "party past unlock deadline"
             return None
@@ -529,11 +522,9 @@ class ChannelContract:
 
     def _finalize_update(self, s, sender, chain):
         self._pay_out(s, s.locked_allocations, chain)
-        if sender not in s.parties:
+        if sender not in s.deposits:
             # miner assist: reward comes out of the assisted party's allocation
-            gains = {
-                p: s.locked_allocations.get(p, 0) - s.deposits.get(p, 0) for p in s.parties
-            }
+            gains = {p: s.locked_allocations.get(p, 0) - s.deposits[p] for p in s.deposits}
             beneficiary = max(sorted(gains), key=lambda p: gains[p])
             reward = s.locked_allocations.get(beneficiary, 0) * chain.assist_reward_percent // 100
             if reward > 0:
@@ -555,7 +546,7 @@ class ChannelContract:
             return False, "wrong preimage", None
         owner = None
         if tx.kind == UPDATE_EIE_TX:
-            owner = next((a for a in sorted(s.uploaded) if s.uploaded[a].h_k == tx.payload.h_k), None)
+            owner = next((a for a in sorted(s.uploads) if s.uploads[a].h_k == tx.payload.h_k), None)
             if owner is None:
                 return False, "unknown key hash", None
         self._finalize_update(s, tx.sender, chain)
@@ -571,7 +562,8 @@ class ChannelContract:
         published = None
         for ks in tx.payload.slots():
             for owner in s.recovery_requested:
-                match = [b for b in s.bindings.get(owner, ()) if b.miner == tx.sender and b.index == ks.index]
+                upload = s.uploads[owner]
+                match = [b for b in upload.bindings if b.miner == tx.sender and b.index == ks.index]
                 if not match or vss.share_hash(ks) != match[0].share_hash:
                     continue
                 store = s.collected_shares.setdefault(owner, {})
@@ -579,10 +571,8 @@ class ChannelContract:
                     continue  # duplicate index ignored
                 store[ks.index] = ks
                 accepted = True
-                threshold = s.uploaded[owner].t
-                if owner not in s.published_shares and len(store) >= threshold:
-                    s.published_shares[owner] = tuple(store[i] for i in sorted(store))
-                    published = Published(owner, s.published_shares[owner])
+                if len(store) == upload.t:  # published once, at the threshold share
+                    published = Published(owner, tuple(store[i] for i in sorted(store)))
         if not accepted:
             return False, "no share accepted", None
         return True, SHARES_RECORDED, published
@@ -614,7 +604,7 @@ class ChannelContract:
                 result = settle_levels(
                     sid,
                     s.deposits,
-                    s.parties,
+                    list(s.deposits),
                     [(sender, p) for (sender, _path), p in sorted(s.collected_closes.items())],
                 )
                 if not result.ok:
@@ -647,6 +637,6 @@ class ChannelContract:
         for addr, amount in deposits.items():
             chain.debit(addr, amount)
         s = self.sessions[session_id] = ContractSession(
-            session_id, CLOSE, parties=list(deposits), deposits=dict(deposits),
+            session_id, CLOSE, deposits=dict(deposits),
             escrow=sum(deposits.values()), locked_allocations=dict(allocations))
         return s

@@ -42,7 +42,7 @@ from .receipts import (
     make_sub_receipt,
     replay_receipts,
 )
-from .simnet import Message, Rng, Simnet
+from .simnet import ChainActor, Message, Rng, Simnet
 from .wire import Checked
 
 
@@ -73,16 +73,15 @@ class ChannelView:
     receipts: dict = field(default_factory=dict)  # seq -> Receipt
     delegated: set = field(default_factory=set)  # seqs spent via sub-receipts
     srs: list = field(default_factory=list)
-    next_seq: int = 1
+    next_seq: int = 1  # one above the highest seq held
     last_sent_seq: int = 0
     # the fold of every held receipt under the delegation set _folded_delegated
-    # (None: refold on the next read), and the highest seq held
+    # (None: refold on the next read)
     _bal: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _top: int = field(default=0, init=False, repr=False, compare=False)
     _folded_delegated: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     __deepcopy__ = copier(
-        share="chain_id session_id path members funder next_seq last_sent_seq _top _folded_delegated",
+        share="chain_id session_id path members funder next_seq last_sent_seq _folded_delegated",
         copy="initial receipts delegated srs _bal")
 
     @classmethod
@@ -98,12 +97,12 @@ class ChannelView:
         receipt above every held seq is folded onto the cached balances
         as it arrives; any other write (an insert below the top or a
         replacement) drops the cache for a full replay on the next read."""
-        if self._bal is not None and tr.seq > self._top:
+        if self._bal is not None and tr.seq >= self.next_seq:
             fold_receipt(self._bal, tr, self._folded_delegated, self.funder)
-            self._top = tr.seq
         else:
             self._bal = None
         self.receipts[tr.seq] = tr
+        self.next_seq = max(self.next_seq, tr.seq + 1)
 
     def balances(self) -> Mapping[str, int]:
         """Current balances, the fold of every held receipt, as a read-only
@@ -115,7 +114,7 @@ class ChannelView:
             self._folded_delegated = frozenset(self.delegated)
             self._bal, _ = replay_receipts(self.initial, self.receipts.values(), self._folded_delegated,
                                            self.funder)
-            self._top = max(self.receipts, default=0)
+            self.next_seq = max(self.next_seq, max(self.receipts, default=0) + 1)
         return MappingProxyType(self._bal)
 
     def other(self, addr: str) -> str:
@@ -257,7 +256,7 @@ def _dispatch(actor, net, msg: Message):
     count msg in actor.rejected by reason: the one check every message to a
     party or a miner passes. Its data must be of exactly the class its kind
     names, which checked its fields when it was built. A chain event must
-    come from the chain it names (a miner also hears the other chain's). A
+    come from a chain, the one it names (a miner also hears the other chain's). A
     wakeup must be a Timer the actor set, of a kind in actor.TIMERS. Any
     other data must name a chain the actor serves, as must a Timer."""
     handler, cls = actor.HANDLERS.get(msg.kind, (None, None))
@@ -267,7 +266,8 @@ def _dispatch(actor, net, msg: Message):
     elif type(data) is not cls:
         why = "not of class " + cls.__name__
     elif cls is ChainEvent:
-        why = "not sent by the chain it names" if msg.src != data.chain_id else None
+        from_chain = msg.src == data.chain_id and type(net.actors.get(msg.src)) is ChainActor
+        why = None if from_chain else "not sent by the chain it names"
     else:
         why = ("not set by this actor" if cls is Timer and msg.src != actor.name
                else "unknown timer" if cls is Timer and data.kind not in actor.TIMERS
@@ -375,7 +375,6 @@ class Party:
             raise ct.InvariantViolation("receipt sequence not monotone")
         tr = make_receipt(kp, view.session_id, view.path, seq, view.other(kp.address), amount)
         view.hold(tr)
-        view.next_seq = seq + 1
         view.last_sent_seq = seq
         dst = self.directory.get(tr.rcv)
         if dst:
@@ -402,7 +401,6 @@ class Party:
         if tr.amount > sender_bal:
             return  # refuse overspend; sender's copy dies at settlement too
         view.hold(tr)
-        view.next_seq = max(view.next_seq, tr.seq + 1)
         side.received[tr.channel_path] = side.received.get(tr.channel_path, 0) + 1
         # payee side of a planned sub-channel funding receipt
         plan = side.plans.get(tr.channel_path + (tr.seq,))
@@ -531,6 +529,8 @@ class Party:
 
     def _distribute_shares(self, net, side: ChainSide, bound: ct.Bound):
         st = side.exchange
+        if st is None or st.dealing is None:
+            return  # this party dealt no key here: the record is not of its upload
         kp = self.keys[side.chain_id]
         for b in bound.bindings:
             ks = st.dealing.shares[b.index - 1]
@@ -587,7 +587,7 @@ class Party:
                 side.expected[path] = min(want, side.received.get(path, 0))
 
     def _start_pumps(self, net, ps: PartySession, side: ChainSide):
-        if ps.mode != "CE" and not all(s.proof_ok for s in ps.sides.values() if s.counterpart_vk):
+        if not all(s.proof_ok for s in ps.sides.values() if s.counterpart_vk):
             return  # paying before every expected proof verified risks paying for nothing
         if side.is_open():
             self._pump(net, side, ())  # no-op while pumping, once done or with no plan
@@ -603,9 +603,8 @@ class Party:
             return  # a sub-channel not open yet, or receipts still to pay
         if any(side.received.get(p, 0) < want for p, want in side.expected.items()):
             return
-        if ps.mode != "CE" and not ps.aborted and not side.proof_ok:
-            if side.proof_ok is False or side.counterpart_vk is not None:
-                return  # never enter close on a bad or missing proof
+        if side.counterpart_vk is not None and not side.proof_ok and not ps.aborted:
+            return  # never enter close on a missing proof; a bad one aborted the session
         self._close(net, side)
 
     def _close(self, net, side: ChainSide):
@@ -640,9 +639,14 @@ class Party:
         else:
             self._submit(net, chain_id, ps.session_id, ct.UPDATE_TX, ct.UpdatePayload(pre=ps.pre))
 
-    def _relay_lock_if_ready(self, net, ps: PartySession):
-        if ps.h_pre is not None and ps.sides[ps.lock_chain].state == ct.CLOSE:
-            self.submit_lock(net, ps.lock_chain, ps.session_id)
+    def _lock_if_due(self, net, ps: PartySession, side: ChainSide):
+        """The one lock rule: once side's chain is in Close, lock it if it is this
+        party's lock chain and the hash lock is known (its own, or the first lock
+        seen), or, aborted and knowing the preimage, to wind it down as settled."""
+        if side.state != ct.CLOSE:
+            return
+        if (ps.lock_chain == side.chain_id and ps.h_pre is not None) or (ps.aborted and ps.pre is not None):
+            self.submit_lock(net, side.chain_id, ps.session_id)
 
     # -- chain events -----------------------------------------------------------------
 
@@ -664,7 +668,7 @@ class Party:
             members = tuple(sorted(deposits))
             side.views[()] = ChannelView(side.chain_id, side.session_id, (), members, dict(deposits))
         self._start_pumps(net, ps, side)
-        if ps.mode in ("FE", "EIE") and side.exchange is not None:
+        if side.exchange is not None:
             if ps.mode == "EIE":
                 self._run_theta_share(net, side)
             self._run_theta_exchange(net, ps, side)
@@ -681,15 +685,6 @@ class Party:
         if bound.owner == self.address(side.chain_id):
             self._distribute_shares(net, side, bound)
 
-    def _on_close(self, net, ps: PartySession, side: ChainSide, detail):
-        mine = ps.lock_chain == side.chain_id
-        # an aborted party that knows the preimage winds the surviving
-        # chain down unilaterally at its settled state
-        if (ps.aborted and ps.pre is not None) or (mine and ps.holder):
-            self.submit_lock(net, side.chain_id, ps.session_id)
-        if mine and not ps.holder:
-            self._relay_lock_if_ready(net, ps)
-
     def _on_lock(self, net, ps: PartySession, side: ChainSide, locked: ct.Locked):
         if ps.lock_chain in (None, side.chain_id):
             return  # no part in the lock choreography, or our own lock
@@ -700,7 +695,7 @@ class Party:
             # the first lock is on chain; mirror it once our side closed
             if ps.h_pre is None:
                 ps.h_pre = locked.h_pre
-            self._relay_lock_if_ready(net, ps)
+            self._lock_if_due(net, ps, ps.sides[ps.lock_chain])
 
     def _on_success(self, net, ps: PartySession, side: ChainSide, unlocked: ct.Unlocked):
         # the preimage revealed on this party's lock chain unlocks the other
@@ -721,8 +716,11 @@ class Party:
         upload = side.uploads.get(published.owner)
         if upload is None or side.counterpart_publics is None:
             return
-        key = vss.recover(published.shares, upload.t, self.group)
-        if hash_bytes(key_to_bytes(key)) != upload.h_k:
+        try:
+            key = vss.recover(published.shares, upload.t, self.group)
+        except ValueError:  # too few shares, or shares labelled with different dealings
+            key = None
+        if key is None or hash_bytes(key_to_bytes(key)) != upload.h_k:
             self.violations.append(("recovered-key-hash-mismatch", side.chain_id, side.session_id))
         else:
             self._decrypt(side, key)
@@ -748,8 +746,8 @@ class Party:
                 continue
             if other.is_open():
                 self._maybe_close(net, ps, other)
-            elif other.state == ct.CLOSE and ps.pre is not None:
-                self.submit_lock(net, other.chain_id, ps.session_id)
+            else:
+                self._lock_if_due(net, ps, other)
 
     # -- dispatch tables ----------------------------------------------------------------
 
@@ -766,7 +764,7 @@ class Party:
         ct.OPEN_CE: _on_open,
         ct.CLOSE_WINDOW_STARTED: _on_close_window,
         ct.BINDINGS_PUBLISHED: _on_upload,
-        ct.CLOSE: _on_close,
+        ct.CLOSE: lambda p, net, ps, side, _detail: p._lock_if_due(net, ps, side),
         ct.LOCK: _on_lock,
         ct.SUCCESS: _on_success,
         ct.SHARES_RECORDED: _on_shares_recorded,
@@ -799,12 +797,12 @@ class Miner:
         self.behavior = behavior or MinerBehavior()
         self.group = group
         self.stored: dict = {}  # (session, owner) -> the ShareMsg whose share checked out
-        self.old_stored: list = []  # every such ShareMsg, in arrival order
+        self.first_stored: ShareMsg | None = None  # the first such ShareMsg
         self.learned_pre: dict = {}  # session -> pre bytes
         self.assisted: set = set()
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
-    __deepcopy__ = copier(share="name kp group", copy="stored old_stored learned_pre assisted rejected",
+    __deepcopy__ = copier(share="name kp group first_stored", copy="stored learned_pre assisted rejected",
                           deep="chain behavior")
 
     def on_message(self, net, msg: Message):
@@ -816,14 +814,14 @@ class Miner:
     def on_share(self, net, msg):
         sm: ShareMsg = msg.data
         session = self.chain.read_session(sm.session_id)
-        if session is None or sm.owner not in session.bindings:
+        upload = None if session is None else session.uploads.get(sm.owner)
+        if upload is None:
             return
-        mine = [b for b in session.bindings[sm.owner]
-                if b.miner == self.kp.address and b.index == sm.share.index]
+        mine = [b for b in upload.bindings if b.miner == self.kp.address and b.index == sm.share.index]
         if not mine:
             return
-        if self.behavior.stale_sn_replay and self.old_stored:
-            old = self.old_stored[0]
+        if self.behavior.stale_sn_replay and self.first_stored is not None:
+            old = self.first_stored
             payload = ct.AppealPayload(owner_sig=old.sig, share=old.share, sn=old.sn)
             self._submit(net, sm.session_id, ct.APPEAL_TX, payload)
         ok = vss.share_hash(sm.share) == mine[0].share_hash and vss.verify_share(
@@ -834,7 +832,8 @@ class Miner:
             self._submit(net, sm.session_id, ct.APPEAL_TX, payload)
             return
         self.stored[(sm.session_id, sm.owner)] = sm
-        self.old_stored.append(sm)
+        if self.first_stored is None:
+            self.first_stored = sm
 
     def on_chain_event(self, net, msg):
         ev: ChainEvent = msg.data
@@ -854,7 +853,7 @@ class Miner:
         if rec is None:
             return
         session = self.chain.read_session(session_id)
-        slot_s = session.parties and owner == session.parties[0]
+        slot_s = owner == next(iter(session.deposits), None)
         payload = ct.RecoverPayload(
             share_s=rec.share if slot_s else None,
             share_r=None if slot_s else rec.share,
@@ -882,9 +881,8 @@ class Miner:
             return  # no assist window on this chain, or it has passed
         self.assisted.add(session_id)
         pre = self.learned_pre[session_id]
-        if session.uploaded:
-            owner = sorted(session.uploaded)[0]
-            payload = ct.UpdateEiePayload(pre=pre, h_k=session.uploaded[owner].h_k)
+        if session.uploads:
+            payload = ct.UpdateEiePayload(pre=pre, h_k=session.uploads[min(session.uploads)].h_k)
             kind = ct.UPDATE_EIE_TX
         else:
             payload = ct.UpdatePayload(pre=pre)

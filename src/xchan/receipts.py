@@ -124,8 +124,8 @@ class FinalState(Signed):
     sig: bytes = b""
 
     def __post_init__(self):
+        super().__post_init__()  # a Mapping of the declared types, before it is copied
         object.__setattr__(self, "balances", MappingProxyType(dict(self.balances)))
-        super().__post_init__()
 
     @property
     def signer(self) -> str:

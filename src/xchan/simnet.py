@@ -31,6 +31,7 @@ from functools import cached_property
 
 from .contract import OnChainTx
 from .forking import Shared, copier
+from .wire import plan
 
 
 class BoundExceeded(RuntimeError):
@@ -105,21 +106,28 @@ class LatencyModel(Shared):
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LatencyModel":
-        """Build from a scenario's latency object; ValueError if malformed."""
+        """Build from a scenario's latency object, whose keys are this class's
+        fields; an override adds src and dst names and holds no overrides.
+        ValueError if malformed."""
         if not isinstance(cfg, dict):
             raise ValueError("latency must be an object")
-        delays = {name: cfg.get(name, 1) for name in ("fixed", "lo", "hi")}
-        if any(type(d) is not int for d in delays.values()):
-            raise ValueError("delays must be integers")
+        declared = {name: accepts for name, accepts, _ in plan(cls)}
+        if unknown := set(cfg) - set(declared):
+            raise ValueError("unknown keys %s" % sorted(map(str, unknown)))
+        values = {name: cfg[name] for name in declared if name in cfg and name != "overrides"}
+        if bad := [name for name, value in values.items() if not declared[name](value)]:
+            raise ValueError("%s must be of type %s" % (bad[0], cls.__annotations__[bad[0]]))
         if not isinstance(cfg.get("overrides", ()), (list, tuple)):
             raise ValueError("overrides must be a list")
         overrides = []
         for o in cfg.get("overrides", ()):
             if not (isinstance(o, dict) and isinstance(o.get("src"), str) and isinstance(o.get("dst"), str)):
                 raise ValueError("each override needs src and dst names")
+            if "overrides" in o:
+                raise ValueError("an override cannot hold overrides")
             rest = {k: v for k, v in o.items() if k not in ("src", "dst")}
             overrides.append((o["src"], o["dst"], cls.from_config(rest)))
-        return cls(kind=cfg.get("kind", "fixed"), overrides=tuple(overrides), **delays)
+        return cls(overrides=tuple(overrides), **values)
 
 
 @dataclass(frozen=True)
@@ -324,12 +332,14 @@ def _advance_to(net: Simnet, t: int):
 def _choices(net: Simnet, horizon: int) -> list:
     """The scheduler's choices at net, in exploration order: each pending
     message it may deliver now, as ("deliver", seq, tick, dst), then
-    ("advance", tick) to the next block boundary if that strands nothing."""
+    ("advance", tick) to the next block boundary if that strands nothing. A
+    delivery never jumps that boundary, whose events would be stranded."""
     choices = []
     pend = sorted(net.pending, key=lambda m: m.seq)
+    nb = _next_boundary(net)
     for m in pend:
         t = max(net.now, m.lo)
-        if t > m.hi:
+        if t > m.hi or (nb is not None and t > nb):
             continue
         if any(o.hi < t for o in pend if o.seq != m.seq):
             continue  # delivering m now would strand another message
@@ -337,7 +347,6 @@ def _choices(net: Simnet, horizon: int) -> list:
         if any(o.seq < m.seq and (o.msg.src, o.msg.dst) == link for o in pend):
             continue  # FIFO per link
         choices.append(("deliver", m.seq, t, m.msg.dst))
-    nb = _next_boundary(net)
     if nb is not None and nb <= horizon and all(m.hi >= nb for m in pend):
         choices.append(("advance", nb))
     return choices

@@ -169,7 +169,7 @@ def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=
     """Reference schedule explorer: deep-copies the factory's world and
     then the parent world for every child, so no node ever shares state
     with another. Same choices, in the same order, as the explorer under
-    test."""
+    test, except that a delivery here may also jump a block boundary."""
     outcomes = set()
     stats = {"schedules": 0, "nodes": 0}
 

@@ -92,7 +92,7 @@ def _bindings_for(ell, t, n, seed):
     chain.submit_tx(ct.make_tx(FAIR_S, "alpha", "f", ct.UPLOAD_TX, payload))
     chain.produce_block(2)
     session = chain.contract.sessions["f"]
-    selected = [b.miner for b in session.bindings[FAIR_S.address]]
+    selected = [b.miner for b in session.uploads[FAIR_S.address].bindings]
     return selected, dealing, key, miners
 
 

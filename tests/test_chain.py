@@ -84,9 +84,11 @@ class TestSubmit:
             (lambda: ct.RecoverPayload(share_s=vss.KeyShare(1, "1", 1, bytes(32))), "KeyShare.s"),
             # an address UTF-8 cannot carry (a lone surrogate)
             (lambda: FinalState("c0", (), {"\ud800": 1}, S.address, bytes(64)), "FinalState.balances"),
+            # balances that are no mapping, which once raised ValueError from the copy
+            (lambda: FinalState("c0", (), ("",), S.address, bytes(64)), "FinalState.balances"),
         ],
         ids=["negative-balance", "str-threshold", "list-path", "bool-amount", "str-scalar",
-             "surrogate-address"],
+             "surrogate-address", "tuple-balances"],
     )
     def test_malformed_payload_rejected(self, build, field):
         """A payload part with a field not of its declared type cannot be

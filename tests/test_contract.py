@@ -1,5 +1,6 @@
 """Contract state machine: open/upload/appeal/lock/update/recover."""
 
+import copy
 import random
 from dataclasses import replace
 
@@ -110,7 +111,7 @@ class TestOpen:
         assert (ev.ok, ev.result) == (True, "open pending")
         s = d.session()
         assert s.deposits == {S.address: 30}
-        assert s.parties == [] and s.state == ct.INIT and s.escrow == 30
+        assert s.state == ct.INIT and s.escrow == 30
 
 
 def make_upload(group=TINY_GROUP, t=2, n=3, seed=5):
@@ -133,8 +134,8 @@ class TestUpload:
         d.submit(S, "c0", ct.UPLOAD_TX, payload)
         events = d.step()
         s = d.session()
-        assert len(s.bindings[S.address]) == 4
-        miners = [b.miner for b in s.bindings[S.address]]
+        assert len(s.uploads[S.address].bindings) == 4
+        miners = [b.miner for b in s.uploads[S.address].bindings]
         assert len(set(miners)) == 4
         assert s.sn is not None
         assert s.appeal_deadline == d.tick + d.chain.timers.appeal_window
@@ -223,6 +224,64 @@ class TestCloseAdmission:
         assert d.session().close_deadline is None
 
 
+def _upload(d):
+    open_channel(d)
+    d.submit(S, "c0", ct.UPLOAD_TX, make_upload()[2])
+    d.step()
+
+
+def _closed(d):
+    open_channel(d)
+    close_to_allocations(d)
+
+
+def _lock(d):
+    _closed(d)
+    d.submit(S, "c0", ct.LOCK_TX, ct.LockPayload(h_pre=hash_bytes(b"\x07" * 32)))
+    d.step()
+
+
+def _appeal(d):
+    s = d.chain.contract.sessions.get("c0")
+    share = make_upload()[1].shares[0]
+    return ct.AppealPayload(owner_sig=b"", share=share, sn=s.sn if s and s.sn else bytes(16))
+
+
+# the reason, after "kind: " where two handlers share it -> (setup, sender,
+# tx kind, the payload for the set-up driver)
+REJECTIONS = {
+    "session full": (open_channel, OUTSIDER, ct.OPEN_TX, lambda d: ct.OpenPayload(5)),
+    "upload: not open": (lambda d: None, S, ct.UPLOAD_TX, lambda d: make_upload()[2]),
+    "upload: not a channel party": (open_channel, OUTSIDER, ct.UPLOAD_TX, lambda d: make_upload()[2]),
+    "already uploaded": (_upload, S, ct.UPLOAD_TX, lambda d: make_upload(seed=6)[2]),
+    "invalid threshold parameters": (open_channel, S, ct.UPLOAD_TX,
+                                     lambda d: replace(make_upload()[2], t=4)),
+    "no session to appeal": (lambda d: None, OUTSIDER, ct.APPEAL_TX, _appeal),
+    "no upload to appeal": (open_channel, OUTSIDER, ct.APPEAL_TX, _appeal),
+    "no matching binding": (_upload, OUTSIDER, ct.APPEAL_TX, _appeal),
+    "lock: not in close": (lambda d: None, S, ct.LOCK_TX, lambda d: ct.LockPayload(h_pre=bytes(32))),
+    "lock: not a channel party": (_closed, OUTSIDER, ct.LOCK_TX, lambda d: ct.LockPayload(h_pre=bytes(32))),
+    "sender is neither party nor miner": (_lock, OUTSIDER, ct.UPDATE_TX,
+                                          lambda d: ct.UpdatePayload(pre=b"\x07" * 32)),
+    "no recovery requested": (_lock, OUTSIDER, ct.RECOVER_TX,
+                              lambda d: ct.RecoverPayload(share_s=make_upload()[1].shares[0])),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS, ids=REJECTIONS)
+def test_rejection_leaves_sessions_and_accounts_unchanged(case):
+    """Every handler validates before it applies: a rejected transaction
+    fails with its reason and changes no session and no account."""
+    setup, sender, kind, payload = REJECTIONS[case]
+    d = Driver(miners=5)
+    setup(d)
+    tx = d.submit(sender, "c0", kind, payload(d))
+    sessions, accounts = copy.deepcopy(d.chain.contract.sessions), dict(d.chain.accounts)
+    (ev,) = [ev for ev in d.step() if ev.tx_kind == tx.kind]
+    assert (ev.ok, ev.result, ev.detail) == (False, case.split(": ")[-1], None)
+    assert d.chain.contract.sessions == sessions and d.chain.accounts == accounts
+
+
 class TestAppeal:
     def setup_driver(self):
         d = Driver(miners=5)
@@ -231,7 +290,7 @@ class TestAppeal:
         d.submit(S, "c0", ct.UPLOAD_TX, payload)
         d.step()
         s = d.session()
-        b = s.bindings[S.address][0]
+        b = s.uploads[S.address].bindings[0]
         miner_kp = next(kp for kp in d.miner_keys if kp.address == b.miner)
         share = dealing.shares[b.index - 1]
         return d, s, miner_kp, share
@@ -432,13 +491,13 @@ class TestUpdateEie:
         assert s.recovery_requested == [S.address]
 
         # miners answer with their bound shares
-        bindings = s.bindings[S.address]
+        bindings = s.uploads[S.address].bindings
         for b in bindings[:2]:
             kp = next(k for k in d.miner_keys if k.address == b.miner)
             d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=dealing.shares[b.index - 1]))
-        d.step()
-        assert S.address in s.published_shares
-        got = vss.recover(s.published_shares[S.address], 2, TINY_GROUP)
+        (published,) = [ev.detail for ev in d.step() if ev.detail is not None]
+        assert published.owner == S.address
+        got = vss.recover(published.shares, 2, TINY_GROUP)
         assert got == key
 
     def test_update_eie_unknown_key_hash(self):
@@ -478,14 +537,14 @@ class TestUpdateEie:
         d.submit(R, "c0", ct.UPDATE_EIE_TX, ct.UpdateEiePayload(pre=pre, h_k=payload.h_k))
         d.step()
 
-        b = s.bindings[S.address][0]
+        b = s.uploads[S.address].bindings[0]
         kp = next(k for k in d.miner_keys if k.address == b.miner)
         bad = replace(dealing.shares[b.index - 1], s=(dealing.shares[b.index - 1].s + 1) % TINY_GROUP.q)
         d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=bad))
         events = d.step()
         assert (events[0].ok, events[0].result) == (False, "no share accepted")
         # unbound miner (not selected) with a correct share
-        bound = {other.miner for other in s.bindings[S.address]}
+        bound = {other.miner for other in s.uploads[S.address].bindings}
         outsider_kp = next(k for k in d.miner_keys if k.address not in bound)
         d.submit(outsider_kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=dealing.shares[0]))
         events = d.step()
@@ -529,7 +588,7 @@ class TestSettledStart:
         s = d.chain.contract.start_settled(d.chain, "h0", {S.address: 70, R.address: 30},
                                            {S.address: 20, R.address: 80})
         assert s is d.session("h0")
-        assert s.state == ct.CLOSE and s.parties == [S.address, R.address]
+        assert s.state == ct.CLOSE and list(s.deposits) == [S.address, R.address]
         assert s.escrow == 100 and s.deposits == {S.address: 70, R.address: 30}
         assert s.locked_allocations == {S.address: 20, R.address: 80}
         assert (d.chain.balance(S.address), d.chain.balance(R.address)) == (930, 970)

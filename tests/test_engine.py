@@ -413,6 +413,8 @@ MALFORMED = {
     "chain_event-dict": ("S", "chain_event", "alpha", _DICT_EVENT),
     "chain_event-wrapped": ("S", "chain_event", "alpha", {"chain_id": "alpha", "event": _event()}),
     "chain_event-other-chain": ("S", "chain_event", "alpha", _event(chain_id="beta")),
+    # a party naming itself as the chain, which once raised at the side lookup
+    "chain_event-party-as-chain": ("R", "chain_event", "S", _event(chain_id="S")),
     "wakeup-int-pump": ("S", "wakeup", "S", {"pump": 3}),
     "wakeup-short-force_close": ("S", "wakeup", "S", {"force_close": ["alpha"]}),
     "wakeup-foreign": ("S", "wakeup", "R", {"force_close": ["alpha", "c0"]}),
@@ -433,6 +435,8 @@ MALFORMED = {
         "mistyped ChainEvent.tick", lambda: ChainEvent(*[None] * 8))),
     "miner-chain_event-forged": ("M.alpha.1", "chain_event", "beta",
                                  _event(ct.SUCCESS, detail=ct.Unlocked(b"", _S))),
+    "miner-chain_event-party-as-chain": ("M.alpha.1", "chain_event", "S",
+                                         _event(ct.SUCCESS, detail=ct.Unlocked(b"x", None), chain_id="S")),
     "miner-chain_event-wrapped": ("M.alpha.1", "chain_event", "alpha", {
         "chain_id": "alpha", "event": _event(ct.SUCCESS, detail=ct.Unlocked(b"x", _S))}),
     # an ok chain event whose detail is not the record its result declares
@@ -593,6 +597,7 @@ class TestMalformedMessages:
         ("miner-chain_event-wrapped", "chain_event: not of class ChainEvent"),
         ("wakeup-int-pump", "wakeup: not of class Timer"),
         ("chain_event-forged", "chain_event: not sent by the chain it names"),
+        ("chain_event-party-as-chain", "chain_event: not sent by the chain it names"),
         # a missing field, and a mistyped value at any depth, named by the
         # class that refuses to be built with it
         ("receipt-empty", "receipt: mistyped ReceiptMsg.chain_id"),
@@ -640,6 +645,32 @@ class TestMalformedMessages:
         with pytest.raises(TypeError, match="^mistyped SubChannelReceipt.receipt$"):
             SubChannelReceipt("x", fake)
 
+    # R's side on alpha holds S's upload and proof; each record below is one
+    # the chain never sends there, as a replay out of its time or a record
+    # it never built would carry
+    UNSENT = {
+        # R's own upload, though R dealt no key on alpha
+        "bound-without-dealing": ct.Bound(_R, b"", (ct.Binding("m", 1, b""),), 2, b""),
+        # S's key published below its threshold
+        "published-no-shares": ct.Published(_S, ()),
+        # shares labelled with two dealings, as an owner's relabelled share
+        # passes the miner's and the contract's hash checks
+        "published-two-dealings": ct.Published(_S, (vss.KeyShare(1, 1, 1, b"a"),
+                                                    vss.KeyShare(2, 1, 1, b"b"))),
+    }
+
+    @pytest.mark.parametrize("probe", UNSENT)
+    def test_record_the_chain_never_sent_raises_nothing(self, probe):
+        detail = self.UNSENT[probe]
+        result = ct.BINDINGS_PUBLISHED if type(detail) is ct.Bound else ct.SHARES_RECORDED
+        world = _eie_world_mid_run()
+        R = world.parties["R"]
+        queued = len(world.net._heap)
+        R.on_message(world.net, Message("chain_event", "alpha", "R", _event(result, detail=detail)))
+        assert len(world.net._heap) == queued and not R.rejected
+        unrecovered = [] if type(detail) is ct.Bound else [("recovered-key-hash-mismatch", "alpha", "c0")]
+        assert R.violations == unrecovered
+
     def test_failed_event_inert(self):
         """A failed transaction's event whose result names a state and a
         handler neither records the state nor runs the handler."""
@@ -673,7 +704,7 @@ class TestMalformedMessages:
             assert isinstance(ev.detail, declared.get(ev.result, type(None)) if ev.ok else type(None)), ev
             if isinstance(ev.detail, ct.Bound):
                 session = world.net.actors[ev.chain_id].chain.read_session(ev.session_id)
-                assert ev.detail.bindings == session.bindings[ev.detail.owner]
+                assert session.uploads[ev.detail.owner] is ev.detail
                 assert all(type(b) is ct.Binding for b in ev.detail.bindings)
         kinds = {type(ev.detail) for ev in events}
         assert kinds >= {ct.Opened, ct.Bound, ct.Locked, ct.Unlocked, ct.Published}

@@ -363,7 +363,7 @@ class TestCloseStartWorld:
             paid, got = payer.address(chain.chain_id), payee.address(chain.chain_id)
             (s,) = chain.contract.sessions.values()
             assert (s.session_id, s.state, s.escrow) == ("c0", ct.CLOSE, 200)
-            assert s.parties == sorted((paid, got))
+            assert list(s.deposits) == sorted((paid, got))
             assert s.locked_allocations == {got: 160, paid: 40}
             assert chain.balance(paid) == chain.balance(got) == 900
 
@@ -449,6 +449,14 @@ class TestConfig:
         "latency-kind": {"latency": {"kind": "weird"}},
         "latency-lo-above-hi": {"latency": {"kind": "uniform", "lo": 3, "hi": 1}},
         "override-without-dst": {"latency": {"overrides": [{"src": "S", "fixed": 2}]}},
+        "latency-misspelt-delay": {"latency": {"fixd": 40}},
+        "override-unknown-key": {"latency": {"overrides": [
+            {"src": "R", "dst": "alpha", "fixed": 5, "bogus": 1}]}},
+        "override-with-overrides": {"latency": {"overrides": [
+            {"src": "R", "dst": "alpha", "fixed": 5, "overrides": [{"src": "*", "dst": "*", "fixed": 2}]}]}},
+        "latency-all-three": {"latency": {"fixd": 40, "overrides": [
+            {"src": "R", "dst": "alpha", "fixed": 5, "bogus": 1,
+             "overrides": [{"src": "*", "dst": "*", "fixed": 2}]}]}},
         "receipts_n-str": {"receipts_n": "5"},
         "seed-str": {"seed": "a"},
         "channels-float": {"channels": 2.5},
