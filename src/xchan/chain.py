@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .contract import DETAILS, STATES, ChannelContract, InvariantViolation, OnChainTx
 from .crypto import hash_bytes
 from .forking import Shared, copier
-from .wire import Checked, enc_bytes, enc_str, enc_u64
+from .wire import Checked, declared, enc_bytes, enc_str, enc_u64
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class Block(Shared):
     hash: bytes
 
 
-@dataclass(frozen=True)
+@declared
 class ChainEvent(Checked):
     """What one transaction or timer did in a block: ``result`` is the state
     entered, a note, or, when ``ok`` is false, why the transaction failed;
@@ -57,7 +57,6 @@ class ChainEvent(Checked):
     detail: object | None  # the record DETAILS names for result
 
     def __post_init__(self):  # checked once, where the chain builds it, for its receivers
-        super().__post_init__()
         if self.ok and not isinstance(self.detail, DETAILS.get(self.result, type(None))):
             raise TypeError("detail is not the record its result declares")
 

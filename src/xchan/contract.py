@@ -25,7 +25,7 @@ from . import vss
 from .crypto import hash_bytes, verify
 from .forking import copier
 from .receipts import FinalState, Receipt, Signed, SubChannelReceipt, replay_receipts
-from .wire import U64, Checked, enc_str
+from .wire import U64, Checked, declared, enc_str
 
 # session states
 INIT = "INIT"
@@ -48,19 +48,19 @@ SHARES_RECORDED = "shares recorded"
 
 # What an ok event reports besides its result: the record DETAILS declares
 # for a result an actor acts on, and None for every other result.
-@dataclass(frozen=True)
+@declared
 class Binding(Checked):  # the miner holding share number index of a key
     miner: str
     index: U64
     share_hash: bytes
 
 
-@dataclass(frozen=True)
+@declared
 class Opened(Checked):  # Open_CE
     deposits: Mapping[str, U64]
 
 
-@dataclass(frozen=True)
+@declared
 class Bound(Checked):  # bindings published: owner's shares go to these miners
     owner: str
     sn: bytes
@@ -69,18 +69,18 @@ class Bound(Checked):  # bindings published: owner's shares go to these miners
     h_k: bytes
 
 
-@dataclass(frozen=True)
+@declared
 class Locked(Checked):  # Lock
     h_pre: bytes
 
 
-@dataclass(frozen=True)
+@declared
 class Unlocked(Checked):  # Success; an UpdateEIE names the key to recover
     pre: bytes
     recover_owner: str | None
 
 
-@dataclass(frozen=True)
+@declared
 class Published(Checked):  # shares recorded, once owner's threshold is reached
     owner: str
     shares: tuple[vss.KeyShare, ...]
@@ -120,12 +120,12 @@ class InvariantViolation(AssertionError):
 # Transaction payloads
 
 
-@dataclass(frozen=True)
+@declared
 class OpenPayload(Checked):
     amount: U64
 
 
-@dataclass(frozen=True)
+@declared
 class UploadPayload(Checked):
     h_k: bytes
     n: U64
@@ -133,37 +133,37 @@ class UploadPayload(Checked):
     share_hashes: tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
+@declared
 class AppealPayload(Checked):
     owner_sig: bytes
     share: vss.KeyShare
     sn: bytes
 
 
-@dataclass(frozen=True)
+@declared
 class ClosePayload(Checked):
     final: FinalState
     srs: tuple[SubChannelReceipt, ...]
     trs: tuple[Receipt, ...]
 
 
-@dataclass(frozen=True)
+@declared
 class LockPayload(Checked):
     h_pre: bytes
 
 
-@dataclass(frozen=True)
+@declared
 class UpdatePayload(Checked):
     pre: bytes
 
 
-@dataclass(frozen=True)
+@declared
 class UpdateEiePayload(Checked):
     pre: bytes
     h_k: bytes
 
 
-@dataclass(frozen=True)
+@declared
 class RecoverPayload(Checked):
     share_s: vss.KeyShare | None = None
     share_r: vss.KeyShare | None = None
@@ -172,7 +172,7 @@ class RecoverPayload(Checked):
         return [s for s in (self.share_s, self.share_r) if s is not None]
 
 
-@dataclass(frozen=True)
+@declared
 class OnChainTx(Signed):
     chain_id: str
     session_id: str

@@ -17,7 +17,8 @@ would verify for every message) is rejected.
 
 Everything here is pure and immutable after construction. The one state
 kept between calls is public and immutable: each group lazily builds its
-fixed-base exponentiation tables on its first commitment and keeps them.
+fixed-base exponentiation tables (8-bit windows, ~1.1 MB for the default
+group) on its first commitment and keeps them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .forking import Shared
-from .wire import U64, Checked, enc_scalar, enc_seq, enc_u64
+from .wire import U64, Checked, declared, enc_scalar, enc_seq, enc_u64
 
 def hash_bytes(data: bytes) -> bytes:
     """32-byte SHA-256 digest; the h(.) used for every hash in the system."""
@@ -39,35 +40,23 @@ def hash_bytes(data: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 # Commitment group
 
-# Bits per window of the fixed-base tables. 6 keeps the default group's
-# tables at ~5.5k ints (~0.4 MiB); 8 triples that for about a quarter less
-# time per commitment.
-WINDOW_BITS = 6
-_WINDOW_MASK = (1 << WINDOW_BITS) - 1
-
+# Fixed-base tables with one row of 256 powers per byte of an exponent: the
+# default group's two tables hold 16k ints (~1.1 MB), and a commitment costs
+# one lookup in each and one reduction per exponent byte.
 WindowTable = tuple[tuple[int, ...], ...]
 
 
 def _window_table(base: int, p: int, q: int) -> WindowTable:
-    """Row i holds base^(j * 2^(WINDOW_BITS * i)) mod p for j < 2^WINDOW_BITS,
-    with one row per window of an exponent below q."""
+    """Row i holds base^(j * 256^i) mod p for j < 256, with one row per
+    byte of an exponent below q."""
     rows = []
-    for _ in range(-(-q.bit_length() // WINDOW_BITS)):
+    for _ in range(-(-q.bit_length() // 8)):
         row = [1]
-        for _ in range(1, 1 << WINDOW_BITS):
+        for _ in range(255):
             row.append(row[-1] * base % p)
         rows.append(tuple(row))
         base = row[-1] * base % p
     return tuple(rows)
-
-
-def _fixed_base_pow(rows: WindowTable, e: int, p: int) -> int:
-    """base^e mod p for 0 <= e < q: one lookup and multiply per window."""
-    acc = 1
-    for row in rows:
-        acc = acc * row[e & _WINDOW_MASK] % p
-        e >>= WINDOW_BITS
-    return acc
 
 
 @dataclass(frozen=True)
@@ -128,8 +117,12 @@ TINY_GROUP = GroupParams(p=607, q=101, g=64, h=derive_generator(b"generator-h", 
 def pedersen_commit(s: int, r: int, params: GroupParams) -> int:
     """E(s, r) = g^s * h^r in the group; homomorphic in both exponents."""
     g_rows, h_rows = params.window_tables
-    p = params.p
-    return _fixed_base_pow(g_rows, s % params.q, p) * _fixed_base_pow(h_rows, r % params.q, p) % p
+    p, q, width = params.p, params.q, len(g_rows)
+    acc = 1
+    for g_row, h_row, a, b in zip(g_rows, h_rows, (s % q).to_bytes(width, "little"),
+                                  (r % q).to_bytes(width, "little")):
+        acc = acc * g_row[a] * h_row[b] % p
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +211,7 @@ def verify(address: str, msg: bytes, sig: bytes) -> bool:
 # Deterministic symmetric encryption
 
 
-@dataclass(frozen=True)
+@declared
 class Ciphertext(Checked):
     """Encrypted data blocks; block count always equals the plaintext's."""
 

@@ -43,7 +43,7 @@ from .receipts import (
     replay_receipts,
 )
 from .simnet import ChainActor, Message, Rng, Simnet
-from .wire import Checked
+from .wire import Checked, declared
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class PartySession:
         deep="sides")
 
 
-@dataclass(frozen=True)
+@declared
 class ReceiptMsg(Checked):
     """A receipt, to its payee."""
 
@@ -218,7 +218,7 @@ class ReceiptMsg(Checked):
     tr: Receipt
 
 
-@dataclass(frozen=True)
+@declared
 class SrMsg(Checked):
     """A sub-channel receipt: unsigned in an sr_request (its receipt's payee
     asks for it), signed in an sr_grant and a subchannel_open."""
@@ -227,7 +227,7 @@ class SrMsg(Checked):
     sr: SubChannelReceipt
 
 
-@dataclass(frozen=True)
+@declared
 class ExchangeMsg(Checked):
     """owner's fair-exchange proof and its public inputs, to the counterpart."""
 
@@ -238,7 +238,7 @@ class ExchangeMsg(Checked):
     owner: str
 
 
-@dataclass(frozen=True)
+@declared
 class ShareMsg(Checked):
     """owner's key share, signed under the session's serial number, to its miner."""
 
@@ -717,8 +717,15 @@ class Party:
         if upload is None or side.counterpart_publics is None:
             return
         try:
-            key = vss.recover(published.shares, upload.t, self.group)
-        except ValueError:  # too few shares, or shares labelled with different dealings
+            try:
+                key = vss.recover(published.shares, upload.t, self.group)
+            except vss.VssParameterError:
+                # the contract matched each share's values to the owner's bound
+                # hash, which leaves the dealing id out, so the owner may have
+                # relabelled one: recover from the values under one label
+                relabelled = [replace(ks, dealing_id=b"") for ks in published.shares]
+                key = vss.recover(relabelled, upload.t, self.group)
+        except ValueError:  # too few shares, or indices no interpolation separates
             key = None
         if key is None or hash_bytes(key_to_bytes(key)) != upload.h_k:
             self.violations.append(("recovered-key-hash-mismatch", side.chain_id, side.session_id))

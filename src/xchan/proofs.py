@@ -21,14 +21,14 @@ from dataclasses import dataclass
 from . import vss
 from .crypto import Ciphertext, GroupParams, encrypt, hash_blocks, hash_bytes, key_to_bytes
 from .forking import Shared
-from .wire import U64, Checked, enc_bytes, enc_u64, enc_value
+from .wire import U64, Checked, declared, enc_bytes, enc_u64, enc_value
 
 
 class RelationUnsatisfied(Exception):
     """prove() refuses to prove public inputs with no satisfying witness."""
 
 
-@dataclass(frozen=True)
+@declared
 class RelationPublicInputs(Checked):
     h_m: bytes
     m_bar: Ciphertext
@@ -74,7 +74,7 @@ class Crs(Shared):
     vk: MacKey
 
 
-@dataclass(frozen=True)
+@declared
 class Proof(Checked):
     backend_tag: U64
     binding: bytes

@@ -27,14 +27,14 @@ always type-checked, encoded and verified anew.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import field
 from types import MappingProxyType
 
 from .crypto import KeyPair, verify
-from .wire import U64, Checked, Encoded, enc_bytes, enc_value
+from .wire import U64, Checked, Encoded, declared, enc_bytes, enc_value
 
 
-@dataclass(frozen=True)
+@declared
 class Signed(Checked, Encoded):
     """A value signed by ``signer`` over ``signing_bytes()``: every field
     declared before ``sig``, which subclasses declare last."""
@@ -67,7 +67,7 @@ class Signed(Checked, Encoded):
         return self._sig_ok
 
 
-@dataclass(frozen=True)
+@declared
 class Receipt(Signed):
     session_id: str
     channel_path: tuple[U64, ...]
@@ -86,7 +86,7 @@ def make_receipt(kp: KeyPair, session_id, channel_path, seq, rcv, amount) -> Rec
     return Receipt(session_id, tuple(channel_path), seq, kp.address, rcv, amount).signed_by(kp)
 
 
-@dataclass(frozen=True)
+@declared
 class SubChannelReceipt(Signed):
     counterparty: str
     receipt: Receipt
@@ -115,7 +115,7 @@ def make_sub_receipt(payer_kp: KeyPair, counterparty: str, tr: Receipt) -> SubCh
     return SubChannelReceipt(counterparty, tr).signed_by(payer_kp)
 
 
-@dataclass(frozen=True)
+@declared
 class FinalState(Signed):
     session_id: str
     channel_path: tuple[U64, ...]
@@ -123,8 +123,7 @@ class FinalState(Signed):
     submitter: str
     sig: bytes = b""
 
-    def __post_init__(self):
-        super().__post_init__()  # a Mapping of the declared types, before it is copied
+    def __post_init__(self):  # after the check that balances is a Mapping of the declared types
         object.__setattr__(self, "balances", MappingProxyType(dict(self.balances)))
 
     @property

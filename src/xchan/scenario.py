@@ -79,7 +79,7 @@ class ScenarioConfig:
 
     def validate(self) -> list[str]:
         v = ["%s must be of type %s" % (name, ScenarioConfig.__annotations__[name])
-             for name, accepts, _ in plan(ScenarioConfig) if not accepts(getattr(self, name))]
+             for name, accepts in plan(ScenarioConfig) if not accepts(getattr(self, name))]
         if v:
             return v  # the checks below compare values of the declared types
         if self.mode not in MODES:

@@ -28,6 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .contract import OnChainTx
 from .forking import Shared, copier
@@ -51,8 +52,7 @@ class Rng(random.Random):
         return clone
 
 
-@dataclass(frozen=True)
-class Message(Shared):
+class Message(NamedTuple):
     """One message in flight. Neither it nor its data is mutated after
     send, so world forks share it."""
 
@@ -60,6 +60,9 @@ class Message(Shared):
     src: str
     dst: str
     data: object  # the class its receiver declares for kind: a tx, a chain event, a Timer, ...
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ class LatencyModel(Shared):
         ValueError if malformed."""
         if not isinstance(cfg, dict):
             raise ValueError("latency must be an object")
-        declared = {name: accepts for name, accepts, _ in plan(cls)}
+        declared = dict(plan(cls))
         if unknown := set(cfg) - set(declared):
             raise ValueError("unknown keys %s" % sorted(map(str, unknown)))
         values = {name: cfg[name] for name in declared if name in cfg and name != "overrides"}
@@ -228,12 +231,12 @@ class Simnet:
             self._fifo[(src, dst)] = lo
         else:
             lo, hi = (self.now + d for d in self.latency.window(src, dst))
-        self._queue(Message(kind=kind, src=src, dst=dst, data=data), lo, hi)
+        self._queue(Message(kind, src, dst, data), lo, hi)
 
     def wakeup(self, dst: str, tick: int, data):
         """Local timer: delivers data back to dst exactly at the requested tick."""
         t = max(tick, self.now)
-        self._queue(Message(kind="wakeup", src=dst, dst=dst, data=data), t, t)
+        self._queue(Message("wakeup", dst, dst, data), t, t)
 
     def submit_tx(self, src: str, chain_id: str, tx: OnChainTx):
         self.send("tx", src, chain_id, tx)
@@ -251,7 +254,7 @@ class Simnet:
         delivery heap, mempools, accounts, receipt maps, ...), shallowly
         where it holds only immutables; a generator only if it was built.
         Shared with the original: trace entries, each party's map of keys,
-        and every value sealed once built (``forking.Shared``: messages,
+        messages, and every value sealed once built (``forking.Shared``:
         pending entries, blocks, signed values, transaction payloads, key
         shares, dealings, proofs, ciphertexts, latency models, timer
         configs, behavior profiles, keys and group parameters). Each

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .crypto import GroupParams, hash_bytes, pedersen_commit
 from .forking import Shared
-from .wire import U64, Checked, Scalar, enc_u64, enc_value
+from .wire import U64, Checked, Scalar, declared, enc_u64, enc_value
 
 
 class VssParameterError(ValueError):
@@ -24,7 +24,7 @@ class ThresholdNotMet(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@declared
 class KeyShare(Checked):
     """Share i of a dealing: the two polynomial evaluations at x = i."""
 
@@ -39,7 +39,7 @@ class KeyShare(Checked):
         return enc_value(self, stop="dealing_id")
 
 
-@dataclass(frozen=True)
+@declared
 class DealingPublic(Checked):
     """The broadcast part of a dealing: E(s, r) plus one commitment per
     non-constant coefficient. Enough to verify any share."""

@@ -6,15 +6,18 @@ These helpers are the single definition of that byte form; signatures and
 digests are always computed over it, never over ad-hoc string renderings.
 
 A dataclass value's field annotations define both its bytes and the
-values it accepts. ``_codec`` reads one annotation into a check and an
-encoder; ``enc_value`` encodes a value's fields with the encoders, and a
-``Checked`` value checks its fields with the checks once, when it is built.
+values it accepts. ``_codec`` reads one annotation into two snippets of
+Python source: its check and its encoding. Each class's code is compiled
+once from them: ``declared`` builds the ``__init__`` of a ``Checked``
+class, which checks its fields once, when a value is built, and stores
+them; ``enc_value`` a class's encoder; ``mistyped`` its field check;
+``plan`` a check per field.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from types import UnionType
 from typing import Annotated, get_args, get_origin, get_type_hints
@@ -28,14 +31,11 @@ Scalar = Annotated[int, 1 << 256]  # enc_scalar
 
 
 class Checked(Shared):
-    """An immutable dataclass that cannot be built with a field not of its
-    declared type, so a receiver tests only that a value is of its class."""
+    """An immutable dataclass, made by ``declared``, that cannot be built
+    with a field not of its declared type, so a receiver tests only that a
+    value is of its class."""
 
     __slots__ = ()
-
-    def __post_init__(self):
-        if bad := mistyped(self):
-            raise TypeError("mistyped " + bad)
 
 
 class Encoded:
@@ -71,62 +71,146 @@ def enc_seq(items) -> bytes:
     return enc_u64(len(items)) + b"".join(enc_bytes(i) for i in items)
 
 
-def _codec(hint):
-    """(accepts, encode) for a field declared as hint: whether a value
-    holds that type, and the value's bytes."""
+def _no_surrogate(s: str) -> bool:
+    return not any("\ud800" <= c <= "\udfff" for c in s)
+
+
+def _names() -> dict:
+    """The names every snippet may use, as compiled code's globals."""
+    return {"enc_u64": enc_u64, "enc_bytes": enc_bytes, "enc_str": enc_str, "enc_scalar": enc_scalar,
+            "enc_value": enc_value, "_no_surrogate": _no_surrogate, "_Checked": Checked, "_Mapping": Mapping}
+
+
+def _name(ns: dict, obj) -> str:
+    """A new name in ns for obj."""
+    name = "_%s_%d" % (obj.__name__, len(ns))
+    ns[name] = obj
+    return name
+
+
+def _codec(hint, ns: dict, depth: int = 0) -> tuple[str, str]:
+    """(check, encode) for a field declared as hint: Python expressions for
+    whether the value ``{x}`` holds that type, and for its bytes. What they
+    name besides ``_names()`` is put in ns."""
     origin, args = get_origin(hint), get_args(hint)
+    item = "_%d" % depth  # the loop variable over a nested value's items
     if hint is str:  # exactly a str, with no lone surrogate, which UTF-8 cannot carry
-        return (lambda v: type(v) is str and (v.isascii() or not any("\ud800" <= c <= "\udfff" for c in v)),
-                enc_str)
+        return "type({x}) is str and ({x}.isascii() or _no_surrogate({x}))", "enc_str({x})"
     if hint is bytes:
-        return (lambda v: type(v) is bytes), enc_bytes
+        return "type({x}) is bytes", "enc_bytes({x})"
     if origin is Annotated:  # U64 or Scalar: an int (not a bool) the encoder carries
-        bound = args[1]
-        return (lambda v: type(v) is int and 0 <= v < bound), (enc_u64 if hint == U64 else enc_scalar)
+        return ("type({x}) is int and 0 <= {x} < %d" % args[1],
+                "enc_u64({x})" if hint == U64 else "enc_scalar({x})")
     if origin is tuple:  # tuple[X, ...]: a count, then each item
-        item_ok, enc_item = _codec(args[0])
-        return (lambda v: type(v) is tuple and all(map(item_ok, v)),
-                lambda v: enc_u64(len(v)) + b"".join(map(enc_item, v)))
+        item_ok, enc_item = (s.format(x=item) for s in _codec(args[0], ns, depth + 1))
+        return ("type({x}) is tuple and all((%s) for %s in {x})" % (item_ok, item),
+                "enc_u64(len({x})) + b''.join([%s for %s in {x}])" % (enc_item, item))
     if origin is Mapping:  # a count, then each item in key order
-        key_ok, enc_key = _codec(args[0])
-        value_ok, enc_val = _codec(args[1])
-        return (lambda v: isinstance(v, Mapping) and all(key_ok(k) and value_ok(x) for k, x in v.items()),
-                lambda v: enc_u64(len(v)) + b"".join(enc_key(k) + enc_val(v[k]) for k in sorted(v)))
+        key, value = item + "k", item + "v"
+        key_ok, enc_key = (s.format(x=key) for s in _codec(args[0], ns, depth + 1))
+        value_ok, enc_val = _codec(args[1], ns, depth + 1)
+        return ("isinstance({x}, _Mapping) and all((%s) and (%s) for %s, %s in {x}.items())"
+                % (key_ok, value_ok.format(x=value), key, value),
+                "enc_u64(len({x})) + b''.join([%s + %s for %s in sorted({x})])"
+                % (enc_key, enc_val.format(x="{x}[%s]" % key), key))
     if origin is UnionType:  # X | None: a flag byte, then X
-        item_ok, enc_item = _codec(args[0])
-        return (lambda v: v is None or item_ok(v),
-                lambda v: b"\x00" if v is None else b"\x01" + enc_item(v))
+        item_ok, enc_item = _codec(args[0], ns, depth)
+        return "{x} is None or (%s)" % item_ok, r"(b'\x00' if {x} is None else b'\x01' + %s)" % enc_item
     # a nested value of exactly its declared class, or any Checked value in a
     # field declared object: either was checked when it was built
-    accepts = (lambda v: isinstance(v, Checked)) if hint is object else (lambda v: type(v) is hint)
+    accepts = "isinstance({x}, _Checked)" if hint is object else "type({x}) is %s" % _name(ns, hint)
     if issubclass(hint, Encoded):  # its bytes are kept on it
-        return accepts, lambda v: enc_bytes(v.to_bytes())
-    return accepts, lambda v: enc_bytes(enc_value(v))
+        return accepts, "enc_bytes({x}.to_bytes())"
+    return accepts, "enc_bytes(enc_value({x}))"
+
+
+def _snippets(cls, ns: dict) -> list[tuple[str, str, str]]:
+    """(name, check, encode) for each field of cls that its callers set, in
+    declared order."""
+    hints = get_type_hints(cls, include_extras=True)
+    return [(f.name, *_codec(hints[f.name], ns)) for f in fields(cls) if f.init]
+
+
+def _compile(ns: dict, name: str, params: list[str], body: list[str]):
+    """The function ``name(params)`` with the given body lines, compiled
+    with ns as its globals."""
+    exec("def %s(%s):\n%s" % (name, ", ".join(params), "\n".join(body)), ns)
+    return ns.pop(name)
+
+
+def _init(cls):
+    """cls's ``__init__``: each given field checked in declared order, the
+    first not of its declared type raising TypeError("mistyped Class.field"),
+    then every field stored and the class's ``__post_init__`` run."""
+    ns = _names()
+    params, body, stores = ["self"], [], []
+    for f in fields(cls):
+        default = "_default_" + f.name
+        if f.default is not MISSING:
+            ns[default] = f.default
+        elif f.default_factory is not MISSING or not f.init:
+            raise TypeError("%s.%s: a declared field takes a default value, not a factory"
+                            % (cls.__name__, f.name))
+        if f.init:
+            params.append(f.name if f.default is MISSING else f.name + "=" + default)
+        stores.append("    _d[%r] = %s" % (f.name, f.name if f.init else default))
+    for name, check, _ in _snippets(cls, ns):
+        body += ["    if not (%s):" % check.format(x=name),
+                 "        raise TypeError('mistyped %%s.%s' %% type(self).__name__)" % name]
+    body += ["    _d = self.__dict__"] + stores
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    init = _compile(ns, "__init__", params, body)
+    init.__qualname__ = cls.__qualname__ + ".__init__"
+    return init
+
+
+def declared(cls):
+    """cls, a ``Checked`` subclass, as a frozen dataclass whose ``__init__``
+    checks every field it is given, once: ``dataclasses.replace`` checks
+    each copy it builds anew."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__init__ = _init(cls)
+    return cls
 
 
 @cache
 def plan(cls) -> tuple:
-    """(name, accepts, encode) for each field of cls that its callers
-    set, in declared order."""
-    hints = get_type_hints(cls, include_extras=True)
-    return tuple((f.name, *_codec(hints[f.name])) for f in fields(cls) if f.init)
+    """(name, accepts) for each field of cls that its callers set, in
+    declared order: accepts says whether a value holds the field's type."""
+    ns = _names()
+    return tuple((name, eval("lambda v: " + check.format(x="v"), ns))
+                 for name, check, _ in _snippets(cls, ns))
+
+
+@cache
+def _encoder(cls, stop: str | None):
+    ns = _names()
+    parts = []
+    for name, _, encode in _snippets(cls, ns):
+        if name == stop:
+            break
+        parts.append(encode.format(x="v." + name))
+    return _compile(ns, "encode", ["v"], ["    return b''.join((%s))" % "".join(p + ", " for p in parts)])
 
 
 def enc_value(value, stop: str | None = None) -> bytes:
     """A dataclass value's fields in declared order, each encoded by its
     declared type, up to (not including) the field named stop."""
-    out = []
-    for name, _, encode in plan(type(value)):
-        if name == stop:
-            break
-        out.append(encode(getattr(value, name)))
-    return b"".join(out)
+    return _encoder(type(value), stop)(value)
+
+
+@cache
+def _field_check(cls):
+    ns = _names()
+    body = []
+    for name, check, _ in _snippets(cls, ns):
+        body += ["    if not (%s):" % check.format(x="v." + name),
+                 "        return '%%s.%s' %% type(v).__name__" % name]
+    return _compile(ns, "mistyped", ["v"], body + ["    return None"])
 
 
 def mistyped(value) -> str | None:
     """The first field of a dataclass value that does not hold its declared
     type, as "Class.field", or None; a nested value is checked by its class."""
-    for name, accepts, _ in plan(type(value)):
-        if not accepts(getattr(value, name)):
-            return "%s.%s" % (type(value).__name__, name)
-    return None
+    return _field_check(type(value))(value)

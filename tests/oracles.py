@@ -5,7 +5,9 @@ the code under test: commitments by repeated multiplication or by
 square-and-multiply instead of fixed-base tables, secret
 recovery by solving the Vandermonde system, settlement by a recursive
 replay of the receipt tree, schedule enumeration by copying the whole
-world for every child. None of them import the settlement, recovery or
+world for every child, field checks and byte forms by walking each
+value's declared fields one Python call at a time instead of through
+compiled per-class code. None of them import the settlement, recovery or
 exploration code paths they are used to judge, and the settlement
 oracle checks signatures through ``crypto.verify`` directly, so it
 never fills the verification memo of the objects it is shown.
@@ -13,10 +15,16 @@ never fills the verification memo of the objects it is shown.
 
 import copy
 from collections import Counter
+from collections.abc import Mapping
+from dataclasses import fields
+from functools import cache
+from types import UnionType
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 from xchan import crypto
 from xchan.crypto import GroupParams
 from xchan.simnet import BoundExceeded, EnumResult
+from xchan.wire import U64, Checked, Encoded, enc_bytes, enc_scalar, enc_str, enc_u64
 
 
 def pedersen_brute(s: int, r: int, group: GroupParams) -> int:
@@ -223,3 +231,62 @@ def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=
 
     explore(copy.deepcopy(world_factory()))
     return EnumResult(outcomes=outcomes, schedules=stats["schedules"], nodes=stats["nodes"])
+
+
+def _reference_codec(hint):
+    """(accepts, encode) for a field declared as hint, as two Python
+    callables: whether a value holds that type, and the value's bytes."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is str:  # exactly a str, with no lone surrogate, which UTF-8 cannot carry
+        return (lambda v: type(v) is str and (v.isascii() or not any("\ud800" <= c <= "\udfff" for c in v)),
+                enc_str)
+    if hint is bytes:
+        return (lambda v: type(v) is bytes), enc_bytes
+    if origin is Annotated:  # U64 or Scalar: an int (not a bool) the encoder carries
+        bound = args[1]
+        return (lambda v: type(v) is int and 0 <= v < bound), (enc_u64 if hint == U64 else enc_scalar)
+    if origin is tuple:  # tuple[X, ...]: a count, then each item
+        item_ok, enc_item = _reference_codec(args[0])
+        return (lambda v: type(v) is tuple and all(map(item_ok, v)),
+                lambda v: enc_u64(len(v)) + b"".join(map(enc_item, v)))
+    if origin is Mapping:  # a count, then each item in key order
+        key_ok, enc_key = _reference_codec(args[0])
+        value_ok, enc_val = _reference_codec(args[1])
+        return (lambda v: isinstance(v, Mapping) and all(key_ok(k) and value_ok(x) for k, x in v.items()),
+                lambda v: enc_u64(len(v)) + b"".join(enc_key(k) + enc_val(v[k]) for k in sorted(v)))
+    if origin is UnionType:  # X | None: a flag byte, then X
+        item_ok, enc_item = _reference_codec(args[0])
+        return (lambda v: v is None or item_ok(v),
+                lambda v: b"\x00" if v is None else b"\x01" + enc_item(v))
+    accepts = (lambda v: isinstance(v, Checked)) if hint is object else (lambda v: type(v) is hint)
+    if issubclass(hint, Encoded):  # its bytes are kept on it
+        return accepts, lambda v: enc_bytes(v.to_bytes())
+    return accepts, lambda v: enc_bytes(reference_enc_value(v))
+
+
+@cache
+def reference_plan(cls) -> tuple:
+    """(name, accepts, encode) for each field of cls that its callers set,
+    in declared order."""
+    hints = get_type_hints(cls, include_extras=True)
+    return tuple((f.name, *_reference_codec(hints[f.name])) for f in fields(cls) if f.init)
+
+
+def reference_enc_value(value, stop=None) -> bytes:
+    """A dataclass value's fields in declared order, each encoded by its
+    declared type, up to (not including) the field named stop."""
+    out = []
+    for name, _, encode in reference_plan(type(value)):
+        if name == stop:
+            break
+        out.append(encode(getattr(value, name)))
+    return b"".join(out)
+
+
+def reference_mistyped(value):
+    """The first field of a dataclass value that does not hold its declared
+    type, as "Class.field", or None."""
+    for name, accepts, _ in reference_plan(type(value)):
+        if not accepts(getattr(value, name)):
+            return "%s.%s" % (type(value).__name__, name)
+    return None

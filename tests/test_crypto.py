@@ -126,13 +126,15 @@ class TestPedersen:
 
 
 def _edge_exponents(q):
-    w = crypto.WINDOW_BITS
-    return [0, 1, -1, q - 1, q, q + 1, 2**w - 1, 2**w, 2**255, 2**300, 2**300 + 7, 3**200]
+    """Residue edges, byte-table edges (a byte's last and first value, the
+    most a 32-byte exponent holds), exponents far above q, and negatives."""
+    return [0, 1, q - 1, q, q + 1, 255, 256, 2**255, 2**256 - 1, 2**300, 2**300 + 7, 3**200,
+            -1, -q, -(q + 1), -(2**256 - 1)]
 
 
 class TestFixedBase:
-    """pedersen_commit reads fixed-base window tables; pedersen_two_pow is
-    the square-and-multiply reference it must equal."""
+    """pedersen_commit walks the exponents' bytes over fixed-base tables;
+    pedersen_two_pow is the square-and-multiply reference it must equal."""
 
     @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
     @settings(max_examples=150, deadline=None)
@@ -148,14 +150,25 @@ class TestFixedBase:
             for f in edges:
                 assert pedersen_commit(e, f, group) == pedersen_two_pow(e, f, group)
 
+    def test_tiny_group_exhaustive(self):
+        """q = 101 fits in one byte: every pair of residues, and each shifted
+        by a multiple of q, gives the reference commitment."""
+        g = TINY_GROUP
+        for s in range(g.q):
+            for r in range(g.q):
+                assert pedersen_commit(s, r, g) == pedersen_two_pow(s, r, g)
+        for s, r in [(-1, 0), (0, -1), (g.q, 2 * g.q), (255, 256), (-g.q - 3, 3 * g.q + 5)]:
+            assert pedersen_commit(s, r, g) == pedersen_two_pow(s, r, g)
+
     def test_table_shape(self):
-        w = crypto.WINDOW_BITS
+        """One row of 256 powers per byte of an exponent below q."""
         for group in GROUPS:
             for base, rows in zip((group.g, group.h), group.window_tables):
-                assert len(rows) * w >= group.q.bit_length() > (len(rows) - 1) * w
+                assert len(rows) * 8 >= group.q.bit_length() > (len(rows) - 1) * 8
                 for i, row in enumerate(rows):
-                    assert len(row) == 2**w
-                    assert row[1] == pow(base, 2 ** (w * i), group.p)
+                    assert len(row) == 256
+                    assert row[1] == pow(base, 256**i, group.p)
+                    assert row[255] == pow(base, 255 * 256**i, group.p)
 
     def test_table_built_once_per_group(self, monkeypatch):
         built = []
@@ -191,6 +204,7 @@ class TestFixedBase:
         pedersen_commit(1, 2, fresh)
         assert "window_tables" in vars(fresh) and "window_tables" not in vars(untouched)
         assert (repr(fresh), hash(fresh)) == before == (repr(untouched), hash(untouched))
+        assert fresh == untouched
         assert fresh == untouched
 
     def test_deepcopy_shares_group_and_tables(self):

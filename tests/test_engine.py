@@ -671,6 +671,22 @@ class TestMalformedMessages:
         unrecovered = [] if type(detail) is ct.Bound else [("recovered-key-hash-mismatch", "alpha", "c0")]
         assert R.violations == unrecovered
 
+    def test_relabelled_share_still_recovers(self):
+        """S's genuine shares, one relabelled with another dealing id: each
+        still matches S's bound hash, which leaves the id out, so the chain
+        publishes them, and R recovers S's key from their values."""
+        world = _eie_world_mid_run()
+        R = world.parties["R"]
+        dealing = world.parties["S"].sessions["c0"].sides["alpha"].exchange.dealing
+        upload = R.sessions["c0"].sides["alpha"].uploads[_S]
+        shares = list(dealing.shares[:upload.t])
+        shares[-1] = replace(shares[-1], dealing_id=b"relabelled")
+        assert [vss.share_hash(ks) for ks in shares] == [b.share_hash for b in upload.bindings[:upload.t]]
+        R.on_message(world.net, Message("chain_event", "alpha", "R",
+                                        _event(ct.SHARES_RECORDED, detail=ct.Published(_S, tuple(shares)))))
+        assert not R.rejected and R.violations == []
+        assert R.sessions["c0"].sides["alpha"].recovered is not None
+
     def test_failed_event_inert(self):
         """A failed transaction's event whose result names a state and a
         handler neither records the state nor runs the handler."""

@@ -188,15 +188,22 @@ def test_signed_copy_is_the_replaced_copy(unsigned, monkeypatch):
 
 
 def _count_checks(monkeypatch) -> list:
-    """The class name of each value whose fields are checked from now on."""
+    """The class name of each value whose fields are checked from now on:
+    each declared class's generated ``__init__`` is the one place that
+    checks them."""
     checked = []
 
-    def counted(value):
-        checked.append(type(value).__name__)
-        return check(value)
+    def counted(init):
+        def __init__(self, *args, **kwargs):
+            checked.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return __init__
 
-    check = wire.mistyped
-    monkeypatch.setattr(wire, "mistyped", counted)
+    classes = [wire.Checked]
+    for cls in classes:
+        classes += cls.__subclasses__()
+        if "__init__" in vars(cls):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
     return checked
 
 
