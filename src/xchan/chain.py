@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .contract import DETAILS, STATES, ChannelContract, InvariantViolation, OnChainTx
 from .crypto import hash_bytes
 from .forking import Shared, copier
-from .wire import Checked, declared, enc_bytes, enc_str, enc_u64
+from .wire import U64, Checked, declared, enc_bytes, enc_str, enc_u64
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class ChainEvent(Checked):
     entered, a note, or, when ``ok`` is false, why the transaction failed;
     ``detail`` is the record ``contract.DETAILS`` declares for it, or None."""
 
-    tick: int
+    tick: U64
     chain_id: str
-    block: int
+    block: U64
     tx_kind: str
     session_id: str
     result: str

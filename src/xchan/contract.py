@@ -165,11 +165,7 @@ class UpdateEiePayload(Checked):
 
 @declared
 class RecoverPayload(Checked):
-    share_s: vss.KeyShare | None = None
-    share_r: vss.KeyShare | None = None
-
-    def slots(self):
-        return [s for s in (self.share_s, self.share_r) if s is not None]
+    share: vss.KeyShare
 
 
 @declared
@@ -560,19 +556,19 @@ class ChannelContract:
             return False, "no recovery requested", None
         accepted = False
         published = None
-        for ks in tx.payload.slots():
-            for owner in s.recovery_requested:
-                upload = s.uploads[owner]
-                match = [b for b in upload.bindings if b.miner == tx.sender and b.index == ks.index]
-                if not match or vss.share_hash(ks) != match[0].share_hash:
-                    continue
-                store = s.collected_shares.setdefault(owner, {})
-                if ks.index in store:
-                    continue  # duplicate index ignored
-                store[ks.index] = ks
-                accepted = True
-                if len(store) == upload.t:  # published once, at the threshold share
-                    published = Published(owner, tuple(store[i] for i in sorted(store)))
+        ks = tx.payload.share
+        for owner in s.recovery_requested:
+            upload = s.uploads[owner]
+            match = [b for b in upload.bindings if b.miner == tx.sender and b.index == ks.index]
+            if not match or vss.share_hash(ks) != match[0].share_hash:
+                continue
+            store = s.collected_shares.setdefault(owner, {})
+            if ks.index in store:
+                continue  # duplicate index ignored
+            store[ks.index] = ks
+            accepted = True
+            if len(store) == upload.t:  # published once, at the threshold share
+                published = Published(owner, tuple(store[i] for i in sorted(store)))
         if not accepted:
             return False, "no share accepted", None
         return True, SHARES_RECORDED, published

@@ -2,10 +2,12 @@
 
 A party keeps all it knows of a session in one PartySession: its role
 and, per chain, a ChainSide. Each handler looks up one session and
-touches only that one. Messages dispatch through a table keyed by kind
-that names the one class each kind's data must be; a malformed or forged
-message is counted in ``rejected`` by reason instead of raising. A chain
-event that succeeded dispatches on its result, and a Timer on its kind.
+touches only that one. Each actor names, in its HANDLERS table, the
+handler and the one class of data for each message kind; simnet.dispatch
+checks every message against it and counts a malformed or forged one in
+``rejected`` by reason instead of raising. A chain event that succeeded
+dispatches on the actor's EVENTS table by its result, and a Timer on
+TIMERS by its kind.
 
 Parties exchange signed receipts, open sub-channels by redeploying
 unsettled receipts, run the threshold-shared fair exchange, and drive
@@ -25,7 +27,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
 
 from . import contract as ct
 from . import proofs, vss
@@ -42,7 +43,7 @@ from .receipts import (
     make_sub_receipt,
     replay_receipts,
 )
-from .simnet import ChainActor, Message, Rng, Simnet
+from .simnet import Message, Rng, Simnet, Timer, dispatch
 from .wire import Checked, declared
 
 
@@ -119,16 +120,6 @@ class ChannelView:
 
     def other(self, addr: str) -> str:
         return self.members[1] if self.members[0] == addr else self.members[0]
-
-
-class Timer(NamedTuple):
-    """A wakeup an actor sets for itself: what is due (kind), for which
-    session on which chain, and for a pump the channel path."""
-
-    kind: str
-    chain_id: str
-    session_id: str
-    path: tuple = ()
 
 
 @dataclass
@@ -251,33 +242,6 @@ class ShareMsg(Checked):
     sig: bytes
 
 
-def _dispatch(actor, net, msg: Message):
-    """Run the actor's handler for msg's kind if msg is well formed, or else
-    count msg in actor.rejected by reason: the one check every message to a
-    party or a miner passes. Its data must be of exactly the class its kind
-    names, which checked its fields when it was built. A chain event must
-    come from a chain, the one it names (a miner also hears the other chain's). A
-    wakeup must be a Timer the actor set, of a kind in actor.TIMERS. Any
-    other data must name a chain the actor serves, as must a Timer."""
-    handler, cls = actor.HANDLERS.get(msg.kind, (None, None))
-    data = msg.data
-    if handler is None:
-        why = "unknown kind"
-    elif type(data) is not cls:
-        why = "not of class " + cls.__name__
-    elif cls is ChainEvent:
-        from_chain = msg.src == data.chain_id and type(net.actors.get(msg.src)) is ChainActor
-        why = None if from_chain else "not sent by the chain it names"
-    else:
-        why = ("not set by this actor" if cls is Timer and msg.src != actor.name
-               else "unknown timer" if cls is Timer and data.kind not in actor.TIMERS
-               else None if actor.serves(data.chain_id) else "unknown chain")
-    if why is not None:
-        actor.rejected["%s: %s" % (msg.kind, why)] += 1
-    else:
-        handler(actor, net, msg)
-
-
 class Party:
     def __init__(self, name: str, keys: dict, behavior: BehaviorProfile = HONEST,
                  directory: dict | None = None, seed: int = 0, group=None):
@@ -356,12 +320,12 @@ class Party:
 
     def _submit(self, net, chain_id, session_id, kind, payload):
         tx = ct.make_tx(self.keys[chain_id], chain_id, session_id, kind, payload)
-        net.submit_tx(self.name, chain_id, tx)
+        net.send("tx", self.name, chain_id, tx)
 
     # -- message dispatch -------------------------------------------------------
 
     def on_message(self, net: Simnet, msg: Message):
-        _dispatch(self, net, msg)
+        dispatch(self, net, msg)
 
     # -- receipts ---------------------------------------------------------------
 
@@ -813,7 +777,7 @@ class Miner:
                           deep="chain behavior")
 
     def on_message(self, net, msg: Message):
-        _dispatch(self, net, msg)
+        dispatch(self, net, msg)
 
     def serves(self, chain_id: str) -> bool:
         return chain_id == self.chain.chain_id
@@ -859,13 +823,7 @@ class Miner:
         rec = self.stored.get((session_id, owner))
         if rec is None:
             return
-        session = self.chain.read_session(session_id)
-        slot_s = owner == next(iter(session.deposits), None)
-        payload = ct.RecoverPayload(
-            share_s=rec.share if slot_s else None,
-            share_r=None if slot_s else rec.share,
-        )
-        self._submit(net, session_id, ct.RECOVER_TX, payload)
+        self._submit(net, session_id, ct.RECOVER_TX, ct.RecoverPayload(rec.share))
 
     def _consider_assist(self, net, session_id):
         session = self.chain.read_session(session_id)
@@ -898,7 +856,7 @@ class Miner:
 
     def _submit(self, net, session_id, kind, payload):
         tx = ct.make_tx(self.kp, self.chain.chain_id, session_id, kind, payload)
-        net.submit_tx(self.name, self.chain.chain_id, tx)
+        net.send("tx", self.name, self.chain.chain_id, tx)
 
     HANDLERS = {  # message kind -> (handler, the class its data must be)
         "share": (on_share, ShareMsg),

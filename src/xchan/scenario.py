@@ -198,19 +198,14 @@ def _receipt_rate(config: ScenarioConfig) -> int:
     return max(1, config.bandwidth_bytes_per_tick // config.receipt_size_bytes)
 
 
-def _close_barrier(config: ScenarioConfig) -> int:
+def _close_barrier(config: ScenarioConfig, latency: LatencyModel, longest: int, subs: list[int]) -> int:
     """Tick at which the parties agree to start closing: late enough for
-    every planned receipt and sub-channel round trip to have happened."""
-    lat = config.latency
-    max_lat = lat.get("fixed", 1) if lat.get("kind", "fixed") == "fixed" else lat.get("hi", 1)
+    every planned receipt (longest: the longer root plan; subs: each
+    sub-channel's plan length) and sub-channel round trip to have
+    happened, at latency's own delay bound (its overrides aside)."""
+    max_lat = latency.fixed if latency.kind == "fixed" else latency.hi
     rate = _receipt_rate(config)
-    n_alpha = (config.receipts_n + 1) // 2 + (1 if config.levels >= 2 else 0)
-    n_beta = config.receipts_n // 2
-    longest = max(n_alpha, n_beta)
-    sub_total = 0
-    for i in range(config.levels - 1):
-        count = config.sub_receipts[i] + (1 if i + 1 < config.levels - 1 else 0)
-        sub_total += (count + rate - 1) // rate + 6 * max_lat + 4
+    sub_total = sum((n + rate - 1) // rate + 6 * max_lat + 4 for n in subs)
     open_ticks = 2 * max(config.block_interval_alpha, config.block_interval_beta) + max_lat + 2
     pump_ticks = (longest + rate - 1) // rate + max_lat + 3
     return open_ticks + pump_ticks + sub_total
@@ -295,8 +290,10 @@ def build_world(config: ScenarioConfig) -> World:
     rng = random.Random("workload:%d" % config.seed)
     rate = _receipt_rate(config)
     session_ids = ["c%d" % i for i in range(config.channels)]
-    expected = 0
+    expected = longest = 0
     S, R = parties["S"], parties["R"]
+    # level i + 2's plan: fund level i + 3, if any, then pay sub_receipts[i] receipts of 1
+    subs = [list(config.sub_funding[i + 1:i + 2]) + [1] * n for i, n in enumerate(config.sub_receipts)]
 
     for sid in session_ids:
         n_alpha = (config.receipts_n + 1) // 2
@@ -307,6 +304,7 @@ def build_world(config: ScenarioConfig) -> World:
             alpha_amounts = [config.sub_funding[0]] + alpha_amounts
         if sum(alpha_amounts) > config.funding or sum(beta_amounts) > config.funding:
             raise ConfigError(["workload exceeds channel funding"])
+        longest = max(longest, len(alpha_amounts), len(beta_amounts))
 
         pre = hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed))
         key_s = int.from_bytes(hash_bytes(b"key:S:%s:%d" % (sid.encode(), config.seed)), "big") % group.q
@@ -326,13 +324,9 @@ def build_world(config: ScenarioConfig) -> World:
         expected += len(alpha_amounts) + len(beta_amounts)
 
         # level i + 2: the payee of receipt 1 in the channel at path (1,) * i
-        # opens a sub-channel on it and pays the next party there, funding
-        # level i + 3 first, if any
-        for i in range(config.levels - 1):
+        # opens a sub-channel on it and pays the next party there
+        for i, sub in enumerate(subs):
             payer, payee = parties[names[i + 1]], parties[names[i + 2]]
-            sub = [1] * config.sub_receipts[i]
-            if i + 2 < config.levels:
-                sub = [config.sub_funding[i + 1]] + sub
             path = (1,) * i
             payer.plan_subchannel("alpha", sid, path, 1, payee.address("alpha"), sub, rate)
             payee.expect("alpha", sid, path + (1,), len(sub))
@@ -351,7 +345,7 @@ def build_world(config: ScenarioConfig) -> World:
                 buyer.backend = backend
                 buyer.expect_proof(chain_id, sid, seller.address(chain_id), vk)
 
-    barrier = _close_barrier(config)
+    barrier = _close_barrier(config, latency, longest, [len(sub) for sub in subs])
     grace = barrier + 30
     for p in parties.values():
         p.close_after_tick = barrier
@@ -415,21 +409,21 @@ def collect_metrics(world: World) -> RunMetrics:
 
 
 def run_scenario(config: ScenarioConfig):
-    """Execute one scenario end to end; returns (metrics, trace)."""
+    """Execute one scenario end to end; returns (metrics, trace). The
+    metrics' invariants hold when every session ended and every planned
+    receipt arrived."""
     if config.baseline == "plain_htlc":
-        return run_plain_htlc(config)
-    world = build_world(config)
-    for sid in world.session_ids:
-        for name in ("S", "R"):
-            p = world.parties[name]
-            for chain in (world.alpha, world.beta):
-                p.submit_open(world.net, chain.chain_id, sid, config.funding)
+        world = _plain_htlc_world(config)
+    else:
+        world = build_world(config)
+        for sid in world.session_ids:
+            for name in ("S", "R"):
+                p = world.parties[name]
+                for chain in (world.alpha, world.beta):
+                    p.submit_open(world.net, chain.chain_id, sid, config.funding)
     trace = world.net.run_until(lambda: _all_terminal(world), max_tick=config.max_ticks)
     metrics = collect_metrics(world)
-    if not _all_terminal(world):
-        metrics.invariants_ok = False
-    if metrics.receipts_processed != world.expected_receipts:
-        metrics.invariants_ok = False
+    metrics.invariants_ok = _all_terminal(world) and metrics.receipts_processed == world.expected_receipts
     return metrics, trace
 
 
@@ -444,30 +438,25 @@ def join_at_close(S, R, sid, pre):
             side.state = ct.CLOSE
 
 
-def run_plain_htlc(config: ScenarioConfig):
+def _plain_htlc_world(config: ScenarioConfig) -> World:
     """Baseline: one bare hash-time-locked session pair per exchange, no
-    channels. Every exchange costs lock+update on each chain."""
+    channels, S's first lock submitted. Every exchange costs lock+update on
+    each chain. The world's channel plans never open, so no receipt is
+    expected."""
     world = build_world(config)
     S, R = world.parties["S"], world.parties["R"]
-    n = config.receipts_n
     rng = random.Random("htlc:%d" % config.seed)
-    session_ids = []
-    for j in range(n):
-        sid = "h%d" % j
-        session_ids.append(sid)
+    world.session_ids = ["h%d" % j for j in range(config.receipts_n)]
+    world.expected_receipts = 0
+    for sid in world.session_ids:
         amount = rng.randint(config.amount_lo, config.amount_hi)
         for chain, payer, payee in ((world.alpha, S, R), (world.beta, R, S)):
             paid, got = payer.address(chain.chain_id), payee.address(chain.chain_id)
             chain.contract.start_settled(chain, sid, {paid: amount, got: 0}, {got: amount, paid: 0})
         join_at_close(S, R, sid, hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed)))
-    world.session_ids = session_ids
-    for sid in session_ids:
+    for sid in world.session_ids:
         S.submit_lock(world.net, "alpha", sid)
-    trace = world.net.run_until(lambda: _all_terminal(world), max_tick=config.max_ticks)
-    metrics = collect_metrics(world)
-    if not _all_terminal(world):
-        metrics.invariants_ok = False
-    return metrics, trace
+    return world
 
 
 @dataclass

@@ -7,13 +7,16 @@ insertion order; a delivery may send further messages, including
 zero-latency ones delivered within the same tick. Messages are delayed,
 never dropped.
 
-Two modes share the same actors and chains:
+Two modes share the same actors, chains and queue, one heap of
+PendingMsg delivery windows:
 
-* run mode samples every delay from the seeded latency model and replays
-  bit-identically for a given seed;
-* enumerate mode assigns each message a delivery window and explores
+* run mode samples every delay from the seeded latency model, a window
+  of one tick, and replays bit-identically for a given seed;
+* enumerate mode gives each message its latency window and explores
   every feasible interleaving of deliveries and block boundaries,
   collecting the set of terminal outcomes.
+
+Parties, miners and chains check each delivered message one way, in dispatch.
 
 Links are FIFO per (src, dst) pair: a later message never overtakes an
 earlier one on the same link, so chain events reach a subscriber in
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from .chain import ChainEvent
 from .contract import OnChainTx
 from .forking import Shared, copier
 from .wire import plan
@@ -133,17 +137,59 @@ class LatencyModel(Shared):
         return cls(overrides=tuple(overrides), **values)
 
 
-@dataclass(frozen=True)
-class PendingMsg(Shared):
+class PendingMsg(NamedTuple):
+    """A queued message, the one entry of the delivery heap in either mode:
+    deliverable at any tick from lo to hi (lo == hi in run mode), in
+    (lo, seq) order, seq counting sends."""
+
+    lo: int  # earliest deliverable tick, absolute
     seq: int
     msg: Message
-    lo: int  # earliest deliverable tick, absolute
     hi: int  # latest
 
 
+class Timer(NamedTuple):
+    """A wakeup an actor sets for itself: what is due (kind), for which
+    session on which chain, and for a pump the channel path."""
+
+    kind: str
+    chain_id: str
+    session_id: str
+    path: tuple = ()
+
+
+def dispatch(actor, net, msg: Message):
+    """Run the actor's handler for msg's kind if msg is well formed, or else
+    count msg in actor.rejected by reason: the one check every delivered
+    message passes. Its data must be of exactly the class the actor's
+    HANDLERS names for its kind, which checked its fields when it was
+    built. A chain event must come from a chain, the one it names (a miner
+    also hears the other chain's). A wakeup must be a Timer the actor set,
+    of a kind in actor.TIMERS. Any other data must name a chain the actor
+    serves, as must a Timer."""
+    handler, cls = actor.HANDLERS.get(msg.kind, (None, None))
+    data = msg.data
+    if handler is None:
+        why = "unknown kind"
+    elif type(data) is not cls:
+        why = "not of class " + cls.__name__
+    elif cls is ChainEvent:
+        from_chain = msg.src == data.chain_id and type(net.actors.get(msg.src)) is ChainActor
+        why = None if from_chain else "not sent by the chain it names"
+    else:
+        why = ("not set by this actor" if cls is Timer and msg.src != actor.name
+               else "unknown timer" if cls is Timer and data.kind not in actor.TIMERS
+               else None if actor.serves(data.chain_id) else "unknown chain")
+    if why is not None:
+        actor.rejected["%s: %s" % (msg.kind, why)] += 1
+    else:
+        handler(actor, net, msg)
+
+
 class ChainActor:
-    """Routes each tx message's OnChainTx into a chain's mempool; counts in
-    ``rejected`` by reason, untraced, any other message or data."""
+    """A chain's network entry point: routes each tx message's OnChainTx for
+    its chain into the mempool and traces the verdict; counts in
+    ``rejected`` by reason, untraced, any other message."""
 
     def __init__(self, chain):
         self.chain = chain
@@ -151,12 +197,14 @@ class ChainActor:
 
     __deepcopy__ = copier(copy="rejected", deep="chain")
 
+    def serves(self, chain_id: str) -> bool:
+        return chain_id == self.chain.chain_id
+
     def on_message(self, net, msg: Message):
-        tx = msg.data
-        if msg.kind != "tx" or type(tx) is not OnChainTx:
-            why = "unknown kind" if msg.kind != "tx" else "not of class OnChainTx"
-            self.rejected["%s: %s" % (msg.kind, why)] += 1
-            return
+        dispatch(self, net, msg)
+
+    def on_tx(self, net, msg: Message):
+        tx: OnChainTx = msg.data
         ok, why = self.chain.submit_tx(tx)
         net.log(
             {
@@ -169,6 +217,8 @@ class ChainActor:
                 "why": why,
             }
         )
+
+    HANDLERS = {"tx": (on_tx, OnChainTx)}  # message kind -> (handler, the class its data must be)
 
 
 class Simnet:
@@ -184,9 +234,8 @@ class Simnet:
         self.chains: list = []
         self.trace: list[dict] = []
         self._seq = 0
-        self._heap: list = []  # (tick, seq, Message)
-        self._fifo: dict = {}  # (src, dst) -> latest scheduled delivery tick
-        self.pending: list[PendingMsg] = []  # enumerate mode
+        self._fifo: dict = {}  # (src, dst) -> latest scheduled delivery tick, run mode
+        self.pending: list[PendingMsg] = []  # a heap
 
     @cached_property
     def rng(self) -> Rng:
@@ -194,7 +243,7 @@ class Simnet:
         never draws one (an enumerated world) has no generator to fork."""
         return Rng(("simnet", self.seed).__repr__())
 
-    __deepcopy__ = copier(share="mode latency seed now _produced _seq", copy="trace _heap _fifo pending",
+    __deepcopy__ = copier(share="mode latency seed now _produced _seq", copy="trace _fifo pending",
                           deep="rng actors chains")
 
     # -- wiring ---------------------------------------------------------------
@@ -217,13 +266,9 @@ class Simnet:
         self.trace.append(entry)
 
     def _queue(self, msg: Message, lo: int, hi: int):
-        """Queue msg for delivery inside the tick window [lo, hi]: at lo in
-        run mode, and at each tick of the window in enumerate mode."""
+        """Queue msg for delivery inside the tick window [lo, hi]."""
         self._seq += 1
-        if self.mode == "run":
-            heapq.heappush(self._heap, (lo, self._seq, msg))
-        else:
-            self.pending.append(PendingMsg(seq=self._seq, msg=msg, lo=lo, hi=hi))
+        heapq.heappush(self.pending, PendingMsg(lo, self._seq, msg, hi))
 
     def send(self, kind: str, src: str, dst: str, data):
         if self.mode == "run":
@@ -238,29 +283,14 @@ class Simnet:
         t = max(tick, self.now)
         self._queue(Message("wakeup", dst, dst, data), t, t)
 
-    def submit_tx(self, src: str, chain_id: str, tx: OnChainTx):
-        self.send("tx", src, chain_id, tx)
-
     # -- forking ----------------------------------------------------------------
 
     def fork(self) -> "Simnet":
         """An independent copy of the whole world: actors, chains, pending
-        messages and trace.
-
-        Copied: every mutable world object (the network, its actors,
-        chains, contracts and their sessions, each party's sessions, sides,
-        views, plans and exchange state, miners and their behaviors) and
-        every container they hold (the trace, pending and block lists, the
-        delivery heap, mempools, accounts, receipt maps, ...), shallowly
-        where it holds only immutables; a generator only if it was built.
-        Shared with the original: trace entries, each party's map of keys,
-        messages, and every value sealed once built (``forking.Shared``:
-        pending entries, blocks, signed values, transaction payloads, key
-        shares, dealings, proofs, ciphertexts, latency models, timer
-        configs, behavior profiles, keys and group parameters). Each
-        class's ``__deepcopy__`` names what a fork does with each of its
-        attributes.
-        """
+        messages and trace. Each class's ``__deepcopy__`` (see ``forking``)
+        names what a fork copies and what it shares; values sealed once
+        built are shared. A fork of a paused run becomes an explorable
+        world by setting its mode to "enumerate"."""
         return copy.deepcopy(self)
 
     # -- delivery -------------------------------------------------------------
@@ -293,15 +323,14 @@ class Simnet:
             if self.now > self._produced:
                 self._produce_blocks(self.now)
                 self._produced = self.now
-            while self._heap and self._heap[0][0] <= self.now:
-                _t, _seq, msg = heapq.heappop(self._heap)
-                self._deliver(msg)
+            while self.pending and self.pending[0].lo <= self.now:
+                self._deliver(heapq.heappop(self.pending).msg)
             if predicate is not None and predicate():
                 done = True
             else:
                 self.now += 1
         if not done:
-            for _t, _seq, msg in sorted(self._heap):
+            for _lo, _seq, msg, _hi in sorted(self.pending):
                 self.log(
                     {"tick": self.now, "kind": "undelivered", "src": msg.src, "dst": msg.dst, "msg": msg.kind}
                 )
@@ -361,6 +390,7 @@ def _take(net: Simnet, choice: tuple):
         _, seq, t, _dst = choice
         pm = next(p for p in net.pending if p.seq == seq)
         net.pending.remove(pm)
+        heapq.heapify(net.pending)
         _advance_to(net, max(net.now, t))
         net._deliver(pm.msg)
     else:

@@ -10,8 +10,7 @@ values it accepts. ``_codec`` reads one annotation into two snippets of
 Python source: its check and its encoding. Each class's code is compiled
 once from them: ``declared`` builds the ``__init__`` of a ``Checked``
 class, which checks its fields once, when a value is built, and stores
-them; ``enc_value`` a class's encoder; ``mistyped`` its field check;
-``plan`` a check per field.
+them; ``enc_value`` a class's encoder; ``plan`` a check per field.
 """
 
 from __future__ import annotations
@@ -98,6 +97,8 @@ def _codec(hint, ns: dict, depth: int = 0) -> tuple[str, str]:
         return "type({x}) is str and ({x}.isascii() or _no_surrogate({x}))", "enc_str({x})"
     if hint is bytes:
         return "type({x}) is bytes", "enc_bytes({x})"
+    if hint is bool:  # one flag byte
+        return "type({x}) is bool", r"(b'\x01' if {x} else b'\x00')"
     if origin is Annotated:  # U64 or Scalar: an int (not a bool) the encoder carries
         return ("type({x}) is int and 0 <= {x} < %d" % args[1],
                 "enc_u64({x})" if hint == U64 else "enc_scalar({x})")
@@ -198,19 +199,3 @@ def enc_value(value, stop: str | None = None) -> bytes:
     """A dataclass value's fields in declared order, each encoded by its
     declared type, up to (not including) the field named stop."""
     return _encoder(type(value), stop)(value)
-
-
-@cache
-def _field_check(cls):
-    ns = _names()
-    body = []
-    for name, check, _ in _snippets(cls, ns):
-        body += ["    if not (%s):" % check.format(x="v." + name),
-                 "        return '%%s.%s' %% type(v).__name__" % name]
-    return _compile(ns, "mistyped", ["v"], body + ["    return None"])
-
-
-def mistyped(value) -> str | None:
-    """The first field of a dataclass value that does not hold its declared
-    type, as "Class.field", or None; a nested value is checked by its class."""
-    return _field_check(type(value))(value)

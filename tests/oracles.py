@@ -242,6 +242,8 @@ def _reference_codec(hint):
                 enc_str)
     if hint is bytes:
         return (lambda v: type(v) is bytes), enc_bytes
+    if hint is bool:  # one flag byte
+        return (lambda v: type(v) is bool), (lambda v: b"\x01" if v else b"\x00")
     if origin is Annotated:  # U64 or Scalar: an int (not a bool) the encoder carries
         bound = args[1]
         return (lambda v: type(v) is int and 0 <= v < bound), (enc_u64 if hint == U64 else enc_scalar)

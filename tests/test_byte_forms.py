@@ -40,7 +40,7 @@ PAYLOADS = {
     ct.LOCK_TX: ct.LockPayload(h_pre=b"h" * 32),
     ct.UPDATE_TX: ct.UpdatePayload(pre=b"p" * 32),
     ct.UPDATE_EIE_TX: ct.UpdateEiePayload(pre=b"p" * 32, h_k=b"k" * 32),
-    ct.RECOVER_TX: ct.RecoverPayload(share_s=None, share_r=SHARE),
+    ct.RECOVER_TX: ct.RecoverPayload(share=SHARE),
 }
 
 
@@ -113,9 +113,9 @@ PINS = {
     "OnChainTx.UpdateEIE.to_bytes":
         "d1a79e4bf03e72efcd66ce8157e30e9a4502f0903c229fed9dad6d8759aea4e8",
     "OnChainTx.Recover.signing_bytes":
-        "0382620d37ef2b0e4371d7d7cc4788452eff2c492ec3b5464de3bb791178fe5d",
+        "280d2160fbed7dc51b6eb0305da7d1a0ef5cf3798849db59efea259807e6091e",
     "OnChainTx.Recover.to_bytes":
-        "a64ea4b9a0f94c26c14afd8d3169f0c6ee3155b2b2c754e6aa65ab9cefa9b3bf",
+        "d79beeb4be5ac921b239e28e2d7daa18e78a7dfa9763856ea8525572da0ff571",
     "vss.share_hash":
         "7f8490664dce7284c124ce9681ef3ebcac29e44856e8c76ac9a189586f5ee398",
     "vss.share_message_bytes":

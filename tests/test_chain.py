@@ -3,9 +3,12 @@ committed-only reads."""
 
 import pytest
 
+from oracles import reference_enc_value
 from xchan import contract as ct
 from xchan import vss
-from xchan.chain import Chain, TimerConfig
+from xchan.chain import Chain, ChainEvent, TimerConfig
+from xchan.scenario import ScenarioConfig, run_scenario
+from xchan.wire import enc_value
 from xchan.crypto import keypair_from_label
 from xchan.receipts import FinalState, Receipt, make_final_state
 
@@ -81,7 +84,7 @@ class TestSubmit:
             # bool is not an int
             (lambda: ct.OpenPayload(True), "OpenPayload.amount"),
             # a key share scalar of the wrong type
-            (lambda: ct.RecoverPayload(share_s=vss.KeyShare(1, "1", 1, bytes(32))), "KeyShare.s"),
+            (lambda: ct.RecoverPayload(share=vss.KeyShare(1, "1", 1, bytes(32))), "KeyShare.s"),
             # an address UTF-8 cannot carry (a lone surrogate)
             (lambda: FinalState("c0", (), {"\ud800": 1}, S.address, bytes(64)), "FinalState.balances"),
             # balances that are no mapping, which once raised ValueError from the copy
@@ -212,3 +215,39 @@ class TestReads:
         b = c.pick_miners(4, b"seed-bytes")
         assert a == b and len(set(a)) == 4
         assert c.pick_miners(4, b"other-seed") != a
+
+
+class TestChainEvent:
+    ARGS = dict(tick=8, chain_id="alpha", block=2, tx_kind="Close", session_id="c0", result=ct.CLOSE,
+                ok=True, detail=None)
+
+    @pytest.mark.parametrize("field", ["tick", "block"])
+    @pytest.mark.parametrize("value", [-5, 2**80])
+    def test_tick_and_height_are_u64(self, field, value):
+        ChainEvent(**self.ARGS)
+        with pytest.raises(TypeError, match="^mistyped ChainEvent.%s$" % field):
+            ChainEvent(**{**self.ARGS, field: value})
+
+    def test_every_event_of_an_eie_run_has_a_byte_form(self, monkeypatch):
+        """Every event a seeded EIE run produces, each detail record
+        included, encodes by its declared types as the reference walk does."""
+        events, produce = [], Chain.produce_block
+
+        def recorded(chain, tick):
+            out = produce(chain, tick)
+            events.extend(out)
+            return out
+
+        monkeypatch.setattr(Chain, "produce_block", recorded)
+        metrics, _ = run_scenario(ScenarioConfig(mode="EIE", receipts_n=4, seed=93))
+        assert metrics.invariants_ok
+        records = {ct.Opened, ct.Bound, ct.Locked, ct.Unlocked, ct.Published}
+        assert {type(e.detail) for e in events} == records | {type(None)}
+        for e in events:
+            assert enc_value(e) == reference_enc_value(e)
+
+    def test_ok_encodes_as_one_flag_byte(self):
+        failed = ChainEvent(**{**self.ARGS, "result": "duplicate open", "ok": False})
+        for event, flag in ((ChainEvent(**self.ARGS), b"\x01"), (failed, b"\x00")):
+            assert enc_value(event, stop="detail")[-1:] == flag
+            assert enc_value(event) == reference_enc_value(event)

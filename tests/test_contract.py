@@ -264,7 +264,7 @@ REJECTIONS = {
     "sender is neither party nor miner": (_lock, OUTSIDER, ct.UPDATE_TX,
                                           lambda d: ct.UpdatePayload(pre=b"\x07" * 32)),
     "no recovery requested": (_lock, OUTSIDER, ct.RECOVER_TX,
-                              lambda d: ct.RecoverPayload(share_s=make_upload()[1].shares[0])),
+                              lambda d: ct.RecoverPayload(share=make_upload()[1].shares[0])),
 }
 
 
@@ -494,7 +494,7 @@ class TestUpdateEie:
         bindings = s.uploads[S.address].bindings
         for b in bindings[:2]:
             kp = next(k for k in d.miner_keys if k.address == b.miner)
-            d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=dealing.shares[b.index - 1]))
+            d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share=dealing.shares[b.index - 1]))
         (published,) = [ev.detail for ev in d.step() if ev.detail is not None]
         assert published.owner == S.address
         got = vss.recover(published.shares, 2, TINY_GROUP)
@@ -540,19 +540,19 @@ class TestUpdateEie:
         b = s.uploads[S.address].bindings[0]
         kp = next(k for k in d.miner_keys if k.address == b.miner)
         bad = replace(dealing.shares[b.index - 1], s=(dealing.shares[b.index - 1].s + 1) % TINY_GROUP.q)
-        d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=bad))
+        d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share=bad))
         events = d.step()
         assert (events[0].ok, events[0].result) == (False, "no share accepted")
         # unbound miner (not selected) with a correct share
         bound = {other.miner for other in s.uploads[S.address].bindings}
         outsider_kp = next(k for k in d.miner_keys if k.address not in bound)
-        d.submit(outsider_kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=dealing.shares[0]))
+        d.submit(outsider_kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share=dealing.shares[0]))
         events = d.step()
         assert (events[0].ok, events[0].result) == (False, "no share accepted")
         # duplicate index ignored: same miner resubmits its share twice
         good = dealing.shares[b.index - 1]
-        d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=good))
-        d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share_s=good))
+        d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share=good))
+        d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share=good))
         events = d.step()
         assert (events[0].ok, events[0].result) == (True, "shares recorded")
         assert (events[1].ok, events[1].result) == (False, "no share accepted")

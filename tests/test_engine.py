@@ -322,7 +322,7 @@ def _snapshot(world, actor):
                {sid: s.state for sid, s in c.contract.sessions.items()})
               for c in (world.alpha, world.beta)]
     state = copy.deepcopy(actor.sessions if isinstance(actor, Party) else actor.stored)
-    return chains, state, len(world.net._heap), len(world.net.trace)
+    return chains, state, len(world.net.pending), len(world.net.trace)
 
 
 _RECEIPT = make_receipt(keypair_from_label("probe"), "c0", (), 1, "nobody", 1)
@@ -665,9 +665,9 @@ class TestMalformedMessages:
         result = ct.BINDINGS_PUBLISHED if type(detail) is ct.Bound else ct.SHARES_RECORDED
         world = _eie_world_mid_run()
         R = world.parties["R"]
-        queued = len(world.net._heap)
+        queued = len(world.net.pending)
         R.on_message(world.net, Message("chain_event", "alpha", "R", _event(result, detail=detail)))
-        assert len(world.net._heap) == queued and not R.rejected
+        assert len(world.net.pending) == queued and not R.rejected
         unrecovered = [] if type(detail) is ct.Bound else [("recovered-key-hash-mismatch", "alpha", "c0")]
         assert R.violations == unrecovered
 
@@ -751,7 +751,7 @@ class TestMalformedMessages:
                 world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
         for i in range(3):
             tx = ct.make_tx(outsider, "alpha", "zzz%d" % i, ct.OPEN_TX, ct.OpenPayload(10))
-            world.net.submit_tx("outsider", "alpha", tx)
+            world.net.send("tx", "outsider", "alpha", tx)
         world.net.run_until(lambda: world.net.now >= 6, max_tick=6)
         assert world.alpha.read_session("zzz2").state == ct.INIT
         for name in ("S", "R"):
@@ -774,7 +774,7 @@ def _pending_timers(world) -> list:
     """(actor name, data) of every wakeup world's network holds; each must
     be one hashable Timer for a session and a chain its actor serves."""
     out = []
-    for _tick, _seq, msg in world.net._heap:
+    for _lo, _seq, msg, _hi in world.net.pending:
         if msg.kind == "wakeup":
             assert type(msg.data) is Timer
             hash(msg.data)

@@ -9,12 +9,12 @@ from functools import partial
 
 import pytest
 
+from oracles import reference_mistyped
 from xchan import contract as ct
 from xchan import vss, wire
 from xchan.crypto import TINY_GROUP, keypair_from_label, verify
 from xchan.receipts import (FinalState, Receipt, SubChannelReceipt, make_final_state,
                             make_receipt, make_sub_receipt)
-from xchan.wire import mistyped
 
 A = keypair_from_label("memo:A")
 B = keypair_from_label("memo:B")
@@ -128,7 +128,7 @@ def test_honest_values_hold_their_declared_types():
     f = make_final_state(A, SID, (), {A.address: 3, B.address: 7})
     tx = ct.make_tx(A, "alpha", SID, ct.CLOSE_TX, ct.ClosePayload(f, (sr,), (tr,)))
     dealing = vss.share(5, 2, 3, random.Random(1), TINY_GROUP)
-    assert all(mistyped(v) is None for v in (tr, sr, f, tx) + dealing.shares)
+    assert all(reference_mistyped(v) is None for v in (tr, sr, f, tx) + dealing.shares)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def test_signed_copy_is_the_replaced_copy(unsigned, monkeypatch):
         with pytest.raises(TypeError):
             hash(expected)
     assert signed._sig_ok is None
-    assert signed.verify_sig() and mistyped(signed) is None
+    assert signed.verify_sig() and reference_mistyped(signed) is None
 
 
 def _count_checks(monkeypatch) -> list:
@@ -236,4 +236,4 @@ def test_mistyped_verdict_is_kept_and_copies_are_checked_anew():
         replace(sr, receipt=replace(good, seq=-1))
     with pytest.raises(TypeError, match="^mistyped SubChannelReceipt.receipt$"):
         replace(sr, receipt=sr)
-    assert mistyped(replace(sr, counterparty=B.address)) is None
+    assert reference_mistyped(replace(sr, counterparty=B.address)) is None

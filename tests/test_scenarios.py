@@ -387,6 +387,24 @@ class TestDeterminism:
         assert amounts(w1) != amounts(w2)
 
 
+class TestCloseBarrier:
+    @pytest.mark.parametrize("cfg, barrier", [
+        (ScenarioConfig(), 16),
+        (ScenarioConfig(receipts_n=10, levels=3, sub_funding=(30, 10), sub_receipts=(3, 2),
+                        latency={"kind": "uniform", "lo": 1, "hi": 3}), 66),
+        (ScenarioConfig(mode="EIE", receipts_n=7, levels=2, sub_funding=(20,), sub_receipts=(5,),
+                        latency={"kind": "fixed", "fixed": 2,
+                                 "overrides": [{"src": "S", "dst": "R", "kind": "fixed", "fixed": 40}]}), 43),
+        (ScenarioConfig(mode="FE", receipts_n=0, channels=3, latency={"kind": "uniform", "lo": 2, "hi": 4}), 21),
+    ], ids=["default", "levels3_uniform", "levels2_override", "fe_empty"])
+    def test_close_barrier_from_the_built_plans(self, cfg, barrier):
+        """The agreed close tick comes from the latency model and the plans
+        build_world made, overrides aside; the values are those the raw
+        config once gave."""
+        world = build_world(cfg)
+        assert {p.close_after_tick for p in world.parties.values()} == {barrier}
+
+
 class TestConfig:
     def test_timer_ordering_enforced(self):
         with pytest.raises(ConfigError) as err:

@@ -3,7 +3,9 @@ schedule enumerator's interleaving counts, and world forks."""
 
 import copy
 import dataclasses
+import functools
 import gc
+import heapq
 import json
 import math
 import random
@@ -198,7 +200,7 @@ class TestRunLoop:
             chain.create_account(kp.address, 1000)
             # stagger submissions so the events span several blocks
             for i in range(8):
-                net.submit_tx("ext", "alpha", make_tx(kp, "alpha", "x%d" % i, OPEN_TX, OpenPayload(1)))
+                net.send("tx", "ext", "alpha", make_tx(kp, "alpha", "x%d" % i, OPEN_TX, OpenPayload(1)))
                 net.run_until(max_tick=net.now + 3)
             net.run_until(max_tick=net.now + 20)
             assert len(watcher.blocks) >= 4
@@ -271,6 +273,20 @@ class TestChainActor:
         (reason,) = actor.rejected
         assert reason == ("tx: not of class OnChainTx" if kind == "tx" else kind + ": unknown kind")
 
+    def test_tx_for_another_chain_counted(self):
+        """A tx naming the other chain is dropped at dispatch, untraced, as
+        a party or a miner drops data for a chain it does not serve."""
+        net = Simnet()
+        c = chain.Chain("alpha", 3, chain.TimerConfig(6, 6, 10, 20))
+        net.add_chain(c)
+        kp = keypair_from_label("other-chain:S")
+        c.create_account(kp.address, 10)
+        actor = net.actors["alpha"]
+        tx = contract.make_tx(kp, "beta", "c0", contract.OPEN_TX, contract.OpenPayload(5))
+        actor.on_message(net, Message("tx", "S", "alpha", tx))
+        assert actor.rejected == {"tx: unknown chain": 1}
+        assert net.trace == [] and c.mempool == []
+
     @pytest.mark.parametrize("field", ["sender", "kind"])
     def test_unhashable_tx_field_rejected(self, field):
         """A transaction whose sender or kind is a list, which the chain
@@ -319,6 +335,59 @@ class TestChainActor:
         assert net.trace == [{"tick": 0, "kind": "submit", "chain_id": "alpha", "tx_kind": "Open",
                               "from": "S", "accepted": False, "why": "bad signature"}]
         assert scenario.trace_bytes(net.trace) == json.dumps(net.trace[0]).encode()
+
+
+class TestOneQueue:
+    """Both modes queue every message as a PendingMsg in one heap."""
+
+    def test_run_mode_delivers_in_lo_seq_order(self):
+        slow = LatencyModel(overrides=(("a", "sink", LatencyModel(fixed=3)),))
+        net = Simnet(seed=1, latency=slow)
+        rec = Recorder()
+        net.register("sink", rec)
+        net.send("ping", "a", "sink", {"i": 0})  # due at 3
+        net.send("ping", "b", "sink", {"i": 1})  # due at 1
+        net.wakeup("sink", 3, {"i": 2})
+        net.send("ping", "b", "sink", {"i": 3})  # due at 1
+        net.send("ping", "a", "sink", {"i": 4})  # due at 3, due past the run
+        assert net.pending[0] == min(net.pending)
+        assert sorted((p.lo, p.seq, p.hi) for p in net.pending) == [
+            (1, 2, 1), (1, 4, 1), (3, 1, 3), (3, 3, 3), (3, 5, 3)]
+        net.run_until(max_tick=2)
+        assert rec.got == [(1, "ping", 1), (1, "ping", 3)]
+        assert [e["kind"] for e in net.trace[-3:]] == ["undelivered"] * 3
+        net.run_until(max_tick=5)
+        assert rec.got[2:] == [(3, "ping", 0), (3, "wakeup", 2), (3, "ping", 4)]
+        assert net.pending == []
+
+    def test_enumerate_mode_queues_windows_in_the_same_heap(self):
+        net = Simnet(seed=1, latency=LatencyModel(kind="uniform", lo=2, hi=5), mode="enumerate")
+        net.send("ping", "a", "sink", {})
+        net.wakeup("sink", 1, {})
+        assert [(p.lo, p.seq, p.hi) for p in net.pending] == [(1, 2, 1), (2, 1, 5)]
+
+
+@functools.cache
+def _close_phase_outcomes(profile, assist):
+    return atomicity.enumerate_close_phase(profile, assist).outcomes
+
+
+class TestExploreFromARun:
+    @pytest.mark.parametrize("tick", (1, 4, 8, 13, 20))
+    @pytest.mark.parametrize("assist", (True, False))
+    @pytest.mark.parametrize("profile", atomicity.PROFILES)
+    def test_forked_run_explores_inside_the_close_phase(self, profile, assist, tick):
+        """A run paused at tick, forked and set to enumerate mode, is an
+        explorable world: its outcomes are among those of the whole close
+        phase, and so is the outcome of the run itself."""
+        net = atomicity.build_close_phase_world(profile, assist, 1, mode="run")
+        net.run_until(lambda: net.now >= tick, max_tick=tick)
+        w = net.fork()
+        w.mode = "enumerate"
+        got = enumerate_schedules(lambda: w, atomicity.outcome_of, horizon=atomicity.HORIZON)
+        assert got.outcomes and got.outcomes <= _close_phase_outcomes(profile, assist)
+        net.run_until(lambda: atomicity.outcome_of(net) is not None, max_tick=atomicity.HORIZON)
+        assert atomicity.outcome_of(net) in got.outcomes
 
 
 class TestEnumeration:
@@ -386,7 +455,7 @@ class TestEnumeration:
                 kp = keypair_from_label("boundary:" + name)
                 alpha.create_account(kp.address, 100)
                 tx = contract.make_tx(kp, "alpha", "c0", contract.OPEN_TX, contract.OpenPayload(10))
-                net.submit_tx(name, "alpha", tx)
+                net.send("tx", name, "alpha", tx)
             return net
 
         def state(net):
@@ -453,7 +522,7 @@ def _close_phase_world_with_history():
     """Close-phase world after S's lock lands in the first alpha block, so
     the trace and both chains have entries to share."""
     net = atomicity.build_close_phase_world("honest", True)
-    pm = net.pending.pop(0)
+    pm = heapq.heappop(net.pending)
     _advance_to(net, pm.lo)
     net._deliver(pm.msg)
     _advance_to(net, atomicity.ALPHA_INTERVAL)
@@ -562,12 +631,13 @@ def _allowed(net) -> set:
 
 
 def _shared_mutables(net, w) -> list:
-    """Mutable containers and unsealed xchan objects both worlds reach."""
+    """Mutable containers and unsealed xchan objects other than tuples (a
+    queued entry, its message) both worlds reach; tuples are walked into."""
     allowed = _allowed(net) | _allowed(w)
     mine, theirs = _reachable(net, allowed), _reachable(w, allowed)
     return [obj for i, obj in mine.items() if i in theirs and (
         isinstance(obj, _MUTABLE)
-        or (type(obj).__module__.startswith("xchan") and not _sealed(obj)))]
+        or (type(obj).__module__.startswith("xchan") and not _sealed(obj) and not isinstance(obj, tuple)))]
 
 
 # the classes whose __deepcopy__ names what a fork copies
