@@ -16,7 +16,7 @@ from .chain import Chain, TimerConfig
 from .contract import REFUNDED, SUCCESS, TERMINAL_STATES
 from .crypto import hash_bytes, keypair_from_label
 from .engine import BehaviorProfile, Miner, MinerBehavior, Party
-from .scenario import join_at_close
+from .scenario import start_at_close
 from .simnet import EnumResult, LatencyModel, Simnet, enumerate_schedules
 
 PROFILES = ("honest", "withhold_pre", "delay_r", "delay_s", "withhold_delay")
@@ -79,14 +79,9 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
     net.register("M", miner)
     alpha.register_miner(mkp.address)
 
-    # sessions already settled: alpha pays 60 S->R, beta pays 60 R->S
+    # sessions already settled on 100 + 100: alpha pays 60 S->R, beta pays 60 R->S
     S, R = parties["S"], parties["R"]
-    for chain, payer, payee in ((alpha, S, R), (beta, R, S)):
-        lose, gain = payer.address(chain.chain_id), payee.address(chain.chain_id)
-        deposits = {addr: 100 for addr in sorted((lose, gain))}
-        chain.contract.start_settled(chain, "c0", deposits, {gain: 160, lose: 40})
-
-    join_at_close(S, R, "c0", hash_bytes(b"atom-pre:%d" % seed))
+    start_at_close(alpha, beta, S, R, "c0", (100, 100), 60, hash_bytes(b"atom-pre:%d" % seed))
 
     # narrow event fan-out: only the deliveries the protocol needs
     net.subscribe(alpha, "R", kinds=("Lock",))

@@ -4,6 +4,9 @@
     xchan sweep --config scenario.json --channels 10:100:10
     xchan enumerate --config scenario.json --bound 12
 
+enumerate validates the whole config but reads only its seed and assist_enabled:
+the chains, windows, latency and adversary it explores are atomicity's profiles'.
+
 Exit code 0 means every invariant assertion held during the run; 2 means
 the config or an option cannot be run, with the reason on stderr.
 """
@@ -106,7 +109,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--channels", type=channel_counts, default="10:100:10", help="lo:hi:step")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_enum = sub.add_parser("enumerate", help="exhaustive close-phase schedules")
+    about = "every close-phase schedule of a CE profile; reads only seed and assist_enabled from --config"
+    p_enum = sub.add_parser("enumerate", help=about, description=about)
     p_enum.add_argument("--config", required=True)
     p_enum.add_argument("--bound", type=positive, default=12)
     p_enum.add_argument("--profile", default="honest", choices=PROFILES)

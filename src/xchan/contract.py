@@ -186,6 +186,15 @@ def make_tx(kp, chain_id, session_id, kind, payload) -> OnChainTx:
     return OnChainTx(chain_id, session_id, kp.address, kind, payload).signed_by(kp)
 
 
+def update_payload(pre: bytes, uploads: Mapping) -> tuple[str, Checked]:
+    """The one reveal rule, a party's and an assisting miner's: the (kind,
+    payload) revealing pre to a session with uploads (owner address -> Bound),
+    an UpdateEIE naming the lowest uploader's key hash if any, else an Update."""
+    if uploads:
+        return UPDATE_EIE_TX, UpdateEiePayload(pre=pre, h_k=uploads[min(uploads)].h_k)
+    return UPDATE_TX, UpdatePayload(pre=pre)
+
+
 # ---------------------------------------------------------------------------
 # Hierarchical settlement
 

@@ -596,12 +596,7 @@ class Party:
         self._submit(net, chain_id, session_id, ct.LOCK_TX, payload)
 
     def _submit_update(self, net, ps: PartySession, chain_id):
-        uploads = ps.sides[chain_id].uploads
-        if ps.mode == "EIE" and uploads:
-            payload = ct.UpdateEiePayload(pre=ps.pre, h_k=next(iter(uploads.values())).h_k)
-            self._submit(net, chain_id, ps.session_id, ct.UPDATE_EIE_TX, payload)
-        else:
-            self._submit(net, chain_id, ps.session_id, ct.UPDATE_TX, ct.UpdatePayload(pre=ps.pre))
+        self._submit(net, chain_id, ps.session_id, *ct.update_payload(ps.pre, ps.sides[chain_id].uploads))
 
     def _lock_if_due(self, net, ps: PartySession, side: ChainSide):
         """The one lock rule: once side's chain is in Close, lock it if it is this
@@ -845,14 +840,7 @@ class Miner:
         if session.assist_deadline is None or self.chain.now > session.assist_deadline:
             return  # no assist window on this chain, or it has passed
         self.assisted.add(session_id)
-        pre = self.learned_pre[session_id]
-        if session.uploads:
-            payload = ct.UpdateEiePayload(pre=pre, h_k=session.uploads[min(session.uploads)].h_k)
-            kind = ct.UPDATE_EIE_TX
-        else:
-            payload = ct.UpdatePayload(pre=pre)
-            kind = ct.UPDATE_TX
-        self._submit(net, session_id, kind, payload)
+        self._submit(net, session_id, *ct.update_payload(self.learned_pre[session_id], session.uploads))
 
     def _submit(self, net, session_id, kind, payload):
         tx = ct.make_tx(self.kp, self.chain.chain_id, session_id, kind, payload)

@@ -109,6 +109,10 @@ class ScenarioConfig:
             v.append("channels must be >= 1")
         if self.receipts_n < 0:
             v.append("receipts_n must be >= 0")
+        if self.receipt_size_bytes < 1:
+            v.append("receipt_size_bytes must be >= 1")
+        if self.funding >= 1 << 64:  # the U64 an Open transaction carries
+            v.append("funding must be below 2**64")
         if not 0 < self.amount_lo <= self.amount_hi:
             v.append("0 < amount_lo <= amount_hi violated")
         if self.levels < 1 or self.levels > 3:
@@ -221,12 +225,14 @@ def _behavior_for(config, name) -> BehaviorProfile:
 
 
 def build_world(config: ScenarioConfig) -> World:
+    """Chains, parties and miners for config, and the sessions its baseline
+    starts: channel pairs for cross_channel, hash-time-locked pairs settled
+    at Close for plain_htlc. Each session's first move is run_scenario's."""
     violations = config.validate()
     if violations:
         raise ConfigError(violations)
     group = DEFAULT_GROUP
-    latency = LatencyModel.from_config(config.latency)
-    net = Simnet(seed=config.seed, latency=latency)
+    net = Simnet(seed=config.seed, latency=LatencyModel.from_config(config.latency))
     timers_a = TimerConfig(
         appeal_window=config.appeal_window,
         close_window=config.close_window,
@@ -287,10 +293,20 @@ def build_world(config: ScenarioConfig) -> World:
                 # alpha miners watch beta for revealed preimages (assist)
                 net.subscribe(beta, mname, kinds=(ct.UPDATE_TX, ct.UPDATE_EIE_TX))
 
+    start = _htlc_sessions if config.baseline == "plain_htlc" else _channel_sessions
+    session_ids, expected = start(config, net, parties)
+    return World(config, net, alpha, beta, parties, miners, expected_receipts=expected, session_ids=session_ids)
+
+
+def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tuple[list, int]:
+    """One channel pair per channel, with its receipt plans, sub-channels,
+    exchanges and close timers; returns the session ids and receipts expected."""
+    group = DEFAULT_GROUP
     rng = random.Random("workload:%d" % config.seed)
     rate = _receipt_rate(config)
     session_ids = ["c%d" % i for i in range(config.channels)]
     expected = longest = 0
+    names = list(parties)
     S, R = parties["S"], parties["R"]
     # level i + 2's plan: fund level i + 3, if any, then pay sub_receipts[i] receipts of 1
     subs = [list(config.sub_funding[i + 1:i + 2]) + [1] * n for i, n in enumerate(config.sub_receipts)]
@@ -345,26 +361,47 @@ def build_world(config: ScenarioConfig) -> World:
                 buyer.backend = backend
                 buyer.expect_proof(chain_id, sid, seller.address(chain_id), vk)
 
-    barrier = _close_barrier(config, latency, longest, [len(sub) for sub in subs])
-    grace = barrier + 30
+    barrier = _close_barrier(config, net.latency, longest, [len(sub) for sub in subs])
     for p in parties.values():
         p.close_after_tick = barrier
     for sid in session_ids:
         for name in ("S", "R"):
             for chain_id in ("alpha", "beta"):
                 net.wakeup(name, barrier, Timer("try_close", chain_id, sid))
-                net.wakeup(name, grace, Timer("force_close", chain_id, sid))
+                net.wakeup(name, barrier + 30, Timer("force_close", chain_id, sid))
+    return session_ids, expected
 
-    return World(
-        config=config,
-        net=net,
-        alpha=alpha,
-        beta=beta,
-        parties=parties,
-        miners=miners,
-        expected_receipts=expected,
-        session_ids=session_ids,
-    )
+
+def _htlc_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tuple[list, int]:
+    """Baseline: one bare hash-time-locked pair per exchange, no channels,
+    settled at Close with S paying on alpha and R on beta. Every exchange
+    costs lock + update on each chain, and no receipt is expected."""
+    rng = random.Random("htlc:%d" % config.seed)
+    session_ids = ["h%d" % j for j in range(config.receipts_n)]
+    amounts = [rng.randint(config.amount_lo, config.amount_hi) for _ in session_ids]
+    if sum(amounts) > config.funding * config.channels:
+        raise ConfigError(["workload exceeds channel funding"])
+    for sid, amount in zip(session_ids, amounts):
+        start_at_close(*net.chains, parties["S"], parties["R"], sid, (amount, 0), amount,
+                       hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed)))
+    return session_ids, 0
+
+
+def start_at_close(alpha: Chain, beta: Chain, S: Party, R: Party, sid: str, deposits: tuple[int, int],
+                   paid: int, pre: bytes):
+    """The one settled start: session sid at Close on both chains (see
+    ChannelContract.start_settled), where each chain's payer (S on alpha, R
+    on beta) deposited deposits[0], its payee deposits[1], and the payer pays
+    paid. S holds pre and locks alpha first; R mirrors that lock on beta."""
+    for chain, payer, payee in ((alpha, S, R), (beta, R, S)):
+        lose, gain = payer.address(chain.chain_id), payee.address(chain.chain_id)
+        held = dict(sorted({lose: deposits[0], gain: deposits[1]}.items()))  # in address order
+        chain.contract.start_settled(chain, sid, held, {gain: deposits[1] + paid, lose: deposits[0] - paid})
+    S.join(sid, mode="CE", counterpart="R", lock_chain="alpha", holder=True, pre=pre, h_pre=hash_bytes(pre))
+    R.join(sid, mode="CE", counterpart="S", lock_chain="beta")
+    for p in (S, R):
+        for side in p.sessions[sid].sides.values():
+            side.state = ct.CLOSE
 
 
 def _all_terminal(world: World) -> bool:
@@ -412,51 +449,18 @@ def run_scenario(config: ScenarioConfig):
     """Execute one scenario end to end; returns (metrics, trace). The
     metrics' invariants hold when every session ended and every planned
     receipt arrived."""
-    if config.baseline == "plain_htlc":
-        world = _plain_htlc_world(config)
-    else:
-        world = build_world(config)
-        for sid in world.session_ids:
+    world = build_world(config)
+    for sid in world.session_ids:  # each session's first move
+        if config.baseline == "plain_htlc":
+            world.parties["S"].submit_lock(world.net, "alpha", sid)
+        else:
             for name in ("S", "R"):
-                p = world.parties[name]
                 for chain in (world.alpha, world.beta):
-                    p.submit_open(world.net, chain.chain_id, sid, config.funding)
+                    world.parties[name].submit_open(world.net, chain.chain_id, sid, config.funding)
     trace = world.net.run_until(lambda: _all_terminal(world), max_tick=config.max_ticks)
     metrics = collect_metrics(world)
     metrics.invariants_ok = _all_terminal(world) and metrics.receipts_processed == world.expected_receipts
     return metrics, trace
-
-
-def join_at_close(S, R, sid, pre):
-    """S and R take part in a CE session that starts at Close on both chains
-    (see ChannelContract.start_settled): S holds pre and locks alpha first,
-    and R mirrors that lock on beta."""
-    S.join(sid, mode="CE", counterpart="R", lock_chain="alpha", holder=True, pre=pre, h_pre=hash_bytes(pre))
-    R.join(sid, mode="CE", counterpart="S", lock_chain="beta")
-    for p in (S, R):
-        for side in p.sessions[sid].sides.values():
-            side.state = ct.CLOSE
-
-
-def _plain_htlc_world(config: ScenarioConfig) -> World:
-    """Baseline: one bare hash-time-locked session pair per exchange, no
-    channels, S's first lock submitted. Every exchange costs lock+update on
-    each chain. The world's channel plans never open, so no receipt is
-    expected."""
-    world = build_world(config)
-    S, R = world.parties["S"], world.parties["R"]
-    rng = random.Random("htlc:%d" % config.seed)
-    world.session_ids = ["h%d" % j for j in range(config.receipts_n)]
-    world.expected_receipts = 0
-    for sid in world.session_ids:
-        amount = rng.randint(config.amount_lo, config.amount_hi)
-        for chain, payer, payee in ((world.alpha, S, R), (world.beta, R, S)):
-            paid, got = payer.address(chain.chain_id), payee.address(chain.chain_id)
-            chain.contract.start_settled(chain, sid, {paid: amount, got: 0}, {got: amount, paid: 0})
-        join_at_close(S, R, sid, hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed)))
-    for sid in world.session_ids:
-        S.submit_lock(world.net, "alpha", sid)
-    return world
 
 
 @dataclass

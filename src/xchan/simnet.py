@@ -229,7 +229,7 @@ class Simnet:
         self.latency = latency or LatencyModel()
         self.seed = seed
         self.now = 0
-        self._produced = -1  # the last tick run_until produced blocks at
+        self._produced = 0  # the last tick whose blocks exist; tick 0 is no block boundary
         self.actors: dict[str, object] = {}
         self.chains: list = []
         self.trace: list[dict] = []
@@ -301,6 +301,14 @@ class Simnet:
         if actor is not None:
             actor.on_message(self, msg)
 
+    def advance(self, t: int):
+        """The one block clock, in either mode: produce each tick's blocks
+        after the last produced, up to t, at that tick; then set the time to t."""
+        for tick in range(self._produced + 1, t + 1):
+            self.now = tick
+            self._produce_blocks(tick)
+        self._produced = self.now = t
+
     def _produce_blocks(self, tick: int):
         for chain in self.chains:
             if chain.is_boundary(tick):
@@ -313,16 +321,12 @@ class Simnet:
     def run_until(self, predicate=None, max_tick: int = 10_000):
         """Advance ticks, producing blocks and delivering messages, until
         the predicate holds or max_tick is reached. Returns the trace;
-        anything still queued at the end is reported undelivered. A call
-        resumed after a predicate stop does not produce that tick's blocks
-        again."""
+        anything still queued at the end is reported undelivered."""
         if self.mode != "run":
             raise RuntimeError("run_until requires run mode")
         done = False
         while self.now <= max_tick and not done:
-            if self.now > self._produced:
-                self._produce_blocks(self.now)
-                self._produced = self.now
+            self.advance(self.now)
             while self.pending and self.pending[0].lo <= self.now:
                 self._deliver(heapq.heappop(self.pending).msg)
             if predicate is not None and predicate():
@@ -349,16 +353,10 @@ class EnumResult:
 
 
 def _next_boundary(net: Simnet):
+    """The first block boundary after the last tick whose blocks exist."""
     if not net.chains:
         return None
-    return min((net.now // c.block_interval + 1) * c.block_interval for c in net.chains)
-
-
-def _advance_to(net: Simnet, t: int):
-    for tick in range(net.now + 1, t + 1):
-        net.now = tick
-        net._produce_blocks(tick)
-    net.now = t
+    return min((net._produced // c.block_interval + 1) * c.block_interval for c in net.chains)
 
 
 def _choices(net: Simnet, horizon: int) -> list:
@@ -391,10 +389,10 @@ def _take(net: Simnet, choice: tuple):
         pm = next(p for p in net.pending if p.seq == seq)
         net.pending.remove(pm)
         heapq.heapify(net.pending)
-        _advance_to(net, max(net.now, t))
+        net.advance(t)
         net._deliver(pm.msg)
     else:
-        _advance_to(net, choice[1])
+        net.advance(choice[1])
 
 
 def _independent(a: tuple, b: tuple) -> bool:

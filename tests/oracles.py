@@ -182,13 +182,14 @@ def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=
     stats = {"schedules": 0, "nodes": 0}
 
     def next_boundary(net):
-        ticks = [(net.now // c.block_interval + 1) * c.block_interval for c in net.chains]
+        ticks = [(net._produced // c.block_interval + 1) * c.block_interval for c in net.chains]
         return min(ticks) if ticks else None
 
     def advance(net, t):
-        while net.now < t:
-            net.now += 1
+        while net._produced < t:
+            net.now = net._produced = net._produced + 1
             net._produce_blocks(net.now)
+        net.now = t
 
     def explore(net):
         stats["nodes"] += 1

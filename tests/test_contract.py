@@ -626,3 +626,15 @@ class TestPlainHtlcSessions:
         d.step_until((s1.assist_deadline or s1.lock_deadline) + d.chain.block_interval + 1)
         assert s1.state == ct.REFUNDED
         assert d.chain.balance(S.address) == 900 + 50
+
+
+class TestRevealRule:
+    """update_payload: how a party and an assisting miner both reveal."""
+
+    def test_no_upload_reveals_by_update(self):
+        assert ct.update_payload(b"p", {}) == (ct.UPDATE_TX, ct.UpdatePayload(pre=b"p"))
+
+    def test_two_uploads_name_the_lower_address_key(self):
+        uploads = {"bb": ct.Bound("bb", b"sn", (), 1, b"key-b"), "aa": ct.Bound("aa", b"sn", (), 1, b"key-a")}
+        want = ct.UpdateEiePayload(pre=b"p", h_k=b"key-a")
+        assert ct.update_payload(b"p", uploads) == (ct.UPDATE_EIE_TX, want)

@@ -368,6 +368,31 @@ class TestCloseStartWorld:
             assert chain.balance(paid) == chain.balance(got) == 900
 
 
+class TestHtlcWorld:
+    CFG = ScenarioConfig(mode="CE", receipts_n=10, seed=91, baseline="plain_htlc")
+
+    def test_world_holds_only_its_settled_sessions(self):
+        """The baseline's world starts only its h<j> pairs, at Close on both
+        sides, and sets no timer: each session's lock is run_scenario's."""
+        world = build_world(self.CFG)
+        ids = ["h%d" % j for j in range(10)]
+        assert (world.session_ids, world.expected_receipts) == (ids, 0)
+        for p in world.parties.values():
+            assert list(p.sessions) == ids
+            assert {side.state for ps in p.sessions.values() for side in ps.sides.values()} == {ct.CLOSE}
+        assert world.net.pending == []
+
+    def test_run_delivers_no_wakeup(self):
+        _, trace = run(self.CFG)
+        assert not [e for e in trace if e.get("kind") == "deliver" and e["msg"] == "wakeup"]
+
+    def test_workload_above_funding_is_a_config_error(self):
+        """Ten exchanges of 1..3 cannot all be escrowed from a funding of 10."""
+        with pytest.raises(ConfigError) as err:
+            run(replace(self.CFG, funding=10))
+        assert err.value.violations == ["workload exceeds channel funding"]
+
+
 class TestDeterminism:
     def test_same_seed_identical_traces(self):
         cfg = ScenarioConfig(mode="EIE", receipts_n=4, seed=21)
@@ -429,6 +454,21 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"no_such_option": 1})
+
+    # a receipt size below 1 divided by zero (0) or ran at rate 1 (negative);
+    # a funding of 2**64 or more cannot be carried by the Open transaction
+    @pytest.mark.parametrize("raw, violation", [
+        ({"receipt_size_bytes": 0}, "receipt_size_bytes must be >= 1"),
+        ({"receipt_size_bytes": -130, "mode": "EIE"}, "receipt_size_bytes must be >= 1"),
+        ({"funding": 1 << 64}, "funding must be below 2**64"),
+    ])
+    def test_out_of_range_sizes_rejected(self, raw, violation):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.violations == [violation]
+
+    def test_range_edges_accepted(self):
+        assert ScenarioConfig(receipt_size_bytes=1, funding=(1 << 64) - 1).validate() == []
 
     # a level-(i+2) channel spends its sub_receipts[i] receipts of 1 plus,
     # above the deepest level, the next level's sub_funding[i+1]

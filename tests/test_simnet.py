@@ -22,7 +22,6 @@ from xchan.simnet import (
     Message,
     Rng,
     Simnet,
-    _advance_to,
     enumerate_schedules,
 )
 
@@ -390,6 +389,33 @@ class TestExploreFromARun:
         assert atomicity.outcome_of(net) in got.outcomes
 
 
+    def test_max_tick_stop_explores_as_a_predicate_stop(self):
+        """A run stopped by max_tick=3 (time 4, tick 4's blocks not yet
+        produced) explores as one stopped by a predicate at tick 4 (its
+        blocks produced): taking the first choice each time, alpha's blocks
+        fall at ticks 4, 8, 12 and 16 after either, and the whole tree
+        reaches the close phase's outcomes."""
+        def paused(stop):
+            net = atomicity.build_close_phase_world("honest", True, 1, mode="run")
+            stop(net)
+            w = net.fork()
+            w.mode = "enumerate"
+            return w
+
+        def first_choice_block_ticks(w):
+            while atomicity.outcome_of(w) is None and (choices := simnet._choices(w, atomicity.HORIZON)):
+                simnet._take(w, choices[0])
+            return [b.tick for b in w.chains[0].blocks]
+
+        by_max_tick = paused(lambda net: net.run_until(max_tick=3))
+        by_predicate = paused(lambda net: net.run_until(lambda: net.now >= 4, max_tick=4))
+        assert by_max_tick.now == by_predicate.now == 4
+        assert first_choice_block_ticks(by_max_tick.fork()) == [4, 8, 12, 16]
+        assert first_choice_block_ticks(by_predicate) == [4, 8, 12, 16]
+        got = enumerate_schedules(lambda: by_max_tick, atomicity.outcome_of, horizon=atomicity.HORIZON)
+        assert got.outcomes == _close_phase_outcomes("honest", True)
+
+
 class TestEnumeration:
     def test_independent_messages_factorial(self):
         for k in (1, 2, 3, 4):
@@ -523,9 +549,9 @@ def _close_phase_world_with_history():
     the trace and both chains have entries to share."""
     net = atomicity.build_close_phase_world("honest", True)
     pm = heapq.heappop(net.pending)
-    _advance_to(net, pm.lo)
+    net.advance(pm.lo)
     net._deliver(pm.msg)
-    _advance_to(net, atomicity.ALPHA_INTERVAL)
+    net.advance(atomicity.ALPHA_INTERVAL)
     return net
 
 

@@ -28,7 +28,7 @@ PINS = [
     ("ce", ScenarioConfig(mode="CE", receipts_n=10, seed=91),
      "16b2097f8efe34d5b399b8ff8d420ed1914619bca6be65a64531bb66497b490c"),
     ("ce_htlc", ScenarioConfig(mode="CE", receipts_n=10, seed=91, baseline="plain_htlc"),
-     "c38501dcb318a997aaece660da62f3695c156616d5cf710c2a46499def3fedd4"),
+     "ea2f4708eddeace84aea73ec442b4fa3d88e43c74a17301728e1d1b66101e81b"),
     ("fe", ScenarioConfig(mode="FE", receipts_n=4, seed=92),
      "1d233a71b017eeada4793fdae549b0431060b319c25019d3069e8f887655ccdd"),
     ("eie", ScenarioConfig(mode="EIE", receipts_n=4, seed=93),
