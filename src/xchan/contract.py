@@ -10,7 +10,7 @@ upload, arbitrates share appeals, settles the hierarchical channel tree
 level by level when the close window expires, and finalizes with a
 hash-time lock: parties may reveal the preimage within the unlock
 window, miners within the assist window after it, and expiry refunds the
-original deposits.
+original deposits. ChannelContract.TIMED_EXITS lists every timed transition.
 
 Handlers are validate-then-apply: a failed transaction is included in
 its block but leaves session state untouched.
@@ -98,19 +98,6 @@ LOCK_TX = "Lock"
 UPDATE_TX = "Update"
 UPDATE_EIE_TX = "UpdateEIE"
 RECOVER_TX = "Recover"
-
-VALID_EDGES = {
-    (INIT, OPEN_CE),
-    (OPEN_CE, OPEN),
-    (OPEN_CE, CLOSE),
-    (OPEN, CLOSE),
-    (CLOSE, LOCK),
-    (LOCK, SUCCESS),
-    (LOCK, REFUNDED),
-    (OPEN_CE, TERMINATED),
-    (OPEN, TERMINATED),
-}
-
 
 class InvariantViolation(AssertionError):
     pass
@@ -374,6 +361,10 @@ class ContractSession:
     def is_terminal(self):
         return self.state in TERMINAL_STATES
 
+    @property
+    def refund_deadline(self):  # the end of the last reveal window
+        return self.lock_deadline if self.assist_deadline is None else self.assist_deadline
+
 
 class ChannelContract:
     """Executes transactions against sessions. The chain that runs it is
@@ -593,41 +584,52 @@ class ChannelContract:
         RECOVER_TX: (handle_recover, RecoverPayload),
     }
 
-    # -- block-boundary timers ------------------------------------------------
+    # -- timed exits ------------------------------------------------------------
 
     def process_timers(self, chain):
-        """Run at every block: expire windows, settle, refund. Returns the
-        (session_id, state entered) of each session a timer moved."""
+        """Run at every block: each session, in id order, takes in table order
+        each row of TIMED_EXITS that leaves its current state and whose
+        deadline has passed. Returns the (session_id, state entered) of each."""
         events = []
         now = chain.now
         for sid in sorted(self.sessions):
             s = self.sessions[sid]
-            if s.state == OPEN_CE and s.appeal_deadline is not None and now > s.appeal_deadline:
-                s.set_state(OPEN, now)
-                events.append((sid, OPEN))
-            if s.state in (OPEN_CE, OPEN) and s.close_deadline is not None and now > s.close_deadline:
-                result = settle_levels(
-                    sid,
-                    s.deposits,
-                    list(s.deposits),
-                    [(sender, p) for (sender, _path), p in sorted(s.collected_closes.items())],
-                )
-                if not result.ok:
-                    self._pay_out(s, s.deposits, chain)
-                    s.set_state(TERMINATED, now)
-                    events.append((sid, TERMINATED))
-                else:
-                    s.locked_allocations = result.allocations
-                    s.settle_cutoff = result.cutoff_level
-                    s.set_state(CLOSE, now)
-                    events.append((sid, CLOSE))
-            if s.state == LOCK:
-                deadline = s.assist_deadline if s.assist_deadline is not None else s.lock_deadline
-                if now > deadline:
-                    self._pay_out(s, s.deposits, chain)
-                    s.set_state(REFUNDED, now)
-                    events.append((sid, REFUNDED))
+            for frm, deadline, action, to in self.TIMED_EXITS:
+                due = getattr(s, deadline)
+                if s.state in frm and due is not None and now > due:
+                    state = to[0] if action is None else action(self, s, chain)
+                    s.set_state(state, now)
+                    events.append((sid, state))
         return events
+
+    def _settle(self, s, chain):  # the tree's allocations locked in, or the deposits back
+        result = settle_levels(
+            s.session_id,
+            s.deposits,
+            list(s.deposits),
+            [(sender, p) for (sender, _path), p in sorted(s.collected_closes.items())],
+        )
+        if not result.ok:
+            self._pay_out(s, s.deposits, chain)
+            return TERMINATED
+        s.locked_allocations = result.allocations
+        s.settle_cutoff = result.cutoff_level
+        return CLOSE
+
+    def _refund(self, s, chain):
+        self._pay_out(s, s.deposits, chain)
+        return REFUNDED
+
+    # Every timed transition, as (frm: the states it leaves, the session
+    # attribute holding its deadline, action: acts and returns the state
+    # entered, or None to enter the one state of to, to: the states it may
+    # enter). Tried in this order, so one block past the appeal and the close
+    # deadline chains Open_CE -> Open -> Close.
+    TIMED_EXITS = (
+        ((OPEN_CE,), "appeal_deadline", None, (OPEN,)),
+        ((OPEN_CE, OPEN), "close_deadline", _settle, (CLOSE, TERMINATED)),
+        ((LOCK,), "refund_deadline", _refund, (REFUNDED,)),
+    )
 
     # -- sessions that start settled ---------------------------------------------
 
@@ -645,3 +647,8 @@ class ChannelContract:
             session_id, CLOSE, deposits=dict(deposits),
             escrow=sum(deposits.values()), locked_allocations=dict(allocations))
         return s
+
+
+# the handlers' edges (open, appeal, lock, update) and the timed exits'
+VALID_EDGES = {(INIT, OPEN_CE), (OPEN_CE, TERMINATED), (OPEN, TERMINATED), (CLOSE, LOCK), (LOCK, SUCCESS)} | {
+    (a, b) for frm, _deadline, _action, to in ChannelContract.TIMED_EXITS for a in frm for b in to}

@@ -233,18 +233,9 @@ def build_world(config: ScenarioConfig) -> World:
         raise ConfigError(violations)
     group = DEFAULT_GROUP
     net = Simnet(seed=config.seed, latency=LatencyModel.from_config(config.latency))
-    timers_a = TimerConfig(
-        appeal_window=config.appeal_window,
-        close_window=config.close_window,
-        unlock_window=config.alpha_unlock,
-        assist_window=config.assist_window if config.assist_enabled else None,
-    )
-    timers_b = TimerConfig(
-        appeal_window=config.appeal_window,
-        close_window=config.close_window,
-        unlock_window=config.beta_unlock,
-        assist_window=None,
-    )
+    timers_a = TimerConfig(config.appeal_window, config.close_window, config.alpha_unlock,
+                           config.assist_window if config.assist_enabled else None)
+    timers_b = replace(timers_a, unlock_window=config.beta_unlock, assist_window=None)  # no assist on beta
     alpha = Chain("alpha", config.block_interval_alpha, timers_a, config.assist_reward_percent)
     beta = Chain("beta", config.block_interval_beta, timers_b, config.assist_reward_percent)
     net.add_chain(alpha)
@@ -410,11 +401,12 @@ def _all_terminal(world: World) -> bool:
             s = chain.contract.sessions.get(sid)
             if s is None or not s.is_terminal():
                 return False
-    # a successful chain owes its payee the counterpart's plaintext: always
-    # on alpha in FE, and in EIE wherever a key recovery was requested
+    # a successful channel session owes its payee the counterpart's plaintext:
+    # always on alpha in FE, and in EIE wherever a key recovery was requested;
+    # the plain-HTLC baseline's sessions set up no exchange
     fe = world.config.mode == "FE"
     payees = {"FE": ((world.alpha, "R"),), "EIE": ((world.alpha, "R"), (world.beta, "S"))}
-    for chain, name in payees.get(world.config.mode, ()):
+    for chain, name in payees.get(world.config.mode, ()) if world.config.baseline != "plain_htlc" else ():
         for sid in world.session_ids:
             s = chain.contract.sessions.get(sid)
             if s is not None and s.state == ct.SUCCESS and (fe or s.recovery_requested):

@@ -51,6 +51,14 @@ def test_run_seed_override_changes_nothing_structural(config_path, capsys):
     assert out["invariants_ok"]
 
 
+def test_fe_plain_htlc_run_exits_0(tmp_path, capsys):
+    p = tmp_path / "fe_htlc.json"
+    p.write_text(json.dumps({"mode": "FE", "baseline": "plain_htlc", "receipts_n": 3}))
+    assert main(["run", "--config", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["invariants_ok"] and set(out["outcomes"].values()) == {"Success"}
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"alpha_unlock": 10, "beta_unlock": 10}))

@@ -579,6 +579,82 @@ class TestStateMachineAudit:
             s.set_state(ct.LOCK, 0)
 
 
+def timer_results(events):
+    return [e.result for e in events if e.tx_kind == "Timer"]
+
+
+class TestTimedExits:
+    """ChannelContract.TIMED_EXITS: each timed transition is one row, driven
+    here once, and VALID_EDGES is derived from the rows and the handlers."""
+
+    @staticmethod
+    def row(deadline):
+        (row,) = [r for r in ct.ChannelContract.TIMED_EXITS if r[1] == deadline]
+        return row
+
+    def assert_exit(self, deadline, before, events, entered):
+        frm, _deadline, _action, to = self.row(deadline)
+        assert before in frm and entered in to
+        assert timer_results(events) == [entered]
+
+    def test_valid_edges_are_the_state_machine_edges(self):
+        assert ct.VALID_EDGES == {
+            (ct.INIT, ct.OPEN_CE), (ct.OPEN_CE, ct.OPEN), (ct.OPEN_CE, ct.CLOSE), (ct.OPEN, ct.CLOSE),
+            (ct.CLOSE, ct.LOCK), (ct.LOCK, ct.SUCCESS), (ct.LOCK, ct.REFUNDED),
+            (ct.OPEN_CE, ct.TERMINATED), (ct.OPEN, ct.TERMINATED),
+        }
+
+    def test_appeal_window_expiry_opens(self):
+        d = Driver(miners=5)
+        s = open_channel(d)
+        d.submit(S, "c0", ct.UPLOAD_TX, make_upload()[2])
+        d.step()
+        events = d.step_until(s.appeal_deadline + 1)
+        self.assert_exit("appeal_deadline", ct.OPEN_CE, events, ct.OPEN)
+
+    def test_close_window_expiry_settles(self):
+        d = Driver()
+        s = open_channel(d)
+        for kp in (S, R):
+            f = make_final_state(kp, "c0", (), {})
+            d.submit(kp, "c0", ct.CLOSE_TX, ct.ClosePayload(final=f, srs=(), trs=()))
+        d.step()
+        events = d.step_until(s.close_deadline + 1)
+        self.assert_exit("close_deadline", ct.OPEN_CE, events, ct.CLOSE)
+        assert s.locked_allocations == {S.address: 100, R.address: 100}
+
+    @pytest.mark.parametrize("assist", [20, None])
+    def test_lock_expiry_refunds(self, assist):
+        d, s, _pre = TestLockUpdate().locked_driver(assist=assist)
+        deadline = s.lock_deadline if assist is None else s.assist_deadline
+        assert timer_results(d.step_until(deadline)) == []
+        self.assert_exit("refund_deadline", ct.LOCK, d.step_until(deadline + 1), ct.REFUNDED)
+        assert (d.chain.balance(S.address), d.chain.balance(R.address)) == (1000, 1000)
+
+    def test_appeal_and_close_expiring_in_one_block_chain(self):
+        """Rows run in table order: a block past both deadlines opens the
+        session and then settles it, Open_CE -> Open -> Close."""
+        d = Driver(miners=5)
+        s = open_channel(d)
+        assert d.tick == 2
+        for kp, seed in ((S, 5), (R, 6)):
+            d.submit(kp, "c0", ct.UPLOAD_TX, make_upload(seed=seed)[2])
+            f = make_final_state(kp, "c0", (), {})
+            d.submit(kp, "c0", ct.CLOSE_TX, ct.ClosePayload(final=f, srs=(), trs=()))
+        d.step()
+        assert s.appeal_deadline == s.close_deadline == 10
+        assert timer_results(d.step_until(10)) == []
+        events = d.step()
+        assert d.tick == 12
+        assert [(e.tx_kind, e.result) for e in events] == [("Timer", ct.OPEN), ("Timer", ct.CLOSE)]
+        assert s.transitions[-2:] == [(ct.OPEN_CE, ct.OPEN, 12), (ct.OPEN, ct.CLOSE, 12)]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: INIT and CLOSE have no timed exit")
+    def test_every_waiting_state_has_a_timed_exit(self):
+        left = {state for frm, _deadline, _action, _to in ct.ChannelContract.TIMED_EXITS for state in frm}
+        assert ct.STATES - set(ct.TERMINAL_STATES) <= left
+
+
 class TestSettledStart:
     """A session that starts at Close: deposits escrowed, allocations locked."""
 
@@ -622,8 +698,11 @@ class TestPlainHtlcSessions:
         d.submit(S, "h1", ct.LOCK_TX, ct.LockPayload(h_pre=hash_bytes(pre)))
         d.step()
         s1 = c.sessions["h1"]
-        d.step_until(s1.lock_deadline + s1.assist_deadline or 0)
-        d.step_until((s1.assist_deadline or s1.lock_deadline) + d.chain.block_interval + 1)
+        # the last block at or before the refund deadline leaves the lock; the next refunds
+        last = s1.assist_deadline // d.chain.block_interval * d.chain.block_interval
+        d.step_until(last)
+        assert (d.tick, s1.state) == (last, ct.LOCK)
+        d.step()
         assert s1.state == ct.REFUNDED
         assert d.chain.balance(S.address) == 900 + 50
 

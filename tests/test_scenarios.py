@@ -386,6 +386,16 @@ class TestHtlcWorld:
         _, trace = run(self.CFG)
         assert not [e for e in trace if e.get("kind") == "deliver" and e["msg"] == "wakeup"]
 
+    @pytest.mark.parametrize("mode", ["FE", "EIE"])
+    def test_exchange_modes_end_once_every_session_is_terminal(self, mode):
+        """A settled HTLC session sets up no exchange, so no payee waits for
+        a plaintext: the run stops when every session is terminal."""
+        cfg = ScenarioConfig(mode=mode, baseline="plain_htlc", receipts_n=3)
+        metrics, _ = run(cfg)
+        assert set(metrics.outcomes.values()) == {ct.SUCCESS}
+        assert metrics.invariants_ok
+        assert metrics.ticks_elapsed < cfg.max_ticks // 10
+
     def test_workload_above_funding_is_a_config_error(self):
         """Ten exchanges of 1..3 cannot all be escrowed from a funding of 10."""
         with pytest.raises(ConfigError) as err:
