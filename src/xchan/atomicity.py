@@ -2,7 +2,8 @@
 
 Builds a minimal two-chain world whose sessions are already settled and
 waiting to lock, then enumerates every delivery interleaving of the
-lock/update message flow under a chosen adversary profile. The profiles
+lock/update message flow under a chosen adversary profile. The profiles,
+one table of latency and adversary in the scenario file's form,
 constrain delivery windows (targeted delays) or drop the preimage
 reveal entirely; everything else runs the real contract and actor code.
 
@@ -15,11 +16,9 @@ from __future__ import annotations
 from .chain import Chain, TimerConfig
 from .contract import REFUNDED, SUCCESS, TERMINAL_STATES
 from .crypto import hash_bytes, keypair_from_label
-from .engine import BehaviorProfile, Miner, MinerBehavior, Party
-from .scenario import start_at_close
+from .engine import Miner, MinerBehavior, Party
+from .scenario import behavior_for, start_at_close
 from .simnet import EnumResult, LatencyModel, Simnet, enumerate_schedules
-
-PROFILES = ("honest", "withhold_pre", "delay_r", "delay_s", "withhold_delay")
 
 # windows sized so every deadline is a small number of block boundaries
 ALPHA_INTERVAL = 4
@@ -29,18 +28,23 @@ ALPHA_ASSIST = 24
 BETA_UNLOCK = 8
 HORIZON = 64
 
+# R's unlock transaction toward alpha lands only after the party window there is long gone
+R_LATE = {"src": "R", "dst": "alpha", "kind": "uniform", "lo": 28, "hi": 34}
+# S's reveal toward beta misses the beta unlock window
+S_LATE = {"src": "S", "dst": "beta", "kind": "uniform", "lo": 14, "hi": 18}
+WITHHOLD = {"S": ["withhold_pre"]}
 
-def _latency_for(profile: str) -> LatencyModel:
-    base = LatencyModel(kind="uniform", lo=1, hi=2)
-    overrides = []
-    if profile in ("delay_r", "withhold_delay"):
-        # R's unlock transaction toward alpha lands only after the party
-        # window there is long gone
-        overrides.append(("R", "alpha", LatencyModel(kind="uniform", lo=28, hi=34)))
-    if profile == "delay_s":
-        # S's reveal toward beta misses the beta unlock window
-        overrides.append(("S", "beta", LatencyModel(kind="uniform", lo=14, hi=18)))
-    return LatencyModel(kind="uniform", lo=base.lo, hi=base.hi, overrides=tuple(overrides))
+# name -> (latency, adversary), each in the scenario file's form, the latency parsed once
+PROFILES = {
+    name: (LatencyModel.from_config({"kind": "uniform", "lo": 1, "hi": 2, "overrides": overrides}), adversary)
+    for name, overrides, adversary in (
+        ("honest", [], {}),
+        ("withhold_pre", [], WITHHOLD),
+        ("delay_r", [R_LATE], {}),
+        ("delay_s", [S_LATE], {}),
+        ("withhold_delay", [R_LATE], WITHHOLD),
+    )
+}
 
 
 def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
@@ -49,7 +53,8 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
     pending; S's lock submission is already in flight."""
     if profile not in PROFILES:
         raise ValueError("unknown profile %r" % profile)
-    net = Simnet(seed=seed, latency=_latency_for(profile), mode=mode)
+    latency, adversary = PROFILES[profile]
+    net = Simnet(seed=seed, latency=latency, mode=mode)
     alpha = Chain(
         "alpha",
         ALPHA_INTERVAL,
@@ -66,8 +71,7 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
             c.chain_id: keypair_from_label("%s:atom:%d:%s" % (name, seed, c.chain_id))
             for c in (alpha, beta)
         }
-        behavior = BehaviorProfile(withhold_pre=(name == "S" and profile in ("withhold_pre", "withhold_delay")))
-        p = Party(name, keys, behavior=behavior, directory=directory, seed=seed)
+        p = Party(name, keys, behavior=behavior_for(adversary, name), directory=directory, seed=seed)
         parties[name] = p
         net.register(name, p)
         for c in (alpha, beta):

@@ -31,16 +31,6 @@ class TimerConfig(Shared):
     assist_window: int | None = None  # miners may reveal after unlock until this
 
 
-@dataclass(frozen=True)
-class Block(Shared):
-    """A produced block, sealed once its hash is known."""
-
-    height: int
-    tick: int
-    prev_hash: bytes
-    hash: bytes
-
-
 @declared
 class ChainEvent(Checked):
     """What one transaction or timer did in a block: ``result`` is the state
@@ -88,7 +78,7 @@ class Chain:
         self.accounts: dict[str, int] = {}
         self.miners: list[str] = []
         self.mempool: list[OnChainTx] = []
-        self.blocks: list[Block] = []
+        self.blocks: list[bytes] = []  # each block's hash, in height order
         self.contract = ChannelContract()
         self.committed: Counter = Counter()  # tx kind -> transactions executed without failing
         # (actor name, event kinds or None for all), in event fan-out order
@@ -146,7 +136,7 @@ class Chain:
         return True, "queued"
 
     def prev_block_hash(self) -> bytes:
-        return self.blocks[-1].hash if self.blocks else GENESIS_HASH
+        return self.blocks[-1] if self.blocks else GENESIS_HASH
 
     def is_boundary(self, tick: int) -> bool:
         return tick > 0 and tick % self.block_interval == 0
@@ -177,7 +167,7 @@ class Chain:
             + enc_bytes(prev_hash)
             + b"".join(body)
         )
-        self.blocks.append(Block(height, tick, prev_hash, block_hash))
+        self.blocks.append(block_hash)
         if self.total_value() != before:
             raise InvariantViolation(
                 "conservation broken on %s at tick %d" % (self.chain_id, tick)

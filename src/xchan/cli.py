@@ -2,13 +2,11 @@
 
     xchan run --config scenario.json [--seed N] [--trace out.jsonl] [--metrics out.json]
     xchan sweep --config scenario.json --channels 10:100:10
-    xchan enumerate --config scenario.json --bound 12
+    xchan enumerate [--profile P] [--seed N] [--no-assist] [--bound 12]
 
-enumerate validates the whole config but reads only its seed and assist_enabled:
-the chains, windows, latency and adversary it explores are atomicity's profiles'.
-
-Exit code 0 means every invariant assertion held during the run; 2 means
-the config or an option cannot be run, with the reason on stderr.
+Exit code 0 means every invariant assertion held during the run, or every
+enumerated outcome is atomic; 2 means the config or an option cannot be
+run, with the reason on stderr.
 """
 
 from __future__ import annotations
@@ -73,20 +71,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    config = ScenarioConfig.from_json(args.config)
     try:
-        result = enumerate_close_phase(
-            profile=args.profile,
-            assist_enabled=config.assist_enabled,
-            seed=config.seed,
-            bound=args.bound,
-        )
+        result = enumerate_close_phase(args.profile, args.assist, args.seed, args.bound)
     except BoundExceeded as e:
         print("enumerate: %s" % e, file=sys.stderr)
         return 2
     print(json.dumps({
         "profile": args.profile,
-        "assist_enabled": config.assist_enabled,
+        "assist_enabled": args.assist,
         "outcomes": sorted(",".join(o) for o in result.outcomes),
         "schedules": result.schedules,
     }, indent=2))
@@ -109,11 +101,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--channels", type=channel_counts, default="10:100:10", help="lo:hi:step")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    about = "every close-phase schedule of a CE profile; reads only seed and assist_enabled from --config"
-    p_enum = sub.add_parser("enumerate", help=about, description=about)
-    p_enum.add_argument("--config", required=True)
-    p_enum.add_argument("--bound", type=positive, default=12)
+    p_enum = sub.add_parser("enumerate", help="every close-phase schedule of a CE profile")
     p_enum.add_argument("--profile", default="honest", choices=PROFILES)
+    p_enum.add_argument("--seed", type=int, default=1)
+    p_enum.add_argument("--no-assist", dest="assist", action="store_false", help="no miner assist on alpha")
+    p_enum.add_argument("--bound", type=positive, default=12)
     p_enum.set_defaults(func=cmd_enumerate)
 
     args = parser.parse_args(argv)

@@ -60,7 +60,6 @@ class ScenarioConfig:
     vss_t: int = 2
     vss_n: int = 3
     byzantine_ell: int = 1
-    n_node: int = 4  # miners per chain
     byzantine_miners: int = 0  # miners that withhold recovery shares
     levels: int = 1  # alpha-side channel tree depth
     sub_funding: tuple[int, ...] = ()
@@ -76,6 +75,11 @@ class ScenarioConfig:
             self.sub_funding = tuple(self.sub_funding)
         if isinstance(self.sub_receipts, list):
             self.sub_receipts = tuple(self.sub_receipts)
+
+    @property
+    def n_node(self) -> int:
+        """Miners per chain, 3 * ell + 1."""
+        return 3 * self.byzantine_ell + 1
 
     def validate(self) -> list[str]:
         v = ["%s must be of type %s" % (name, ScenarioConfig.__annotations__[name])
@@ -94,8 +98,6 @@ class ScenarioConfig:
             v.append("t > ell violated (%d <= %d)" % (self.vss_t, self.byzantine_ell))
         if not self.vss_n >= self.vss_t + self.byzantine_ell:
             v.append("n >= t + ell violated (%d < %d + %d)" % (self.vss_n, self.vss_t, self.byzantine_ell))
-        if not self.n_node == 3 * self.byzantine_ell + 1:
-            v.append("n_node = 3*ell + 1 violated (%d != %d)" % (self.n_node, 3 * self.byzantine_ell + 1))
         if not 1 <= self.vss_t <= self.vss_n:
             v.append("1 <= t <= n violated")
         if not self.vss_n <= self.n_node:
@@ -219,9 +221,9 @@ def _party_names(config: ScenarioConfig) -> list[str]:
     return ["S", "R"] + (["D"] if config.levels >= 2 else []) + (["Q"] if config.levels >= 3 else [])
 
 
-def _behavior_for(config, name) -> BehaviorProfile:
-    flags = {f: True for f in config.adversary.get(name, ())}
-    return BehaviorProfile(**flags)
+def behavior_for(adversary: dict, name: str) -> BehaviorProfile:
+    """Party name's behavior under an adversary mapping {party: [flag, ...]}."""
+    return BehaviorProfile(**{f: True for f in adversary.get(name, ())})
 
 
 def build_world(config: ScenarioConfig) -> World:
@@ -252,7 +254,7 @@ def build_world(config: ScenarioConfig) -> World:
         p = Party(
             name,
             keys,
-            behavior=_behavior_for(config, name),
+            behavior=behavior_for(config.adversary, name),
             directory=directory,
             seed=config.seed,
             group=group,
@@ -415,6 +417,12 @@ def _all_terminal(world: World) -> bool:
     return True
 
 
+def _split(world: World) -> bool:
+    """Whether a session ended in different states on the two chains."""
+    return any(world.alpha.contract.sessions[sid].state != world.beta.contract.sessions[sid].state
+               for sid in world.session_ids)
+
+
 def collect_metrics(world: World) -> RunMetrics:
     receipts = sum(
         count
@@ -440,7 +448,8 @@ def collect_metrics(world: World) -> RunMetrics:
 def run_scenario(config: ScenarioConfig):
     """Execute one scenario end to end; returns (metrics, trace). The
     metrics' invariants hold when every session ended and every planned
-    receipt arrived."""
+    receipt arrived, and, when no party carries an adversary flag, each
+    session ended in the same state on both chains."""
     world = build_world(config)
     for sid in world.session_ids:  # each session's first move
         if config.baseline == "plain_htlc":
@@ -451,7 +460,9 @@ def run_scenario(config: ScenarioConfig):
                     world.parties[name].submit_open(world.net, chain.chain_id, sid, config.funding)
     trace = world.net.run_until(lambda: _all_terminal(world), max_tick=config.max_ticks)
     metrics = collect_metrics(world)
-    metrics.invariants_ok = _all_terminal(world) and metrics.receipts_processed == world.expected_receipts
+    honest = not any(config.adversary.values())
+    metrics.invariants_ok = (_all_terminal(world) and metrics.receipts_processed == world.expected_receipts
+                             and not (honest and _split(world)))
     return metrics, trace
 
 

@@ -39,6 +39,9 @@ from .forking import Shared, copier
 from .wire import plan
 
 
+MAX_SCHEDULES = 500_000  # an enumeration that passes this many schedules is abandoned
+
+
 class BoundExceeded(RuntimeError):
     pass
 
@@ -401,8 +404,7 @@ def _independent(a: tuple, b: tuple) -> bool:
     return a[0] == b[0] == "deliver" and a[2] == b[2] and a[3] != b[3]
 
 
-def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12,
-                        horizon: int = 400, max_schedules: int = 500_000) -> EnumResult:
+def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12, horizon: int = 400) -> EnumResult:
     """Explore every delivery interleaving of a bounded scenario, up to the
     order of deliveries that commute.
 
@@ -438,8 +440,8 @@ def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12,
 
     def explore(net: Simnet, asleep: list):
         stats["nodes"] += 1
-        if stats["schedules"] > max_schedules:
-            raise BoundExceeded("schedule count exceeds %d" % max_schedules)
+        if stats["schedules"] > MAX_SCHEDULES:
+            raise BoundExceeded("schedule count exceeds %d" % MAX_SCHEDULES)
         if len(net.pending) > bound:
             raise BoundExceeded(
                 "%d messages in flight exceeds bound %d" % (len(net.pending), bound)

@@ -263,7 +263,7 @@ def test_criterion_7_appeal_paths():
 
     # stale serial replay: rejected, sessions proceed to success
     cfg2 = ScenarioConfig(mode="EIE", receipts_n=2, seed=78, channels=2,
-                          vss_t=2, vss_n=4, byzantine_ell=1, n_node=4)
+                          vss_t=2, vss_n=4, byzantine_ell=1)
     world2 = build_world(cfg2)
     replayer = next(m for m in world2.miners if m.chain is world2.alpha)
     replayer.behavior.stale_sn_replay = True

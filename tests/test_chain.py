@@ -148,7 +148,7 @@ class TestBlocks:
             c.submit_tx(open_tx(R))
             c.produce_block(3)
             c.produce_block(6)
-            return [b.hash for b in c.blocks]
+            return list(c.blocks)
 
         assert run() == run()
         # the canonical block encoding is pinned byte for byte
@@ -175,7 +175,7 @@ class TestBlocks:
         assert c.balance(S.address) == 500
         empty = new_chain()
         empty.produce_block(3)
-        assert c.blocks[-1].hash != empty.blocks[-1].hash  # the block holds the tx
+        assert c.blocks[-1] != empty.blocks[-1]  # the block holds the tx
 
 
     def test_committed_counts_transactions_that_did_not_fail(self):

@@ -85,22 +85,37 @@ def test_sweep_prints_fit(config_path, capsys):
     assert "receipts_per_tick" in out and "fit:" in out
 
 
-def test_enumerate_honest_profile(config_path, capsys):
-    rc = main(["enumerate", "--config", config_path, "--profile", "honest", "--bound", "12"])
+def test_enumerate_honest_profile(capsys):
+    rc = main(["enumerate", "--seed", "2", "--profile", "honest", "--bound", "12"])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["outcomes"] == ["Success,Success"]
+    assert data == {"profile": "honest", "assist_enabled": True, "outcomes": ["Success,Success"], "schedules": 2}
 
 
-def test_enumerate_detects_split_without_assist(tmp_path, capsys):
-    p = tmp_path / "noassist.json"
-    cfg = dict(CONFIG)
-    cfg["assist_enabled"] = False
-    p.write_text(json.dumps(cfg))
-    rc = main(["enumerate", "--config", str(p), "--profile", "delay_r"])
+def test_enumerate_detects_split_without_assist(capsys):
+    rc = main(["enumerate", "--seed", "2", "--no-assist", "--profile", "delay_r"])
     assert rc == 1  # the split outcome is an atomicity violation
     data = json.loads(capsys.readouterr().out)
-    assert "Refunded,Success" in data["outcomes"]
+    assert data["assist_enabled"] is False and data["outcomes"] == ["Refunded,Success"]
+
+
+def test_enumerate_takes_no_config_file(config_path, capsys):
+    """enumerate explores atomicity's profiles, not a scenario file."""
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--config", config_path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_run_exits_1_on_an_honest_split(tmp_path, capsys):
+    """R sees beta's events 68 ticks late: alpha refunds while beta pays.
+    No party is adversarial, so the split breaks the run's invariants."""
+    p = tmp_path / "slow_link.json"
+    p.write_text(json.dumps({"mode": "CE", "seed": 327, "receipts_n": 2, "latency": {
+        "kind": "fixed", "fixed": 2, "overrides": [{"src": "beta", "dst": "R", "fixed": 68}]}}))
+    assert main(["run", "--config", str(p)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["outcomes"] == {"alpha:c0": "Refunded", "beta:c0": "Success"} and not out["invariants_ok"]
 
 
 @pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe"], ids=["missing", "not-json", "not-utf8"])
@@ -159,15 +174,15 @@ def test_config_that_crashed_a_run_exits_2(tmp_path, capsys, raw, error):
 
 
 @pytest.mark.parametrize("bound", ["0", "-1", "x"])
-def test_enumerate_bad_bound_exits_2(config_path, capsys, bound):
+def test_enumerate_bad_bound_exits_2(capsys, bound):
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--config", config_path, "--bound=" + bound])
+        main(["enumerate", "--bound=" + bound])
     assert exc.value.code == 2
     assert "argument --bound: " in capsys.readouterr().err
 
 
-def test_enumerate_bound_exceeded_exits_2(config_path, capsys):
+def test_enumerate_bound_exceeded_exits_2(capsys):
     """delay_r has two messages in flight at once, more than a bound of 1."""
-    rc = main(["enumerate", "--config", config_path, "--bound", "1", "--profile", "delay_r"])
+    rc = main(["enumerate", "--seed", "2", "--bound", "1", "--profile", "delay_r"])
     assert rc == 2
     assert capsys.readouterr().err == "enumerate: 2 messages in flight exceeds bound 1\n"

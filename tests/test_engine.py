@@ -701,7 +701,7 @@ class TestMalformedMessages:
         """In an EIE run with share recovery, every ok chain event's detail
         is the record its result declares, or None for any other result."""
         cfg = ScenarioConfig(mode="EIE", receipts_n=2, seed=15, vss_t=2, vss_n=3, byzantine_ell=1,
-                             n_node=4, byzantine_miners=1)
+                             byzantine_miners=1)
         world = build_world(cfg)
         events = []
         for chain in (world.alpha, world.beta):

@@ -9,7 +9,7 @@ import pytest
 
 from xchan import contract as ct
 from xchan import receipts, vss
-from xchan.atomicity import PROFILES, build_close_phase_world, outcome_of
+from xchan.atomicity import PROFILES, build_close_phase_world, enumerate_close_phase, outcome_of
 from xchan.crypto import hash_blocks
 from xchan.scenario import (
     ConfigError,
@@ -274,7 +274,7 @@ class TestFairExchange:
     def test_byzantine_withholders_cannot_block_recovery(self):
         # one withholding miner per chain; n >= t + ell keeps recovery alive
         cfg = ScenarioConfig(mode="EIE", receipts_n=2, seed=15,
-                             vss_t=2, vss_n=3, byzantine_ell=1, n_node=4,
+                             vss_t=2, vss_n=3, byzantine_ell=1,
                              byzantine_miners=1)
         world = build_world(cfg)
         for name in ("S", "R"):
@@ -289,7 +289,7 @@ class TestFairExchange:
 
     def test_stale_serial_replay_rejected_sessions_proceed(self):
         cfg = ScenarioConfig(mode="EIE", receipts_n=2, seed=13, channels=2,
-                             vss_t=2, vss_n=4, byzantine_ell=1, n_node=4)
+                             vss_t=2, vss_n=4, byzantine_ell=1)
         world = build_world(cfg)
         # one alpha miner replays previously-stored shares into new sessions
         replayer = next(m for m in world.miners if m.chain is world.alpha)
@@ -366,6 +366,54 @@ class TestCloseStartWorld:
             assert list(s.deposits) == sorted((paid, got))
             assert s.locked_allocations == {got: 160, paid: 40}
             assert chain.balance(paid) == chain.balance(got) == 900
+
+
+class TestProfiles:
+    # (nodes, schedules) of each profile's enumeration at seed 1, assist on and off
+    COUNTS = {
+        "honest": ((17, 2), (17, 2)),
+        "withhold_pre": ((13, 1), (10, 1)),
+        "delay_r": ((16, 1), (14, 1)),
+        "delay_s": ((24, 2), (10, 1)),
+        "withhold_delay": ((13, 1), (10, 1)),
+    }
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_explorer_counts(self, profile):
+        """Each profile's latency and adversary fix the tree the explorer walks."""
+        got = tuple((r.nodes, r.schedules) for r in (enumerate_close_phase(profile, assist, seed=1)
+                                                     for assist in (True, False)))
+        assert got == self.COUNTS[profile]
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_adversary_in_config_form(self, profile):
+        _latency, adversary = PROFILES[profile]
+        assert ScenarioConfig(adversary=adversary).validate() == []
+
+
+def _one_slow_link(mode, seed, receipts_n, fixed, slow):
+    """Honest parties; every link takes fixed ticks but beta -> R, which takes slow."""
+    return ScenarioConfig(mode=mode, seed=seed, receipts_n=receipts_n, latency={
+        "kind": "fixed", "fixed": fixed, "overrides": [{"src": "beta", "dst": "R", "fixed": slow}]})
+
+
+SLOW_LINK_SPLITS = [_one_slow_link("CE", 327, 2, 2, 68), _one_slow_link("EIE", 733, 5, 1, 49),
+                    _one_slow_link("FE", 685, 5, 4, 32)]
+
+
+class TestHonestSplit:
+    @pytest.mark.parametrize("cfg", SLOW_LINK_SPLITS, ids=["ce", "eie", "fe"])
+    def test_split_breaks_the_invariants(self, cfg):
+        """R sees beta's events late, so its session ends refunded on alpha
+        and paid on beta. No party is adversarial: the run's invariants fail."""
+        metrics, _ = run(cfg)
+        assert metrics.outcomes == {"alpha:c0": ct.REFUNDED, "beta:c0": ct.SUCCESS}
+        assert not metrics.invariants_ok
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a lock mirrored too late splits an honest pair")
+    def test_slow_link_pairs_end_atomic(self):
+        outcomes = [run(cfg)[0].outcomes for cfg in SLOW_LINK_SPLITS]
+        assert all(o["alpha:c0"] == o["beta:c0"] for o in outcomes)
 
 
 class TestHtlcWorld:
@@ -452,9 +500,18 @@ class TestConfig:
         assert any("t > ell" in v for v in err.value.violations)
 
     def test_node_count_rule(self):
+        """A chain has 3 * ell + 1 miners; a file cannot set the count."""
+        assert [ScenarioConfig(byzantine_ell=ell).n_node for ell in (1, 2, 3)] == [4, 7, 10]
+        assert [m.name for m in build_world(ScenarioConfig(receipts_n=0)).miners] == [
+            "M.%s.%d" % (c, i) for c in ("alpha", "beta") for i in (1, 2, 3, 4)]
         with pytest.raises(ConfigError) as err:
-            ScenarioConfig.from_dict({"n_node": 5})
-        assert any("n_node = 3*ell + 1" in v for v in err.value.violations)
+            ScenarioConfig.from_dict({"n_node": 4})
+        assert err.value.violations == ["unknown config keys: ['n_node']"]
+
+    def test_share_count_within_node_count(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({"vss_n": 5, "byzantine_ell": 1})
+        assert "n <= n_node violated (5 > 4)" in err.value.violations
 
     def test_share_count_rule(self):
         with pytest.raises(ConfigError) as err:
@@ -604,7 +661,7 @@ class TestFixedBaseCommitments:
     CONFIGS = [
         ScenarioConfig(mode="EIE", receipts_n=4, seed=93),
         ScenarioConfig(mode="EIE", receipts_n=2, seed=15, vss_t=2, vss_n=3,
-                       byzantine_ell=1, n_node=4, byzantine_miners=1),
+                       byzantine_ell=1, byzantine_miners=1),
     ]
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["eie", "eie_byzantine"])
