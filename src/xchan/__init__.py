@@ -7,7 +7,7 @@ harness (scenario, cli).
 """
 
 from .crypto import DEFAULT_GROUP, TINY_GROUP, GroupParams, hash_bytes, pedersen_commit
-from .scenario import ScenarioConfig, load_config, run_scaling_sweep, run_scenario
+from .scenario import ScenarioConfig, run_scaling_sweep, run_scenario
 
 __all__ = [
     "DEFAULT_GROUP",
@@ -16,7 +16,6 @@ __all__ = [
     "hash_bytes",
     "pedersen_commit",
     "ScenarioConfig",
-    "load_config",
     "run_scenario",
     "run_scaling_sweep",
 ]

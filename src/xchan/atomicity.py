@@ -16,7 +16,7 @@ from __future__ import annotations
 from .chain import Chain, TimerConfig
 from .contract import REFUNDED, SUCCESS, TERMINAL_STATES
 from .crypto import hash_bytes, keypair_from_label
-from .engine import Miner, MinerBehavior, Party
+from .engine import Miner, Party
 from .scenario import behavior_for, start_at_close
 from .simnet import EnumResult, LatencyModel, Simnet, enumerate_schedules
 
@@ -79,7 +79,7 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
             directory[p.address(c.chain_id)] = name
 
     mkp = keypair_from_label("M.atom:%d" % seed)
-    miner = Miner("M", alpha, mkp, behavior=MinerBehavior(assist=assist_enabled))
+    miner = Miner("M", alpha, mkp)
     net.register("M", miner)
     alpha.register_miner(mkp.address)
 

@@ -85,7 +85,7 @@ class Chain:
         self.subscribers: list[tuple[str, frozenset | None]] = []
 
     __deepcopy__ = copier(share="chain_id block_interval timers assist_reward_percent now",
-                          copy="accounts miners mempool blocks subscribers committed", deep="contract")
+                          copy="accounts miners mempool blocks subscribers committed")
 
     # -- account plumbing ---------------------------------------------------
 

@@ -348,8 +348,7 @@ class ContractSession:
     __deepcopy__ = copier(
         share="session_id state escrow sn appeal_deadline close_deadline settle_cutoff h_pre "
               "lock_deadline assist_deadline assist_reward_paid",
-        copy="deposits uploads collected_closes locked_allocations recovery_requested transitions",
-        deep="collected_shares")
+        copy="deposits uploads collected_closes locked_allocations recovery_requested transitions")
 
     def set_state(self, new_state: str, tick: int):
         edge = (self.state, new_state)
@@ -375,7 +374,7 @@ class ChannelContract:
     def __init__(self):
         self.sessions: dict[str, ContractSession] = {}
 
-    __deepcopy__ = copier(deep="sessions")
+    __deepcopy__ = copier()
 
     # -- helpers ------------------------------------------------------------
 
@@ -390,16 +389,18 @@ class ChannelContract:
 
     def execute(self, tx: OnChainTx, chain):
         """Returns (ok, result, detail) without raising on bad input; detail
-        is the record DETAILS declares for an ok result, or None."""
+        is the record DETAILS declares for an ok result, or None. Each
+        handler gets tx's session, or None before its first Open."""
         handler, _payload = self.HANDLERS.get(tx.kind, (None, None))
         if handler is None:
             return False, "unknown kind", None
-        return handler(self, tx, chain)
+        return handler(self, self.sessions.get(tx.session_id), tx, chain)
 
     # -- handlers -----------------------------------------------------------
 
-    def handle_open(self, tx, chain):
-        s = self.sessions.setdefault(tx.session_id, ContractSession(session_id=tx.session_id))
+    def handle_open(self, s, tx, chain):
+        if s is None:
+            s = self.sessions[tx.session_id] = ContractSession(session_id=tx.session_id)
         if tx.sender in s.deposits:
             return False, "duplicate open", None
         if s.state != INIT:  # both parties have opened
@@ -415,8 +416,7 @@ class ChannelContract:
             return True, OPEN_CE, Opened(dict(s.deposits))
         return True, "open pending", None
 
-    def handle_upload(self, tx, chain):
-        s = self.sessions.get(tx.session_id)
+    def handle_upload(self, s, tx, chain):
         if s is None or s.state != OPEN_CE:
             return False, "not open", None
         if tx.sender not in s.deposits:
@@ -438,8 +438,7 @@ class ChannelContract:
         s.appeal_deadline = max(s.appeal_deadline or 0, deadline)
         return True, BINDINGS_PUBLISHED, bound
 
-    def handle_appeal(self, tx, chain):
-        s = self.sessions.get(tx.session_id)
+    def handle_appeal(self, s, tx, chain):
         if s is None or s.state not in (OPEN_CE, OPEN):
             return False, "no session to appeal", None
         if s.appeal_deadline is None:
@@ -467,8 +466,7 @@ class ChannelContract:
             return False, "owner signature invalid", None
         return False, "no matching binding", None
 
-    def handle_close(self, tx, chain):
-        s = self.sessions.get(tx.session_id)
+    def handle_close(self, s, tx, chain):
         if s is None or s.state not in (OPEN_CE, OPEN):
             return False, "not open", None
         if s.close_deadline is not None and chain.now > s.close_deadline:
@@ -486,8 +484,7 @@ class ChannelContract:
                 return True, CLOSE_WINDOW_STARTED, None
         return True, "close recorded", None
 
-    def handle_lock(self, tx, chain):
-        s = self.sessions.get(tx.session_id)
+    def handle_lock(self, s, tx, chain):
         if s is None:
             return False, "not in close", None
         if s.h_pre is not None:
@@ -529,10 +526,9 @@ class ChannelContract:
             s.assist_reward_paid = reward
         s.set_state(SUCCESS, chain.now)
 
-    def handle_update(self, tx, chain):
+    def handle_update(self, s, tx, chain):
         """Update and UpdateEIE. An UpdateEIE also names an uploaded key by
         its hash; the miners holding its shares are asked to publish them."""
-        s = self.sessions.get(tx.session_id)
         if s is None or s.state != LOCK:
             return False, "not locked", None
         why = self._check_update_window(s, tx.sender, chain)
@@ -550,8 +546,7 @@ class ChannelContract:
             s.recovery_requested.append(owner)
         return True, SUCCESS, Unlocked(tx.payload.pre, owner)
 
-    def handle_recover(self, tx, chain):
-        s = self.sessions.get(tx.session_id)
+    def handle_recover(self, s, tx, chain):
         if s is None or not s.recovery_requested:
             return False, "no recovery requested", None
         accepted = False

@@ -174,14 +174,13 @@ class ChainSide:
 
     __deepcopy__ = copier(
         share="chain_id session_id state counterpart_vk counterpart_publics proof_ok recovered close_sent",
-        copy="expected received uploads",
-        deep="views plans exchange")
+        copy="expected received uploads")
 
     def is_open(self) -> bool:
         return self.state in (ct.OPEN_CE, ct.OPEN)
 
 
-@dataclass(slots=True)  # slots: join() cannot set a misspelt role field
+@dataclass
 class PartySession:
     """Everything one party holds about one session: its role in the
     cross-chain pair and its ChainSide on each chain."""
@@ -196,9 +195,7 @@ class PartySession:
     h_pre: bytes | None = None
     aborted: bool = False  # the other chain terminated; settle this one as-is
 
-    __deepcopy__ = copier(
-        share="session_id mode counterpart lock_chain holder pre h_pre aborted",
-        deep="sides")
+    __deepcopy__ = copier(share="session_id mode counterpart lock_chain holder pre h_pre aborted")
 
 
 @declared
@@ -251,7 +248,7 @@ class Party:
         self.directory = directory if directory is not None else {}  # address -> actor name
         self.seed = seed
         self.group = group
-        self.backend: proofs.TransparentMacBackend | None = None
+        self.backend = proofs.TransparentMacBackend(group)
         self.sessions: dict[str, PartySession] = {}
         self.violations: list = []
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
@@ -264,21 +261,13 @@ class Party:
         return Rng("party:%s:%d" % (self.name, self.seed))
 
     __deepcopy__ = copier(share="name keys behavior seed group close_after_tick",
-                          copy="directory violations rejected", deep="rng backend sessions")
+                          copy="directory violations rejected")
 
     def address(self, chain_id: str) -> str:
         return self.keys[chain_id].address
 
     def serves(self, chain_id: str) -> bool:
         return chain_id in self.keys
-
-    def session(self, session_id: str) -> PartySession:
-        """This party's state for a session, created on first use (by the wiring below)."""
-        ps = self.sessions.get(session_id)
-        if ps is None:
-            sides = {c: ChainSide(c, session_id) for c in self.keys}
-            ps = self.sessions[session_id] = PartySession(session_id, sides)
-        return ps
 
     def side(self, chain_id: str, session_id: str) -> ChainSide | None:
         """This party's part of a session on one chain, or None."""
@@ -287,33 +276,33 @@ class Party:
 
     # -- workload wiring (installed by the scenario runner) --------------------
 
+    def join(self, session_id, **role):
+        """Take part in a session in a role, given as any of PartySession's
+        fields from mode to h_pre, with one ChainSide per chain this party
+        holds a key on. The wiring below acts on joined sessions only."""
+        sides = {c: ChainSide(c, session_id) for c in self.keys}
+        self.sessions[session_id] = PartySession(session_id, sides, **role)
+
     def add_view(self, view: ChannelView):
         """Track view's channel, unless a view of that channel is already held."""
-        self.session(view.session_id).sides[view.chain_id].views.setdefault(view.path, view)
-
-    def join(self, session_id, **role):
-        """Take part in a session in a role: any of PartySession's fields
-        from mode to h_pre."""
-        ps = self.session(session_id)
-        for name, value in role.items():
-            setattr(ps, name, value)
+        self.sessions[view.session_id].sides[view.chain_id].views.setdefault(view.path, view)
 
     def expect_proof(self, chain_id, session_id, owner, vk):
         """Pay only once owner's exchange proof on chain_id verifies under vk."""
-        self.session(session_id).sides[chain_id].counterpart_vk = (owner, vk)
+        self.sessions[session_id].sides[chain_id].counterpart_vk = (owner, vk)
 
     def plan_sends(self, chain_id, session_id, path, amounts, rate):
-        self.session(session_id).sides[chain_id].plans[tuple(path)] = SendPlan(list(amounts), rate)
+        self.sessions[session_id].sides[chain_id].plans[tuple(path)] = SendPlan(list(amounts), rate)
 
     def expect(self, chain_id, session_id, path, count):
-        self.session(session_id).sides[chain_id].expected[tuple(path)] = count
+        self.sessions[session_id].sides[chain_id].expected[tuple(path)] = count
 
     def plan_subchannel(self, chain_id, session_id, path, funding_seq, counterparty_addr,
                         amounts, rate):
         """When the funding receipt arrives, ask its payer to authorize a
         sub-channel and start paying the counterparty inside it once open."""
         plan = SendPlan(list(amounts), rate, counterparty=counterparty_addr)
-        self.session(session_id).sides[chain_id].plans[tuple(path) + (funding_seq,)] = plan
+        self.sessions[session_id].sides[chain_id].plans[tuple(path) + (funding_seq,)] = plan
 
     def submit_open(self, net, chain_id, session_id, amount):
         self._submit(net, chain_id, session_id, ct.OPEN_TX, ct.OpenPayload(amount))
@@ -475,11 +464,10 @@ class Party:
 
     # -- fair exchange ------------------------------------------------------------
 
-    def setup_exchange(self, chain_id, session_id, key, m_blocks, t, n, backend, seed):
-        self.backend = backend
-        crs = backend.setup(128, seed)
+    def setup_exchange(self, chain_id, session_id, key, m_blocks, t, n, seed):
+        crs = self.backend.setup(128, seed)
         st = ExchangeState(key=key, m_blocks=tuple(m_blocks), t=t, n=n, crs=crs)
-        self.session(session_id).sides[chain_id].exchange = st
+        self.sessions[session_id].sides[chain_id].exchange = st
         return crs.vk
 
     def _run_theta_share(self, net, side: ChainSide):
@@ -675,15 +663,12 @@ class Party:
         upload = side.uploads.get(published.owner)
         if upload is None or side.counterpart_publics is None:
             return
+        # the contract matched each share's values to the owner's bound hash,
+        # which leaves the dealing id out, so the owner may have relabelled one:
+        # recover from the values under one label
+        relabelled = [replace(ks, dealing_id=b"") for ks in published.shares]
         try:
-            try:
-                key = vss.recover(published.shares, upload.t, self.group)
-            except vss.VssParameterError:
-                # the contract matched each share's values to the owner's bound
-                # hash, which leaves the dealing id out, so the owner may have
-                # relabelled one: recover from the values under one label
-                relabelled = [replace(ks, dealing_id=b"") for ks in published.shares]
-                key = vss.recover(relabelled, upload.t, self.group)
+            key = vss.recover(relabelled, upload.t, self.group)
         except ValueError:  # too few shares, or indices no interpolation separates
             key = None
         if key is None or hash_bytes(key_to_bytes(key)) != upload.h_k:
@@ -747,9 +732,8 @@ class Party:
 class MinerBehavior:
     respond_recover: bool = True  # byzantine miners withhold shares
     stale_sn_replay: bool = False
-    assist: bool = True
 
-    __deepcopy__ = copier(share="respond_recover stale_sn_replay assist")
+    __deepcopy__ = copier(share="respond_recover stale_sn_replay")
 
 
 class Miner:
@@ -768,8 +752,7 @@ class Miner:
         self.assisted: set = set()
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
-    __deepcopy__ = copier(share="name kp group first_stored", copy="stored learned_pre assisted rejected",
-                          deep="chain behavior")
+    __deepcopy__ = copier(share="name kp group first_stored", copy="stored learned_pre assisted rejected")
 
     def on_message(self, net, msg: Message):
         dispatch(self, net, msg)
@@ -808,7 +791,7 @@ class Miner:
         if ev.chain_id == self.chain.chain_id:
             if ev.detail.recover_owner is not None:
                 self._answer_recovery(net, ev.session_id, ev.detail.recover_owner)
-        elif self.behavior.assist:  # a preimage revealed on the other chain
+        elif self.chain.timers.assist_window is not None:  # a preimage revealed on the other chain, to assist with
             self.learned_pre[ev.session_id] = ev.detail.pre
             self._consider_assist(net, ev.session_id)
 

@@ -8,12 +8,12 @@ class declares with ``copier`` how a fork copies each of its attributes:
 * ``share``: immutable values (str, int, bytes, tuples of immutables,
   ``Shared`` values), kept as they are;
 * ``copy``: containers of immutables, copied shallowly (``None`` stays
-  ``None``), once per fork, so a container two objects hold stays one;
-* ``deep``: nested mutable objects, deep-copied through the fork's memo,
-  so an object several parts of the world hold stays one object.
+  ``None``), once per fork, so a container two objects hold stays one.
 
-An attribute a class does not declare is deep-copied, so a new attribute
-is never shared by mistake.
+Every other attribute, a nested mutable object or one a class has not
+yet declared, is deep-copied through the fork's memo, so an object
+several parts of the world hold stays one object and a new attribute is
+never shared by mistake.
 """
 
 from __future__ import annotations
@@ -67,22 +67,17 @@ def _deep(value, memo):
     return clone
 
 
-def copier(share: str = "", copy: str = "", deep: str = ""):
+def copier(share: str = "", copy: str = ""):
     """A ``__deepcopy__`` that copies each attribute as its group names it
     (space-separated attribute names per group) and deep-copies any other."""
     shared = frozenset(share.split())
-    how = dict.fromkeys(copy.split(), _copy) | dict.fromkeys(deep.split(), _deep)
+    how = dict.fromkeys(copy.split(), _copy)
 
     def __deepcopy__(self, memo):
         cls = type(self)
         clone = cls.__new__(cls)
         memo[id(self)] = clone
-        state = getattr(self, "__dict__", None)
-        if state is None:  # a slots class: every attribute is a declared field
-            for k in cls.__slots__:
-                v = getattr(self, k)
-                object.__setattr__(clone, k, v if k in shared else how.get(k, _deep)(v, memo))
-            return clone
+        state = self.__dict__
         copied = state.copy()
         for k, v in state.items():
             if k not in shared:

@@ -22,7 +22,6 @@ from . import contract as ct
 from .chain import Chain, TimerConfig
 from .crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
 from .engine import BehaviorProfile, Miner, MinerBehavior, Party, Timer
-from .proofs import TransparentMacBackend
 from .simnet import LatencyModel, Simnet
 from .wire import plan
 
@@ -43,19 +42,15 @@ class ScenarioConfig:
     seed: int = 1
     channels: int = 1
     receipts_n: int = 10  # workload receipts per channel pair
-    amount_lo: int = 1
-    amount_hi: int = 3
+    amount_hi: int = 3  # receipt amounts are drawn from 1..amount_hi
     funding: int = 10_000  # per party per chain
-    receipt_size_bytes: int | None = None  # default 130 CE, 1300 FE/EIE
-    bandwidth_bytes_per_tick: int = 1300
     block_interval_alpha: int = 4
     block_interval_beta: int = 3
     appeal_window: int = 8  # fake-share report window after bindings publish
     close_window: int = 12  # settlement data collection window
     alpha_unlock: int = 30  # preimage deadline on alpha (the longer one)
     beta_unlock: int = 20  # preimage deadline on beta
-    assist_window: int = 45  # miner assist deadline on alpha
-    assist_enabled: bool = True
+    assist_window: int | None = 45  # miner assist deadline on alpha; None: no assist
     assist_reward_percent: int = 1
     vss_t: int = 2
     vss_n: int = 3
@@ -69,8 +64,6 @@ class ScenarioConfig:
     max_ticks: int = 4000
 
     def __post_init__(self):
-        if self.receipt_size_bytes is None:
-            self.receipt_size_bytes = 130 if self.mode == "CE" else 1300
         if isinstance(self.sub_funding, list):  # JSON has no tuples
             self.sub_funding = tuple(self.sub_funding)
         if isinstance(self.sub_receipts, list):
@@ -92,7 +85,7 @@ class ScenarioConfig:
             v.append("baseline must be one of %s" % (BASELINES,))
         if not self.alpha_unlock > self.beta_unlock:
             v.append("alpha_unlock > beta_unlock violated (%d <= %d)" % (self.alpha_unlock, self.beta_unlock))
-        if not self.assist_window > self.alpha_unlock:
+        if self.assist_window is not None and not self.assist_window > self.alpha_unlock:
             v.append("assist_window > alpha_unlock violated (%d <= %d)" % (self.assist_window, self.alpha_unlock))
         if not self.vss_t > self.byzantine_ell:
             v.append("t > ell violated (%d <= %d)" % (self.vss_t, self.byzantine_ell))
@@ -111,12 +104,10 @@ class ScenarioConfig:
             v.append("channels must be >= 1")
         if self.receipts_n < 0:
             v.append("receipts_n must be >= 0")
-        if self.receipt_size_bytes < 1:
-            v.append("receipt_size_bytes must be >= 1")
         if self.funding >= 1 << 64:  # the U64 an Open transaction carries
             v.append("funding must be below 2**64")
-        if not 0 < self.amount_lo <= self.amount_hi:
-            v.append("0 < amount_lo <= amount_hi violated")
+        if self.amount_hi < 1:
+            v.append("amount_hi must be >= 1")
         if self.levels < 1 or self.levels > 3:
             v.append("levels must be in 1..3")
         if len(self.sub_funding) != self.levels - 1 or len(self.sub_receipts) != self.levels - 1:
@@ -168,10 +159,6 @@ class ScenarioConfig:
         return cls.from_dict(raw)
 
 
-def load_config(path: str) -> ScenarioConfig:
-    return ScenarioConfig.from_json(path)
-
-
 @dataclass
 class RunMetrics:
     onchain_tx_count: dict
@@ -200,8 +187,9 @@ class World:
     session_ids: list
 
 
-def _receipt_rate(config: ScenarioConfig) -> int:
-    return max(1, config.bandwidth_bytes_per_tick // config.receipt_size_bytes)
+# receipts a channel pays per tick: 1300 bytes of bandwidth per tick over a
+# receipt of 130 bytes in CE and of 1300 bytes in FE and EIE
+RECEIPTS_PER_TICK = {"CE": 10, "FE": 1, "EIE": 1}
 
 
 def _close_barrier(config: ScenarioConfig, latency: LatencyModel, longest: int, subs: list[int]) -> int:
@@ -210,7 +198,7 @@ def _close_barrier(config: ScenarioConfig, latency: LatencyModel, longest: int, 
     sub-channel's plan length) and sub-channel round trip to have
     happened, at latency's own delay bound (its overrides aside)."""
     max_lat = latency.fixed if latency.kind == "fixed" else latency.hi
-    rate = _receipt_rate(config)
+    rate = RECEIPTS_PER_TICK[config.mode]
     sub_total = sum((n + rate - 1) // rate + 6 * max_lat + 4 for n in subs)
     open_ticks = 2 * max(config.block_interval_alpha, config.block_interval_beta) + max_lat + 2
     pump_ticks = (longest + rate - 1) // rate + max_lat + 3
@@ -235,8 +223,7 @@ def build_world(config: ScenarioConfig) -> World:
         raise ConfigError(violations)
     group = DEFAULT_GROUP
     net = Simnet(seed=config.seed, latency=LatencyModel.from_config(config.latency))
-    timers_a = TimerConfig(config.appeal_window, config.close_window, config.alpha_unlock,
-                           config.assist_window if config.assist_enabled else None)
+    timers_a = TimerConfig(config.appeal_window, config.close_window, config.alpha_unlock, config.assist_window)
     timers_b = replace(timers_a, unlock_window=config.beta_unlock, assist_window=None)  # no assist on beta
     alpha = Chain("alpha", config.block_interval_alpha, timers_a, config.assist_reward_percent)
     beta = Chain("beta", config.block_interval_beta, timers_b, config.assist_reward_percent)
@@ -272,10 +259,7 @@ def build_world(config: ScenarioConfig) -> World:
         for i in range(config.n_node):
             mname = "M.%s.%d" % (c.chain_id, i + 1)
             kp = keypair_from_label("%s:%d" % (mname, config.seed))
-            behavior = MinerBehavior(
-                respond_recover=i >= config.byzantine_miners,
-                assist=config.assist_enabled,
-            )
+            behavior = MinerBehavior(respond_recover=i >= config.byzantine_miners)
             m = Miner(mname, c, kp, behavior=behavior, group=group)
             miners.append(m)
             net.register(mname, m)
@@ -296,7 +280,7 @@ def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tup
     exchanges and close timers; returns the session ids and receipts expected."""
     group = DEFAULT_GROUP
     rng = random.Random("workload:%d" % config.seed)
-    rate = _receipt_rate(config)
+    rate = RECEIPTS_PER_TICK[config.mode]
     session_ids = ["c%d" % i for i in range(config.channels)]
     expected = longest = 0
     names = list(parties)
@@ -307,8 +291,8 @@ def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tup
     for sid in session_ids:
         n_alpha = (config.receipts_n + 1) // 2
         n_beta = config.receipts_n // 2
-        alpha_amounts = [rng.randint(config.amount_lo, config.amount_hi) for _ in range(n_alpha)]
-        beta_amounts = [rng.randint(config.amount_lo, config.amount_hi) for _ in range(n_beta)]
+        alpha_amounts = [rng.randint(1, config.amount_hi) for _ in range(n_alpha)]
+        beta_amounts = [rng.randint(1, config.amount_hi) for _ in range(n_beta)]
         if config.levels >= 2:
             alpha_amounts = [config.sub_funding[0]] + alpha_amounts
         if sum(alpha_amounts) > config.funding or sum(beta_amounts) > config.funding:
@@ -337,21 +321,19 @@ def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tup
         for i, sub in enumerate(subs):
             payer, payee = parties[names[i + 1]], parties[names[i + 2]]
             path = (1,) * i
+            payee.join(sid, mode=config.mode, counterpart=payer.name)
             payer.plan_subchannel("alpha", sid, path, 1, payee.address("alpha"), sub, rate)
             payee.expect("alpha", sid, path + (1,), len(sub))
-            payee.join(sid, mode=config.mode, counterpart=payer.name)
             expected += len(sub)
 
         if config.mode in ("FE", "EIE"):
-            backend = TransparentMacBackend(group)
             # S sells its plaintext on alpha; in EIE, R sells its own on beta
             sales = ((S, R, "alpha", key_s), (R, S, "beta", key_r))[: 1 if config.mode == "FE" else 2]
             for seller, buyer, chain_id, key in sales:
                 label = b"%s:%s" % (seller.name.encode(), sid.encode())
                 blocks = tuple(hash_bytes(b"m:%s:%d:%d" % (label, config.seed, i))[:13] for i in range(4))
                 vk = seller.setup_exchange(chain_id, sid, key, blocks, config.vss_t, config.vss_n,
-                                           backend, hash_bytes(b"crs:" + label))
-                buyer.backend = backend
+                                           hash_bytes(b"crs:" + label))
                 buyer.expect_proof(chain_id, sid, seller.address(chain_id), vk)
 
     barrier = _close_barrier(config, net.latency, longest, [len(sub) for sub in subs])
@@ -371,7 +353,7 @@ def _htlc_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tuple[
     costs lock + update on each chain, and no receipt is expected."""
     rng = random.Random("htlc:%d" % config.seed)
     session_ids = ["h%d" % j for j in range(config.receipts_n)]
-    amounts = [rng.randint(config.amount_lo, config.amount_hi) for _ in session_ids]
+    amounts = [rng.randint(1, config.amount_hi) for _ in session_ids]
     if sum(amounts) > config.funding * config.channels:
         raise ConfigError(["workload exceeds channel funding"])
     for sid, amount in zip(session_ids, amounts):

@@ -198,7 +198,7 @@ class ChainActor:
         self.chain = chain
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
-    __deepcopy__ = copier(copy="rejected", deep="chain")
+    __deepcopy__ = copier(copy="rejected")
 
     def serves(self, chain_id: str) -> bool:
         return chain_id == self.chain.chain_id
@@ -246,8 +246,7 @@ class Simnet:
         never draws one (an enumerated world) has no generator to fork."""
         return Rng(("simnet", self.seed).__repr__())
 
-    __deepcopy__ = copier(share="mode latency seed now _produced _seq", copy="trace _fifo pending",
-                          deep="rng actors chains")
+    __deepcopy__ = copier(share="mode latency seed now _produced _seq", copy="trace _fifo pending")
 
     # -- wiring ---------------------------------------------------------------
 

@@ -158,13 +158,12 @@ def test_config_error_from_a_run_exits_2(tmp_path, capsys, command, raw, error):
 
 
 @pytest.mark.parametrize("raw, error", [
-    ({"receipt_size_bytes": 0}, "receipt_size_bytes must be >= 1"),
     ({"funding": 18446744073709551616}, "funding must be below 2**64"),
     ({"baseline": "plain_htlc", "funding": 10, "receipts_n": 10}, "workload exceeds channel funding"),
 ])
 def test_config_that_crashed_a_run_exits_2(tmp_path, capsys, raw, error):
-    """Each of these once ended a run with a traceback: a division by zero,
-    a mistyped Open amount, an overdraft escrowing HTLC deposits."""
+    """Each of these once ended a run with a traceback: a mistyped Open
+    amount, an overdraft escrowing HTLC deposits."""
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(raw))
     with pytest.raises(SystemExit) as exc:

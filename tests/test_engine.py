@@ -38,6 +38,7 @@ def two_parties(behavior_a=BehaviorProfile(), behavior_b=BehaviorProfile()):
         out.append(p)
     a, b = out
     for p in (a, b):
+        p.join(SID)
         p.add_view(
             ChannelView(
                 chain_id="alpha",
@@ -52,6 +53,23 @@ def two_parties(behavior_a=BehaviorProfile(), behavior_b=BehaviorProfile()):
 
 def view_of(p):
     return p.side("alpha", SID).views[()]
+
+
+class TestJoin:
+    @pytest.mark.parametrize("chains", [("alpha",), ("alpha", "beta")])
+    def test_one_side_per_chain_keyed(self, chains):
+        p = Party("P", {c: keypair_from_label("join:%s" % c) for c in chains})
+        p.join(SID, mode="EIE", counterpart="Q", lock_chain="beta")
+        ps = p.sessions[SID]
+        assert (ps.mode, ps.counterpart, ps.lock_chain, ps.holder) == ("EIE", "Q", "beta", False)
+        assert {c: (side.chain_id, side.session_id) for c, side in ps.sides.items()} == {
+            c: (c, SID) for c in chains}
+
+    def test_misspelt_role_raises(self):
+        p = Party("P", {"alpha": keypair_from_label("join:alpha")})
+        with pytest.raises(TypeError):
+            p.join(SID, lock_chian="alpha")
+        assert SID not in p.sessions
 
 
 class TestReceipts:
@@ -120,6 +138,7 @@ class TestSubChannels:
             parties[name] = p
         a, b, c = parties["A"], parties["B"], parties["C"]
         for p in (a, b):
+            p.join(SID)
             p.add_view(
                 ChannelView(
                     chain_id="alpha",

@@ -351,6 +351,28 @@ class TestMinerAssist:
         net.run_until(lambda: outcome_of(net) is not None, max_tick=200)
         assert outcome_of(net) == (ct.REFUNDED, ct.SUCCESS)
 
+    # (mode, the tick a run with the default window ends at)
+    @pytest.mark.parametrize("mode, assisted_end", [("CE", 124), ("EIE", 129)])
+    @pytest.mark.parametrize("window", [45, None])
+    def test_assist_window_of_a_scenario(self, mode, assisted_end, window):
+        """R mirrors S's lock onto alpha 30 ticks late. With the window,
+        alpha's miners reveal the preimage seen on beta, one transaction
+        each, and the pair ends Success/Success; with assist_window None no
+        miner reveals it, alpha refunds at tick 120, and the run reports the
+        split."""
+        late = {"kind": "fixed", "fixed": 1, "overrides": [{"src": "R", "dst": "alpha", "fixed": 30}]}
+        cfg = ScenarioConfig.from_dict({"mode": mode, "seed": 1, "receipts_n": 4, "latency": late,
+                                        "assist_window": window})
+        metrics, trace = run(cfg)
+        reveals = [e for e in trace if e.get("kind") == "submit" and e["from"].startswith("M.alpha.")
+                   and e["tx_kind"] in (ct.UPDATE_TX, ct.UPDATE_EIE_TX)]
+        if window is None:
+            assert metrics.outcomes == {"alpha:c0": ct.REFUNDED, "beta:c0": ct.SUCCESS}
+            assert (metrics.ticks_elapsed, metrics.invariants_ok, reveals) == (120, False, [])
+        else:
+            assert metrics.outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
+            assert (metrics.ticks_elapsed, metrics.invariants_ok, len(reveals)) == (assisted_end, True, 4)
+
 
 class TestCloseStartWorld:
     @pytest.mark.parametrize("profile", PROFILES)
@@ -522,12 +544,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"no_such_option": 1})
 
-    # a receipt size below 1 divided by zero (0) or ran at rate 1 (negative);
-    # a funding of 2**64 or more cannot be carried by the Open transaction
+    # a funding of 2**64 or more cannot be carried by the Open transaction;
+    # amounts are drawn from 1..amount_hi, an empty range below 1
     @pytest.mark.parametrize("raw, violation", [
-        ({"receipt_size_bytes": 0}, "receipt_size_bytes must be >= 1"),
-        ({"receipt_size_bytes": -130, "mode": "EIE"}, "receipt_size_bytes must be >= 1"),
         ({"funding": 1 << 64}, "funding must be below 2**64"),
+        ({"amount_hi": 0}, "amount_hi must be >= 1"),
     ])
     def test_out_of_range_sizes_rejected(self, raw, violation):
         with pytest.raises(ConfigError) as err:
@@ -535,7 +556,13 @@ class TestConfig:
         assert err.value.violations == [violation]
 
     def test_range_edges_accepted(self):
-        assert ScenarioConfig(receipt_size_bytes=1, funding=(1 << 64) - 1).validate() == []
+        assert ScenarioConfig(funding=(1 << 64) - 1).validate() == []
+
+    def test_amount_hi_of_one_plans_only_ones(self):
+        world = build_world(ScenarioConfig(amount_hi=1, receipts_n=9, channels=2))
+        amounts = [a for p in world.parties.values() for ps in p.sessions.values()
+                   for side in ps.sides.values() for plan in side.plans.values() for a in plan.amounts]
+        assert len(amounts) == 18 and set(amounts) == {1}
 
     # a level-(i+2) channel spends its sub_receipts[i] receipts of 1 plus,
     # above the deepest level, the next level's sub_funding[i+1]
@@ -623,7 +650,7 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "EIE", "receipts_n": 3, "seed": 4}))
         cfg = ScenarioConfig.from_json(str(path))
-        assert cfg.mode == "EIE" and cfg.receipt_size_bytes == 1300
+        assert cfg.mode == "EIE" and cfg.receipts_n == 3
 
 
 class TestVerifyOnce:
