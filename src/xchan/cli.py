@@ -6,7 +6,8 @@
 
 Exit code 0 means every invariant assertion held during the run, or every
 enumerated outcome is atomic; 2 means the config or an option cannot be
-run, with the reason on stderr.
+run, with the reason on stderr; an output path that cannot be written is
+refused before the run starts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .scenario import (
     ScenarioConfig,
     run_scaling_sweep,
     run_scenario,
-    write_trace,
+    trace_bytes,
 )
 from .simnet import BoundExceeded
 
@@ -33,9 +34,10 @@ def cmd_run(args) -> int:
         config = replace(config, seed=args.seed)
     metrics, trace = run_scenario(config)
     if args.trace:
-        write_trace(trace, args.trace)
+        with args.trace as fh:
+            fh.write(trace_bytes(trace) + b"\n")
     if args.metrics:
-        with open(args.metrics, "w") as fh:
+        with args.metrics as fh:
             fh.write(metrics.to_json())
     print(metrics.to_json())
     return 0 if metrics.invariants_ok else 1
@@ -92,8 +94,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one scenario")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--trace", default=None)
-    p_run.add_argument("--metrics", default=None)
+    p_run.add_argument("--trace", type=argparse.FileType("wb"), default=None)
+    p_run.add_argument("--metrics", type=argparse.FileType("w"), default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="throughput over channel counts")

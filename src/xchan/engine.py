@@ -31,7 +31,7 @@ from types import MappingProxyType
 from . import contract as ct
 from . import proofs, vss
 from .chain import ChainEvent
-from .crypto import KeyPair, hash_bytes, key_to_bytes, decrypt, hash_blocks
+from .crypto import DEFAULT_GROUP, KeyPair, hash_bytes, key_to_bytes, decrypt, hash_blocks
 from .forking import Shared, copier
 from .receipts import (
     FinalState,
@@ -147,10 +147,10 @@ class ExchangeState:
     m_blocks: tuple
     t: int
     n: int
+    mac_key: bytes
     dealing: vss.Dealing | None = None
-    crs: proofs.Crs | None = None
 
-    __deepcopy__ = copier(share="key m_blocks t n dealing crs")
+    __deepcopy__ = copier(share="key m_blocks t n mac_key dealing")
 
 
 @dataclass
@@ -165,7 +165,7 @@ class ChainSide:
     expected: dict = field(default_factory=dict)  # path -> receipts to receive before closing
     received: dict = field(default_factory=dict)  # path -> receipts accepted
     exchange: ExchangeState | None = None  # this party's own secret
-    counterpart_vk: tuple | None = None  # (owner address, verify key) of the proof expected here
+    counterpart_key: tuple | None = None  # (owner address, MAC key) of the proof expected here
     counterpart_publics: proofs.RelationPublicInputs | None = None
     proof_ok: bool | None = None  # the counterpart's proof: None until it arrives; its first verdict is final
     uploads: dict = field(default_factory=dict)  # owner address -> the Bound record of its key upload
@@ -173,7 +173,7 @@ class ChainSide:
     close_sent: bool = False
 
     __deepcopy__ = copier(
-        share="chain_id session_id state counterpart_vk counterpart_publics proof_ok recovered close_sent",
+        share="chain_id session_id state counterpart_key counterpart_publics proof_ok recovered close_sent",
         copy="expected received uploads")
 
     def is_open(self) -> bool:
@@ -241,14 +241,13 @@ class ShareMsg(Checked):
 
 class Party:
     def __init__(self, name: str, keys: dict, behavior: BehaviorProfile = HONEST,
-                 directory: dict | None = None, seed: int = 0, group=None):
+                 directory: dict | None = None, seed: int = 0):
         self.name = name
         self.keys = keys  # chain_id -> KeyPair
         self.behavior = behavior
         self.directory = directory if directory is not None else {}  # address -> actor name
         self.seed = seed
-        self.group = group
-        self.backend = proofs.TransparentMacBackend(group)
+        self.backend = proofs.TransparentMacBackend(DEFAULT_GROUP)
         self.sessions: dict[str, PartySession] = {}
         self.violations: list = []
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
@@ -260,7 +259,7 @@ class Party:
         deals (a close-phase world) has no generator to fork."""
         return Rng("party:%s:%d" % (self.name, self.seed))
 
-    __deepcopy__ = copier(share="name keys behavior seed group close_after_tick",
+    __deepcopy__ = copier(share="name keys behavior seed close_after_tick",
                           copy="directory violations rejected")
 
     def address(self, chain_id: str) -> str:
@@ -287,9 +286,9 @@ class Party:
         """Track view's channel, unless a view of that channel is already held."""
         self.sessions[view.session_id].sides[view.chain_id].views.setdefault(view.path, view)
 
-    def expect_proof(self, chain_id, session_id, owner, vk):
-        """Pay only once owner's exchange proof on chain_id verifies under vk."""
-        self.sessions[session_id].sides[chain_id].counterpart_vk = (owner, vk)
+    def expect_proof(self, chain_id, session_id, owner, mac_key):
+        """Pay only once owner's exchange proof on chain_id verifies under mac_key."""
+        self.sessions[session_id].sides[chain_id].counterpart_key = (owner, mac_key)
 
     def plan_sends(self, chain_id, session_id, path, amounts, rate):
         self.sessions[session_id].sides[chain_id].plans[tuple(path)] = SendPlan(list(amounts), rate)
@@ -465,15 +464,14 @@ class Party:
     # -- fair exchange ------------------------------------------------------------
 
     def setup_exchange(self, chain_id, session_id, key, m_blocks, t, n, seed):
-        crs = self.backend.setup(128, seed)
-        st = ExchangeState(key=key, m_blocks=tuple(m_blocks), t=t, n=n, crs=crs)
+        st = ExchangeState(key=key, m_blocks=tuple(m_blocks), t=t, n=n, mac_key=self.backend.setup(seed))
         self.sessions[session_id].sides[chain_id].exchange = st
-        return crs.vk
+        return st.mac_key
 
     def _run_theta_share(self, net, side: ChainSide):
         """Deal the key, publish its hash and the per-share hashes."""
         st = side.exchange
-        st.dealing = vss.share(st.key, st.t, st.n, self.rng, self.group)
+        st.dealing = vss.share(st.key, st.t, st.n, self.rng, DEFAULT_GROUP)
         hashes = tuple(vss.share_hash(s) for s in st.dealing.shares)
         h_k = hash_bytes(key_to_bytes(st.key))
         payload = ct.UploadPayload(h_k=h_k, n=st.n, t=st.t, share_hashes=hashes)
@@ -487,7 +485,7 @@ class Party:
         for b in bound.bindings:
             ks = st.dealing.shares[b.index - 1]
             if self.behavior.fake_key_share and b.index == 1:
-                ks = replace(ks, s=(ks.s + 1) % self.group.q)
+                ks = replace(ks, s=(ks.s + 1) % DEFAULT_GROUP.q)
             sig = kp.sign(vss.share_message_bytes(ks, bound.sn))
             dst = self.directory.get(b.miner)
             if dst:
@@ -499,10 +497,10 @@ class Party:
         st = side.exchange
         if st.dealing is None:
             # FE never distributes shares; a local dealing feeds the witness
-            st.dealing = vss.share(st.key, st.t, st.n, self.rng, self.group)
+            st.dealing = vss.share(st.key, st.t, st.n, self.rng, DEFAULT_GROUP)
         x = proofs.make_public_inputs(st.m_blocks, st.key, st.t, st.n)
         w = proofs.RelationWitness(m=st.m_blocks, k_shares=st.dealing.shares)
-        proof = self.backend.prove(st.crs.pk, w, x)
+        proof = self.backend.prove(st.mac_key, w, x)
         data = ExchangeMsg(side.chain_id, side.session_id, proof, x, self.address(side.chain_id))
         net.send("exchange", self.name, ps.counterpart, data)
 
@@ -513,7 +511,7 @@ class Party:
         side = None if ps is None or msg.src != ps.counterpart else ps.sides[ex.chain_id]
         if side is None or side.proof_ok is not None:
             return  # not from the counterpart, or not its first: the first verdict is final
-        vk = side.counterpart_vk
+        vk = side.counterpart_key
         if vk is not None and vk[0] == ex.owner and self.backend.verify(vk[1], ex.publics, ex.proof):
             side.counterpart_publics = ex.publics
             side.proof_ok = True
@@ -539,7 +537,7 @@ class Party:
                 side.expected[path] = min(want, side.received.get(path, 0))
 
     def _start_pumps(self, net, ps: PartySession, side: ChainSide):
-        if not all(s.proof_ok for s in ps.sides.values() if s.counterpart_vk):
+        if not all(s.proof_ok for s in ps.sides.values() if s.counterpart_key):
             return  # paying before every expected proof verified risks paying for nothing
         if side.is_open():
             self._pump(net, side, ())  # no-op while pumping, once done or with no plan
@@ -555,7 +553,7 @@ class Party:
             return  # a sub-channel not open yet, or receipts still to pay
         if any(side.received.get(p, 0) < want for p, want in side.expected.items()):
             return
-        if side.counterpart_vk is not None and not side.proof_ok and not ps.aborted:
+        if side.counterpart_key is not None and not side.proof_ok and not ps.aborted:
             return  # never enter close on a missing proof; a bad one aborted the session
         self._close(net, side)
 
@@ -663,12 +661,8 @@ class Party:
         upload = side.uploads.get(published.owner)
         if upload is None or side.counterpart_publics is None:
             return
-        # the contract matched each share's values to the owner's bound hash,
-        # which leaves the dealing id out, so the owner may have relabelled one:
-        # recover from the values under one label
-        relabelled = [replace(ks, dealing_id=b"") for ks in published.shares]
         try:
-            key = vss.recover(relabelled, upload.t, self.group)
+            key = vss.recover(published.shares, upload.t, DEFAULT_GROUP)
         except ValueError:  # too few shares, or indices no interpolation separates
             key = None
         if key is None or hash_bytes(key_to_bytes(key)) != upload.h_k:
@@ -679,8 +673,11 @@ class Party:
     def _decrypt(self, side: ChainSide, key):
         """Open the counterpart's ciphertext; keep it if it matches its hash."""
         x = side.counterpart_publics
-        blocks = decrypt(key, x.m_bar)
-        if hash_blocks(blocks) == x.h_m:
+        try:
+            blocks = decrypt(key, x.m_bar)
+        except ValueError:  # not a key at all (an FE preimage not 32 bytes long): as wrong as a wrong one
+            blocks = None
+        if blocks is not None and hash_blocks(blocks) == x.h_m:
             side.recovered = blocks
         else:
             self.violations.append(("plaintext-hash-mismatch", side.chain_id, side.session_id))
@@ -739,20 +736,18 @@ class MinerBehavior:
 class Miner:
     """Chain-local miner actor: share custody, appeals, recovery, assist."""
 
-    def __init__(self, name, chain, kp: KeyPair, behavior: MinerBehavior | None = None,
-                 group=None):
+    def __init__(self, name, chain, kp: KeyPair, behavior: MinerBehavior | None = None):
         self.name = name
         self.chain = chain
         self.kp = kp
         self.behavior = behavior or MinerBehavior()
-        self.group = group
         self.stored: dict = {}  # (session, owner) -> the ShareMsg whose share checked out
         self.first_stored: ShareMsg | None = None  # the first such ShareMsg
         self.learned_pre: dict = {}  # session -> pre bytes
         self.assisted: set = set()
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
-    __deepcopy__ = copier(share="name kp group first_stored", copy="stored learned_pre assisted rejected")
+    __deepcopy__ = copier(share="name kp first_stored", copy="stored learned_pre assisted rejected")
 
     def on_message(self, net, msg: Message):
         dispatch(self, net, msg)
@@ -774,7 +769,7 @@ class Miner:
             payload = ct.AppealPayload(owner_sig=old.sig, share=old.share, sn=old.sn)
             self._submit(net, sm.session_id, ct.APPEAL_TX, payload)
         ok = vss.share_hash(sm.share) == mine[0].share_hash and vss.verify_share(
-            sm.share, sm.dealing_pub, self.group
+            sm.share, sm.dealing_pub, DEFAULT_GROUP
         )
         if not ok:
             payload = ct.AppealPayload(owner_sig=sm.sig, share=sm.share, sn=sm.sn)

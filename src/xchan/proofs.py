@@ -1,4 +1,4 @@
-"""Pluggable proof system for the fair-exchange relation.
+"""The proof system for the fair-exchange relation.
 
 The relation ties together a ciphertext, the hash of its plaintext, the
 hash of the encryption key, and a threshold sharing of that key: a
@@ -6,11 +6,10 @@ witness (plaintext, shares) satisfies public inputs (h_m, m_bar, h_k)
 iff the shares recover a key hashing to h_k that encrypts the plaintext
 to exactly m_bar, and the plaintext hashes to h_m.
 
-Backends implement setup/prove/verify. The default transparent backend
-models completeness and soundness: prove evaluates the relation and only
-on success emits an authenticated digest of the public inputs, which
-verify checks. Proofs are constant size and carry no witness data; a
-pairing-based backend can be slotted in without touching callers.
+One transparent MAC backend models completeness and soundness: prove
+evaluates the relation and only on success emits an HMAC of the public
+inputs under a key both sides hold, which verify checks. Proofs are
+constant size and carry no witness data.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 
 from . import vss
 from .crypto import Ciphertext, GroupParams, encrypt, hash_blocks, hash_bytes, key_to_bytes
-from .forking import Shared
 from .wire import U64, Checked, declared, enc_bytes, enc_u64, enc_value
 
 
@@ -59,56 +57,31 @@ def eval_relation(w: RelationWitness, x: RelationPublicInputs, group: GroupParam
         return False
 
 
-@dataclass(frozen=True)
-class MacKey(Shared):
-    """The MAC backend's proving and verifying key: both hold the same
-    binding key."""
-
-    backend_tag: int
-    binding_key: bytes
-
-
-@dataclass(frozen=True)
-class Crs(Shared):
-    pk: MacKey
-    vk: MacKey
-
-
 @declared
 class Proof(Checked):
-    backend_tag: U64
     binding: bytes
 
 
 class TransparentMacBackend:
-    """Default backend: an HMAC over the public inputs, gated on the
-    relation actually holding. Zero-knowledge holds vacuously (proofs
-    carry nothing derived from the witness)."""
-
-    tag = 1
+    """An HMAC over the public inputs, gated on the relation actually
+    holding. Zero-knowledge holds vacuously (proofs carry nothing derived
+    from the witness)."""
 
     def __init__(self, group: GroupParams):
         self.group = group
 
-    def setup(self, lambda_bits: int, seed: bytes) -> Crs:
-        if lambda_bits < 128:
-            raise ValueError("lambda below 128 bits")
-        bk = hash_bytes(b"crs-binding" + enc_u64(lambda_bits) + enc_bytes(seed))
-        key = MacKey(backend_tag=self.tag, binding_key=bk)
-        return Crs(pk=key, vk=key)
+    def setup(self, seed: bytes) -> bytes:
+        """The one MAC key that proves and verifies; the security level,
+        128 bits, is part of its derivation."""
+        return hash_bytes(b"crs-binding" + enc_u64(128) + enc_bytes(seed))
 
-    def prove(self, pk: MacKey, w: RelationWitness, x: RelationPublicInputs) -> Proof:
-        if pk.backend_tag != self.tag:
-            raise ValueError("proving key from a different backend")
+    def prove(self, key: bytes, w: RelationWitness, x: RelationPublicInputs) -> Proof:
         if not eval_relation(w, x, self.group):
             raise RelationUnsatisfied("witness does not satisfy the public inputs")
-        mac = hmac.new(pk.binding_key, enc_value(x), "sha256").digest()
-        return Proof(backend_tag=self.tag, binding=mac)
+        return Proof(binding=hmac.new(key, enc_value(x), "sha256").digest())
 
-    def verify(self, vk: MacKey, x: RelationPublicInputs, proof: Proof) -> bool:
-        if proof.backend_tag != self.tag or vk.backend_tag != self.tag:
-            return False
-        expect = hmac.new(vk.binding_key, enc_value(x), "sha256").digest()
+    def verify(self, key: bytes, x: RelationPublicInputs, proof: Proof) -> bool:
+        expect = hmac.new(key, enc_value(x), "sha256").digest()
         return hmac.compare_digest(expect, proof.binding)
 
 

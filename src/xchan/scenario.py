@@ -221,7 +221,6 @@ def build_world(config: ScenarioConfig) -> World:
     violations = config.validate()
     if violations:
         raise ConfigError(violations)
-    group = DEFAULT_GROUP
     net = Simnet(seed=config.seed, latency=LatencyModel.from_config(config.latency))
     timers_a = TimerConfig(config.appeal_window, config.close_window, config.alpha_unlock, config.assist_window)
     timers_b = replace(timers_a, unlock_window=config.beta_unlock, assist_window=None)  # no assist on beta
@@ -238,14 +237,7 @@ def build_world(config: ScenarioConfig) -> World:
             c.chain_id: keypair_from_label("%s:%d:%s" % (name, config.seed, c.chain_id))
             for c in (alpha, beta)
         }
-        p = Party(
-            name,
-            keys,
-            behavior=behavior_for(config.adversary, name),
-            directory=directory,
-            seed=config.seed,
-            group=group,
-        )
+        p = Party(name, keys, behavior=behavior_for(config.adversary, name), directory=directory, seed=config.seed)
         parties[name] = p
         net.register(name, p)
         for c in (alpha, beta):
@@ -260,7 +252,7 @@ def build_world(config: ScenarioConfig) -> World:
             mname = "M.%s.%d" % (c.chain_id, i + 1)
             kp = keypair_from_label("%s:%d" % (mname, config.seed))
             behavior = MinerBehavior(respond_recover=i >= config.byzantine_miners)
-            m = Miner(mname, c, kp, behavior=behavior, group=group)
+            m = Miner(mname, c, kp, behavior=behavior)
             miners.append(m)
             net.register(mname, m)
             c.register_miner(kp.address)
@@ -332,9 +324,9 @@ def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tup
             for seller, buyer, chain_id, key in sales:
                 label = b"%s:%s" % (seller.name.encode(), sid.encode())
                 blocks = tuple(hash_bytes(b"m:%s:%d:%d" % (label, config.seed, i))[:13] for i in range(4))
-                vk = seller.setup_exchange(chain_id, sid, key, blocks, config.vss_t, config.vss_n,
-                                           hash_bytes(b"crs:" + label))
-                buyer.expect_proof(chain_id, sid, seller.address(chain_id), vk)
+                mac_key = seller.setup_exchange(chain_id, sid, key, blocks, config.vss_t, config.vss_n,
+                                                hash_bytes(b"crs:" + label))
+                buyer.expect_proof(chain_id, sid, seller.address(chain_id), mac_key)
 
     barrier = _close_barrier(config, net.latency, longest, [len(sub) for sub in subs])
     for p in parties.values():
@@ -494,11 +486,6 @@ def run_scaling_sweep(config: ScenarioConfig, channel_counts) -> SweepResult:
         r_squared=r2,
         single_channel_rate=base_metrics.receipts_per_tick,
     )
-
-
-def write_trace(trace, path):
-    with open(path, "wb") as fh:
-        fh.write(trace_bytes(trace) + b"\n")
 
 
 def trace_bytes(trace) -> bytes:

@@ -2,9 +2,9 @@
 
 A dealer splits a secret s into n shares, any t of which recover it by
 Lagrange interpolation; published Pedersen commitments let each holder
-check its share without learning anything about the others. Shares carry
-the hash of the dealing's public commitments so shares from concurrent
-dealings cannot be mixed.
+check its share without learning anything about the others. A share
+carries no mark of its dealing: the per-share hashes the dealer binds on
+chain keep concurrent dealings apart.
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ class KeyShare(Checked):
     index: U64
     s: Scalar
     r: Scalar
-    dealing_id: bytes
-
-    def body_bytes(self) -> bytes:
-        # hashing preimage; excludes the dealing id on purpose so the
-        # published per-share hashes commit to the share values alone
-        return enc_value(self, stop="dealing_id")
 
 
 @declared
@@ -48,9 +42,6 @@ class DealingPublic(Checked):
     n: U64
     e_sr: Scalar
     coeff_commitments: tuple[Scalar, ...]
-
-    def dealing_id(self) -> bytes:
-        return hash_bytes(enc_value(self))
 
 
 @dataclass(frozen=True)
@@ -84,10 +75,8 @@ def share(s: int, t: int, n: int, rng, group: GroupParams) -> Dealing:
         pedersen_commit(f_coeffs[j], g_coeffs[j], group) for j in range(1, t)
     )
     public = DealingPublic(t=t, n=n, e_sr=e_sr, coeff_commitments=coeff_commitments)
-    did = public.dealing_id()
     shares = tuple(
-        KeyShare(index=i, s=_poly_eval(f_coeffs, i, q), r=_poly_eval(g_coeffs, i, q), dealing_id=did)
-        for i in range(1, n + 1)
+        KeyShare(index=i, s=_poly_eval(f_coeffs, i, q), r=_poly_eval(g_coeffs, i, q)) for i in range(1, n + 1)
     )
     return Dealing(public=public, shares=shares)
 
@@ -107,18 +96,13 @@ def verify_share(ks: KeyShare, public: DealingPublic, group: GroupParams) -> boo
 def recover(shares, t: int, group: GroupParams) -> int:
     """Lagrange interpolation at zero over any t distinct shares.
 
-    Raises ThresholdNotMet with fewer than t distinct indices and
-    VssParameterError if the shares span multiple dealings.
+    Raises ThresholdNotMet with fewer than t distinct indices.
     """
-    shares = list(shares)
     seen = {}
     for ks in shares:
         seen.setdefault(ks.index, ks)
     if len(seen) < t:
         raise ThresholdNotMet("have %d distinct shares, need %d" % (len(seen), t))
-    ids = {ks.dealing_id for ks in shares}
-    if len(ids) > 1:
-        raise VssParameterError("shares from %d different dealings" % len(ids))
     picked = [seen[i] for i in sorted(seen)][:t]
     q = group.q
     secret = 0
@@ -134,9 +118,9 @@ def recover(shares, t: int, group: GroupParams) -> int:
 
 def share_hash(ks: KeyShare) -> bytes:
     """The per-share digest published on-chain and bound to a miner."""
-    return hash_bytes(ks.body_bytes())
+    return hash_bytes(enc_value(ks))
 
 
 def share_message_bytes(ks: KeyShare, sn: bytes) -> bytes:
     """Signing preimage for a distributed (share, serial-number) pair."""
-    return ks.body_bytes() + enc_u64(len(sn)) + sn
+    return enc_value(ks) + enc_u64(len(sn)) + sn

@@ -1,6 +1,6 @@
 """Known-answer pins of every canonical byte form: the SHA-256 of the
 signed and hashed bytes of one fixed instance of each signed value, of a
-transaction of each payload kind, of the VSS share and dealing digests,
+transaction of each payload kind, of the VSS share digest and signed share,
 of a plaintext block digest and of one proof binding.
 
 Signatures, block hashes (and through them miner selection) and proof
@@ -28,8 +28,7 @@ TR = make_receipt(A, SID, (1, 2), 3, B.address, 7)
 TR_ROOT = make_receipt(B, SID, (), 4, A.address, 2)
 SR = make_sub_receipt(A, C.address, TR)
 FINAL = make_final_state(A, SID, (1,), {B.address: 4, A.address: 3})
-DEALING = vss.DealingPublic(t=2, n=3, e_sr=123456789, coeff_commitments=(987654321, 5))
-SHARE = vss.KeyShare(index=2, s=12345, r=67890, dealing_id=DEALING.dealing_id())
+SHARE = vss.KeyShare(index=2, s=12345, r=67890)
 SN = bytes(range(16))
 
 PAYLOADS = {
@@ -55,17 +54,16 @@ def byte_forms() -> dict:
         forms[name + ".to_bytes"] = value.to_bytes()
     forms["vss.share_hash"] = vss.share_hash(SHARE)
     forms["vss.share_message_bytes"] = vss.share_message_bytes(SHARE, SN)
-    forms["DealingPublic.dealing_id"] = DEALING.dealing_id()
     forms["hash_blocks"] = hash_blocks((b"block-0", b"block-1", b""))
     rng = random.Random(7)
     key = rng.randrange(TINY_GROUP.q)
     m = tuple(bytes(rng.randrange(256) for _ in range(13)) for _ in range(3))
     dealing = vss.share(key, 2, 3, rng, TINY_GROUP)
     backend = proofs.TransparentMacBackend(TINY_GROUP)
-    crs = backend.setup(128, b"pin-crs")
+    mac_key = backend.setup(b"pin-crs")
     x = proofs.make_public_inputs(m, key, 2, 3)
     w = proofs.RelationWitness(m=m, k_shares=dealing.shares)
-    forms["TransparentMacBackend.prove"] = backend.prove(crs.pk, w, x).binding
+    forms["TransparentMacBackend.prove"] = backend.prove(mac_key, w, x).binding
     return forms
 
 
@@ -93,9 +91,9 @@ PINS = {
     "OnChainTx.Upload.to_bytes":
         "4b0b6bf41629813114d020aaf446cbf9eadc9c52074aa7477c63490a3a5ceed5",
     "OnChainTx.Appeal.signing_bytes":
-        "b94c90f59e5e1f62732816a9eda83d3ae813a1dd1b82df4910d9b6775d45ff84",
+        "e435f74970a032fde0cb8d939a71f16fabeeb3cec2523e4cafb709db754d6345",
     "OnChainTx.Appeal.to_bytes":
-        "25339a3c4fb624d01a77343ecefc4fe71d3c956fdedc303c396b074016cc67f7",
+        "1ad648c1585081d3a297710346d9b0a571838a04f232ec300d989f8d8f37f13d",
     "OnChainTx.Close.signing_bytes":
         "610e5eef11644663dc41322a71354ade6378990c375d5359a06559890fea2a4f",
     "OnChainTx.Close.to_bytes":
@@ -113,15 +111,13 @@ PINS = {
     "OnChainTx.UpdateEIE.to_bytes":
         "d1a79e4bf03e72efcd66ce8157e30e9a4502f0903c229fed9dad6d8759aea4e8",
     "OnChainTx.Recover.signing_bytes":
-        "280d2160fbed7dc51b6eb0305da7d1a0ef5cf3798849db59efea259807e6091e",
+        "b3f4b87806896af9ffd6107ae358d8fd405a884af230c648aebff1eb49373193",
     "OnChainTx.Recover.to_bytes":
-        "d79beeb4be5ac921b239e28e2d7daa18e78a7dfa9763856ea8525572da0ff571",
+        "291c04ce2e57229829152376f88bf8cbf68a8a1608348c27b72bea378e63b172",
     "vss.share_hash":
         "7f8490664dce7284c124ce9681ef3ebcac29e44856e8c76ac9a189586f5ee398",
     "vss.share_message_bytes":
         "d03f12a7d606d35e67398e907f1f78539eab387a0a927ccb418b1dcbf8ce9da7",
-    "DealingPublic.dealing_id":
-        "2ab4ae75782a61722d9683f66bf879fc079c6fb617437081168bb481cf6e15c5",
     "hash_blocks":
         "832787be6ffcd3e71189eeab71a866c77f9e1030e1e932bdcc714d64bb59e0cf",
     "TransparentMacBackend.prove":

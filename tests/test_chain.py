@@ -84,7 +84,7 @@ class TestSubmit:
             # bool is not an int
             (lambda: ct.OpenPayload(True), "OpenPayload.amount"),
             # a key share scalar of the wrong type
-            (lambda: ct.RecoverPayload(share=vss.KeyShare(1, "1", 1, bytes(32))), "KeyShare.s"),
+            (lambda: ct.RecoverPayload(share=vss.KeyShare(1, "1", 1)), "KeyShare.s"),
             # an address UTF-8 cannot carry (a lone surrogate)
             (lambda: FinalState("c0", (), {"\ud800": 1}, S.address, bytes(64)), "FinalState.balances"),
             # balances that are no mapping, which once raised ValueError from the copy

@@ -131,6 +131,17 @@ def test_unreadable_config_exits_2(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("config error: cannot read config: ")
 
 
+@pytest.mark.parametrize("option", ["--trace", "--metrics"])
+def test_unwritable_output_exits_2_before_the_run(config_path, tmp_path, capsys, option):
+    """An output path that cannot be opened is a usage error found before
+    the run, not a traceback after it: exit 1 means an invariant failed."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", config_path, option, str(tmp_path / "missing" / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument %s: can't open " % option in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("channels", ["1:2", "1:2:0", "0:1:1", "1:1:1", "a:b:c"])
 def test_sweep_bad_channels_exits_2(config_path, capsys, channels):
     """--channels needs lo:hi:step with 1 <= lo, step >= 1 and at least two

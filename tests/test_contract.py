@@ -549,6 +549,13 @@ class TestUpdateEie:
         d.submit(outsider_kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share=dealing.shares[0]))
         events = d.step()
         assert (events[0].ok, events[0].result) == (False, "no share accepted")
+        # a bound miner's index from a second dealing of the same key: the
+        # owner's bound hash, not a mark on the share, keeps dealings apart
+        other = vss.share(key, 2, 3, random.Random(6), TINY_GROUP)
+        assert other.shares[b.index - 1] != dealing.shares[b.index - 1]
+        d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share=other.shares[b.index - 1]))
+        events = d.step()
+        assert (events[0].ok, events[0].result) == (False, "no share accepted")
         # duplicate index ignored: same miner resubmits its share twice
         good = dealing.shares[b.index - 1]
         d.submit(kp, "c0", ct.RECOVER_TX, ct.RecoverPayload(share=good))

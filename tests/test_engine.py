@@ -2,6 +2,7 @@
 final states."""
 
 import copy
+import random
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from xchan import contract as ct
 from xchan.chain import ChainEvent
 from xchan.contract import InvariantViolation
-from xchan.crypto import keypair_from_label
+from xchan.crypto import DEFAULT_GROUP, keypair_from_label
 from xchan import engine, proofs, receipts, vss
 from xchan.engine import BehaviorProfile, ChannelView, ExchangeMsg, Party, ReceiptMsg, ShareMsg, SrMsg, Timer
 from xchan.receipts import (Receipt, SubChannelReceipt, fold_receipt, make_final_state, make_receipt,
@@ -360,8 +361,8 @@ def _event(result=ct.CLOSE, ok=True, detail=None, chain_id="alpha", session_id="
 # the event dict a chain sent before chain events were typed
 _DICT_EVENT = {"tick": 8, "chain_id": "alpha", "block": 2, "tx_kind": "Close", "session_id": "c0",
                "result": "state:Close"}
-_SHARE = ShareMsg("alpha", "c0", _S, vss.KeyShare(1, 1, 1, b""), vss.DealingPublic(2, 3, 1, ()), b"", b"")
-_PROOF = proofs.Proof(1, bytes(32))
+_SHARE = ShareMsg("alpha", "c0", _S, vss.KeyShare(1, 1, 1), vss.DealingPublic(2, 3, 1, ()), b"", b"")
+_PROOF = proofs.Proof(bytes(32))
 
 
 def _exchange(**fields):
@@ -446,9 +447,9 @@ MALFORMED = {
     "miner-share-empty": ("M.alpha.1", "share", "S", Unbuilt("mistyped ShareMsg.chain_id",
                                                              lambda: ShareMsg(*[None] * 7))),
     "miner-share-other-chain": ("M.alpha.1", "share", "S", ShareMsg(
-        "beta", "c0", "x", vss.KeyShare(1, 1, 1, b""), vss.DealingPublic(2, 3, 1, ()), b"", b"")),
+        "beta", "c0", "x", vss.KeyShare(1, 1, 1), vss.DealingPublic(2, 3, 1, ()), b"", b"")),
     "miner-share-dict": ("M.alpha.1", "share", "S", {
-        "chain_id": "alpha", "session_id": "c0", "owner": _S, "share": vss.KeyShare(1, 1, 1, b""),
+        "chain_id": "alpha", "session_id": "c0", "owner": _S, "share": vss.KeyShare(1, 1, 1),
         "dealing_pub": vss.DealingPublic(2, 3, 1, ()), "sn": b"", "sig": b""}),
     "miner-chain_event-empty": ("M.alpha.1", "chain_event", "alpha", Unbuilt(
         "mistyped ChainEvent.tick", lambda: ChainEvent(*[None] * 8))),
@@ -530,7 +531,7 @@ MALFORMED = {
     "sr_grant-list-path-receipt": ("S", "sr_grant", "R", Unbuilt(
         "mistyped Receipt.channel_path", lambda: SrMsg("alpha", _sr(channel_path=[1])))),
     "miner-share-str-scalar": ("M.alpha.1", "share", "S", Unbuilt(
-        "mistyped KeyShare.s", lambda: replace(_SHARE, share=vss.KeyShare(1, "s", 1, b"")))),
+        "mistyped KeyShare.s", lambda: replace(_SHARE, share=vss.KeyShare(1, "s", 1)))),
     # an exchange R checks against S's key, each with a proof or input that
     # once raised out of the proof backend (the line it raised at)
     "exchange-str-t": ("R", "exchange", "S", Unbuilt(  # wire.enc_u64
@@ -540,7 +541,7 @@ MALFORMED = {
     "exchange-int-m_bar": ("R", "exchange", "S", Unbuilt(  # fields()
         "mistyped RelationPublicInputs.m_bar", lambda: _exchange(publics=replace(_PUBLICS, m_bar=5)))),
     "exchange-int-binding": ("R", "exchange", "S", Unbuilt(  # len(binding)
-        "mistyped Proof.binding", lambda: _exchange(proof=proofs.Proof(1, 5)))),
+        "mistyped Proof.binding", lambda: _exchange(proof=proofs.Proof(5)))),
     # a dealing that once raised out of vss.verify_share
     "miner-share-str-e_sr": ("M.alpha.1", "share", "S", Unbuilt(
         "mistyped DealingPublic.e_sr",
@@ -672,10 +673,8 @@ class TestMalformedMessages:
         "bound-without-dealing": ct.Bound(_R, b"", (ct.Binding("m", 1, b""),), 2, b""),
         # S's key published below its threshold
         "published-no-shares": ct.Published(_S, ()),
-        # shares labelled with two dealings, as an owner's relabelled share
-        # passes the miner's and the contract's hash checks
-        "published-two-dealings": ct.Published(_S, (vss.KeyShare(1, 1, 1, b"a"),
-                                                    vss.KeyShare(2, 1, 1, b"b"))),
+        # two shares of no dealing of S's key
+        "published-unrelated-shares": ct.Published(_S, (vss.KeyShare(1, 1, 1), vss.KeyShare(2, 1, 1))),
     }
 
     @pytest.mark.parametrize("probe", UNSENT)
@@ -690,21 +689,29 @@ class TestMalformedMessages:
         unrecovered = [] if type(detail) is ct.Bound else [("recovered-key-hash-mismatch", "alpha", "c0")]
         assert R.violations == unrecovered
 
-    def test_relabelled_share_still_recovers(self):
-        """S's genuine shares, one relabelled with another dealing id: each
-        still matches S's bound hash, which leaves the id out, so the chain
-        publishes them, and R recovers S's key from their values."""
+    def test_share_of_another_dealing_is_appealed(self):
+        """S signs the share at a miner's index from a second dealing of the
+        same key and sends it with that dealing's commitments. The share
+        checks out against them, so only S's bound hash tells the dealings
+        apart: the miner appeals the share and keeps the one it stored."""
         world = _eie_world_mid_run()
-        R = world.parties["R"]
-        dealing = world.parties["S"].sessions["c0"].sides["alpha"].exchange.dealing
-        upload = R.sessions["c0"].sides["alpha"].uploads[_S]
-        shares = list(dealing.shares[:upload.t])
-        shares[-1] = replace(shares[-1], dealing_id=b"relabelled")
-        assert [vss.share_hash(ks) for ks in shares] == [b.share_hash for b in upload.bindings[:upload.t]]
-        R.on_message(world.net, Message("chain_event", "alpha", "R",
-                                        _event(ct.SHARES_RECORDED, detail=ct.Published(_S, tuple(shares)))))
-        assert not R.rejected and R.violations == []
-        assert R.sessions["c0"].sides["alpha"].recovered is not None
+        S = world.parties["S"]
+        exchange = S.sessions["c0"].sides["alpha"].exchange
+        bound = world.alpha.contract.sessions["c0"].uploads[_S]
+        binding = bound.bindings[0]
+        miner = next(m for m in world.miners if m.kp.address == binding.miner)
+        stored = miner.stored[("c0", _S)]
+        other = vss.share(exchange.key, exchange.t, exchange.n, random.Random(1), DEFAULT_GROUP)
+        ks = other.shares[binding.index - 1]
+        assert vss.verify_share(ks, other.public, DEFAULT_GROUP) and ks != stored.share
+        sig = S.keys["alpha"].sign(vss.share_message_bytes(ks, bound.sn))
+        queued = {p.seq for p in world.net.pending}
+        miner.on_message(world.net, Message("share", "S", miner.name,
+                                            ShareMsg("alpha", "c0", _S, ks, other.public, bound.sn, sig)))
+        (sent,) = [p.msg for p in world.net.pending if p.seq not in queued]
+        assert (sent.kind, sent.src, sent.data.kind) == ("tx", miner.name, ct.APPEAL_TX)
+        assert sent.data.payload == ct.AppealPayload(owner_sig=sig, share=ks, sn=bound.sn)
+        assert miner.stored[("c0", _S)] is stored
 
     def test_failed_event_inert(self):
         """A failed transaction's event whose result names a state and a
@@ -880,7 +887,7 @@ class TestReplays:
         side = R.side("alpha", "c0")
         assert side.proof_ok is True
         (msg,) = [m for m in got if m.kind == "exchange"]
-        bad = replace(msg.data, proof=proofs.Proof(1, bytes(32)))
+        bad = replace(msg.data, proof=proofs.Proof(bytes(32)))
         for src in ("nobody", msg.src):
             R.on_message(world.net, Message("exchange", src, "R", bad))
         assert side.proof_ok is True and not R.sessions["c0"].aborted

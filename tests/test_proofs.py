@@ -52,59 +52,52 @@ class TestBackend:
         self.be = proofs.TransparentMacBackend(G)
 
     def test_setup_deterministic(self):
-        a = self.be.setup(128, b"seed")
-        b = self.be.setup(128, b"seed")
-        assert a == b
-        assert len(a.pk.binding_key) == 32
-
-    def test_lambda_floor(self):
-        with pytest.raises(ValueError):
-            self.be.setup(64, b"seed")
+        a = self.be.setup(b"seed")
+        assert a == self.be.setup(b"seed")
+        assert len(a) == 32
 
     def test_prove_verify_round_trip(self):
-        crs = self.be.setup(128, b"s")
+        key = self.be.setup(b"s")
         _, _, _, x, w = honest_instance()
-        proof = self.be.prove(crs.pk, w, x)
-        assert self.be.verify(crs.vk, x, proof)
+        proof = self.be.prove(key, w, x)
+        assert self.be.verify(key, x, proof)
 
     def test_prove_refuses_false_statements(self):
-        crs = self.be.setup(128, b"s")
+        key = self.be.setup(b"s")
         _, _, _, x, w = honest_instance()
         bad = replace(x, h_k=hash_bytes(b"not-the-key"))
         with pytest.raises(proofs.RelationUnsatisfied):
-            self.be.prove(crs.pk, w, bad)
+            self.be.prove(key, w, bad)
 
     def test_binding_to_public_inputs(self):
-        crs = self.be.setup(128, b"s")
+        key = self.be.setup(b"s")
         _, _, _, x, w = honest_instance()
-        proof = self.be.prove(crs.pk, w, x)
+        proof = self.be.prove(key, w, x)
         altered = replace(x, h_k=hash_bytes(b"other"))
-        assert not self.be.verify(crs.vk, altered, proof)
+        assert not self.be.verify(key, altered, proof)
 
-    def test_cross_crs_rejected(self):
-        crs1 = self.be.setup(128, b"one")
-        crs2 = self.be.setup(128, b"two")
+    def test_proof_under_another_key_rejected(self):
         _, _, _, x, w = honest_instance()
-        proof = self.be.prove(crs1.pk, w, x)
-        assert not self.be.verify(crs2.vk, x, proof)
+        proof = self.be.prove(self.be.setup(b"one"), w, x)
+        assert not self.be.verify(self.be.setup(b"two"), x, proof)
 
     def test_truncated_proof_rejected(self):
-        crs = self.be.setup(128, b"s")
+        key = self.be.setup(b"s")
         _, _, _, x, w = honest_instance()
-        proof = self.be.prove(crs.pk, w, x)
+        proof = self.be.prove(key, w, x)
         cut = replace(proof, binding=proof.binding[:-4])
-        assert not self.be.verify(crs.vk, x, cut)
+        assert not self.be.verify(key, x, cut)
 
     def test_proof_size_constant_in_plaintext(self):
-        crs = self.be.setup(128, b"s")
+        key = self.be.setup(b"s")
         sizes = set()
         for blocks in (10, 100, 1000, 10_000):
             _, _, _, x, w = honest_instance(seed=blocks, blocks=blocks)
-            sizes.add(len(wire.enc_value(self.be.prove(crs.pk, w, x))))
+            sizes.add(len(wire.enc_value(self.be.prove(key, w, x))))
         assert len(sizes) == 1
 
     def test_completeness_randomized(self):
-        crs = self.be.setup(128, b"s")
+        key = self.be.setup(b"s")
         for seed in range(30):
             _, _, _, x, w = honest_instance(seed=seed)
-            assert self.be.verify(crs.vk, x, self.be.prove(crs.pk, w, x))
+            assert self.be.verify(key, x, self.be.prove(key, w, x))

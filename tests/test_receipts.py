@@ -144,7 +144,7 @@ class _Subclassed(Receipt):
     # a nested value not of exactly its declared class
     (partial(SubChannelReceipt, "c", _Subclassed(SID, (), 1, "a", "b", 1)), "SubChannelReceipt.receipt"),
     (partial(FinalState, SID, (), {"a": -1}, "a"), "FinalState.balances"),
-    (partial(vss.KeyShare, 1, 1, 1 << 256, b""), "KeyShare.r"),
+    (partial(vss.KeyShare, 1, 1, 1 << 256), "KeyShare.r"),
     # a nested value is refused where it is built, before it can be nested
     (partial(lambda: SubChannelReceipt("c", Receipt(SID, (), 1, "a", "b", 1 << 64))), "Receipt.amount"),
     (partial(Receipt, SID, (), 1, "a\udfff", "b", 1), "Receipt.snd"),  # UTF-8 cannot carry it

@@ -10,7 +10,7 @@ import pytest
 from xchan import contract as ct
 from xchan import receipts, vss
 from xchan.atomicity import PROFILES, build_close_phase_world, enumerate_close_phase, outcome_of
-from xchan.crypto import hash_blocks
+from xchan.crypto import hash_blocks, hash_bytes
 from xchan.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -236,12 +236,12 @@ class TestFairExchange:
             def __init__(self, inner):
                 self.inner = inner
 
-            def prove(self, pk, w, x):
-                p = self.inner.prove(pk, w, x)
+            def prove(self, key, w, x):
+                p = self.inner.prove(key, w, x)
                 return replace_proof(p)
 
-            def verify(self, vk, x, proof):
-                return self.inner.verify(vk, x, proof)
+            def verify(self, key, x, proof):
+                return self.inner.verify(key, x, proof)
 
         def replace_proof(p):
             from dataclasses import replace as dc
@@ -270,6 +270,24 @@ class TestFairExchange:
             assert chain.contract.sessions["c0"].is_terminal()
             total = sum(chain.accounts.values())
             assert total == 2 * cfg.funding
+
+    def test_fe_preimage_that_is_no_key_is_a_mismatch(self):
+        """In FE the revealed preimage is R's decryption key. S reveals a
+        33-byte one: it unlocks both chains but decrypts nothing, and R
+        records the mismatch instead of raising out of the run."""
+        cfg = ScenarioConfig(mode="FE", receipts_n=2, seed=1, max_ticks=60)
+        world = build_world(cfg)
+        ps = world.parties["S"].sessions["c0"]
+        ps.pre = bytes(33)
+        ps.h_pre = hash_bytes(ps.pre)
+        for name in ("S", "R"):
+            for chain in (world.alpha, world.beta):
+                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        assert collect_metrics(world).outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
+        R = world.parties["R"]
+        assert R.violations == [("plaintext-hash-mismatch", "alpha", "c0")]
+        assert R.side("alpha", "c0").recovered is None
 
     def test_byzantine_withholders_cannot_block_recovery(self):
         # one withholding miner per chain; n >= t + ell keeps recovery alive

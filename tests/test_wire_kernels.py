@@ -43,7 +43,7 @@ def _declared_classes():
 CLASSES = _declared_classes()
 
 # checked values to stand in a field declared object, or of another class
-POOL = [proofs.Proof(1, b"p"), vss.KeyShare(1, 2, 3, b"d"), ct.Locked(b"h"), ct.OpenPayload(5),
+POOL = [proofs.Proof(b"p"), vss.KeyShare(1, 2, 3), ct.Locked(b"h"), ct.OpenPayload(5),
         make_receipt(keypair_from_label("kernels"), "c0", (), 1, "b", 2)]
 
 
