@@ -15,10 +15,11 @@ the public key must be canonical and not of small order, so a signature
 under a small-order key (such as the identity, under which one signature
 would verify for every message) is rejected.
 
-Everything here is pure and immutable after construction. The one state
-kept between calls is public and immutable: each group lazily builds its
+Everything here is pure and immutable after construction. The state kept
+between calls is public and immutable: each group lazily builds its
 fixed-base exponentiation tables (8-bit windows, ~1.1 MB for the default
-group) on its first commitment and keeps them.
+group) on its first commitment and keeps them, and each key label's
+keypair is derived once and kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import ctypes
 import ctypes.util
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .forking import Shared
 from .wire import U64, Checked, declared, enc_scalar, enc_seq, enc_u64
@@ -185,7 +186,14 @@ class KeyPair(Shared):
         return "KeyPair(%s...)" % self.address[:8]
 
 
+@cache
 def keypair_from_label(label: str) -> KeyPair:
+    """The keypair label names, derived once per process and then shared:
+    a KeyPair is public and immutable, so every world built from the same
+    label holds the same one (``cache_clear()`` drops them).
+
+    Signature verdicts are not kept the same way: a verdict is a fact about
+    what one world has admitted, so any verify memo lives in that world."""
     return KeyPair(hash_bytes(b"keypair:" + label.encode("utf-8")))
 
 

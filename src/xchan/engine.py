@@ -259,7 +259,7 @@ class Party:
         deals (a close-phase world) has no generator to fork."""
         return Rng("party:%s:%d" % (self.name, self.seed))
 
-    __deepcopy__ = copier(share="name keys behavior seed close_after_tick",
+    __deepcopy__ = copier(share="name keys behavior seed backend close_after_tick",
                           copy="directory violations rejected")
 
     def address(self, chain_id: str) -> str:
@@ -725,12 +725,10 @@ class Party:
     }
 
 
-@dataclass
-class MinerBehavior:
+@dataclass(frozen=True)
+class MinerBehavior(Shared):
     respond_recover: bool = True  # byzantine miners withhold shares
     stale_sn_replay: bool = False
-
-    __deepcopy__ = copier(share="respond_recover stale_sn_replay")
 
 
 class Miner:
@@ -747,7 +745,7 @@ class Miner:
         self.assisted: set = set()
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
-    __deepcopy__ = copier(share="name kp first_stored", copy="stored learned_pre assisted rejected")
+    __deepcopy__ = copier(share="name kp behavior first_stored", copy="stored learned_pre assisted rejected")
 
     def on_message(self, net, msg: Message):
         dispatch(self, net, msg)

@@ -2,13 +2,18 @@
 
 A world fork (``Simnet.fork``) is one ``copy.deepcopy`` of the network.
 Values nothing mutates once they are built derive from ``Shared`` and
-deep-copy to themselves, so every fork shares them. Each mutable world
-class declares with ``copier`` how a fork copies each of its attributes:
+deep-copy to themselves, so every fork shares them: declared message and
+record values (``wire.Checked``), keypairs, groups, dealings, the proof
+backend, latency models, timer configs and party and miner behaviors.
+Each mutable world class declares with ``copier`` how a fork copies each
+of its attributes:
 
 * ``share``: immutable values (str, int, bytes, tuples of immutables,
   ``Shared`` values), kept as they are;
 * ``copy``: containers of immutables, copied shallowly (``None`` stays
   ``None``), once per fork, so a container two objects hold stays one.
+  A ``Counter`` is copied as a dict is, without running
+  ``Counter.__init__``, which costs several times the copy itself.
 
 Every other attribute, a nested mutable object or one a class has not
 yet declared, is deep-copied through the fork's memo, so an object
@@ -18,6 +23,7 @@ never shared by mistake.
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import deepcopy
 
 
@@ -36,7 +42,12 @@ def _copy(value, memo):
     clone = memo.get(id(value))
     if clone is None:
         # the original outlives the fork, so its id names it throughout
-        clone = memo[id(value)] = value.copy()
+        if type(value) is Counter:
+            clone = Counter.__new__(Counter)
+            dict.update(clone, value)
+        else:
+            clone = value.copy()
+        memo[id(value)] = clone
     return clone
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import vss
 from .crypto import Ciphertext, GroupParams, encrypt, hash_blocks, hash_bytes, key_to_bytes
+from .forking import Shared
 from .wire import U64, Checked, declared, enc_bytes, enc_u64, enc_value
 
 
@@ -62,13 +63,14 @@ class Proof(Checked):
     binding: bytes
 
 
-class TransparentMacBackend:
+@dataclass(frozen=True)
+class TransparentMacBackend(Shared):
     """An HMAC over the public inputs, gated on the relation actually
     holding. Zero-knowledge holds vacuously (proofs carry nothing derived
-    from the witness)."""
+    from the witness). It holds nothing but its group, so world forks
+    share it."""
 
-    def __init__(self, group: GroupParams):
-        self.group = group
+    group: GroupParams
 
     def setup(self, seed: bytes) -> bytes:
         """The one MAC key that proves and verifies; the security level,

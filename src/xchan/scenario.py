@@ -371,24 +371,43 @@ def start_at_close(alpha: Chain, beta: Chain, S: Party, R: Party, sid: str, depo
             side.state = ct.CLOSE
 
 
+# the violations after which a payee can recover nothing more
+MISMATCHES = ("recovered-key-hash-mismatch", "plaintext-hash-mismatch")
+
+
+def _owed_plaintexts(world: World):
+    """(payee, chain id, session id) for each successful channel session that
+    owes its payee the counterpart's plaintext: always on alpha in FE, and in
+    EIE wherever a key recovery was requested; the plain-HTLC baseline's
+    sessions set up no exchange."""
+    if world.config.baseline == "plain_htlc":
+        return
+    fe = world.config.mode == "FE"
+    payees = {"FE": ((world.alpha, "R"),), "EIE": ((world.alpha, "R"), (world.beta, "S"))}
+    for chain, name in payees.get(world.config.mode, ()):
+        for sid in world.session_ids:
+            s = chain.contract.sessions.get(sid)
+            if s is not None and s.state == ct.SUCCESS and (fe or s.recovery_requested):
+                yield world.parties[name], chain.chain_id, sid
+
+
 def _all_terminal(world: World) -> bool:
+    """Whether a run has nothing left to wait for: every session ended on
+    both chains, and each payee owed a plaintext either recovered it or
+    recorded a mismatch, which no later event undoes."""
     for chain in (world.alpha, world.beta):
         for sid in world.session_ids:
             s = chain.contract.sessions.get(sid)
             if s is None or not s.is_terminal():
                 return False
-    # a successful channel session owes its payee the counterpart's plaintext:
-    # always on alpha in FE, and in EIE wherever a key recovery was requested;
-    # the plain-HTLC baseline's sessions set up no exchange
-    fe = world.config.mode == "FE"
-    payees = {"FE": ((world.alpha, "R"),), "EIE": ((world.alpha, "R"), (world.beta, "S"))}
-    for chain, name in payees.get(world.config.mode, ()) if world.config.baseline != "plain_htlc" else ():
-        for sid in world.session_ids:
-            s = chain.contract.sessions.get(sid)
-            if s is not None and s.state == ct.SUCCESS and (fe or s.recovery_requested):
-                if world.parties[name].side(chain.chain_id, sid).recovered is None:
-                    return False
-    return True
+    return all(p.side(c, sid).recovered is not None
+               or any((why, c, sid) in p.violations for why in MISMATCHES)
+               for p, c, sid in _owed_plaintexts(world))
+
+
+def _all_recovered(world: World) -> bool:
+    """Whether every payee owed a plaintext recovered it."""
+    return all(p.side(c, sid).recovered is not None for p, c, sid in _owed_plaintexts(world))
 
 
 def _split(world: World) -> bool:
@@ -421,9 +440,10 @@ def collect_metrics(world: World) -> RunMetrics:
 
 def run_scenario(config: ScenarioConfig):
     """Execute one scenario end to end; returns (metrics, trace). The
-    metrics' invariants hold when every session ended and every planned
-    receipt arrived, and, when no party carries an adversary flag, each
-    session ended in the same state on both chains."""
+    metrics' invariants hold when every session ended, every payee owed a
+    plaintext recovered it and every planned receipt arrived, and, when no
+    party carries an adversary flag, each session ended in the same state
+    on both chains."""
     world = build_world(config)
     for sid in world.session_ids:  # each session's first move
         if config.baseline == "plain_htlc":
@@ -435,7 +455,8 @@ def run_scenario(config: ScenarioConfig):
     trace = world.net.run_until(lambda: _all_terminal(world), max_tick=config.max_ticks)
     metrics = collect_metrics(world)
     honest = not any(config.adversary.values())
-    metrics.invariants_ok = (_all_terminal(world) and metrics.receipts_processed == world.expected_receipts
+    metrics.invariants_ok = (_all_terminal(world) and _all_recovered(world)
+                             and metrics.receipts_processed == world.expected_receipts
                              and not (honest and _split(world)))
     return metrics, trace
 

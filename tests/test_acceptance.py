@@ -15,6 +15,7 @@ from xchan.atomicity import enumerate_close_phase
 from xchan.chain import Chain, TimerConfig
 from xchan.crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
 from xchan.contract import settle_levels
+from xchan.engine import MinerBehavior
 from xchan.scenario import (
     ScenarioConfig,
     build_world,
@@ -221,6 +222,37 @@ def test_criterion_5_cost_shape():
     )
 
 
+def _committed_bytes(cfg, monkeypatch) -> int:
+    """The bytes of every transaction cfg's run commits: the sum of
+    ``tx.to_bytes()`` over each tx a block executes without failing."""
+    sizes = []
+    execute = ct.ChannelContract.execute
+
+    def counted(self, tx, chain):
+        ok, result, detail = execute(self, tx, chain)
+        if ok:
+            sizes.append(len(tx.to_bytes()))
+        return ok, result, detail
+
+    with monkeypatch.context() as m:
+        m.setattr(ct.ChannelContract, "execute", counted)
+        metrics, _ = run_scenario(cfg)
+    assert metrics.invariants_ok
+    return sum(sizes)
+
+
+def test_criterion_5_byte_shape(monkeypatch):
+    """Criterion 5 counted in bytes, beside it (ROADMAP item 5): a channel's
+    on-chain bytes grow by one fixed amount per receipt, 476 at seed 55,
+    and overtake plain HTLC's somewhere past 10 receipts and by 100."""
+    ns = (1, 10, 100)
+    cross = {n: _committed_bytes(ScenarioConfig(mode="CE", receipts_n=n, seed=55), monkeypatch) for n in ns}
+    htlc = {n: _committed_bytes(ScenarioConfig(mode="CE", receipts_n=n, seed=55, baseline="plain_htlc"),
+                                monkeypatch) for n in ns}
+    assert (cross[10] - cross[1]) / 9 == (cross[100] - cross[10]) / 90 == 476, cross
+    assert cross[10] > htlc[10] and cross[100] <= htlc[100], (cross, htlc)
+
+
 # -- 6. throughput scaling -------------------------------------------------------
 
 
@@ -266,7 +298,7 @@ def test_criterion_7_appeal_paths():
                           vss_t=2, vss_n=4, byzantine_ell=1)
     world2 = build_world(cfg2)
     replayer = next(m for m in world2.miners if m.chain is world2.alpha)
-    replayer.behavior.stale_sn_replay = True
+    replayer.behavior = MinerBehavior(stale_sn_replay=True)
     for sid in world2.session_ids:
         for name in ("S", "R"):
             for chain in (world2.alpha, world2.beta):

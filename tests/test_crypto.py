@@ -8,7 +8,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xchan import crypto
+from xchan import atomicity, crypto
 from xchan.crypto import (
     DEFAULT_GROUP,
     TINY_GROUP,
@@ -228,9 +228,34 @@ class TestSignatures:
 
     def test_deterministic_from_seed(self):
         a = keypair_from_label("same")
-        b = keypair_from_label("same")
+        b = KeyPair(a.seed)  # a second derivation; the label's is derived once
         assert a.address == b.address
         assert a.sign(b"x") == b.sign(b"x")
+
+    def test_label_keypair_derived_once_per_process(self, monkeypatch):
+        """keypair_from_label derives each label's keys once: the ten
+        close-phase worlds, built twice, hold five keypairs between them;
+        and a key derived again after cache_clear() is the same key."""
+        kp = keypair_from_label("memo")
+        assert keypair_from_label("memo") is kp
+        keypair_from_label.cache_clear()
+        again = keypair_from_label("memo")
+        assert again is not kp and again.address == kp.address and again.sign(b"x") == kp.sign(b"x")
+
+        keypair_from_label.cache_clear()
+        built = []
+        init = KeyPair.__init__
+
+        def counted(self, seed):
+            built.append(seed)
+            init(self, seed)
+
+        monkeypatch.setattr(KeyPair, "__init__", counted)
+        for _ in range(2):
+            for assist in (True, False):
+                for profile in atomicity.PROFILES:
+                    atomicity.build_close_phase_world(profile, assist)
+        assert len(built) == len(set(built)) == 5
 
     def test_single_byte_flips_rejected(self):
         kp = keypair_from_label("flip")

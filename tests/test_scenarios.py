@@ -8,9 +8,10 @@ from dataclasses import fields, replace
 import pytest
 
 from xchan import contract as ct
-from xchan import receipts, vss
+from xchan import receipts, scenario, vss
 from xchan.atomicity import PROFILES, build_close_phase_world, enumerate_close_phase, outcome_of
 from xchan.crypto import hash_blocks, hash_bytes
+from xchan.engine import MinerBehavior
 from xchan.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -289,6 +290,27 @@ class TestFairExchange:
         assert R.violations == [("plaintext-hash-mismatch", "alpha", "c0")]
         assert R.side("alpha", "c0").recovered is None
 
+    def test_fe_run_stops_once_the_payee_records_a_mismatch(self, monkeypatch):
+        """The same 33-byte preimage in a whole run: once R has recorded the
+        mismatch nothing is left to wait for, so the run ends soon after both
+        chains do, and its invariants fail because R recovered nothing."""
+        build = scenario.build_world
+
+        def no_key_preimage(cfg):
+            world = build(cfg)
+            ps = world.parties["S"].sessions["c0"]
+            ps.pre = bytes(33)
+            ps.h_pre = hash_bytes(ps.pre)
+            return world
+
+        monkeypatch.setattr(scenario, "build_world", no_key_preimage)
+        cfg = ScenarioConfig(mode="FE", receipts_n=2, seed=1)
+        assert cfg.max_ticks == 4000
+        metrics, _ = run_scenario(cfg)
+        assert metrics.outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
+        assert metrics.ticks_elapsed < 100
+        assert metrics.invariants_ok is False
+
     def test_byzantine_withholders_cannot_block_recovery(self):
         # one withholding miner per chain; n >= t + ell keeps recovery alive
         cfg = ScenarioConfig(mode="EIE", receipts_n=2, seed=15,
@@ -311,7 +333,7 @@ class TestFairExchange:
         world = build_world(cfg)
         # one alpha miner replays previously-stored shares into new sessions
         replayer = next(m for m in world.miners if m.chain is world.alpha)
-        replayer.behavior.stale_sn_replay = True
+        replayer.behavior = MinerBehavior(stale_sn_replay=True)
         for sid in world.session_ids:
             for name in ("S", "R"):
                 for chain in (world.alpha, world.beta):
