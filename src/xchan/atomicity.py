@@ -8,16 +8,16 @@ constrain delivery windows (targeted delays) or drop the preimage
 reveal entirely; everything else runs the real contract and actor code.
 
 An outcome is the pair of terminal session states. Atomicity holds when
-every reachable outcome is both-success or both-refunded.
+every reachable outcome is atomic by scenario.atomic, the rule a run's
+invariants read: the session ended in the same state on both chains.
 """
 
 from __future__ import annotations
 
 from .chain import Chain, TimerConfig
-from .contract import REFUNDED, SUCCESS, TERMINAL_STATES
 from .crypto import hash_bytes, keypair_from_label
 from .engine import Miner, Party
-from .scenario import behavior_for, start_at_close
+from .scenario import atomic, behavior_for, session_states, start_at_close, terminal
 from .simnet import EnumResult, LatencyModel, Simnet, enumerate_schedules
 
 # windows sized so every deadline is a small number of block boundaries
@@ -27,6 +27,7 @@ ALPHA_UNLOCK = 12
 ALPHA_ASSIST = 24
 BETA_UNLOCK = 8
 HORIZON = 64
+SESSION = "c0"
 
 # R's unlock transaction toward alpha lands only after the party window there is long gone
 R_LATE = {"src": "R", "dst": "alpha", "kind": "uniform", "lo": 28, "hi": 34}
@@ -85,7 +86,7 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
 
     # sessions already settled on 100 + 100: alpha pays 60 S->R, beta pays 60 R->S
     S, R = parties["S"], parties["R"]
-    start_at_close(alpha, beta, S, R, "c0", (100, 100), 60, hash_bytes(b"atom-pre:%d" % seed))
+    start_at_close(alpha, beta, S, R, SESSION, (100, 100), 60, hash_bytes(b"atom-pre:%d" % seed))
 
     # narrow event fan-out: only the deliveries the protocol needs
     net.subscribe(alpha, "R", kinds=("Lock",))
@@ -93,18 +94,13 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
     net.subscribe(beta, "R", kinds=("Update",))
     net.subscribe(beta, "M", kinds=("Update",))
 
-    S.submit_lock(net, "alpha", "c0")
+    S.submit_lock(net, "alpha", SESSION)
     return net
 
 
 def outcome_of(net: Simnet):
-    states = []
-    for chain in net.chains:
-        s = chain.contract.sessions["c0"]
-        if s.state not in TERMINAL_STATES:
-            return None
-        states.append(s.state)
-    return tuple(states)
+    """The session's states on both chains once it ended on both, else None."""
+    return states if terminal(states := session_states(net, SESSION)) else None
 
 
 def enumerate_close_phase(profile: str, assist_enabled: bool = True, seed: int = 1,
@@ -118,4 +114,4 @@ def enumerate_close_phase(profile: str, assist_enabled: bool = True, seed: int =
 
 
 def atomic_outcomes_only(result: EnumResult) -> bool:
-    return all(o in ((SUCCESS, SUCCESS), (REFUNDED, REFUNDED)) for o in result.outcomes)
+    return all(atomic(o) for o in result.outcomes)

@@ -4,10 +4,10 @@
     xchan sweep --config scenario.json --channels 10:100:10
     xchan enumerate [--profile P] [--seed N] [--no-assist] [--bound 12]
 
-Exit code 0 means every invariant assertion held during the run, or every
-enumerated outcome is atomic; 2 means the config or an option cannot be
-run, with the reason on stderr; an output path that cannot be written is
-refused before the run starts.
+Exit code 0 means the run's invariants held (see run_scenario), or every
+enumerated outcome is atomic, by the rule the run reads (scenario.atomic);
+2 means the config or an option cannot be run, with the reason on stderr;
+an output path that cannot be written is refused before the run starts.
 """
 
 from __future__ import annotations

@@ -357,9 +357,6 @@ class ContractSession:
         self.transitions.append((self.state, new_state, tick))
         self.state = new_state
 
-    def is_terminal(self):
-        return self.state in TERMINAL_STATES
-
     @property
     def refund_deadline(self):  # the end of the last reveal window
         return self.lock_deadline if self.assist_deadline is None else self.assist_deadline

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import contract as ct
 from .chain import Chain, TimerConfig
 from .crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
-from .engine import BehaviorProfile, Miner, MinerBehavior, Party, Timer
+from .engine import HONEST, BehaviorProfile, Miner, MinerBehavior, Party, Timer
 from .simnet import LatencyModel, Simnet
 from .wire import plan
 
@@ -183,8 +183,7 @@ class World:
     beta: Chain
     parties: dict
     miners: list
-    expected_receipts: int
-    session_ids: list
+    expected_receipts: int  # the workload's planned receipts; an abort lowers only what parties expect
 
 
 # receipts a channel pays per tick: 1300 bytes of bandwidth per tick over a
@@ -217,7 +216,7 @@ def behavior_for(adversary: dict, name: str) -> BehaviorProfile:
 def build_world(config: ScenarioConfig) -> World:
     """Chains, parties and miners for config, and the sessions its baseline
     starts: channel pairs for cross_channel, hash-time-locked pairs settled
-    at Close for plain_htlc. Each session's first move is run_scenario's."""
+    at Close for plain_htlc. Each session's first move is start_sessions'."""
     violations = config.validate()
     if violations:
         raise ConfigError(violations)
@@ -263,13 +262,12 @@ def build_world(config: ScenarioConfig) -> World:
                 net.subscribe(beta, mname, kinds=(ct.UPDATE_TX, ct.UPDATE_EIE_TX))
 
     start = _htlc_sessions if config.baseline == "plain_htlc" else _channel_sessions
-    session_ids, expected = start(config, net, parties)
-    return World(config, net, alpha, beta, parties, miners, expected_receipts=expected, session_ids=session_ids)
+    return World(config, net, alpha, beta, parties, miners, expected_receipts=start(config, net, parties))
 
 
-def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tuple[list, int]:
+def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> int:
     """One channel pair per channel, with its receipt plans, sub-channels,
-    exchanges and close timers; returns the session ids and receipts expected."""
+    exchanges and close timers; returns the receipts expected."""
     group = DEFAULT_GROUP
     rng = random.Random("workload:%d" % config.seed)
     rate = RECEIPTS_PER_TICK[config.mode]
@@ -336,10 +334,10 @@ def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tup
             for chain_id in ("alpha", "beta"):
                 net.wakeup(name, barrier, Timer("try_close", chain_id, sid))
                 net.wakeup(name, barrier + 30, Timer("force_close", chain_id, sid))
-    return session_ids, expected
+    return expected
 
 
-def _htlc_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tuple[list, int]:
+def _htlc_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> int:
     """Baseline: one bare hash-time-locked pair per exchange, no channels,
     settled at Close with S paying on alpha and R on beta. Every exchange
     costs lock + update on each chain, and no receipt is expected."""
@@ -351,7 +349,7 @@ def _htlc_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> tuple[
     for sid, amount in zip(session_ids, amounts):
         start_at_close(*net.chains, parties["S"], parties["R"], sid, (amount, 0), amount,
                        hash_bytes(b"pre:%s:%d" % (sid.encode(), config.seed)))
-    return session_ids, 0
+    return 0
 
 
 def start_at_close(alpha: Chain, beta: Chain, S: Party, R: Party, sid: str, deposits: tuple[int, int],
@@ -371,93 +369,107 @@ def start_at_close(alpha: Chain, beta: Chain, S: Party, R: Party, sid: str, depo
             side.state = ct.CLOSE
 
 
-# the violations after which a payee can recover nothing more
-MISMATCHES = ("recovered-key-hash-mismatch", "plaintext-hash-mismatch")
-
-
-def _owed_plaintexts(world: World):
-    """(payee, chain id, session id) for each successful channel session that
-    owes its payee the counterpart's plaintext: always on alpha in FE, and in
-    EIE wherever a key recovery was requested; the plain-HTLC baseline's
-    sessions set up no exchange."""
-    if world.config.baseline == "plain_htlc":
-        return
-    fe = world.config.mode == "FE"
-    payees = {"FE": ((world.alpha, "R"),), "EIE": ((world.alpha, "R"), (world.beta, "S"))}
-    for chain, name in payees.get(world.config.mode, ()):
-        for sid in world.session_ids:
-            s = chain.contract.sessions.get(sid)
-            if s is not None and s.state == ct.SUCCESS and (fe or s.recovery_requested):
-                yield world.parties[name], chain.chain_id, sid
-
-
-def _all_terminal(world: World) -> bool:
-    """Whether a run has nothing left to wait for: every session ended on
-    both chains, and each payee owed a plaintext either recovered it or
-    recorded a mismatch, which no later event undoes."""
-    for chain in (world.alpha, world.beta):
-        for sid in world.session_ids:
-            s = chain.contract.sessions.get(sid)
-            if s is None or not s.is_terminal():
-                return False
-    return all(p.side(c, sid).recovered is not None
-               or any((why, c, sid) in p.violations for why in MISMATCHES)
-               for p, c, sid in _owed_plaintexts(world))
-
-
-def _all_recovered(world: World) -> bool:
-    """Whether every payee owed a plaintext recovered it."""
-    return all(p.side(c, sid).recovered is not None for p, c, sid in _owed_plaintexts(world))
-
-
-def _split(world: World) -> bool:
-    """Whether a session ended in different states on the two chains."""
-    return any(world.alpha.contract.sessions[sid].state != world.beta.contract.sessions[sid].state
-               for sid in world.session_ids)
-
-
-def collect_metrics(world: World) -> RunMetrics:
-    receipts = sum(
-        count
-        for p in world.parties.values()
-        for ps in p.sessions.values()
-        for side in ps.sides.values()
-        for count in side.received.values()
-    )
-    outcomes = {}
-    for chain in (world.alpha, world.beta):
-        for sid, s in sorted(chain.contract.sessions.items()):
-            outcomes["%s:%s" % (chain.chain_id, sid)] = s.state
-    ticks = max(world.net.now, 1)
-    return RunMetrics(
-        onchain_tx_count=dict(world.alpha.committed + world.beta.committed),
-        receipts_processed=receipts,
-        outcomes=outcomes,
-        ticks_elapsed=world.net.now,
-        receipts_per_tick=receipts / ticks,
-    )
-
-
-def run_scenario(config: ScenarioConfig):
-    """Execute one scenario end to end; returns (metrics, trace). The
-    metrics' invariants hold when every session ended, every payee owed a
-    plaintext recovered it and every planned receipt arrived, and, when no
-    party carries an adversary flag, each session ended in the same state
-    on both chains."""
-    world = build_world(config)
-    for sid in world.session_ids:  # each session's first move
-        if config.baseline == "plain_htlc":
+def start_sessions(world: World):
+    """Each session's first move: the four opens of a channel pair, or S's
+    lock on a plain-HTLC pair, which build_world starts at Close."""
+    for sid in sessions(world.net):
+        if world.config.baseline == "plain_htlc":
             world.parties["S"].submit_lock(world.net, "alpha", sid)
         else:
             for name in ("S", "R"):
                 for chain in (world.alpha, world.beta):
-                    world.parties[name].submit_open(world.net, chain.chain_id, sid, config.funding)
-    trace = world.net.run_until(lambda: _all_terminal(world), max_tick=config.max_ticks)
+                    world.parties[name].submit_open(world.net, chain.chain_id, sid, world.config.funding)
+
+
+# -- the checked properties, defined once for the run, the explorer, the CLI and
+# the tests. Each reads only net.chains and net.actors, so a bare Simnet or a
+# fork of a run is judged as the run is.
+
+# the violations after which a payee can recover nothing more
+MISMATCHES = ("recovered-key-hash-mismatch", "plaintext-hash-mismatch")
+
+
+def sessions(net: Simnet) -> list[str]:
+    """The session ids the world's parties joined, in the order first joined."""
+    return list(dict.fromkeys(sid for a in net.actors.values() if isinstance(a, Party) for sid in a.sessions))
+
+
+def session_states(net: Simnet, session_id: str) -> tuple:
+    """A session's state on each chain, in net.chains order; None on a chain without it."""
+    return tuple(getattr(c.contract.sessions.get(session_id), "state", None) for c in net.chains)
+
+
+def terminal(states: tuple) -> bool:
+    """Whether a session ended on every chain; one missing on a chain has not."""
+    return all(s in ct.TERMINAL_STATES for s in states)
+
+
+def atomic(states: tuple) -> bool:
+    """Whether a session ended in the same state on every chain: all commit
+    or all abort (Terminated on both chains counts: the exchange aborted)."""
+    return terminal(states) and len(set(states)) == 1
+
+
+def owed(net: Simnet, session_id: str):
+    """(payee, side) for each plaintext a session owes: each party's side
+    that expects a counterpart's proof, once its chain took the session to
+    Success and, in EIE, a key recovery was requested there. A plain-HTLC
+    session expects no proof."""
+    for a in net.actors.values():
+        ps = a.sessions.get(session_id) if isinstance(a, Party) else None
+        for side in ps.sides.values() if ps is not None else ():
+            s = net.actors[side.chain_id].chain.contract.sessions.get(session_id)
+            if (side.counterpart_key is not None and s is not None and s.state == ct.SUCCESS
+                    and (ps.mode != "EIE" or s.recovery_requested)):
+                yield a, side
+
+
+def recovered(net: Simnet) -> bool:
+    """Whether each payee owed a plaintext recovered it."""
+    return all(side.recovered is not None for sid in sessions(net) for _, side in owed(net, sid))
+
+
+def resolved(payee: Party, side) -> bool:
+    """Whether an owed plaintext was recovered, or its payee recorded a
+    mismatch, which no later event undoes."""
+    return side.recovered is not None or any(
+        (why, side.chain_id, side.session_id) in payee.violations for why in MISMATCHES)
+
+
+def settled(net: Simnet) -> bool:
+    """Whether a world has nothing left to wait for: every joined session
+    terminal, and each owed plaintext resolved. The scan stops at the first
+    session that is not, so a run reads it every tick."""
+    sids = sessions(net)
+    return (all(terminal(session_states(net, sid)) for sid in sids)
+            and all(resolved(payee, side) for sid in sids for payee, side in owed(net, sid)))
+
+
+def collect_metrics(world: World) -> RunMetrics:
+    receipts = sum(count for p in world.parties.values() for ps in p.sessions.values()
+                   for side in ps.sides.values() for count in side.received.values())
+    outcomes = {"%s:%s" % (chain.chain_id, sid): s.state
+                for chain in (world.alpha, world.beta) for sid, s in sorted(chain.contract.sessions.items())}
+    return RunMetrics(onchain_tx_count=dict(world.alpha.committed + world.beta.committed),
+                      receipts_processed=receipts, outcomes=outcomes, ticks_elapsed=world.net.now,
+                      receipts_per_tick=receipts / max(world.net.now, 1))
+
+
+def run_scenario(config: ScenarioConfig):
+    """Execute one scenario end to end; returns (metrics, trace). The run
+    stops once its world settled. The metrics' invariants hold when it
+    settled with every owed plaintext recovered, every planned receipt
+    arrived and, unless a party's behavior carries an adversary flag,
+    every session is atomic."""
+    world = build_world(config)
+    net = world.net
+    start_sessions(world)
+    trace = net.run_until(lambda: settled(net), max_tick=config.max_ticks)
     metrics = collect_metrics(world)
-    honest = not any(config.adversary.values())
-    metrics.invariants_ok = (_all_terminal(world) and _all_recovered(world)
+    flagged = any(p.behavior != HONEST for p in world.parties.values())
+    metrics.invariants_ok = (settled(net) and recovered(net)
                              and metrics.receipts_processed == world.expected_receipts
-                             and not (honest and _split(world)))
+                             and (flagged or all(atomic(session_states(net, sid)) for sid in sessions(net))))
     return metrics, trace
 
 
@@ -485,28 +497,14 @@ def run_scaling_sweep(config: ScenarioConfig, channel_counts) -> SweepResult:
     base_metrics, _ = run_scenario(base)
     for count in channel_counts:
         metrics, _ = run_scenario(replace(config, channels=count))
-        rows.append(
-            SweepRow(
-                channels=count,
-                receipts=metrics.receipts_processed,
-                ticks=metrics.ticks_elapsed,
-                receipts_per_tick=metrics.receipts_per_tick,
-            )
-        )
+        rows.append(SweepRow(channels=count, receipts=metrics.receipts_processed, ticks=metrics.ticks_elapsed,
+                             receipts_per_tick=metrics.receipts_per_tick))
     xs = [r.channels for r in rows]
     ys = [r.receipts_per_tick for r in rows]
     fit = statistics.linear_regression(xs, ys)
-    if len(set(ys)) > 1:
-        r2 = statistics.correlation(xs, ys) ** 2
-    else:
-        r2 = 1.0
-    return SweepResult(
-        rows=rows,
-        slope=fit.slope,
-        intercept=fit.intercept,
-        r_squared=r2,
-        single_channel_rate=base_metrics.receipts_per_tick,
-    )
+    r2 = statistics.correlation(xs, ys) ** 2 if len(set(ys)) > 1 else 1.0
+    return SweepResult(rows=rows, slope=fit.slope, intercept=fit.intercept, r_squared=r2,
+                       single_channel_rate=base_metrics.receipts_per_tick)
 
 
 def trace_bytes(trace) -> bytes:

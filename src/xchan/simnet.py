@@ -20,7 +20,9 @@ Parties, miners and chains check each delivered message one way, in dispatch.
 
 Links are FIFO per (src, dst) pair: a later message never overtakes an
 earlier one on the same link, so chain events reach a subscriber in
-block order.
+block order. Timers are not links: each actor's wakeups fire among
+themselves in (tick, seq) order, as run mode queues them, so a timer set
+for an early tick never waits behind one set earlier for a later tick.
 """
 
 from __future__ import annotations
@@ -101,12 +103,6 @@ class LatencyModel(Shared):
             if (s == src or s == "*") and (d == dst or d == "*"):
                 return model
         return self
-
-    def sample(self, rng: random.Random, src: str, dst: str) -> int:
-        m = self.resolve(src, dst)
-        if m.kind == "fixed":
-            return m.fixed
-        return rng.randint(m.lo, m.hi)
 
     def window(self, src: str, dst: str) -> tuple[int, int]:
         m = self.resolve(src, dst)
@@ -243,7 +239,8 @@ class Simnet:
     @cached_property
     def rng(self) -> Rng:
         """Delay draws in run mode; built on first use, so a world that
-        never draws one (an enumerated world) has no generator to fork."""
+        never draws one (an enumerated world, or one whose delays are all
+        fixed) has no generator to fork."""
         return Rng(("simnet", self.seed).__repr__())
 
     __deepcopy__ = copier(share="mode latency seed now _produced _seq", copy="trace _fifo pending")
@@ -274,7 +271,9 @@ class Simnet:
 
     def send(self, kind: str, src: str, dst: str, data):
         if self.mode == "run":
-            lo = hi = max(self.now + self.latency.sample(self.rng, src, dst), self._fifo.get((src, dst), 0))
+            m = self.latency.resolve(src, dst)
+            delay = m.fixed if m.kind == "fixed" else self.rng.randint(m.lo, m.hi)  # only a window draws
+            lo = hi = max(self.now + delay, self._fifo.get((src, dst), 0))
             self._fifo[(src, dst)] = lo
         else:
             lo, hi = (self.now + d for d in self.latency.window(src, dst))
@@ -375,9 +374,10 @@ def _choices(net: Simnet, horizon: int) -> list:
             continue
         if any(o.hi < t for o in pend if o.seq != m.seq):
             continue  # delivering m now would strand another message
-        link = (m.msg.src, m.msg.dst)
-        if any(o.seq < m.seq and (o.msg.src, o.msg.dst) == link for o in pend):
-            continue  # FIFO per link
+        timer = m.msg.kind == "wakeup"  # a wakeup's src is its dst
+        if any(o.msg.src == m.msg.src and o.msg.dst == m.msg.dst and (o.msg.kind == "wakeup") == timer
+               and ((o.lo, o.seq) < (m.lo, m.seq) if timer else o.seq < m.seq) for o in pend):
+            continue  # FIFO per link; an actor's timers fire among themselves in (tick, seq) order
         choices.append(("deliver", m.seq, t, m.msg.dst))
     if nb is not None and nb <= horizon and all(m.hi >= nb for m in pend):
         choices.append(("advance", nb))

@@ -21,8 +21,11 @@ from xchan.scenario import (
     build_world,
     run_scaling_sweep,
     run_scenario,
+    session_states,
+    sessions,
+    settled,
+    start_sessions,
     trace_bytes,
-    _all_terminal,
 )
 from gen_trees import gen_case
 from oracles import settle_oracle
@@ -280,10 +283,8 @@ def test_criterion_7_appeal_paths():
     # fake share: terminated inside the report window, deposits returned
     cfg = ScenarioConfig(mode="EIE", receipts_n=0, seed=77, adversary={"S": ["fake_key_share"]})
     world = build_world(cfg)
-    for name in ("S", "R"):
-        for chain in (world.alpha, world.beta):
-            world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-    world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+    start_sessions(world)
+    world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
     s = world.alpha.contract.sessions["c0"]
     assert s.state == ct.TERMINATED
     term_tick = next(t for _f, to, t in s.transitions if to == ct.TERMINATED)
@@ -299,19 +300,15 @@ def test_criterion_7_appeal_paths():
     world2 = build_world(cfg2)
     replayer = next(m for m in world2.miners if m.chain is world2.alpha)
     replayer.behavior = MinerBehavior(stale_sn_replay=True)
-    for sid in world2.session_ids:
-        for name in ("S", "R"):
-            for chain in (world2.alpha, world2.beta):
-                world2.parties[name].submit_open(world2.net, chain.chain_id, sid, cfg2.funding)
-    world2.net.run_until(lambda: _all_terminal(world2), max_tick=cfg2.max_ticks)
+    start_sessions(world2)
+    world2.net.run_until(lambda: settled(world2.net), max_tick=cfg2.max_ticks)
     stale = [
         e for e in world2.net.trace
         if e.get("tx_kind") == ct.APPEAL_TX and e.get("result") == "failed:stale serial number"
     ]
     assert stale
-    for sid in world2.session_ids:
-        assert world2.alpha.contract.sessions[sid].state == ct.SUCCESS
-        assert world2.beta.contract.sessions[sid].state == ct.SUCCESS
+    states = [session_states(world2.net, sid) for sid in sessions(world2.net)]
+    assert states == [(ct.SUCCESS, ct.SUCCESS)] * cfg2.channels
     elapsed = time.monotonic() - t0
     report(7, "appeal-paths", "terminated@%d<=T1 window; replay rejected %.1fs" % (term_tick, elapsed))
 
@@ -351,10 +348,8 @@ def test_criterion_8_relation_and_eie():
     # counterpart's committed hash
     cfg = ScenarioConfig(mode="EIE", receipts_n=2, seed=89)
     world = build_world(cfg)
-    for name in ("S", "R"):
-        for chain in (world.alpha, world.beta):
-            world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-    world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+    start_sessions(world)
+    world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
     S, R = world.parties["S"], world.parties["R"]
     from xchan.crypto import hash_blocks
 

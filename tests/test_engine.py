@@ -20,7 +20,7 @@ from xchan import engine, proofs, receipts, vss
 from xchan.engine import BehaviorProfile, ChannelView, ExchangeMsg, Party, ReceiptMsg, ShareMsg, SrMsg, Timer
 from xchan.receipts import (Receipt, SubChannelReceipt, fold_receipt, make_final_state, make_receipt,
                             make_sub_receipt, replay_receipts)
-from xchan.scenario import ScenarioConfig, _all_terminal, build_world, collect_metrics
+from xchan.scenario import ScenarioConfig, build_world, collect_metrics, sessions, settled, start_sessions
 from xchan.simnet import LatencyModel, Message, Simnet
 from xchan.wire import Checked
 
@@ -330,9 +330,7 @@ def _eie_world_mid_run():
     """An EIE world whose channels are open and whose exchange is under way."""
     cfg = ScenarioConfig(mode="EIE", receipts_n=4, seed=10)
     world = build_world(cfg)
-    for name in ("S", "R"):
-        for chain in (world.alpha, world.beta):
-            world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+    start_sessions(world)
     world.net.run_until(max_tick=12)
     return world
 
@@ -736,9 +734,7 @@ class TestMalformedMessages:
                 events.extend(block_events)
                 return block_events
             chain.produce_block = produce
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        start_sessions(world)
         world.net.run_until(max_tick=cfg.max_ticks)
         declared = {ct.OPEN_CE: ct.Opened, ct.BINDINGS_PUBLISHED: ct.Bound, ct.LOCK: ct.Locked,
                     ct.SUCCESS: ct.Unlocked, ct.SHARES_RECORDED: (ct.Published, type(None))}
@@ -772,9 +768,7 @@ class TestMalformedMessages:
         world = build_world(cfg)
         outsider = keypair_from_label("outsider")
         world.alpha.create_account(outsider.address, 1000)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        start_sessions(world)
         for i in range(3):
             tx = ct.make_tx(outsider, "alpha", "zzz%d" % i, ct.OPEN_TX, ct.OpenPayload(10))
             world.net.send("tx", "outsider", "alpha", tx)
@@ -804,7 +798,7 @@ def _pending_timers(world) -> list:
         if msg.kind == "wakeup":
             assert type(msg.data) is Timer
             hash(msg.data)
-            assert msg.data.session_id in world.session_ids
+            assert msg.data.session_id in sessions(world.net)
             assert world.net.actors[msg.dst].serves(msg.data.chain_id)
             out.append((msg.dst, msg.data))
     return out
@@ -821,9 +815,7 @@ class TestTimers:
         path a tuple, on the way to settling both chains."""
         cfg = ScenarioConfig(receipts_n=4, seed=3, levels=3, sub_funding=(40, 15), sub_receipts=(5, 3))
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        start_sessions(world)
         pumps = set()
         for tick in range(1, 60):
             world.net.run_until(lambda: world.net.now >= tick, max_tick=tick)
@@ -847,9 +839,7 @@ class TestReplays:
             got.append(msg)
             deliver(net, msg)
         party.on_message = on_message
-        for p in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[p].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
+        start_sessions(world)
         world.net.run_until(lambda: world.net.now >= tick, max_tick=tick)
         return world, got
 
@@ -891,5 +881,5 @@ class TestReplays:
         for src in ("nobody", msg.src):
             R.on_message(world.net, Message("exchange", src, "R", bad))
         assert side.proof_ok is True and not R.sessions["c0"].aborted
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         assert collect_metrics(world).receipts_processed == 40

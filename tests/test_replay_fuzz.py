@@ -24,8 +24,7 @@ import random
 
 import pytest
 
-from xchan import scenario
-from xchan.scenario import ScenarioConfig, build_world
+from xchan.scenario import ScenarioConfig, build_world, settled, start_sessions
 from xchan.simnet import Message
 
 TRIALS = int(os.environ.get("XCHAN_FUZZ_TRIALS", "60"))
@@ -44,10 +43,7 @@ BOUNDARY = (0, 1, -1, 2**64 - 1, 2**64, True, 1.5, None, "", "S", "alpha", "c0",
 def _opened(cfg):
     """cfg's world with every party's opens submitted."""
     world = build_world(cfg)
-    for sid in world.session_ids:
-        for name in ("S", "R"):
-            for c in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, c.chain_id, sid, cfg.funding)
+    start_sessions(world)
     return world
 
 
@@ -76,8 +72,8 @@ def _record(cfg):
         send(kind, src, dst, data)
 
     world.net.send = recording
-    world.net.run_until(lambda: scenario._all_terminal(world), max_tick=cfg.max_ticks)
-    assert scenario._all_terminal(world)
+    world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
+    assert settled(world.net)
     pool: dict = {}
     for msg in sent:
         _values(msg.data, pool)

@@ -4,6 +4,7 @@ deviations, miner assist, and replay determinism."""
 import gc
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -15,18 +16,14 @@ from xchan.engine import MinerBehavior
 from xchan.scenario import (
     ConfigError,
     ScenarioConfig,
-    _all_terminal,
     build_world,
     collect_metrics,
     run_scenario,
+    settled,
+    start_sessions,
     trace_bytes,
 )
 from oracles import pedersen_two_pow
-
-
-def run(cfg):
-    metrics, trace = run_scenario(cfg)
-    return metrics, trace
 
 
 def planned_transfer(world, chain):
@@ -44,12 +41,8 @@ class TestCurrencyExchange:
     def test_happy_path_swaps_balances(self):
         cfg = ScenarioConfig(mode="CE", receipts_n=8, seed=11)
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         S, R = world.parties["S"], world.parties["R"]
         w_alpha = planned_transfer(world, "alpha")
         w_beta = planned_transfer(world, "beta")
@@ -62,7 +55,7 @@ class TestCurrencyExchange:
     def test_constant_onchain_cost(self):
         counts = []
         for n in (1, 16):
-            metrics, _ = run(ScenarioConfig(mode="CE", receipts_n=n, seed=2))
+            metrics, _ = run_scenario(ScenarioConfig(mode="CE", receipts_n=n, seed=2))
             assert metrics.invariants_ok
             counts.append(metrics.total_txs())
         assert counts[0] == counts[1] == 12
@@ -72,10 +65,8 @@ class TestCurrencyExchange:
         and none it shows failed, without reading the trace."""
         cfg = ScenarioConfig(mode="CE", receipts_n=4, seed=3, latency={"kind": "uniform", "lo": 1, "hi": 6})
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        trace = world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        trace = world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         world.net.trace = []
         metrics = collect_metrics(world)
         committed, failed = {}, 0
@@ -90,18 +81,14 @@ class TestCurrencyExchange:
 
     def test_withhold_pre_refunds_both(self):
         cfg = ScenarioConfig(mode="CE", receipts_n=4, seed=3, adversary={"S": ["withhold_pre"]})
-        metrics, _ = run(cfg)
+        metrics, _ = run_scenario(cfg)
         assert metrics.outcomes == {"alpha:c0": ct.REFUNDED, "beta:c0": ct.REFUNDED}
 
     def test_overspend_neutralized_at_settlement(self):
         cfg = ScenarioConfig(mode="CE", receipts_n=4, seed=5, adversary={"S": ["overspend"]})
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         S = world.parties["S"]
         w_alpha = planned_transfer(world, "alpha")
         # the forced extra receipt beyond the whole funding is excluded
@@ -114,18 +101,14 @@ class TestCurrencyExchange:
         base = ScenarioConfig(mode="CE", receipts_n=4, seed=6)
         cheat = ScenarioConfig(mode="CE", receipts_n=4, seed=6,
                                adversary={"R": ["inflate_final_state"]})
-        honest_metrics, _ = run(base)
-        cheat_metrics, _ = run(cheat)
+        honest_metrics, _ = run_scenario(base)
+        cheat_metrics, _ = run_scenario(cheat)
         assert honest_metrics.outcomes == cheat_metrics.outcomes
         w1 = build_world(base)
         w2 = build_world(cheat)
         for world in (w1, w2):
-            for name in ("S", "R"):
-                for chain in (world.alpha, world.beta):
-                    world.parties[name].submit_open(world.net, chain.chain_id, "c0", base.funding)
-            from xchan.scenario import _all_terminal
-
-            world.net.run_until(lambda: _all_terminal(world), max_tick=base.max_ticks)
+            start_sessions(world)
+            world.net.run_until(lambda: settled(world.net), max_tick=base.max_ticks)
         assert (
             w1.alpha.contract.sessions["c0"].locked_allocations
             == w2.alpha.contract.sessions["c0"].locked_allocations
@@ -139,12 +122,8 @@ class TestCurrencyExchange:
             adversary={"S": ["duplicate_sr"]},
         )
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         s = world.alpha.contract.sessions["c0"]
         assert s.state == ct.SUCCESS
         assert s.settle_cutoff == 1
@@ -156,7 +135,7 @@ class TestCurrencyExchange:
         # the channel (a known liveness gap of the mutual-close design)
         cfg = ScenarioConfig(mode="CE", receipts_n=2, seed=16, max_ticks=250,
                              adversary={"R": ["refuse_close"]})
-        metrics, _ = run(cfg)
+        metrics, _ = run_scenario(cfg)
         assert metrics.outcomes["alpha:c0"] in (ct.OPEN_CE, ct.OPEN)
         assert not metrics.invariants_ok
 
@@ -165,12 +144,8 @@ class TestCurrencyExchange:
             mode="CE", receipts_n=4, seed=8, levels=3, sub_funding=(30, 10), sub_receipts=(3, 2)
         )
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         s = world.alpha.contract.sessions["c0"]
         assert s.state == ct.SUCCESS and s.settle_cutoff is None
         D, Q = world.parties["D"], world.parties["Q"]
@@ -184,12 +159,8 @@ class TestFairExchange:
     def test_fe_receiver_decrypts_with_preimage(self):
         cfg = ScenarioConfig(mode="FE", receipts_n=4, seed=9)
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         S, R = world.parties["S"], world.parties["R"]
         blocks = R.side("alpha", "c0").recovered
         assert blocks == S.side("alpha", "c0").exchange.m_blocks
@@ -199,12 +170,8 @@ class TestFairExchange:
     def test_eie_both_sides_recover(self):
         cfg = ScenarioConfig(mode="EIE", receipts_n=4, seed=10)
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         S, R = world.parties["S"], world.parties["R"]
         assert R.side("alpha", "c0").recovered == S.side("alpha", "c0").exchange.m_blocks
         assert S.side("beta", "c0").recovered == R.side("beta", "c0").exchange.m_blocks
@@ -214,12 +181,8 @@ class TestFairExchange:
         cfg = ScenarioConfig(mode="EIE", receipts_n=0, seed=12,
                              adversary={"S": ["fake_key_share"]})
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         s = world.alpha.contract.sessions["c0"]
         assert s.state == ct.TERMINATED
         # terminated inside the report window
@@ -252,12 +215,8 @@ class TestFairExchange:
         world = build_world(cfg)
         R = world.parties["R"]
         R.backend = CorruptingBackend(R.backend)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         S = world.parties["S"]
         assert S.side("beta", "c0").proof_ok is False
         # the honest side paid nothing: its receipt pump never started
@@ -267,8 +226,8 @@ class TestFairExchange:
             p = world.parties[name]
             assert world.alpha.balance(p.address("alpha")) == cfg.funding
         assert world.beta.balance(S.address("beta")) >= cfg.funding
+        assert scenario.terminal(scenario.session_states(world.net, "c0"))
         for chain in (world.alpha, world.beta):
-            assert chain.contract.sessions["c0"].is_terminal()
             total = sum(chain.accounts.values())
             assert total == 2 * cfg.funding
 
@@ -281,10 +240,8 @@ class TestFairExchange:
         ps = world.parties["S"].sessions["c0"]
         ps.pre = bytes(33)
         ps.h_pre = hash_bytes(ps.pre)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         assert collect_metrics(world).outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
         R = world.parties["R"]
         assert R.violations == [("plaintext-hash-mismatch", "alpha", "c0")]
@@ -317,12 +274,8 @@ class TestFairExchange:
                              vss_t=2, vss_n=3, byzantine_ell=1,
                              byzantine_miners=1)
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         S, R = world.parties["S"], world.parties["R"]
         assert R.side("alpha", "c0").recovered == S.side("alpha", "c0").exchange.m_blocks
         assert S.side("beta", "c0").recovered == R.side("beta", "c0").exchange.m_blocks
@@ -334,21 +287,15 @@ class TestFairExchange:
         # one alpha miner replays previously-stored shares into new sessions
         replayer = next(m for m in world.miners if m.chain is world.alpha)
         replayer.behavior = MinerBehavior(stale_sn_replay=True)
-        for sid in world.session_ids:
-            for name in ("S", "R"):
-                for chain in (world.alpha, world.beta):
-                    world.parties[name].submit_open(world.net, chain.chain_id, sid, cfg.funding)
-        from xchan.scenario import _all_terminal
-
-        world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         stale = [
             e for e in world.net.trace
             if e.get("tx_kind") == ct.APPEAL_TX and e.get("result") == "failed:stale serial number"
         ]
         assert stale, "the replayed appeal must surface and be rejected"
-        for sid in world.session_ids:
-            assert world.alpha.contract.sessions[sid].state == ct.SUCCESS
-            assert world.beta.contract.sessions[sid].state == ct.SUCCESS
+        states = [scenario.session_states(world.net, sid) for sid in scenario.sessions(world.net)]
+        assert states == [(ct.SUCCESS, ct.SUCCESS)] * cfg.channels
 
 
 class TestMinerAssist:
@@ -369,10 +316,8 @@ class TestMinerAssist:
         late = {"kind": "fixed", "fixed": 1, "overrides": [{"src": "R", "dst": "alpha", "fixed": 30}]}
         cfg = ScenarioConfig(mode="EIE", seed=1, receipts_n=4, latency=late)
         world = build_world(cfg)
-        for name in ("S", "R"):
-            for chain in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, chain.chain_id, "c0", cfg.funding)
-        trace = world.net.run_until(lambda: _all_terminal(world), max_tick=cfg.max_ticks)
+        start_sessions(world)
+        trace = world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         assert collect_metrics(world).outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
         S, R = world.parties["S"], world.parties["R"]
         s = world.alpha.contract.sessions["c0"]
@@ -403,7 +348,7 @@ class TestMinerAssist:
         late = {"kind": "fixed", "fixed": 1, "overrides": [{"src": "R", "dst": "alpha", "fixed": 30}]}
         cfg = ScenarioConfig.from_dict({"mode": mode, "seed": 1, "receipts_n": 4, "latency": late,
                                         "assist_window": window})
-        metrics, trace = run(cfg)
+        metrics, trace = run_scenario(cfg)
         reveals = [e for e in trace if e.get("kind") == "submit" and e["from"].startswith("M.alpha.")
                    and e["tx_kind"] in (ct.UPDATE_TX, ct.UPDATE_EIE_TX)]
         if window is None:
@@ -468,14 +413,40 @@ class TestHonestSplit:
     def test_split_breaks_the_invariants(self, cfg):
         """R sees beta's events late, so its session ends refunded on alpha
         and paid on beta. No party is adversarial: the run's invariants fail."""
-        metrics, _ = run(cfg)
+        metrics, _ = run_scenario(cfg)
         assert metrics.outcomes == {"alpha:c0": ct.REFUNDED, "beta:c0": ct.SUCCESS}
         assert not metrics.invariants_ok
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a lock mirrored too late splits an honest pair")
     def test_slow_link_pairs_end_atomic(self):
-        outcomes = [run(cfg)[0].outcomes for cfg in SLOW_LINK_SPLITS]
+        outcomes = [run_scenario(cfg)[0].outcomes for cfg in SLOW_LINK_SPLITS]
         assert all(o["alpha:c0"] == o["beta:c0"] for o in outcomes)
+
+
+# CI's smoke runs, and the refuse_close pin: (config, its run's invariants_ok)
+SMOKE_RUNS = [pytest.param(ScenarioConfig.from_json(str(path)), True, id=path.stem)
+              for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))] + [
+    pytest.param(ScenarioConfig(mode="FE", baseline="plain_htlc", receipts_n=3), True, id="fe_htlc"),
+    pytest.param(SLOW_LINK_SPLITS[0], False, id="slow_link"),
+    pytest.param(ScenarioConfig(mode="EIE", receipts_n=4, byzantine_miners=1, adversary={"S": ["fake_key_share"]}),
+                 True, id="fake_key_share"),
+    pytest.param(ScenarioConfig(assist_window=None, receipts_n=2), True, id="no_assist"),
+    pytest.param(ScenarioConfig(mode="CE", seed=16, max_ticks=250, adversary={"R": ["refuse_close"]}), False,
+                 id="refuse_close"),
+]
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("cfg,ok", SMOKE_RUNS)
+    def test_invariants_ok_pinned(self, cfg, ok):
+        assert run_scenario(cfg)[0].invariants_ok is ok
+
+    def test_atomic_is_one_terminal_state_on_every_chain(self):
+        assert scenario.atomic((ct.SUCCESS, ct.SUCCESS)) and scenario.atomic((ct.REFUNDED, ct.REFUNDED))
+        assert scenario.atomic((ct.TERMINATED, ct.TERMINATED))  # the exchange aborted on both chains
+        assert not scenario.atomic((ct.REFUNDED, ct.SUCCESS))
+        assert not scenario.atomic((ct.OPEN_CE, ct.OPEN_CE))
+        assert not scenario.terminal((ct.SUCCESS, None))  # missing on one chain
 
 
 class TestHtlcWorld:
@@ -483,17 +454,17 @@ class TestHtlcWorld:
 
     def test_world_holds_only_its_settled_sessions(self):
         """The baseline's world starts only its h<j> pairs, at Close on both
-        sides, and sets no timer: each session's lock is run_scenario's."""
+        sides, and sets no timer: each session's lock is start_sessions'."""
         world = build_world(self.CFG)
         ids = ["h%d" % j for j in range(10)]
-        assert (world.session_ids, world.expected_receipts) == (ids, 0)
+        assert (scenario.sessions(world.net), world.expected_receipts) == (ids, 0)
         for p in world.parties.values():
             assert list(p.sessions) == ids
             assert {side.state for ps in p.sessions.values() for side in ps.sides.values()} == {ct.CLOSE}
         assert world.net.pending == []
 
     def test_run_delivers_no_wakeup(self):
-        _, trace = run(self.CFG)
+        _, trace = run_scenario(self.CFG)
         assert not [e for e in trace if e.get("kind") == "deliver" and e["msg"] == "wakeup"]
 
     @pytest.mark.parametrize("mode", ["FE", "EIE"])
@@ -501,7 +472,7 @@ class TestHtlcWorld:
         """A settled HTLC session sets up no exchange, so no payee waits for
         a plaintext: the run stops when every session is terminal."""
         cfg = ScenarioConfig(mode=mode, baseline="plain_htlc", receipts_n=3)
-        metrics, _ = run(cfg)
+        metrics, _ = run_scenario(cfg)
         assert set(metrics.outcomes.values()) == {ct.SUCCESS}
         assert metrics.invariants_ok
         assert metrics.ticks_elapsed < cfg.max_ticks // 10
@@ -509,15 +480,15 @@ class TestHtlcWorld:
     def test_workload_above_funding_is_a_config_error(self):
         """Ten exchanges of 1..3 cannot all be escrowed from a funding of 10."""
         with pytest.raises(ConfigError) as err:
-            run(replace(self.CFG, funding=10))
+            run_scenario(replace(self.CFG, funding=10))
         assert err.value.violations == ["workload exceeds channel funding"]
 
 
 class TestDeterminism:
     def test_same_seed_identical_traces(self):
         cfg = ScenarioConfig(mode="EIE", receipts_n=4, seed=21)
-        _, t1 = run(cfg)
-        _, t2 = run(cfg)
+        _, t1 = run_scenario(cfg)
+        _, t2 = run_scenario(cfg)
         assert trace_bytes(t1) == trace_bytes(t2)
 
     def test_seed_drives_workload(self):
@@ -621,7 +592,7 @@ class TestConfig:
         """Level 2 spends 1 + 15 of its 20, level 3 spends 6 of its 15."""
         cfg = ScenarioConfig.from_dict({"levels": 3, "sub_funding": [20, 15], "sub_receipts": [1, 6],
                                         "receipts_n": 4, "seed": 3})
-        metrics, _ = run(cfg)
+        metrics, _ = run_scenario(cfg)
         assert metrics.invariants_ok
         assert metrics.outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
 
@@ -683,7 +654,7 @@ class TestConfig:
 
     def test_assist_reward_of_the_whole_allocation_runs(self):
         late = {"kind": "fixed", "fixed": 1, "overrides": [{"src": "R", "dst": "alpha", "fixed": 40}]}
-        metrics, _ = run(ScenarioConfig.from_dict({"assist_reward_percent": 100, "latency": late}))
+        metrics, _ = run_scenario(ScenarioConfig.from_dict({"assist_reward_percent": 100, "latency": late}))
         assert metrics.outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
 
     def test_json_round_trip(self, tmp_path):

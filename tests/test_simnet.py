@@ -14,6 +14,7 @@ import math
 import os
 import random
 import types
+from pathlib import Path
 
 import pytest
 
@@ -732,10 +733,7 @@ WORLD_CLASSES = (engine.Party, engine.PartySession, engine.ChainSide, engine.Cha
 def _opened(cfg):
     """cfg's run-mode world with every party's opens submitted."""
     world = scenario.build_world(cfg)
-    for sid in world.session_ids:
-        for name in ("S", "R"):
-            for c in (world.alpha, world.beta):
-                world.parties[name].submit_open(world.net, c.chain_id, sid, cfg.funding)
+    scenario.start_sessions(world)
     return world
 
 
@@ -749,7 +747,7 @@ def _start(cfg, tick):
 
 
 def _finish(world):
-    trace = world.net.run_until(lambda: scenario._all_terminal(world), max_tick=world.config.max_ticks)
+    trace = world.net.run_until(lambda: scenario.settled(world.net), max_tick=world.config.max_ticks)
     return scenario.trace_bytes(trace), scenario.collect_metrics(world).to_json()
 
 
@@ -804,7 +802,105 @@ class TestForkIsolation:
         assert _finish(world) == want
 
 
+def _explorable(net):
+    """A fork of net's paused run, set to enumerate mode."""
+    w = net.fork()
+    w.mode = "enumerate"
+    return w
+
+
+# the shipped configs, then two latency mixes: uniform FE, and CE with one slow link
+RUNS = [pytest.param(scenario.ScenarioConfig.from_json(str(path)), id=path.stem)
+        for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))] + [
+    pytest.param(scenario.ScenarioConfig(mode="FE", receipts_n=6, seed=9,
+                                         latency={"kind": "uniform", "lo": 1, "hi": 3}), id="fe_uniform"),
+    pytest.param(scenario.ScenarioConfig(mode="CE", receipts_n=2, seed=327, latency={
+        "kind": "fixed", "fixed": 2, "overrides": [{"src": "beta", "dst": "R", "fixed": 68}]}), id="ce_slow_link"),
+]
+
+
+class TestEveryRunIsASchedule:
+    """The explorer offers every step a run takes, so a fork of a paused
+    run explores what the run itself does."""
+
+    @pytest.mark.parametrize("mode,steps", [("CE", 108), ("EIE", 143)])
+    def test_fork_at_open_walks_to_success(self, mode, steps):
+        """A run paused at tick 4, both chains at Open_CE, forked and walked
+        by its first choice each time, ends Success on both chains. Each
+        actor's timers fire in tick order, so its tick-6 wakeup does not wait
+        behind the one it set earlier for tick 16, which would strand the
+        chain events due at tick 7."""
+        world = _start(scenario.ScenarioConfig(mode=mode, receipts_n=1, latency={"kind": "fixed", "fixed": 1}), 4)
+        assert scenario.session_states(world.net, "c0") == (contract.OPEN_CE, contract.OPEN_CE)
+        w, taken = _explorable(world.net), 0
+        while atomicity.outcome_of(w) is None and (choices := simnet._choices(w, world.config.max_ticks)):
+            simnet._take(w, choices[0])
+            taken += 1
+        assert (atomicity.outcome_of(w), taken) == ((contract.SUCCESS, contract.SUCCESS), steps)
+
+    @pytest.mark.parametrize("cfg", RUNS)
+    def test_every_run_is_a_schedule(self, cfg):
+        """Run cfg the way run_until does, and before each block and each
+        delivery, a fork of the run set to enumerate mode offers that step.
+        The plain-HTLC baseline starts a session per receipt at once, and
+        _choices is quadratic in the messages pending, so its run is cut to
+        ten sessions."""
+        if cfg.baseline == "plain_htlc":
+            cfg = dataclasses.replace(cfg, receipts_n=10)
+        net = _opened(cfg).net
+
+        def offered(step):
+            return step in simnet._choices(_explorable(net), cfg.max_ticks)
+
+        steps = 0
+        while True:
+            assert net.now <= cfg.max_ticks
+            if net._produced < net.now and any(c.is_boundary(net.now) for c in net.chains):
+                assert offered(("advance", net.now)), net.now
+                steps += 1
+            net.advance(net.now)
+            while net.pending and net.pending[0].lo <= net.now:
+                pm = net.pending[0]
+                assert offered(("deliver", pm.seq, net.now, pm.msg.dst)), pm
+                net._deliver(heapq.heappop(net.pending).msg)
+                steps += 1
+            if scenario.settled(net):
+                break
+            net.now += 1
+        assert steps > 100
+
+
+class TestJudgeAFork:
+    def test_a_bare_fork_is_judged_as_its_run(self):
+        """A fork of an EIE run during recovery, finished in run mode with
+        no World, ends with the outcomes and the invariants of the
+        uninterrupted run, both plaintexts owed and recovered."""
+        cfg = scenario.ScenarioConfig(mode="EIE", seed=15, byzantine_miners=1)
+        w = _start(cfg, 53).net.fork()
+        w.run_until(lambda: scenario.settled(w), max_tick=cfg.max_ticks)
+        metrics, _ = scenario.run_scenario(cfg)
+        sids = scenario.sessions(w)
+        outcomes = {"%s:%s" % (c.chain_id, sid): state
+                    for sid in sids for c, state in zip(w.chains, scenario.session_states(w, sid))}
+        assert outcomes == metrics.outcomes
+        owed = [(payee.name, side.chain_id) for payee, side in scenario.owed(w, "c0")]
+        assert owed == [("S", "beta"), ("R", "alpha")]
+        holds = (scenario.settled(w) and scenario.recovered(w)
+                 and all(scenario.atomic(scenario.session_states(w, sid)) for sid in sids))
+        assert holds is metrics.invariants_ok is True
+
+
 class TestRng:
+    def test_fixed_delays_build_no_generator(self):
+        """Only a uniform window draws a delay: a run whose delays are all
+        fixed never builds the network's generator."""
+        nets = []
+        for latency in ({"kind": "fixed", "fixed": 1}, {"kind": "uniform", "lo": 1, "hi": 2}):
+            world = _opened(scenario.ScenarioConfig(receipts_n=4, seed=3, latency=latency))
+            _finish(world)
+            nets.append(world.net)
+        assert ["rng" in vars(net) for net in nets] == [False, True]
+
     def test_draws_match_random(self):
         a, b = Rng("party:S:1"), random.Random("party:S:1")
         assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
