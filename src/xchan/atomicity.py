@@ -1,8 +1,9 @@
 """Exhaustive atomicity checking of the cross-chain close phase.
 
 Builds a minimal two-chain world whose sessions are already settled and
-waiting to lock, then enumerates every delivery interleaving of the
-lock/update message flow under a chosen adversary profile. The profiles,
+waiting to lock, its two parties built by scenario.add_party, then
+enumerates every delivery interleaving of the lock/update message flow
+under a chosen adversary profile. The profiles,
 one table of latency and adversary in the scenario file's form,
 constrain delivery windows (targeted delays) or drop the preimage
 reveal entirely; everything else runs the real contract and actor code.
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 from .chain import Chain, TimerConfig
 from .crypto import hash_bytes, keypair_from_label
-from .engine import Miner, Party
-from .scenario import atomic, behavior_for, session_states, start_at_close, terminal
+from .engine import Miner
+from .scenario import add_party, atomic, behavior_for, session_states, start_at_close, terminal
 from .simnet import EnumResult, LatencyModel, Simnet, enumerate_schedules
 
 # windows sized so every deadline is a small number of block boundaries
@@ -66,26 +67,14 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
     net.add_chain(beta)
 
     directory: dict = {}
-    parties = {}
-    for name in ("S", "R"):
-        keys = {
-            c.chain_id: keypair_from_label("%s:atom:%d:%s" % (name, seed, c.chain_id))
-            for c in (alpha, beta)
-        }
-        p = Party(name, keys, behavior=behavior_for(adversary, name), directory=directory, seed=seed)
-        parties[name] = p
-        net.register(name, p)
-        for c in (alpha, beta):
-            c.create_account(p.address(c.chain_id), 1_000)
-            directory[p.address(c.chain_id)] = name
+    S, R = (add_party(net, directory, name, "%s:atom:%d" % (name, seed), 1_000,
+                      behavior_for(adversary, name), seed) for name in ("S", "R"))
 
-    mkp = keypair_from_label("M.atom:%d" % seed)
-    miner = Miner("M", alpha, mkp)
+    miner = Miner("M", alpha, keypair_from_label("M.atom:%d" % seed))
     net.register("M", miner)
-    alpha.register_miner(mkp.address)
+    alpha.register_miner(miner.kp.address)
 
     # sessions already settled on 100 + 100: alpha pays 60 S->R, beta pays 60 R->S
-    S, R = parties["S"], parties["R"]
     start_at_close(alpha, beta, S, R, SESSION, (100, 100), 60, hash_bytes(b"atom-pre:%d" % seed))
 
     # narrow event fan-out: only the deliveries the protocol needs

@@ -1,8 +1,9 @@
 """Off-chain participant logic.
 
 A party keeps all it knows of a session in one PartySession: its role
-and, per chain, a ChainSide. Each handler looks up one session and
-touches only that one. Each actor names, in its HANDLERS table, the
+and, per chain, a ChainSide, which holds each fact of the session on
+that chain once, where it is read. Each handler looks up one session
+and touches only that one. Each actor names, in its HANDLERS table, the
 handler and the one class of data for each message kind; simnet.dispatch
 checks every message against it and counts a malformed or forged one in
 ``rejected`` by reason instead of raising. A chain event that succeeded
@@ -122,18 +123,22 @@ class ChannelView:
         return self.members[1] if self.members[0] == addr else self.members[0]
 
 
+# receipts a channel pays per tick: 1300 bytes of bandwidth per tick over a
+# receipt of 130 bytes in CE and of 1300 bytes in FE and EIE
+RECEIPTS_PER_TICK = {"CE": 10, "FE": 1, "EIE": 1}
+
+
 @dataclass
 class SendPlan:
-    """Receipts to pay in one channel, up to rate per tick; a planned
-    sub-channel's plan pays nothing until the channel opens."""
+    """Receipts to pay in one channel, RECEIPTS_PER_TICK[mode] per tick; a
+    planned sub-channel's plan pays nothing until the channel opens."""
 
     amounts: list
-    rate: int
     sent: int = 0
     pumping: bool = False  # a pump timer is set
     counterparty: str | None = None  # to request the sub-channel for; None once it opens
 
-    __deepcopy__ = copier(share="rate sent pumping counterparty", copy="amounts")
+    __deepcopy__ = copier(share="sent pumping counterparty", copy="amounts")
 
     def done(self) -> bool:
         return self.sent >= len(self.amounts)
@@ -170,11 +175,11 @@ class ChainSide:
     proof_ok: bool | None = None  # the counterpart's proof: None until it arrives; its first verdict is final
     uploads: dict = field(default_factory=dict)  # owner address -> the Bound record of its key upload
     recovered: tuple | None = None  # the counterpart's plaintext blocks
+    mismatch: str | None = None  # the first reason recovery failed here, which nothing undoes
     close_sent: bool = False
 
-    __deepcopy__ = copier(
-        share="chain_id session_id state counterpart_key counterpart_publics proof_ok recovered close_sent",
-        copy="expected received uploads")
+    __deepcopy__ = copier(share="chain_id session_id state counterpart_key counterpart_publics proof_ok recovered "
+                                "mismatch close_sent", copy="expected received uploads")
 
     def is_open(self) -> bool:
         return self.state in (ct.OPEN_CE, ct.OPEN)
@@ -249,7 +254,6 @@ class Party:
         self.seed = seed
         self.backend = proofs.TransparentMacBackend(DEFAULT_GROUP)
         self.sessions: dict[str, PartySession] = {}
-        self.violations: list = []
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
         self.close_after_tick: int = 0  # application-level close decision
 
@@ -260,7 +264,7 @@ class Party:
         return Rng("party:%s:%d" % (self.name, self.seed))
 
     __deepcopy__ = copier(share="name keys behavior seed backend close_after_tick",
-                          copy="directory violations rejected")
+                          copy="directory rejected")
 
     def address(self, chain_id: str) -> str:
         return self.keys[chain_id].address
@@ -278,30 +282,10 @@ class Party:
     def join(self, session_id, **role):
         """Take part in a session in a role, given as any of PartySession's
         fields from mode to h_pre, with one ChainSide per chain this party
-        holds a key on. The wiring below acts on joined sessions only."""
+        holds a key on. The runner then writes each side's plans, expected
+        counts and counterpart key through side()."""
         sides = {c: ChainSide(c, session_id) for c in self.keys}
         self.sessions[session_id] = PartySession(session_id, sides, **role)
-
-    def add_view(self, view: ChannelView):
-        """Track view's channel, unless a view of that channel is already held."""
-        self.sessions[view.session_id].sides[view.chain_id].views.setdefault(view.path, view)
-
-    def expect_proof(self, chain_id, session_id, owner, mac_key):
-        """Pay only once owner's exchange proof on chain_id verifies under mac_key."""
-        self.sessions[session_id].sides[chain_id].counterpart_key = (owner, mac_key)
-
-    def plan_sends(self, chain_id, session_id, path, amounts, rate):
-        self.sessions[session_id].sides[chain_id].plans[tuple(path)] = SendPlan(list(amounts), rate)
-
-    def expect(self, chain_id, session_id, path, count):
-        self.sessions[session_id].sides[chain_id].expected[tuple(path)] = count
-
-    def plan_subchannel(self, chain_id, session_id, path, funding_seq, counterparty_addr,
-                        amounts, rate):
-        """When the funding receipt arrives, ask its payer to authorize a
-        sub-channel and start paying the counterparty inside it once open."""
-        plan = SendPlan(list(amounts), rate, counterparty=counterparty_addr)
-        self.sessions[session_id].sides[chain_id].plans[tuple(path) + (funding_seq,)] = plan
 
     def submit_open(self, net, chain_id, session_id, amount):
         self._submit(net, chain_id, session_id, ct.OPEN_TX, ct.OpenPayload(amount))
@@ -417,7 +401,7 @@ class Party:
             return
         view = ChannelView.of_sub_receipt(chain_id, sr)
         view.srs.append(sr)
-        self.add_view(view)
+        self.side(chain_id, view.session_id).views.setdefault(view.path, view)  # the first view held stays
 
     # -- timers -----------------------------------------------------------------
 
@@ -446,7 +430,7 @@ class Party:
         if plan is None or view is None:
             return
         plan.pumping = False
-        for _ in range(plan.rate):
+        for _ in range(RECEIPTS_PER_TICK[ps.mode]):
             if plan.done():
                 break
             tr = self.send_receipt(net, view, plan.amounts[plan.sent])
@@ -666,7 +650,7 @@ class Party:
         except ValueError:  # too few shares, or indices no interpolation separates
             key = None
         if key is None or hash_bytes(key_to_bytes(key)) != upload.h_k:
-            self.violations.append(("recovered-key-hash-mismatch", side.chain_id, side.session_id))
+            side.mismatch = side.mismatch or "recovered-key-hash-mismatch"
         else:
             self._decrypt(side, key)
 
@@ -680,7 +664,7 @@ class Party:
         if blocks is not None and hash_blocks(blocks) == x.h_m:
             side.recovered = blocks
         else:
-            self.violations.append(("plaintext-hash-mismatch", side.chain_id, side.session_id))
+            side.mismatch = side.mismatch or "plaintext-hash-mismatch"
 
     def _on_terminated(self, net, ps: PartySession, side: ChainSide, detail):
         """Fair exchange aborted on one chain: wind down the other side at

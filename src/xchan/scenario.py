@@ -6,6 +6,7 @@ threshold-sharing parameters, latency, and adversarial behavior flags.
 run_scenario drives the full four-phase flow (initialize, open,
 exchange, close) end to end and reports metrics; run_scaling_sweep
 repeats it across channel counts and fits the throughput line.
+add_party builds every party of a world, atomicity's close phase included.
 
 Everything derives from the config seed: replaying a config yields a
 byte-identical trace.
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import contract as ct
 from .chain import Chain, TimerConfig
 from .crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
-from .engine import HONEST, BehaviorProfile, Miner, MinerBehavior, Party, Timer
+from .engine import HONEST, RECEIPTS_PER_TICK, BehaviorProfile, Miner, MinerBehavior, Party, SendPlan, Timer
 from .simnet import LatencyModel, Simnet
 from .wire import plan
 
@@ -102,8 +103,9 @@ class ScenarioConfig:
                 v.append("%s must be >= 1" % name)
         if self.channels < 1:
             v.append("channels must be >= 1")
-        if self.receipts_n < 0:
-            v.append("receipts_n must be >= 0")
+        for name in ("receipts_n", "max_ticks"):
+            if getattr(self, name) < 0:
+                v.append("%s must be >= 0" % name)
         if self.funding >= 1 << 64:  # the U64 an Open transaction carries
             v.append("funding must be below 2**64")
         if self.amount_hi < 1:
@@ -186,11 +188,6 @@ class World:
     expected_receipts: int  # the workload's planned receipts; an abort lowers only what parties expect
 
 
-# receipts a channel pays per tick: 1300 bytes of bandwidth per tick over a
-# receipt of 130 bytes in CE and of 1300 bytes in FE and EIE
-RECEIPTS_PER_TICK = {"CE": 10, "FE": 1, "EIE": 1}
-
-
 def _close_barrier(config: ScenarioConfig, latency: LatencyModel, longest: int, subs: list[int]) -> int:
     """Tick at which the parties agree to start closing: late enough for
     every planned receipt (longest: the longer root plan; subs: each
@@ -230,32 +227,23 @@ def build_world(config: ScenarioConfig) -> World:
 
     directory = {}
     parties = {}
-    names = _party_names(config)
-    for name in names:
-        keys = {
-            c.chain_id: keypair_from_label("%s:%d:%s" % (name, config.seed, c.chain_id))
-            for c in (alpha, beta)
-        }
-        p = Party(name, keys, behavior=behavior_for(config.adversary, name), directory=directory, seed=config.seed)
-        parties[name] = p
-        net.register(name, p)
+    for name in _party_names(config):
+        funded = config.funding * config.channels if name in ("S", "R") else 0
+        parties[name] = add_party(net, directory, name, "%s:%d" % (name, config.seed), funded,
+                                  behavior_for(config.adversary, name), config.seed)
         for c in (alpha, beta):
-            funded = config.funding * config.channels if name in ("S", "R") else 0
-            c.create_account(p.address(c.chain_id), funded)
-            directory[p.address(c.chain_id)] = name
             net.subscribe(c, name)
 
     miners = []
     for c in (alpha, beta):
         for i in range(config.n_node):
             mname = "M.%s.%d" % (c.chain_id, i + 1)
-            kp = keypair_from_label("%s:%d" % (mname, config.seed))
-            behavior = MinerBehavior(respond_recover=i >= config.byzantine_miners)
-            m = Miner(mname, c, kp, behavior=behavior)
+            m = Miner(mname, c, keypair_from_label("%s:%d" % (mname, config.seed)),
+                      MinerBehavior(respond_recover=i >= config.byzantine_miners))
             miners.append(m)
             net.register(mname, m)
-            c.register_miner(kp.address)
-            directory[kp.address] = mname
+            c.register_miner(m.kp.address)
+            directory[m.kp.address] = mname
             net.subscribe(c, mname)
             if c is alpha:
                 # alpha miners watch beta for revealed preimages (assist)
@@ -265,12 +253,25 @@ def build_world(config: ScenarioConfig) -> World:
     return World(config, net, alpha, beta, parties, miners, expected_receipts=start(config, net, parties))
 
 
+def add_party(net: Simnet, directory: dict, name: str, label: str, funding: int,
+              behavior: BehaviorProfile, seed: int) -> Party:
+    """Party name, registered on net, with a key on each of net's chains
+    derived from label and the chain id, an account holding funding there,
+    and each of its addresses entered in directory, the world's one."""
+    keys = {c.chain_id: keypair_from_label("%s:%s" % (label, c.chain_id)) for c in net.chains}
+    p = Party(name, keys, behavior=behavior, directory=directory, seed=seed)
+    net.register(name, p)
+    for c in net.chains:
+        c.create_account(p.address(c.chain_id), funding)
+        directory[p.address(c.chain_id)] = name
+    return p
+
+
 def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> int:
     """One channel pair per channel, with its receipt plans, sub-channels,
     exchanges and close timers; returns the receipts expected."""
     group = DEFAULT_GROUP
     rng = random.Random("workload:%d" % config.seed)
-    rate = RECEIPTS_PER_TICK[config.mode]
     session_ids = ["c%d" % i for i in range(config.channels)]
     expected = longest = 0
     names = list(parties)
@@ -300,20 +301,20 @@ def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> int
                pre=pre, h_pre=h_pre)
         R.join(sid, mode=config.mode, counterpart="S", lock_chain="beta")
 
-        S.plan_sends("alpha", sid, (), alpha_amounts, rate)
-        R.expect("alpha", sid, (), len(alpha_amounts))
-        R.plan_sends("beta", sid, (), beta_amounts, rate)
-        S.expect("beta", sid, (), len(beta_amounts))
+        S.side("alpha", sid).plans[()] = SendPlan(alpha_amounts)
+        R.side("alpha", sid).expected[()] = len(alpha_amounts)
+        R.side("beta", sid).plans[()] = SendPlan(beta_amounts)
+        S.side("beta", sid).expected[()] = len(beta_amounts)
         expected += len(alpha_amounts) + len(beta_amounts)
 
-        # level i + 2: the payee of receipt 1 in the channel at path (1,) * i
-        # opens a sub-channel on it and pays the next party there
+        # level i + 2, the channel at path (1,) * (i + 1): the payee of receipt 1
+        # one level up opens a sub-channel on it and pays the next party there
         for i, sub in enumerate(subs):
             payer, payee = parties[names[i + 1]], parties[names[i + 2]]
-            path = (1,) * i
+            path = (1,) * (i + 1)
             payee.join(sid, mode=config.mode, counterpart=payer.name)
-            payer.plan_subchannel("alpha", sid, path, 1, payee.address("alpha"), sub, rate)
-            payee.expect("alpha", sid, path + (1,), len(sub))
+            payer.side("alpha", sid).plans[path] = SendPlan(list(sub), counterparty=payee.address("alpha"))
+            payee.side("alpha", sid).expected[path] = len(sub)
             expected += len(sub)
 
         if config.mode in ("FE", "EIE"):
@@ -324,7 +325,7 @@ def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> int
                 blocks = tuple(hash_bytes(b"m:%s:%d:%d" % (label, config.seed, i))[:13] for i in range(4))
                 mac_key = seller.setup_exchange(chain_id, sid, key, blocks, config.vss_t, config.vss_n,
                                                 hash_bytes(b"crs:" + label))
-                buyer.expect_proof(chain_id, sid, seller.address(chain_id), mac_key)
+                buyer.side(chain_id, sid).counterpart_key = (seller.address(chain_id), mac_key)
 
     barrier = _close_barrier(config, net.latency, longest, [len(sub) for sub in subs])
     for p in parties.values():
@@ -385,10 +386,6 @@ def start_sessions(world: World):
 # the tests. Each reads only net.chains and net.actors, so a bare Simnet or a
 # fork of a run is judged as the run is.
 
-# the violations after which a payee can recover nothing more
-MISMATCHES = ("recovered-key-hash-mismatch", "plaintext-hash-mismatch")
-
-
 def sessions(net: Simnet) -> list[str]:
     """The session ids the world's parties joined, in the order first joined."""
     return list(dict.fromkeys(sid for a in net.actors.values() if isinstance(a, Party) for sid in a.sessions))
@@ -429,11 +426,10 @@ def recovered(net: Simnet) -> bool:
     return all(side.recovered is not None for sid in sessions(net) for _, side in owed(net, sid))
 
 
-def resolved(payee: Party, side) -> bool:
-    """Whether an owed plaintext was recovered, or its payee recorded a
-    mismatch, which no later event undoes."""
-    return side.recovered is not None or any(
-        (why, side.chain_id, side.session_id) in payee.violations for why in MISMATCHES)
+def resolved(side) -> bool:
+    """Whether a payee's side recovered the plaintext owed there, or
+    recorded a mismatch, which no later event undoes."""
+    return side.recovered is not None or side.mismatch is not None
 
 
 def settled(net: Simnet) -> bool:
@@ -442,7 +438,7 @@ def settled(net: Simnet) -> bool:
     session that is not, so a run reads it every tick."""
     sids = sessions(net)
     return (all(terminal(session_states(net, sid)) for sid in sids)
-            and all(resolved(payee, side) for sid in sids for payee, side in owed(net, sid)))
+            and all(resolved(side) for sid in sids for _, side in owed(net, sid)))
 
 
 def collect_metrics(world: World) -> RunMetrics:

@@ -89,6 +89,7 @@ class LatencyModel(Shared):
     lo: int = 1
     hi: int = 1
     overrides: tuple = ()  # ((src, dst, LatencyModel), ...)
+    _UNREAD = {"fixed": ("lo", "hi"), "uniform": ("fixed",)}  # kind -> the delays it does not read
 
     def __post_init__(self):
         if self.kind not in ("fixed", "uniform"):
@@ -113,8 +114,8 @@ class LatencyModel(Shared):
     @classmethod
     def from_config(cls, cfg: dict) -> "LatencyModel":
         """Build from a scenario's latency object, whose keys are this class's
-        fields; an override adds src and dst names and holds no overrides.
-        ValueError if malformed."""
+        fields, a delay only among those its kind reads; an override adds src
+        and dst names and holds no overrides. ValueError if malformed."""
         if not isinstance(cfg, dict):
             raise ValueError("latency must be an object")
         declared = dict(plan(cls))
@@ -123,6 +124,9 @@ class LatencyModel(Shared):
         values = {name: cfg[name] for name in declared if name in cfg and name != "overrides"}
         if bad := [name for name, value in values.items() if not declared[name](value)]:
             raise ValueError("%s must be of type %s" % (bad[0], cls.__annotations__[bad[0]]))
+        kind = values.get("kind", cls.kind)
+        if unread := [name for name in cls._UNREAD.get(kind, ()) if name in values]:
+            raise ValueError("kind %s reads no %s" % (kind, " or ".join(unread)))
         if not isinstance(cfg.get("overrides", ()), (list, tuple)):
             raise ValueError("overrides must be a list")
         overrides = []

@@ -177,7 +177,11 @@ def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=
     """Reference schedule explorer: deep-copies the factory's world and
     then the parent world for every child, so no node ever shares state
     with another. Same choices, in the same order, as the explorer under
-    test, except that a delivery here may also jump a block boundary."""
+    test, except that a delivery here may also jump a block boundary.
+    Messages on one (src, dst) link arrive in send order; an actor's
+    wakeups are no link and fire among themselves in (tick, send) order,
+    so one set for an early tick never waits behind one set earlier for a
+    later tick."""
     outcomes = set()
     stats = {"schedules": 0, "nodes": 0}
 
@@ -207,7 +211,9 @@ def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=
         for m in pend:
             t = max(net.now, m.lo)
             stranding = any(o.hi < t for o in pend if o.seq != m.seq)
-            overtaking = any(o.seq < m.seq and (o.msg.src, o.msg.dst) == (m.msg.src, m.msg.dst)
+            wakeup = m.msg.kind == "wakeup"
+            overtaking = any((o.msg.src, o.msg.dst, o.msg.kind == "wakeup") == (m.msg.src, m.msg.dst, wakeup)
+                             and ((o.lo, o.seq) < (m.lo, m.seq) if wakeup else o.seq < m.seq)
                              for o in pend)
             if t <= m.hi and not stranding and not overtaking:
                 choices.append(("deliver", m.seq, t))

@@ -156,6 +156,8 @@ def test_sweep_bad_channels_exits_2(config_path, capsys, channels):
     ("run", {"funding": 1}, "workload exceeds channel funding"),  # found when the world is built
     ("sweep", {"funding": 1}, "workload exceeds channel funding"),
     ("run", {"assist_reward_percent": 101}, "assist_reward_percent must be in 0..100"),
+    ("run", {"max_ticks": -1}, "max_ticks must be >= 0"),
+    ("run", {"latency": {"lo": 1, "hi": 9}}, "latency: kind fixed reads no lo or hi"),
 ])
 def test_config_error_from_a_run_exits_2(tmp_path, capsys, command, raw, error):
     """A config that passes the file checks but cannot be run is a config

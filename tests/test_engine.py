@@ -17,7 +17,8 @@ from xchan.chain import ChainEvent
 from xchan.contract import InvariantViolation
 from xchan.crypto import DEFAULT_GROUP, keypair_from_label
 from xchan import engine, proofs, receipts, vss
-from xchan.engine import BehaviorProfile, ChannelView, ExchangeMsg, Party, ReceiptMsg, ShareMsg, SrMsg, Timer
+from xchan.engine import (BehaviorProfile, ChannelView, ExchangeMsg, Party, ReceiptMsg, SendPlan, ShareMsg,
+                          SrMsg, Timer)
 from xchan.receipts import (Receipt, SubChannelReceipt, fold_receipt, make_final_state, make_receipt,
                             make_sub_receipt, replay_receipts)
 from xchan.scenario import ScenarioConfig, build_world, collect_metrics, sessions, settled, start_sessions
@@ -40,14 +41,12 @@ def two_parties(behavior_a=BehaviorProfile(), behavior_b=BehaviorProfile()):
     a, b = out
     for p in (a, b):
         p.join(SID)
-        p.add_view(
-            ChannelView(
-                chain_id="alpha",
-                session_id=SID,
-                path=(),
-                members=(a.address("alpha"), b.address("alpha")),
-                initial={a.address("alpha"): 100, b.address("alpha"): 50},
-            )
+        p.side("alpha", SID).views[()] = ChannelView(
+            chain_id="alpha",
+            session_id=SID,
+            path=(),
+            members=(a.address("alpha"), b.address("alpha")),
+            initial={a.address("alpha"): 100, b.address("alpha"): 50},
         )
     return net, a, b
 
@@ -140,14 +139,12 @@ class TestSubChannels:
         a, b, c = parties["A"], parties["B"], parties["C"]
         for p in (a, b):
             p.join(SID)
-            p.add_view(
-                ChannelView(
-                    chain_id="alpha",
-                    session_id=SID,
-                    path=(),
-                    members=(a.address("alpha"), b.address("alpha")),
-                    initial={a.address("alpha"): 100, b.address("alpha"): 0},
-                )
+            p.side("alpha", SID).views[()] = ChannelView(
+                chain_id="alpha",
+                session_id=SID,
+                path=(),
+                members=(a.address("alpha"), b.address("alpha")),
+                initial={a.address("alpha"): 100, b.address("alpha"): 0},
             )
         c.join(SID)  # the sub-channel counterparty takes part, as build_world's payees do
         return net, a, b, c
@@ -155,7 +152,7 @@ class TestSubChannels:
     def test_full_authorization_flow(self):
         net, a, b, c = self.wire()
         # B will redeploy A's first receipt into a channel with C
-        b.plan_subchannel("alpha", SID, (), 1, c.address("alpha"), amounts=[2, 3], rate=5)
+        b.side("alpha", SID).plans[(1,)] = SendPlan([2, 3], counterparty=c.address("alpha"))
         a.send_receipt(net, view_of(a), 40)
         net.run_until(max_tick=12)
         b_views, c_views = b.side("alpha", SID).views, c.side("alpha", SID).views
@@ -169,7 +166,7 @@ class TestSubChannels:
 
     def test_second_authorization_refused(self):
         net, a, b, c = self.wire()
-        b.plan_subchannel("alpha", SID, (), 1, c.address("alpha"), amounts=[], rate=1)
+        b.side("alpha", SID).plans[(1,)] = SendPlan([], counterparty=c.address("alpha"))
         a.send_receipt(net, view_of(a), 40)
         net.run_until(max_tick=8)
         tr = view_of(a).receipts[1]
@@ -684,8 +681,8 @@ class TestMalformedMessages:
         queued = len(world.net.pending)
         R.on_message(world.net, Message("chain_event", "alpha", "R", _event(result, detail=detail)))
         assert len(world.net.pending) == queued and not R.rejected
-        unrecovered = [] if type(detail) is ct.Bound else [("recovered-key-hash-mismatch", "alpha", "c0")]
-        assert R.violations == unrecovered
+        unrecovered = None if type(detail) is ct.Bound else "recovered-key-hash-mismatch"
+        assert R.side("alpha", "c0").mismatch == unrecovered
 
     def test_share_of_another_dealing_is_appealed(self):
         """S signs the share at a miner's index from a second dealing of the

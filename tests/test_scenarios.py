@@ -175,7 +175,7 @@ class TestFairExchange:
         S, R = world.parties["S"], world.parties["R"]
         assert R.side("alpha", "c0").recovered == S.side("alpha", "c0").exchange.m_blocks
         assert S.side("beta", "c0").recovered == R.side("beta", "c0").exchange.m_blocks
-        assert not S.violations and not R.violations
+        assert all(side.mismatch is None for p in (S, R) for side in p.sessions["c0"].sides.values())
 
     def test_fake_key_share_terminates_and_returns_deposits(self):
         cfg = ScenarioConfig(mode="EIE", receipts_n=0, seed=12,
@@ -244,7 +244,8 @@ class TestFairExchange:
         world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
         assert collect_metrics(world).outcomes == {"alpha:c0": ct.SUCCESS, "beta:c0": ct.SUCCESS}
         R = world.parties["R"]
-        assert R.violations == [("plaintext-hash-mismatch", "alpha", "c0")]
+        assert {c: side.mismatch for c, side in R.sessions["c0"].sides.items()} == {
+            "alpha": "plaintext-hash-mismatch", "beta": None}
         assert R.side("alpha", "c0").recovered is None
 
     def test_fe_run_stops_once_the_payee_records_a_mismatch(self, monkeypatch):
@@ -556,10 +557,12 @@ class TestConfig:
             ScenarioConfig.from_dict({"no_such_option": 1})
 
     # a funding of 2**64 or more cannot be carried by the Open transaction;
-    # amounts are drawn from 1..amount_hi, an empty range below 1
+    # amounts are drawn from 1..amount_hi, an empty range below 1; a
+    # negative max_ticks once ran nothing and failed as an invariant
     @pytest.mark.parametrize("raw, violation", [
         ({"funding": 1 << 64}, "funding must be below 2**64"),
         ({"amount_hi": 0}, "amount_hi must be >= 1"),
+        ({"max_ticks": -1}, "max_ticks must be >= 0"),
     ])
     def test_out_of_range_sizes_rejected(self, raw, violation):
         with pytest.raises(ConfigError) as err:
@@ -620,6 +623,10 @@ class TestConfig:
         "latency-all-three": {"latency": {"fixd": 40, "overrides": [
             {"src": "R", "dst": "alpha", "fixed": 5, "bogus": 1,
              "overrides": [{"src": "*", "dst": "*", "fixed": 2}]}]}},
+        # a delay the kind does not read once ran silently at the kind's default
+        "latency-window-on-fixed": {"latency": {"lo": 1, "hi": 9}},
+        "latency-fixed-on-uniform": {"latency": {"kind": "uniform", "fixed": 5}},
+        "override-window-on-fixed": {"latency": {"overrides": [{"src": "R", "dst": "alpha", "lo": 3, "hi": 5}]}},
         "receipts_n-str": {"receipts_n": "5"},
         "seed-str": {"seed": "a"},
         "channels-float": {"channels": 2.5},

@@ -5,9 +5,11 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import pytest
+
 from xchan.contract import ClosePayload, settle_levels
 from xchan.crypto import keypair_from_label
-from xchan.receipts import SubChannelReceipt, make_final_state, make_receipt, make_sub_receipt
+from xchan.receipts import Receipt, SubChannelReceipt, make_final_state, make_receipt, make_sub_receipt
 from gen_trees import gen_case
 from oracles import settle_oracle
 
@@ -229,3 +231,32 @@ def test_skipped_checks_are_unread():
     # receipts below a cutoff or on a bogus path, and sub-channel receipts
     # of a level that is never reached, are skipped too
     assert set(replaced) == {"FinalState", "Receipt", "SubChannelReceipt"}, replaced
+
+
+def _preset_verdict():
+    """A receipt S->R of 90 with a zero signature, its check's verdict preset."""
+    tr = Receipt(SID, (), 1, S.address, R.address, 90, bytes(64))
+    object.__setattr__(tr, "_sig_ok", True)
+    return tr
+
+
+def _preset_signing_bytes():
+    """A receipt S->R of 90 carrying the signature of a genuine 1-unit
+    receipt, whose signing bytes it holds preset as its own."""
+    genuine = make_receipt(S, SID, (), 1, R.address, 1)
+    tr = Receipt(SID, (), 1, S.address, R.address, 90, genuine.sig)
+    object.__setattr__(tr, "_signing", genuine.signing_bytes())
+    return tr
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("forge", [_preset_verdict, _preset_signing_bytes], ids=["verdict", "signing-bytes"])
+def test_a_receipt_its_payer_never_signed_moves_nothing(forge):
+    """R closes with a receipt of 90 that S never signed, built with the
+    memo fields of ``Signed`` preset: the deposits of 100/100 must settle
+    as they are. Both forgeries settle as 10/190 today, since the memo
+    travels on the value."""
+    deposits = {S.address: 100, R.address: 100}
+    final = make_final_state(R, SID, (), deposits)
+    res = settle_levels(SID, deposits, None, [(R.address, ClosePayload(final, (), (forge(),)))])
+    assert res.allocations == deposits

@@ -246,6 +246,17 @@ def make_enum_world(k, chain_depth=0, latency=None):
     return factory
 
 
+def make_timer_world(mode="enumerate"):
+    """One actor that sets a wakeup for tick 16, then one for tick 6."""
+    net = Simnet(seed=1, mode=mode)
+    rec = Recorder()
+    net.register("sink", rec)
+    for tick in (16, 6):
+        net.wakeup("sink", tick, {"i": tick})
+    net.world_rec = rec
+    return net
+
+
 def order_outcome(net):
     if net.pending:
         return None
@@ -554,7 +565,7 @@ class TestEnumeration:
 # (nodes, schedules) of the reference explorer, then of the reduced one;
 # they differ where two same-tick deliveries reach different actors
 SYNTHETIC_COUNTS = [((2, 1),) * 2, ((5, 2),) * 2, ((16, 6),) * 2, ((65, 24),) * 2, ((3, 1),) * 2,
-                    ((7, 2), (5, 1)), ((35, 12), (21, 6))]
+                    ((7, 2), (5, 1)), ((35, 12), (21, 6)), ((3, 1),) * 2]
 
 SYNTHETIC_WORLDS = [
     (make_enum_world(k), order_outcome, 10) for k in (1, 2, 3, 4)
@@ -563,6 +574,7 @@ SYNTHETIC_WORLDS = [
     (make_enum_world(1, chain_depth=1), order_outcome, 10),
     (make_enum_world(2, chain_depth=2, latency=LatencyModel(kind="uniform", lo=1, hi=3)),
      order_outcome, 12),
+    (make_timer_world, order_outcome, 20),
 ]
 
 
@@ -582,6 +594,15 @@ class TestForkingExplorer:
         want = enumerate_schedules_copying(factory, outcome, bound=12, horizon=horizon)
         assert got.outcomes == want.outcomes
         assert (_counts(want), _counts(got)) == SYNTHETIC_COUNTS[i]
+
+    def test_reference_fires_timers_in_tick_order_as_a_run_does(self):
+        """The wakeup set for tick 6 fires before the one set earlier for
+        tick 16, in a run and in the reference: one that held an actor's
+        wakeups in send order found only a stall."""
+        run = make_timer_world("run")
+        run.run_until(max_tick=20)
+        want = enumerate_schedules_copying(make_timer_world, order_outcome, bound=12, horizon=20)
+        assert want.outcomes == {order_outcome(run)} == {(6, 16)}
 
     @pytest.mark.parametrize("seed", range(16))
     def test_close_phase_matches_reference(self, seed):
