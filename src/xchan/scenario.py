@@ -15,7 +15,6 @@ byte-identical trace.
 from __future__ import annotations
 
 import json
-import random
 import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -23,7 +22,7 @@ from . import contract as ct
 from .chain import Chain, TimerConfig
 from .crypto import DEFAULT_GROUP, hash_bytes, key_to_bytes, keypair_from_label
 from .engine import HONEST, RECEIPTS_PER_TICK, BehaviorProfile, Miner, MinerBehavior, Party, SendPlan, Timer
-from .simnet import LatencyModel, Simnet
+from .simnet import LatencyModel, Rng, Simnet
 from .wire import plan
 
 MODES = ("CE", "FE", "EIE")
@@ -271,7 +270,7 @@ def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> int
     """One channel pair per channel, with its receipt plans, sub-channels,
     exchanges and close timers; returns the receipts expected."""
     group = DEFAULT_GROUP
-    rng = random.Random("workload:%d" % config.seed)
+    rng = Rng("workload:%d" % config.seed)
     session_ids = ["c%d" % i for i in range(config.channels)]
     expected = longest = 0
     names = list(parties)
@@ -282,8 +281,8 @@ def _channel_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> int
     for sid in session_ids:
         n_alpha = (config.receipts_n + 1) // 2
         n_beta = config.receipts_n // 2
-        alpha_amounts = [rng.randint(1, config.amount_hi) for _ in range(n_alpha)]
-        beta_amounts = [rng.randint(1, config.amount_hi) for _ in range(n_beta)]
+        alpha_amounts = [rng.between(1, config.amount_hi) for _ in range(n_alpha)]
+        beta_amounts = [rng.between(1, config.amount_hi) for _ in range(n_beta)]
         if config.levels >= 2:
             alpha_amounts = [config.sub_funding[0]] + alpha_amounts
         if sum(alpha_amounts) > config.funding or sum(beta_amounts) > config.funding:
@@ -342,9 +341,9 @@ def _htlc_sessions(config: ScenarioConfig, net: Simnet, parties: dict) -> int:
     """Baseline: one bare hash-time-locked pair per exchange, no channels,
     settled at Close with S paying on alpha and R on beta. Every exchange
     costs lock + update on each chain, and no receipt is expected."""
-    rng = random.Random("htlc:%d" % config.seed)
+    rng = Rng("htlc:%d" % config.seed)
     session_ids = ["h%d" % j for j in range(config.receipts_n)]
-    amounts = [rng.randint(1, config.amount_hi) for _ in session_ids]
+    amounts = [rng.between(1, config.amount_hi) for _ in session_ids]
     if sum(amounts) > config.funding * config.channels:
         raise ConfigError(["workload exceeds channel funding"])
     for sid, amount in zip(session_ids, amounts):

@@ -16,6 +16,13 @@ PendingMsg delivery windows:
   every feasible interleaving of deliveries and block boundaries,
   collecting the set of terminal outcomes.
 
+A uniform delay is drawn as random.randint draws it, in one frame
+(Rng.between): getrandbits of the width's bit length until the draw is
+below the width. The explorer finds a node's choices in one pass over
+its pending messages in seq order, keeping each link's head and the
+earliest hi: one sort and one pass, with no message compared to every
+other.
+
 Parties, miners and chains check each delivered message one way, in dispatch.
 
 Links are FIFO per (src, dst) pair: a later message never overtakes an
@@ -33,6 +40,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 from .chain import ChainEvent
@@ -49,11 +57,22 @@ class BoundExceeded(RuntimeError):
 
 
 class Rng(random.Random):
-    """random.Random whose deep copy clones the generator state in C.
+    """random.Random whose deep copy clones the generator state in C, with
+    randint's bounded draw in one frame.
 
     Seeded draws are those of random.Random; a plain deep copy would copy
     the 625-int state tuple one element at a time.
     """
+
+    def between(self, lo: int, hi: int) -> int:
+        """randint(lo, hi), draw for draw: getrandbits(k) for the width's k
+        bits until below the width (lo == hi still draws once)."""
+        width = hi - lo + 1
+        k = width.bit_length()
+        r = self.getrandbits(k)
+        while r >= width:
+            r = self.getrandbits(k)
+        return lo + r
 
     def __deepcopy__(self, memo):
         clone = type(self).__new__(type(self))
@@ -268,25 +287,22 @@ class Simnet:
     def log(self, entry: dict):
         self.trace.append(entry)
 
-    def _queue(self, msg: Message, lo: int, hi: int):
-        """Queue msg for delivery inside the tick window [lo, hi]."""
-        self._seq += 1
-        heapq.heappush(self.pending, PendingMsg(lo, self._seq, msg, hi))
-
     def send(self, kind: str, src: str, dst: str, data):
         if self.mode == "run":
             m = self.latency.resolve(src, dst)
-            delay = m.fixed if m.kind == "fixed" else self.rng.randint(m.lo, m.hi)  # only a window draws
+            delay = m.fixed if m.kind == "fixed" else self.rng.between(m.lo, m.hi)  # only a window draws
             lo = hi = max(self.now + delay, self._fifo.get((src, dst), 0))
             self._fifo[(src, dst)] = lo
         else:
             lo, hi = (self.now + d for d in self.latency.window(src, dst))
-        self._queue(Message(kind, src, dst, data), lo, hi)
+        self._seq += 1
+        heapq.heappush(self.pending, PendingMsg(lo, self._seq, Message(kind, src, dst, data), hi))
 
     def wakeup(self, dst: str, tick: int, data):
         """Local timer: delivers data back to dst exactly at the requested tick."""
         t = max(tick, self.now)
-        self._queue(Message("wakeup", dst, dst, data), t, t)
+        self._seq += 1
+        heapq.heappush(self.pending, PendingMsg(t, self._seq, Message("wakeup", dst, dst, data), t))
 
     # -- forking ----------------------------------------------------------------
 
@@ -364,26 +380,35 @@ def _next_boundary(net: Simnet):
     return min((net._produced // c.block_interval + 1) * c.block_interval for c in net.chains)
 
 
+_by_seq = attrgetter("seq")
+
+
 def _choices(net: Simnet, horizon: int) -> list:
     """The scheduler's choices at net, in exploration order: each pending
     message it may deliver now, as ("deliver", seq, tick, dst), then
     ("advance", tick) to the next block boundary if that strands nothing. A
-    delivery never jumps that boundary, whose events would be stranded."""
-    choices = []
-    pend = sorted(net.pending, key=lambda m: m.seq)
+    delivery never jumps that boundary, whose events would be stranded.
+
+    One pass over the pending messages in seq order finds each link's head,
+    the one message it may deliver next (FIFO per link; an actor's timers
+    in (tick, seq) order), and the earliest hi pending. A head goes at
+    max(now, lo) unless that is past the earliest hi, which would strand
+    that message (or miss its own window), or past the boundary."""
+    heads: dict = {}  # (src, dst, is a wakeup) -> the message that link delivers next
+    earliest = float("inf")
+    for m in sorted(net.pending, key=_by_seq):
+        msg = m.msg
+        link = (msg.src, msg.dst, msg.kind == "wakeup")  # a wakeup's src is its dst
+        head = heads.setdefault(link, m)
+        if link[2] and m.lo < head.lo:
+            heads[link] = m
+        if m.hi < earliest:
+            earliest = m.hi
     nb = _next_boundary(net)
-    for m in pend:
-        t = max(net.now, m.lo)
-        if t > m.hi or (nb is not None and t > nb):
-            continue
-        if any(o.hi < t for o in pend if o.seq != m.seq):
-            continue  # delivering m now would strand another message
-        timer = m.msg.kind == "wakeup"  # a wakeup's src is its dst
-        if any(o.msg.src == m.msg.src and o.msg.dst == m.msg.dst and (o.msg.kind == "wakeup") == timer
-               and ((o.lo, o.seq) < (m.lo, m.seq) if timer else o.seq < m.seq) for o in pend):
-            continue  # FIFO per link; an actor's timers fire among themselves in (tick, seq) order
-        choices.append(("deliver", m.seq, t, m.msg.dst))
-    if nb is not None and nb <= horizon and all(m.hi >= nb for m in pend):
+    last = earliest if nb is None else min(earliest, nb)
+    choices = [("deliver", m.seq, t, m.msg.dst) for m in sorted(heads.values(), key=_by_seq)
+               if (t := max(net.now, m.lo)) <= last]
+    if nb is not None and nb <= horizon and earliest >= nb:
         choices.append(("advance", nb))
     return choices
 

@@ -5,7 +5,8 @@ the code under test: commitments by repeated multiplication or by
 square-and-multiply instead of fixed-base tables, secret
 recovery by solving the Vandermonde system, settlement by a recursive
 replay of the receipt tree, schedule enumeration by copying the whole
-world for every child, field checks and byte forms by walking each
+world for every child, the scheduler's choices by checking each pending
+message against every other one, field checks and byte forms by walking each
 value's declared fields one Python call at a time instead of through
 compiled per-class code. None of them import the settlement, recovery or
 exploration code paths they are used to judge, and the settlement
@@ -172,6 +173,37 @@ def settle_oracle(session_id, deposits, parties, submissions):
     return True, alloc, cutoff
 
 
+def _next_boundary(net):
+    ticks = [(net._produced // c.block_interval + 1) * c.block_interval for c in net.chains]
+    return min(ticks) if ticks else None
+
+
+def choices_pairwise(net, horizon: int) -> list:
+    """The explorer's choices at net, as ``simnet._choices`` lists them, by
+    checking each pending message against every other one: a delivery
+    ("deliver", seq, tick, dst) for each message inside its window, not
+    past the next block boundary, stranding no other message and behind
+    no earlier message on its link, in seq order; then ("advance", tick)
+    if that boundary is within the horizon and strands nothing."""
+    choices = []
+    pend = sorted(net.pending, key=lambda m: m.seq)
+    nb = _next_boundary(net)
+    for m in pend:
+        t = max(net.now, m.lo)
+        if t > m.hi or (nb is not None and t > nb):
+            continue
+        if any(o.hi < t for o in pend if o.seq != m.seq):
+            continue
+        timer = m.msg.kind == "wakeup"
+        if any(o.msg.src == m.msg.src and o.msg.dst == m.msg.dst and (o.msg.kind == "wakeup") == timer
+               and ((o.lo, o.seq) < (m.lo, m.seq) if timer else o.seq < m.seq) for o in pend):
+            continue
+        choices.append(("deliver", m.seq, t, m.msg.dst))
+    if nb is not None and nb <= horizon and all(m.hi >= nb for m in pend):
+        choices.append(("advance", nb))
+    return choices
+
+
 def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=400,
                                 max_schedules=500_000):
     """Reference schedule explorer: deep-copies the factory's world and
@@ -184,10 +216,6 @@ def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=
     later tick."""
     outcomes = set()
     stats = {"schedules": 0, "nodes": 0}
-
-    def next_boundary(net):
-        ticks = [(net._produced // c.block_interval + 1) * c.block_interval for c in net.chains]
-        return min(ticks) if ticks else None
 
     def advance(net, t):
         while net._produced < t:
@@ -217,7 +245,7 @@ def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=
                              for o in pend)
             if t <= m.hi and not stranding and not overtaking:
                 choices.append(("deliver", m.seq, t))
-        nb = next_boundary(net)
+        nb = _next_boundary(net)
         if nb is not None and nb <= horizon and all(m.hi >= nb for m in pend):
             choices.append(("advance", nb))
         if not choices:

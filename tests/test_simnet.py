@@ -2,7 +2,9 @@
 schedule enumerator's interleaving counts, and world forks.
 
 ``XCHAN_FORK_NODES`` sets how many nodes of the real-run exploration the
-fork-isolation walk checks (default 25), for a longer run."""
+fork-isolation walk checks (default 25), and ``XCHAN_HTLC_SESSIONS`` how
+many plain-HTLC sessions the every-run-is-a-schedule walk keeps (default
+30), for a longer run."""
 
 import copy
 import dataclasses
@@ -17,14 +19,17 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerate_schedules_copying
+from oracles import choices_pairwise, enumerate_schedules_copying
 from xchan import atomicity, chain, contract, engine, scenario, simnet
 from xchan.crypto import KeyPair, keypair_from_label
 from xchan.simnet import (
     BoundExceeded,
     LatencyModel,
     Message,
+    PendingMsg,
     Rng,
     Simnet,
     enumerate_schedules,
@@ -390,6 +395,21 @@ class _Enough(Exception):
     pass
 
 
+def _check_choices(monkeypatch) -> list:
+    """Make every _choices call the explorer makes also check its list
+    against the pairwise reference; returns [calls so far]."""
+    scan, calls = simnet._choices, [0]
+
+    def checked(net, horizon):
+        got = scan(net, horizon)
+        assert got == choices_pairwise(net, horizon)
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(simnet, "_choices", checked)
+    return calls
+
+
 def _real_run_at_close():
     """A real CE run (one receipt, every link fixed at one tick) paused as
     both chains hold c0 at Close, with its 8 miners, channel views, send
@@ -423,16 +443,20 @@ class TestExploreFromARun:
         net.run_until(lambda: atomicity.outcome_of(net) is not None, max_tick=atomicity.HORIZON)
         assert atomicity.outcome_of(net) in got.outcomes
 
-    def test_real_run_fork_explores_the_whole_close(self):
+    def test_real_run_fork_explores_the_whole_close(self, monkeypatch):
         """A fork of the real-run world shares no mutable state with it, and
-        explores as measured: 21,231 nodes, 18 schedules, both chains Success."""
+        explores as measured: 21,231 nodes, 18 schedules, both chains Success.
+        At every node that is not terminal, the scheduler's scan lists the
+        pairwise reference's choices."""
         net = _real_run_at_close()
         assert net.now == 36 and len(net.actors) == 12
         w = net.fork()
         assert _shared_mutables(net, w) == []
         w.mode = "enumerate"
+        scanned = _check_choices(monkeypatch)
         got = enumerate_schedules(lambda: w, atomicity.outcome_of, horizon=atomicity.HORIZON)
         assert (got.nodes, got.schedules) == (REAL_RUN_NODES, 18)
+        assert got.nodes - got.schedules <= scanned[0] < got.nodes
         assert got.outcomes == {(contract.SUCCESS, contract.SUCCESS)}
 
     def test_real_run_forks_share_no_mutable_state(self):
@@ -482,6 +506,37 @@ class TestExploreFromARun:
         assert first_choice_block_ticks(by_predicate) == (4, 16)
         got = enumerate_schedules(lambda: by_max_tick, atomicity.outcome_of, horizon=atomicity.HORIZON)
         assert got.outcomes == _close_phase_outcomes("honest", True)
+
+
+class TestLinearScan:
+    """The scheduler's one-pass scan lists what the pairwise reference
+    lists, in the same order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(now=st.integers(0, 12), produced=st.integers(0, 12), intervals=st.lists(st.integers(1, 6), max_size=2),
+           horizon=st.integers(0, 20),
+           msgs=st.lists(st.tuples(st.sampled_from([("a", "b"), ("b", "a"), ("a", "c"), ("a", "a")]), st.booleans(),
+                                   st.integers(0, 12), st.integers(0, 4)), max_size=14))
+    def test_generated_pending_sets(self, now, produced, intervals, horizon, msgs):
+        """Links and wakeups mixed, windows overlapping and hi values tied:
+        a wakeup goes from an actor to itself, any other message on one of
+        a few links (one of them an actor's link to itself, which is not its
+        timers), each with a window of up to four ticks."""
+        net = Simnet(mode="enumerate")
+        net.now, net._produced = now, min(produced, now)
+        net.chains = [types.SimpleNamespace(block_interval=k) for k in intervals]
+        for seq, ((src, dst), wakeup, lo, span) in enumerate(msgs, 1):
+            msg = Message("wakeup", dst, dst, None) if wakeup else Message("ping", src, dst, None)
+            net.pending.append(PendingMsg(lo, seq, msg, lo + span))
+        heapq.heapify(net.pending)
+        assert simnet._choices(net, horizon) == choices_pairwise(net, horizon)
+
+    @pytest.mark.parametrize("assist", (True, False))
+    @pytest.mark.parametrize("profile", atomicity.PROFILES)
+    def test_every_close_phase_node(self, profile, assist, monkeypatch):
+        scanned = _check_choices(monkeypatch)
+        got = atomicity.enumerate_close_phase(profile, assist)
+        assert got.nodes - got.schedules <= scanned[0] < got.nodes
 
 
 class TestEnumeration:
@@ -830,6 +885,8 @@ def _explorable(net):
     return w
 
 
+HTLC_SESSIONS = int(os.environ.get("XCHAN_HTLC_SESSIONS", "30"))
+
 # the shipped configs, then two latency mixes: uniform FE, and CE with one slow link
 RUNS = [pytest.param(scenario.ScenarioConfig.from_json(str(path)), id=path.stem)
         for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))] + [
@@ -864,10 +921,10 @@ class TestEveryRunIsASchedule:
         """Run cfg the way run_until does, and before each block and each
         delivery, a fork of the run set to enumerate mode offers that step.
         The plain-HTLC baseline starts a session per receipt at once, and
-        _choices is quadratic in the messages pending, so its run is cut to
-        ten sessions."""
+        each step forks the whole world, about 3.5 ms at 100 sessions, so its
+        run is cut to HTLC_SESSIONS sessions (XCHAN_HTLC_SESSIONS)."""
         if cfg.baseline == "plain_htlc":
-            cfg = dataclasses.replace(cfg, receipts_n=10)
+            cfg = dataclasses.replace(cfg, receipts_n=min(cfg.receipts_n, HTLC_SESSIONS))
         net = _opened(cfg).net
 
         def offered(step):
@@ -922,10 +979,21 @@ class TestRng:
             nets.append(world.net)
         assert ["rng" in vars(net) for net in nets] == [False, True]
 
-    def test_draws_match_random(self):
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**64), st.text(max_size=16)),
+           window=st.one_of(st.integers(-2**20, 2**20).map(lambda lo: (lo, lo)), st.sampled_from([(1, 2), (1, 3)]),
+                            st.tuples(st.integers(-2**20, 2**20), st.integers(0, 2**40)).map(
+                                lambda w: (w[0], w[0] + w[1]))))
+    def test_draws_match_random(self, seed, window):
+        """Rng draws what random.Random draws, and between(lo, hi) is
+        randint(lo, hi) draw for draw: the same values, leaving the
+        generator in the same state."""
         a, b = Rng("party:S:1"), random.Random("party:S:1")
         assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
         assert [a.randrange(10**40) for _ in range(5)] == [b.randrange(10**40) for _ in range(5)]
+        a, b = Rng(seed), random.Random(seed)
+        assert [a.between(*window) for _ in range(20)] == [b.randint(*window) for _ in range(20)]
+        assert a.getstate() == b.getstate()
 
     def test_deep_copy_continues_and_is_independent(self):
         rng = Rng(7)
