@@ -84,8 +84,7 @@ class Chain:
         # (actor name, event kinds or None for all), in event fan-out order
         self.subscribers: list[tuple[str, frozenset | None]] = []
 
-    __deepcopy__ = copier(share="chain_id block_interval timers assist_reward_percent now",
-                          copy="accounts miners mempool blocks subscribers committed")
+    __deepcopy__ = copier("accounts miners mempool blocks subscribers committed")
 
     # -- account plumbing ---------------------------------------------------
 

@@ -345,10 +345,7 @@ class ContractSession:
     assist_reward_paid: int = 0
     transitions: list = field(default_factory=list)  # (from, to, tick)
 
-    __deepcopy__ = copier(
-        share="session_id state escrow sn appeal_deadline close_deadline settle_cutoff h_pre "
-              "lock_deadline assist_deadline assist_reward_paid",
-        copy="deposits uploads collected_closes locked_allocations recovery_requested transitions")
+    __deepcopy__ = copier("deposits uploads collected_closes locked_allocations recovery_requested transitions")
 
     def set_state(self, new_state: str, tick: int):
         edge = (self.state, new_state)

@@ -82,9 +82,7 @@ class ChannelView:
     _bal: dict | None = field(default=None, init=False, repr=False, compare=False)
     _folded_delegated: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
-    __deepcopy__ = copier(
-        share="chain_id session_id path members funder next_seq last_sent_seq _folded_delegated",
-        copy="initial receipts delegated srs _bal")
+    __deepcopy__ = copier("initial receipts delegated srs _bal")
 
     @classmethod
     def of_sub_receipt(cls, chain_id: str, sr: SubChannelReceipt) -> "ChannelView":
@@ -138,7 +136,7 @@ class SendPlan:
     pumping: bool = False  # a pump timer is set
     counterparty: str | None = None  # to request the sub-channel for; None once it opens
 
-    __deepcopy__ = copier(share="sent pumping counterparty", copy="amounts")
+    __deepcopy__ = copier("amounts")
 
     def done(self) -> bool:
         return self.sent >= len(self.amounts)
@@ -155,7 +153,7 @@ class ExchangeState:
     mac_key: bytes
     dealing: vss.Dealing | None = None
 
-    __deepcopy__ = copier(share="key m_blocks t n mac_key dealing")
+    __deepcopy__ = copier()
 
 
 @dataclass
@@ -178,8 +176,7 @@ class ChainSide:
     mismatch: str | None = None  # the first reason recovery failed here, which nothing undoes
     close_sent: bool = False
 
-    __deepcopy__ = copier(share="chain_id session_id state counterpart_key counterpart_publics proof_ok recovered "
-                                "mismatch close_sent", copy="expected received uploads")
+    __deepcopy__ = copier("expected received uploads")
 
     def is_open(self) -> bool:
         return self.state in (ct.OPEN_CE, ct.OPEN)
@@ -200,7 +197,7 @@ class PartySession:
     h_pre: bytes | None = None
     aborted: bool = False  # the other chain terminated; settle this one as-is
 
-    __deepcopy__ = copier(share="session_id mode counterpart lock_chain holder pre h_pre aborted")
+    __deepcopy__ = copier()
 
 
 @declared
@@ -263,8 +260,7 @@ class Party:
         deals (a close-phase world) has no generator to fork."""
         return Rng("party:%s:%d" % (self.name, self.seed))
 
-    __deepcopy__ = copier(share="name keys behavior seed backend close_after_tick",
-                          copy="directory rejected")
+    __deepcopy__ = copier("keys directory rejected")
 
     def address(self, chain_id: str) -> str:
         return self.keys[chain_id].address
@@ -371,23 +367,24 @@ class Party:
         net.send("sr_grant", self.name, msg.src, SrMsg(chain_id, sr))
 
     def on_sr_grant(self, net, msg):
-        """Payee side: open the sub-channel once its authorization checks out, if not open yet."""
+        """Payee side: open the planned sub-channel, if not open yet, once its
+        authorization checks out, embeds the receipt this party holds and
+        names the counterparty the plan does."""
         chain_id, sr = msg.data.chain_id, msg.data.sr
         tr = sr.receipt
         if sr.funder != self.address(chain_id) or not sr.verify_sig():
             return
         side = self.side(chain_id, tr.session_id)
-        parent = None if side is None else side.views.get(tr.channel_path)
-        if parent is None or sr.child_path in side.views:
+        plan = None if side is None else side.plans.get(sr.child_path)
+        parent = None if plan is None else side.views.get(tr.channel_path)
+        if parent is None or plan.counterparty != sr.counterparty or parent.receipts.get(tr.seq) != tr:
             return
         parent.delegated.add(tr.seq)
         parent.srs.append(sr)
         child = ChannelView.of_sub_receipt(chain_id, sr)
         side.views[child.path] = child
-        plan = side.plans.get(child.path)
-        if plan is not None:
-            plan.counterparty = None
-            self._pump(net, side, child.path)
+        plan.counterparty = None
+        self._pump(net, side, child.path)
         dst = self.directory.get(sr.counterparty)
         if dst:
             net.send("subchannel_open", self.name, dst, msg.data)
@@ -397,7 +394,8 @@ class Party:
         channel if not tracked yet. Trusts nothing beyond the signatures it can check."""
         chain_id, sr = msg.data.chain_id, msg.data.sr
         joined = sr.receipt.session_id in self.sessions  # no state for a session never joined
-        if not joined or sr.counterparty != self.address(chain_id) or not sr.verify_sig():
+        if not joined or sr.counterparty != self.address(chain_id) or sr.funder == sr.counterparty \
+                or not sr.verify_sig():
             return
         view = ChannelView.of_sub_receipt(chain_id, sr)
         view.srs.append(sr)
@@ -729,7 +727,7 @@ class Miner:
         self.assisted: set = set()
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
-    __deepcopy__ = copier(share="name kp behavior first_stored", copy="stored learned_pre assisted rejected")
+    __deepcopy__ = copier("stored learned_pre assisted rejected")
 
     def on_message(self, net, msg: Message):
         dispatch(self, net, msg)

@@ -1,24 +1,23 @@
 """What a world fork copies and what it shares.
 
 A world fork (``Simnet.fork``) is one ``copy.deepcopy`` of the network.
-Values nothing mutates once they are built derive from ``Shared`` and
-deep-copy to themselves, so every fork shares them: declared message and
-record values (``wire.Checked``), keypairs, groups, dealings, the proof
-backend, latency models, timer configs and party and miner behaviors.
-Each mutable world class declares with ``copier`` how a fork copies each
-of its attributes:
+Each mutable world class installs a ``copier``, which treats each
+attribute by its value:
 
-* ``share``: immutable values (str, int, bytes, tuples of immutables,
-  ``Shared`` values), kept as they are;
-* ``copy``: containers of immutables, copied shallowly (``None`` stays
-  ``None``), once per fork, so a container two objects hold stays one.
-  A ``Counter`` is copied as a dict is, without running
-  ``Counter.__init__``, which costs several times the copy itself.
-
-Every other attribute, a nested mutable object or one a class has not
-yet declared, is deep-copied through the fork's memo, so an object
-several parts of the world hold stays one object and a new attribute is
-never shared by mistake.
+* shared: a value of an immutable builtin type (str, int, float, bool,
+  bytes, None, frozenset, or a plain tuple, which in a world holds only
+  immutables), or a ``Shared`` value, one nothing mutates once it is
+  built: a declared message or record (``wire.Checked``), a keypair,
+  group, dealing, proof backend, latency model, timer config or behavior;
+* copied: a container the class names in its copy list, copied shallowly
+  once per fork, so a container two objects hold stays one. Only a
+  declaration can say that nothing mutates a container's contents (a
+  trace of dicts, a dict of keypairs). A ``Counter`` is copied as a dict
+  is, without running ``Counter.__init__``, which costs several times
+  the copy itself;
+* deep: anything else, deep-copied through the fork's memo, so an object
+  several parts of the world hold stays one object and an attribute no
+  class declared is never shared by mistake.
 """
 
 from __future__ import annotations
@@ -36,9 +35,11 @@ class Shared:
         return self
 
 
+# the builtin types whose values every fork shares
+IMMUTABLE = frozenset((str, int, float, bool, bytes, type(None), frozenset, tuple))
+
+
 def _copy(value, memo):
-    if value is None:
-        return None
     clone = memo.get(id(value))
     if clone is None:
         # the original outlives the fork, so its id names it throughout
@@ -78,10 +79,10 @@ def _deep(value, memo):
     return clone
 
 
-def copier(share: str = "", copy: str = ""):
-    """A ``__deepcopy__`` that copies each attribute as its group names it
-    (space-separated attribute names per group) and deep-copies any other."""
-    shared = frozenset(share.split())
+def copier(copy: str = ""):
+    """A ``__deepcopy__`` that shares each immutable or ``Shared`` attribute,
+    copies shallowly each container named in copy (space-separated
+    attribute names) and deep-copies any other."""
     how = dict.fromkeys(copy.split(), _copy)
 
     def __deepcopy__(self, memo):
@@ -91,9 +92,10 @@ def copier(share: str = "", copy: str = ""):
         state = self.__dict__
         copied = state.copy()
         for k, v in state.items():
-            if k not in shared:
+            if type(v) not in IMMUTABLE and not isinstance(v, Shared):
                 copied[k] = how.get(k, _deep)(v, memo)
         clone.__dict__ = copied
         return clone
 
+    __deepcopy__.copies = tuple(how)
     return __deepcopy__

@@ -183,7 +183,6 @@ class World:
     alpha: Chain
     beta: Chain
     parties: dict
-    miners: list
     expected_receipts: int  # the workload's planned receipts; an abort lowers only what parties expect
 
 
@@ -233,13 +232,11 @@ def build_world(config: ScenarioConfig) -> World:
         for c in (alpha, beta):
             net.subscribe(c, name)
 
-    miners = []
     for c in (alpha, beta):
         for i in range(config.n_node):
             mname = "M.%s.%d" % (c.chain_id, i + 1)
             m = Miner(mname, c, keypair_from_label("%s:%d" % (mname, config.seed)),
                       MinerBehavior(respond_recover=i >= config.byzantine_miners))
-            miners.append(m)
             net.register(mname, m)
             c.register_miner(m.kp.address)
             directory[m.kp.address] = mname
@@ -249,7 +246,7 @@ def build_world(config: ScenarioConfig) -> World:
                 net.subscribe(beta, mname, kinds=(ct.UPDATE_TX, ct.UPDATE_EIE_TX))
 
     start = _htlc_sessions if config.baseline == "plain_htlc" else _channel_sessions
-    return World(config, net, alpha, beta, parties, miners, expected_receipts=start(config, net, parties))
+    return World(config, net, alpha, beta, parties, expected_receipts=start(config, net, parties))
 
 
 def add_party(net: Simnet, directory: dict, name: str, label: str, funding: int,

@@ -217,7 +217,7 @@ class ChainActor:
         self.chain = chain
         self.rejected: Counter = Counter()  # reason -> messages dropped unread
 
-    __deepcopy__ = copier(copy="rejected")
+    __deepcopy__ = copier("rejected")
 
     def serves(self, chain_id: str) -> bool:
         return chain_id == self.chain.chain_id
@@ -266,7 +266,7 @@ class Simnet:
         fixed) has no generator to fork."""
         return Rng(("simnet", self.seed).__repr__())
 
-    __deepcopy__ = copier(share="mode latency seed now _produced _seq", copy="trace _fifo pending")
+    __deepcopy__ = copier("trace _fifo pending")
 
     # -- wiring ---------------------------------------------------------------
 

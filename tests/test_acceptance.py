@@ -298,7 +298,7 @@ def test_criterion_7_appeal_paths():
     cfg2 = ScenarioConfig(mode="EIE", receipts_n=2, seed=78, channels=2,
                           vss_t=2, vss_n=4, byzantine_ell=1)
     world2 = build_world(cfg2)
-    replayer = next(m for m in world2.miners if m.chain is world2.alpha)
+    replayer = world2.net.actors["M.alpha.1"]
     replayer.behavior = MinerBehavior(stale_sn_replay=True)
     start_sessions(world2)
     world2.net.run_until(lambda: settled(world2.net), max_tick=cfg2.max_ticks)

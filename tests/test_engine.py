@@ -205,6 +205,53 @@ class TestSubChannels:
         with pytest.raises(ValueError):
             make_sub_receipt(b.keys["alpha"], c.address("alpha"), tr)
 
+    LEVELS = ScenarioConfig(mode="CE", receipts_n=4, levels=2, sub_funding=(5,), sub_receipts=(2,))
+
+    @classmethod
+    def run_with(cls, kind, counterparty, amount=None):
+        """LEVELS run to the end, R handed a kind message from S right after
+        R accepts its first root receipt, which funds R's sub-channel to D:
+        an authorization S signs for that receipt, or for a second receipt
+        S signs under its seq for amount, naming counterparty ("S", "R" or
+        "D"). Returns (D's receipts at (1,), alpha's payouts to R and D,
+        the last tick)."""
+        world = build_world(cls.LEVELS)
+        S, R, D = (world.parties[n] for n in "SRD")
+        net, deliver = world.net, R.on_message
+        before = {p: world.alpha.balance(p.address("alpha")) for p in (R, D)}
+
+        def on_message(net, msg):
+            deliver(net, msg)
+            tr = getattr(msg.data, "tr", None)
+            if msg.kind == "receipt" and tr.channel_path == () and tr.seq == 1:
+                if amount is not None:
+                    tr = make_receipt(S.keys["alpha"], tr.session_id, (), 1, tr.rcv, amount)
+                sr = make_sub_receipt(S.keys["alpha"], world.parties[counterparty].address("alpha"), tr)
+                deliver(net, Message(kind, "S", "R", SrMsg("alpha", sr)))
+        R.on_message = on_message
+        start_sessions(world)
+        net.run_until(lambda: settled(net), max_tick=cls.LEVELS.max_ticks)
+        paid = tuple(world.alpha.balance(p.address("alpha")) - before[p] for p in (R, D))
+        return D.side("alpha", "c0").received.get((1,), 0), paid, net.now
+
+    def test_grant_naming_another_counterparty_opens_nothing(self):
+        """A grant from S naming S opens no channel: R's plan names D, so R
+        opens the channel to D once S's real grant comes, and D gets its
+        two receipts. Opened, it once made R pay S, leaving D nothing."""
+        assert self.run_with("sr_grant", "S") == (2, (6, 2), 64)
+
+    def test_open_naming_its_funder_as_counterparty_is_refused(self):
+        """A subchannel_open whose funder, R, is also its counterparty is
+        refused: adopted, it held R's sub-channel path, so R's real one to D
+        never opened and the run ended 28 ticks late with D paid nothing."""
+        assert self.run_with("subchannel_open", "R") == (2, (6, 2), 64)
+
+    def test_grant_for_a_receipt_not_held_opens_nothing(self):
+        """A grant for a second receipt S signed under the funding receipt's
+        seq opens nothing. Opened on it, R's sub-channel held two receipts
+        under one seq, settlement dropped both levels, and S paid 3 of 8."""
+        assert self.run_with("sr_grant", "D", amount=7) == (2, (6, 2), 64)
+
 
 class TestFinalStates:
     def test_no_receipts_yields_initial(self):
@@ -694,7 +741,7 @@ class TestMalformedMessages:
         exchange = S.sessions["c0"].sides["alpha"].exchange
         bound = world.alpha.contract.sessions["c0"].uploads[_S]
         binding = bound.bindings[0]
-        miner = next(m for m in world.miners if m.kp.address == binding.miner)
+        miner = world.net.actors[S.directory[binding.miner]]
         stored = miner.stored[("c0", _S)]
         other = vss.share(exchange.key, exchange.t, exchange.n, random.Random(1), DEFAULT_GROUP)
         ks = other.shares[binding.index - 1]

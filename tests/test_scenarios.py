@@ -12,7 +12,7 @@ from xchan import contract as ct
 from xchan import receipts, scenario, vss
 from xchan.atomicity import PROFILES, build_close_phase_world, enumerate_close_phase, outcome_of
 from xchan.crypto import hash_blocks, hash_bytes
-from xchan.engine import MinerBehavior
+from xchan.engine import Miner, MinerBehavior
 from xchan.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -286,7 +286,7 @@ class TestFairExchange:
                              vss_t=2, vss_n=4, byzantine_ell=1)
         world = build_world(cfg)
         # one alpha miner replays previously-stored shares into new sessions
-        replayer = next(m for m in world.miners if m.chain is world.alpha)
+        replayer = world.net.actors["M.alpha.1"]
         replayer.behavior = MinerBehavior(stale_sn_replay=True)
         start_sessions(world)
         world.net.run_until(lambda: settled(world.net), max_tick=cfg.max_ticks)
@@ -325,7 +325,7 @@ class TestMinerAssist:
         assert s.transitions[-1] == (ct.LOCK, ct.SUCCESS, 124)
         assert s.recovery_requested == [S.address("alpha")]
         assert s.assist_reward_paid == 100
-        miner = world.miners[0]  # M.alpha.1, the first to submit
+        miner = world.net.actors["M.alpha.1"]  # the first to submit
         assert world.alpha.balance(miner.kp.address) == 100
         submits = [e["from"] for e in trace if e.get("kind") == "submit" and e["chain_id"] == "alpha"
                    and e["tx_kind"] == ct.UPDATE_EIE_TX and e["tick"] < 124]
@@ -536,7 +536,8 @@ class TestConfig:
     def test_node_count_rule(self):
         """A chain has 3 * ell + 1 miners; a file cannot set the count."""
         assert [ScenarioConfig(byzantine_ell=ell).n_node for ell in (1, 2, 3)] == [4, 7, 10]
-        assert [m.name for m in build_world(ScenarioConfig(receipts_n=0)).miners] == [
+        actors = build_world(ScenarioConfig(receipts_n=0)).net.actors
+        assert [name for name, a in actors.items() if isinstance(a, Miner)] == [
             "M.%s.%d" % (c, i) for c in ("alpha", "beta") for i in (1, 2, 3, 4)]
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict({"n_node": 4})

@@ -676,6 +676,21 @@ class TestForkingExplorer:
             assert tuple(map(sum, zip(*wants))) == (213, 41)
             assert tuple(map(sum, zip(*gots))) == (144, 13)
 
+    def test_a_world_that_cannot_end_is_stalled(self):
+        """With S's lock submission taken from the close phase, no session
+        ever ends: the only schedule advances block by block to the horizon
+        and is reported stalled, by the explorer and by the reference."""
+        def factory():
+            net = atomicity.build_close_phase_world("honest", True)
+            (lock,) = [p for p in net.pending if p.msg.kind == "tx"]
+            net.pending.remove(lock)
+            return net
+
+        got = enumerate_schedules(factory, atomicity.outcome_of, horizon=atomicity.HORIZON)
+        want = enumerate_schedules_copying(factory, atomicity.outcome_of, horizon=atomicity.HORIZON)
+        assert (got.outcomes, got.schedules, got.nodes) == ({("stalled",)}, 1, 17)
+        assert want.outcomes == got.outcomes
+
 
 def _close_phase_world_with_history():
     """Close-phase world after S's lock lands in the first alpha block, so
@@ -781,12 +796,8 @@ def _reachable(root, allowed: set) -> dict:
 
 def _allowed(net) -> set:
     """What a fork may share with its original besides sealed values: trace
-    entries and each party's keys. Message data sits inside sealed messages."""
-    ids = {id(entry) for entry in net.trace}
-    for actor in net.actors.values():
-        if isinstance(actor, engine.Party):
-            ids.add(id(actor.keys))
-    return ids
+    entries. Message data sits inside sealed messages."""
+    return {id(entry) for entry in net.trace}
 
 
 def _shared_mutables(net, w) -> list:
@@ -849,6 +860,27 @@ class TestForkIsolation:
         enumerate_schedules(lambda: atomicity.build_close_phase_world(profile, assist, 1), outcome,
                             horizon=atomicity.HORIZON)
         assert len(nodes) > 1
+
+    def test_copy_lists_name_held_attributes(self):
+        """Each name in a world class's copy list is an attribute every
+        instance of it holds, in a finished three-level CE run, a finished
+        EIE run and a close-phase world: a stale or misspelt name would
+        leave its container to a deep copy, unnoticed."""
+        worlds = [_close_phase_world_with_history()]
+        for cfg in (scenario.ScenarioConfig(mode="CE", receipts_n=4, seed=8, levels=3, sub_funding=(30, 10),
+                                            sub_receipts=(3, 2)),
+                    scenario.ScenarioConfig(mode="EIE", seed=15, byzantine_miners=1)):
+            net = _opened(cfg).net
+            net.run_until(lambda: scenario.settled(net), max_tick=cfg.max_ticks)
+            worlds.append(net)
+        seen = set()
+        for net in worlds:
+            for obj in _reachable(net, set()).values():
+                copies = getattr(getattr(type(obj), "__deepcopy__", None), "copies", None)
+                if copies is not None:
+                    seen.add(type(obj))
+                    assert set(copies) <= vars(obj).keys(), type(obj)
+        assert seen == set(WORLD_CLASSES)
 
     def test_walk_finds_a_shared_container(self):
         net = _close_phase_world_with_history()
