@@ -122,7 +122,7 @@ def pedersen_commit(s: int, r: int, params: GroupParams) -> int:
     acc = 1
     for g_row, h_row, a, b in zip(g_rows, h_rows, (s % q).to_bytes(width, "little"),
                                   (r % q).to_bytes(width, "little")):
-        acc = acc * g_row[a] * h_row[b] % p
+        acc = acc * (g_row[a] * h_row[b]) % p
     return acc
 
 
@@ -245,6 +245,12 @@ def _keystream_block(key32: bytes, index: int, size: int) -> bytes:
     return out[:size]
 
 
+def _xor(data: bytes, ks: bytes) -> bytes:
+    """data XOR ks in one int operation, as long as the shorter of the two."""
+    n = min(len(data), len(ks))
+    return (int.from_bytes(data[:n], "little") ^ int.from_bytes(ks[:n], "little")).to_bytes(n, "little")
+
+
 def encrypt(key, blocks) -> Ciphertext:
     """Deterministic per-block XOR keystream cipher.
 
@@ -261,20 +267,16 @@ def encrypt(key, blocks) -> Ciphertext:
     for i, blk in enumerate(blocks):
         if len(blk) != size:
             raise ValueError("blocks must be equal size")
-        ks = _keystream_block(key32, i, size)
-        enc.append(bytes(a ^ b for a, b in zip(blk, ks)))
+        enc.append(_xor(blk, _keystream_block(key32, i, size)))
     return Ciphertext(blocks=tuple(enc), block_size=size)
 
 
 def decrypt(key, ct: Ciphertext) -> tuple[bytes, ...]:
     """Inverse of encrypt; a wrong key yields garbage the caller detects
-    by comparing the plaintext hash."""
+    by comparing the plaintext hash. A block longer or shorter than
+    block_size yields as many bytes as the shorter of it and the keystream."""
     key32 = key_to_bytes(key)
-    out = []
-    for i, blk in enumerate(ct.blocks):
-        ks = _keystream_block(key32, i, ct.block_size)
-        out.append(bytes(a ^ b for a, b in zip(blk, ks)))
-    return tuple(out)
+    return tuple(_xor(blk, _keystream_block(key32, i, ct.block_size)) for i, blk in enumerate(ct.blocks))
 
 
 def hash_blocks(blocks) -> bytes:

@@ -7,8 +7,9 @@ insertion order; a delivery may send further messages, including
 zero-latency ones delivered within the same tick. Messages are delayed,
 never dropped.
 
-Two modes share the same actors, chains and queue, one heap of
-PendingMsg delivery windows:
+Two modes share the same actors, chains and queue: each message carries
+its delivery window and waits in the FIFO list of the tick it is first
+deliverable at (a calendar queue, one bucket per tick):
 
 * run mode samples every delay from the seeded latency model, a window
   of one tick, and replays bit-identically for a given seed;
@@ -18,10 +19,11 @@ PendingMsg delivery windows:
 
 A uniform delay is drawn as random.randint draws it, in one frame
 (Rng.between): getrandbits of the width's bit length until the draw is
-below the width. The explorer finds a node's choices in one pass over
-its pending messages in seq order, keeping each link's head and the
-earliest hi: one sort and one pass, with no message compared to every
-other.
+below the width. Run mode delivers each tick's list in order, a
+zero-delay send joining the list being delivered. The explorer finds a
+node's choices in one pass over its pending messages in seq order,
+keeping each link's head and the earliest hi: one sort and one pass,
+with no message compared to every other.
 
 Parties, miners and chains check each delivered message one way, in dispatch.
 
@@ -35,7 +37,6 @@ for an early tick never waits behind one set earlier for a later tick.
 from __future__ import annotations
 
 import copy
-import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -81,16 +82,24 @@ class Rng(random.Random):
 
 
 class Message(NamedTuple):
-    """One message in flight. Neither it nor its data is mutated after
-    send, so world forks share it."""
+    """One message in flight, with its delivery window: deliverable at any
+    tick from lo to hi (lo == hi in run mode), in (lo, seq) order, seq
+    counting sends. Neither it nor its data is mutated after send, so
+    world forks share it."""
 
     kind: str
     src: str
     dst: str
     data: object  # the class its receiver declares for kind: a tx, a chain event, a Timer, ...
+    lo: int = 0  # earliest deliverable tick, absolute
+    seq: int = 0
+    hi: int = 0  # latest
 
     def __deepcopy__(self, memo):
         return self
+
+
+_message = tuple.__new__  # builds a Message from its fields in C, without NamedTuple's Python __new__
 
 
 @dataclass(frozen=True)
@@ -157,17 +166,6 @@ class LatencyModel(Shared):
             rest = {k: v for k, v in o.items() if k not in ("src", "dst")}
             overrides.append((o["src"], o["dst"], cls.from_config(rest)))
         return cls(overrides=tuple(overrides), **values)
-
-
-class PendingMsg(NamedTuple):
-    """A queued message, the one entry of the delivery heap in either mode:
-    deliverable at any tick from lo to hi (lo == hi in run mode), in
-    (lo, seq) order, seq counting sends."""
-
-    lo: int  # earliest deliverable tick, absolute
-    seq: int
-    msg: Message
-    hi: int  # latest
 
 
 class Timer(NamedTuple):
@@ -244,6 +242,11 @@ class ChainActor:
 
 
 class Simnet:
+    """The world: actors, chains, the block clock and the messages in
+    flight. ``pending`` maps each tick to the FIFO list, in seq order, of
+    the messages first deliverable then; no list is left empty.
+    ``in_flight`` counts them."""
+
     def __init__(self, seed: int = 0, latency: LatencyModel | None = None, mode: str = "run"):
         if mode not in ("run", "enumerate"):
             raise ValueError("mode must be run or enumerate")
@@ -257,7 +260,8 @@ class Simnet:
         self.trace: list[dict] = []
         self._seq = 0
         self._fifo: dict = {}  # (src, dst) -> latest scheduled delivery tick, run mode
-        self.pending: list[PendingMsg] = []  # a heap
+        self.pending: dict[int, list[Message]] = {}  # lo -> the messages first deliverable then
+        self.in_flight = 0
 
     @cached_property
     def rng(self) -> Rng:
@@ -266,7 +270,7 @@ class Simnet:
         fixed) has no generator to fork."""
         return Rng(("simnet", self.seed).__repr__())
 
-    __deepcopy__ = copier("trace _fifo pending")
+    __deepcopy__ = copier("trace _fifo")  # pending is deep: each tick's list copied, its messages shared
 
     # -- wiring ---------------------------------------------------------------
 
@@ -296,13 +300,33 @@ class Simnet:
         else:
             lo, hi = (self.now + d for d in self.latency.window(src, dst))
         self._seq += 1
-        heapq.heappush(self.pending, PendingMsg(lo, self._seq, Message(kind, src, dst, data), hi))
+        self.pending.setdefault(lo, []).append(_message(Message, (kind, src, dst, data, lo, self._seq, hi)))
+        self.in_flight += 1
 
     def wakeup(self, dst: str, tick: int, data):
         """Local timer: delivers data back to dst exactly at the requested tick."""
         t = max(tick, self.now)
         self._seq += 1
-        heapq.heappush(self.pending, PendingMsg(t, self._seq, Message("wakeup", dst, dst, data), t))
+        self.pending.setdefault(t, []).append(_message(Message, ("wakeup", dst, dst, data, t, self._seq, t)))
+        self.in_flight += 1
+
+    def queued(self):
+        """Every message in flight, in (lo, seq) order."""
+        for lo in sorted(self.pending):
+            yield from self.pending[lo]
+
+    def remove(self, seq: int) -> Message:
+        """Take the message numbered seq out of flight. It is found by seq,
+        since == on messages would compare their payloads."""
+        for lo, due in self.pending.items():
+            for i, msg in enumerate(due):
+                if msg.seq == seq:
+                    del due[i]
+                    if not due:
+                        del self.pending[lo]
+                    self.in_flight -= 1
+                    return msg
+        raise KeyError(seq)
 
     # -- forking ----------------------------------------------------------------
 
@@ -348,14 +372,18 @@ class Simnet:
         done = False
         while self.now <= max_tick and not done:
             self.advance(self.now)
-            while self.pending and self.pending[0].lo <= self.now:
-                self._deliver(heapq.heappop(self.pending).msg)
+            due = self.pending.get(self.now)  # a send made at now with no delay joins it
+            if due is not None:
+                for msg in due:
+                    self._deliver(msg)
+                del self.pending[self.now]
+                self.in_flight -= len(due)
             if predicate is not None and predicate():
                 done = True
             else:
                 self.now += 1
         if not done:
-            for _lo, _seq, msg, _hi in sorted(self.pending):
+            for msg in self.queued():
                 self.log(
                     {"tick": self.now, "kind": "undelivered", "src": msg.src, "dst": msg.dst, "msg": msg.kind}
                 )
@@ -396,9 +424,8 @@ def _choices(net: Simnet, horizon: int) -> list:
     that message (or miss its own window), or past the boundary."""
     heads: dict = {}  # (src, dst, is a wakeup) -> the message that link delivers next
     earliest = float("inf")
-    for m in sorted(net.pending, key=_by_seq):
-        msg = m.msg
-        link = (msg.src, msg.dst, msg.kind == "wakeup")  # a wakeup's src is its dst
+    for m in sorted([m for due in net.pending.values() for m in due], key=_by_seq):
+        link = (m.src, m.dst, m.kind == "wakeup")  # a wakeup's src is its dst
         head = heads.setdefault(link, m)
         if link[2] and m.lo < head.lo:
             heads[link] = m
@@ -406,7 +433,7 @@ def _choices(net: Simnet, horizon: int) -> list:
             earliest = m.hi
     nb = _next_boundary(net)
     last = earliest if nb is None else min(earliest, nb)
-    choices = [("deliver", m.seq, t, m.msg.dst) for m in sorted(heads.values(), key=_by_seq)
+    choices = [("deliver", m.seq, t, m.dst) for m in sorted(heads.values(), key=_by_seq)
                if (t := max(net.now, m.lo)) <= last]
     if nb is not None and nb <= horizon and earliest >= nb:
         choices.append(("advance", nb))
@@ -417,11 +444,9 @@ def _take(net: Simnet, choice: tuple):
     """Apply one of _choices(net) to net."""
     if choice[0] == "deliver":
         _, seq, t, _dst = choice
-        pm = next(p for p in net.pending if p.seq == seq)
-        net.pending.remove(pm)
-        heapq.heapify(net.pending)
+        msg = net.remove(seq)
         net.advance(t)
-        net._deliver(pm.msg)
+        net._deliver(msg)
     else:
         net.advance(choice[1])
 
@@ -470,10 +495,8 @@ def enumerate_schedules(world_factory, outcome_of, *, bound: int = 12, horizon: 
         stats["nodes"] += 1
         if stats["schedules"] > MAX_SCHEDULES:
             raise BoundExceeded("schedule count exceeds %d" % MAX_SCHEDULES)
-        if len(net.pending) > bound:
-            raise BoundExceeded(
-                "%d messages in flight exceeds bound %d" % (len(net.pending), bound)
-            )
+        if net.in_flight > bound:
+            raise BoundExceeded("%d messages in flight exceeds bound %d" % (net.in_flight, bound))
         out = outcome_of(net)
         if out is not None:
             outcomes.add(out)

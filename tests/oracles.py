@@ -6,7 +6,9 @@ square-and-multiply instead of fixed-base tables, secret
 recovery by solving the Vandermonde system, settlement by a recursive
 replay of the receipt tree, schedule enumeration by copying the whole
 world for every child, the scheduler's choices by checking each pending
-message against every other one, field checks and byte forms by walking each
+message against every other one, a run's deliveries from one heap of
+(lo, seq) entries instead of per-tick lists, keystream XOR one byte at
+a time instead of as one int, field checks and byte forms by walking each
 value's declared fields one Python call at a time instead of through
 compiled per-class code. None of them import the settlement, recovery or
 exploration code paths they are used to judge, and the settlement
@@ -15,16 +17,17 @@ never fills the verification memo of the objects it is shown.
 """
 
 import copy
+import heapq
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import fields
 from functools import cache
 from types import UnionType
-from typing import Annotated, get_args, get_origin, get_type_hints
+from typing import Annotated, NamedTuple, get_args, get_origin, get_type_hints
 
 from xchan import crypto
 from xchan.crypto import GroupParams
-from xchan.simnet import BoundExceeded, EnumResult
+from xchan.simnet import BoundExceeded, EnumResult, Message, Simnet
 from xchan.wire import U64, Checked, Encoded, enc_bytes, enc_scalar, enc_str, enc_u64
 
 
@@ -41,6 +44,11 @@ def pedersen_brute(s: int, r: int, group: GroupParams) -> int:
 def pedersen_two_pow(s: int, r: int, group: GroupParams) -> int:
     """g^s * h^r by two square-and-multiply pow calls, no tables."""
     return pow(group.g, s % group.q, group.p) * pow(group.h, r % group.q, group.p) % group.p
+
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """a XOR b one byte at a time, as long as the shorter of the two."""
+    return bytes(x ^ y for x, y in zip(a, b))
 
 
 def vandermonde_recover(points, q: int) -> int:
@@ -173,6 +181,60 @@ def settle_oracle(session_id, deposits, parties, submissions):
     return True, alloc, cutoff
 
 
+class PendingMsg(NamedTuple):
+    """One entry of HeapSimnet's delivery heap, ordered by (lo, seq)."""
+
+    lo: int
+    seq: int
+    msg: Message
+    hi: int
+
+
+class HeapSimnet(Simnet):
+    """Run mode with every message queued in one heap of PendingMsg and
+    delivered, at each tick, while the heap's least entry is due. The
+    actors, chains, delays and block clock are Simnet's own; only the
+    queue and the run loop differ."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pending = []
+
+    def send(self, kind, src, dst, data):
+        m = self.latency.resolve(src, dst)
+        delay = m.fixed if m.kind == "fixed" else self.rng.between(m.lo, m.hi)
+        lo = max(self.now + delay, self._fifo.get((src, dst), 0))
+        self._fifo[(src, dst)] = lo
+        self._seq += 1
+        heapq.heappush(self.pending, PendingMsg(lo, self._seq, Message(kind, src, dst, data), lo))
+
+    def wakeup(self, dst, tick, data):
+        t = max(tick, self.now)
+        self._seq += 1
+        heapq.heappush(self.pending, PendingMsg(t, self._seq, Message("wakeup", dst, dst, data), t))
+
+    def run_until(self, predicate=None, max_tick=10_000):
+        done = False
+        while self.now <= max_tick and not done:
+            self.advance(self.now)
+            while self.pending and self.pending[0].lo <= self.now:
+                self._deliver(heapq.heappop(self.pending).msg)
+            if predicate is not None and predicate():
+                done = True
+            else:
+                self.now += 1
+        if not done:
+            for _lo, _seq, msg, _hi in sorted(self.pending):
+                self.log({"tick": self.now, "kind": "undelivered", "src": msg.src, "dst": msg.dst,
+                          "msg": msg.kind})
+        return self.trace
+
+
+def _pending(net) -> list:
+    """Every message net holds in flight, in seq order."""
+    return sorted((m for due in net.pending.values() for m in due), key=lambda m: m.seq)
+
+
 def _next_boundary(net):
     ticks = [(net._produced // c.block_interval + 1) * c.block_interval for c in net.chains]
     return min(ticks) if ticks else None
@@ -186,7 +248,7 @@ def choices_pairwise(net, horizon: int) -> list:
     no earlier message on its link, in seq order; then ("advance", tick)
     if that boundary is within the horizon and strands nothing."""
     choices = []
-    pend = sorted(net.pending, key=lambda m: m.seq)
+    pend = _pending(net)
     nb = _next_boundary(net)
     for m in pend:
         t = max(net.now, m.lo)
@@ -194,11 +256,11 @@ def choices_pairwise(net, horizon: int) -> list:
             continue
         if any(o.hi < t for o in pend if o.seq != m.seq):
             continue
-        timer = m.msg.kind == "wakeup"
-        if any(o.msg.src == m.msg.src and o.msg.dst == m.msg.dst and (o.msg.kind == "wakeup") == timer
+        timer = m.kind == "wakeup"
+        if any(o.src == m.src and o.dst == m.dst and (o.kind == "wakeup") == timer
                and ((o.lo, o.seq) < (m.lo, m.seq) if timer else o.seq < m.seq) for o in pend):
             continue
-        choices.append(("deliver", m.seq, t, m.msg.dst))
+        choices.append(("deliver", m.seq, t, m.dst))
     if nb is not None and nb <= horizon and all(m.hi >= nb for m in pend):
         choices.append(("advance", nb))
     return choices
@@ -227,20 +289,20 @@ def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=
         stats["nodes"] += 1
         if stats["schedules"] > max_schedules:
             raise BoundExceeded("schedule count exceeds %d" % max_schedules)
-        if len(net.pending) > bound:
-            raise BoundExceeded("%d messages in flight" % len(net.pending))
+        pend = _pending(net)
+        if len(pend) > bound:
+            raise BoundExceeded("%d messages in flight" % len(pend))
         out = outcome_of(net)
         if out is not None:
             outcomes.add(out)
             stats["schedules"] += 1
             return
-        pend = sorted(net.pending, key=lambda m: m.seq)
         choices = []
         for m in pend:
             t = max(net.now, m.lo)
             stranding = any(o.hi < t for o in pend if o.seq != m.seq)
-            wakeup = m.msg.kind == "wakeup"
-            overtaking = any((o.msg.src, o.msg.dst, o.msg.kind == "wakeup") == (m.msg.src, m.msg.dst, wakeup)
+            wakeup = m.kind == "wakeup"
+            overtaking = any((o.src, o.dst, o.kind == "wakeup") == (m.src, m.dst, wakeup)
                              and ((o.lo, o.seq) < (m.lo, m.seq) if wakeup else o.seq < m.seq)
                              for o in pend)
             if t <= m.hi and not stranding and not overtaking:
@@ -256,10 +318,14 @@ def enumerate_schedules_copying(world_factory, outcome_of, *, bound=12, horizon=
             w = copy.deepcopy(net)
             if choice[0] == "deliver":
                 _, seq, t = choice
-                pm = next(p for p in w.pending if p.seq == seq)
-                w.pending.remove(pm)
+                msg = next(m for m in _pending(w) if m.seq == seq)
+                due = w.pending[msg.lo]
+                del due[next(i for i, m in enumerate(due) if m is msg)]
+                if not due:
+                    del w.pending[msg.lo]
+                w.in_flight -= 1
                 advance(w, t)
-                w._deliver(pm.msg)
+                w._deliver(msg)
             else:
                 advance(w, choice[1])
             explore(w)

@@ -25,7 +25,7 @@ from xchan.crypto import (
     pedersen_commit,
     verify,
 )
-from oracles import pedersen_brute, pedersen_two_pow
+from oracles import pedersen_brute, pedersen_two_pow, xor_bytes
 
 # order-524351 subgroup of Z_1048703*: q has 20 bits, not a whole number
 # of fixed-base windows
@@ -448,3 +448,20 @@ class TestCipher:
     def test_unequal_blocks_rejected(self):
         with pytest.raises(ValueError):
             encrypt(1, [b"aa", b"bbb"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.one_of(st.integers(0, 2**256 - 1), st.binary(min_size=32, max_size=32)),
+           size=st.integers(0, 70), count=st.integers(1, 4), block_size=st.integers(0, 70),
+           blocks=st.lists(st.binary(max_size=80), min_size=1, max_size=4))
+    def test_keystream_xor_matches_bytewise(self, key, size, count, block_size, blocks):
+        """encrypt XORs each block with its keystream block as the bytewise
+        reference does; decrypt of a counterparty's Ciphertext, whose
+        blocks may be longer or shorter than its block_size (0 included),
+        yields the shorter of each block and its keystream."""
+        key32 = key_to_bytes(key)
+        plain = [bytes([i + 1] * size) for i in range(count)]
+        want = tuple(xor_bytes(blk, crypto._keystream_block(key32, i, size)) for i, blk in enumerate(plain))
+        assert encrypt(key, plain).blocks == want
+        ct = Ciphertext(block_size=block_size, blocks=tuple(blocks))
+        assert decrypt(key, ct) == tuple(xor_bytes(blk, crypto._keystream_block(key32, i, block_size))
+                                         for i, blk in enumerate(blocks))

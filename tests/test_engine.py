@@ -384,7 +384,7 @@ def _snapshot(world, actor):
                {sid: s.state for sid, s in c.contract.sessions.items()})
               for c in (world.alpha, world.beta)]
     state = copy.deepcopy(actor.sessions if isinstance(actor, Party) else actor.stored)
-    return chains, state, len(world.net.pending), len(world.net.trace)
+    return chains, state, world.net.in_flight, len(world.net.trace)
 
 
 _RECEIPT = make_receipt(keypair_from_label("probe"), "c0", (), 1, "nobody", 1)
@@ -725,9 +725,9 @@ class TestMalformedMessages:
         result = ct.BINDINGS_PUBLISHED if type(detail) is ct.Bound else ct.SHARES_RECORDED
         world = _eie_world_mid_run()
         R = world.parties["R"]
-        queued = len(world.net.pending)
+        queued = world.net.in_flight
         R.on_message(world.net, Message("chain_event", "alpha", "R", _event(result, detail=detail)))
-        assert len(world.net.pending) == queued and not R.rejected
+        assert world.net.in_flight == queued and not R.rejected
         unrecovered = None if type(detail) is ct.Bound else "recovered-key-hash-mismatch"
         assert R.side("alpha", "c0").mismatch == unrecovered
 
@@ -747,10 +747,10 @@ class TestMalformedMessages:
         ks = other.shares[binding.index - 1]
         assert vss.verify_share(ks, other.public, DEFAULT_GROUP) and ks != stored.share
         sig = S.keys["alpha"].sign(vss.share_message_bytes(ks, bound.sn))
-        queued = {p.seq for p in world.net.pending}
+        queued = {m.seq for m in world.net.queued()}
         miner.on_message(world.net, Message("share", "S", miner.name,
                                             ShareMsg("alpha", "c0", _S, ks, other.public, bound.sn, sig)))
-        (sent,) = [p.msg for p in world.net.pending if p.seq not in queued]
+        (sent,) = [m for m in world.net.queued() if m.seq not in queued]
         assert (sent.kind, sent.src, sent.data.kind) == ("tx", miner.name, ct.APPEAL_TX)
         assert sent.data.payload == ct.AppealPayload(owner_sig=sig, share=ks, sn=bound.sn)
         assert miner.stored[("c0", _S)] is stored
@@ -838,7 +838,7 @@ def _pending_timers(world) -> list:
     """(actor name, data) of every wakeup world's network holds; each must
     be one hashable Timer for a session and a chain its actor serves."""
     out = []
-    for _lo, _seq, msg, _hi in world.net.pending:
+    for msg in world.net.queued():
         if msg.kind == "wakeup":
             assert type(msg.data) is Timer
             hash(msg.data)

@@ -462,7 +462,7 @@ class TestHtlcWorld:
         for p in world.parties.values():
             assert list(p.sessions) == ids
             assert {side.state for ps in p.sessions.values() for side in ps.sides.values()} == {ct.CLOSE}
-        assert world.net.pending == []
+        assert world.net.pending == {}
 
     def test_run_delivers_no_wakeup(self):
         _, trace = run_scenario(self.CFG)

@@ -260,3 +260,19 @@ def test_a_receipt_its_payer_never_signed_moves_nothing(forge):
     final = make_final_state(R, SID, (), deposits)
     res = settle_levels(SID, deposits, None, [(R.address, ClosePayload(final, (), (forge(),)))])
     assert res.allocations == deposits
+
+
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: settle_levels drops every receipt whose seq another "
+                                       "signed receipt shares, so a payer's re-signed seq refunds the first")
+def test_a_resigned_seq_keeps_the_payees_receipt():
+    """S pays R 3 under seq 1 and 5 under seq 2, then signs an amount-0
+    receipt under seq 2 and closes with it. R closes with the two it holds.
+    The equivocation is S's, so R's receipt, the larger, must stand: R
+    ends 100 + 8. Today both seq-2 receipts are dropped and R ends 103."""
+    deposits = {S.address: 100, R.address: 100}
+    held = [make_receipt(S, SID, (), 1, R.address, 3), make_receipt(S, SID, (), 2, R.address, 5)]
+    resigned = make_receipt(S, SID, (), 2, R.address, 0)
+    submissions = [(R.address, ClosePayload(make_final_state(R, SID, (), {}), (), tuple(held))),
+                   (S.address, ClosePayload(make_final_state(S, SID, (), {}), (), (held[0], resigned)))]
+    res = settle_levels(SID, deposits, [S.address, R.address], submissions)
+    assert res.allocations == {S.address: 92, R.address: 108}

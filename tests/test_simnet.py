@@ -10,26 +10,25 @@ import copy
 import dataclasses
 import functools
 import gc
-import heapq
 import json
 import math
 import os
 import random
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import choices_pairwise, enumerate_schedules_copying
+from oracles import HeapSimnet, choices_pairwise, enumerate_schedules_copying
 from xchan import atomicity, chain, contract, engine, scenario, simnet
 from xchan.crypto import KeyPair, keypair_from_label
 from xchan.simnet import (
     BoundExceeded,
     LatencyModel,
     Message,
-    PendingMsg,
     Rng,
     Simnet,
     enumerate_schedules,
@@ -357,8 +356,52 @@ class TestChainActor:
         assert scenario.trace_bytes(net.trace) == json.dumps(net.trace[0]).encode()
 
 
+class FiledFromNow(Simnet):
+    """A Simnet that checks, at each send and wakeup, that no message waits
+    in the list of a tick before the current one."""
+
+    def send(self, *args):
+        super().send(*args)
+        assert min(self.pending) >= self.now
+
+    def wakeup(self, *args):
+        super().wakeup(*args)
+        assert min(self.pending) >= self.now
+
+
+_DELAYS = st.one_of(st.builds(lambda d: {"kind": "fixed", "fixed": d}, st.integers(0, 3)),
+                    st.builds(lambda lo, w: {"kind": "uniform", "lo": lo, "hi": lo + w},
+                              st.integers(0, 2), st.integers(0, 3)))
+_ENDS = st.sampled_from(["S", "R", "alpha", "beta", "M.alpha.1", "*"])
+_LATENCIES = st.builds(lambda base, links: dict(base, overrides=[dict(d, src=s, dst=t) for s, t, d in links]),
+                       _DELAYS, st.lists(st.tuples(_ENDS, _ENDS, _DELAYS), max_size=2))
+_CONFIGS = st.builds(scenario.ScenarioConfig, mode=st.sampled_from(scenario.MODES),
+                     baseline=st.sampled_from(scenario.BASELINES), seed=st.integers(0, 99),
+                     channels=st.integers(1, 3), receipts_n=st.integers(0, 4), byzantine_miners=st.integers(0, 1),
+                     latency=_LATENCIES, max_ticks=st.one_of(st.integers(0, 60), st.just(4000)))
+
+
 class TestOneQueue:
-    """Both modes queue every message as a PendingMsg in one heap."""
+    """Both modes queue every message, carrying its window, in the FIFO list
+    of the tick it is first deliverable at."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_CONFIGS)
+    @example(cfg=scenario.ScenarioConfig(mode="EIE", channels=2, receipts_n=3, max_ticks=20,
+                                         latency={"kind": "uniform", "lo": 0, "hi": 2}))
+    def test_runs_as_the_heap_did(self, cfg):
+        """A drawn scenario (any mode and baseline, fixed delays from 0,
+        uniform windows from 0, per-link overrides, 1-3 channels, and a
+        max_ticks that may cut the run with messages undelivered, as the
+        explicit example does) gives the same trace and metrics bytes on the
+        per-tick lists as on the reference heap, and no message is filed
+        under a tick before the current one."""
+        runs = []
+        for net_class in (FiledFromNow, HeapSimnet):
+            with mock.patch.object(scenario, "Simnet", net_class):
+                metrics, trace = scenario.run_scenario(cfg)
+            runs.append((scenario.trace_bytes(trace), metrics.to_json()))
+        assert runs[0] == runs[1]
 
     def test_run_mode_delivers_in_lo_seq_order(self):
         slow = LatencyModel(overrides=(("a", "sink", LatencyModel(fixed=3)),))
@@ -370,21 +413,22 @@ class TestOneQueue:
         net.wakeup("sink", 3, {"i": 2})
         net.send("ping", "b", "sink", {"i": 3})  # due at 1
         net.send("ping", "a", "sink", {"i": 4})  # due at 3, due past the run
-        assert net.pending[0] == min(net.pending)
-        assert sorted((p.lo, p.seq, p.hi) for p in net.pending) == [
+        assert all(m.lo == lo for lo, due in net.pending.items() for m in due)
+        assert [(m.lo, m.seq, m.hi) for m in net.queued()] == [
             (1, 2, 1), (1, 4, 1), (3, 1, 3), (3, 3, 3), (3, 5, 3)]
+        assert net.in_flight == 5
         net.run_until(max_tick=2)
         assert rec.got == [(1, "ping", 1), (1, "ping", 3)]
         assert [e["kind"] for e in net.trace[-3:]] == ["undelivered"] * 3
         net.run_until(max_tick=5)
         assert rec.got[2:] == [(3, "ping", 0), (3, "wakeup", 2), (3, "ping", 4)]
-        assert net.pending == []
+        assert net.pending == {} and net.in_flight == 0
 
-    def test_enumerate_mode_queues_windows_in_the_same_heap(self):
+    def test_enumerate_mode_queues_windows_in_the_same_lists(self):
         net = Simnet(seed=1, latency=LatencyModel(kind="uniform", lo=2, hi=5), mode="enumerate")
         net.send("ping", "a", "sink", {})
         net.wakeup("sink", 1, {})
-        assert [(p.lo, p.seq, p.hi) for p in net.pending] == [(1, 2, 1), (2, 1, 5)]
+        assert [(m.lo, m.seq, m.hi) for m in net.queued()] == [(1, 2, 1), (2, 1, 5)]
 
 
 FORK_NODES = int(os.environ.get("XCHAN_FORK_NODES", "25"))
@@ -526,9 +570,9 @@ class TestLinearScan:
         net.now, net._produced = now, min(produced, now)
         net.chains = [types.SimpleNamespace(block_interval=k) for k in intervals]
         for seq, ((src, dst), wakeup, lo, span) in enumerate(msgs, 1):
-            msg = Message("wakeup", dst, dst, None) if wakeup else Message("ping", src, dst, None)
-            net.pending.append(PendingMsg(lo, seq, msg, lo + span))
-        heapq.heapify(net.pending)
+            kind, src = ("wakeup", dst) if wakeup else ("ping", src)
+            net.pending.setdefault(lo, []).append(Message(kind, src, dst, None, lo, seq, lo + span))
+        net.in_flight = len(msgs)
         assert simnet._choices(net, horizon) == choices_pairwise(net, horizon)
 
     @pytest.mark.parametrize("assist", (True, False))
@@ -682,8 +726,8 @@ class TestForkingExplorer:
         and is reported stalled, by the explorer and by the reference."""
         def factory():
             net = atomicity.build_close_phase_world("honest", True)
-            (lock,) = [p for p in net.pending if p.msg.kind == "tx"]
-            net.pending.remove(lock)
+            (lock,) = [m for m in net.queued() if m.kind == "tx"]
+            net.remove(lock.seq)
             return net
 
         got = enumerate_schedules(factory, atomicity.outcome_of, horizon=atomicity.HORIZON)
@@ -696,9 +740,9 @@ def _close_phase_world_with_history():
     """Close-phase world after S's lock lands in the first alpha block, so
     the trace and both chains have entries to share."""
     net = atomicity.build_close_phase_world("honest", True)
-    pm = heapq.heappop(net.pending)
-    net.advance(pm.lo)
-    net._deliver(pm.msg)
+    msg = net.remove(next(net.queued()).seq)
+    net.advance(msg.lo)
+    net._deliver(msg)
     net.advance(atomicity.ALPHA_INTERVAL)
     return net
 
@@ -706,7 +750,7 @@ def _close_phase_world_with_history():
 def _observable(net):
     return {
         "now": net.now,
-        "pending": [(p.seq, p.lo, p.hi, p.msg) for p in net.pending],
+        "pending": list(net.queued()),  # each message with its seq and window
         "trace": len(net.trace),
         "blocks": {c.chain_id: list(c.blocks) for c in net.chains},
         "accounts": {c.chain_id: dict(c.accounts) for c in net.chains},
@@ -969,10 +1013,10 @@ class TestEveryRunIsASchedule:
                 assert offered(("advance", net.now)), net.now
                 steps += 1
             net.advance(net.now)
-            while net.pending and net.pending[0].lo <= net.now:
-                pm = net.pending[0]
-                assert offered(("deliver", pm.seq, net.now, pm.msg.dst)), pm
-                net._deliver(heapq.heappop(net.pending).msg)
+            while net.now in net.pending:
+                msg = net.pending[net.now][0]
+                assert offered(("deliver", msg.seq, net.now, msg.dst)), msg
+                net._deliver(net.remove(msg.seq))
                 steps += 1
             if scenario.settled(net):
                 break

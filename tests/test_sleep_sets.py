@@ -112,7 +112,7 @@ def _world(net):
     messages without their seq numbers."""
     state = _plain({k: v for k, v in vars(net).items() if k not in ("trace", "pending")})
     state["trace"] = sorted(map(repr, net.trace))
-    state["pending"] = sorted(repr((p.msg, p.lo, p.hi)) for p in net.pending)
+    state["pending"] = sorted(repr(m._replace(seq=0)) for m in net.queued())
     return state
 
 
