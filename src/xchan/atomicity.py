@@ -1,12 +1,13 @@
 """Exhaustive atomicity checking of the cross-chain close phase.
 
 Builds a minimal two-chain world whose sessions are already settled and
-waiting to lock, its two parties built by scenario.add_party, then
-enumerates every delivery interleaving of the lock/update message flow
-under a chosen adversary profile. The profiles,
-one table of latency and adversary in the scenario file's form,
-constrain delivery windows (targeted delays) or drop the preimage
-reveal entirely; everything else runs the real contract and actor code.
+waiting to lock, its chains made by scenario.add_chains from CLOSE_PHASE
+and its two parties by scenario.add_party, then enumerates every delivery
+interleaving of the lock/update message flow under a chosen adversary
+profile. The profiles, one table of latency and adversary in the scenario
+file's form, constrain delivery windows (targeted delays) or drop the
+preimage reveal entirely; everything else runs the real contract and
+actor code.
 
 An outcome is the pair of terminal session states. Atomicity holds when
 every reachable outcome is atomic by scenario.atomic, the rule a run's
@@ -15,18 +16,17 @@ invariants read: the session ended in the same state on both chains.
 
 from __future__ import annotations
 
-from .chain import Chain, TimerConfig
+from . import contract as ct
 from .crypto import hash_bytes, keypair_from_label
 from .engine import Miner
-from .scenario import add_party, atomic, behavior_for, session_states, start_at_close, terminal
+from .scenario import (ScenarioConfig, add_chains, add_party, atomic, behavior_for, session_states,
+                       start_at_close, terminal)
 from .simnet import EnumResult, LatencyModel, Simnet, enumerate_schedules
 
-# windows sized so every deadline is a small number of block boundaries
-ALPHA_INTERVAL = 4
-BETA_INTERVAL = 4
-ALPHA_UNLOCK = 12
-ALPHA_ASSIST = 24
-BETA_UNLOCK = 8
+# assist on -> the chains' config, validated once; every deadline is a few block boundaries
+CLOSE_PHASE = {assist: ScenarioConfig.from_dict(dict(
+    block_interval_alpha=4, block_interval_beta=4, appeal_window=4, close_window=4,
+    alpha_unlock=12, beta_unlock=8, assist_window=24 if assist else None)) for assist in (True, False)}
 HORIZON = 64
 SESSION = "c0"
 
@@ -57,14 +57,7 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
         raise ValueError("unknown profile %r" % profile)
     latency, adversary = PROFILES[profile]
     net = Simnet(seed=seed, latency=latency, mode=mode)
-    alpha = Chain(
-        "alpha",
-        ALPHA_INTERVAL,
-        TimerConfig(4, 4, ALPHA_UNLOCK, ALPHA_ASSIST if assist_enabled else None),
-    )
-    beta = Chain("beta", BETA_INTERVAL, TimerConfig(4, 4, BETA_UNLOCK, None))
-    net.add_chain(alpha)
-    net.add_chain(beta)
+    alpha, beta = add_chains(net, CLOSE_PHASE[assist_enabled])
 
     directory: dict = {}
     S, R = (add_party(net, directory, name, "%s:atom:%d" % (name, seed), 1_000,
@@ -78,10 +71,10 @@ def build_close_phase_world(profile: str, assist_enabled: bool, seed: int = 1,
     start_at_close(alpha, beta, S, R, SESSION, (100, 100), 60, hash_bytes(b"atom-pre:%d" % seed))
 
     # narrow event fan-out: only the deliveries the protocol needs
-    net.subscribe(alpha, "R", kinds=("Lock",))
-    net.subscribe(beta, "S", kinds=("Lock",))
-    net.subscribe(beta, "R", kinds=("Update",))
-    net.subscribe(beta, "M", kinds=("Update",))
+    net.subscribe(alpha, "R", kinds=(ct.LOCK_TX,))
+    net.subscribe(beta, "S", kinds=(ct.LOCK_TX,))
+    net.subscribe(beta, "R", kinds=(ct.UPDATE_TX,))
+    net.subscribe(beta, "M", kinds=(ct.UPDATE_TX,))
 
     S.submit_lock(net, "alpha", SESSION)
     return net

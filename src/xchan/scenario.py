@@ -6,7 +6,7 @@ threshold-sharing parameters, latency, and adversarial behavior flags.
 run_scenario drives the full four-phase flow (initialize, open,
 exchange, close) end to end and reports metrics; run_scaling_sweep
 repeats it across channel counts and fits the throughput line.
-add_party builds every party of a world, atomicity's close phase included.
+build_world and atomicity's close phase both use add_chains and add_party.
 
 Everything derives from the config seed: replaying a config yields a
 byte-identical trace.
@@ -216,12 +216,7 @@ def build_world(config: ScenarioConfig) -> World:
     if violations:
         raise ConfigError(violations)
     net = Simnet(seed=config.seed, latency=LatencyModel.from_config(config.latency))
-    timers_a = TimerConfig(config.appeal_window, config.close_window, config.alpha_unlock, config.assist_window)
-    timers_b = replace(timers_a, unlock_window=config.beta_unlock, assist_window=None)  # no assist on beta
-    alpha = Chain("alpha", config.block_interval_alpha, timers_a, config.assist_reward_percent)
-    beta = Chain("beta", config.block_interval_beta, timers_b, config.assist_reward_percent)
-    net.add_chain(alpha)
-    net.add_chain(beta)
+    alpha, beta = add_chains(net, config)
 
     directory = {}
     parties = {}
@@ -247,6 +242,18 @@ def build_world(config: ScenarioConfig) -> World:
 
     start = _htlc_sessions if config.baseline == "plain_htlc" else _channel_sessions
     return World(config, net, alpha, beta, parties, expected_receipts=start(config, net, parties))
+
+
+def add_chains(net: Simnet, config: ScenarioConfig) -> tuple[Chain, Chain]:
+    """Chains alpha and beta, added to net in that order, with config's
+    block intervals, windows and assist reward; beta has no assist window."""
+    timers_a = TimerConfig(config.appeal_window, config.close_window, config.alpha_unlock, config.assist_window)
+    timers_b = TimerConfig(config.appeal_window, config.close_window, config.beta_unlock)
+    alpha = Chain("alpha", config.block_interval_alpha, timers_a, config.assist_reward_percent)
+    beta = Chain("beta", config.block_interval_beta, timers_b, config.assist_reward_percent)
+    net.add_chain(alpha)
+    net.add_chain(beta)
+    return alpha, beta
 
 
 def add_party(net: Simnet, directory: dict, name: str, label: str, funding: int,

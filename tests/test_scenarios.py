@@ -424,6 +424,24 @@ class TestHonestSplit:
         assert all(o["alpha:c0"] == o["beta:c0"] for o in outcomes)
 
 
+LOST_RECEIPT = "ROADMAP item 16: a receipt that arrives before its payee's view of the Open is dropped"
+
+
+class TestLostReceipts:
+    @pytest.mark.parametrize("mode", [
+        pytest.param("CE", marks=pytest.mark.xfail(strict=True, reason=LOST_RECEIPT)),  # 20 seeds, 3 to 195
+        pytest.param("FE", marks=pytest.mark.xfail(strict=True, reason=LOST_RECEIPT)),  # seeds 45 and 52
+        "EIE",
+    ])
+    def test_honest_runs_process_every_receipt(self, mode):
+        """Honest parties on uniform [1, 6] links, two receipts per run:
+        every planned receipt is processed, at every seed from 1 to 200."""
+        latency = {"kind": "uniform", "lo": 1, "hi": 6}
+        short = [seed for seed in range(1, 201) if run_scenario(
+            ScenarioConfig(mode=mode, seed=seed, receipts_n=2, latency=latency))[0].receipts_processed != 2]
+        assert short == []
+
+
 # CI's smoke runs, and the refuse_close pin: (config, its run's invariants_ok)
 SMOKE_RUNS = [pytest.param(ScenarioConfig.from_json(str(path)), True, id=path.stem)
               for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))] + [

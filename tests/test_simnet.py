@@ -2,9 +2,7 @@
 schedule enumerator's interleaving counts, and world forks.
 
 ``XCHAN_FORK_NODES`` sets how many nodes of the real-run exploration the
-fork-isolation walk checks (default 25), and ``XCHAN_HTLC_SESSIONS`` how
-many plain-HTLC sessions the every-run-is-a-schedule walk keeps (default
-30), for a longer run."""
+fork-isolation walk checks (default 25), for a longer run."""
 
 import copy
 import dataclasses
@@ -743,7 +741,7 @@ def _close_phase_world_with_history():
     msg = net.remove(next(net.queued()).seq)
     net.advance(msg.lo)
     net._deliver(msg)
-    net.advance(atomicity.ALPHA_INTERVAL)
+    net.advance(atomicity.CLOSE_PHASE[True].block_interval_alpha)
     return net
 
 
@@ -961,8 +959,6 @@ def _explorable(net):
     return w
 
 
-HTLC_SESSIONS = int(os.environ.get("XCHAN_HTLC_SESSIONS", "30"))
-
 # the shipped configs, then two latency mixes: uniform FE, and CE with one slow link
 RUNS = [pytest.param(scenario.ScenarioConfig.from_json(str(path)), id=path.stem)
         for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))] + [
@@ -995,16 +991,13 @@ class TestEveryRunIsASchedule:
     @pytest.mark.parametrize("cfg", RUNS)
     def test_every_run_is_a_schedule(self, cfg):
         """Run cfg the way run_until does, and before each block and each
-        delivery, a fork of the run set to enumerate mode offers that step.
-        The plain-HTLC baseline starts a session per receipt at once, and
-        each step forks the whole world, about 3.5 ms at 100 sessions, so its
-        run is cut to HTLC_SESSIONS sessions (XCHAN_HTLC_SESSIONS)."""
-        if cfg.baseline == "plain_htlc":
-            cfg = dataclasses.replace(cfg, receipts_n=min(cfg.receipts_n, HTLC_SESSIONS))
+        delivery, the explorer's choices on the run's own world offer that
+        step. _choices reads only the queue, the clock and the chains, never
+        the mode, and changes nothing, so it is asked of the run itself."""
         net = _opened(cfg).net
 
         def offered(step):
-            return step in simnet._choices(_explorable(net), cfg.max_ticks)
+            return step in simnet._choices(net, cfg.max_ticks)
 
         steps = 0
         while True:
